@@ -63,18 +63,27 @@ def refresh_rate(model: DataDynamicsModel, rate_of_change: float, dab: float) ->
     raise FilterError(f"unhandled ddm {model!r}")
 
 
+def refresh_rate_coefficient(model: DataDynamicsModel,
+                             rate_of_change: float) -> float:
+    """Coefficient of :func:`refresh_rate_monomial`: ``λ`` for the monotonic
+    model, ``λ²`` for the random walk.  λ is floored at a tiny positive
+    value so that static items stay inside the GP's positivity requirements
+    without influencing the optimum."""
+    lam = max(float(rate_of_change), 1e-12)
+    if model is DataDynamicsModel.MONOTONIC:
+        return lam
+    if model is DataDynamicsModel.RANDOM_WALK:
+        return lam * lam
+    raise FilterError(f"unhandled ddm {model!r}")
+
+
 def refresh_rate_monomial(model: DataDynamicsModel, rate_of_change: float,
                           dab_variable: str) -> Monomial:
     """The refresh-rate estimate as a GP monomial in the DAB variable.
 
     ``λ / b`` for the monotonic model, ``λ² / b²`` for the random walk —
-    exactly the objective terms of the paper's two formulations.  λ is
-    floored at a tiny positive value so that static items stay inside the
-    GP's positivity requirements without influencing the optimum.
+    exactly the objective terms of the paper's two formulations.
     """
-    lam = max(float(rate_of_change), 1e-12)
-    if model is DataDynamicsModel.MONOTONIC:
-        return Monomial(lam, {dab_variable: -1.0})
-    if model is DataDynamicsModel.RANDOM_WALK:
-        return Monomial(lam * lam, {dab_variable: -2.0})
-    raise FilterError(f"unhandled ddm {model!r}")
+    power = -1.0 if model is DataDynamicsModel.MONOTONIC else -2.0
+    return Monomial(refresh_rate_coefficient(model, rate_of_change),
+                    {dab_variable: power})

@@ -4,7 +4,7 @@ Every recomputation used to rebuild the planner's whole geometric program
 from posynomials — re-running the worst-case deviation expansion, the
 like-term combining and ``compile()`` — even though only the *numbers*
 change between recomputes: the exponent matrices, variable order,
-constraint names and solver-bundle classification of a query's GP are all
+constraint names and stacked evaluator layout of a query's GP are all
 value-independent.  The templates here build the scalar program exactly
 once (on the first plan), keep its :class:`~repro.gp.program.CompiledProgram`
 arrays, and thereafter refresh only the log-coefficient vectors in place
@@ -30,17 +30,19 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import FilterError, InfeasibleProblemError
-from repro.dynamics.models import refresh_rate_monomial
+from repro.dynamics.models import refresh_rate_coefficient
 from repro.filters.cost_model import CostModel
 from repro.filters.dual_dab import (
     RECOMPUTE_RATE_VARIABLE,
     build_dual_dab_program,
     build_widen_program,
 )
+from repro.gp.posynomial import Posynomial
 from repro.gp.program import CompiledProgram
 from repro.gp.solver import GPSolution
 from repro.queries.compiled import CompiledDeviation
 from repro.queries.deviation import (
+    dual_dab_condition,
     item_of_variable,
     primary_variable,
     secondary_variable,
@@ -63,6 +65,13 @@ def _single_variable_items(function, variables, rate_variable: str) -> List[Opti
         else:
             rows.append(item_of_variable(names[0]))
     return rows
+
+
+def _log_rate(cost_model: CostModel, item: str) -> float:
+    """Log-coefficient shared by ``item``'s refresh-rate (objective) and
+    recompute-rate (envelope) monomials."""
+    return math.log(refresh_rate_coefficient(cost_model.ddm,
+                                             cost_model.rate_of(item)))
 
 
 def _self_check(compiled: CompiledProgram, refresh, label: str) -> None:
@@ -95,10 +104,17 @@ class CompiledDualDabTemplate:
         self.cost_model = cost_model
         self.constrain_window = constrain_window
         self.recompute_envelope = recompute_envelope
+        # The deviation expansion is the expensive part of both scalar
+        # builders; expand once and hand it to the widening template too,
+        # which the first plan builds at these same values.
+        condition = dual_dab_condition(query.terms, values, query.qab)
+        self._expansion = (
+            {name: float(values[name]) for name in query.variables}, condition)
         program = build_dual_dab_program(
             query, values, cost_model,
             constrain_window=constrain_window,
             recompute_envelope=recompute_envelope,
+            condition=condition,
         )
         self.compiled = program.compile()
         self.deviation = CompiledDeviation(query.terms, include_secondary=True)
@@ -137,9 +153,7 @@ class CompiledDualDabTemplate:
             if item is None:
                 objective_log[i] = math.log(max(cost_model.recompute_cost, 1e-9))
             else:
-                objective_log[i] = math.log(refresh_rate_monomial(
-                    cost_model.ddm, cost_model.rate_of(item),
-                    primary_variable(item)).coefficient)
+                objective_log[i] = _log_rate(cost_model, item)
         for name, function in zip(self.compiled.constraint_names,
                                   self.compiled.constraints):
             if name == "qab":
@@ -147,12 +161,10 @@ class CompiledDualDabTemplate:
                     values, qab=self.query.qab)
             elif name == "recompute":
                 for i, item in enumerate(self._constraint_rows[name]):
-                    function.log_c[i] = math.log(
-                        cost_model.recompute_rate_monomial(item).coefficient)
+                    function.log_c[i] = _log_rate(cost_model, item)
             elif name.startswith("recompute["):
                 item = name[len("recompute["):-1]
-                function.log_c[0] = math.log(
-                    cost_model.recompute_rate_monomial(item).coefficient)
+                function.log_c[0] = _log_rate(cost_model, item)
             elif name.startswith("window["):
                 item = name[len("window["):-1]
                 function.log_c[0] = math.log(1.0 / float(values[item]))
@@ -168,9 +180,14 @@ class CompiledDualDabTemplate:
         """The (lazily-built) widening template — exposed so the delta
         recompute path can Newton-patch the widening program directly."""
         if self._widen is None:
+            expanded_at, condition = self._expansion
+            self._expansion = None
+            if any(float(values[name]) != value
+                   for name, value in expanded_at.items()):
+                condition = None        # stale: the builder re-expands
             self._widen = CompiledWidenTemplate(
                 self.query, values, primary, self.cost_model, self.deviation,
-                constrain_window=self.constrain_window,
+                constrain_window=self.constrain_window, condition=condition,
             )
         return self._widen
 
@@ -204,6 +221,7 @@ class CompiledWidenTemplate:
         cost_model: CostModel,
         deviation: CompiledDeviation,
         constrain_window: bool = True,
+        condition: Optional[Posynomial] = None,
     ):
         self.query = query
         self.cost_model = cost_model
@@ -212,7 +230,8 @@ class CompiledWidenTemplate:
         self._fixed_names = tuple(primary_variable(name) for name in items)
         self.substituted = deviation.substituted(self._fixed_names)
         program = build_widen_program(query, values, primary, cost_model,
-                                      constrain_window=constrain_window)
+                                      constrain_window=constrain_window,
+                                      condition=condition)
         self.compiled = program.compile()
         self._objective_rows = _single_variable_items(
             self.compiled.objective, self.compiled.variables,
@@ -282,9 +301,7 @@ class CompiledOptimalRefreshTemplate:
         cost_model = self.cost_model
         objective_log = self.compiled.objective.log_c
         for i, item in enumerate(self._objective_rows):
-            objective_log[i] = math.log(refresh_rate_monomial(
-                cost_model.ddm, cost_model.rate_of(item),
-                primary_variable(item)).coefficient)
+            objective_log[i] = _log_rate(cost_model, item)
         for name, function in zip(self.compiled.constraint_names,
                                   self.compiled.constraints):
             if name == "qab":

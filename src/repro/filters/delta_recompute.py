@@ -34,9 +34,13 @@ invariant is additionally enforced directly, so even a wrongly-accepted
 patch could never ship an unsound plan.
 
 In ``full`` mode the wrapper is a strict pass-through around the inner
-planner (bit-identical plans; it only measures latency and counts solves),
-which is what keeps ``--recompute-mode full`` byte-identical to the
-pre-delta code while still feeding the recompute-latency benchmark.
+planner: it returns the inner plan object untouched and only measures
+latency and counts solves, which feeds the recompute-latency benchmark.
+
+The patch and the full solve evaluate the program through the same fused
+kernel (:meth:`repro.gp.program.CompiledProgram.evaluate`): one pass per
+Newton iterate yields every constraint value, the Jacobian rows of the
+working set and the multiplier-weighted Lagrangian Hessian.
 """
 
 from __future__ import annotations
@@ -47,11 +51,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
+from scipy.optimize import nnls
 
 from repro.exceptions import FilterError, GPError
 from repro.filters.assignment import DABAssignment
 from repro.filters.dual_dab import RECOMPUTE_RATE_VARIABLE, DualDABPlanner
-from repro.gp.program import CompiledFunction, CompiledProgram
+from repro.gp.program import CompiledProgram
 from repro.gp.sensitivity import kkt_residual
 from repro.gp.solver import FEASIBILITY_TOL, _Y_BOUND
 from repro.queries.bank_index import template_key
@@ -80,77 +85,6 @@ _MAX_LOG_STEP = 2.0
 #: Latency samples kept per category (enough for stable p99 at any
 #: realistic run length while bounding memory on soaks).
 _MAX_LATENCY_SAMPLES = 100_000
-
-
-# -- fast log-sum-exp kernels ------------------------------------------------------
-#
-# The solver's `_lse_value`/`_lse_grad` go through scipy's logsumexp/softmax,
-# whose array-API dispatch costs ~0.25 ms per call — fine inside an SLSQP
-# solve (two batched callbacks per iteration), fatal for a patch that sweeps
-# every constraint several times.  These hand-rolled equivalents keep a
-# Newton patch in the hundreds of microseconds; the solve path keeps scipy so
-# full-mode trajectories stay bitwise identical to the pre-delta code.
-
-
-def _fast_value(func: CompiledFunction, y: np.ndarray) -> float:
-    z = func.A @ y + func.log_c
-    if z.shape[0] == 1:
-        return float(z[0])
-    m = float(np.max(z))
-    return m + math.log(float(np.sum(np.exp(z - m))))
-
-
-def _fast_weights(func: CompiledFunction, y: np.ndarray) -> np.ndarray:
-    z = func.A @ y + func.log_c
-    w = np.exp(z - np.max(z))
-    return w / w.sum()
-
-
-def _fast_grad(func: CompiledFunction, y: np.ndarray) -> np.ndarray:
-    if func.A.shape[0] == 1:
-        return func.A[0]
-    return _fast_weights(func, y) @ func.A
-
-
-def _fast_hessian(func: CompiledFunction, y: np.ndarray) -> np.ndarray:
-    weights = _fast_weights(func, y)
-    weighted = func.A * weights[:, None]
-    mean = weights @ func.A
-    return func.A.T @ weighted - np.outer(mean, mean)
-
-
-class _BatchedConstraints:
-    """All constraint values of a compiled program in one sweep: the
-    monomial (single-row) constraints collapse to a single matvec, only the
-    few true posynomials (qab, recompute) pay a log-sum-exp each.  Built per
-    patch, *after* the template refresh, so the offsets are current."""
-
-    def __init__(self, compiled: CompiledProgram):
-        self.m = len(compiled.constraints)
-        linear_index: List[int] = []
-        linear_rows: List[np.ndarray] = []
-        linear_offsets: List[float] = []
-        self.nonlinear: List[tuple] = []
-        for i, func in enumerate(compiled.constraints):
-            if func.A.shape[0] == 1:
-                linear_index.append(i)
-                linear_rows.append(func.A[0])
-                linear_offsets.append(float(func.log_c[0]))
-            else:
-                self.nonlinear.append((i, func))
-        dimension = len(compiled.variables)
-        self.linear_index = np.asarray(linear_index, dtype=int)
-        self.A_lin = (np.vstack(linear_rows) if linear_rows
-                      else np.zeros((0, dimension)))
-        self.c_lin = np.asarray(linear_offsets)
-
-    def values(self, y: np.ndarray) -> np.ndarray:
-        out = np.empty(self.m)
-        if self.linear_index.size:
-            out[self.linear_index] = self.A_lin @ y + self.c_lin
-        for i, func in self.nonlinear:
-            out[i] = _fast_value(func, y)
-        return out
 
 
 @dataclass
@@ -295,14 +229,21 @@ def _newton_working_set(
 
     where ``H`` is the Lagrangian Hessian with multipliers clipped at zero
     (each term is PSD, so ``H`` stays PSD).  Returns ``(y, ν, residual,
-    iterations)`` with ``residual`` the *unregularised* KKT residual —
-    acceptance never trusts the damping/regularisation tricks used to get
-    there.
+    iterations, evaluation at y)`` with ``residual`` the *unregularised* KKT
+    residual — acceptance never trusts the damping/regularisation tricks
+    used to get there.
     """
     n = y0.shape[0]
-    constraints = [compiled.constraints[i] for i in working]
-    k = len(constraints)
+    k = len(working)
+    # Function indices in the kernel's stacking: objective 0, constraint i
+    # at 1 + i.
+    rows = 1 + np.asarray(working, dtype=int)
+    curved = compiled.multi_row[rows]
+    hessian_weights = np.zeros(len(compiled.constraints) + 1)
+    hessian_weights[0] = 1.0
     y = y0.copy()
+    evaluation = compiled.evaluate(y)
+    jacobian = evaluation.jacobian()
     # Seed the multipliers with the NNLS stationarity fit (the sensitivity
     # machinery's recovery) instead of zero: the Lagrangian Hessian only
     # has curvature in the secondary-DAB directions through ν-weighted
@@ -310,36 +251,24 @@ def _newton_working_set(
     # singular and the damped steps stall.
     nu = np.zeros(k)
     if k:
-        from scipy.optimize import nnls
-
-        A0 = np.vstack([_fast_grad(func, y) for func in constraints])
         try:
-            nu = nnls(A0.T, -_fast_grad(compiled.objective, y))[0]
+            nu = nnls(jacobian[rows].T, -jacobian[0])[0]
         except (ValueError, RuntimeError):
             nu = np.zeros(k)
     eye = np.eye(n)
     residual = math.inf
     for iteration in range(max_iterations):
-        grad0 = _fast_grad(compiled.objective, y)
-        if k:
-            A = np.vstack([_fast_grad(func, y) for func in constraints])
-            c = np.array([_fast_value(func, y) for func in constraints])
-            stationarity = grad0 + A.T @ nu
-            residual = max(float(np.max(np.abs(stationarity))),
-                           float(np.max(np.abs(c))))
-        else:
-            A = np.zeros((0, n))
-            c = np.zeros(0)
-            stationarity = grad0
-            residual = float(np.max(np.abs(stationarity))) if n else 0.0
+        A = jacobian[rows]
+        c = evaluation.values[rows]
+        stationarity = jacobian[0] + nu @ A
+        residual = max(float(np.max(np.abs(stationarity), initial=0.0)),
+                       float(np.max(np.abs(c), initial=0.0)))
         if residual <= kkt_tol:
-            return y, nu, residual, iteration
-        H = _fast_hessian(compiled.objective, y)
-        for multiplier, func in zip(nu, constraints):
-            if multiplier > 0.0 and func.A.shape[0] > 1:
-                H = H + multiplier * _fast_hessian(func, y)
+            return y, nu, residual, iteration, evaluation
+        # Only true posynomials with a positive multiplier add curvature.
+        hessian_weights[rows] = np.where(curved, np.maximum(nu, 0.0), 0.0)
         system = np.zeros((n + k, n + k))
-        system[:n, :n] = H + 1e-10 * eye
+        system[:n, :n] = evaluation.hessian(hessian_weights) + 1e-10 * eye
         system[:n, n:] = A.T
         system[n:, :n] = A
         rhs = np.concatenate([-stationarity, -c])
@@ -348,13 +277,15 @@ def _newton_working_set(
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(system, rhs, rcond=None)[0]
         if not np.all(np.isfinite(step)):
-            return y, nu, math.inf, iteration
+            return y, nu, math.inf, iteration, evaluation
         dy, dnu = step[:n], step[n:]
         largest = float(np.max(np.abs(dy))) if n else 0.0
         scale = _MAX_LOG_STEP / largest if largest > _MAX_LOG_STEP else 1.0
         y = np.clip(y + scale * dy, -_Y_BOUND, _Y_BOUND)
         nu = nu + scale * dnu
-    return y, nu, residual, max_iterations
+        evaluation = compiled.evaluate(y)
+        jacobian = evaluation.jacobian()
+    return y, nu, residual, max_iterations, evaluation
 
 
 def newton_patch(
@@ -384,30 +315,28 @@ def newton_patch(
         y[j] = math.log(value)
     y = np.clip(y, -_Y_BOUND, _Y_BOUND)
 
-    batched = _BatchedConstraints(compiled)
-    m = batched.m
-
     # Seed the working set with the constraints (near-)active or violated
     # at the warm start under the *new* coefficients.
-    initial = batched.values(y) if m else np.zeros(0)
-    working = [i for i in range(m) if initial[i] >= -_WORKING_SET_TOL]
+    working = np.flatnonzero(
+        compiled.evaluate(y).values[1:] >= -_WORKING_SET_TOL).tolist()
 
     iterations = 0
     log_feas = math.log1p(feasibility_tol)
     for _ in range(max_working_set_rounds):
-        y_next, nu, residual, used = _newton_working_set(
+        y_next, nu, residual, used, evaluation = _newton_working_set(
             compiled, y, working, max_newton_iterations, kkt_tol)
         iterations += used
         if not math.isfinite(residual) or residual > kkt_tol:
             return None
         y = y_next
-        values_now = batched.values(y) if m else np.zeros(0)
-        violated = [i for i in range(m)
-                    if i not in working and values_now[i] > log_feas]
+        in_working = set(working)
+        violated = [
+            i for i in np.flatnonzero(evaluation.values[1:] > log_feas).tolist()
+            if i not in in_working]
         negative = [j for j, multiplier in enumerate(nu)
                     if multiplier < -_DUAL_TOL]
         if not violated and not negative:
-            objective = math.exp(_fast_value(compiled.objective, y))
+            objective = math.exp(float(evaluation.values[0]))
             final_residual = kkt_residual(
                 compiled, y, working, np.maximum(nu, 0.0))
             if final_residual > 10.0 * kkt_tol:

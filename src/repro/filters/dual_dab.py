@@ -46,9 +46,14 @@ def build_dual_dab_program(
     rate_variable: str = RECOMPUTE_RATE_VARIABLE,
     constrain_window: bool = True,
     recompute_envelope: str = "sum",
+    condition: Optional[Posynomial] = None,
 ) -> GeometricProgram:
     """Construct the dual-DAB GP for one PPQ (exposed for AAO, which embeds
     per-query copies of these constraints in a joint program).
+
+    ``condition`` is ``dual_dab_condition(query.terms, values, query.qab)``
+    when the caller has already expanded it (the compiled templates share
+    one expansion between this program and the widening program).
 
     ``recompute_envelope`` selects how the recomputation rate ``R`` bounds
     the per-item window-crossing rates:
@@ -73,8 +78,9 @@ def build_dual_dab_program(
         + Monomial(max(cost_model.recompute_cost, 1e-9), {rate_variable: 1.0})
     )
     program = GeometricProgram(objective=objective)
-    program.add_constraint(dual_dab_condition(query.terms, values, query.qab),
-                           1.0, name="qab")
+    if condition is None:
+        condition = dual_dab_condition(query.terms, values, query.qab)
+    program.add_constraint(condition, 1.0, name="qab")
     if recompute_envelope == "sum":
         program.add_constraint(
             Posynomial([cost_model.recompute_rate_monomial(name) for name in items])
@@ -101,9 +107,11 @@ def build_widen_program(
     primary: Mapping[str, float],
     cost_model: CostModel,
     constrain_window: bool = True,
+    condition: Optional[Posynomial] = None,
 ) -> GeometricProgram:
     """Construct the second-pass widening GP (see :func:`widen_secondary`);
-    exposed so the compiled-template path can build it once per query."""
+    exposed so the compiled-template path can build it once per query.
+    ``condition`` as in :func:`build_dual_dab_program`."""
     items = query.variables
     fixed = {primary_variable(name): float(primary[name]) for name in items}
     objective = Posynomial([
@@ -111,10 +119,9 @@ def build_widen_program(
         for name in items
     ])
     program = GeometricProgram(objective=objective)
-    condition = substitute(
-        dual_dab_condition(query.terms, values, query.qab), fixed
-    )
-    program.add_constraint(condition, 1.0, name="qab")
+    if condition is None:
+        condition = dual_dab_condition(query.terms, values, query.qab)
+    program.add_constraint(substitute(condition, fixed), 1.0, name="qab")
     for name in items:
         c = Monomial.variable(secondary_variable(name))
         program.add_constraint(float(primary[name]) / c, 1.0, name=f"order[{name}]")

@@ -19,7 +19,6 @@ solve, and the fit residual is reported so callers can tell.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -27,8 +26,8 @@ import numpy as np
 from scipy.optimize import nnls
 
 from repro.exceptions import GPError
-from repro.gp.program import CompiledFunction, CompiledProgram, GeometricProgram
-from repro.gp.solver import GPSolution, _lse_grad
+from repro.gp.program import CompiledProgram, GeometricProgram
+from repro.gp.solver import GPSolution
 
 #: A constraint counts as active when ``|g(t) - 1|`` is below this.
 ACTIVE_TOL = 1e-4
@@ -85,23 +84,19 @@ def analyze_compiled(compiled: CompiledProgram,
     directly skips the posynomial rebuild that :func:`analyze` pays and is
     what the delta-recompute path uses to seed/validate its Newton patch.
     """
-    order = compiled.variables
-    y = np.array([np.log(values[name]) for name in order])
+    y = np.array([np.log(values[name]) for name in compiled.variables])
+    evaluation = compiled.evaluate(y)
+    jacobian = evaluation.jacobian()
+    objective_grad = jacobian[0]
 
-    objective_grad = _lse_grad(compiled.objective, y)
-
-    active_gradients: List[np.ndarray] = []
-    active_names: List[str] = []
-    for name, func in zip(compiled.constraint_names, compiled.constraints):
-        value = float(np.exp(_lse_value_for(func, y)))
-        if abs(value - 1.0) <= ACTIVE_TOL:
-            active_gradients.append(_lse_grad(func, y))
-            active_names.append(name)
+    active = np.flatnonzero(
+        np.abs(np.exp(evaluation.values[1:]) - 1.0) <= ACTIVE_TOL)
+    active_names = [compiled.constraint_names[i] for i in active]
 
     multipliers = {name: 0.0 for name in compiled.constraint_names}
-    if active_gradients:
-        A = np.vstack(active_gradients).T          # (n_vars, n_active)
-        nu, residual = nnls(A, -objective_grad)
+    if active.size:
+        # Columns are the active constraints' gradients: (n_vars, n_active).
+        nu, residual = nnls(jacobian[1 + active].T, -objective_grad)
         for name, value in zip(active_names, nu):
             multipliers[name] = float(value)
     else:
@@ -116,12 +111,6 @@ def analyze_compiled(compiled: CompiledProgram,
     )
 
 
-def _lse_value_for(func: CompiledFunction, y: np.ndarray) -> float:
-    from scipy.special import logsumexp
-
-    return float(logsumexp(func.A @ y + func.log_c))
-
-
 def kkt_residual(compiled: CompiledProgram, y: np.ndarray,
                  working: "List[int]", nu: np.ndarray) -> float:
     """∞-norm of the KKT residual of a working-set iterate.
@@ -134,21 +123,13 @@ def kkt_residual(compiled: CompiledProgram, y: np.ndarray,
     their violation calls for an active-set update rather than more Newton
     steps.  This is the acceptance metric of the delta-recompute patch.
     """
-    def value_and_grad(func: CompiledFunction):
-        # Plain-numpy log-sum-exp: this runs once per accepted patch, where
-        # scipy's array-API dispatch overhead would dwarf the arithmetic.
-        z = func.A @ y + func.log_c
-        peak = float(np.max(z))
-        weights = np.exp(z - peak)
-        total = float(weights.sum())
-        return peak + math.log(total), (weights / total) @ func.A
-
-    _, stationarity = value_and_grad(compiled.objective)
+    evaluation = compiled.evaluate(y)
+    stationarity = evaluation.jacobian()[0]
     primal = 0.0
-    for multiplier, index in zip(nu, working):
-        value, grad = value_and_grad(compiled.constraints[index])
-        stationarity = stationarity + multiplier * grad
-        primal = max(primal, abs(value))
+    if len(working):
+        rows = 1 + np.asarray(working, dtype=int)
+        stationarity = stationarity + nu @ evaluation.jacobian()[rows]
+        primal = float(np.max(np.abs(evaluation.values[rows])))
     return max(float(np.max(np.abs(stationarity))), primal)
 
 

@@ -1,31 +1,30 @@
 """Log-space GP solver built on scipy.
 
 The substitution ``y = log t`` turns every posynomial ``f(t)`` into
-``F(y) = logsumexp(A y + log c)``, a smooth convex function whose gradient is
-the softmax-weighted row sum of ``A``.  The program
+``F(y) = log sum exp(A y + log c)``, a smooth convex function whose gradient
+is the softmax-weighted row sum of ``A``.  The program
 
     minimise F0(y)  subject to  Fi(y) <= 0
 
-is therefore a smooth convex NLP.  Monomial constraints are *linear* in
-log-space and are batched into a single vector-valued constraint; the
-(few) true posynomial constraints are batched into a second one — so SLSQP
-sees two callbacks per iteration instead of one per constraint, which keeps
-each DAB recomputation in the low milliseconds.
+is therefore a smooth convex NLP.  Every function of the program is
+evaluated by the one fused kernel on :class:`CompiledProgram` (a single
+mat-vec and a segmented reduce for all values and gradients), and SLSQP's
+four callbacks per iterate share one pass of it — which keeps each DAB
+recomputation in the low milliseconds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import NonlinearConstraint, minimize
-from scipy.special import logsumexp, softmax
 
 from repro.exceptions import InfeasibleProblemError, SolverFailedError
 from repro.gp.diagnostics import SolveReport
-from repro.gp.program import CompiledFunction, CompiledProgram, GeometricProgram
+from repro.gp.program import CompiledProgram, Evaluation, GeometricProgram
 
 #: Accepted normalised constraint violation at a solution.
 FEASIBILITY_TOL = 1e-6
@@ -57,67 +56,43 @@ class GPSolution:
         return self.values[name]
 
 
-def _lse_value(func: CompiledFunction, y: np.ndarray) -> float:
-    return float(logsumexp(func.A @ y + func.log_c))
+class _Iterate:
+    """One kernel pass per iterate.
 
-
-def _lse_grad(func: CompiledFunction, y: np.ndarray) -> np.ndarray:
-    weights = softmax(func.A @ y + func.log_c)
-    return weights @ func.A
-
-
-def _lse_hessian(func: CompiledFunction, y: np.ndarray) -> np.ndarray:
-    """Hessian of ``F(y) = logsumexp(A y + log c)``:
-    ``Aᵀ (diag(w) - w wᵀ) A`` with softmax weights ``w`` — positive
-    semi-definite, which is what makes the log-space program convex and a
-    warm Newton-KKT patch on it sound (see filters/delta_recompute.py)."""
-    weights = softmax(func.A @ y + func.log_c)
-    weighted = func.A * weights[:, None]
-    mean = weights @ func.A
-    return func.A.T @ weighted - np.outer(mean, mean)
-
-
-class _ConstraintBundle:
-    """All constraints of a compiled program as one vector function.
-
-    Linear rows come from monomial (single-term) constraints:
-    ``a·y + log c <= 0``.  Each multi-term posynomial contributes one
-    log-sum-exp row.
+    SLSQP asks for the objective, its gradient, the constraint values and
+    their Jacobian at the same ``y`` through four separate callbacks; all
+    four are served from one :meth:`CompiledProgram.evaluate`.  An instance
+    lives for a single :func:`solve_compiled` call, during which the
+    program's coefficients cannot change, so the memo is keyed on ``y``
+    alone and dies before the next template refresh.
     """
 
     def __init__(self, compiled: CompiledProgram):
-        linear_rows: List[np.ndarray] = []
-        linear_offsets: List[float] = []
-        self.nonlinear: List[CompiledFunction] = []
-        self.names: List[str] = []
-        nonlinear_names: List[str] = []
-        for name, func in zip(compiled.constraint_names, compiled.constraints):
-            if func.A.shape[0] == 1:
-                linear_rows.append(func.A[0])
-                linear_offsets.append(float(func.log_c[0]))
-                self.names.append(name)
-            else:
-                self.nonlinear.append(func)
-                nonlinear_names.append(name)
-        self.names.extend(nonlinear_names)
-        dimension = len(compiled.variables)
-        self.A_lin = (np.vstack(linear_rows) if linear_rows
-                      else np.zeros((0, dimension)))
-        self.c_lin = np.asarray(linear_offsets)
-        self.size = self.A_lin.shape[0] + len(self.nonlinear)
+        self.compiled = compiled
+        self.names = compiled.constraint_names
+        self.size = len(compiled.constraints)
+        self._key: Optional[bytes] = None
+        self._evaluation: Optional[Evaluation] = None
+
+    def at(self, y: np.ndarray) -> Evaluation:
+        key = y.tobytes()
+        if key != self._key:
+            self._evaluation = self.compiled.evaluate(y)
+            self._key = key
+        return self._evaluation
+
+    def objective(self, y: np.ndarray) -> float:
+        return float(self.at(y).values[0])
+
+    def gradient(self, y: np.ndarray) -> np.ndarray:
+        return self.at(y).jacobian()[0].copy()
 
     def values(self, y: np.ndarray) -> np.ndarray:
         """F_i(y) for every constraint (<= 0 means satisfied)."""
-        parts = [self.A_lin @ y + self.c_lin]
-        if self.nonlinear:
-            parts.append(np.array([_lse_value(f, y) for f in self.nonlinear]))
-        return np.concatenate(parts)
+        return self.at(y).values[1:]
 
     def jacobian(self, y: np.ndarray) -> np.ndarray:
-        if not self.nonlinear:
-            return self.A_lin
-        rows = [_lse_grad(f, y) for f in self.nonlinear]
-        return np.vstack([self.A_lin, np.vstack(rows)])
+        return self.at(y).jacobian()[1:]
 
 
 def _initial_log_point(
@@ -132,16 +107,16 @@ def _initial_log_point(
     return np.clip(y0, -_Y_BOUND, _Y_BOUND)
 
 
-def _restore_feasibility(bundle: _ConstraintBundle, y0: np.ndarray) -> np.ndarray:
+def _restore_feasibility(iterate: _Iterate, y0: np.ndarray) -> np.ndarray:
     """Phase-1: push a start point toward the feasible region by minimising
     ``sum(max(Fi, 0)^2)`` — identically zero on the feasible set."""
-    if bundle.size == 0 or float(np.max(bundle.values(y0))) <= 0.0:
+    if iterate.size == 0 or float(np.max(iterate.values(y0))) <= 0.0:
         return y0
 
     def merit(y: np.ndarray) -> Tuple[float, np.ndarray]:
-        violations = np.maximum(bundle.values(y), 0.0)
+        violations = np.maximum(iterate.values(y), 0.0)
         value = float(violations @ violations)
-        grad = 2.0 * (violations @ bundle.jacobian(y))
+        grad = 2.0 * (violations @ iterate.jacobian(y))
         return value, grad
 
     result = minimize(merit, y0, jac=True, method="BFGS",
@@ -149,19 +124,18 @@ def _restore_feasibility(bundle: _ConstraintBundle, y0: np.ndarray) -> np.ndarra
     return np.clip(result.x, -_Y_BOUND, _Y_BOUND)
 
 
-def _solve_slsqp(compiled: CompiledProgram, bundle: _ConstraintBundle,
-                 y0: np.ndarray, maxiter: int):
+def _solve_slsqp(iterate: _Iterate, y0: np.ndarray, maxiter: int):
     constraints = []
-    if bundle.size:
+    if iterate.size:
         constraints.append({
             "type": "ineq",
-            "fun": lambda y: -bundle.values(y),
-            "jac": lambda y: -bundle.jacobian(y),
+            "fun": lambda y: -iterate.values(y),
+            "jac": lambda y: -iterate.jacobian(y),
         })
     return minimize(
-        lambda y: _lse_value(compiled.objective, y),
+        iterate.objective,
         y0,
-        jac=lambda y: _lse_grad(compiled.objective, y),
+        jac=iterate.gradient,
         method="SLSQP",
         bounds=[(-_Y_BOUND, _Y_BOUND)] * len(y0),
         constraints=constraints,
@@ -169,29 +143,28 @@ def _solve_slsqp(compiled: CompiledProgram, bundle: _ConstraintBundle,
     )
 
 
-def _solve_trust_constr(compiled: CompiledProgram, bundle: _ConstraintBundle,
-                        y0: np.ndarray, maxiter: int):
+def _solve_trust_constr(iterate: _Iterate, y0: np.ndarray, maxiter: int):
     constraints = []
-    if bundle.size:
+    if iterate.size:
         constraints.append(NonlinearConstraint(
-            fun=bundle.values, lb=-np.inf, ub=0.0, jac=bundle.jacobian,
+            fun=iterate.values, lb=-np.inf, ub=0.0, jac=iterate.jacobian,
         ))
     return minimize(
-        lambda y: _lse_value(compiled.objective, y),
+        iterate.objective,
         y0,
-        jac=lambda y: _lse_grad(compiled.objective, y),
+        jac=iterate.gradient,
         method="trust-constr",
         constraints=constraints,
         options={"maxiter": maxiter, "gtol": 1e-9, "xtol": 1e-12},
     )
 
 
-def _max_violation(bundle: _ConstraintBundle, y: np.ndarray) -> Tuple[float, Dict[str, float]]:
-    if bundle.size == 0:
+def _max_violation(iterate: _Iterate, y: np.ndarray) -> Tuple[float, Dict[str, float]]:
+    if iterate.size == 0:
         return 0.0, {}
     # Report in original space: g(t) - 1 = exp(F(y)) - 1.
-    violations = np.expm1(bundle.values(y))
-    residuals = dict(zip(bundle.names, violations.tolist()))
+    violations = np.expm1(iterate.values(y))
+    residuals = dict(zip(iterate.names, violations.tolist()))
     return float(np.max(violations)), residuals
 
 
@@ -248,7 +221,7 @@ def solve_compiled(
     bitwise-identical arrays and warm start, the solve trajectory (and
     hence the returned solution) is identical to the uncompiled path.
     """
-    bundle = _ConstraintBundle(compiled)
+    iterate = _Iterate(compiled)
     rng = np.random.default_rng(seed)
     base = _initial_log_point(compiled, initial)
 
@@ -265,18 +238,15 @@ def solve_compiled(
         else:
             y0 = np.clip(base + rng.normal(scale=0.5 * attempt, size=base.shape),
                          -_Y_BOUND, _Y_BOUND)
-        y0 = _restore_feasibility(bundle, y0)
+        y0 = _restore_feasibility(iterate, y0)
 
         for method, runner in (("SLSQP", _solve_slsqp), ("trust-constr", _solve_trust_constr)):
-            result = runner(compiled, bundle, y0, maxiter)
+            result = runner(iterate, y0, maxiter)
             last_message = str(getattr(result, "message", ""))
             y = np.asarray(result.x, dtype=float)
-            if bundle.size:
-                worst = float(np.max(np.expm1(bundle.values(y))))
-            else:
-                worst = 0.0
+            worst, _ = _max_violation(iterate, y)
             if worst <= tol:
-                objective = math.exp(_lse_value(compiled.objective, y))
+                objective = math.exp(iterate.objective(y))
                 if best is None or objective < best[1]:
                     best = (y, objective)
                     method_used = method
@@ -288,7 +258,7 @@ def solve_compiled(
             break
 
     if best is None:
-        worst, residuals = _max_violation(bundle, _restore_feasibility(bundle, base))
+        worst, residuals = _max_violation(iterate, _restore_feasibility(iterate, base))
         report = SolveReport(
             status="infeasible" if worst > tol else "failed",
             method=method_used,
@@ -305,7 +275,7 @@ def solve_compiled(
         raise SolverFailedError(f"solver failed: {last_message}", report)
 
     y, objective = best
-    worst, residuals = _max_violation(bundle, y)
+    worst, residuals = _max_violation(iterate, y)
     values = {
         name: float(math.exp(y[j])) for j, name in enumerate(compiled.variables)
     }
