@@ -11,7 +11,9 @@ bitwise-equal reimplementation, not an approximation (DESIGN.md §8).
 Results land in ``benchmarks/results/BENCH_hotpath.json``.  The committed
 copy is the regression baseline: CI re-runs the reduced ``smoke`` entry
 (``REPRO_BENCH_HOTPATH=smoke``) and fails when the measured speedup drops
-below half the committed one.
+below half the committed one.  The window-check screen is gated on
+*counts*, which repeat exactly, not on time: metric identity, and the
+share of refreshes the coordinator's per-item safe band answered.
 """
 
 from __future__ import annotations
@@ -71,7 +73,11 @@ def _measure(params):
         results[vectorize] = runs[0]
     ticks = results[True].metrics.duration_ticks
     vector = results[True]
+    screened = vector.window_screen_hits + vector.window_screen_misses
     return {
+        "window_screen_hits": vector.window_screen_hits,
+        "window_screen_misses": vector.window_screen_misses,
+        "window_screen_hit_rate": vector.window_screen_hits / screened,
         "params": dict(params),
         "ticks": ticks,
         "loop_seconds_vectorized": loops[True],
@@ -138,6 +144,15 @@ def test_hotpath_metrics_identical(benchmark, hotpath):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     for name, entry in hotpath["entries"].items():
         assert entry["metrics_identical"], name
+
+
+def test_window_screen_hit_rate(benchmark, hotpath):
+    """The quiet path is the common path: at least 95 % of refreshes are
+    answered by the per-item safe band (DESIGN.md §8.5) without a
+    per-query window check."""
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    for name, entry in hotpath["entries"].items():
+        assert entry["window_screen_hit_rate"] >= 0.95, (name, entry)
 
 
 def test_hotpath_speedup_floor(benchmark, hotpath):

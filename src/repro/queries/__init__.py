@@ -19,7 +19,6 @@ This subpackage models the paper's query class (Section I-A):
 from repro.queries.bank_index import (
     BANK_INDEX_MODES,
     SharedStructureBank,
-    TemplateWindowState,
     template_key,
 )
 from repro.queries.items import DataItem, ItemRegistry
@@ -38,7 +37,6 @@ from repro.queries.deviation import (
 __all__ = [
     "BANK_INDEX_MODES",
     "SharedStructureBank",
-    "TemplateWindowState",
     "template_key",
     "DataItem",
     "ItemRegistry",

@@ -34,18 +34,12 @@ per-tick evaluation (up to float association of ``W @ P`` versus the
 flat path's sequential sums; the shared path makes no bit-identity
 claim, which is why ``--bank-index flat`` remains the golden-pinned
 default).
-
-:class:`TemplateWindowState` gives the coordinator the matching
-per-template secondary-DAB window check: reference/width matrices over
-(member, item) with incremental breach flags and per-member counts, so
-a refresh runs one vectorized column compare per affected template
-instead of one dict-driven check per affected query.
 """
 
 from __future__ import annotations
 
 import time as _time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,9 +101,8 @@ class _Template:
         self.positions = np.zeros(self.capacity, dtype=np.intp)
         self.weights = np.zeros((self.capacity, len(key)))
         self.norms = np.zeros(self.capacity)
-        #: Bumped on every membership change; consumers holding derived
-        #: per-member state (the coordinator's window matrices) compare
-        #: it to decide whether their row layout is stale.
+        #: Bumped on every membership change, so a consumer holding
+        #: derived per-member state can tell its row layout is stale.
         self.version = 0
         self.sync_P: Optional[np.ndarray] = None
         self.v_sync = np.zeros(self.capacity)
@@ -247,20 +240,11 @@ class SharedStructureBank:
 
     # -- structure lookups ----------------------------------------------
 
-    def template_of(self, name: str) -> int:
-        return self._members[name][0]
-
-    def member_row(self, name: str) -> int:
-        return self._members[name][1]
-
     def templates_of_item(self, item: str) -> Sequence[int]:
         return self._item_templates.get(item, ())
 
     def template_items(self, tid: int) -> Tuple[str, ...]:
         return self._entries[tid].items
-
-    def template_names(self, tid: int) -> Sequence[str]:
-        return self._entries[tid].names
 
     def template_positions(self, tid: int) -> np.ndarray:
         entry = self._entries[tid]
@@ -408,76 +392,3 @@ class SharedStructureBank:
                 "p99": round(float(np.percentile(arr, 99)), 3),
             }
         return out
-
-
-class TemplateWindowState:
-    """Per-template secondary-DAB window state (the coordinator's
-    shared-mode breach check).
-
-    One ``(members, items)`` reference/width matrix pair per template:
-    a refresh of one item is a single vectorized column compare, breach
-    transitions maintain per-member counts incrementally, and a member
-    recomputation rewrites just its row.  Rows whose plans cannot be
-    vectorized (no plan yet, single-DAB plans, missing references) are
-    flagged ``fallback`` and stay on the coordinator's scalar predicate
-    — bit-identical edge-case handling with the flat path.
-    """
-
-    __slots__ = ("items", "item_pos", "positions", "refs", "wids",
-                 "flags", "counts", "fallback", "version")
-
-    def __init__(self, items: Sequence[str], positions: np.ndarray,
-                 version: int):
-        k = len(items)
-        m = len(positions)
-        self.items = tuple(items)
-        self.item_pos = {name: j for j, name in enumerate(self.items)}
-        self.positions = np.array(positions, dtype=np.intp)
-        self.refs = np.zeros((m, k))
-        self.wids = np.full((m, k), np.inf)
-        self.flags = np.zeros((m, k), dtype=bool)
-        self.counts = np.zeros(m, dtype=np.intp)
-        self.fallback = np.zeros(m, dtype=bool)
-        self.version = version
-
-    def set_row(self, row: int, refs: Mapping[str, float],
-                wids: Mapping[str, float],
-                values: Mapping[str, float]) -> None:
-        """Adopt a (vectorizable) plan for one member: items absent from
-        ``refs`` are unconstrained (never breach)."""
-        self.fallback[row] = False
-        count = 0
-        for j, item in enumerate(self.items):
-            reference = refs.get(item)
-            if reference is None:
-                self.refs[row, j] = 0.0
-                self.wids[row, j] = np.inf
-                self.flags[row, j] = False
-            else:
-                wide = wids[item]
-                breached = abs(values[item] - reference) > wide
-                self.refs[row, j] = reference
-                self.wids[row, j] = wide
-                self.flags[row, j] = breached
-                count += breached
-        self.counts[row] = count
-
-    def set_fallback(self, row: int) -> None:
-        self.fallback[row] = True
-        self.flags[row] = False
-        self.counts[row] = 0
-
-    def update_item(self, item: str, value: float) -> np.ndarray:
-        """One refresh: flip breach flags for ``item``'s column and
-        return the member rows now needing recomputation (breached on
-        *any* item, exactly the flat path's per-query count check)."""
-        j = self.item_pos[item]
-        col = np.abs(value - self.refs[:, j]) > self.wids[:, j]
-        changed = col != self.flags[:, j]
-        if changed.any():
-            self.counts[changed] += np.where(col[changed], 1, -1)
-            self.flags[:, j] = col
-        return np.nonzero((self.counts > 0) & ~self.fallback)[0]
-
-    def fallback_rows(self) -> np.ndarray:
-        return np.nonzero(self.fallback)[0]

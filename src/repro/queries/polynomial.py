@@ -54,13 +54,17 @@ class PolynomialQuery:
         Optional identifier; auto-generated when omitted.
     """
 
-    __slots__ = ("_terms", "_qab", "_name")
+    __slots__ = ("_terms", "_qab", "_name", "_variables")
 
     def __init__(self, terms: Iterable[QueryTerm], qab: Number, name: Optional[str] = None):
         bound = float(qab)
         if not (bound > 0.0) or math.isinf(bound):
             raise InvalidQueryError(f"the QAB must be a positive finite number, got {qab!r}")
         self._terms = _combine_like_terms(terms)
+        names = set()
+        for term in self._terms:
+            names.update(term.variables)
+        self._variables = tuple(sorted(names))
         self._qab = bound
         self._name = name if name is not None else f"q{next(_name_counter)}"
 
@@ -94,10 +98,7 @@ class PolynomialQuery:
 
     @property
     def variables(self) -> Tuple[str, ...]:
-        names = set()
-        for term in self._terms:
-            names.update(term.variables)
-        return tuple(sorted(names))
+        return self._variables
 
     @property
     def degree(self) -> int:

@@ -1151,8 +1151,10 @@ class ClusterCoordinator:
                            for sid, shard_stats in sorted(per_shard.items())}
         # Aggregate the hot counters so single-node tooling can read the
         # cluster like one big coordinator.
-        for key in ("recomputations", "refreshes", "dab_change_messages",
-                    "user_notifications", "duplicate_rejects"):
+        for key in ("recomputations", "window_screen_hits",
+                    "window_screen_misses", "refreshes",
+                    "dab_change_messages", "user_notifications",
+                    "duplicate_rejects"):
             stats[key] = sum(int(shard_stats.get(key, 0))
                              for shard_stats in per_shard.values())
         if self.dab_retry_policy is not None:

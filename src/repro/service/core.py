@@ -28,6 +28,7 @@ the other way.
 from __future__ import annotations
 
 import enum
+import math
 from typing import (
     Callable,
     Dict,
@@ -42,11 +43,7 @@ import numpy as np
 
 from repro.exceptions import GPError, SimulationError
 from repro.filters.assignment import DABAssignment, merge_primary
-from repro.queries.bank_index import (
-    BANK_INDEX_MODES,
-    SharedStructureBank,
-    TemplateWindowState,
-)
+from repro.queries.bank_index import BANK_INDEX_MODES, SharedStructureBank
 from repro.queries.compiled import (
     CompiledPolynomial,
     CompiledQueryBank,
@@ -59,6 +56,18 @@ _DAB_CHANGE_REL_TOL = 1e-9
 
 #: One source's pending update: ``(bounds, epochs)`` keyed by item name.
 BoundUpdate = Tuple[Dict[str, float], Dict[str, int]]
+
+#: Relative amount each side of a safe band is pulled inward.  Three
+#: roundings separate ``lo <= value <= hi`` from the reference predicate's
+#: ``abs(value - ref) > secondary + 1e-12`` (the band edge, the shrink
+#: itself, the predicate's subtraction), each at most 2**-53 of
+#: ``abs(ref) + secondary``; this margin is ~4500 times that, so a value
+#: the band admits can never be one the predicate calls a breach.
+_BAND_MARGIN_REL = 1e-12
+
+#: The band that admits nothing: every refresh of the item takes the
+#: exact per-query check.
+_NO_BAND = (math.inf, -math.inf)
 
 
 class RecomputeMode(enum.Enum):
@@ -148,7 +157,7 @@ class CoordinatorCore:
         #: ``"shared"`` (structure-deduplicating
         #: :class:`~repro.queries.bank_index.SharedStructureBank`: one
         #: gather per distinct structure, per-query coefficient matrices,
-        #: slack-screened notifications and per-template window checks).
+        #: slack-screened notifications).
         #: Journaled with every plan record when not "flat", mirroring
         #: the ``recompute_strategy`` stamp.
         if bank_index not in BANK_INDEX_MODES:
@@ -190,16 +199,25 @@ class CoordinatorCore:
         self._power_vector: Optional[np.ndarray] = None
         self._bank: Optional[CompiledQueryBank] = None
         self._bank_index: Dict[str, int] = {}
-        #: query name -> mutable [plan, missing_ref, breach_count, flags,
-        #: references, widened]; maintained incrementally as items refresh,
-        #: rebuilt whenever the query's plan object changes.
-        self._window_state: Dict[str, list] = {}
+        #: item -> ``(lo, hi)``, the per-item safe band (vectorized runs):
+        #: while the item's value stays inside, no query reading it has a
+        #: broken secondary window, so a refresh needs no per-query check.
+        #: Built lazily by :meth:`_safe_band`; an entry is dropped whenever
+        #: something it was computed from changes (see :meth:`_drop_bands`).
+        self._bands: Dict[str, Tuple[float, float]] = {}
+        #: query name -> ``(plan, its _plan_windows)``, so a band rebuild
+        #: does not re-derive every reader's intervals; keyed on the plan
+        #: object's identity, like the breaker's stand-ins.
+        self._windows: Dict[str, Tuple[DABAssignment, Optional[
+            Dict[str, Tuple[float, float]]]]] = {}
+        #: Refreshes the band answered / sent to the exact per-query check.
+        self.window_screen_hits = 0
+        self.window_screen_misses = 0
         #: Shared-structure index state (``bank_index="shared"`` only):
-        #: the deduplicating bank, the lazily-built per-template window
-        #: matrices, and the count of O(bank) recompilations (stays 0 on
-        #: the shared path — the bounded-work guarantee QUERY_SUB tests).
+        #: the deduplicating bank and the count of O(bank) recompilations
+        #: (stays 0 on the shared path — the bounded-work guarantee
+        #: QUERY_SUB tests).
         self._shared_bank: Optional[SharedStructureBank] = None
-        self._tpl_window: Dict[int, TemplateWindowState] = {}
         self.bank_rebuilds = 0
         #: Names added through :meth:`add_query` — persisted in
         #: :meth:`recovery_state` so dynamically-registered queries
@@ -255,7 +273,6 @@ class CoordinatorCore:
                 if query.name not in self._shared_bank:
                     self._shared_bank.add_query(
                         query, self._bank_index[query.name])
-            self._tpl_window.clear()
         else:
             self._bank = CompiledQueryBank(
                 [self._compiled[query.name] for query in self.queries])
@@ -291,10 +308,10 @@ class CoordinatorCore:
         starts)."""
         if self.mode is RecomputeMode.AAO_PERIODIC:
             multi = self.aao_planner.plan_all(self.queries, self.cache)
-            self.plans = dict(multi.per_query)
+            self._replace_plans(multi.per_query)
         else:
             for query in self.queries:
-                self.plans[query.name] = self._plan_query(query)
+                self.install_plan(query.name, self._plan_query(query))
         for index, query in enumerate(self.queries):
             value = self.query_value(query)
             self.last_user_values[query.name] = value
@@ -402,60 +419,97 @@ class CoordinatorCore:
             extra += max(up, down)
         return query.qab + extra
 
-    def _window_contains(self, query: PolynomialQuery, plan: DABAssignment,
-                         changed_item: Optional[str] = None) -> bool:
-        """``plan.window_contains(self._values_for(query))``, incremental.
+    def _window_broken(self, query: PolynomialQuery) -> bool:
+        """The reference predicate: ``query`` has no plan, or some item is
+        outside its secondary window ``V_ref ± c`` (for a single-DAB plan:
+        differs from its reference at all)."""
+        plan = self.plans.get(query.name)
+        return plan is None or not plan.window_contains(
+            self._values_for(query))
 
-        The breach predicate per item — ``|value - ref| > secondary + 1e-12``
-        on the same float64 values — is replayed exactly, but evaluated only
-        when an input actually changes: ``changed_item`` names the one item
-        whose cache value moved since the last check (every refresh of an
-        item checks every query containing it, so flags never go stale), and
-        a plan change rebuilds the query's flags from scratch.  The check
-        itself is then a zero-compare.  Single-DAB plans (``secondary is
-        None``, exact-equality semantics) stay on the scalar path.
-        """
-        if not self._vectorize or plan.secondary is None:
-            return plan.window_contains(self._values_for(query))
-        entry = self._window_state.get(query.name)
-        if entry is not None and entry[0] is plan:
-            if entry[1]:
-                return False
-            if changed_item is not None:
-                flags = entry[3]
-                old = flags.get(changed_item)
-                if old is not None:
-                    breached = (abs(self.cache[changed_item]
-                                    - entry[4][changed_item])
-                                > entry[5][changed_item])
-                    if breached is not old:
-                        flags[changed_item] = breached
-                        entry[2] += 1 if breached else -1
-            return entry[2] == 0
-        variables = set(query.variables)
-        missing = False
-        count = 0
-        flags: Dict[str, bool] = {}
-        references: Dict[str, float] = {}
-        widened: Dict[str, float] = {}
-        for name in plan.primary:
-            if name not in variables:
+    @staticmethod
+    def _plan_windows(query: PolynomialQuery, plan: DABAssignment,
+                      ) -> Optional[Dict[str, Tuple[float, float]]]:
+        """``item -> (lo, hi)``: each secondary window of ``plan`` that the
+        reference predicate looks at for ``query``, each side pulled inward
+        by ``_BAND_MARGIN_REL``.  ``None`` when the predicate is not a set
+        of intervals: a single-DAB plan, or an item without a reference."""
+        if plan.secondary is None:
+            return None
+        windows: Dict[str, Tuple[float, float]] = {}
+        for name in query.variables:
+            if name not in plan.primary:
                 continue
             reference = plan.reference_values.get(name)
             if reference is None:
-                missing = True
-                break
+                return None
             wide = plan.secondary[name] + 1e-12
-            breached = abs(self.cache[name] - reference) > wide
-            flags[name] = breached
-            count += breached
-            references[name] = reference
-            widened[name] = wide
-        self._window_state[query.name] = [plan, missing, count, flags,
-                                          references, widened]
-        if missing:
-            return False
-        return count == 0
+            margin = _BAND_MARGIN_REL * (abs(reference) + wide)
+            windows[name] = (reference - wide + margin,
+                             reference + wide - margin)
+        return windows
+
+    def _safe_band(self, item: str) -> Tuple[float, float]:
+        """``item``'s safe band: the intersection, over every query
+        reading it, of that plan's (shrunk) window for ``item``.
+
+        The band answers "does any query reading ``item`` need a
+        recomputation?" from ``item``'s value alone, which is only sound
+        while every *other* item of those queries sits inside its window;
+        so it is empty (:data:`_NO_BAND`) when one does not, as when a
+        query has no plan or :meth:`_plan_windows` has no intervals for
+        it — the cases :meth:`_window_broken` must see.
+        """
+        lo, hi = -math.inf, math.inf
+        cache = self.cache
+        for query in self.item_index[item]:
+            plan = self.plans.get(query.name)
+            if plan is None:
+                return _NO_BAND
+            entry = self._windows.get(query.name)
+            if entry is None or entry[0] is not plan:
+                entry = self._windows[query.name] = (
+                    plan, self._plan_windows(query, plan))
+            if entry[1] is None:
+                return _NO_BAND
+            for name, (low, high) in entry[1].items():
+                if name == item:
+                    if low > lo:
+                        lo = low
+                    if high < hi:
+                        hi = high
+                elif not low <= cache[name] <= high:
+                    return _NO_BAND
+        return lo, hi
+
+    def _drop_bands(self, query: PolynomialQuery) -> None:
+        """Forget the bands of ``query``'s items: its plan, its membership
+        or one of its items' cached values changed behind them."""
+        if self._bands:
+            for name in query.variables:
+                self._bands.pop(name, None)
+
+    def _drop_bands_around(self, item: str) -> None:
+        """``item``'s cached value moved outside a refresh (a hand-off or
+        a replay): every band computed with it in its window is void."""
+        if self._bands:
+            for query in self.item_index.get(item, ()):
+                self._drop_bands(query)
+
+    def install_plan(self, name: str, plan: DABAssignment) -> None:
+        """The one way a plan enters :attr:`plans` — solve, AAO solve,
+        snapshot restore or journal replay."""
+        self.plans[name] = plan
+        if self._bands:
+            self._drop_bands(self.queries[self._bank_index[name]])
+
+    def _replace_plans(self, plans: Mapping[str, DABAssignment]) -> None:
+        """Swap the whole plan set (joint AAO solve, snapshot restore)."""
+        self.plans = {}
+        self._bands.clear()
+        self._windows.clear()
+        for name, plan in plans.items():
+            self.install_plan(name, plan)
 
     def clear_planner_warm_starts(self) -> None:
         """A recovered source resynced: its items may have drifted
@@ -541,11 +595,9 @@ class CoordinatorCore:
 
     def _recompute(self, query: PolynomialQuery) -> None:
         plan = self._plan_query(query)
-        self.plans[query.name] = plan
+        self.install_plan(query.name, plan)
         self.metrics.record_recomputation(query.name)
         self._journal_plan(query.name, plan)
-        if self._shared_bank is not None:
-            self._refresh_window_row(query.name)
         if self.recompute_hook is not None:
             self.recompute_hook()
 
@@ -589,6 +641,7 @@ class CoordinatorCore:
             # Already-known items (a mirror of a cross-shard term) may
             # have live power-table slots to refresh.
             self._power_table.update(self._power_vector, item, self.cache[item])
+            self._drop_bands_around(item)
         if source_id is not None:
             self.item_to_source[item] = int(source_id)
         self._adopted_items[item] = (int(source_id)
@@ -609,84 +662,39 @@ class CoordinatorCore:
         value)`` pairs whose result moved beyond its QAB since the user
         last saw it, and whether any plan was recomputed (in which case the
         adapter should ship :meth:`changed_bound_updates`)."""
-        if self._shared_bank is not None:
-            return self._react_shared(item)
-        notifications: List[Tuple[str, float]] = []
-        affected = self.item_index.get(item, [])
-        recomputed = False
-        if self._vectorize and affected:
-            # User notification, batched: one sub-bank evaluation gives
-            # every affected query's value (the cache cannot change again
-            # within this event), and one masked compare finds the queries
-            # whose result moved beyond the QAB since the user last saw it.
-            # Notifications draw no randomness, so hoisting them ahead of
-            # the recompute loop leaves the event-stream state untouched.
-            idx = self._affected_idx[item]
-            sub = self._item_banks[item].values_vector(self._power_vector)
-            moved = np.abs(sub - self._last_user_arr[idx]) > self._qab_arr[idx]
-            if moved.any():
-                for pos in np.nonzero(moved)[0].tolist():
-                    bank_pos = int(idx[pos])
-                    value = float(sub[pos])
-                    name = self.queries[bank_pos].name
-                    self.last_user_values[name] = value
-                    self._last_user_arr[bank_pos] = value
-                    self.metrics.record_user_notification()
-                    notifications.append((name, value))
+        affected = self.item_index.get(item)
+        if not affected:
+            return [], False
+        if not self._vectorize:
+            notifications, recomputed = self._react_scalar(affected)
+        else:
+            # User notification, batched: the cache cannot change again
+            # within this event and notifications draw no randomness, so
+            # raising them ahead of the recomputations leaves the
+            # event-stream state untouched.
+            notifications = self._notify_movers(item)
             if self.mode is RecomputeMode.EVERY_REFRESH:
                 for query in affected:
                     self._recompute(query)
                 recomputed = True
             else:
-                # The window check, inlined from ``_window_contains``'s fast
-                # path: only ``item`` moved, so only its breach flag can
-                # have changed since the last check of the same plan.
-                plans = self.plans
-                wstate = self._window_state
-                cache_value = self.cache[item]
-                for query in affected:
-                    plan = plans.get(query.name)
-                    if plan is not None:
-                        entry = wstate.get(query.name)
-                        if entry is not None and entry[0] is plan:
-                            if entry[1]:
-                                contains = False
-                            else:
-                                flags = entry[3]
-                                old = flags.get(item)
-                                if old is not None:
-                                    breached = (abs(cache_value
-                                                    - entry[4][item])
-                                                > entry[5][item])
-                                    if breached is not old:
-                                        flags[item] = breached
-                                        entry[2] += 1 if breached else -1
-                                contains = entry[2] == 0
-                        else:
-                            contains = self._window_contains(query, plan,
-                                                             item)
-                        if contains:
-                            continue
-                    self._recompute(query)
-                    recomputed = True
-        else:
-            for query in affected:
-                # User notification: has the result moved beyond the QAB
-                # since the last value the user saw?
-                value = self.query_value(query)
-                if abs(value - self.last_user_values[query.name]) > query.qab:
-                    self.last_user_values[query.name] = value
-                    self.metrics.record_user_notification()
-                    notifications.append((query.name, value))
-
-                if self.mode is RecomputeMode.EVERY_REFRESH:
-                    self._recompute(query)
-                    recomputed = True
+                recomputed = False
+                band = self._bands.get(item)
+                if band is None:
+                    band = self._bands[item] = self._safe_band(item)
+                if band[0] <= self.cache[item] <= band[1]:
+                    self.window_screen_hits += 1
                 else:
-                    plan = self.plans.get(query.name)
-                    if plan is None or not self._window_contains(query, plan):
-                        self._recompute(query)
-                        recomputed = True
+                    # Outside the band (or no band): the reference
+                    # predicate decides, query by query.  Whatever it
+                    # finds, the band is rebuilt at the item's next
+                    # refresh — a standing breach may have just healed.
+                    self.window_screen_misses += 1
+                    for query in affected:
+                        if self._window_broken(query):
+                            self._recompute(query)
+                            recomputed = True
+                    self._bands.pop(item, None)
         if notifications and self.journal is not None:
             # last_user_values gates every future notification, so the
             # values the user saw are part of the recovery state.
@@ -694,99 +702,58 @@ class CoordinatorCore:
                                  "values": dict(notifications)})
         return notifications, recomputed
 
-    def _react_shared(self, item: str) -> Tuple[List[Tuple[str, float]], bool]:
-        """Shared-index reaction: slack-screened notifications plus
-        per-template window checks (DESIGN.md §13).
-
-        The notification *decisions* match the flat path's exact per-tick
-        evaluation (screened-out members provably cannot have crossed
-        their QAB); the values themselves differ from the flat sums only
-        in float association (``W @ P``).  Breach/recompute decisions are
-        driven purely by plans and cached item values, so they agree with
-        the flat path exactly.
-        """
-        shared = self._shared_bank
+    def _react_scalar(self, affected: Sequence[PolynomialQuery],
+                      ) -> Tuple[List[Tuple[str, float]], bool]:
+        """The ``vectorize=False`` reaction: one query at a time through
+        the reference evaluator and the reference window predicate."""
         notifications: List[Tuple[str, float]] = []
         recomputed = False
-        moved_pos, moved_val = shared.refresh_movers(
-            item, self._power_vector, self._last_user_arr, self._qab_arr)
-        for position, value in zip(moved_pos, moved_val):
+        for query in affected:
+            # User notification: has the result moved beyond the QAB
+            # since the last value the user saw?
+            value = self.query_value(query)
+            if abs(value - self.last_user_values[query.name]) > query.qab:
+                self.last_user_values[query.name] = value
+                self.metrics.record_user_notification()
+                notifications.append((query.name, value))
+            if (self.mode is RecomputeMode.EVERY_REFRESH
+                    or self._window_broken(query)):
+                self._recompute(query)
+                recomputed = True
+        return notifications, recomputed
+
+    def _movers_flat(self, item: str) -> Tuple[Sequence[int], Sequence[float]]:
+        """One sub-bank evaluation gives every affected query's value, one
+        masked compare the bank positions (and new values) of the queries
+        whose result moved beyond the QAB."""
+        idx = self._affected_idx[item]
+        sub = self._item_banks[item].values_vector(self._power_vector)
+        moved = np.abs(sub - self._last_user_arr[idx]) > self._qab_arr[idx]
+        if not moved.any():
+            return (), ()
+        return idx[moved].tolist(), sub[moved].tolist()
+
+    def _notify_movers(self, item: str) -> List[Tuple[str, float]]:
+        """Raise the user notifications ``item``'s refresh caused.
+
+        The shared bank's slack screening (DESIGN.md §13) makes the same
+        *decisions* as the flat path's exact per-tick evaluation
+        (screened-out members provably cannot have crossed their QAB);
+        its values differ from the flat sums only in float association
+        (``W @ P``)."""
+        if self._shared_bank is not None:
+            positions, values = self._shared_bank.refresh_movers(
+                item, self._power_vector, self._last_user_arr, self._qab_arr)
+        else:
+            positions, values = self._movers_flat(item)
+        notifications: List[Tuple[str, float]] = []
+        for position, value in zip(positions, values):
             name = self.queries[position].name
             self.last_user_values[name] = value
             self._last_user_arr[position] = value
             self.metrics.record_user_notification()
             notifications.append((name, value))
-        if self.mode is RecomputeMode.EVERY_REFRESH:
-            for query in self.item_index.get(item, []):
-                self._recompute(query)
-                recomputed = True
-        else:
-            cache_value = self.cache[item]
-            for tid in shared.templates_of_item(item):
-                window = self._window_for(tid)
-                for row in window.update_item(item, cache_value).tolist():
-                    self._recompute(self.queries[int(window.positions[row])])
-                    recomputed = True
-                fallback = window.fallback_rows()
-                for row in fallback.tolist():
-                    query = self.queries[int(window.positions[row])]
-                    plan = self.plans.get(query.name)
-                    if plan is None or not self._window_contains(query, plan,
-                                                                 item):
-                        self._recompute(query)
-                        recomputed = True
-        if notifications and self.journal is not None:
-            self.journal.append({"t": "notify",
-                                 "values": dict(notifications)})
-        return notifications, recomputed
-
-    def _window_for(self, tid: int) -> TemplateWindowState:
-        """The template's window matrices, rebuilt when membership moved."""
-        shared = self._shared_bank
-        window = self._tpl_window.get(tid)
-        version = shared.template_version(tid)
-        if window is None or window.version != version:
-            window = TemplateWindowState(shared.template_items(tid),
-                                         shared.template_positions(tid),
-                                         version)
-            for row, name in enumerate(shared.template_names(tid)):
-                self._set_window_row(window, row, name)
-            self._tpl_window[tid] = window
-        return window
-
-    def _set_window_row(self, window: TemplateWindowState, row: int,
-                        name: str) -> None:
-        """Adopt ``name``'s current plan into its window-matrix row.
-
-        Mirrors ``_window_contains``'s plan interpretation: single-DAB
-        plans, unplanned queries and plans with missing references all
-        become fallback rows handled by the scalar predicate.
-        """
-        plan = self.plans.get(name)
-        if plan is None or plan.secondary is None:
-            window.set_fallback(row)
-            return
-        query = self.queries[self._bank_index[name]]
-        variables = set(query.variables)
-        references: Dict[str, float] = {}
-        widened: Dict[str, float] = {}
-        for item in plan.primary:
-            if item not in variables:
-                continue
-            reference = plan.reference_values.get(item)
-            if reference is None:
-                window.set_fallback(row)
-                return
-            references[item] = reference
-            widened[item] = plan.secondary[item] + 1e-12
-        window.set_row(row, references, widened, self.cache)
-
-    def _refresh_window_row(self, name: str) -> None:
-        shared = self._shared_bank
-        tid = shared.template_of(name)
-        window = self._tpl_window.get(tid)
-        if window is not None and window.version == shared.template_version(tid):
-            self._set_window_row(window, shared.member_row(name), name)
+        return notifications
 
     # -- dynamic membership (live QUERY_SUB path) --------------------------------------
 
@@ -813,16 +780,18 @@ class CoordinatorCore:
         self.dynamic_names.add(name)
         for item in query.variables:
             self.item_index.setdefault(item, []).append(query)
+        # One more window over each of these items (and, until a plan is
+        # installed, a query without one).
+        self._drop_bands(query)
         if self._vectorize:
             if self._shared_bank is not None:
                 self._compiled[name] = CompiledPolynomial(
                     query, self._power_table)
                 self._bank_index[name] = position
-                tid = self._shared_bank.add_query(query, position)
+                self._shared_bank.add_query(query, position)
                 self._sync_power_vector()
                 self._ensure_query_capacity(position + 1)
                 self._qab_arr[position] = query.qab
-                self._tpl_window.pop(tid, None)
             else:
                 self.bank_rebuilds += 1
                 self._build_vectorized_state()
@@ -832,7 +801,7 @@ class CoordinatorCore:
             self.journal.append({"t": "qadd", "query": query_to_wire(query)})
         if plan:
             assignment = self._plan_query(query)
-            self.plans[name] = assignment
+            self.install_plan(name, assignment)
             self._journal_plan(name, assignment)
         value = self.query_value(query)
         self.last_user_values[name] = value
@@ -870,8 +839,9 @@ class CoordinatorCore:
                 if not bucket:
                     del self.item_index[item]
         self.plans.pop(name, None)
+        self._windows.pop(name, None)
+        self._drop_bands(query)
         self.last_user_values.pop(name, None)
-        self._window_state.pop(name, None)
         self._breaker_plans.pop(name, None)
         # The name may be re-registered later with a different shape or
         # budget (live resharding re-adds a re-decomposed sub-query under
@@ -884,14 +854,10 @@ class CoordinatorCore:
             del self._bank_index[name]
             self._compiled.pop(name, None)
             if self._shared_bank is not None:
-                tid = self._shared_bank.template_of(name)
                 self._shared_bank.remove_query(name)
-                self._tpl_window.pop(tid, None)
                 if position != last:
                     self._bank_index[moved.name] = position
                     self._shared_bank.set_position(moved.name, position)
-                    self._tpl_window.pop(
-                        self._shared_bank.template_of(moved.name), None)
                     self._qab_arr[position] = self._qab_arr[last]
                     self._last_user_arr[position] = self._last_user_arr[last]
             else:
@@ -957,8 +923,7 @@ class CoordinatorCore:
             # Keep serving on the previous joint plan; try again next period.
             self.metrics.record_solver_fallback()
             return False
-        self.plans = dict(multi.per_query)
-        self._tpl_window.clear()
+        self._replace_plans(multi.per_query)
         self.metrics.record_recomputation("__aao__")
         if self.journal is not None:
             from repro.service.journal import plan_to_wire
@@ -1057,12 +1022,10 @@ class CoordinatorCore:
                                   in state["last_sent_bounds"].items()}
         for name, value in state["last_user_values"].items():
             self.restore_user_value(name, float(value))
-        self.plans = {name: plan_from_wire(wire)
-                      for name, wire in state["plans"].items()}
+        self._replace_plans({name: plan_from_wire(wire)
+                             for name, wire in state["plans"].items()})
         # Identity-keyed caches are meaningless across a restart.
-        self._window_state.clear()
         self._breaker_plans.clear()
-        self._tpl_window.clear()
         if self._shared_bank is not None:
             self._shared_bank.invalidate()
 
@@ -1073,6 +1036,7 @@ class CoordinatorCore:
         self.cache[item] = float(value)
         if self._vectorize:
             self._power_table.update(self._power_vector, item, self.cache[item])
+            self._drop_bands_around(item)
 
     def restore_user_value(self, name: str, value: float) -> None:
         """Set one last-user-visible value during replay."""

@@ -230,13 +230,20 @@ _OPTIONAL: Dict[MessageType, Dict[str, Callable[[object], bool]]] = {
 # framing
 # ---------------------------------------------------------------------------
 
+#: The codec objects behind every frame and journal record, built once:
+#: ``json.dumps``/``json.loads`` with non-default arguments construct a
+#: fresh ``JSONEncoder``/``JSONDecoder`` on every call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
+                            allow_nan=False)
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def encode_body(message: Mapping[str, Any]) -> bytes:
     """The canonical byte encoding of one message (compact sorted JSON,
     non-finite floats rejected).  Shared by the wire framing below and by
     the coordinator's write-ahead journal, so journal records are decoded
     by exactly the code path that decodes wire frames."""
-    return json.dumps(message, separators=(",", ":"), sort_keys=True,
-                      allow_nan=False).encode("utf-8")
+    return _ENCODER.encode(message).encode("utf-8")
 
 
 def decode_body(body: bytes) -> Dict[str, Any]:
@@ -246,8 +253,7 @@ def decode_body(body: bytes) -> Dict[str, Any]:
     constants, or a body that is not a JSON object — the same failure
     surface whether the bytes came off a socket or out of a journal."""
     try:
-        message = json.loads(body.decode("utf-8"),
-                             parse_constant=_reject_constant)
+        message = _DECODER.decode(body.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as error:
         raise ProtocolError(f"undecodable frame body: {error}")
     if not isinstance(message, dict):

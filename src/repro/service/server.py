@@ -365,11 +365,11 @@ class CoordinatorServer:
         elif kind == "plan":
             name = str(record["q"])
             if name in self.core.query_names:
-                self.core.plans[name] = plan_from_wire(record["plan"])
+                self.core.install_plan(name, plan_from_wire(record["plan"]))
         elif kind == "aao":
             for name, plan in (record.get("plans") or {}).items():
                 if str(name) in self.core.query_names:
-                    self.core.plans[str(name)] = plan_from_wire(plan)
+                    self.core.install_plan(str(name), plan_from_wire(plan))
         elif kind == "bounds":
             for name, bound in (record.get("bounds") or {}).items():
                 if str(name) in self.core.cache:
@@ -1067,6 +1067,8 @@ class CoordinatorServer:
         stats["listen_address"] = (list(self.listen_address)
                                    if self.listen_address is not None else None)
         stats["recomputations"] = self.metrics.recomputations
+        stats["window_screen_hits"] = self.core.window_screen_hits
+        stats["window_screen_misses"] = self.core.window_screen_misses
         stats["refreshes"] = self.metrics.refreshes
         stats["dab_change_messages"] = self.metrics.dab_change_messages
         stats["user_notifications"] = self.metrics.user_notifications

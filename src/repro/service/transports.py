@@ -18,6 +18,7 @@ framing bugs cannot hide behind an object-passing shortcut.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from typing import Any, Dict, Optional, Tuple
 
 from repro.service import protocol
@@ -87,7 +88,7 @@ class MessageStream:
         self._reader = reader
         self._writer = writer
         self._decoder = FrameDecoder(max_frame_bytes)
-        self._pending: list = []
+        self._pending: deque = deque()
         self._closed = False
         self.name = name
 
@@ -119,7 +120,7 @@ class MessageStream:
             if not chunk:
                 return None
             self._pending.extend(self._decoder.feed(chunk))
-        return self._pending.pop(0)
+        return self._pending.popleft()
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -214,6 +214,12 @@ class SimulationResult:
     #: screening counters, update-latency percentiles).
     bank_index: str = "flat"
     bank_stats: Optional[Dict[str, object]] = None
+    #: Refreshes the coordinator's per-item safe band answered / sent on
+    #: to the per-query window check (both 0 on the scalar path, which has
+    #: no band — so these stay out of ``metrics``, which the two paths
+    #: must agree on).
+    window_screen_hits: int = 0
+    window_screen_misses: int = 0
 
 
 #: Algorithms whose planner stack routes PPQ solves through the dual-DAB
@@ -478,4 +484,6 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         recompute_latency=recompute_latency,
         bank_index=config.bank_index,
         bank_stats=bank_stats,
+        window_screen_hits=coordinator.core.window_screen_hits,
+        window_screen_misses=coordinator.core.window_screen_misses,
     )

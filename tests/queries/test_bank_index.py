@@ -3,7 +3,7 @@
 Covers the index layer in isolation: template-key canonicalization,
 structure dedup, swap-remove bookkeeping, exact evaluation against the
 per-query compiled path, slack-screening soundness (screened-out members
-never actually moved), and the per-template window matrices.
+never actually moved).
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from repro.queries import PolynomialQuery, QueryTerm
 from repro.queries.bank_index import (
     BANK_INDEX_MODES,
     SharedStructureBank,
-    TemplateWindowState,
     template_key,
 )
 from repro.queries.compiled import CompiledPolynomial, PowerTable
@@ -240,50 +239,3 @@ class TestStatsPlane:
         assert stats["distinct_structures"] == 0
         assert stats["dedup_ratio"] == 0.0
         assert "update_latency_us" not in stats
-
-
-class TestTemplateWindowState:
-    def _state(self):
-        return TemplateWindowState(["x", "y"], np.array([10, 11, 12]),
-                                   version=1)
-
-    def test_set_row_and_update_item(self):
-        state = self._state()
-        state.set_row(0, refs={"x": 5.0, "y": 2.0},
-                      wids={"x": 1.0, "y": 1.0},
-                      values={"x": 5.0, "y": 2.0})
-        state.set_row(1, refs={"x": 5.0}, wids={"x": 0.5},
-                      values={"x": 5.0})
-        state.set_row(2, refs={"y": 2.0}, wids={"y": 10.0},
-                      values={"y": 2.0})
-        assert state.update_item("x", 5.2).tolist() == []
-        # x=6.0 breaches row 0 (width 1.0 exceeded? |6-5|=1 not > 1) — no;
-        # row 1 width 0.5 → breach.
-        assert state.update_item("x", 6.0).tolist() == [1]
-        # y is unconstrained for row 1; row 2's width 10 never breaks.
-        assert state.update_item("y", 4.0).tolist() == [0, 1]
-        # x back inside: row 1 clears, row 0 still breached on y.
-        assert state.update_item("x", 5.0).tolist() == [0]
-        assert state.update_item("y", 2.0).tolist() == []
-
-    def test_breach_at_initial_values_counts(self):
-        state = self._state()
-        state.set_row(0, refs={"x": 5.0}, wids={"x": 0.1},
-                      values={"x": 9.0})            # already outside
-        assert state.counts[0] == 1
-        assert state.update_item("y", 1.0).tolist() == [0]
-
-    def test_fallback_rows_excluded(self):
-        state = self._state()
-        state.set_row(0, refs={"x": 5.0}, wids={"x": 0.1},
-                      values={"x": 5.0})
-        state.set_fallback(1)
-        state.set_row(2, refs={"x": 5.0}, wids={"x": 0.1},
-                      values={"x": 5.0})
-        rows = state.update_item("x", 50.0)
-        assert rows.tolist() == [0, 2]
-        assert state.fallback_rows().tolist() == [1]
-
-    def test_version_tag_round_trips(self):
-        state = self._state()
-        assert state.version == 1

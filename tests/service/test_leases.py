@@ -345,7 +345,7 @@ class TestSolverBreaker:
         planner.fail = True
         core._plan_query(query)                      # opens the breaker
         shrunk = core._plan_query(query)
-        core.plans[query.name] = shrunk              # as _recompute stores it
+        core.install_plan(query.name, shrunk)        # as _recompute stores it
         again = core._plan_query(query)
         assert again is shrunk                       # identity, not re-shrunk
 

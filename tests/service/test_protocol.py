@@ -122,14 +122,20 @@ class TestValidation:
             # And each survives a framing round trip unchanged.
             (decoded,) = FrameDecoder().feed(encode_frame(message))
             assert decoded == message
+            # The bytes are the canonical form the journal also stores:
+            # compact separators, sorted keys.
+            assert protocol.encode_body(message) == json.dumps(
+                message, separators=(",", ":"), sort_keys=True,
+                allow_nan=False).encode("utf-8")
 
     def test_register_source_sorts_items(self):
         assert protocol.register_source(0, ["b", "a"])["items"] == ["a", "b"]
 
     def test_nan_values_refused_at_encode_time(self):
-        message = protocol.refresh(0, "x0", float("nan"), 1)
-        with pytest.raises(ValueError):
-            encode_frame(message)
+        for value in (float("nan"), float("inf"), float("-inf")):
+            message = protocol.refresh(0, "x0", value, 1)
+            with pytest.raises(ValueError):
+                encode_frame(message)
 
     def test_non_finite_constants_refused_at_decode_time(self):
         # encode_frame already refuses NaN/Infinity; a hostile peer can
