@@ -1,7 +1,8 @@
 """Sharded-cluster throughput, cross-shard overhead, and failover latency.
 
-Runs the ``repro cluster loadgen`` flow fully in process — real protocol
-bytes through the loopback transport, the same
+Runs the ``repro cluster loadgen`` flow fully in process — protocol
+messages over ``connect_loopback()`` links (no bytes: every hop here is
+inside one process), the same
 :class:`~repro.service.cluster.router.ClusterCoordinator` the TCP path
 uses — and records, in ``benchmarks/results/BENCH_cluster.json``:
 

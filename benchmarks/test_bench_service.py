@@ -1,14 +1,14 @@
-"""Live-service throughput and notify latency over the loopback transport.
+"""Live-service throughput and notify latency, in process.
 
-Runs the ``repro loadgen`` flow fully in process — real protocol bytes
-through the loopback transport, the same :class:`CoordinatorServer` the
-TCP path uses — and records ticks/sec, notify-latency percentiles and
+Runs the ``repro loadgen`` flow fully in process — protocol messages over
+``connect_loopback()`` links (no bytes), the same
+:class:`CoordinatorServer` the TCP path uses — and records ticks/sec, notify-latency percentiles and
 refresh/recompute counts in ``benchmarks/results/BENCH_service.json``.
 
 The run must finish with **zero QAB violations**: every served query
 value within its accuracy bound of the ground truth evaluated at the
-sources' live values — the paper's guarantee, audited end to end over
-the wire.  A violation fails the bench.
+sources' live values — the paper's guarantee, audited end to end.  A
+violation fails the bench.
 
 ``REPRO_BENCH_SERVICE=smoke`` (the CI job) runs a reduced point and
 leaves the committed full-scale entry untouched.

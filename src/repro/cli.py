@@ -14,8 +14,8 @@ Seven subcommands mirror the library's workflow::
 the server and its peers must be launched with the same
 ``--queries/--items/--sources/--seed/--workload/--trace-length`` so both
 sides derive the same deterministic scenario.  ``loadgen`` probes the
-default server address and falls back to a fully in-process run over the
-loopback transport when nothing is listening.
+default server address and falls back to a fully in-process run (no
+sockets) when nothing is listening.
 
 ``python -m repro ...`` works identically.  Every command prints plain
 text; exit code 0 on success, 2 on argument errors (argparse convention).

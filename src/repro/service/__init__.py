@@ -9,8 +9,9 @@ The discrete-event simulator proves the planning algorithms; this package
   over it);
 * :mod:`repro.service.protocol` — the framed, versioned wire protocol
   (length-prefixed JSON messages);
-* :mod:`repro.service.transports` — asyncio byte-stream plumbing plus an
-  in-process loopback transport so tests run without sockets;
+* :mod:`repro.service.transports` — asyncio byte-stream plumbing, a
+  byte-faithful in-process loopback transport, and the in-process
+  message link (no bytes) behind every ``connect_loopback()``;
 * :mod:`repro.service.server` — the asyncio
   :class:`~repro.service.server.CoordinatorServer`;
 * :mod:`repro.service.agent` — the :class:`~repro.service.agent.SourceAgent`

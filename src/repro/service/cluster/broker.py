@@ -26,8 +26,17 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.service import protocol
 from repro.service.protocol import MessageType, ProtocolError
-from repro.service.server import DEFAULT_NOTIFY_QUEUE_LIMIT, _Subscriber
-from repro.service.transports import MessageStream, TransportClosed, loopback_pair
+from repro.service.server import (
+    DEFAULT_NOTIFY_QUEUE_LIMIT,
+    _Subscriber,
+    _subscriber_writer,
+)
+from repro.service.transports import (
+    InprocessLink,
+    MessageStream,
+    TransportClosed,
+    inprocess_pair,
+)
 
 
 class NotifyBroker:
@@ -92,8 +101,8 @@ class NotifyBroker:
                 message = await stream.receive()
                 if message is None:
                     break
-                kind = message.get("type")
-                if kind == MessageType.NOTIFY.value:
+                kind = protocol.validate_message(message)
+                if kind is MessageType.NOTIFY:
                     self.stats["upstream_notifies"] += 1
                     for update in message.get("updates") or []:
                         self.values[update["query"]] = float(update["value"])
@@ -109,7 +118,7 @@ class NotifyBroker:
                     # single turn and "evicting" clients that were
                     # never actually slow.
                     await asyncio.sleep(0)
-                elif kind == MessageType.SNAPSHOT.value:
+                elif kind is MessageType.SNAPSHOT:
                     # Unsolicited refresh of the cache (e.g. after an
                     # upstream restore) — absorb it silently.
                     for key, value in (message.get("values") or {}).items():
@@ -157,8 +166,8 @@ class NotifyBroker:
 
     # -- downstream ---------------------------------------------------------------
 
-    def connect_loopback(self) -> MessageStream:
-        client_end, server_end = loopback_pair()
+    def connect_loopback(self) -> InprocessLink:
+        client_end, server_end = inprocess_pair()
         task = asyncio.ensure_future(self.handle_connection(server_end))
         self._handler_tasks.add(task)
         task.add_done_callback(self._handler_tasks.discard)
@@ -211,7 +220,8 @@ class NotifyBroker:
                           self.notify_queue_limit)
         self._subscribers[sub.sub_id] = sub
         self.stats["subscribers"] = len(self._subscribers)
-        sub.writer_task = asyncio.ensure_future(self._subscriber_writer(sub))
+        sub.writer_task = asyncio.ensure_future(
+            _subscriber_writer(sub, self._subscribers, self.stats))
         return sub
 
     def _snapshot_response(self, sub: Optional[_Subscriber]) -> Dict[str, Any]:
@@ -258,21 +268,6 @@ class NotifyBroker:
             except (asyncio.TimeoutError, asyncio.CancelledError):
                 sub.writer_task.cancel()
         sub.stream.close()
-
-    async def _subscriber_writer(self, sub: _Subscriber) -> None:
-        try:
-            while True:
-                message = await sub.queue.get()
-                if message is None:
-                    return
-                await sub.stream.send(message)
-                self.stats["notifies_sent"] += 1
-        except (TransportClosed, ProtocolError):
-            self._subscribers.pop(sub.sub_id, None)
-            self.stats["subscribers"] = len(self._subscribers)
-            sub.stream.close()
-        except asyncio.CancelledError:
-            raise
 
     async def close(self) -> None:
         self._closing = True

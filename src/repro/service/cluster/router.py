@@ -3,10 +3,17 @@
 A :class:`ClusterCoordinator` is a pure protocol peer — it speaks the
 same framed wire protocol as :class:`CoordinatorServer` to the outside
 world (sources register, push REFRESH/HEARTBEAT; subscribers QUERY_SUB
-and receive NOTIFY/SNAPSHOT), and it speaks the same protocol *inward*
-to each shard over in-process loopback streams.  No shard knows it is
-clustered; no source or subscriber knows there is more than one
-coordinator.  The pieces:
+and receive NOTIFY/SNAPSHOT), and it speaks the same *messages* inward
+to each shard — not the same bytes: a shard lives in the router's
+process, so ``shard.connect_loopback()`` is an in-process message link
+(:func:`repro.service.transports.inprocess_pair`) that hands the message
+dict across, and nothing on the router↔shard or router↔broker hops is
+encoded or decoded.  Both ends still validate every message they
+receive, and a message received over a link is read-only (the router
+hands one REFRESH dict to every shard that reads the item; it copies
+before stamping ``map_epoch``).  No shard knows it is clustered; no
+source or subscriber knows there is more than one coordinator.  The
+pieces:
 
 **Item routing.**  Items are partitioned by the stable CRC32 hash of
 :mod:`repro.service.cluster.routing`.  A query's terms are grouped by
@@ -18,8 +25,8 @@ forwarding table is ``items_needed`` (owner ∪ mirrors), not bare
 ownership.
 
 **Source impersonation.**  For every (shard, source) pair the router
-holds a loopback stream registered *as that source* for the items the
-shard needs.  Inbound REFRESH frames are fanned to the owning streams
+holds an in-process link registered *as that source* for the items the
+shard needs.  Inbound REFRESH messages are fanned to the owning links
 verbatim; HEARTBEATs go to every shard holding the source's items; the
 shards' DAB_UPDATE replies (bounds, probes) flow back through the same
 streams.
@@ -30,7 +37,7 @@ window every shard's guarantee survives — and forwards it to the real
 source under its own per-item epoch counter, bumped only on material
 change (the core's 1e-9 relative tolerance).  Toward real sources the
 router runs the server's msg_id/ack retry loop; toward shards it acks
-instantly (loopback is lossless).
+instantly (the in-process hop is lossless).
 
 **Partial recombination.**  One wildcard subscription per shard feeds a
 last-partial table ``{query: {shard: value}}``; a shard NOTIFY
@@ -67,8 +74,14 @@ from repro.service.server import (
     TRUNK_QUEUE_LIMIT,
     CoordinatorServer,
     _Subscriber,
+    _subscriber_writer,
 )
-from repro.service.transports import MessageStream, TransportClosed, loopback_pair
+from repro.service.transports import (
+    InprocessLink,
+    MessageStream,
+    TransportClosed,
+    inprocess_pair,
+)
 
 #: How long a snapshot gather waits per shard before falling back to the
 #: last known partials (a dead shard mid-failover must not hang audits).
@@ -432,8 +445,8 @@ class ClusterCoordinator:
         self._handler_tasks.add(task)
         task.add_done_callback(self._handler_tasks.discard)
 
-    def connect_loopback(self) -> MessageStream:
-        client_end, server_end = loopback_pair()
+    def connect_loopback(self) -> InprocessLink:
+        client_end, server_end = inprocess_pair()
         self.adopt_connection(server_end)
         return client_end
 
@@ -566,7 +579,7 @@ class ClusterCoordinator:
                                  stream: MessageStream) -> None:
         """Consume one shard's source-plane traffic: bound changes are
         min-merged and pushed outward; probes are forwarded to the real
-        source; msg_id-tagged updates are acked instantly (the loopback
+        source; msg_id-tagged updates are acked instantly (the in-process
         hop is lossless — retries toward the router would be noise)."""
         try:
             while True:
@@ -706,8 +719,14 @@ class ClusterCoordinator:
         sub-budget times :data:`SUSPECT_WIDEN_FACTOR` while suspected
         (the shard is silent, so its own widening is unobservable), and
         its full ``B/k`` otherwise."""
-        merged: Dict[str, float] = {}
         suspects = self._suspect_shards
+        if (not suspects and not self._migration_degraded
+                and not any(self._shard_degraded.values())):
+            # The quiet path: nothing can be flagged, so the walk below
+            # would return this same empty map after O(queries) work —
+            # on every trunk NOTIFY.
+            return {}
+        merged: Dict[str, float] = {}
         for name, home in self._home_shards.items():
             flagged = [sid for sid in home
                        if sid in suspects
@@ -1067,7 +1086,8 @@ class ClusterCoordinator:
         sub = _Subscriber(self._sub_counter, stream, names, limit)
         self._subscribers[sub.sub_id] = sub
         self.stats["subscribers"] = len(self._subscribers)
-        sub.writer_task = asyncio.ensure_future(self._subscriber_writer(sub))
+        sub.writer_task = asyncio.ensure_future(
+            _subscriber_writer(sub, self._subscribers, self.stats))
         await self._safe_send(stream, await self._snapshot_response(sub))
         return sub
 
@@ -1112,21 +1132,6 @@ class ClusterCoordinator:
             except (asyncio.TimeoutError, asyncio.CancelledError):
                 sub.writer_task.cancel()
         sub.stream.close()
-
-    async def _subscriber_writer(self, sub: _Subscriber) -> None:
-        try:
-            while True:
-                message = await sub.queue.get()
-                if message is None:
-                    return
-                await sub.stream.send(message)
-                self.stats["notifies_sent"] += 1
-        except (TransportClosed, ProtocolError):
-            self._subscribers.pop(sub.sub_id, None)
-            self.stats["subscribers"] = len(self._subscribers)
-            sub.stream.close()
-        except asyncio.CancelledError:
-            raise
 
     # -- introspection ------------------------------------------------------------
 
@@ -1215,7 +1220,7 @@ def build_scenario_cluster(
     defer bootstrap to ``restore()``, which is called here unless
     ``restore=False`` (the supervisor's rebuild path times it itself).
     ``dab_retry_policy`` arms the *router's* reliable delivery toward
-    real sources; shards always run retry-free — their loopback hop to
+    real sources; shards always run retry-free — their in-process hop to
     the router is lossless and acked instantly.
     """
     from repro.dynamics.estimation import SampledRateEstimator

@@ -20,7 +20,8 @@ The report is returned and, when ``output`` is given, written as JSON —
 
 Two attach modes: ``host``/``port`` drive a live ``repro serve`` process
 over TCP; with ``server`` (or neither), everything runs in process over
-the loopback transport — same protocol bytes, no sockets.
+``connect_loopback()`` links — same protocol messages, no sockets, no
+bytes.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def run_loadgen(
     ``host``/``port`` the scenario is rebuilt locally (the server must
     have been launched with the same ``--queries/--items/--sources/--seed``)
     and driven over TCP; otherwise an in-process server is built and the
-    whole run goes over the loopback transport.
+    whole run goes over ``connect_loopback()`` links.
     """
     trace_length = max(trace_length or 0, duration + 2)
     over_tcp = host is not None and port is not None

@@ -68,7 +68,7 @@ HEADER_BYTES = _HEADER.size
 
 
 def _reject_constant(token: str) -> float:
-    # ``encode_frame`` refuses NaN/Infinity (allow_nan=False); mirror that
+    # ``encode_body`` refuses NaN/Infinity (allow_nan=False); mirror that
     # on decode — ``json.loads`` would happily parse them otherwise, and a
     # NaN value poisons caches silently downstream.
     raise ValueError(f"non-finite JSON constant {token!r} is not allowed")
@@ -242,8 +242,16 @@ def encode_body(message: Mapping[str, Any]) -> bytes:
     """The canonical byte encoding of one message (compact sorted JSON,
     non-finite floats rejected).  Shared by the wire framing below and by
     the coordinator's write-ahead journal, so journal records are decoded
-    by exactly the code path that decodes wire frames."""
-    return _ENCODER.encode(message).encode("utf-8")
+    by exactly the code path that decodes wire frames.
+
+    Raises :class:`ProtocolError` for a message JSON cannot carry — a
+    NaN/±Infinity float or a non-JSON object such as ``numpy.int64``.
+    This is where a value that only ever crossed in-process links is
+    checked before it leaves the process."""
+    try:
+        return _ENCODER.encode(message).encode("utf-8")
+    except (ValueError, TypeError) as error:
+        raise ProtocolError(f"unencodable message: {error}")
 
 
 def decode_body(body: bytes) -> Dict[str, Any]:

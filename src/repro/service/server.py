@@ -39,7 +39,12 @@ from repro.service.core import CoordinatorCore, RecomputeMode
 from repro.service.journal import Journal, JournalError, plan_from_wire
 from repro.service.protocol import MessageType, ProtocolError
 from repro.service.resilience import RetryPolicy
-from repro.service.transports import MessageStream, TransportClosed, loopback_pair
+from repro.service.transports import (
+    InprocessLink,
+    MessageStream,
+    TransportClosed,
+    inprocess_pair,
+)
 from repro.simulation.metrics import MetricsCollector
 
 #: NOTIFY batches a subscriber may have outstanding before it is evicted.
@@ -71,6 +76,31 @@ class _Subscriber:
 
     def wants(self, query_name: str) -> bool:
         return self.queries is None or query_name in self.queries
+
+
+async def _subscriber_writer(sub: _Subscriber,
+                             subscribers: Dict[int, _Subscriber],
+                             stats: Dict[str, int]) -> None:
+    """Drain one subscriber's queue onto its stream — the writer task of
+    every fan-out node (server, cluster router, broker), over that node's
+    subscriber table and stats.
+
+    A peer that hung up, or a message its stream cannot encode (a
+    non-finite or non-JSON value: our bug, counted as a protocol error),
+    drops *this* subscriber; the others keep flowing."""
+    try:
+        while True:
+            message = await sub.queue.get()
+            if message is None:
+                return
+            await sub.stream.send(message)
+            stats["notifies_sent"] += 1
+    except ProtocolError as err:
+        if not isinstance(err, TransportClosed):
+            stats["protocol_errors"] += 1
+        subscribers.pop(sub.sub_id, None)
+        stats["subscribers"] = len(subscribers)
+        sub.stream.close()
 
 
 class CoordinatorServer:
@@ -266,10 +296,14 @@ class CoordinatorServer:
         self._handler_tasks.add(task)
         task.add_done_callback(self._handler_tasks.discard)
 
-    def connect_loopback(self) -> MessageStream:
-        """A client-end stream connected in process (no sockets) — the
-        transport the CI suite and the in-process loadgen run on."""
-        client_end, server_end = loopback_pair()
+    def connect_loopback(self) -> InprocessLink:
+        """A client end connected in process: caller and server share a
+        heap, so messages cross as objects (no sockets, no bytes) — what
+        the CI suite, the in-process loadgen and a cluster router's
+        upstreams and trunks run on.  For a byte-faithful in-process
+        stream, build a ``loopback_pair()`` and :meth:`adopt_connection`
+        its server end."""
+        client_end, server_end = inprocess_pair()
         self.adopt_connection(server_end)
         return client_end
 
@@ -965,7 +999,8 @@ class CoordinatorServer:
         sub.registered = registered
         self._subscribers[sub.sub_id] = sub
         self.stats["subscribers"] = len(self._subscribers)
-        sub.writer_task = asyncio.ensure_future(self._subscriber_writer(sub))
+        sub.writer_task = asyncio.ensure_future(
+            _subscriber_writer(sub, self._subscribers, self.stats))
         await self._safe_send(stream, self._snapshot_response(sub))
         return sub
 
@@ -1039,22 +1074,6 @@ class CoordinatorServer:
             except (asyncio.TimeoutError, asyncio.CancelledError):
                 sub.writer_task.cancel()
         sub.stream.close()
-
-    async def _subscriber_writer(self, sub: _Subscriber) -> None:
-        """Drain one subscriber's queue onto its stream."""
-        try:
-            while True:
-                message = await sub.queue.get()
-                if message is None:
-                    return
-                await sub.stream.send(message)
-                self.stats["notifies_sent"] += 1
-        except (TransportClosed, ProtocolError):
-            self._subscribers.pop(sub.sub_id, None)
-            self.stats["subscribers"] = len(self._subscribers)
-            sub.stream.close()
-        except asyncio.CancelledError:
-            raise
 
     # -- introspection ---------------------------------------------------------------
 

@@ -1,18 +1,37 @@
-"""Byte-stream plumbing under the wire protocol.
+"""Message streams under the wire protocol: two byte transports, one link.
 
 :class:`MessageStream` frames/deframes protocol messages over any pair of
 reader/writer objects with the tiny surface below — satisfied both by
-asyncio's ``StreamReader``/``StreamWriter`` (real TCP) and by
-:class:`_MemoryPipe` (the in-process loopback transport the test suite and
-the in-process loadgen run on, no sockets involved):
+asyncio's ``StreamReader``/``StreamWriter`` (real TCP, :func:`open_tcp_stream`)
+and by :class:`_MemoryPipe` (:func:`loopback_pair`, no sockets involved):
 
 * reader: ``async read(n) -> bytes`` (``b""`` at EOF)
 * writer: ``write(data)``, ``async drain()``, ``close()``
 
-The loopback pipe is a real transport in every sense that matters to the
+The loopback *pipe* is a real transport in every sense that matters to the
 protocol code — messages are *serialized to bytes* and re-parsed through
 the same :class:`~repro.service.protocol.FrameDecoder` as TCP traffic, so
-framing bugs cannot hide behind an object-passing shortcut.
+framing bugs cannot hide behind an object-passing shortcut.  That promise
+belongs to :func:`loopback_pair` and TCP: the chaos wrappers (which flip
+body bytes), ``adopt_connection(server_end)`` callers and the framing
+tests build on them.
+
+:func:`inprocess_pair` is the other thing: a *link*, not a transport.  It
+hands the message dict itself to the peer — no JSON, no length prefix, no
+copy — and is what every ``connect_loopback()`` returns, i.e. what the
+cluster router's per-(shard, source) upstreams, its shard trunks and the
+brokers' upstream subscriptions ride, because "connect_loopback" means
+caller and server share a process and a heap.  Skipping the bytes there is
+safe for three reasons: both ends are our own code in one heap (there is
+no peer to distrust and nothing to frame); every receiver still runs
+:func:`~repro.service.protocol.validate_message` on what it receives, so
+the shape and finiteness checks on message fields do not move; and bytes
+are still produced — and non-finite or non-JSON values refused with a
+:class:`~repro.service.protocol.ProtocolError` — at every process
+boundary, where a real :class:`MessageStream` encodes the frame.  Which
+of the two a peer gets is decided by the API it calls
+(``connect_loopback()`` → link, ``loopback_pair()``/TCP → bytes), never by
+a flag.
 """
 
 from __future__ import annotations
@@ -158,6 +177,86 @@ class _LoopbackStream(MessageStream):
             self._reader.close()
         except AttributeError:
             pass
+
+
+class _MessagePipe:
+    """One direction of an in-process link: :class:`_MemoryPipe`'s
+    lifecycle (buffered messages still drain after ``close``, then a
+    sticky EOF), carrying message objects instead of byte chunks."""
+
+    def __init__(self) -> None:
+        self._messages: asyncio.Queue = asyncio.Queue()
+        self._eof = False
+
+    def put(self, message: Dict[str, Any]) -> None:
+        if self._eof:
+            raise TransportClosed("send on a closed in-process link")
+        self._messages.put_nowait(message)
+
+    def close(self) -> None:
+        if not self._eof:
+            self._eof = True
+            self._messages.put_nowait(None)    # wake any blocked receiver
+
+    async def get(self) -> Optional[Dict[str, Any]]:
+        message = await self._messages.get()
+        if message is None:
+            # EOF sentinel; re-queue it so later receives see EOF too.
+            self._messages.put_nowait(None)
+        return message
+
+
+class InprocessLink:
+    """One end of an in-process message link — :class:`MessageStream`'s
+    surface (``send``/``receive``/``close``/``closed``/``name``) with no
+    bytes underneath.
+
+    ``send`` hands the peer *the message object itself*, so **a received
+    message is read-only**: the sender may hand the same dict to several
+    peers (the router routes one REFRESH to every shard that reads the
+    item) and may keep reading it afterwards.  A handler that needs to
+    change a message copies it first (``dict(message)``), exactly as it
+    would before forwarding it on a byte stream.
+    """
+
+    def __init__(self, inbox: _MessagePipe, outbox: _MessagePipe, name: str):
+        self._inbox = inbox
+        self._outbox = outbox
+        self._closed = False
+        self.name = name
+
+    async def send(self, message: Dict[str, Any]) -> None:
+        if self._closed:
+            raise TransportClosed(f"send on closed stream to {self.name}")
+        try:
+            self._outbox.put(message)
+        except TransportClosed as err:
+            self._closed = True
+            raise TransportClosed(f"peer {self.name} went away: {err}")
+
+    async def receive(self) -> Optional[Dict[str, Any]]:
+        """The next message, or ``None`` once either end has closed and
+        everything sent before that has been received."""
+        return await self._inbox.get()
+
+    def close(self) -> None:
+        """Hang up both directions: the peer's blocked ``receive()`` wakes
+        with ``None`` and so does our own (as on the loopback stream)."""
+        self._closed = True
+        self._outbox.close()
+        self._inbox.close()
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+
+def inprocess_pair() -> Tuple[InprocessLink, InprocessLink]:
+    """Two connected in-process link ends (client end, server end)."""
+    client_to_server = _MessagePipe()
+    server_to_client = _MessagePipe()
+    return (InprocessLink(server_to_client, client_to_server, name="server"),
+            InprocessLink(client_to_server, server_to_client, name="client"))
 
 
 async def open_tcp_stream(host: str, port: int,

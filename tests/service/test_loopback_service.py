@@ -1,7 +1,11 @@
-"""End-to-end service tests over the in-process loopback transport.
+"""End-to-end service tests in one process, no sockets — the CI-safe half
+of the transport matrix (the TCP smoke test lives in ``test_tcp_smoke.py``).
 
-Real protocol bytes, real FrameDecoder, no sockets — the CI-safe half of
-the transport matrix (the TCP smoke test lives in ``test_tcp_smoke.py``).
+``connect_loopback()`` rides the in-process message link (message objects,
+no bytes); the cases that need real protocol bytes and the real
+FrameDecoder build a ``loopback_pair()`` and hand its server end to
+``adopt_connection``.  ``TestStreamLifecycle`` holds the two to one
+lifecycle.
 """
 
 import asyncio
@@ -11,7 +15,12 @@ import pytest
 from repro.service import protocol
 from repro.service.protocol import MessageType, PROTOCOL_VERSION
 from repro.service.server import _Subscriber, build_scenario_server
-from repro.service.transports import loopback_pair
+from repro.service.transports import (
+    InprocessLink,
+    TransportClosed,
+    inprocess_pair,
+    loopback_pair,
+)
 
 
 def run(coro):
@@ -324,5 +333,153 @@ class TestSnapshots:
             snapshot = await stream.receive()
             assert set(snapshot["values"]) == {wanted}
             await server.close()
+
+        run(body())
+
+
+async def byte_subscriber(server):
+    """A wildcard subscriber over real bytes; returns its client end
+    once the initial snapshot has arrived."""
+    client_end, server_end = loopback_pair()
+    server.adopt_connection(server_end)
+    await client_end.send(protocol.query_sub("*"))
+    snapshot = await client_end.receive()
+    assert snapshot["type"] == MessageType.SNAPSHOT.value
+    return client_end
+
+
+class TestUnencodableNotify:
+    @pytest.mark.parametrize("poison", [float("nan"), float("inf"),
+                                        object()],
+                             ids=["nan", "inf", "non-json"])
+    def test_drops_that_subscriber_and_the_others_keep_flowing(
+            self, scenario_server, poison):
+        server, scenario, item_to_source = scenario_server
+
+        async def body():
+            source, _ = await registered_stream(
+                server, scenario, item_to_source, source_id=0)
+            first = await byte_subscriber(server)
+            second = await byte_subscriber(server)
+            victim, survivor = sorted(server._subscribers.values(),
+                                      key=lambda sub: sub.sub_id)
+            victim.queue.put_nowait(protocol.notify(
+                [{"query": scenario.queries[0].name, "value": poison}]))
+            for _ in range(5):
+                await asyncio.sleep(0)
+            # The writer task ended cleanly — no unhandled exception, the
+            # subscriber is gone from the table and the failure counted.
+            assert victim.writer_task.done()
+            assert victim.writer_task.exception() is None
+            assert list(server._subscribers) == [survivor.sub_id]
+            assert server.stats["subscribers"] == 1
+            assert server.stats["protocol_errors"] == 1
+            assert await first.receive() is None       # hung up on
+
+            item = owned_items(item_to_source, 0)[0]
+            await source.send(protocol.refresh(
+                0, item, server.core.cache[item] * 3.0, seq=1))
+            message = await asyncio.wait_for(second.receive(), timeout=1.0)
+            assert message["type"] == MessageType.NOTIFY.value
+            assert server.stats["notifies_sent"] == 1
+            await server.close()
+
+        run(body())
+
+
+@pytest.fixture(params=[loopback_pair, inprocess_pair], ids=["bytes", "link"])
+def pair(request):
+    return request.param
+
+
+class TestStreamLifecycle:
+    """The byte loopback and the in-process link: one lifecycle."""
+
+    def test_order_preserved_in_both_directions(self, pair):
+        async def body():
+            client_end, server_end = pair()
+            for seq in range(1, 6):
+                await client_end.send(protocol.refresh(0, "x0", 1.0, seq))
+                await server_end.send(protocol.dab_ack(0, seq))
+            assert [(await server_end.receive())["seq"]
+                    for _ in range(5)] == [1, 2, 3, 4, 5]
+            assert [(await client_end.receive())["msg_id"]
+                    for _ in range(5)] == [1, 2, 3, 4, 5]
+
+        run(body())
+
+    @pytest.mark.parametrize("closer", ["client", "server"])
+    def test_eof_after_either_side_closes_is_sticky(self, pair, closer):
+        async def body():
+            client_end, server_end = pair()
+            # Sent before the hang-up: still delivered, then EOF.
+            await client_end.send(protocol.snapshot())
+            (client_end if closer == "client" else server_end).close()
+            assert (await server_end.receive())["type"] == "snapshot"
+            for end in (client_end, server_end, client_end, server_end):
+                assert await end.receive() is None
+
+        run(body())
+
+    def test_send_on_a_closed_stream_raises_transport_closed(self, pair):
+        async def body():
+            client_end, server_end = pair()
+            client_end.close()
+            assert client_end.closed
+            with pytest.raises(TransportClosed):
+                await client_end.send(protocol.snapshot())
+            # The peer hung up: the send fails and marks our end closed.
+            assert not server_end.closed
+            with pytest.raises(TransportClosed):
+                await server_end.send(protocol.snapshot())
+            assert server_end.closed
+
+        run(body())
+
+    @pytest.mark.parametrize("closer", ["peer", "self"])
+    def test_blocked_receive_wakes_on_close(self, pair, closer):
+        async def body():
+            client_end, server_end = pair()
+            listener = asyncio.ensure_future(server_end.receive())
+            await asyncio.sleep(0)
+            assert not listener.done()
+            (client_end if closer == "peer" else server_end).close()
+            assert await asyncio.wait_for(listener, timeout=1.0) is None
+
+        run(body())
+
+
+class TestInprocessLink:
+    def test_hands_over_the_message_object_itself(self):
+        async def body():
+            client_end, server_end = inprocess_pair()
+            message = protocol.refresh(0, "x0", 1.0, 1)
+            await client_end.send(message)
+            assert await server_end.receive() is message
+            assert (client_end.name, server_end.name) == ("server", "client")
+
+        run(body())
+
+    def test_connect_loopback_is_a_link_and_loopback_pair_is_bytes(
+            self, scenario_server):
+        server, _, _ = scenario_server
+
+        async def body():
+            assert isinstance(server.connect_loopback(), InprocessLink)
+            assert not any(isinstance(end, InprocessLink)
+                           for end in loopback_pair())
+            await server.close()
+
+        run(body())
+
+    def test_closed_server_hangs_up_on_connect(self, scenario_server):
+        server, _, _ = scenario_server
+
+        async def body():
+            await server.close()
+            stream = server.connect_loopback()
+            assert await stream.receive() is None
+            with pytest.raises(TransportClosed):
+                await stream.send(protocol.snapshot())
 
         run(body())

@@ -134,8 +134,18 @@ class TestValidation:
     def test_nan_values_refused_at_encode_time(self):
         for value in (float("nan"), float("inf"), float("-inf")):
             message = protocol.refresh(0, "x0", value, 1)
-            with pytest.raises(ValueError):
+            with pytest.raises(ProtocolError):
                 encode_frame(message)
+
+    def test_non_json_values_refused_at_encode_time(self):
+        import numpy
+
+        message = protocol.dab_ack(0, 1)
+        message["msg_id"] = numpy.int64(1)
+        with pytest.raises(ProtocolError):
+            encode_frame(message)
+        with pytest.raises(ProtocolError):
+            protocol.encode_body(message)
 
     def test_non_finite_constants_refused_at_decode_time(self):
         # encode_frame already refuses NaN/Infinity; a hostile peer can
