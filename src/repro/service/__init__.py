@@ -12,6 +12,11 @@ The discrete-event simulator proves the planning algorithms; this package
 * :mod:`repro.service.transports` — asyncio byte-stream plumbing, a
   byte-faithful in-process loopback transport, and the in-process
   message link (no bytes) behind every ``connect_loopback()``;
+* :mod:`repro.service.frontend` — the wire-facing half every node
+  that accepts peers inherits (server, cluster router, broker): the
+  accept/validate/dispatch/teardown peer loop over a per-node handler
+  table, the bounded-queue subscriber plane with slow-consumer
+  eviction, and acked/retried DAB_UPDATE delivery;
 * :mod:`repro.service.server` — the asyncio
   :class:`~repro.service.server.CoordinatorServer`;
 * :mod:`repro.service.agent` — the :class:`~repro.service.agent.SourceAgent`

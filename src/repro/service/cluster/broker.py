@@ -3,7 +3,9 @@
 A :class:`NotifyBroker` holds ONE wildcard subscription upstream (to the
 cluster router, or to a plain :class:`CoordinatorServer` — the wire is
 identical) and re-fans every NOTIFY to its own subscribers through the
-same bounded-queue / slow-consumer-eviction discipline the server uses.
+same subscriber plane (bounded queues, slow-consumer eviction) and peer
+loop as the server (:mod:`repro.service.frontend`) — over a two-entry
+handler table, since a broker serves subscribers only.
 It also caches the latest value and degraded map per query, so SNAPSHOT
 requests and new-subscriber seeding are served locally — the upstream
 coordinator sees a constant number of subscribers no matter how many
@@ -22,15 +24,16 @@ from __future__ import annotations
 
 import asyncio
 import time as _time
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.service import protocol
-from repro.service.protocol import MessageType, ProtocolError
-from repro.service.server import (
+from repro.service.frontend import (
     DEFAULT_NOTIFY_QUEUE_LIMIT,
+    FrontEnd,
+    Peer,
     _Subscriber,
-    _subscriber_writer,
 )
+from repro.service.protocol import MessageType, ProtocolError
 from repro.service.transports import (
     InprocessLink,
     MessageStream,
@@ -39,7 +42,7 @@ from repro.service.transports import (
 )
 
 
-class NotifyBroker:
+class NotifyBroker(FrontEnd):
     """One fan-out node: single upstream subscription, many downstream."""
 
     def __init__(self, connect_upstream: Callable[[], MessageStream],
@@ -48,20 +51,16 @@ class NotifyBroker:
                  writer_join_timeout: float = 1.0,
                  name: str = "broker"):
         self.connect_upstream = connect_upstream
-        self.clock = clock
-        self.notify_queue_limit = int(notify_queue_limit)
-        self.writer_join_timeout = float(writer_join_timeout)
         self.name = name
         self.values: Dict[str, float] = {}
         self.degraded: Dict[str, float] = {}
         self._upstream: Optional[MessageStream] = None
         self._upstream_task: Optional[asyncio.Task] = None
-        self._subscribers: Dict[int, _Subscriber] = {}
-        self._sub_counter = 0
-        self._handler_tasks: Set[asyncio.Task] = set()
-        self._closing = False
         self.started = False
-        self.stats = {
+        super().__init__({
+            MessageType.QUERY_SUB: self._on_query_sub,
+            MessageType.SNAPSHOT: self._on_snapshot,
+        }, stats={
             "upstream_notifies": 0,
             "upstream_resubscribes": 0,
             "notifies_sent": 0,
@@ -69,13 +68,14 @@ class NotifyBroker:
             "slow_consumer_evictions": 0,
             "subscribers": 0,
             "protocol_errors": 0,
-        }
+        }, clock=clock, notify_queue_limit=notify_queue_limit,
+            writer_join_timeout=writer_join_timeout)
 
     async def start(self) -> None:
         """Subscribe upstream and seed the cache from the initial snapshot."""
         if self.started:
             return
-        self._closing = False
+        self.closed = False
         await self._subscribe_upstream()
         self.started = True
 
@@ -109,7 +109,11 @@ class NotifyBroker:
                     if message.get("degraded") is not None:
                         self.degraded = {k: float(v) for k, v
                                          in message["degraded"].items()}
-                    self._fanout(message)
+                    self._publish(
+                        message.get("updates") or [], message.get("degraded"),
+                        sent_at=message.get("sent_at"),
+                        refresh_sent_at=message.get("refresh_sent_at"),
+                        shard=message.get("shard"))
                     # A deep trunk queue can hold a whole storm's
                     # backlog, and a loopback receive() on a non-empty
                     # queue never suspends — without this yield the
@@ -129,7 +133,7 @@ class NotifyBroker:
             raise
         finally:
             stream.close()
-            if not self._closing and self._upstream is stream:
+            if not self.closed and self._upstream is stream:
                 # Cut unexpectedly (upstream restart, or an eviction
                 # before the trunk flag deepened our queue): reattach
                 # and re-seed the cache from the fresh initial
@@ -146,83 +150,24 @@ class NotifyBroker:
         except Exception:
             pass  # upstream gone for good; close() handles the rest
 
-    def _fanout(self, message: Dict[str, Any]) -> None:
-        updates = message.get("updates") or []
-        degraded = message.get("degraded")
-        for sub in list(self._subscribers.values()):
-            wanted = [u for u in updates if sub.wants(u["query"])]
-            if not wanted and degraded is None:
-                continue
-            out = protocol.notify(
-                wanted, sent_at=message.get("sent_at"),
-                refresh_sent_at=message.get("refresh_sent_at"),
-                shard=message.get("shard"),
-                degraded={k: v for k, v in degraded.items()
-                          if sub.wants(k)} if degraded is not None else None)
-            try:
-                sub.queue.put_nowait(out)
-            except asyncio.QueueFull:
-                self._evict_slow_consumer(sub)
-
     # -- downstream ---------------------------------------------------------------
 
     def connect_loopback(self) -> InprocessLink:
         client_end, server_end = inprocess_pair()
-        task = asyncio.ensure_future(self.handle_connection(server_end))
-        self._handler_tasks.add(task)
-        task.add_done_callback(self._handler_tasks.discard)
+        self.adopt_connection(server_end)
         return client_end
 
-    async def handle_connection(self, stream: MessageStream) -> None:
-        sub: Optional[_Subscriber] = None
-        try:
-            while True:
-                message = await stream.receive()
-                if message is None:
-                    break
-                try:
-                    kind = protocol.validate_message(message)
-                except ProtocolError as err:
-                    self.stats["protocol_errors"] += 1
-                    await self._safe_send(stream, protocol.error(str(err)))
-                    break
-                if kind is MessageType.QUERY_SUB:
-                    if message.get("definitions"):
-                        self.stats["protocol_errors"] += 1
-                        await self._safe_send(stream, protocol.error(
-                            "brokers are read-only: register queries at the "
-                            "coordinator"))
-                        break
-                    sub = self._add_subscriber(stream, message)
-                    await self._safe_send(stream, self._snapshot_response(sub))
-                elif kind is MessageType.SNAPSHOT:
-                    self.stats["snapshots_served"] += 1
-                    await self._safe_send(stream, self._snapshot_response(sub))
-                else:
-                    self.stats["protocol_errors"] += 1
-                    await self._safe_send(stream, protocol.error(
-                        f"unexpected {kind.value}: brokers serve "
-                        "subscribers only"))
-                    break
-        except ProtocolError:
-            self.stats["protocol_errors"] += 1
-        finally:
-            stream.close()
-            if sub is not None:
-                await self._drop_subscriber(sub)
+    async def _on_query_sub(self, peer: Peer,
+                            message: Dict[str, Any]) -> None:
+        if message.get("definitions"):
+            raise ProtocolError("brokers are read-only: register queries "
+                                "at the coordinator")
+        sub = self._add_subscriber(peer, message)
+        await self._safe_send(peer.stream, self._snapshot_response(sub))
 
-    def _add_subscriber(self, stream: MessageStream,
-                        message: Dict[str, Any]) -> _Subscriber:
-        wanted = message["queries"]
-        names = None if wanted == "*" else set(wanted)
-        self._sub_counter += 1
-        sub = _Subscriber(self._sub_counter, stream, names,
-                          self.notify_queue_limit)
-        self._subscribers[sub.sub_id] = sub
-        self.stats["subscribers"] = len(self._subscribers)
-        sub.writer_task = asyncio.ensure_future(
-            _subscriber_writer(sub, self._subscribers, self.stats))
-        return sub
+    async def _on_snapshot(self, peer: Peer, message: Dict[str, Any]) -> None:
+        self.stats["snapshots_served"] += 1
+        await self._safe_send(peer.stream, self._snapshot_response(peer.sub))
 
     def _snapshot_response(self, sub: Optional[_Subscriber]) -> Dict[str, Any]:
         values = {name: value for name, value in self.values.items()
@@ -235,42 +180,8 @@ class NotifyBroker:
         return protocol.snapshot(values=values, stats=stats,
                                  degraded=degraded)
 
-    async def _safe_send(self, stream: MessageStream,
-                         message: Dict[str, Any]) -> bool:
-        try:
-            await stream.send(message)
-            return True
-        except (TransportClosed, ProtocolError):
-            return False
-
-    def _evict_slow_consumer(self, sub: _Subscriber) -> None:
-        if sub.evicted:
-            return
-        sub.evicted = True
-        self.stats["slow_consumer_evictions"] += 1
-        self._subscribers.pop(sub.sub_id, None)
-        self.stats["subscribers"] = len(self._subscribers)
-        if sub.writer_task is not None:
-            sub.writer_task.cancel()
-        sub.stream.close()
-
-    async def _drop_subscriber(self, sub: _Subscriber) -> None:
-        self._subscribers.pop(sub.sub_id, None)
-        self.stats["subscribers"] = len(self._subscribers)
-        if sub.writer_task is not None and not sub.writer_task.done():
-            try:
-                sub.queue.put_nowait(None)
-            except asyncio.QueueFull:
-                sub.writer_task.cancel()
-            try:
-                await asyncio.wait_for(sub.writer_task,
-                                       timeout=self.writer_join_timeout)
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                sub.writer_task.cancel()
-        sub.stream.close()
-
     async def close(self) -> None:
-        self._closing = True
+        self.closed = True     # before the cancel: no resubscribe
         if self._upstream_task is not None:
             self._upstream_task.cancel()
             try:
@@ -281,15 +192,7 @@ class NotifyBroker:
         if self._upstream is not None:
             self._upstream.close()
             self._upstream = None
-        for sub in list(self._subscribers.values()):
-            await self._drop_subscriber(sub)
-        for task in list(self._handler_tasks):
-            task.cancel()
-        for task in list(self._handler_tasks):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        await self._shutdown()
         self.started = False
 
 

@@ -36,14 +36,16 @@ an item.  The router takes the min bound across shards — the only
 window every shard's guarantee survives — and forwards it to the real
 source under its own per-item epoch counter, bumped only on material
 change (the core's 1e-9 relative tolerance).  Toward real sources the
-router runs the server's msg_id/ack retry loop; toward shards it acks
-instantly (the in-process hop is lossless).
+router runs the same acked/retried delivery as a lone server
+(:mod:`repro.service.frontend`); toward shards it acks instantly (the
+in-process hop is lossless), so when delivery to a source is given up
+on, the router marks the items suspect on the shards that read them.
 
 **Partial recombination.**  One wildcard subscription per shard feeds a
 last-partial table ``{query: {shard: value}}``; a shard NOTIFY
 recombines its queries by summing home-shard partials in sorted shard
 order and fans the full values to downstream subscribers through the
-server's bounded-queue/slow-consumer-eviction machinery.  Soundness is
+shared bounded-queue/slow-consumer-eviction subscriber plane.  Soundness is
 the ``B/k`` triangle inequality; a query homed on a single shard passes
 that shard's value through bit-identically.  SNAPSHOT requests gather a
 *fresh* snapshot from every shard (error ≤ Σ B/k = B) rather than
@@ -62,20 +64,20 @@ import os
 import time as _time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.exceptions import ReproError
 from repro.filters.shard_budget import BankDecomposition, decompose_bank, recombine
 from repro.service import protocol
 from repro.service.cluster.routing import ShardMap
 from repro.service.core import _DAB_CHANGE_REL_TOL
-from repro.service.protocol import MessageType, ProtocolError
-from repro.service.resilience import RetryPolicy
-from repro.service.server import (
+from repro.service.frontend import (
     DEFAULT_NOTIFY_QUEUE_LIMIT,
     TRUNK_QUEUE_LIMIT,
-    CoordinatorServer,
+    FrontEnd,
+    Peer,
     _Subscriber,
-    _subscriber_writer,
 )
+from repro.service.protocol import MessageType, ProtocolError
+from repro.service.resilience import RetryPolicy
+from repro.service.server import CoordinatorServer, _scenario_planning
 from repro.service.transports import (
     InprocessLink,
     MessageStream,
@@ -108,7 +110,7 @@ SHARD_TRUNK_QUEUE_LIMIT = TRUNK_QUEUE_LIMIT
 SUSPECT_WIDEN_FACTOR = 2.0
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(FrontEnd):
     """Route sources and subscribers across coordinator shards."""
 
     def __init__(
@@ -131,10 +133,6 @@ class ClusterCoordinator:
         #: the original (pre-decomposition) query bank, for callers that
         #: audit recombined values against it.
         self.queries = list(queries)
-        self.clock = clock
-        self.notify_queue_limit = int(notify_queue_limit)
-        self.writer_join_timeout = float(writer_join_timeout)
-        self.dab_retry_policy = dab_retry_policy
         #: rebuilds one shard server (same scenario, same journal path)
         #: — the supervisor's failover hook.
         self.make_shard = make_shard
@@ -193,22 +191,20 @@ class ClusterCoordinator:
         self.supervisor: Optional[Any] = None
         self.health: Optional[Any] = None
 
-        # downstream plumbing (real sources and subscribers)
-        self._source_streams: Dict[int, MessageStream] = {}
-        self._subscribers: Dict[int, _Subscriber] = {}
-        self._sub_counter = 0
-        self._outstanding_dabs: Dict[int, Dict[str, Any]] = {}
-        self._dab_msg_counter = 0
-        self._handler_tasks: Set[asyncio.Task] = set()
-        self._tcp_server: Optional[asyncio.AbstractServer] = None
-        self._maintenance_task: Optional[asyncio.Task] = None
-        self.listen_address: Optional[Tuple[str, int]] = None
         #: kept ``None`` on purpose: the *shards* journal; soak tooling
         #: checks this attribute to decide whether the single-node
         #: journal bookkeeping applies.
         self.journal = None
 
-        self.stats = {
+        # downstream plumbing (real sources and subscribers)
+        super().__init__({
+            MessageType.REGISTER_SOURCE: self._on_register_source,
+            MessageType.REFRESH: self._on_refresh,
+            MessageType.HEARTBEAT: self._on_heartbeat,
+            MessageType.DAB_ACK: self._on_dab_ack,
+            MessageType.QUERY_SUB: self._on_query_sub,
+            MessageType.SNAPSHOT: self._on_snapshot,
+        }, stats={
             "refreshes_accepted": 0,
             "refreshes_routed": 0,
             "refreshes_unroutable": 0,
@@ -232,8 +228,9 @@ class ClusterCoordinator:
             "snapshot_gather_fallbacks": 0,
             "fenced_frames_rejected": 0,
             "refreshes_frozen": 0,
-        }
-        self._closing = False
+        }, clock=clock, notify_queue_limit=notify_queue_limit,
+            writer_join_timeout=writer_join_timeout,
+            dab_retry_policy=dab_retry_policy)
 
     # -- facade properties (soak/loadgen compatibility) ---------------------------
 
@@ -410,40 +407,14 @@ class ClusterCoordinator:
                         port: int = 0) -> Tuple[str, int]:
         if not self.started:
             await self.start()
+        return await super().serve_tcp(host, port)
 
-        async def _accept(reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-            peer = writer.get_extra_info("peername")
-            stream = MessageStream(reader, writer, name=str(peer))
-            await self.handle_connection(stream)
-
-        self._tcp_server = await asyncio.start_server(_accept, host, port)
-        sockname = self._tcp_server.sockets[0].getsockname()
-        self.listen_address = (sockname[0], sockname[1])
-        self.start_maintenance()
-        return sockname[0], sockname[1]
-
-    def start_maintenance(self) -> None:
-        if self._maintenance_task is not None:
-            return
+    def maintenance_interval(self) -> Optional[float]:
         intervals = [srv.lease_check_interval for srv in self.shards.values()
                      if srv.lease_check_interval is not None]
         if not intervals and self.dab_retry_policy is None:
-            return
-        interval = min(intervals) if intervals else 1.0
-        self._maintenance_task = asyncio.ensure_future(
-            self._maintenance_loop(interval))
-
-    async def _maintenance_loop(self, interval: float) -> None:
-        while True:
-            await asyncio.sleep(interval)
-            await self.check_leases()
-            await self.check_retries()
-
-    def adopt_connection(self, server_end: MessageStream) -> None:
-        task = asyncio.ensure_future(self.handle_connection(server_end))
-        self._handler_tasks.add(task)
-        task.add_done_callback(self._handler_tasks.discard)
+            return None
+        return min(intervals) if intervals else 1.0
 
     def connect_loopback(self) -> InprocessLink:
         client_end, server_end = inprocess_pair()
@@ -451,31 +422,9 @@ class ClusterCoordinator:
         return client_end
 
     async def close(self, final_snapshot: bool = True) -> None:
-        self._closing = True
-        if self._maintenance_task is not None:
-            self._maintenance_task.cancel()
-            try:
-                await self._maintenance_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._maintenance_task = None
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-        for sub in list(self._subscribers.values()):
-            await self._drop_subscriber(sub)
+        await self._shutdown()
         for sid in sorted(set(self._sub_streams) | {k[0] for k in self._up_streams}):
             await self._detach_shard(sid)
-        for stream in list(self._source_streams.values()):
-            stream.close()
-        self._source_streams.clear()
-        for task in list(self._handler_tasks):
-            task.cancel()
-        for task in list(self._handler_tasks):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
         for sid in sorted(self.shards):
             await self.shards[sid].close(final_snapshot=final_snapshot)
 
@@ -518,53 +467,21 @@ class ClusterCoordinator:
         for source_id, (bounds, epochs) in sorted(by_source.items()):
             await self._send_dab_update(source_id, bounds, epochs)
 
-    async def _send_dab_update(self, source_id: int,
-                               bounds: Dict[str, float],
-                               epochs: Dict[str, int],
-                               attempt: int = 0,
-                               msg_id: Optional[int] = None) -> None:
-        """Same reliable-delivery contract as the server's: with a retry
-        policy the update carries a msg_id and sits in the outstanding
-        table until the real source acks it."""
-        policy = self.dab_retry_policy
-        if policy is not None:
-            if msg_id is None:
-                self._dab_msg_counter += 1
-                msg_id = self._dab_msg_counter
-            self._outstanding_dabs[msg_id] = {
-                "source_id": source_id, "bounds": bounds, "epochs": epochs,
-                "attempt": attempt, "due": self.clock() + policy.delay(attempt),
-            }
-        stream = self._source_streams.get(source_id)
-        if stream is None:
-            return
-        if await self._safe_send(stream,
-                                 protocol.dab_update(source_id, bounds,
-                                                     epochs, msg_id=msg_id)):
-            self.stats["dab_updates_sent"] += 1
+    def _dab_retried(self) -> None:
+        self.stats["dab_retries"] += 1
 
-    def _on_dab_ack(self, message: Mapping[str, Any]) -> None:
-        self._outstanding_dabs.pop(int(message["msg_id"]), None)
-        self.stats["dab_acks_received"] += 1
-
-    async def check_retries(self) -> None:
-        policy = self.dab_retry_policy
-        if policy is None or not self._outstanding_dabs:
-            return
-        now = self.clock()
-        for msg_id in list(self._outstanding_dabs):
-            entry = self._outstanding_dabs.get(msg_id)
-            if entry is None or entry["due"] > now:
-                continue
-            del self._outstanding_dabs[msg_id]
-            attempt = entry["attempt"] + 1
-            if attempt >= policy.max_attempts:
-                self.stats["dab_retries_exhausted"] += 1
-                continue
-            self.stats["dab_retries"] += 1
-            await self._send_dab_update(entry["source_id"], entry["bounds"],
-                                        entry["epochs"], attempt=attempt,
-                                        msg_id=msg_id)
+    def _dab_gave_up(self, items: List[str]) -> None:
+        """A real source may still be filtering on a stale, wider DAB
+        than a shard planned with — and that shard was acked long ago
+        (see :meth:`_upstream_listener`), so it is told here: every shard
+        reading the item serves the queries over it ``degraded`` (with
+        leases on) until the item is heard from again, exactly as a lone
+        server does."""
+        self.stats["dab_retries_exhausted"] += 1
+        for sid in sorted(self.shards):
+            self.shards[sid].mark_suspect(
+                [item for item in items
+                 if sid in self._item_shards.get(item, ())])
 
     async def check_leases(self) -> None:
         """Drive every shard's lease sweep (their probes flow back to the
@@ -611,11 +528,8 @@ class ClusterCoordinator:
 
     async def _forward_probe(self, source_id: int,
                              items: Sequence[str]) -> None:
-        stream = self._source_streams.get(source_id)
-        if stream is None:
-            return
         message = protocol.dab_update(source_id, {}, {}, probe=items)
-        if await self._safe_send(stream, message):
+        if await self._send_to_source(source_id, message):
             self.stats["probes_forwarded"] += 1
 
     async def _shard_sub_listener(self, sid: int,
@@ -669,7 +583,7 @@ class ClusterCoordinator:
         finally:
             stream.close()
             self._fail_snapshot_waiters(sid)
-            if (not self._closing
+            if (not self.closed
                     and self._sub_streams.get(sid) is stream
                     and sid in self.shards):
                 # The aggregation trunk died while the shard is still
@@ -785,19 +699,10 @@ class ClusterCoordinator:
         keys = frozenset(merged)
         include_degraded = bool(merged) or keys != self._last_degraded_keys
         self._last_degraded_keys = keys
-        for sub in list(self._subscribers.values()):
-            updates = [{"query": name, "value": value}
-                       for name, value in recombined if sub.wants(name)]
-            if not updates and not include_degraded:
-                continue
-            message = protocol.notify(
-                updates, sent_at=now, refresh_sent_at=refresh_sent_at,
-                degraded={name: bound for name, bound in merged.items()
-                          if sub.wants(name)} if include_degraded else None)
-            try:
-                sub.queue.put_nowait(message)
-            except asyncio.QueueFull:
-                self._evict_slow_consumer(sub)
+        self._publish(
+            [{"query": name, "value": value} for name, value in recombined],
+            merged if include_degraded else None,
+            sent_at=now, refresh_sent_at=refresh_sent_at)
 
     async def _gather_snapshot(self) -> Tuple[Dict[str, float],
                                               Dict[str, float],
@@ -863,77 +768,10 @@ class ClusterCoordinator:
 
     # -- downstream connection handling -------------------------------------------
 
-    async def handle_connection(self, stream: MessageStream) -> None:
-        source_id: Optional[int] = None
-        sub: Optional[_Subscriber] = None
-        try:
-            while True:
-                message = await stream.receive()
-                if message is None:
-                    break
-                try:
-                    kind = protocol.validate_message(message)
-                except ProtocolError as err:
-                    self.stats["protocol_errors"] += 1
-                    await self._safe_send(stream, protocol.error(str(err)))
-                    break
-                try:
-                    if kind is MessageType.REGISTER_SOURCE:
-                        source_id = await self._on_register_source(
-                            stream, message)
-                    elif kind is MessageType.REFRESH:
-                        await self._on_refresh(message)
-                    elif kind is MessageType.HEARTBEAT:
-                        await self._on_heartbeat(message)
-                    elif kind is MessageType.DAB_ACK:
-                        self._on_dab_ack(message)
-                    elif kind is MessageType.QUERY_SUB:
-                        sub = await self._on_query_sub(stream, message)
-                    elif kind is MessageType.SNAPSHOT:
-                        await self._safe_send(
-                            stream, await self._snapshot_response())
-                    else:
-                        self.stats["protocol_errors"] += 1
-                        await self._safe_send(stream, protocol.error(
-                            f"unexpected {kind.value} from a client"))
-                        break
-                except (ValueError, TypeError, KeyError,
-                        ProtocolError) as err:
-                    self.stats["protocol_errors"] += 1
-                    await self._safe_send(stream, protocol.error(
-                        f"malformed {kind.value} message: {err}"))
-                    break
-        except ProtocolError:
-            self.stats["protocol_errors"] += 1
-            await self._safe_send(stream, protocol.error("corrupt framing"))
-        finally:
-            stream.close()
-            if (source_id is not None
-                    and self._source_streams.get(source_id) is stream):
-                del self._source_streams[source_id]
-            if sub is not None:
-                await self._drop_subscriber(sub)
-
-    async def _safe_send(self, stream: MessageStream,
-                         message: Dict[str, Any]) -> bool:
-        try:
-            await stream.send(message)
-            return True
-        except (TransportClosed, ProtocolError):
-            return False
-
-    async def _on_register_source(self, stream: MessageStream,
-                                  message: Dict[str, Any]) -> int:
+    async def _on_register_source(self, peer: Peer,
+                                  message: Dict[str, Any]) -> None:
         source_id = int(message["source_id"])
-        previous = self._source_streams.get(source_id)
-        if previous is not None and previous is not stream:
-            previous.close()
-        self._source_streams[source_id] = stream
-        self.stats["sources_registered"] += 1
-        if self._outstanding_dabs:
-            for msg_id in [m for m, entry in self._outstanding_dabs.items()
-                           if entry["source_id"] == source_id]:
-                del self._outstanding_dabs[msg_id]
+        self._attach_source(peer, source_id)
         items = [name for name in message["items"]
                  if self.item_to_source.get(name) == source_id]
         bounds = {name: self._effective_bounds[name] for name in items
@@ -941,13 +779,12 @@ class ClusterCoordinator:
         epochs = {name: self.epochs[name] for name in bounds}
         seqs = {name: self._seq_floors[name] for name in items
                 if name in self._seq_floors}
-        if await self._safe_send(stream,
+        if await self._safe_send(peer.stream,
                                  protocol.dab_update(source_id, bounds, epochs,
                                                      seqs=seqs or None)):
             self.stats["dab_updates_sent"] += 1
-        return source_id
 
-    async def _on_refresh(self, message: Dict[str, Any]) -> None:
+    async def _on_refresh(self, peer: Peer, message: Dict[str, Any]) -> None:
         item = message["item"]
         seq = int(message["seq"])
         if seq > self._seq_floors.get(item, 0):
@@ -987,7 +824,8 @@ class ClusterCoordinator:
             if await self._safe_send(stream, message):
                 self.stats["refreshes_routed"] += 1
 
-    async def _on_heartbeat(self, message: Dict[str, Any]) -> None:
+    async def _on_heartbeat(self, peer: Peer,
+                            message: Dict[str, Any]) -> None:
         self.stats["heartbeats_received"] += 1
         source_id = int(message["source_id"])
         for (sid, src), stream in sorted(self._up_streams.items()):
@@ -1069,27 +907,17 @@ class ClusterCoordinator:
         if not votes:
             self._shard_bounds.pop(item, None)
 
-    async def _on_query_sub(self, stream: MessageStream,
-                            message: Dict[str, Any]) -> _Subscriber:
+    async def _on_query_sub(self, peer: Peer,
+                            message: Dict[str, Any]) -> None:
         if message.get("definitions"):
             raise ProtocolError(
                 "the cluster router does not accept QUERY_SUB definitions "
                 "yet; register queries at build time")
-        wanted = message["queries"]
-        if wanted == "*":
-            names: Optional[Set[str]] = None
-        else:
-            names = {name for name in wanted if name in self._home_shards}
-        self._sub_counter += 1
-        limit = (max(self.notify_queue_limit, TRUNK_QUEUE_LIMIT)
-                 if message.get("trunk") else self.notify_queue_limit)
-        sub = _Subscriber(self._sub_counter, stream, names, limit)
-        self._subscribers[sub.sub_id] = sub
-        self.stats["subscribers"] = len(self._subscribers)
-        sub.writer_task = asyncio.ensure_future(
-            _subscriber_writer(sub, self._subscribers, self.stats))
-        await self._safe_send(stream, await self._snapshot_response(sub))
-        return sub
+        sub = self._add_subscriber(peer, message, self._home_shards)
+        await self._safe_send(peer.stream, await self._snapshot_response(sub))
+
+    async def _on_snapshot(self, peer: Peer, message: Dict[str, Any]) -> None:
+        await self._safe_send(peer.stream, await self._snapshot_response())
 
     async def _snapshot_response(self, sub: Optional[_Subscriber] = None
                                  ) -> Dict[str, Any]:
@@ -1106,32 +934,6 @@ class ClusterCoordinator:
         return protocol.snapshot(values=values,
                                  stats=self.server_stats(stats_by_shard),
                                  degraded=wire_degraded)
-
-    def _evict_slow_consumer(self, sub: _Subscriber) -> None:
-        if sub.evicted:
-            return
-        sub.evicted = True
-        self.stats["slow_consumer_evictions"] += 1
-        self._subscribers.pop(sub.sub_id, None)
-        self.stats["subscribers"] = len(self._subscribers)
-        if sub.writer_task is not None:
-            sub.writer_task.cancel()
-        sub.stream.close()
-
-    async def _drop_subscriber(self, sub: _Subscriber) -> None:
-        self._subscribers.pop(sub.sub_id, None)
-        self.stats["subscribers"] = len(self._subscribers)
-        if sub.writer_task is not None and not sub.writer_task.done():
-            try:
-                sub.queue.put_nowait(None)
-            except asyncio.QueueFull:
-                sub.writer_task.cancel()
-            try:
-                await asyncio.wait_for(sub.writer_task,
-                                       timeout=self.writer_join_timeout)
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                sub.writer_task.cancel()
-        sub.stream.close()
 
     # -- introspection ------------------------------------------------------------
 
@@ -1223,59 +1025,21 @@ def build_scenario_cluster(
     real sources; shards always run retry-free — their in-process hop to
     the router is lossless and acked instantly.
     """
-    from repro.dynamics.estimation import SampledRateEstimator
-    from repro.filters.caching import QuantisingCachePlanner
-    from repro.filters.cost_model import CostModel
     from repro.service.journal import Journal
-    from repro.simulation.harness import (
-        AlgorithmName,
-        SimulationConfig,
-        _SINGLE_DAB_MODES,
-        build_planner,
-    )
-    from repro.simulation.source import assign_items_to_sources
-    from repro.workloads import scaled_scenario
 
-    scenario = scaled_scenario(
-        query_count=query_count, item_count=item_count,
-        trace_length=trace_length, source_count=source_count,
-        query_kind=workload, seed=seed,
-    )
-    config = SimulationConfig(
-        queries=scenario.queries, traces=scenario.traces,
-        algorithm=algorithm, recompute_cost=recompute_cost,
-        source_count=source_count, seed=seed, vectorize=vectorize,
-        recompute_mode=recompute_mode, bank_index=bank_index,
-    )
-    if config.algorithm is AlgorithmName.AAO_T:
-        raise ReproError("the live service has no periodic scheduler yet; "
-                         "pick a per-query algorithm")
-    items = config.used_items
-    rates = SampledRateEstimator().estimate_all(config.traces, items)
-    cost_model = CostModel(ddm=config.ddm, rates=rates,
-                           recompute_cost=recompute_cost)
-    item_to_source = assign_items_to_sources(items, source_count)
-
+    scenario, queries, make_server, item_to_source = _scenario_planning(
+        query_count, item_count, source_count, trace_length, seed, algorithm,
+        recompute_cost, workload, vectorize, recompute_mode, bank_index)
     shard_map = ShardMap(shards)
-    decomposition = decompose_bank(config.queries, shard_map.shard_of)
-    initial_values = config.traces.initial_values(items)
+    decomposition = decompose_bank(queries, shard_map.shard_of)
 
     def make_shard(sid: int) -> CoordinatorServer:
-        sub_queries = decomposition.sub_queries_for[sid]
-        needed = decomposition.items_needed[sid]
-        planner = build_planner(config, cost_model)
-        if config.cache_grid is not None:
-            planner = QuantisingCachePlanner(planner, grid=config.cache_grid,
-                                             bank_index_mode=bank_index)
         journal = (Journal(os.path.join(journal_dir, f"shard-{sid}"),
                            fsync=fsync, snapshot_every=snapshot_every)
                    if journal_dir is not None else None)
-        return CoordinatorServer(
-            queries=sub_queries, planner=planner,
-            initial_values={name: initial_values[name] for name in needed},
-            item_to_source={name: item_to_source[name] for name in needed},
-            mode=_SINGLE_DAB_MODES[config.algorithm],
-            vectorize=vectorize, recompute_cost=recompute_cost,
+        return make_server(
+            decomposition.sub_queries_for[sid],
+            decomposition.items_needed[sid],
             # The shard's only subscriber is the router's aggregation
             # trunk; evicting it under a notify storm severs the shard
             # from the cluster, so the trunk queue is sized generously
@@ -1283,8 +1047,6 @@ def build_scenario_cluster(
             # subscriber queues, which keep ``notify_queue_limit``).
             notify_queue_limit=max(SHARD_TRUNK_QUEUE_LIMIT,
                                    notify_queue_limit),
-            recompute_strategy=recompute_mode,
-            bank_index=bank_index,
             shard_id=sid,
             clock=clock,
             lease_duration=lease_duration,
@@ -1305,7 +1067,7 @@ def build_scenario_cluster(
     cluster = ClusterCoordinator(
         shards=shard_servers, decomposition=decomposition,
         shard_map=shard_map, item_to_source=item_to_source,
-        queries=config.queries, clock=clock,
+        queries=queries, clock=clock,
         notify_queue_limit=notify_queue_limit,
         dab_retry_policy=dab_retry_policy,
         make_shard=make_shard,

@@ -28,7 +28,6 @@ single-coordinator model of the paper (§II).
 
 from __future__ import annotations
 
-import asyncio
 import time as _time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -36,74 +35,20 @@ from repro.exceptions import ReproError, SimulationError
 from repro.queries.polynomial import PolynomialQuery
 from repro.service import protocol
 from repro.service.core import CoordinatorCore, RecomputeMode
+from repro.service.frontend import (
+    DEFAULT_NOTIFY_QUEUE_LIMIT,
+    FrontEnd,
+    Peer,
+    _Subscriber,
+)
 from repro.service.journal import Journal, JournalError, plan_from_wire
 from repro.service.protocol import MessageType, ProtocolError
 from repro.service.resilience import RetryPolicy
-from repro.service.transports import (
-    InprocessLink,
-    MessageStream,
-    TransportClosed,
-    inprocess_pair,
-)
+from repro.service.transports import InprocessLink, inprocess_pair
 from repro.simulation.metrics import MetricsCollector
 
-#: NOTIFY batches a subscriber may have outstanding before it is evicted.
-DEFAULT_NOTIFY_QUEUE_LIMIT = 64
 
-#: Queue-limit floor granted to ``QUERY_SUB trunk=True`` subscriptions —
-#: infrastructure consumers (a cluster router's shard trunk, a fan-out
-#: broker's upstream) whose eviction would sever every client behind
-#: them.  Deep enough to absorb a full replay storm's NOTIFY burst.
-TRUNK_QUEUE_LIMIT = 4096
-
-
-class _Subscriber:
-    """One QUERY_SUB connection and its bounded outbound queue."""
-
-    def __init__(self, sub_id: int, stream: MessageStream,
-                 queries: Optional[Set[str]], limit: int):
-        self.sub_id = sub_id
-        self.stream = stream
-        #: ``None`` subscribes to every query.
-        self.queries = queries
-        self.queue: "asyncio.Queue[Optional[Dict[str, Any]]]" = (
-            asyncio.Queue(maxsize=limit))
-        self.writer_task: Optional[asyncio.Task] = None
-        self.evicted = False
-        #: Dynamic queries this subscriber holds a refcount on; released
-        #: (and the query removed on the last reference) when it drops.
-        self.registered: Set[str] = set()
-
-    def wants(self, query_name: str) -> bool:
-        return self.queries is None or query_name in self.queries
-
-
-async def _subscriber_writer(sub: _Subscriber,
-                             subscribers: Dict[int, _Subscriber],
-                             stats: Dict[str, int]) -> None:
-    """Drain one subscriber's queue onto its stream — the writer task of
-    every fan-out node (server, cluster router, broker), over that node's
-    subscriber table and stats.
-
-    A peer that hung up, or a message its stream cannot encode (a
-    non-finite or non-JSON value: our bug, counted as a protocol error),
-    drops *this* subscriber; the others keep flowing."""
-    try:
-        while True:
-            message = await sub.queue.get()
-            if message is None:
-                return
-            await sub.stream.send(message)
-            stats["notifies_sent"] += 1
-    except ProtocolError as err:
-        if not isinstance(err, TransportClosed):
-            stats["protocol_errors"] += 1
-        subscribers.pop(sub.sub_id, None)
-        stats["subscribers"] = len(subscribers)
-        sub.stream.close()
-
-
-class CoordinatorServer:
+class CoordinatorServer(FrontEnd):
     """Serve continuous polynomial queries over live refresh streams."""
 
     def __init__(
@@ -156,7 +101,6 @@ class CoordinatorServer:
         self._journal_attached = False
         #: The last :meth:`restore` report (records replayed, wall time).
         self.last_recovery: Optional[Dict[str, Any]] = None
-        self.notify_queue_limit = int(notify_queue_limit)
         self._query_names = {query.name for query in self.core.queries}
         #: name -> query object (O(1) duplicate/conflict checks on the
         #: incremental QUERY_SUB registration path — never an O(bank)
@@ -166,12 +110,6 @@ class CoordinatorServer:
                                for query in self.core.queries}
         self._dynamic_refs: Dict[str, int] = {}
 
-        #: How long a graceful subscriber drop waits for its writer task
-        #: to flush before cancelling it (seconds).
-        self.writer_join_timeout = float(writer_join_timeout)
-        #: The time source for all liveness bookkeeping — wall clock by
-        #: default, a logical step clock under the chaos soak.
-        self.clock = clock
         #: One clock end-to-end: a breaker built without an explicit
         #: clock inherits ours instead of silently ticking wall time.
         if solver_breaker is not None and hasattr(solver_breaker, "bind_clock"):
@@ -191,25 +129,11 @@ class CoordinatorServer:
         self.suspect_since: Dict[str, float] = {}
         self._item_last_heard: Dict[str, float] = {}
         self._degraded_keys: frozenset = frozenset()
-        #: ``None`` disables reliable DAB delivery (default); with a
-        #: policy, every changed-bound DAB_UPDATE carries a ``msg_id``
-        #: and is retried with backoff until acked or given up on.
-        self.dab_retry_policy = dab_retry_policy
-        self._outstanding_dabs: Dict[int, Dict[str, Any]] = {}
-        self._dab_msg_counter = 0
-        self._maintenance_task: Optional[asyncio.Task] = None
         self.solver_breaker = solver_breaker
-
-        #: source_id -> its (sole) live stream; replaced on re-register.
-        self._source_streams: Dict[int, MessageStream] = {}
-        self._subscribers: Dict[int, _Subscriber] = {}
-        self._sub_counter = 0
         #: item -> highest refresh sequence number accepted (dedup guard).
         self.last_seq: Dict[str, int] = {}
         #: source_id -> wall-clock time of the last refresh/heartbeat.
         self.last_heard: Dict[int, float] = {}
-        self._tcp_server: Optional[asyncio.AbstractServer] = None
-        self._handler_tasks: Set[asyncio.Task] = set()
         #: This coordinator's shard id inside a cluster (``None`` when it
         #: is the whole deployment); stamped on NOTIFY/SNAPSHOT frames so
         #: the router can attribute partial aggregates.
@@ -222,15 +146,16 @@ class CoordinatorServer:
         #: the old map must not land on an item this shard no longer
         #: owns (or owns again under different budgets).
         self.map_epoch: Optional[int] = None
-        #: True once :meth:`close` ran.  A closed server refuses new
-        #: connections — this is what makes a supervisor-`crash()`ed
-        #: shard behave like a dead process instead of a still-answering
-        #: zombie behind the router's stale plumbing.
-        self.closed = False
-        #: ``(host, port)`` once :meth:`serve_tcp` binds; ``None`` for
-        #: loopback-only embeddings.
-        self.listen_address: Optional[Tuple[str, int]] = None
-        self.stats = {
+        # ``clock`` times all liveness bookkeeping — wall clock by
+        # default, a logical step clock under the chaos soak.
+        super().__init__({
+            MessageType.REGISTER_SOURCE: self._on_register_source,
+            MessageType.REFRESH: self._on_refresh,
+            MessageType.HEARTBEAT: self._on_heartbeat,
+            MessageType.DAB_ACK: self._on_dab_ack,
+            MessageType.QUERY_SUB: self._on_query_sub,
+            MessageType.SNAPSHOT: self._on_snapshot,
+        }, stats={
             "refreshes_accepted": 0,
             "refreshes_rejected_stale_seq": 0,
             "refreshes_rejected_stale_map_epoch": 0,
@@ -243,58 +168,16 @@ class CoordinatorServer:
             "heartbeats_received": 0,
             "seq_gaps_detected": 0,
             "dab_acks_received": 0,
-        }
+        }, clock=clock, notify_queue_limit=notify_queue_limit,
+            writer_join_timeout=writer_join_timeout,
+            dab_retry_policy=dab_retry_policy)
 
     # -- lifecycle ---------------------------------------------------------------
 
-    async def serve_tcp(self, host: str = "127.0.0.1",
-                        port: int = 0) -> Tuple[str, int]:
-        """Start accepting TCP connections; returns the bound address."""
-        async def _accept(reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-            peer = writer.get_extra_info("peername")
-            stream = MessageStream(reader, writer, name=str(peer))
-            await self.handle_connection(stream)
-
-        self._tcp_server = await asyncio.start_server(_accept, host, port)
-        sockname = self._tcp_server.sockets[0].getsockname()
-        self.listen_address = (sockname[0], sockname[1])
-        self.start_maintenance()
-        return sockname[0], sockname[1]
-
-    def start_maintenance(self) -> None:
-        """Run lease checks and DAB retries on a background task.
-
-        Started automatically by :meth:`serve_tcp`; loopback embeddings
-        (tests, the chaos soak) drive :meth:`check_leases` /
-        :meth:`check_retries` explicitly instead, so their event order
-        stays deterministic.  A no-op when neither machinery is enabled.
-        """
-        if self._maintenance_task is not None:
-            return
+    def maintenance_interval(self) -> Optional[float]:
         if self.lease_check_interval is None and self.dab_retry_policy is None:
-            return
-        self._maintenance_task = asyncio.ensure_future(self._maintenance_loop())
-
-    async def _maintenance_loop(self) -> None:
-        interval = self.lease_check_interval or 1.0
-        while True:
-            await asyncio.sleep(interval)
-            await self.check_leases()
-            await self.check_retries()
-
-    def adopt_connection(self, server_end: MessageStream) -> None:
-        """Serve an externally-built stream (a chaos-wrapped loopback
-        end, for instance) on this server."""
-        if self.closed:
-            # A dead process cannot accept sockets; a crashed in-process
-            # shard must not either, or failover tests would be talking
-            # to a zombie.
-            server_end.close()
-            return
-        task = asyncio.ensure_future(self.handle_connection(server_end))
-        self._handler_tasks.add(task)
-        task.add_done_callback(self._handler_tasks.discard)
+            return None
+        return self.lease_check_interval or 1.0
 
     def connect_loopback(self) -> InprocessLink:
         """A client end connected in process: caller and server share a
@@ -312,7 +195,6 @@ class CoordinatorServer:
         journal handle is dropped with no parting snapshot, so the next
         start must recover from the WAL tail alone (every append is
         unbuffered, so nothing accepted before the kill is lost)."""
-        self.closed = True
         if self.journal is not None and self._journal_attached:
             self.core.journal = None
             self._journal_attached = False
@@ -324,28 +206,7 @@ class CoordinatorServer:
             # Appends are unbuffered, so closing the handle loses nothing
             # even on the kill path — only the parting snapshot is skipped.
             self.journal.close()
-        if self._maintenance_task is not None:
-            self._maintenance_task.cancel()
-            try:
-                await self._maintenance_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._maintenance_task = None
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-        for subscriber in list(self._subscribers.values()):
-            await self._drop_subscriber(subscriber)
-        for stream in list(self._source_streams.values()):
-            stream.close()
-        self._source_streams.clear()
-        for task in list(self._handler_tasks):
-            task.cancel()
-        for task in list(self._handler_tasks):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        await self._shutdown()
 
     # -- durability ------------------------------------------------------------------
 
@@ -533,76 +394,10 @@ class CoordinatorServer:
         self.core.adopt_item(item, float(value), source_id=source_id,
                              seq=int(seq_floor) if seq_floor else None)
 
-    # -- connection handling -------------------------------------------------------
-
-    async def handle_connection(self, stream: MessageStream) -> None:
-        """Serve one peer until EOF or a protocol violation."""
-        source_id: Optional[int] = None
-        sub: Optional[_Subscriber] = None
-        try:
-            while True:
-                message = await stream.receive()
-                if message is None:
-                    break
-                try:
-                    kind = protocol.validate_message(message)
-                except ProtocolError as err:
-                    self.stats["protocol_errors"] += 1
-                    await self._safe_send(stream, protocol.error(str(err)))
-                    break
-                try:
-                    if kind is MessageType.REGISTER_SOURCE:
-                        source_id = await self._on_register_source(
-                            stream, message)
-                    elif kind is MessageType.REFRESH:
-                        await self._on_refresh(stream, message)
-                    elif kind is MessageType.HEARTBEAT:
-                        await self._on_heartbeat(message)
-                    elif kind is MessageType.DAB_ACK:
-                        self._on_dab_ack(message)
-                    elif kind is MessageType.QUERY_SUB:
-                        sub = await self._on_query_sub(stream, message)
-                    elif kind is MessageType.SNAPSHOT:
-                        await self._safe_send(stream, self._snapshot_response())
-                    else:
-                        # NOTIFY/DAB_UPDATE are server-to-peer only; a peer
-                        # sending them (or ERROR) ends the conversation.
-                        self.stats["protocol_errors"] += 1
-                        await self._safe_send(stream, protocol.error(
-                            f"unexpected {kind.value} from a client"))
-                        break
-                except (ValueError, TypeError, KeyError,
-                        ProtocolError) as err:
-                    # validate_message shape-checks every known field, but
-                    # a handler tripping over a hostile payload (or a
-                    # conflicting QUERY_SUB definition) must still answer
-                    # with a protocol error, not kill the task.
-                    self.stats["protocol_errors"] += 1
-                    await self._safe_send(stream, protocol.error(
-                        f"malformed {kind.value} message: {err}"))
-                    break
-        except ProtocolError:
-            self.stats["protocol_errors"] += 1
-            await self._safe_send(stream, protocol.error("corrupt framing"))
-        finally:
-            stream.close()
-            if source_id is not None and self._source_streams.get(source_id) is stream:
-                del self._source_streams[source_id]
-            if sub is not None:
-                await self._drop_subscriber(sub)
-
-    async def _safe_send(self, stream: MessageStream,
-                         message: Dict[str, Any]) -> bool:
-        try:
-            await stream.send(message)
-            return True
-        except (TransportClosed, ProtocolError):
-            return False
-
     # -- source-plane handlers ------------------------------------------------------
 
-    async def _on_register_source(self, stream: MessageStream,
-                                  message: Dict[str, Any]) -> int:
+    async def _on_register_source(self, peer: Peer,
+                                  message: Dict[str, Any]) -> None:
         """Adopt (or re-adopt) a source; programming its current DABs in
         the reply doubles as crash/reconnect resync."""
         source_id = int(message["source_id"])
@@ -611,18 +406,8 @@ class CoordinatorServer:
         unknown = [name for name in message["items"] if name not in known]
         if unknown:
             self.metrics.record_misrouted_bounds(len(unknown))
-        previous = self._source_streams.get(source_id)
-        if previous is not None and previous is not stream:
-            previous.close()
-        self._source_streams[source_id] = stream
+        self._attach_source(peer, source_id)
         self.last_heard[source_id] = self.clock()
-        self.stats["sources_registered"] += 1
-        # The reply re-programs every current bound, superseding whatever
-        # changed-bound deliveries were still being retried to this source.
-        if self._outstanding_dabs:
-            for msg_id in [m for m, entry in self._outstanding_dabs.items()
-                           if entry["source_id"] == source_id]:
-                del self._outstanding_dabs[msg_id]
         bounds, epochs = self.core.current_bounds_for(source_id)
         # The reply also carries our accepted-seq high-water marks: a
         # *restarted* source process numbers from 0 again, and without
@@ -632,13 +417,12 @@ class CoordinatorServer:
         # stale refresh from the dead connection clobber the cache).
         seqs = {name: self.last_seq[name] for name in known
                 if name in self.last_seq}
-        if await self._safe_send(stream,
+        if await self._safe_send(peer.stream,
                                  protocol.dab_update(source_id, bounds, epochs,
                                                      seqs=seqs or None)):
             self.stats["dab_updates_sent"] += 1
-        return source_id
 
-    async def _on_refresh(self, stream: MessageStream,
+    async def _on_refresh(self, peer: Peer,
                           message: Dict[str, Any]) -> None:
         item = message["item"]
         frame_epoch = message.get("map_epoch")
@@ -687,78 +471,31 @@ class CoordinatorServer:
         for source_id, (bounds, epochs) in self.core.changed_bound_updates().items():
             await self._send_dab_update(source_id, bounds, epochs)
 
-    async def _send_dab_update(self, source_id: int,
-                               bounds: Dict[str, float],
-                               epochs: Dict[str, int],
-                               attempt: int = 0,
-                               msg_id: Optional[int] = None) -> None:
-        """Ship one changed-bound DAB_UPDATE, reliably when configured.
+    def _dab_retried(self) -> None:
+        self.metrics.record_dab_retry()
 
-        With a retry policy, the message carries a ``msg_id`` and sits in
-        the outstanding table until the source's DAB_ACK lands —
-        :meth:`check_retries` resends it with backoff otherwise.  A
-        dropped *narrowing* update is the one loss the seq/lease
-        machinery cannot see (the source keeps filtering against a
-        stale, wider bound), so delivery has to be acknowledged.
-        """
-        policy = self.dab_retry_policy
-        if policy is not None:
-            if msg_id is None:
-                self._dab_msg_counter += 1
-                msg_id = self._dab_msg_counter
-            self._outstanding_dabs[msg_id] = {
-                "source_id": source_id, "bounds": bounds, "epochs": epochs,
-                "attempt": attempt, "due": self.clock() + policy.delay(attempt),
-            }
-        stream = self._source_streams.get(source_id)
-        if stream is None:
-            # Disconnected source: the bounds stay in the core's
-            # last-sent state and are re-programmed wholesale when the
-            # source re-registers (the resync path); with a retry policy
-            # the outstanding entry keeps nagging until then.
-            return
-        if await self._safe_send(stream,
-                                 protocol.dab_update(source_id, bounds,
-                                                     epochs, msg_id=msg_id)):
-            self.stats["dab_updates_sent"] += 1
-
-    def _on_dab_ack(self, message: Dict[str, Any]) -> None:
-        self._outstanding_dabs.pop(int(message["msg_id"]), None)
-        self.stats["dab_acks_received"] += 1
-
-    async def check_retries(self) -> None:
-        """Resend overdue unacked DAB_UPDATEs; give up into degradation.
-
-        Exhausting the retry budget marks the affected items suspect —
-        the coordinator can no longer claim the source enforces the
+    def _dab_gave_up(self, items: List[str]) -> None:
+        """The coordinator can no longer claim the source enforces the
         bounds it was sent, so served answers widen honestly instead of
-        silently trusting a filter that may not exist.
-        """
-        policy = self.dab_retry_policy
-        if policy is None or not self._outstanding_dabs:
+        silently trusting a filter that may not exist."""
+        self.metrics.record_dab_retry_exhausted()
+        self.mark_suspect(items)
+
+    def mark_suspect(self, items: Sequence[str]) -> None:
+        """Flag ``items`` as possibly stale (a no-op with leases off):
+        queries over them are served ``degraded`` until each is heard
+        from again; the lease sweep probes for them meanwhile."""
+        if self.lease_duration is None:
             return
         now = self.clock()
-        for msg_id in list(self._outstanding_dabs):
-            entry = self._outstanding_dabs.get(msg_id)
-            if entry is None or entry["due"] > now:
-                continue
-            del self._outstanding_dabs[msg_id]
-            attempt = entry["attempt"] + 1
-            if attempt >= policy.max_attempts:
-                self.metrics.record_dab_retry_exhausted()
-                if self.lease_duration is not None:
-                    for name in entry["bounds"]:
-                        self.suspect_since.setdefault(name, now)
-                    self._fanout_degraded_if_changed()
-                continue
-            self.metrics.record_dab_retry()
-            await self._send_dab_update(entry["source_id"], entry["bounds"],
-                                        entry["epochs"], attempt=attempt,
-                                        msg_id=msg_id)
+        for name in items:
+            self.suspect_since.setdefault(name, now)
+        self._fanout_degraded_if_changed()
 
     # -- staleness leases -----------------------------------------------------------
 
-    async def _on_heartbeat(self, message: Dict[str, Any]) -> None:
+    async def _on_heartbeat(self, peer: Peer,
+                            message: Dict[str, Any]) -> None:
         """Renew leases for in-sync items; a seq gap means a refresh we
         never received — the item goes suspect and its value is probed
         (the source is demonstrably alive, so the reply is immediate)."""
@@ -835,11 +572,8 @@ class CoordinatorServer:
     async def _send_probe(self, source_id: int, items: List[str]) -> None:
         """Ask a source to resend the listed items' current values now
         (an empty-bounds DAB_UPDATE carrying only ``probe``)."""
-        stream = self._source_streams.get(source_id)
-        if stream is None:
-            return
         message = protocol.dab_update(source_id, {}, {}, probe=items)
-        if await self._safe_send(stream, message):
+        if await self._send_to_source(source_id, message):
             self.metrics.record_value_probe(len(items))
 
     async def _send_resync(self, source_id: int, items: List[str],
@@ -848,9 +582,6 @@ class CoordinatorServer:
         """A mini registration reply for ``items``: current bounds,
         epochs and seq floors, plus a probe so the re-numbered source
         answers with fresh values immediately."""
-        stream = self._source_streams.get(source_id)
-        if stream is None:
-            return
         message = protocol.dab_update(
             source_id,
             {name: bounds[name] for name in items if name in bounds},
@@ -858,7 +589,7 @@ class CoordinatorServer:
             seqs={name: self.last_seq[name] for name in items
                   if name in self.last_seq},
             probe=items)
-        if await self._safe_send(stream, message):
+        if await self._send_to_source(source_id, message):
             self.metrics.record_value_probe(len(items))
 
     def degraded_bounds(self) -> Dict[str, float]:
@@ -900,17 +631,9 @@ class CoordinatorServer:
         if keys == self._degraded_keys:
             return
         self._degraded_keys = keys
-        degraded = self.degraded_bounds()
-        for sub in list(self._subscribers.values()):
-            message = protocol.notify(
-                [], sent_at=self.clock(), shard=self.shard_id,
-                map_epoch=self.map_epoch,
-                degraded={name: bound for name, bound in degraded.items()
-                          if sub.wants(name)})
-            try:
-                sub.queue.put_nowait(message)
-            except asyncio.QueueFull:
-                self._evict_slow_consumer(sub)
+        self._publish(
+            [], self.degraded_bounds(), sent_at=self.clock(),
+            shard=self.shard_id, map_epoch=self.map_epoch)
 
     # -- subscriber plane -----------------------------------------------------------
 
@@ -957,7 +680,7 @@ class CoordinatorServer:
                 registered.add(query.name)
         return registered
 
-    def _release_dynamic(self, sub: _Subscriber) -> None:
+    def _subscriber_gone(self, sub: _Subscriber) -> None:
         """Drop this subscriber's references; remove a dynamic query when
         the last reference goes (the core keeps it only if it is the very
         last query standing — a coordinator cannot run empty)."""
@@ -978,31 +701,22 @@ class CoordinatorServer:
             self._query_names.discard(name)
         sub.registered = set()
 
-    async def _on_query_sub(self, stream: MessageStream,
-                            message: Dict[str, Any]) -> _Subscriber:
+    async def _on_query_sub(self, peer: Peer,
+                            message: Dict[str, Any]) -> None:
         registered: Set[str] = set()
         definitions = message.get("definitions")
         if definitions:
             registered = self._register_definitions(definitions)
-        wanted = message["queries"]
-        if wanted == "*":
-            names: Optional[Set[str]] = None
-        else:
-            names = {name for name in wanted if name in self._query_names}
+        sub = self._add_subscriber(peer, message, self._query_names)
+        if sub.queries is not None:
             # Definitions are implicitly subscribed — naming them again
             # in ``queries`` would be redundant boilerplate.
-            names |= {data["name"] for data in definitions or []}
-        self._sub_counter += 1
-        limit = (max(self.notify_queue_limit, TRUNK_QUEUE_LIMIT)
-                 if message.get("trunk") else self.notify_queue_limit)
-        sub = _Subscriber(self._sub_counter, stream, names, limit)
+            sub.queries |= {data["name"] for data in definitions or []}
         sub.registered = registered
-        self._subscribers[sub.sub_id] = sub
-        self.stats["subscribers"] = len(self._subscribers)
-        sub.writer_task = asyncio.ensure_future(
-            _subscriber_writer(sub, self._subscribers, self.stats))
-        await self._safe_send(stream, self._snapshot_response(sub))
-        return sub
+        await self._safe_send(peer.stream, self._snapshot_response(sub))
+
+    async def _on_snapshot(self, peer: Peer, message: Dict[str, Any]) -> None:
+        await self._safe_send(peer.stream, self._snapshot_response())
 
     def _snapshot_response(self, sub: Optional[_Subscriber] = None
                            ) -> Dict[str, Any]:
@@ -1029,51 +743,12 @@ class CoordinatorServer:
         degraded = (self.degraded_bounds()
                     if self.lease_duration is not None and self.suspect_since
                     else None)
-        for sub in list(self._subscribers.values()):
-            updates = [{"query": name, "value": value}
-                       for name, value in notifications if sub.wants(name)]
-            if not updates:
-                continue
-            message = protocol.notify(
-                updates, sent_at=now, refresh_sent_at=refresh_sent_at,
-                shard=self.shard_id, map_epoch=self.map_epoch,
-                degraded=None if degraded is None else
-                {name: bound for name, bound in degraded.items()
-                 if sub.wants(name)})
-            try:
-                sub.queue.put_nowait(message)
-            except asyncio.QueueFull:
-                self._evict_slow_consumer(sub)
-
-    def _evict_slow_consumer(self, sub: _Subscriber) -> None:
-        if sub.evicted:
-            return
-        sub.evicted = True
-        self.stats["slow_consumer_evictions"] += 1
-        self._subscribers.pop(sub.sub_id, None)
-        self.stats["subscribers"] = len(self._subscribers)
-        self._release_dynamic(sub)
-        if sub.writer_task is not None:
-            sub.writer_task.cancel()
-        sub.stream.close()
-
-    async def _drop_subscriber(self, sub: _Subscriber) -> None:
-        self._subscribers.pop(sub.sub_id, None)
-        self.stats["subscribers"] = len(self._subscribers)
-        self._release_dynamic(sub)
-        if sub.writer_task is not None and not sub.writer_task.done():
-            try:
-                sub.queue.put_nowait(None)     # graceful: flush, then stop
-            except asyncio.QueueFull:
-                # Exactly-full queue (eviction only fires on overflow):
-                # no room for the sentinel, so drop the backlog instead.
-                sub.writer_task.cancel()
-            try:
-                await asyncio.wait_for(sub.writer_task,
-                                       timeout=self.writer_join_timeout)
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                sub.writer_task.cancel()
-        sub.stream.close()
+        self._publish(
+            [{"query": name, "value": value}
+             for name, value in notifications],
+            degraded, piggyback=True, sent_at=now,
+            refresh_sent_at=refresh_sent_at, shard=self.shard_id,
+            map_epoch=self.map_epoch)
 
     # -- introspection ---------------------------------------------------------------
 
@@ -1131,6 +806,70 @@ class CoordinatorServer:
 # scenario-driven construction (shared by `repro serve` and the loadgen)
 # ---------------------------------------------------------------------------
 
+def _scenario_planning(query_count: int, item_count: int, source_count: int,
+                       trace_length: int, seed: int, algorithm: str,
+                       recompute_cost: float, workload: str, vectorize: bool,
+                       recompute_mode: str, bank_index: str):
+    """What a single-server build and a cluster build share — the same
+    workload generator, rate estimation and planner stack as a simulator
+    run.  Returns ``(scenario, queries, make_server, item_to_source)``:
+    ``make_server(queries, items, **kwargs)`` builds one coordinator (a
+    cluster wants one per shard, each with a fresh planner) over those
+    queries and the items they read."""
+    # Imported here: these pull in repro.simulation, which imports
+    # repro.service.core — keeping the heavy imports out of module scope
+    # keeps the import graph acyclic from every entry point.
+    from repro.dynamics.estimation import SampledRateEstimator
+    from repro.filters.caching import QuantisingCachePlanner
+    from repro.filters.cost_model import CostModel
+    from repro.simulation.harness import (
+        AlgorithmName,
+        SimulationConfig,
+        _SINGLE_DAB_MODES,
+        build_planner,
+    )
+    from repro.simulation.source import assign_items_to_sources
+    from repro.workloads import scaled_scenario
+
+    scenario = scaled_scenario(
+        query_count=query_count, item_count=item_count,
+        trace_length=trace_length, source_count=source_count,
+        query_kind=workload, seed=seed,
+    )
+    config = SimulationConfig(
+        queries=scenario.queries, traces=scenario.traces,
+        algorithm=algorithm, recompute_cost=recompute_cost,
+        source_count=source_count, seed=seed, vectorize=vectorize,
+        recompute_mode=recompute_mode, bank_index=bank_index,
+    )
+    if config.algorithm is AlgorithmName.AAO_T:
+        raise ReproError("the live service has no periodic scheduler yet; "
+                         "pick a per-query algorithm")
+    items = config.used_items
+    rates = SampledRateEstimator().estimate_all(config.traces, items)
+    cost_model = CostModel(ddm=config.ddm, rates=rates,
+                           recompute_cost=recompute_cost)
+    item_to_source = assign_items_to_sources(items, source_count)
+    initial_values = config.traces.initial_values(items)
+
+    def make_server(queries: Sequence[PolynomialQuery],
+                    items: Sequence[str], **kwargs: Any) -> CoordinatorServer:
+        planner = build_planner(config, cost_model)
+        if config.cache_grid is not None:
+            planner = QuantisingCachePlanner(planner, grid=config.cache_grid,
+                                             bank_index_mode=bank_index)
+        return CoordinatorServer(
+            queries=queries, planner=planner,
+            initial_values={name: initial_values[name] for name in items},
+            item_to_source={name: item_to_source[name] for name in items},
+            mode=_SINGLE_DAB_MODES[config.algorithm],
+            vectorize=vectorize, recompute_cost=recompute_cost,
+            recompute_strategy=recompute_mode, bank_index=bank_index,
+            **kwargs)
+
+    return scenario, config.queries, make_server, item_to_source
+
+
 def build_scenario_server(
     query_count: int = 10,
     item_count: int = 30,
@@ -1159,54 +898,10 @@ def build_scenario_server(
     sides derive the same scenario; the server is authoritative for
     planning, the agents for the item traces.
     """
-    # Imported here: these pull in repro.simulation, which imports
-    # repro.service.core — keeping the heavy imports out of module scope
-    # keeps the import graph acyclic from every entry point.
-    from repro.simulation.harness import (
-        AlgorithmName,
-        SimulationConfig,
-        _SINGLE_DAB_MODES,
-        build_planner,
-    )
-    from repro.simulation.source import assign_items_to_sources
-    from repro.workloads import scaled_scenario
-
-    scenario = scaled_scenario(
-        query_count=query_count, item_count=item_count,
-        trace_length=trace_length, source_count=source_count,
-        query_kind=workload, seed=seed,
-    )
-    config = SimulationConfig(
-        queries=scenario.queries, traces=scenario.traces,
-        algorithm=algorithm, recompute_cost=recompute_cost,
-        source_count=source_count, seed=seed, vectorize=vectorize,
-        recompute_mode=recompute_mode, bank_index=bank_index,
-    )
-    if config.algorithm is AlgorithmName.AAO_T:
-        raise ReproError("the live service has no periodic scheduler yet; "
-                         "pick a per-query algorithm")
-    from repro.dynamics.estimation import SampledRateEstimator
-    from repro.filters.caching import QuantisingCachePlanner
-    from repro.filters.cost_model import CostModel
-
-    items = config.used_items
-    rates = SampledRateEstimator().estimate_all(config.traces, items)
-    cost_model = CostModel(ddm=config.ddm, rates=rates,
-                           recompute_cost=recompute_cost)
-    planner = build_planner(config, cost_model)
-    if config.cache_grid is not None:
-        planner = QuantisingCachePlanner(planner, grid=config.cache_grid,
-                                         bank_index_mode=bank_index)
-    item_to_source = assign_items_to_sources(items, source_count)
-    server = CoordinatorServer(
-        queries=config.queries, planner=planner,
-        initial_values=config.traces.initial_values(items),
-        item_to_source=item_to_source,
-        mode=_SINGLE_DAB_MODES[config.algorithm],
-        vectorize=vectorize, recompute_cost=recompute_cost,
-        notify_queue_limit=notify_queue_limit,
-        recompute_strategy=recompute_mode,
-        bank_index=bank_index,
-        **server_kwargs,
-    )
+    scenario, queries, make_server, item_to_source = _scenario_planning(
+        query_count, item_count, source_count, trace_length, seed, algorithm,
+        recompute_cost, workload, vectorize, recompute_mode, bank_index)
+    server = make_server(queries, sorted(item_to_source),
+                         notify_queue_limit=notify_queue_limit,
+                         **server_kwargs)
     return server, scenario, item_to_source

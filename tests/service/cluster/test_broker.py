@@ -140,7 +140,7 @@ class TestNotifyBroker:
         run(body())
 
     def test_upstream_subscription_is_a_trunk_with_deep_queue(self):
-        from repro.service.server import TRUNK_QUEUE_LIMIT
+        from repro.service.frontend import TRUNK_QUEUE_LIMIT
 
         server, scenario, item_to_source = build_scenario_server(
             notify_queue_limit=2, **SCENARIO)

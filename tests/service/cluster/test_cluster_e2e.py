@@ -9,6 +9,7 @@ from repro.service.client import ServiceClient
 from repro.service.cluster.loadgen import run_cluster_loadgen
 from repro.service.cluster.router import build_scenario_cluster
 from repro.service.protocol import MessageType
+from repro.service.resilience import RetryPolicy
 from repro.service.server import build_scenario_server
 
 
@@ -139,6 +140,75 @@ class TestTrunkResilience:
         async def close():
             await cluster.close()
         run(close())
+
+
+class TestRouterGivesUpOnDabDelivery:
+    def test_unacked_narrowing_degrades_the_queries_over_the_item(self):
+        """The shard that planned the narrower bound was acked at once by
+        the router, so when the *router* exhausts its retries toward a
+        source that never acks, it must flag the item on the shards —
+        or a served value could leave its QAB with nobody saying so."""
+        now = [0.0]
+        cluster, scenario, item_to_source = build_scenario_cluster(
+            shards=2, clock=lambda: now[0], lease_duration=1000.0,
+            dab_retry_policy=RetryPolicy(base_delay=1.0, backoff=1.0,
+                                         max_delay=1.0, max_attempts=2),
+            **SCENARIO)
+
+        async def settle():
+            for _ in range(20):
+                await asyncio.sleep(0)
+
+        async def body():
+            await cluster.start()
+            streams = {}
+            for source_id in sorted(set(item_to_source.values())):
+                streams[source_id] = cluster.connect_loopback()
+                await streams[source_id].send(protocol.register_source(
+                    source_id, sorted(n for n, s in item_to_source.items()
+                                      if s == source_id)))
+                await streams[source_id].receive()
+            client = ServiceClient(cluster.connect_loopback())
+            await client.subscribe("*")
+            assert client.degraded == {}
+
+            # An item that two shards read, but not every query.
+            readers = {item: {q.name for q in scenario.queries
+                              if item in q.variables}
+                       for item in item_to_source}
+            item = next(name for name in sorted(readers)
+                        if len(cluster._item_shards[name]) == 2
+                        and len(readers[name]) < len(scenario.queries))
+            source_id = item_to_source[item]
+            await cluster._send_dab_update(source_id, {item: 1e-6}, {item: 99})
+            for step in (2.0, 4.0):                  # ...and nobody acks
+                now[0] = step
+                await cluster.check_retries()
+                await settle()
+            assert cluster.stats["dab_retries"] == 1
+            assert cluster.stats["dab_retries_exhausted"] == 1
+            assert set(client.degraded) == readers[item]
+            for sid in cluster._item_shards[item]:
+                assert list(cluster.shards[sid].suspect_since) == [item]
+
+            # The shards' lease sweep probes for it through the router...
+            await cluster.check_leases()
+            await settle()
+            probes = []
+            while not probes:
+                message = await streams[source_id].receive()
+                probes = message.get("probe") or []
+            assert probes == [item]
+            # ...and hearing the item again clears the flag.
+            await streams[source_id].send(protocol.refresh(
+                source_id, item, scenario.traces[item].at(1), seq=1))
+            await settle()
+            assert client.degraded == {}
+            assert cluster.suspect_since == {}
+            await client.close()
+            await cluster.close()
+
+        run(body())
 
 
 class TestClusterStats:

@@ -20,6 +20,7 @@ from repro.service.server import build_scenario_server
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.source import assign_items_to_sources
 from repro.workloads import scaled_scenario
+from tests.service.nodes import SOURCE_FACING, register_sources, start_node
 
 
 def run(coro):
@@ -215,53 +216,86 @@ class TestStalenessLeases:
         run(check())
 
 
+async def dab_node(kind, policy):
+    """A source-facing node with leases on, reliable DAB delivery under
+    ``policy`` and every source registered; returns ``(node, close, clock,
+    source 0's stream, one of its items)``."""
+    clock = StepClock(0.0)
+    node, close, item_to_source = await start_node(
+        kind, clock=clock, lease_duration=30.0, dab_retry_policy=policy)
+    streams = await register_sources(node, item_to_source)
+    # Whatever was owed to the sources before they connected (a router
+    # programs bounds as soon as its shards attach) was superseded by
+    # their registration replies.
+    assert node._outstanding_dabs == {}
+    return node, close, clock, streams[0], owned(item_to_source, 0)[0]
+
+
+async def check_unacked_update_is_retried_then_acked(kind):
+    node, close, clock, stream, item = await dab_node(kind, RetryPolicy(
+        base_delay=2.0, backoff=1.0, max_delay=2.0, max_attempts=3))
+    await node._send_dab_update(0, {item: 1.5}, {item: 99})
+    first = await stream.receive()
+    assert first["msg_id"] is not None
+    assert len(node._outstanding_dabs) == 1
+    clock.now = 3.0                          # past due, no ack
+    await node.check_retries()
+    second = await stream.receive()
+    assert second["msg_id"] == first["msg_id"]
+    assert node.server_stats()["dab_retries"] == 1
+    await stream.send(protocol.dab_ack(0, first["msg_id"]))
+    await drain()
+    assert node._outstanding_dabs == {}
+    assert node.stats["dab_acks_received"] == 1
+    await close()
+
+
+async def check_retry_exhaustion_marks_items_suspect(kind):
+    node, close, clock, stream, item = await dab_node(kind, RetryPolicy(
+        base_delay=1.0, backoff=1.0, max_delay=1.0, max_attempts=2))
+    await node._send_dab_update(0, {item: 1.5}, {item: 99})
+    await stream.receive()
+    for step in (2.0, 4.0, 6.0):
+        clock.now = step
+        await node.check_retries()
+    assert node._outstanding_dabs == {}
+    assert node.server_stats()["dab_retries_exhausted"] == 1
+    assert item in node.suspect_since        # honest degradation
+    await close()
+
+
+async def check_reregistration_supersedes_outstanding(kind):
+    node, close, clock, stream, item = await dab_node(kind, RetryPolicy(
+        base_delay=1.0, backoff=1.0, max_delay=1.0, max_attempts=2))
+    await node._send_dab_update(0, {item: 1.5}, {item: 99})
+    await node._send_dab_update(1, {}, {})
+    assert len(node._outstanding_dabs) == 2
+    again = node.connect_loopback()
+    await again.send(protocol.register_source(0, [item]))
+    assert (await again.receive())["type"] == MessageType.DAB_UPDATE.value
+    assert [entry["source_id"]
+            for entry in node._outstanding_dabs.values()] == [1]
+    assert await stream.receive() is not None   # the update, then...
+    assert await stream.receive() is None       # ...displaced
+    await close()
+
+
 class TestDabAckRetry:
     def test_unacked_update_is_retried_then_acked(self):
-        async def check():
-            clock = StepClock(0.0)
-            policy = RetryPolicy(base_delay=2.0, backoff=1.0, max_delay=2.0,
-                                 max_attempts=3)
-            server, _, item_to_source = build(clock, lease_duration=30.0,
-                                              dab_retry_policy=policy)
-            stream = await register(server, item_to_source, 0)
-            item = owned(item_to_source, 0)[0]
-            await server._send_dab_update(0, {item: 1.5}, {item: 99})
-            first = await stream.receive()
-            assert first["msg_id"] is not None
-            assert len(server._outstanding_dabs) == 1
-            clock.now = 3.0                          # past due, no ack
-            await server.check_retries()
-            second = await stream.receive()
-            assert second["msg_id"] == first["msg_id"]
-            assert server.metrics.dab_retries == 1
-            await stream.send(protocol.dab_ack(0, first["msg_id"]))
-            await drain()
-            assert server._outstanding_dabs == {}
-            assert server.stats["dab_acks_received"] == 1
-            await server.close()
+        run(check_unacked_update_is_retried_then_acked("server"))
 
-        run(check())
+    def test_unacked_update_is_retried_then_acked_by_the_router(self):
+        run(check_unacked_update_is_retried_then_acked("router"))
 
     def test_retry_exhaustion_marks_items_suspect(self):
-        async def check():
-            clock = StepClock(0.0)
-            policy = RetryPolicy(base_delay=1.0, backoff=1.0, max_delay=1.0,
-                                 max_attempts=2)
-            server, _, item_to_source = build(clock, lease_duration=30.0,
-                                              dab_retry_policy=policy)
-            stream = await register(server, item_to_source, 0)
-            item = owned(item_to_source, 0)[0]
-            await server._send_dab_update(0, {item: 1.5}, {item: 99})
-            await stream.receive()
-            for step in (2.0, 4.0, 6.0):
-                clock.now = step
-                await server.check_retries()
-            assert server._outstanding_dabs == {}
-            assert server.metrics.dab_retry_exhausted == 1
-            assert item in server.suspect_since      # honest degradation
-            await server.close()
+        run(check_retry_exhaustion_marks_items_suspect("server"))
 
-        run(check())
+    def test_retry_exhaustion_marks_items_suspect_on_the_shards(self):
+        run(check_retry_exhaustion_marks_items_suspect("router"))
+
+    @pytest.mark.parametrize("kind", SOURCE_FACING)
+    def test_reregistration_supersedes_outstanding_updates(self, kind):
+        run(check_reregistration_supersedes_outstanding(kind))
 
 
 class TestNoOpGuard:

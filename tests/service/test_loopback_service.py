@@ -6,6 +6,12 @@ no bytes); the cases that need real protocol bytes and the real
 FrameDecoder build a ``loopback_pair()`` and hand its server end to
 ``adopt_connection``.  ``TestStreamLifecycle`` holds the two to one
 lifecycle.
+
+The front-end contract (``repro.service.frontend``: protocol policing,
+backpressure, per-subscriber filtering, refusing peers once closed) is
+one ``check_*`` body per case, run against the server under the case's
+historical test name and against the cluster router and a broker as
+parameters of the test next to it.
 """
 
 import asyncio
@@ -14,13 +20,22 @@ import pytest
 
 from repro.service import protocol
 from repro.service.protocol import MessageType, PROTOCOL_VERSION
-from repro.service.server import _Subscriber, build_scenario_server
+from repro.service.server import build_scenario_server
 from repro.service.transports import (
     InprocessLink,
     TransportClosed,
     inprocess_pair,
     loopback_pair,
 )
+from tests.service.nodes import (
+    NODE_KINDS,
+    connect,
+    start_node,
+    subscribe,
+    wedged_subscriber,
+)
+
+OTHER_NODES = [kind for kind in NODE_KINDS if kind != "server"]
 
 
 def run(coro):
@@ -164,22 +179,61 @@ class TestSourcePlane:
         run(body())
 
 
+async def check_protocol_error(kind, bad, reason, pair=None):
+    """``bad(stream)`` earns exactly one ERROR naming ``reason``, then the
+    hang-up; it is counted once and no other peer notices."""
+    node, close, _ = await start_node(kind)
+    bystander, _ = await subscribe(node)
+    stream = connect(node, pair)
+    await bad(stream)
+    reply = await stream.receive()
+    assert reply["type"] == MessageType.ERROR.value
+    assert reason in reply["reason"]
+    # The node hangs up after a protocol error.
+    assert await stream.receive() is None
+    assert node.stats["protocol_errors"] == 1
+    await bystander.send(protocol.snapshot())
+    assert (await bystander.receive())["type"] == MessageType.SNAPSHOT.value
+    assert node.stats["subscribers"] == 1
+    await close()
+
+
+def sends(message):
+    async def bad(stream):
+        await stream.send(message)
+    return bad
+
+
+#: Well-framed, versioned, right type — but the fields are the wrong
+#: shapes, or (the last one) the handler refuses what they say.  Must be
+#: a clean protocol error, not a dead handler task.
+HOSTILE_PAYLOADS = [
+    {"v": PROTOCOL_VERSION, "type": "refresh",
+     "source_id": "zero", "item": "x0", "value": 1.0, "seq": 1},
+    {"v": PROTOCOL_VERSION, "type": "refresh",
+     "source_id": 0, "item": "x0", "value": "12", "seq": 1},
+    {"v": PROTOCOL_VERSION, "type": "heartbeat",
+     "source_id": 0, "seqs": ["x0"]},
+    {"v": PROTOCOL_VERSION, "type": "register_source",
+     "source_id": 0, "items": "x0"},
+    protocol.query_sub("*", definitions=[
+        {"name": "q", "terms": [{"weight": 1.0,
+                                 "exponents": {"no_such_item": 1}}],
+         "qab": 1.0}]),
+]
+
+
 class TestProtocolPolicing:
-    def test_unknown_message_type_gets_error_reply(self, scenario_server):
-        server, _, _ = scenario_server
+    def test_unknown_message_type_gets_error_reply(self):
+        run(check_protocol_error(
+            "server", sends({"v": PROTOCOL_VERSION, "type": "teleport"}),
+            "unknown message type"))
 
-        async def body():
-            stream = server.connect_loopback()
-            await stream.send({"v": PROTOCOL_VERSION, "type": "teleport"})
-            reply = await stream.receive()
-            assert reply["type"] == MessageType.ERROR.value
-            assert "unknown message type" in reply["reason"]
-            # The server hangs up after a protocol error.
-            assert await stream.receive() is None
-            assert server.stats["protocol_errors"] == 1
-            await server.close()
-
-        run(body())
+    @pytest.mark.parametrize("kind", OTHER_NODES)
+    def test_unknown_message_type_gets_error_reply_from(self, kind):
+        run(check_protocol_error(
+            kind, sends({"v": PROTOCOL_VERSION, "type": "teleport"}),
+            "unknown message type"))
 
     def test_version_mismatch_rejected(self, scenario_server):
         server, _, _ = scenario_server
@@ -194,88 +248,119 @@ class TestProtocolPolicing:
 
         run(body())
 
-    def test_server_to_client_types_rejected_inbound(self, scenario_server):
-        server, _, _ = scenario_server
+    def test_server_to_client_types_rejected_inbound(self):
+        run(check_protocol_error(
+            "server", sends(protocol.notify([{"query": "q", "value": 1.0}])),
+            "unexpected notify"))
 
-        async def body():
-            stream = server.connect_loopback()
-            await stream.send(protocol.notify([{"query": "q", "value": 1.0}]))
-            reply = await stream.receive()
-            assert reply["type"] == MessageType.ERROR.value
-            await server.close()
+    @pytest.mark.parametrize("kind,message", [
+        ("router", protocol.dab_update(0, {}, {})),
+        # The broker's table has two entries: a source has no business here.
+        ("broker", protocol.refresh(0, "x0", 1.0, seq=1)),
+    ], ids=OTHER_NODES)
+    def test_kinds_outside_the_handler_table_rejected_by(self, kind, message):
+        run(check_protocol_error(kind, sends(message),
+                                 f"unexpected {message['type']}"))
 
-        run(body())
+    def test_malformed_field_types_get_error_reply(self):
+        for bad in HOSTILE_PAYLOADS:
+            run(check_protocol_error("server", sends(bad), "malformed"))
 
-    def test_malformed_field_types_get_error_reply(self, scenario_server):
-        server, _, _ = scenario_server
+    @pytest.mark.parametrize("kind", OTHER_NODES)
+    def test_malformed_field_types_get_error_reply_from(self, kind):
+        for bad in HOSTILE_PAYLOADS:
+            run(check_protocol_error(kind, sends(bad), "malformed"))
 
-        async def body():
-            # Well-framed, versioned, right type — but the fields are the
-            # wrong shapes.  Must be a clean protocol error, not a dead
-            # handler task.
-            bad_messages = [
-                {"v": PROTOCOL_VERSION, "type": "refresh",
-                 "source_id": "zero", "item": "x0", "value": 1.0, "seq": 1},
-                {"v": PROTOCOL_VERSION, "type": "refresh",
-                 "source_id": 0, "item": "x0", "value": "12", "seq": 1},
-                {"v": PROTOCOL_VERSION, "type": "heartbeat",
-                 "source_id": 0, "seqs": ["x0"]},
-                {"v": PROTOCOL_VERSION, "type": "register_source",
-                 "source_id": 0, "items": "x0"},
-            ]
-            for bad in bad_messages:
-                stream = server.connect_loopback()
-                await stream.send(bad)
-                reply = await stream.receive()
-                assert reply["type"] == MessageType.ERROR.value
-                assert "malformed" in reply["reason"]
-                assert await stream.receive() is None   # server hung up
-            await server.close()
+    @pytest.mark.parametrize("kind", NODE_KINDS)
+    def test_corrupt_framing_gets_one_error_then_the_hang_up(self, kind):
+        async def bad(stream):
+            stream._writer.write(b"\xff\xff\xff\xff")   # a 4 GiB frame
+        run(check_protocol_error(kind, bad, "corrupt framing",
+                                 pair=loopback_pair))
 
-        run(body())
+
+async def check_slow_consumer_eviction(kind):
+    """The bounded queue fills to the limit, then one more evicts."""
+    node, close, _ = await start_node(kind, notify_queue_limit=2)
+    sub = await wedged_subscriber(node)
+    update = [{"query": "q", "value": 1.0}]
+    for _ in range(2):
+        node._publish(update)
+    assert sub.sub_id in node._subscribers          # queue full, not over
+    node._publish(update)
+    assert sub.sub_id not in node._subscribers      # evicted
+    assert node.stats["slow_consumer_evictions"] == 1
+    assert node.stats["subscribers"] == 0
+    assert sub.stream.closed
+    await close()
+
+
+async def check_drop_with_exactly_full_queue(kind):
+    """The queue is exactly full (fan-out only evicts on overflow) and the
+    writer is wedged: dropping the subscriber must not raise QueueFull out
+    of close()'s cleanup loop."""
+    node, close, _ = await start_node(kind, notify_queue_limit=1)
+    sub = await wedged_subscriber(node)
+    node._publish([{"query": "q", "value": 1.0}])
+    assert sub.queue.full() and sub.sub_id in node._subscribers
+    await node._drop_subscriber(sub)
+    assert sub.sub_id not in node._subscribers
+    assert sub.writer_task.cancelled()
+    assert sub.stream.closed
+    assert node.stats["slow_consumer_evictions"] == 0
+    await close()
+
+
+async def check_per_subscriber_filtering(kind):
+    """Each subscriber is sent the updates and the degraded entries it
+    asked for; a degraded *announcement* reaches one that wants none of
+    the updates, a *piggybacked* map does not."""
+    node, close, _ = await start_node(kind)
+    everything, snapshot = await subscribe(node)
+    mine, other = sorted(snapshot["values"])[:2]
+    narrow, narrow_snapshot = await subscribe(node, [mine, "no-such-query"])
+    assert set(narrow_snapshot["values"]) == {mine}
+
+    updates = [{"query": mine, "value": 1.0}, {"query": other, "value": 2.0}]
+    node._publish(updates, {mine: 10.0, other: 20.0}, sent_at=7.0)
+    wide = await everything.receive()
+    assert wide["updates"] == updates
+    assert wide["degraded"] == {mine: 10.0, other: 20.0}
+    assert wide["sent_at"] == 7.0
+    filtered = await narrow.receive()
+    assert filtered["updates"] == updates[:1]
+    assert filtered["degraded"] == {mine: 10.0}
+
+    node._publish(updates[1:], {other: 20.0}, piggyback=True)
+    node._publish(updates[1:], {other: 20.0})
+    assert "degraded" in await everything.receive()
+    assert "degraded" in await everything.receive()
+    bare = await narrow.receive()               # only the announcement
+    assert bare["updates"] == [] and bare["degraded"] == {}
+    node._publish(updates[1:])                  # nothing for `narrow`
+    node._publish(updates[:1])
+    assert (await narrow.receive())["updates"] == updates[:1]
+    await close()
 
 
 class TestBackpressure:
-    def test_slow_consumer_is_evicted(self, scenario_server):
-        server, scenario, item_to_source = scenario_server
+    def test_slow_consumer_is_evicted(self):
+        run(check_slow_consumer_eviction("server"))
 
-        async def body():
-            # A subscriber whose writer never drains (as if its TCP window
-            # were jammed): the bounded queue fills, then eviction.
-            client_end, server_end = loopback_pair()
-            sub = _Subscriber(99, server_end, None, limit=2)
-            server._subscribers[99] = sub
-            updates = [("q", 1.0)]
-            for _ in range(2):
-                server._fanout_notifications(updates, None)
-            assert 99 in server._subscribers          # queue full, not over
-            server._fanout_notifications(updates, None)
-            assert 99 not in server._subscribers      # evicted
-            assert server.stats["slow_consumer_evictions"] == 1
-            assert sub.stream.closed
-            await server.close()
+    @pytest.mark.parametrize("kind", OTHER_NODES)
+    def test_slow_consumer_is_evicted_by(self, kind):
+        run(check_slow_consumer_eviction(kind))
 
-        run(body())
+    def test_drop_subscriber_with_exactly_full_queue(self):
+        run(check_drop_with_exactly_full_queue("server"))
 
-    def test_drop_subscriber_with_exactly_full_queue(self, scenario_server):
-        server, _, _ = scenario_server
+    @pytest.mark.parametrize("kind", OTHER_NODES)
+    def test_drop_subscriber_with_exactly_full_queue_on(self, kind):
+        run(check_drop_with_exactly_full_queue(kind))
 
-        async def body():
-            # The queue is exactly full (fanout only evicts on overflow)
-            # and the writer is wedged: dropping the subscriber must not
-            # raise QueueFull out of close()'s cleanup loop.
-            client_end, server_end = loopback_pair()
-            sub = _Subscriber(42, server_end, None, limit=1)
-            sub.queue.put_nowait(protocol.notify([]))
-            sub.writer_task = asyncio.ensure_future(asyncio.sleep(60))
-            server._subscribers[42] = sub
-            await server._drop_subscriber(sub)
-            assert 42 not in server._subscribers
-            assert sub.writer_task.cancelled()
-            assert sub.stream.closed
-            await server.close()
-
-        run(body())
+    @pytest.mark.parametrize("kind", NODE_KINDS)
+    def test_updates_and_degraded_are_filtered_per_subscriber(self, kind):
+        run(check_per_subscriber_filtering(kind))
 
     def test_healthy_subscribers_survive_fanout_bursts(self, scenario_server):
         server, scenario, item_to_source = scenario_server
@@ -449,6 +534,16 @@ class TestStreamLifecycle:
         run(body())
 
 
+async def check_closed_node_hangs_up_on_connect(kind):
+    node, close, _ = await start_node(kind)
+    await close()
+    stream = node.connect_loopback()
+    assert await stream.receive() is None
+    with pytest.raises(TransportClosed):
+        await stream.send(protocol.snapshot())
+    assert not node._handler_tasks              # no zombie to cancel
+
+
 class TestInprocessLink:
     def test_hands_over_the_message_object_itself(self):
         async def body():
@@ -472,14 +567,9 @@ class TestInprocessLink:
 
         run(body())
 
-    def test_closed_server_hangs_up_on_connect(self, scenario_server):
-        server, _, _ = scenario_server
+    def test_closed_server_hangs_up_on_connect(self):
+        run(check_closed_node_hangs_up_on_connect("server"))
 
-        async def body():
-            await server.close()
-            stream = server.connect_loopback()
-            assert await stream.receive() is None
-            with pytest.raises(TransportClosed):
-                await stream.send(protocol.snapshot())
-
-        run(body())
+    @pytest.mark.parametrize("kind", OTHER_NODES)
+    def test_closed_node_hangs_up_on_connect(self, kind):
+        run(check_closed_node_hangs_up_on_connect(kind))
