@@ -35,9 +35,9 @@ import time as _time
 
 from repro.service import protocol
 from repro.service.client import ServiceClient
-from repro.service.cluster.loadgen import run_cluster_loadgen
 from repro.service.cluster.router import build_scenario_cluster
 from repro.service.cluster.supervisor import ShardSupervisor
+from repro.service.loadgen import run_loadgen
 
 RESULT_NAME = "BENCH_cluster.json"
 
@@ -97,7 +97,7 @@ def test_bench_cluster_points(results_dir):
     baseline_spt = None
     overhead = existing.get("cross_shard_overhead", {})
     for shards in SHARD_COUNTS:
-        report = run_cluster_loadgen(shards=shards, seed=0, **POINT)
+        report = run_loadgen(shards=shards, seed=0, **POINT)
         assert report["qab_violations"] == 0, report["qab_violation_detail"]
         assert report["ticks"] > 0 and report["refreshes_sent"] > 0
         if shards > 1:
@@ -128,7 +128,7 @@ def test_bench_cluster_broker_notify(results_dir):
     """Notify percentiles with the fan-out tier interposed."""
     path = results_dir / RESULT_NAME
     existing = _load(path)
-    report = run_cluster_loadgen(shards=2, brokers=2, seed=0, **POINT)
+    report = run_loadgen(shards=2, brokers=2, seed=0, **POINT)
     assert report["qab_violations"] == 0, report["qab_violation_detail"]
     existing["broker_notify"] = {
         "brokers": report["brokers"],

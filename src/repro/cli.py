@@ -516,6 +516,8 @@ def _probe_tcp(host: str, port: int, timeout: float = 0.5) -> bool:
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
+    """``repro loadgen`` and ``repro cluster loadgen``: each parser pins
+    the flags only the other one has."""
     from repro.service.loadgen import run_loadgen
 
     host: Optional[str] = None
@@ -537,9 +539,21 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         tick_interval=args.tick_interval, seed=args.seed,
         algorithm=args.algorithm, workload=args.workload,
         host=host, port=port, output=args.output or None,
-        trace_length=args.trace_length,
+        trace_length=args.trace_length, shards=args.shards,
+        brokers=args.brokers, journal_dir=args.journal or None,
     )
-    print(f"transport            {report['transport']}")
+    clustered = "shards" in report
+    if clustered:
+        print(f"shards               {report['shards']} "
+              f"(active {report['active_shards']})")
+        print(f"cross-shard queries  {report['cross_shard_queries']} "
+              f"({report['mirrored_items']} mirrored items)")
+        if report["brokers"]:
+            broker = report["broker_stats"] or {}
+            print(f"broker tier          {report['brokers']} brokers, "
+                  f"{broker.get('notifies_sent', 0)} notifies fanned out")
+    else:
+        print(f"transport            {report['transport']}")
     print(f"sources x subs       {report['sources']} x {report['subscribers']}")
     print(f"queries / items      {report['queries']} / {report['items']}")
     print(f"ticks                {report['ticks']} "
@@ -554,7 +568,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         print(f"notify latency       {rendered} "
               f"({report['latency_samples']} samples)")
     stats = report.get("server_stats") or {}
-    if stats:
+    if stats and not clustered:
         print(f"server               {stats.get('recomputations', '?')} "
               f"recomputations, {stats.get('refreshes', '?')} refreshes, "
               f"{stats.get('slow_consumer_evictions', 0)} evictions")
@@ -602,45 +616,6 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
               f"routed, {stats['partial_notifies']} partials recombined, "
               f"{stats['notifies_sent']} notifies")
     return 0
-
-
-def cmd_cluster_loadgen(args: argparse.Namespace) -> int:
-    from repro.service.cluster.loadgen import run_cluster_loadgen
-
-    report = run_cluster_loadgen(
-        shards=args.shards, sources=args.sources, queries=args.queries,
-        items=args.items, duration=args.duration,
-        subscribers=args.subscribers, brokers=args.brokers,
-        tick_interval=args.tick_interval, seed=args.seed,
-        algorithm=args.algorithm, workload=args.workload,
-        journal_dir=args.journal or None, output=args.output or None,
-        trace_length=args.trace_length,
-    )
-    print(f"shards               {report['shards']} "
-          f"(active {report['active_shards']})")
-    print(f"cross-shard queries  {report['cross_shard_queries']} "
-          f"({report['mirrored_items']} mirrored items)")
-    if report["brokers"]:
-        broker = report["broker_stats"] or {}
-        print(f"broker tier          {report['brokers']} brokers, "
-              f"{broker.get('notifies_sent', 0)} notifies fanned out")
-    print(f"sources x subs       {report['sources']} x {report['subscribers']}")
-    print(f"queries / items      {report['queries']} / {report['items']}")
-    print(f"ticks                {report['ticks']} "
-          f"({report['ticks_per_second']:.0f}/s)")
-    print(f"refreshes sent       {report['refreshes_sent']} "
-          f"(filtered {report['refreshes_filtered']})")
-    print(f"notifies received    {report['notifies_received']}")
-    latency = report["notify_latency_seconds"]
-    if latency:
-        rendered = ", ".join(f"{k}={v * 1000:.2f}ms"
-                             for k, v in sorted(latency.items()))
-        print(f"notify latency       {rendered} "
-              f"({report['latency_samples']} samples)")
-    print(f"QAB violations       {report['qab_violations']}")
-    if report.get("output"):
-        print(f"report written to    {report['output']}")
-    return 1 if report["qab_violations"] else 0
 
 
 def cmd_chaos_soak(args: argparse.Namespace) -> int:
@@ -947,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--output",
                          default="benchmarks/results/BENCH_service.json",
                          help="write the JSON report here ('' to skip)")
-    loadgen.set_defaults(func=cmd_loadgen)
+    loadgen.set_defaults(func=cmd_loadgen, shards=0, brokers=0, journal=None)
 
     cluster = sub.add_parser("cluster",
                              help="sharded coordinator cluster: shard "
@@ -999,7 +974,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_loadgen.add_argument("--output", default="",
                                  help="write the JSON report here "
                                       "('' to skip)")
-    cluster_loadgen.set_defaults(func=cmd_cluster_loadgen)
+    cluster_loadgen.set_defaults(func=cmd_loadgen, connect=None,
+                                 in_process=True)
 
     soak = sub.add_parser("chaos-soak",
                           help="soak the live service under injected "

@@ -88,7 +88,6 @@ __all__ = [
     "run_chaos_soak",
     "ClusterCoordinator",
     "build_scenario_cluster",
-    "run_cluster_loadgen",
     "ShardMap",
     "stable_shard",
 ]
@@ -114,8 +113,6 @@ _LAZY = {
                            "ClusterCoordinator"),
     "build_scenario_cluster": ("repro.service.cluster.router",
                                "build_scenario_cluster"),
-    "run_cluster_loadgen": ("repro.service.cluster.loadgen",
-                            "run_cluster_loadgen"),
     "ShardMap": ("repro.service.cluster.routing", "ShardMap"),
     "stable_shard": ("repro.service.cluster.routing", "stable_shard"),
 }

@@ -1,4 +1,4 @@
-"""Subscriber SDK for the live coordinator.
+"""Subscriber SDK for the live coordinator — and the one subscriber client.
 
 A :class:`ServiceClient` subscribes to query-result notifications,
 maintains the latest value per query, and records per-notification
@@ -6,13 +6,18 @@ latency samples (server send time → client receive time, plus the
 end-to-end refresh → notify path when the triggering refresh was
 timestamped).  It works over any :class:`MessageStream` — TCP or the
 in-process loopback.
+
+It is also the receiving end of every NOTIFY stream *inside* the
+service: the cluster router's shard trunks and a broker's upstream are
+subclasses that fill its hooks (DESIGN.md §9.3), so the handshake, the
+read loop, the snapshot waiters and resubscribe-on-loss exist once, here.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time as _time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.service import protocol
 from repro.service.protocol import MessageType, ProtocolError
@@ -20,7 +25,24 @@ from repro.service.transports import MessageStream, open_tcp_stream
 
 
 class ServiceClient:
-    """Track live query values pushed by a :class:`CoordinatorServer`."""
+    """Track live query values pushed by a node that serves subscribers.
+
+    :meth:`subscribe` → the node's SNAPSHOT seeds the tables → each
+    NOTIFY/SNAPSHOT is applied by :meth:`_on_notify` /
+    :meth:`_on_snapshot` → the node hangs up, refuses or the link breaks:
+    pending requests fail with the reason and :meth:`_on_lost` fires →
+    :meth:`reopen` subscribes again on a fresh stream.  A subclass
+    overrides those three hooks to admit, count or forward what arrives.
+    """
+
+    #: True for a client that *forwards* each NOTIFY to subscribers of
+    #: the process it runs in (a router trunk, a broker upstream): its
+    #: listener yields after each one.  A deep trunk queue can hold a
+    #: whole storm and ``receive()`` on a non-empty in-process queue never
+    #: suspends, so without the yield the drain stuffs every subscriber
+    #: queue before the writer tasks get a turn and "evicts" clients that
+    #: were never slow.
+    relays = False
 
     def __init__(self, stream: MessageStream,
                  clock: Callable[[], float] = _time.time,
@@ -41,60 +63,101 @@ class ServiceClient:
         #: end-to-end latency samples in seconds (refresh sent → notify
         #: received); only populated when sources timestamp refreshes.
         self.latencies: List[float] = []
-        self._listener: Optional[asyncio.Task] = None
-        self._snapshot_waiters: "List[asyncio.Future]" = []
         self.stats_seen: Dict[str, Any] = {}
+        self._listener: Optional[asyncio.Task] = None
+        self._reopening: Optional[asyncio.Task] = None
+        #: pending SNAPSHOT requests, oldest first: a node answers in order.
+        self._snapshot_waiters: "List[asyncio.Future]" = []
+        #: what :meth:`subscribe` was last called with, for :meth:`reopen`.
+        self._subscription: Tuple[object, object, bool] = ("*", None, False)
+        #: the node has answered the current subscription.
+        self._seeded = False
+        self._closed = False
 
     @classmethod
     async def connect_tcp(cls, host: str, port: int) -> "ServiceClient":
         return cls(await open_tcp_stream(host, port))
 
+    @property
+    def connected(self) -> bool:
+        """Subscribed (or subscribing) on a link not yet lost or closed."""
+        return self._listener is not None and not self._listener.done()
+
     async def subscribe(self, queries: object = "*",
-                        definitions: object = None) -> Dict[str, float]:
+                        definitions: object = None,
+                        trunk: bool = False) -> Dict[str, float]:
         """Send QUERY_SUB, start listening, return the initial snapshot.
 
         ``definitions`` optionally registers new queries on the server
         (PolynomialQuery objects or wire dicts) — they are implicitly
-        part of the subscription."""
-        loop = asyncio.get_event_loop()
-        waiter: asyncio.Future = loop.create_future()
-        self._snapshot_waiters.append(waiter)
-        await self.stream.send(protocol.query_sub(queries, definitions))
+        part of the subscription; ``trunk`` is
+        :func:`protocol.query_sub`'s.  A refusal raises
+        :class:`ProtocolError` with the node's reason."""
+        self._subscription = (queries, definitions, trunk)
+        self._seeded = False
+        waiter = await self._request(
+            protocol.query_sub(queries, definitions, trunk=trunk))
         self._listener = asyncio.ensure_future(self._listen())
         return await waiter
 
     async def request_snapshot(self) -> Dict[str, float]:
         """Ask for (and wait for) a fresh authoritative snapshot."""
-        loop = asyncio.get_event_loop()
-        waiter: asyncio.Future = loop.create_future()
+        return await (await self._request(protocol.snapshot()))
+
+    async def _request(self, message: Dict[str, Any]) -> "asyncio.Future":
+        """Send what the node answers with one SNAPSHOT; the future of it."""
+        waiter: asyncio.Future = asyncio.get_event_loop().create_future()
         self._snapshot_waiters.append(waiter)
-        await self.stream.send(protocol.snapshot())
-        return await waiter
+        try:
+            await self.stream.send(message)
+        except ProtocolError:
+            self._snapshot_waiters.remove(waiter)
+            raise
+        return waiter
+
+    def _answer_snapshot(self, answer: object) -> None:
+        """Settle the oldest pending request with its answer, or with the
+        exception that stands in for one; an unsolicited SNAPSHOT finds
+        none pending."""
+        if self._snapshot_waiters:
+            waiter = self._snapshot_waiters.pop(0)
+            if waiter.done():          # its caller timed out or was cancelled
+                pass
+            elif isinstance(answer, Exception):
+                waiter.set_exception(answer)
+            else:
+                waiter.set_result(answer)
 
     async def _listen(self) -> None:
+        stream = self.stream
+        reason = "connection closed before snapshot"
         try:
             while True:
-                message = await self.stream.receive()
+                message = await stream.receive()
                 if message is None:
                     break
-                try:
-                    kind = protocol.validate_message(message)
-                except ProtocolError:
-                    break
+                kind = protocol.validate_message(message)
                 if kind is MessageType.NOTIFY:
                     self._on_notify(message)
+                    if self.relays:
+                        await asyncio.sleep(0)
                 elif kind is MessageType.SNAPSHOT:
                     self._on_snapshot(message)
+                    self._seeded = True
                 elif kind is MessageType.ERROR:
+                    reason = message["reason"]
                     break
-        except (ProtocolError, asyncio.CancelledError):
-            pass
+        except ProtocolError:
+            pass         # corrupt framing, an invalid message, a broken pipe
         finally:
-            for waiter in self._snapshot_waiters:
-                if not waiter.done():
-                    waiter.set_exception(
-                        ProtocolError("connection closed before snapshot"))
-            self._snapshot_waiters.clear()
+            stream.close()
+            while self._snapshot_waiters:
+                self._answer_snapshot(ProtocolError(reason))
+        # Not reached by a cancelled listener.  A subscription the node
+        # never answered is not *lost*: a peer that turns every QUERY_SUB
+        # down would otherwise be re-dialled as fast as it can refuse.
+        if self._seeded and not self._closed:
+            self._on_lost()
 
     def _apply_degraded(self, message: Dict[str, Any]) -> None:
         # The field, when present, is the *complete* current map — an
@@ -105,6 +168,7 @@ class ServiceClient:
                              for name, bound in degraded.items()}
 
     def _on_notify(self, message: Dict[str, Any]) -> None:
+        """Hook: a valid NOTIFY arrived."""
         self.notifies_received += 1
         for update in message["updates"]:
             self.values[update["query"]] = float(update["value"])
@@ -115,23 +179,51 @@ class ServiceClient:
             self.latencies.append(max(0.0, self.clock() - float(origin)))
 
     def _on_snapshot(self, message: Dict[str, Any]) -> None:
+        """Hook: a valid SNAPSHOT arrived — the subscription's own
+        (``_seeded`` is still false), a reply, or unsolicited.  An
+        override calls :meth:`_answer_snapshot` too."""
         values = message.get("values") or {}
         self.values.update({name: float(v) for name, v in values.items()})
         self.stats_seen = message.get("stats") or {}
         self._apply_degraded(message)
-        if self._snapshot_waiters:
-            waiter = self._snapshot_waiters.pop(0)
-            if not waiter.done():
-                waiter.set_result(dict(values))
+        self._answer_snapshot(dict(values))
+
+    def _on_lost(self) -> None:
+        """Hook: the listener ended — EOF, ERROR, a broken link — on a
+        subscription the node had answered, and not by :meth:`close`.
+        Fired once per loss; an override may :meth:`reopen`."""
+
+    def reopen(self, stream: MessageStream) -> "asyncio.Task":
+        """After a loss: subscribe again, as before, on a fresh stream.
+
+        ``values`` and ``degraded`` are kept — a stale value beats none —
+        and the fresh initial SNAPSHOT re-seeds them.  Returns the task
+        doing it (:meth:`close` cancels it), true once the node answered;
+        one that refuses or hangs up instead is not dialled again."""
+        self.stream = stream
+        self._reopening = asyncio.ensure_future(self._resubscribe())
+        return self._reopening
+
+    async def _resubscribe(self) -> bool:
+        try:
+            await self.subscribe(*self._subscription)
+        except ProtocolError:
+            return False
+        return True
 
     async def close(self) -> None:
+        self._closed = True            # before the hang-up: not a loss
+        if self._reopening is not None:
+            self._reopening.cancel()
         self.stream.close()
-        if self._listener is not None and not self._listener.done():
+        if self.connected:
             try:
                 await asyncio.wait_for(self._listener,
                                        timeout=self.close_timeout)
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                self._listener.cancel()
+            except asyncio.TimeoutError:
+                # wait_for cancelled the listener — as it does when our
+                # caller is cancelled, and *that* is not ours to swallow.
+                pass
 
 
 def latency_percentiles(samples: Sequence[float],

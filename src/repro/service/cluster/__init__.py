@@ -28,10 +28,7 @@ contract intact end to end:
 * :mod:`repro.service.cluster.migration` — epoch-fenced live
   resharding (:class:`ShardMigrator`): freeze → hand-off → cutover per
   item, with the map epoch stamped on routed frames so a lagging shard
-  can never double-own an item;
-* :mod:`repro.service.cluster.loadgen` — the cluster load generator
-  behind ``repro cluster loadgen`` (end-to-end QAB audit over the
-  recombined values).
+  can never double-own an item.
 
 Everything is lazily exported, mirroring :mod:`repro.service`.
 """
@@ -51,7 +48,6 @@ __all__ = [
     "ShardSupervisor",
     "ShardHealthMonitor",
     "ShardMigrator",
-    "run_cluster_loadgen",
 ]
 
 _LAZY = {
@@ -63,8 +59,6 @@ _LAZY = {
     "ShardSupervisor": ("repro.service.cluster.supervisor", "ShardSupervisor"),
     "ShardHealthMonitor": ("repro.service.cluster.health", "ShardHealthMonitor"),
     "ShardMigrator": ("repro.service.cluster.migration", "ShardMigrator"),
-    "run_cluster_loadgen": ("repro.service.cluster.loadgen",
-                            "run_cluster_loadgen"),
 }
 
 

@@ -22,11 +22,11 @@ never changes the values a client observes, only who writes the bytes.
 
 from __future__ import annotations
 
-import asyncio
 import time as _time
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.service import protocol
+from repro.service.client import ServiceClient
 from repro.service.frontend import (
     DEFAULT_NOTIFY_QUEUE_LIMIT,
     FrontEnd,
@@ -34,12 +34,38 @@ from repro.service.frontend import (
     _Subscriber,
 )
 from repro.service.protocol import MessageType, ProtocolError
-from repro.service.transports import (
-    InprocessLink,
-    MessageStream,
-    TransportClosed,
-    inprocess_pair,
-)
+from repro.service.transports import InprocessLink, MessageStream, inprocess_pair
+
+
+class _Upstream(ServiceClient):
+    """A broker's one subscription: the subscriber client whose tables
+    are the broker's cache and whose NOTIFYs are re-published."""
+
+    relays = True
+
+    def __init__(self, broker: "NotifyBroker"):
+        super().__init__(broker.connect_upstream(), clock=broker.clock)
+        self.broker = broker
+
+    def _on_notify(self, message: Dict[str, Any]) -> None:
+        broker = self.broker
+        broker.stats["upstream_notifies"] += 1
+        for update in message["updates"]:
+            self.values[update["query"]] = float(update["value"])
+        self._apply_degraded(message)
+        broker._publish(
+            message["updates"], message.get("degraded"),
+            sent_at=message.get("sent_at"),
+            refresh_sent_at=message.get("refresh_sent_at"),
+            shard=message.get("shard"))
+
+    def _on_lost(self) -> None:
+        # Cut unexpectedly (upstream restart, or an eviction before the
+        # trunk flag deepened our queue): reattach and re-seed the cache
+        # from the fresh initial snapshot, or every client behind us
+        # silently freezes at the last delivered NOTIFY.
+        self.broker.stats["upstream_resubscribes"] += 1
+        self.reopen(self.broker.connect_upstream())
 
 
 class NotifyBroker(FrontEnd):
@@ -52,10 +78,7 @@ class NotifyBroker(FrontEnd):
                  name: str = "broker"):
         self.connect_upstream = connect_upstream
         self.name = name
-        self.values: Dict[str, float] = {}
-        self.degraded: Dict[str, float] = {}
-        self._upstream: Optional[MessageStream] = None
-        self._upstream_task: Optional[asyncio.Task] = None
+        self._client: Optional[_Upstream] = None
         self.started = False
         super().__init__({
             MessageType.QUERY_SUB: self._on_query_sub,
@@ -71,84 +94,32 @@ class NotifyBroker(FrontEnd):
         }, clock=clock, notify_queue_limit=notify_queue_limit,
             writer_join_timeout=writer_join_timeout)
 
+    @property
+    def values(self) -> Dict[str, float]:
+        """The cache: the latest value per query, as upstream pushed it."""
+        return self._client.values if self._client is not None else {}
+
+    @property
+    def degraded(self) -> Dict[str, float]:
+        return self._client.degraded if self._client is not None else {}
+
+    @property
+    def _upstream(self) -> Optional[MessageStream]:
+        """The live upstream stream (``None`` while it is down)."""
+        client = self._client
+        return client.stream if client is not None and client.connected else None
+
     async def start(self) -> None:
         """Subscribe upstream and seed the cache from the initial snapshot."""
         if self.started:
             return
         self.closed = False
-        await self._subscribe_upstream()
-        self.started = True
-
-    async def _subscribe_upstream(self) -> None:
         # ``trunk=True``: the broker is the upstream's aggregation
         # trunk for every client behind it — the coordinator must give
         # it a deep queue, not the user-facing slow-consumer limit.
-        stream = self.connect_upstream()
-        await stream.send(protocol.query_sub("*", trunk=True))
-        first = await stream.receive()
-        if first is not None and first.get("type") == MessageType.SNAPSHOT.value:
-            for key, value in (first.get("values") or {}).items():
-                self.values[key] = float(value)
-            if first.get("degraded") is not None:
-                self.degraded = {k: float(v)
-                                 for k, v in first["degraded"].items()}
-        self._upstream = stream
-        self._upstream_task = asyncio.ensure_future(self._upstream_loop(stream))
-
-    async def _upstream_loop(self, stream: MessageStream) -> None:
-        try:
-            while True:
-                message = await stream.receive()
-                if message is None:
-                    break
-                kind = protocol.validate_message(message)
-                if kind is MessageType.NOTIFY:
-                    self.stats["upstream_notifies"] += 1
-                    for update in message.get("updates") or []:
-                        self.values[update["query"]] = float(update["value"])
-                    if message.get("degraded") is not None:
-                        self.degraded = {k: float(v) for k, v
-                                         in message["degraded"].items()}
-                    self._publish(
-                        message.get("updates") or [], message.get("degraded"),
-                        sent_at=message.get("sent_at"),
-                        refresh_sent_at=message.get("refresh_sent_at"),
-                        shard=message.get("shard"))
-                    # A deep trunk queue can hold a whole storm's
-                    # backlog, and a loopback receive() on a non-empty
-                    # queue never suspends — without this yield the
-                    # drain runs synchronously, stuffing every
-                    # subscriber queue before their writer tasks get a
-                    # single turn and "evicting" clients that were
-                    # never actually slow.
-                    await asyncio.sleep(0)
-                elif kind is MessageType.SNAPSHOT:
-                    # Unsolicited refresh of the cache (e.g. after an
-                    # upstream restore) — absorb it silently.
-                    for key, value in (message.get("values") or {}).items():
-                        self.values[key] = float(value)
-        except (TransportClosed, ProtocolError):
-            pass
-        except asyncio.CancelledError:
-            raise
-        finally:
-            stream.close()
-            if not self.closed and self._upstream is stream:
-                # Cut unexpectedly (upstream restart, or an eviction
-                # before the trunk flag deepened our queue): reattach
-                # and re-seed the cache from the fresh initial
-                # snapshot, or every client behind us silently
-                # freezes at the last delivered NOTIFY.
-                self._upstream = None
-                self._upstream_task = None
-                self.stats["upstream_resubscribes"] += 1
-                asyncio.ensure_future(self._resubscribe_upstream())
-
-    async def _resubscribe_upstream(self) -> None:
-        try:
-            await self._subscribe_upstream()
-        except Exception:
-            pass  # upstream gone for good; close() handles the rest
+        self._client = _Upstream(self)
+        await self._client.subscribe("*", trunk=True)
+        self.started = True
 
     # -- downstream ---------------------------------------------------------------
 
@@ -181,17 +152,8 @@ class NotifyBroker(FrontEnd):
                                  degraded=degraded)
 
     async def close(self) -> None:
-        self.closed = True     # before the cancel: no resubscribe
-        if self._upstream_task is not None:
-            self._upstream_task.cancel()
-            try:
-                await self._upstream_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._upstream_task = None
-        if self._upstream is not None:
-            self._upstream.close()
-            self._upstream = None
+        if self._client is not None:
+            await self._client.close()
         await self._shutdown()
         self.started = False
 

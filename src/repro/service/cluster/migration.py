@@ -44,7 +44,7 @@ from __future__ import annotations
 import time as _time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set
 
-from repro.exceptions import ReproError, SimulationError
+from repro.exceptions import ReproError
 from repro.filters.shard_budget import decompose_query
 from repro.service.cluster.router import ClusterCoordinator
 

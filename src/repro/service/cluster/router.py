@@ -66,6 +66,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, 
 
 from repro.filters.shard_budget import BankDecomposition, decompose_bank, recombine
 from repro.service import protocol
+from repro.service.client import ServiceClient
 from repro.service.cluster.routing import ShardMap
 from repro.service.core import _DAB_CHANGE_REL_TOL
 from repro.service.frontend import (
@@ -108,6 +109,70 @@ SHARD_TRUNK_QUEUE_LIMIT = TRUNK_QUEUE_LIMIT
 #: one-missed-refresh-per-item worst case the failure detector's
 #: deadline tolerates before firing.
 SUSPECT_WIDEN_FACTOR = 2.0
+
+
+class _ShardTrunk(ServiceClient):
+    """The router's wildcard subscription to one shard: the subscriber
+    client with the router's admission rules in front of its tables."""
+
+    relays = True
+
+    def __init__(self, cluster: "ClusterCoordinator", sid: int):
+        super().__init__(cluster.shards[sid].connect_loopback(),
+                         clock=cluster.clock)
+        self.cluster = cluster
+        self.sid = sid
+
+    def _admit(self, message: Dict[str, Any]) -> bool:
+        cluster = self.cluster
+        # Any valid frame on the trunk is proof of life — the failure
+        # detector's deadline is measured against this.
+        cluster.shard_last_seen[self.sid] = cluster.clock()
+        if (cluster.map_epoch
+                and (message.get("map_epoch") or 0) < cluster.map_epoch):
+            # Epoch fence: a frame computed under an older shard map
+            # (queued before a cutover, or from a shard that missed the
+            # bump) could resurrect a migrated-away item's contribution,
+            # so all of it is dropped; post-cutover notifies and snapshot
+            # gathers carry the truth.
+            cluster.stats["fenced_frames_rejected"] += 1
+            return False
+        return True
+
+    def _on_notify(self, message: Dict[str, Any]) -> None:
+        if not self._admit(message):
+            return
+        frame_sid = message.get("shard")
+        if frame_sid is not None and int(frame_sid) != self.sid:
+            self.cluster.stats["shard_frame_mismatches"] += 1
+            return
+        self.cluster._on_shard_notify(self.sid, message)
+
+    def _on_snapshot(self, message: Dict[str, Any]) -> None:
+        if not self._admit(message):
+            # "No answer", now, instead of a gather riding its timeout.
+            self._answer_snapshot(ProtocolError("stale shard-map epoch"))
+            return
+        cluster = self.cluster
+        if not self._seeded:
+            # The subscription's own reply (re-)seeds the partial table —
+            # which is how a re-subscribe heals the staleness of a trunk
+            # drop; gather replies never overwrite NOTIFY-fed partials.
+            for name, value in (message.get("values") or {}).items():
+                if name in cluster._home_shards:
+                    cluster._partials.setdefault(name, {})[self.sid] = (
+                        float(value))
+        if message.get("degraded") is not None:
+            cluster._set_shard_degraded(self.sid, message["degraded"])
+        self._answer_snapshot(message)
+
+    def _on_lost(self) -> None:
+        # The shard is still attached (it evicted us as a slow consumer
+        # under a notify storm, say) and without the trunk its partials
+        # silently go stale.  A crashed shard refuses: its trunk stays
+        # down until the health monitor fails the shard over.
+        self.cluster.stats["shard_resubscribes"] += 1
+        self.reopen(self.cluster.shards[self.sid].connect_loopback())
 
 
 class ClusterCoordinator(FrontEnd):
@@ -154,9 +219,7 @@ class ClusterCoordinator(FrontEnd):
         # upstream plumbing (router -> shards)
         self._up_streams: Dict[Tuple[int, int], MessageStream] = {}
         self._up_tasks: Dict[Tuple[int, int], asyncio.Task] = {}
-        self._sub_streams: Dict[int, MessageStream] = {}
-        self._sub_tasks: Dict[int, asyncio.Task] = {}
-        self._snapshot_waiters: Dict[int, List[asyncio.Future]] = {}
+        self._trunks: Dict[int, _ShardTrunk] = {}
 
         # DAB merge state
         self._shard_bounds: Dict[str, Dict[int, float]] = {}
@@ -258,6 +321,18 @@ class ClusterCoordinator(FrontEnd):
         """The cluster's current shard-map epoch (0 until a reshard)."""
         return self.shard_map.epoch
 
+    @property
+    def _sub_streams(self) -> Dict[int, MessageStream]:
+        """sid → the stream of its live trunk (the health monitor's probe
+        path); a shard whose trunk is down is absent."""
+        return {sid: trunk.stream for sid, trunk in self._trunks.items()
+                if trunk.connected}
+
+    @property
+    def _sub_tasks(self) -> Dict[int, asyncio.Task]:
+        return {sid: trunk._listener for sid, trunk in self._trunks.items()
+                if trunk._listener is not None}
+
     # -- health / suspicion -------------------------------------------------------
 
     def mark_shard_suspect(self, sid: int) -> None:
@@ -303,7 +378,8 @@ class ClusterCoordinator(FrontEnd):
     async def _attach_shard(self, sid: int) -> None:
         for source_id, items in sorted(self._sources_for_shard(sid).items()):
             await self._open_upstream(sid, source_id, items)
-        await self._subscribe_shard(sid)
+        trunk = self._trunks[sid] = _ShardTrunk(self, sid)
+        await trunk.subscribe("*", trunk=True)
         self.shard_last_seen[sid] = self.clock()
 
     async def _open_upstream(self, sid: int, source_id: int,
@@ -336,30 +412,6 @@ class ClusterCoordinator(FrontEnd):
         self._up_tasks[key] = asyncio.ensure_future(
             self._upstream_listener(sid, source_id, stream))
 
-    async def _subscribe_shard(self, sid: int) -> None:
-        """Open (or re-open) the wildcard aggregation subscription to one
-        shard; the initial SNAPSHOT reply re-seeds the partial table, so
-        a re-subscribe after a trunk drop also heals partial staleness."""
-        server = self.shards[sid]
-        if getattr(server, "closed", False):
-            # A crashed shard refuses connections; retrying here would
-            # spin listener-death → resubscribe forever.  The trunk is
-            # rebuilt when the health monitor fails the shard over.
-            raise TransportClosed(f"shard {sid} is closed")
-        sub = server.connect_loopback()
-        await sub.send(protocol.query_sub("*", trunk=True))
-        first = await sub.receive()
-        if first is not None and first.get("type") == MessageType.SNAPSHOT.value:
-            for name, value in (first.get("values") or {}).items():
-                if name in self._home_shards:
-                    self._partials.setdefault(name, {})[sid] = float(value)
-            degraded = first.get("degraded")
-            if degraded is not None:
-                self._set_shard_degraded(sid, degraded)
-        self._sub_streams[sid] = sub
-        self._sub_tasks[sid] = asyncio.ensure_future(
-            self._shard_sub_listener(sid, sub))
-
     async def _detach_shard(self, sid: int) -> None:
         for key in [k for k in list(self._up_tasks) if k[0] == sid]:
             task = self._up_tasks.pop(key)
@@ -371,17 +423,9 @@ class ClusterCoordinator(FrontEnd):
                 await task
             except (asyncio.CancelledError, Exception):
                 pass
-        task = self._sub_tasks.pop(sid, None)
-        stream = self._sub_streams.pop(sid, None)
-        if stream is not None:
-            stream.close()
-        if task is not None:
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._fail_snapshot_waiters(sid)
+        trunk = self._trunks.pop(sid, None)
+        if trunk is not None:
+            await trunk.close()
 
     async def reattach_shard(self, sid: int,
                              server: CoordinatorServer) -> None:
@@ -423,7 +467,7 @@ class ClusterCoordinator(FrontEnd):
 
     async def close(self, final_snapshot: bool = True) -> None:
         await self._shutdown()
-        for sid in sorted(set(self._sub_streams) | {k[0] for k in self._up_streams}):
+        for sid in sorted(set(self._trunks) | {k[0] for k in self._up_streams}):
             await self._detach_shard(sid)
         for sid in sorted(self.shards):
             await self.shards[sid].close(final_snapshot=final_snapshot)
@@ -532,91 +576,6 @@ class ClusterCoordinator(FrontEnd):
         if await self._send_to_source(source_id, message):
             self.stats["probes_forwarded"] += 1
 
-    async def _shard_sub_listener(self, sid: int,
-                                  stream: MessageStream) -> None:
-        try:
-            while True:
-                message = await stream.receive()
-                if message is None:
-                    break
-                try:
-                    kind = protocol.validate_message(message)
-                except ProtocolError:
-                    break
-                # Any valid frame on the trunk is proof of life — the
-                # failure detector's deadline is measured against this.
-                self.shard_last_seen[sid] = self.clock()
-                frame_epoch = message.get("map_epoch")
-                if self.map_epoch and (frame_epoch or 0) < self.map_epoch:
-                    # Epoch fence: a frame computed under an older shard
-                    # map (queued on the trunk before a cutover, or from
-                    # a shard that missed the bump).  Its partials could
-                    # resurrect a migrated-away item's contribution, so
-                    # the whole frame is dropped; fresh post-cutover
-                    # notifies and snapshot gathers carry the truth.
-                    self.stats["fenced_frames_rejected"] += 1
-                    if kind is MessageType.SNAPSHOT:
-                        # Resolve the gather's waiter with "no answer"
-                        # instead of letting it ride the 5s timeout.
-                        self._resolve_snapshot(sid, None)
-                    continue
-                if kind is MessageType.NOTIFY:
-                    frame_sid = message.get("shard")
-                    if frame_sid is not None and int(frame_sid) != sid:
-                        self.stats["shard_frame_mismatches"] += 1
-                        continue
-                    self._on_shard_notify(sid, message)
-                    # The trunk's deep queue can hold a whole storm, and
-                    # a loopback receive() on a non-empty queue never
-                    # suspends — yield after each recombine so the
-                    # subscriber writer tasks drain the fan-out queues
-                    # instead of filling to phantom eviction.
-                    await asyncio.sleep(0)
-                elif kind is MessageType.SNAPSHOT:
-                    self._resolve_snapshot(sid, message)
-                elif kind is MessageType.ERROR:
-                    break
-        except (TransportClosed, ProtocolError):
-            pass
-        except asyncio.CancelledError:
-            raise
-        finally:
-            stream.close()
-            self._fail_snapshot_waiters(sid)
-            if (not self.closed
-                    and self._sub_streams.get(sid) is stream
-                    and sid in self.shards):
-                # The aggregation trunk died while the shard is still
-                # attached (e.g. the shard evicted us as a slow consumer
-                # under a notify storm).  Without the trunk this shard's
-                # partials silently go stale, so re-subscribe: the fresh
-                # initial snapshot re-seeds them.
-                self._sub_streams.pop(sid, None)
-                self._sub_tasks.pop(sid, None)
-                self.stats["shard_resubscribes"] += 1
-                asyncio.ensure_future(self._resubscribe_shard(sid))
-
-    async def _resubscribe_shard(self, sid: int) -> None:
-        try:
-            await self._subscribe_shard(sid)
-        except Exception:
-            # The shard vanished under us (concurrent close/failover);
-            # reattach_shard rebuilds the trunk when it returns.
-            pass
-
-    def _resolve_snapshot(self, sid: int,
-                          message: Optional[Dict[str, Any]]) -> None:
-        waiters = self._snapshot_waiters.get(sid)
-        if waiters:
-            waiter = waiters.pop(0)
-            if not waiter.done():
-                waiter.set_result(message)
-
-    def _fail_snapshot_waiters(self, sid: int) -> None:
-        for waiter in self._snapshot_waiters.pop(sid, []):
-            if not waiter.done():
-                waiter.set_result(None)
-
     # -- aggregation --------------------------------------------------------------
 
     def _set_shard_degraded(self, sid: int,
@@ -716,41 +675,28 @@ class ClusterCoordinator(FrontEnd):
         answer (mid-failover) falls back to its last partials and is
         counted."""
         self.stats["snapshot_gathers"] += 1
-        loop = asyncio.get_event_loop()
-        pending: Dict[int, asyncio.Future] = {}
-        for sid in sorted(self.shards):
-            stream = self._sub_streams.get(sid)
-            if stream is None:
-                # Mid-failover (or trunk re-subscribing): no live trunk,
-                # this shard serves its stale partials below.
-                self.stats["snapshot_gather_fallbacks"] += 1
-                continue
-            waiter = loop.create_future()
-            self._snapshot_waiters.setdefault(sid, []).append(waiter)
-            if not await self._safe_send(stream, protocol.snapshot()):
-                if waiter in self._snapshot_waiters.get(sid, []):
-                    self._snapshot_waiters[sid].remove(waiter)
-                self.stats["snapshot_gather_fallbacks"] += 1
-                continue
-            pending[sid] = waiter
+        # No live trunk (mid-failover, or re-subscribing): the shard
+        # serves its stale partials below — as does one whose reply is
+        # late, lost with the link, or fenced.
+        asked = {sid: asyncio.ensure_future(trunk.request_snapshot())
+                 for sid, trunk in sorted(self._trunks.items())
+                 if trunk.connected}
+        if asked:
+            await asyncio.wait(asked.values(), timeout=SNAPSHOT_GATHER_TIMEOUT)
         values_by_shard: Dict[int, Dict[str, float]] = {}
         stats_by_shard: Dict[int, Dict[str, Any]] = {}
-        for sid, waiter in pending.items():
-            try:
-                reply = await asyncio.wait_for(waiter,
-                                               timeout=SNAPSHOT_GATHER_TIMEOUT)
-            except asyncio.TimeoutError:
-                reply = None
-            if reply is None:
-                self.stats["snapshot_gather_fallbacks"] += 1
-                continue
-            values_by_shard[sid] = {
-                name: float(value)
-                for name, value in (reply.get("values") or {}).items()}
-            if reply.get("degraded") is not None:
-                self._set_shard_degraded(sid, reply["degraded"])
-            if reply.get("stats"):
-                stats_by_shard[sid] = reply["stats"]
+        for sid, task in asked.items():
+            if not task.done():
+                task.cancel()
+            elif task.exception() is None:
+                reply = task.result()
+                values_by_shard[sid] = {
+                    name: float(value)
+                    for name, value in (reply.get("values") or {}).items()}
+                if reply.get("stats"):
+                    stats_by_shard[sid] = reply["stats"]
+        self.stats["snapshot_gather_fallbacks"] += (
+            len(self.shards) - len(values_by_shard))
         values: Dict[str, float] = {}
         for name, home in self._home_shards.items():
             per: Dict[int, float] = {}

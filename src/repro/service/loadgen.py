@@ -18,10 +18,14 @@ through the DAB filters, then audits the run:
 The report is returned and, when ``output`` is given, written as JSON —
 ``benchmarks/results/BENCH_service.json`` in the CI flow.
 
-Two attach modes: ``host``/``port`` drive a live ``repro serve`` process
-over TCP; with ``server`` (or neither), everything runs in process over
-``connect_loopback()`` links — same protocol messages, no sockets, no
-bytes.
+Three targets: ``host``/``port`` drive a live ``repro serve`` process
+over TCP; ``shards > 0`` builds an in-process cluster — agents register
+with the *router*, oblivious to sharding, and the recombined values are
+audited at the full per-query budget ``B``, the end-to-end check of the
+cross-shard ``B/k`` decomposition — with the subscribers and the auditor
+behind a ``brokers``-wide fan-out tier if asked; otherwise one in-process
+server.  In process everything rides ``connect_loopback()`` links — same
+protocol messages, no sockets, no bytes.
 """
 
 from __future__ import annotations
@@ -32,12 +36,14 @@ import time as _time
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro.exceptions import ReproError
+from repro.invariants import check_served
 from repro.service.agent import agents_for_scenario
 from repro.service.client import ServiceClient, latency_percentiles
 
 
 async def _run_async(
-    server: "Any",
+    node: "Any",
     scenario: "Any",
     item_to_source: Dict[str, int],
     subscriber_count: int,
@@ -45,14 +51,29 @@ async def _run_async(
     tick_interval: float,
     host: Optional[str],
     port: Optional[int],
+    clustered: bool,
+    brokers: int,
 ) -> Dict[str, Any]:
-    over_tcp = host is not None and port is not None
+    over_tcp = node is None
 
     async def _attach():
         if over_tcp:
             from repro.service.transports import open_tcp_stream
             return await open_tcp_stream(host, port)
-        return server.connect_loopback()
+        return node.connect_loopback()
+
+    tier = None
+    if clustered:
+        await node.start()
+    if brokers > 0:
+        from repro.service.cluster.broker import BrokerTier
+
+        tier = BrokerTier(node.connect_loopback, brokers=brokers,
+                          clock=node.clock)
+        await tier.start()
+
+    async def _subscriber_attach():
+        return tier.connect_loopback() if tier is not None else await _attach()
 
     agents = agents_for_scenario(scenario, item_to_source,
                                  timestamp_refreshes=True)
@@ -61,7 +82,7 @@ async def _run_async(
 
     subscribers = []
     for _ in range(subscriber_count):
-        client = ServiceClient(await _attach())
+        client = ServiceClient(await _subscriber_attach())
         await client.subscribe("*")
         subscribers.append(client)
 
@@ -73,23 +94,22 @@ async def _run_async(
     ])
     elapsed = _time.perf_counter() - started
 
-    # Let in-flight notifies drain before auditing.
+    # Let in-flight partials recombine and notifies drain before auditing.
     await asyncio.sleep(0.05 if not over_tcp else 0.2)
 
-    auditor = ServiceClient(await _attach())
+    auditor = ServiceClient(await _subscriber_attach())
     served = await auditor.subscribe("*")
     stats = auditor.stats_seen
+    if tier is not None:
+        # The broker serves its cached stats; the audit wants the
+        # node's live stats too.
+        stats = {"broker": stats, "cluster": node.server_stats()}
 
     truth = {}
     for agent in agents.values():
         truth.update(agent.values)
-    violations = []
-    for query in scenario.queries:
-        true_value = query.evaluate(truth)
-        error = abs(served[query.name] - true_value)
-        if error > query.qab * (1.0 + 1e-9) + 1e-12:
-            violations.append({"query": query.name, "error": error,
-                               "qab": query.qab})
+    # A fault-free run: nothing may be excused as degraded.
+    violations, _, _ = check_served(truth, served, {}, scenario.queries)
 
     latencies = [sample for client in subscribers for sample in client.latencies]
     ticks = sum(agent.stats["ticks"] for agent in agents.values())
@@ -114,14 +134,27 @@ async def _run_async(
         "qab_violations": len(violations),
         "qab_violation_detail": violations[:10],
     }
+    if clustered:
+        decomposition = node.decomposition
+        report.update({
+            "shards": node.shard_map.shards,
+            "active_shards": list(decomposition.active_shards),
+            "cross_shard_queries": len(decomposition.cross_shard),
+            "mirrored_items": sum(len(items) for items
+                                  in decomposition.mirrored_items.values()),
+            "brokers": brokers,
+            "broker_stats": tier.stats() if tier is not None else None,
+        })
 
     await auditor.close()
     for client in subscribers:
         await client.close()
     for agent in agents.values():
         await agent.close()
-    if server is not None:
-        await server.close()
+    if tier is not None:
+        await tier.close()
+    if node is not None:
+        await node.close()
     return report
 
 
@@ -139,17 +172,26 @@ def run_loadgen(
     port: Optional[int] = None,
     output: Optional[str] = None,
     trace_length: Optional[int] = None,
+    shards: int = 0,
+    brokers: int = 0,
+    journal_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Run the load generator; see the module docstring for semantics.
 
     ``duration`` counts trace steps replayed per source.  With
     ``host``/``port`` the scenario is rebuilt locally (the server must
     have been launched with the same ``--queries/--items/--sources/--seed``)
-    and driven over TCP; otherwise an in-process server is built and the
-    whole run goes over ``connect_loopback()`` links.
+    and driven over TCP; otherwise the target is built in process — with
+    ``shards > 0`` a cluster (``journal_dir`` journals its shards), whose
+    report also carries ``shards``, ``active_shards``,
+    ``cross_shard_queries``, ``mirrored_items``, ``brokers`` and
+    ``broker_stats``.
     """
     trace_length = max(trace_length or 0, duration + 2)
     over_tcp = host is not None and port is not None
+    if (brokers or journal_dir is not None) and (over_tcp or not shards):
+        raise ReproError("brokers and journal_dir configure the in-process "
+                         "cluster: pass shards >= 1 and no host/port")
     if over_tcp:
         # The live server is authoritative for planning; this side only
         # needs the (same-seed, hence identical) scenario and routing.
@@ -162,20 +204,28 @@ def run_loadgen(
         item_to_source = assign_items_to_sources(
             sorted({v for q in scenario.queries for v in q.variables}),
             sources)
-        server = None
+        node = None
+    elif shards:
+        from repro.service.cluster.router import build_scenario_cluster
+
+        node, scenario, item_to_source = build_scenario_cluster(
+            shards=shards, query_count=queries, item_count=items,
+            source_count=sources, trace_length=trace_length, seed=seed,
+            algorithm=algorithm, workload=workload, journal_dir=journal_dir,
+        )
     else:
         from repro.service.server import build_scenario_server
 
-        server, scenario, item_to_source = build_scenario_server(
+        node, scenario, item_to_source = build_scenario_server(
             query_count=queries, item_count=items, source_count=sources,
             trace_length=trace_length, seed=seed, algorithm=algorithm,
             workload=workload,
         )
     report = asyncio.run(_run_async(
-        server=None if over_tcp else server,
-        scenario=scenario, item_to_source=item_to_source,
+        node=node, scenario=scenario, item_to_source=item_to_source,
         subscriber_count=subscribers, duration=duration,
         tick_interval=tick_interval, host=host, port=port,
+        clustered=bool(shards) and not over_tcp, brokers=brokers,
     ))
     report["seed"] = seed
     report["algorithm"] = algorithm

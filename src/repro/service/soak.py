@@ -46,6 +46,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.exceptions import ReproError
+from repro.invariants import check_served
 from repro.service import protocol
 from repro.service.agent import SourceAgent, agents_for_scenario
 from repro.service.chaos import FaultInjector, FaultSchedule, chaos_loopback_pair
@@ -199,7 +200,6 @@ async def _run_async(
         await server.start()
     traces = scenario.traces
     queries = scenario.queries
-    qab_slack = 1e-9
     # A delayed frame lands delay_steps after its fault event fired; the
     # quiet period before an audit has to outlast that.
     audit_margin = max(audit_margin, injector.schedule.delay_steps + 1)
@@ -292,25 +292,15 @@ async def _run_async(
         audits += 1
         if degraded:
             audits_with_degraded += 1
-        entry = {"step": step, "phase": phase,
-                 "degraded_queries": sorted(degraded)}
-        for query in queries:
-            name = query.name
-            if name not in served:
-                continue
-            error = abs(served[name] - query.evaluate(truth))
-            if error <= query.qab * (1.0 + qab_slack) + 1e-12:
-                continue
-            if name in degraded:
-                excused += 1
-                if error > degraded[name] * (1.0 + qab_slack) + 1e-12:
-                    degraded_bound_exceeded.append(
-                        {"step": step, "query": name, "error": error,
-                         "widened_bound": degraded[name]})
-                continue
-            unexcused.append({"step": step, "query": name, "error": error,
-                              "qab": query.qab, "phase": phase})
-        audit_log.append(entry)
+        broken, flagged, exceeded = check_served(truth, served, degraded,
+                                                 queries)
+        unexcused.extend({"step": step, "phase": phase, **entry}
+                         for entry in broken)
+        excused += len(flagged)
+        degraded_bound_exceeded.extend({"step": step, **entry}
+                                       for entry in exceeded)
+        audit_log.append({"step": step, "phase": phase,
+                          "degraded_queries": sorted(degraded)})
 
     async def _kill_and_restore(step: int) -> None:
         """The coordinator-kill fault: drop the server with no parting
@@ -465,10 +455,7 @@ async def _run_async(
     # Always present (``{"kills": 0}`` without a journal) so downstream
     # dashboards can key on the section unconditionally.
     recovery_section: Dict[str, Any] = {"kills": len(restarts)}
-    if restarts and server.journal is None:
-        # Cluster shard failovers: the journals live shard-side (the
-        # router itself is stateless), so only the per-restore records
-        # are reported here.
+    if restarts or server.journal is not None:
         recovery_section.update({
             "restarts": restarts,
             "records_replayed_total": sum(
@@ -478,13 +465,11 @@ async def _run_async(
                 default=0.0),
         })
     if server.journal is not None:
+        # (A cluster's journals live shard-side — the router itself is
+        # stateless — so its shard failovers report the records above
+        # only.)
         append_samples.extend(server.journal.append_seconds)
         recovery_section.update({
-            "restarts": restarts,
-            "records_replayed_total": sum(
-                r["records_replayed"] for r in restarts),
-            "recovery_seconds_max": max(
-                (r["recovery_seconds"] for r in restarts), default=0.0),
             "journal_append_ms": latency_percentiles(
                 [s * 1000.0 for s in append_samples], (50.0, 95.0, 99.0)),
             "journal": server.journal.stats(),
@@ -656,31 +641,49 @@ def run_chaos_soak(
             def hold_tail() -> bool:
                 return migrator.active or bool(monitor.suspected_at)
 
-        injector = FaultInjector(schedule)
-        report = asyncio.run(_run_async(
-            server=cluster, scenario=scenario,
-            item_to_source=item_to_source,
-            injector=injector, clock=clock, steps=steps,
-            audit_margin=audit_margin, register_timeout=register_timeout,
-            kill_steps=kill_steps, kill_handler=kill_handler,
-            step_hook=step_hook, hold_tail=hold_tail,
-        ))
+        server = cluster
+        topology = dict(kill_handler=kill_handler, step_hook=step_hook,
+                        hold_tail=hold_tail)
+    else:
+        def make_server():
+            """One coordinator incarnation — the same scenario every time
+            (seed-derived), journaled when ``journal_dir`` is set.
+            Journaled servers defer bootstrap to :meth:`restore`."""
+            journal = (Journal(journal_dir, fsync=fsync,
+                               snapshot_every=snapshot_every)
+                       if journal_dir is not None else None)
+            return build_scenario_server(
+                query_count=queries, item_count=items, source_count=sources,
+                trace_length=steps + 2, seed=seed, algorithm=algorithm,
+                workload=workload,
+                lease_duration=lease_duration,
+                suspect_drift_rel=suspect_drift_rel,
+                dab_retry_policy=RetryPolicy(base_delay=1.0, backoff=1.5,
+                                             max_delay=4.0, max_attempts=6),
+                solver_breaker=CircuitBreaker(failure_threshold=3,
+                                              reset_timeout=6.0, clock=clock),
+                clock=clock,
+                journal=journal,
+                bootstrap=journal is None,
+            )
+
+        server, scenario, item_to_source = make_server()
+        if server.journal is not None:
+            server.restore()
+        topology = dict(server_factory=(lambda: make_server()[0])
+                        if journal_dir else None)
+
+    report = asyncio.run(_run_async(
+        server=server, scenario=scenario, item_to_source=item_to_source,
+        injector=FaultInjector(schedule), clock=clock, steps=steps,
+        audit_margin=audit_margin, register_timeout=register_timeout,
+        kill_steps=kill_steps, **topology,
+    ))
+    migrated = True
+    if shards > 1:
         report["shards"] = shards
         report["active_shards"] = list(cluster.decomposition.active_shards)
         report["cross_shard_queries"] = len(cluster.decomposition.cross_shard)
-        report["schedule"] = schedule_name
-        report["fault_kinds"] = schedule.fault_kinds()
-        report["seed"] = seed
-        report["queries"] = queries
-        report["items"] = items
-        report["sources"] = sources
-        report["algorithm"] = algorithm
-        report["workload"] = workload
-        report["lease_duration_steps"] = lease_duration
-        if journal_dir is not None:
-            report["journal_dir"] = str(journal_dir)
-            report["coordinator_recovery"]["kill_steps"] = sorted(
-                int(s) for s in kill_steps)
         if reshard:
             completed = [r for r in migrator.records
                          if r.get("outcome") == "completed"]
@@ -714,53 +717,8 @@ def run_chaos_soak(
                     [e["detection_to_recovery"] for e in monitor.events],
                     (50.0, 95.0)),
             }
-        report["passed"] = (
-            report["qab_violations_unexcused"] == 0
-            and not report["final_degraded_queries"]
-            and (not reshard
-                 or (migrator.stats["moves_abandoned"] == 0
-                     and not migrator.active)))
-        if output:
-            path = Path(output)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(report, indent=2, sort_keys=True)
-                            + "\n")
-            report["output"] = str(path)
-        return report
-
-    def make_server():
-        """One coordinator incarnation — the same scenario every time
-        (seed-derived), journaled when ``journal_dir`` is set.  Journaled
-        servers defer bootstrap to :meth:`restore`."""
-        journal = (Journal(journal_dir, fsync=fsync,
-                           snapshot_every=snapshot_every)
-                   if journal_dir is not None else None)
-        return build_scenario_server(
-            query_count=queries, item_count=items, source_count=sources,
-            trace_length=steps + 2, seed=seed, algorithm=algorithm,
-            workload=workload,
-            lease_duration=lease_duration,
-            suspect_drift_rel=suspect_drift_rel,
-            dab_retry_policy=RetryPolicy(base_delay=1.0, backoff=1.5,
-                                         max_delay=4.0, max_attempts=6),
-            solver_breaker=CircuitBreaker(failure_threshold=3,
-                                          reset_timeout=6.0, clock=clock),
-            clock=clock,
-            journal=journal,
-            bootstrap=journal is None,
-        )
-
-    server, scenario, item_to_source = make_server()
-    if server.journal is not None:
-        server.restore()
-    injector = FaultInjector(schedule)
-    report = asyncio.run(_run_async(
-        server=server, scenario=scenario, item_to_source=item_to_source,
-        injector=injector, clock=clock, steps=steps,
-        audit_margin=audit_margin, register_timeout=register_timeout,
-        server_factory=(lambda: make_server()[0]) if journal_dir else None,
-        kill_steps=kill_steps,
-    ))
+            migrated = (migrator.stats["moves_abandoned"] == 0
+                        and not migrator.active)
     report["schedule"] = schedule_name
     report["fault_kinds"] = schedule.fault_kinds()
     report["seed"] = seed
@@ -775,7 +733,8 @@ def run_chaos_soak(
         report["coordinator_recovery"]["kill_steps"] = sorted(
             int(s) for s in kill_steps)
     report["passed"] = (report["qab_violations_unexcused"] == 0
-                        and not report["final_degraded_queries"])
+                        and not report["final_degraded_queries"]
+                        and migrated)
     if output:
         path = Path(output)
         path.parent.mkdir(parents=True, exist_ok=True)

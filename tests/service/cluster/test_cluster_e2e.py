@@ -6,8 +6,8 @@ import pytest
 
 from repro.service import protocol
 from repro.service.client import ServiceClient
-from repro.service.cluster.loadgen import run_cluster_loadgen
 from repro.service.cluster.router import build_scenario_cluster
+from repro.service.loadgen import run_loadgen
 from repro.service.protocol import MessageType
 from repro.service.resilience import RetryPolicy
 from repro.service.server import build_scenario_server
@@ -24,7 +24,7 @@ SCENARIO = dict(query_count=12, item_count=16, source_count=4,
 class TestClusterAudit:
     @pytest.mark.parametrize("shards", [2, 4])
     def test_loadgen_audit_passes_with_cross_shard_queries(self, shards):
-        report = run_cluster_loadgen(
+        report = run_loadgen(
             shards=shards, sources=4, queries=20, items=16, duration=15,
             subscribers=2, seed=1)
         assert report["qab_violations"] == 0
@@ -34,7 +34,7 @@ class TestClusterAudit:
         assert report["refreshes_sent"] > 0
 
     def test_degraded_absent_without_leases(self):
-        report = run_cluster_loadgen(
+        report = run_loadgen(
             shards=2, sources=4, queries=10, items=16, duration=10,
             subscribers=1, seed=2)
         assert report["qab_violations"] == 0
