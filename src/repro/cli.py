@@ -546,7 +546,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     if clustered:
         print(f"shards               {report['shards']} "
               f"(active {report['active_shards']})")
-        print(f"cross-shard queries  {report['cross_shard_queries']} "
+        print(f"queries per shard    {report['queries_per_shard']} "
               f"({report['mirrored_items']} mirrored items)")
         if report["brokers"]:
             broker = report["broker_stats"] or {}
@@ -600,7 +600,9 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
               f"({args.shards} shards, active "
               f"{list(decomposition.active_shards)}, "
               f"{len(scenario.queries)} queries "
-              f"[{len(decomposition.cross_shard)} cross-shard], "
+              f"[per shard {decomposition.queries_per_shard}, "
+              f"{sum(map(len, decomposition.mirrored_items.values()))} "
+              f"mirrored items], "
               f"{len(item_to_source)} items, {args.sources} sources, "
               f"algorithm={args.algorithm})", flush=True)
         try:
@@ -613,7 +615,7 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         stats = cluster.server_stats()
         print(f"\nshutting down: {stats['refreshes_routed']} refreshes "
-              f"routed, {stats['partial_notifies']} partials recombined, "
+              f"routed, {stats['partial_notifies']} shard notifies, "
               f"{stats['notifies_sent']} notifies")
     return 0
 
@@ -642,8 +644,8 @@ def cmd_chaos_soak(args: argparse.Namespace) -> int:
           f"({', '.join(report['fault_kinds'])})")
     if report.get("shards"):
         print(f"shards               {report['shards']} "
-              f"(active {report['active_shards']}, "
-              f"{report['cross_shard_queries']} cross-shard queries)")
+              f"(active {report['active_shards']}, queries per shard "
+              f"{report['queries_per_shard']})")
     print(f"steps                {report['steps']} "
           f"(+{report['tail_steps']} recovery)")
     print(f"fault events         {report['fault_events']} "
@@ -653,7 +655,8 @@ def cmd_chaos_soak(args: argparse.Namespace) -> int:
           f"({report['audits_with_degraded']} while degraded)")
     print(f"QAB violations       {report['qab_violations_unexcused']} "
           f"unexcused, {report['qab_violations_excused_degraded']} excused "
-          f"(degraded-flagged)")
+          f"(degraded-flagged), {report['degraded_bound_exceeded']} beyond "
+          f"their widened bound")
     recovery = report["recovery_steps"]
     if recovery:
         rendered = ", ".join(f"{k}={v:.0f}" for k, v in sorted(recovery.items()))
@@ -679,7 +682,8 @@ def cmd_chaos_soak(args: argparse.Namespace) -> int:
     resharding = report.get("resharding")
     if resharding:
         print(f"resharding           {resharding['moves_completed']}/"
-              f"{resharding['moves_requested']} moves "
+              f"{resharding['moves_requested']} moves, "
+              f"{resharding['queries_rehomed']} queries re-homed "
               f"(epoch {resharding['final_map_epoch']}, "
               f"{resharding['refreshes_frozen']} refreshes frozen, "
               f"fenced {resharding['frames_rejected_by_fencing']})")
@@ -935,9 +939,9 @@ def build_parser() -> argparse.ArgumentParser:
     _scenario_flags(cluster_serve)
     cluster_serve.add_argument("--shards", type=int, default=2,
                                help="coordinator shard count (items "
-                                    "partition by stable hash; queries "
-                                    "decompose across their home shards "
-                                    "under B/k sub-budgets)")
+                                    "partition by stable hash; every query "
+                                    "lives whole on one home shard and the "
+                                    "items it reads are mirrored there)")
     cluster_serve.add_argument("--host", default="127.0.0.1")
     cluster_serve.add_argument("--port", type=int,
                                default=DEFAULT_SERVICE_PORT)

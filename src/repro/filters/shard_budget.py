@@ -1,134 +1,142 @@
-"""Cross-shard accuracy-budget decomposition (AAO at the shard boundary).
+"""Query placement for the coordinator cluster: one home shard per query.
 
 A cluster of coordinator shards partitions the item space, but a query
-``P : B`` may reference items owned by several shards.  This module
-splits such a query into per-shard *sub-queries* the same way the
-paper's Half-and-Half heuristic splits ``P = P1 - P2`` into
-``P1 : B/2`` and ``P2 : B/2`` (Section III-B.1): group the terms of
-``P`` by a *home shard* and give each of the ``k`` home shards the
-sub-polynomial of its terms under the budget ``B/k``.  For the common
-two-shard span this is exactly the paper's ``B/2`` split applied at the
-shard boundary instead of at the sign boundary.
+``P : B`` may read items owned by several shards.  The paper's answer
+for many queries on separate planners is EQI (Section IV): plan every
+query on its own at its *full* QAB and give each item the minimum
+primary DAB over the queries that read it.  This module applies that at
+the shard boundary: **placement decides where a whole query lives, and
+items follow it.**  Every query has exactly one *home shard*, which runs
+the original query object at its full budget ``B`` — so an N=1 cluster
+and every co-hashing query are bit-identical to the single-coordinator
+path — and every item the query reads that the home does not own is
+*mirrored* there: the router forwards that item's refreshes to every
+shard whose bank reads it, and each such shard runs its own DAB
+filtering on the mirror.  The router's min-merge of the shards' primary
+DABs then *is* EQI's per-item minimum, so sources are programmed with
+the bounds one coordinator would have programmed, and the home's served
+value satisfies ``|v - P(x)| <= B`` with nothing to add up.
 
-Soundness is the same triangle-inequality argument as Claim 1: each
-shard runs the full AAO machinery on its sub-query, so the served
-partial ``v_s`` satisfies ``|v_s - P_s(x)| <= B/k``, and the aggregator
-serves ``sum_s v_s`` with
+The home is a pure function of ``(query, shard map)`` — like the map
+itself — so router, supervisor, migrator and offline tools agree without
+exchanging state: **rendezvous hashing over the query's spread.**  The
+spread is the set of shards owning at least one of the query's items;
+the home is the spread member with the largest BLAKE2b digest of
+``name NUL shard``.  Restricting to the spread keeps a query whose items
+co-hash where they live (zero mirrors — locality is used wherever it
+exists); hashing the *name* balances load whatever the hub items do
+(owner-plurality gives 27/73 on the benchmark bank because the hubs vote
+identically in every query); rendezvous rather than ``hash % len`` gives
+minimal movement — a migration changes a query's home only if it adds a
+shard to, or removes one from, that query's spread, and then only
+towards the entering or away from the leaving shard.  ``zlib.crc32``
+must not replace BLAKE2b here: CRC is linear, so sequentially numbered
+names collapse onto one shard (20/80 at 100 queries, 0/20 at 20).
 
-    ``|sum_s v_s - P(x)| <= sum_s |v_s - P_s(x)| <= k * (B/k) = B``.
-
-A term's home shard is the owner of its lexicographically-first
-variable — deterministic, independent of process, and guaranteed to
-keep a query on ONE shard whenever all its items co-hash (the
-single-shard case then reuses the original query object verbatim, with
-its full budget ``B``, so an N=1 cluster is bit-identical to the
-single-coordinator path).
-
-A term may still *reference* items owned by other shards (``x*y`` homed
-where ``x`` lives but reading ``y``): those foreign items are
-*mirrored* — the router forwards their refreshes to every shard whose
-sub-queries read them, and each such shard runs its own DAB filtering
-on the mirror.  The decomposition reports the mirror set per shard so
-the router can build its forwarding table.
+Until PR 18 this module split a query's *terms* by the owner of each
+term's first variable and planned every group at ``B/k`` (Half-and-Half,
+Section III-B.1, at the shard boundary).  Nothing forced that split —
+every foreign item of a term was already mirrored — and it cost 1.4x the
+single coordinator's messages at two shards and more at four, so it was
+removed rather than kept as a fallback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import blake2b
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro.exceptions import SimulationError
 from repro.queries.polynomial import PolynomialQuery
-from repro.queries.terms import QueryTerm
 
 ShardOf = Callable[[str], int]
 
 
-def term_home_shard(term: QueryTerm, shard_of: ShardOf) -> int:
-    """The shard a term is evaluated on: owner of its first variable."""
-    return shard_of(min(term.variables))
+def home_shard(query: PolynomialQuery, shard_of: ShardOf) -> int:
+    """The shard *query* lives on: rendezvous over its spread by name."""
+    spread = sorted({shard_of(item) for item in query.variables})
+    return max(spread, key=lambda shard: blake2b(
+        f"{query.name}\0{shard}".encode(), digest_size=8).digest())
 
 
 @dataclass(frozen=True)
 class QueryDecomposition:
-    """One query's split into per-shard sub-queries under ``B/k`` budgets."""
+    """One query's placement: its home shard and what is mirrored there."""
 
     query: PolynomialQuery
-    #: home shard -> sub-query (same name as the original; qab = B/k).
+    #: home shard -> the query it runs — one entry, the original object
+    #: at its full budget ``B``.  A mapping because the router keys its
+    #: last-served-value table by shard and the migrator diffs two
+    #: placements shard by shard.
     sub_queries: Dict[int, PolynomialQuery]
-    #: shard -> items the sub-query reads but the shard does not own.
+    #: home shard -> items the query reads but the home does not own
+    #: (absent when the home owns everything).
     mirrored: Dict[int, Tuple[str, ...]]
 
     @property
-    def home_shards(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.sub_queries))
+    def home(self) -> int:
+        (home,) = self.sub_queries
+        return home
 
     @property
-    def is_cross_shard(self) -> bool:
-        return len(self.sub_queries) > 1
+    def home_shards(self) -> Tuple[int, ...]:
+        return tuple(self.sub_queries)
 
     def sub_qab(self, shard: int) -> float:
         return self.sub_queries[shard].qab
 
 
 def decompose_query(query: PolynomialQuery, shard_of: ShardOf) -> QueryDecomposition:
-    """Split *query* across its home shards with ``B/k`` sub-budgets."""
-    by_home: Dict[int, List[QueryTerm]] = {}
-    for term in query.terms:
-        by_home.setdefault(term_home_shard(term, shard_of), []).append(term)
-
-    spans = len(by_home)
-    if spans == 1:
-        # Single home shard: keep the original query object (same budget
-        # B, same term tuple) so the N=1 / co-hashing cases stay
-        # bit-identical to the single-coordinator path.
-        home = next(iter(by_home))
-        sub_queries = {home: query}
-    else:
-        sub_qab = query.qab / spans
-        sub_queries = {
-            home: query.sub_query(terms, sub_qab, name=query.name)
-            for home, terms in by_home.items()
-        }
-
-    mirrored = {}
-    for home, sub in sub_queries.items():
-        foreign = tuple(
-            item for item in sub.variables if shard_of(item) != home
-        )
-        if foreign:
-            mirrored[home] = foreign
-    return QueryDecomposition(query=query, sub_queries=sub_queries,
-                              mirrored=mirrored)
+    """Place *query* whole on its home shard; list what must be mirrored."""
+    home = home_shard(query, shard_of)
+    foreign = tuple(item for item in query.variables
+                    if shard_of(item) != home)
+    return QueryDecomposition(query=query, sub_queries={home: query},
+                              mirrored={home: foreign} if foreign else {})
 
 
 @dataclass(frozen=True)
 class BankDecomposition:
     """A whole query bank's shard assignment.
 
-    ``sub_queries_for[s]`` is the bank shard ``s`` runs (original query
-    names are reused — each shard has its own namespace, and the shared
-    name is what lets the aggregator recombine partials per query).
-    ``items_needed[s]`` is every item shard ``s`` must receive refreshes
-    for — owned or mirrored; shards absent from the mapping host no
-    sub-query and are never built (a coordinator core needs at least
-    one query).
+    ``sub_queries_for[s]`` is the bank shard ``s`` runs — the queries
+    homed there, each the original object.  ``items_needed[s]`` is every
+    item shard ``s`` must receive refreshes for — owned or mirrored;
+    shards absent from the mapping home no query and are never built (a
+    coordinator core needs at least one query).
     """
 
     decompositions: Dict[str, QueryDecomposition]
     sub_queries_for: Dict[int, Tuple[PolynomialQuery, ...]]
     items_needed: Dict[int, Tuple[str, ...]]
 
+    @classmethod
+    def of(cls, decompositions: Dict[str, QueryDecomposition]
+           ) -> "BankDecomposition":
+        """Index *decompositions* by shard (plain dict work, no solves)."""
+        per_shard: Dict[int, List[PolynomialQuery]] = {}
+        needed: Dict[int, set] = {}
+        for dec in decompositions.values():
+            per_shard.setdefault(dec.home, []).append(dec.query)
+            needed.setdefault(dec.home, set()).update(dec.query.variables)
+        return cls(
+            decompositions=decompositions,
+            sub_queries_for={shard: tuple(bank)
+                             for shard, bank in sorted(per_shard.items())},
+            items_needed={shard: tuple(sorted(items))
+                          for shard, items in sorted(needed.items())},
+        )
+
     @property
     def active_shards(self) -> Tuple[int, ...]:
         return tuple(sorted(self.sub_queries_for))
 
     @property
-    def cross_shard(self) -> Tuple[str, ...]:
-        return tuple(sorted(
-            name for name, dec in self.decompositions.items()
-            if dec.is_cross_shard
-        ))
+    def queries_per_shard(self) -> Dict[int, int]:
+        """shard -> how many queries it homes (active shards only)."""
+        return {shard: len(bank)
+                for shard, bank in self.sub_queries_for.items()}
 
     @property
     def mirrored_items(self) -> Dict[int, Tuple[str, ...]]:
@@ -141,9 +149,6 @@ class BankDecomposition:
 
     def home_shards(self, name: str) -> Tuple[int, ...]:
         return self.decompositions[name].home_shards
-
-    def sub_qab(self, name: str, shard: int) -> float:
-        return self.decompositions[name].sub_qab(shard)
 
     def shards_of_item(self, item: str) -> Tuple[int, ...]:
         """Every shard whose bank reads *item* (owner and mirrors)."""
@@ -173,66 +178,41 @@ class BankDecomposition:
         """A new bank decomposition with *updated* queries swapped in.
 
         The live-resharding cutover path: after an item moves, only the
-        queries reading it are re-decomposed under the new map — every
+        queries reading it are placed again under the new map — every
         other query's decomposition object is carried over untouched
         (minimal movement at the bank level, mirroring
-        :meth:`ShardMap.rebalance` at the item level).  Indices are
-        rebuilt from the merged decomposition set with plain dict work,
-        no solves.
+        :meth:`ShardMap.rebalance` at the item level).
         """
         unknown = sorted(set(updated) - set(self.decompositions))
         if unknown:
             raise SimulationError(
                 f"cannot replace unknown queries: {unknown}")
-        decompositions = dict(self.decompositions)
-        decompositions.update(updated)
-        per_shard: Dict[int, List[PolynomialQuery]] = {}
-        needed: Dict[int, set] = {}
-        for dec in decompositions.values():
-            for shard, sub in dec.sub_queries.items():
-                per_shard.setdefault(shard, []).append(sub)
-                needed.setdefault(shard, set()).update(sub.variables)
-        return BankDecomposition(
-            decompositions=decompositions,
-            sub_queries_for={shard: tuple(bank)
-                             for shard, bank in sorted(per_shard.items())},
-            items_needed={shard: tuple(sorted(items))
-                          for shard, items in sorted(needed.items())},
-        )
+        return BankDecomposition.of({**self.decompositions, **updated})
 
 
 def decompose_bank(queries: Sequence[PolynomialQuery],
                    shard_of: ShardOf) -> BankDecomposition:
-    """Decompose every query of a bank; queries must have unique names."""
+    """Place every query of a bank; queries must have unique names."""
     decompositions: Dict[str, QueryDecomposition] = {}
-    per_shard: Dict[int, List[PolynomialQuery]] = {}
-    needed: Dict[int, set] = {}
     for query in queries:
         if query.name in decompositions:
             raise SimulationError(
-                f"duplicate query name {query.name!r}: cluster recombination "
-                "is keyed on query names"
+                f"duplicate query name {query.name!r}: placement and the "
+                "router's served-value table are keyed on query names"
             )
-        dec = decompose_query(query, shard_of)
-        decompositions[query.name] = dec
-        for shard, sub in dec.sub_queries.items():
-            per_shard.setdefault(shard, []).append(sub)
-            needed.setdefault(shard, set()).update(sub.variables)
-    return BankDecomposition(
-        decompositions=decompositions,
-        sub_queries_for={shard: tuple(bank)
-                         for shard, bank in sorted(per_shard.items())},
-        items_needed={shard: tuple(sorted(items))
-                      for shard, items in sorted(needed.items())},
-    )
+        decompositions[query.name] = decompose_query(query, shard_of)
+    return BankDecomposition.of(decompositions)
 
 
 def recombine(partials: Mapping[int, float]) -> float:
-    """Sum per-shard partials in sorted shard order (deterministic fp).
+    """A query's served value from its ``{home shard: value}`` table.
 
-    A single-entry mapping returns the partial verbatim — the
-    single-home-shard case must pass the shard's served value through
-    bit-identically.
+    One home per query, so the router always hands this a single entry
+    and the home's value passes through verbatim (bit-identically).  The
+    table stays keyed by shard because failover and a re-homing cutover
+    need "the last value *this* shard served" — an ex-home's entry is
+    deleted, never read.  Several entries sum in sorted shard order
+    (deterministic floating point).
     """
     if not partials:
         raise SimulationError("cannot recombine an empty partial set")

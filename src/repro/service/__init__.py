@@ -36,7 +36,7 @@ The discrete-event simulator proves the planning algorithms; this package
 * :mod:`repro.service.soak` — the chaos soak harness behind
   ``repro chaos-soak``, auditing end-to-end QAB correctness under faults;
 * :mod:`repro.service.cluster` — the sharded coordinator cluster: stable
-  item hashing, the cross-shard B/k budget decomposition, the
+  item hashing, whole-query placement (one home shard per query), the
   :class:`~repro.service.cluster.router.ClusterCoordinator` shard
   router, the NOTIFY fan-out broker tier and journal-backed shard
   failover (``repro cluster serve``/``loadgen``,

@@ -215,9 +215,14 @@ class SourceAgent:
             if kind is MessageType.DAB_UPDATE:
                 await self._handle_dab_update(reply, stream)
             elif kind is MessageType.ERROR:
+                # The node answers ERROR and hangs up — for a bad source,
+                # or because one flipped bit corrupted our REGISTER frame
+                # on the way.  Either way this connection is gone, so it
+                # is reported as such and the callers' bounded retry
+                # policies (which retry a closed transport) dial again.
                 stream.close()
                 self._stream = None
-                raise ProtocolError(
+                raise TransportClosed(
                     f"registration rejected: {reply.get('reason')}")
         self._listener = asyncio.ensure_future(self._listen(stream))
         if self.heartbeat_interval:

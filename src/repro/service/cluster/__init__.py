@@ -2,18 +2,19 @@
 
 One :class:`~repro.service.server.CoordinatorServer` owns every item and
 query in the single-node deployment.  This package partitions the item
-space across N coordinator *shards* and keeps the paper's accuracy
-contract intact end to end:
+space across N coordinator *shards*, homes every query whole on one of
+them, and keeps the paper's accuracy contract intact end to end:
 
 * :mod:`repro.service.cluster.routing` — the stable item → shard hash
   (CRC32, immune to ``PYTHONHASHSEED``) and the :class:`ShardMap`;
 * :mod:`repro.service.cluster.router` — the
   :class:`~repro.service.cluster.router.ClusterCoordinator`: a protocol
   peer that impersonates each source toward the owning shards, routes
-  ``REFRESH``/``HEARTBEAT`` traffic, min-merges per-shard primary DABs
-  back to the real sources, and recombines per-shard partial aggregates
-  into full query values for subscribers (the AAO ``B/k`` split of
-  :mod:`repro.filters.shard_budget` at the shard boundary);
+  ``REFRESH``/``HEARTBEAT`` traffic (to an item's owner and to every
+  shard it is mirrored on), min-merges per-shard primary DABs back to
+  the real sources — the paper's EQI, since every query is planned
+  whole on the home shard :mod:`repro.filters.shard_budget` gives it —
+  and passes each home's served value through to subscribers;
 * :mod:`repro.service.cluster.broker` — the subscriber fan-out tier:
   dedicated :class:`NotifyBroker` relays with bounded per-subscriber
   queues and slow-consumer eviction, so NOTIFY delivery to 10^4–10^5
@@ -28,7 +29,8 @@ contract intact end to end:
 * :mod:`repro.service.cluster.migration` — epoch-fenced live
   resharding (:class:`ShardMigrator`): freeze → hand-off → cutover per
   item, with the map epoch stamped on routed frames so a lagging shard
-  can never double-own an item.
+  can never double-own an item; queries whose spread the move changes
+  are re-homed whole and re-announced at cutover.
 
 Everything is lazily exported, mirroring :mod:`repro.service`.
 """

@@ -6,20 +6,25 @@ state machine — deliberately split across a step boundary so audits and
 fault injection see the mid-flight state:
 
 ``FREEZE`` tick
+    * every query reading the item is placed again under the post-move
+      map (:func:`plan_move`).  Placement is rendezvous over the query's
+      spread, so a query is *re-homed* only if the move added a shard
+      to, or removed one from, its spread.  A move that would leave a
+      shard with no query, or that has to edit the bank of a shard that
+      is down, is *deferred* here — before anything is frozen or edited;
     * the router freezes the item: refreshes for it are buffered, not
       routed (a frame can never race the hand-off);
     * every query reading the item is flagged *migration-degraded*
       (honest widened bound — answers over in-flight items are never
       silently stale);
-    * the item's value, owning source and accepted-seq high-water mark
-      are read from the current owner and *adopted* by the target shard
-      (a journaled hand-off: a replayed target restores the same dedup
-      floor it was handed);
-    * the ``B/k`` decompositions of the affected cross-shard queries
-      are recomputed under the post-move map and the live shards' banks
-      are edited in place (remove departing sub-queries, add arriving
-      ones) — every sub-budget still sums to ``B``, so recombined error
-      stays inside the query's bound throughout.
+    * a re-homed query moves whole, at its full ``B``: its new home
+      *adopts* whatever items it does not read yet — value, owning
+      source and accepted-seq high-water mark from the current owner or
+      a live mirror (a journaled hand-off: a replayed shard restores the
+      same dedup floor it was handed) — and adds the query; its ex-home
+      removes it.  Per shard, arrivals go before departures, so an
+      exchange never empties a bank mid-edit.  Until cutover the router
+      keeps serving a re-homed query's last value from its ex-home.
 
 ``CUTOVER`` tick
     * the router atomically installs the new :class:`ShardMap` — the
@@ -27,36 +32,72 @@ fault injection see the mid-flight state:
       with the new epoch while both router and shards reject
       stale-epoch frames (a lagging shard can never double-own the
       item);
-    * live shards learn the new epoch, fresh upstream registrations are
-      opened where the move created new (shard, source) needs, stale
-      DAB votes from ex-readers are dropped, the buffered refreshes are
+    * the router adopts each re-homed query's value at its new home as
+      the served value and pushes it to subscribers once, so what they
+      hold is the baseline the new home measures its next NOTIFY from;
+    * live shards learn the new epoch, stale DAB votes from ex-readers
+      are dropped, fresh upstream registrations are opened where the
+      move created new (shard, source) needs, the sources are probed
+      for the items a new home just started reading (refreshes routed
+      during the window never reached it), the buffered refreshes are
       flushed under the new map, and the degraded flags clear.
 
-A move whose endpoints are dead is *deferred* (requeued) rather than
-attempted — the health monitor's failover brings the shard back, the
-migrator retries on a later tick, and a permanently-missing shard
-abandons the move after :data:`MAX_DEFERRALS` with an explicit record
-instead of wedging the queue.
+A move whose endpoints, or any shard whose bank it edits, are dead is
+*deferred* (requeued) rather than attempted — the health monitor's
+failover brings the shard back, the migrator retries on a later tick,
+and a permanently-missing shard abandons the move after
+:data:`MAX_DEFERRALS` with an explicit record instead of wedging the
+queue.
 """
 
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ReproError
-from repro.filters.shard_budget import decompose_query
+from repro.filters.shard_budget import (
+    BankDecomposition,
+    QueryDecomposition,
+    decompose_query,
+)
 from repro.service.cluster.router import ClusterCoordinator
+from repro.service.cluster.routing import ShardMap
 
 #: Honest widening applied to a query while one of its items is
-#: mid-flight: the recombined answer may briefly mix pre- and post-move
-#: partials, so the served bound doubles (same shape as the suspect
-#: widening — a flagged, conservative envelope, never silent staleness).
+#: mid-flight: the item's refreshes are buffered, and a query changing
+#: home is served from its ex-home's last pushed value (within ``2B`` of
+#: the truth by the push contract), so the served bound doubles (same
+#: shape as the suspect widening — a flagged, conservative envelope,
+#: never silent staleness).  The soaks fail if it is ever exceeded.
 MIGRATION_WIDEN_FACTOR = 2.0
 
 #: A move both of whose endpoints stay dead is requeued this many times
 #: before it is abandoned with an explicit record.
 MAX_DEFERRALS = 64
+
+
+def plan_move(decomposition: BankDecomposition, shard_map: ShardMap,
+              item: str, target: int
+              ) -> Tuple[ShardMap, Dict[str, QueryDecomposition],
+                         Dict[str, Tuple[int, int]]]:
+    """What moving *item* to *target* changes, without changing it:
+    ``(post-move map, {query: new placement} for every query reading the
+    item, {query: (ex-home, new home)} for those it re-homes)``.  Pure —
+    placement is a function of ``(query, map)`` — so the migrator and
+    anything planning migrations see the same answer."""
+    new_map = shard_map.rebalance({item: target})
+    updated = {
+        name: decompose_query(decomposition.decompositions[name].query,
+                              new_map.shard_of)
+        for name in decomposition.queries_reading(item)
+    }
+    rehomed = {
+        name: (decomposition.decompositions[name].home, new_dec.home)
+        for name, new_dec in updated.items()
+        if new_dec.home != decomposition.decompositions[name].home
+    }
+    return new_map, updated, rehomed
 
 
 class ShardMigrator:
@@ -190,81 +231,75 @@ class ShardMigrator:
         if value is None:
             self._defer(item, target, deferrals, "no live copy of the value")
             return False
-        seq_floor = owner_server.last_seq.get(item, 0)
-        source_id = cluster.item_to_source.get(item)
 
-        new_map = cluster.shard_map.rebalance({item: target})
-        affected = cluster.decomposition.queries_reading(item)
-        updated = {
-            name: decompose_query(cluster.decomposition.decompositions[name].query,
-                                  new_map.shard_of)
-            for name in affected
-        }
+        new_map, updated, rehomed = plan_move(
+            cluster.decomposition, cluster.shard_map, item, target)
+        arriving: Dict[int, List[str]] = {}
+        leaving: Dict[int, List[str]] = {}
+        for name, (old_home, new_home) in sorted(rehomed.items()):
+            leaving.setdefault(old_home, []).append(name)
+            arriving.setdefault(new_home, []).append(name)
+        edited = sorted(set(arriving) | set(leaving))
 
-        # Refuse a move that would have to strip the last query off a
-        # live shard mid-edit (the coordinator core needs >= 1 query);
-        # such moves complete once the rest of the bank rebalances.
-        for name in affected:
-            old_dec = cluster.decomposition.decompositions[name]
-            for sid, old_sub in old_dec.sub_queries.items():
-                if not self._is_live(sid):
-                    continue
-                if old_sub == updated[name].sub_queries.get(sid):
-                    continue
-                if len(cluster.shards[sid].core.queries) == 1:
-                    self._defer(item, target, deferrals,
-                                f"move would empty shard {sid}'s bank")
-                    return False
+        # Refuse, before anything is frozen or edited, a move that has
+        # to edit a dead shard's bank (its journal would miss the edit)
+        # or that would strip the last query off a shard (the
+        # coordinator core needs >= 1); such moves complete once the
+        # shard is back or the rest of the bank rebalances.
+        for sid in edited:
+            if not self._is_live(sid):
+                self._defer(item, target, deferrals, f"shard {sid} down")
+                return False
+            remaining = (len(cluster.shards[sid].core.queries)
+                         - len(leaving.get(sid, ()))
+                         + len(arriving.get(sid, ())))
+            if remaining < 1:
+                self._defer(item, target, deferrals,
+                            f"move would empty shard {sid}'s bank")
+                return False
 
         # From here the move commits: freeze first so no refresh can
         # slip between the value read above and the hand-off below.
         cluster.freeze_item(item)
         cluster.set_migration_degraded({
-            name: updated[name].query.qab * MIGRATION_WIDEN_FACTOR
-            for name in affected
+            name: new_dec.query.qab * MIGRATION_WIDEN_FACTOR
+            for name, new_dec in updated.items()
         })
 
-        # Hand the item to its new owner, then edit the live banks to
-        # match the post-move decomposition (sub-budgets always sum to
-        # the query's B — soundness holds through the whole window).
-        edited: Set[int] = set()
-        for name in affected:
-            old_dec = cluster.decomposition.decompositions[name]
-            new_dec = updated[name]
-            for sid in sorted(set(old_dec.sub_queries) | set(new_dec.sub_queries)):
-                if not self._is_live(sid):
-                    continue
-                old_sub = old_dec.sub_queries.get(sid)
-                new_sub = new_dec.sub_queries.get(sid)
-                if old_sub == new_sub:
-                    continue
-                server = cluster.shards[sid]
-                if old_sub is not None:
-                    server.core.remove_query(name)
-                if new_sub is not None:
-                    for needed in new_sub.variables:
-                        if needed in server.core.cache:
-                            continue
-                        held = cluster.item_to_source.get(needed)
-                        floor = (owner_server.last_seq.get(needed, 0)
-                                 if needed == item else
-                                 cluster._seq_floors.get(needed, 0))
-                        donor = value if needed == item else None
-                        if donor is None:
-                            for other in cluster._item_shards.get(needed, ()):
-                                if self._is_live(other):
-                                    donor = cluster.shards[other].core.cache.get(needed)
-                                    if donor is not None:
-                                        break
-                        server.adopt_item(needed, float(donor or 0.0),
-                                          source_id=held, seq_floor=floor)
-                    server.core.add_query(new_sub)
-                edited.add(sid)
+        # Move the re-homed queries, whole: per shard, arrivals (adopting
+        # the items the new home does not read yet) before departures.
+        adopted: Dict[int, List[str]] = {}
+        for sid in edited:
+            server = cluster.shards[sid]
+            for name in arriving.get(sid, ()):
+                query = updated[name].query
+                for needed in query.variables:
+                    if needed in server.core.cache:
+                        continue
+                    held = cluster.item_to_source.get(needed)
+                    floor = (owner_server.last_seq.get(needed, 0)
+                             if needed == item else
+                             cluster._seq_floors.get(needed, 0))
+                    donor = value if needed == item else None
+                    if donor is None:
+                        for other in cluster._item_shards.get(needed, ()):
+                            if self._is_live(other):
+                                donor = cluster.shards[other].core.cache.get(needed)
+                                if donor is not None:
+                                    break
+                    server.adopt_item(needed, float(donor or 0.0),
+                                      source_id=held, seq_floor=floor)
+                    if held is not None and needed != item:
+                        adopted.setdefault(held, []).append(needed)
+                server.core.add_query(query)
+            for name in leaving.get(sid, ()):
+                server.core.remove_query(name)
 
         self._current = {
             "item": item, "from": owner, "to": target,
             "new_map": new_map, "updated": updated,
-            "affected": list(affected), "edited_shards": sorted(edited),
+            "affected": sorted(updated), "rehomed": rehomed,
+            "edited_shards": edited, "adopted": adopted,
             "deferrals": deferrals,
             "started_at": started_at, "started_wall": started_wall,
         }
@@ -278,10 +313,21 @@ class ShardMigrator:
         item = state["item"]
         new_map = state["new_map"]
 
+        rehomed = state["rehomed"]
         cluster.apply_cutover(new_map, state["updated"])
+        cluster.announce_rehomed({
+            name: cluster.shards[new_home].core.last_user_values[name]
+            for name, (_, new_home) in rehomed.items()})
         for sid in sorted(cluster.shards):
             if self._is_live(sid):
                 cluster.shards[sid].advance_map_epoch(new_map.epoch)
+
+        # A query that moved home took its reads with it: its ex-home
+        # may have stopped reading any of its items, not only the moved
+        # one.  Dropped before the re-registrations below re-vote.
+        for stale in sorted({item}.union(*(
+                state["updated"][name].query.variables for name in rehomed))):
+            cluster.drop_stale_votes(stale)
 
         # The move may have created brand-new (shard, source) needs, or
         # extended existing registrations; re-open the impersonated
@@ -293,8 +339,12 @@ class ShardMigrator:
             for source_id, items in sorted(
                     cluster._sources_for_shard(sid).items()):
                 await cluster._open_upstream(sid, source_id, items)
+        # Refreshes routed during the window never reached a new home
+        # for the items it adopted at freeze; fresh values are the cure
+        # (same as a restored shard's reattachment).
+        for source_id, items in sorted(state["adopted"].items()):
+            await cluster._forward_probe(source_id, sorted(set(items)))
 
-        cluster.drop_stale_votes(item)
         flushed = await cluster.unfreeze_item(item)
         cluster.clear_migration_degraded(state["affected"])
 
@@ -305,6 +355,7 @@ class ShardMigrator:
             "outcome": "completed",
             "epoch": new_map.epoch,
             "queries": list(state["affected"]),
+            "rehomed": sorted(rehomed),
             "deferrals": state["deferrals"],
             "flushed_refreshes": flushed,
             "migration_steps": self.clock() - state["started_at"],

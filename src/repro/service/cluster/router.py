@@ -15,14 +15,13 @@ before stamping ``map_epoch``).  No shard knows it is clustered; no
 source or subscriber knows there is more than one coordinator.  The
 pieces:
 
-**Item routing.**  Items are partitioned by the stable CRC32 hash of
-:mod:`repro.service.cluster.routing`.  A query's terms are grouped by
-home shard (:mod:`repro.filters.shard_budget`) and each home shard runs
-the sub-query under the paper's ``B/k`` Half-and-Half budget.  An item
-referenced by a sub-query homed elsewhere is *mirrored*: the router
-forwards its refreshes to every shard whose bank reads it, so the
-forwarding table is ``items_needed`` (owner ∪ mirrors), not bare
-ownership.
+**Placement and item routing.**  Items are partitioned by the stable
+CRC32 hash of :mod:`repro.service.cluster.routing`; every query lives
+whole, at its full budget ``B``, on one *home shard* drawn from the
+shards that own its items (:mod:`repro.filters.shard_budget`).  An item
+read by a query homed elsewhere is *mirrored*: the router forwards its
+refreshes to every shard whose bank reads it, so the forwarding table is
+``items_needed`` (owner ∪ mirrors), not bare ownership.
 
 **Source impersonation.**  For every (shard, source) pair the router
 holds an in-process link registered *as that source* for the items the
@@ -33,28 +32,34 @@ streams.
 
 **DAB min-merge.**  Each shard programs primary DABs for *its* view of
 an item.  The router takes the min bound across shards — the only
-window every shard's guarantee survives — and forwards it to the real
-source under its own per-item epoch counter, bumped only on material
-change (the core's 1e-9 relative tolerance).  Toward real sources the
+window every shard's guarantee survives, and, with every query planned
+whole on its home, exactly the paper's EQI (Section IV): the minimum
+over the queries that read the item, the bound one coordinator would
+have programmed — and forwards it to the real source under its own
+per-item epoch counter, bumped only on material change (the core's 1e-9
+relative tolerance).  Toward real sources the
 router runs the same acked/retried delivery as a lone server
 (:mod:`repro.service.frontend`); toward shards it acks instantly (the
 in-process hop is lossless), so when delivery to a source is given up
 on, the router marks the items suspect on the shards that read them.
 
-**Partial recombination.**  One wildcard subscription per shard feeds a
-last-partial table ``{query: {shard: value}}``; a shard NOTIFY
-recombines its queries by summing home-shard partials in sorted shard
-order and fans the full values to downstream subscribers through the
-shared bounded-queue/slow-consumer-eviction subscriber plane.  Soundness is
-the ``B/k`` triangle inequality; a query homed on a single shard passes
-that shard's value through bit-identically.  SNAPSHOT requests gather a
-*fresh* snapshot from every shard (error ≤ Σ B/k = B) rather than
-serving possibly-stale partials.
+**Pass-through.**  One wildcard subscription per shard feeds a
+last-served table ``{query: {shard: value}}``; a shard NOTIFY passes its
+home's value through :func:`~repro.filters.shard_budget.recombine`
+bit-identically and fans it to downstream subscribers through the shared
+bounded-queue/slow-consumer-eviction subscriber plane — so subscribers
+are pushed to when the *query* moves by ``B``, as on one coordinator.
+The table stays keyed by shard because failover and a re-homing cutover
+need "the last value *this* shard served", and an ex-home's value must
+never be served.  SNAPSHOT requests gather a *fresh* snapshot from every
+shard (error ≤ ``B``) rather than serving the last pushed values, which
+may trail by another ``B``.
 
 **Degraded honesty.**  Shards keep their own staleness leases; the
 router forwards heartbeats and probe traffic, and merges per-shard
-degraded maps: a query is degraded iff any home shard flags it, with
-the honestly-widened total ``Σ_s (widened_s or B/k)`` over home shards.
+degraded maps: a query is degraded iff its home shard flags it (with the
+home's honestly-widened bound), its home is suspected by the failure
+detector, or one of its items is mid-migration.
 """
 
 from __future__ import annotations
@@ -99,8 +104,8 @@ SNAPSHOT_GATHER_TIMEOUT = 5.0
 #: subscriptions (brokers' upstreams) on the wire.
 SHARD_TRUNK_QUEUE_LIMIT = TRUNK_QUEUE_LIMIT
 
-#: How much a *suspected* (unresponsive, not yet failed-over) shard's
-#: ``B/k`` sub-budget is widened in the merged degraded map.  While a
+#: How much the budget of a query homed on a *suspected* (unresponsive,
+#: not yet failed-over) shard is widened in the merged degraded map.  While a
 #: shard is silent the router cannot see its widened lease bounds, so it
 #: substitutes this documented heuristic — the same honesty contract as
 #: the lease machinery's drift widening: served answers carry a bound
@@ -159,7 +164,7 @@ class _ShardTrunk(ServiceClient):
             # which is how a re-subscribe heals the staleness of a trunk
             # drop; gather replies never overwrite NOTIFY-fed partials.
             for name, value in (message.get("values") or {}).items():
-                if name in cluster._home_shards:
+                if self.sid in cluster._home_shards.get(name, ()):
                     cluster._partials.setdefault(name, {})[self.sid] = (
                         float(value))
         if message.get("degraded") is not None:
@@ -206,8 +211,8 @@ class ClusterCoordinator(FrontEnd):
         self._home_shards: Dict[str, Tuple[int, ...]] = {
             name: dec.home_shards
             for name, dec in decomposition.decompositions.items()}
-        self._sub_qab: Dict[str, Dict[int, float]] = {
-            name: {sid: dec.sub_qab(sid) for sid in dec.home_shards}
+        self._qab: Dict[str, float] = {
+            name: dec.query.qab
             for name, dec in decomposition.decompositions.items()}
         item_shards: Dict[str, List[int]] = {}
         for sid, items in decomposition.items_needed.items():
@@ -306,8 +311,13 @@ class ClusterCoordinator(FrontEnd):
     @property
     def suspect_since(self) -> Dict[str, float]:
         merged: Dict[str, float] = {}
-        for srv in self.shards.values():
+        for sid, srv in self.shards.items():
             for item, since in srv.suspect_since.items():
+                if sid not in self._item_shards.get(item, ()):
+                    # A query that moved home left this item behind in
+                    # its ex-home's cache; nothing there reads it and
+                    # nothing is routed to it, so its lease means nothing.
+                    continue
                 held = merged.get(item)
                 merged[item] = since if held is None else min(held, since)
         return merged
@@ -558,7 +568,10 @@ class ClusterCoordinator(FrontEnd):
                             stream, protocol.dab_ack(source_id, int(msg_id)))
                     changed = self._merge_shard_bounds(sid, message)
                     await self._push_changed_bounds(changed)
-                    probe = message.get("probe")
+                    # (Not for items a moved query left behind in this
+                    # shard's cache: the answer would never be routed here.)
+                    probe = [item for item in message.get("probe") or ()
+                             if sid in self._item_shards.get(item, ())]
                     if probe:
                         await self._forward_probe(source_id, probe)
                 elif kind is MessageType.ERROR:
@@ -585,13 +598,12 @@ class ClusterCoordinator(FrontEnd):
                                      for name, bound in degraded.items()}
 
     def _merged_degraded(self) -> Dict[str, float]:
-        """A query is degraded iff any home shard flags it — or is
-        *suspected* by the failure detector, or holds an item mid-
-        migration.  The honest total bound sums each home shard's
-        contribution: its widened lease bound when flagged, its ``B/k``
-        sub-budget times :data:`SUSPECT_WIDEN_FACTOR` while suspected
-        (the shard is silent, so its own widening is unobservable), and
-        its full ``B/k`` otherwise."""
+        """A query is degraded iff its home shard flags it — or is
+        *suspected* by the failure detector — or one of its items is
+        mid-migration.  The honest bound is the home's widened lease
+        bound when flagged, and the query's budget times
+        :data:`SUSPECT_WIDEN_FACTOR` while the home is suspected (the
+        shard is silent, so its own widening is unobservable)."""
         suspects = self._suspect_shards
         if (not suspects and not self._migration_degraded
                 and not any(self._shard_degraded.values())):
@@ -600,35 +612,22 @@ class ClusterCoordinator(FrontEnd):
             # on every trunk NOTIFY.
             return {}
         merged: Dict[str, float] = {}
-        for name, home in self._home_shards.items():
-            flagged = [sid for sid in home
-                       if sid in suspects
-                       or name in self._shard_degraded.get(sid, {})]
-            if not flagged:
+        for name, (home,) in self._home_shards.items():
+            if home in suspects:
+                merged[name] = self._qab[name] * SUSPECT_WIDEN_FACTOR
                 continue
-            total = 0.0
-            for sid in home:
-                if sid in suspects:
-                    total += self._sub_qab[name][sid] * SUSPECT_WIDEN_FACTOR
-                    continue
-                shard_map = self._shard_degraded.get(sid, {})
-                total += shard_map.get(name, self._sub_qab[name][sid])
-            merged[name] = total
+            widened = self._shard_degraded.get(home, {}).get(name)
+            if widened is not None:
+                merged[name] = widened
         for name, bound in self._migration_degraded.items():
             merged[name] = max(merged.get(name, 0.0), bound)
         return merged
 
     def _recombined_value(self, name: str) -> Optional[float]:
+        # The table only ever holds the home's entry: both writers admit
+        # nothing else and a cutover deletes an ex-home's.
         partials = self._partials.get(name)
-        if not partials:
-            return None
-        home = self._home_shards.get(name)
-        if home is None:
-            return None
-        available = {sid: partials[sid] for sid in home if sid in partials}
-        if not available:
-            return None
-        return recombine(available)
+        return recombine(partials) if partials else None
 
     def _on_shard_notify(self, sid: int, message: Dict[str, Any]) -> None:
         self.stats["partial_notifies"] += 1
@@ -638,7 +637,10 @@ class ClusterCoordinator(FrontEnd):
         changed: List[str] = []
         for update in message.get("updates") or []:
             name = update.get("query")
-            if name not in self._home_shards:
+            if sid not in self._home_shards.get(name, ()):
+                # Only a query's home speaks for it: mid-migration the
+                # incoming home already runs the query, and its value is
+                # adopted at cutover (:meth:`announce_rehomed`), not before.
                 continue
             self._partials.setdefault(name, {})[sid] = float(update["value"])
             changed.append(name)
@@ -666,14 +668,13 @@ class ClusterCoordinator(FrontEnd):
     async def _gather_snapshot(self) -> Tuple[Dict[str, float],
                                               Dict[str, float],
                                               Dict[int, Dict[str, Any]]]:
-        """Fresh per-shard snapshots, recombined.
+        """Every query's value from a fresh snapshot of its home shard.
 
-        Each shard's snapshot serves its sub-queries within ``B/k``, so
-        the summed values are within ``B`` — serving the last NOTIFY
-        partials instead would stack partial staleness on top of the
-        filtering error and break the budget.  A shard that cannot
-        answer (mid-failover) falls back to its last partials and is
-        counted."""
+        A shard's snapshot serves its queries within ``B`` — serving the
+        last NOTIFY values instead would stack up to another ``B`` of
+        push staleness on top of the filtering error and break the
+        budget.  A shard that cannot answer (mid-failover) falls back to
+        its last pushed values and is counted."""
         self.stats["snapshot_gathers"] += 1
         # No live trunk (mid-failover, or re-subscribing): the shard
         # serves its stale partials below — as does one whose reply is
@@ -738,7 +739,7 @@ class ClusterCoordinator(FrontEnd):
         if item in self._frozen_items:
             # Mid-migration: buffer instead of routing — neither the old
             # nor the new owner may apply this value until the hand-off
-            # commits (double-ownership would break the B/k budgets).
+            # commits (two owners could accept diverging seq floors).
             # Flushed under the new map at cutover.
             self._frozen_items[item].append(dict(message))
             self.stats["refreshes_frozen"] += 1
@@ -815,19 +816,17 @@ class ClusterCoordinator(FrontEnd):
     def apply_cutover(self, new_map: ShardMap,
                       updated: Mapping[str, Any]) -> None:
         """Commit one migration step's routing flip: adopt the new shard
-        map (bumping :attr:`map_epoch`), swap the re-decomposed queries
-        into the bank decomposition, and rebuild the routing tables that
+        map (bumping :attr:`map_epoch`), swap the re-placed queries into
+        the bank decomposition, and rebuild the routing tables that
         depend on them.  Pure dict work — no solves, no I/O."""
         self.shard_map = new_map
         self.decomposition = self.decomposition.replace(updated)
         for name, dec in updated.items():
             self._home_shards[name] = dec.home_shards
-            self._sub_qab[name] = {sid: dec.sub_qab(sid)
-                                   for sid in dec.home_shards}
             partials = self._partials.get(name)
             if partials:
-                # An ex-home shard's last partial must not survive into
-                # recombination under the new homes.
+                # An ex-home's last value must never be served under the
+                # new home; :meth:`announce_rehomed` seeds its successor.
                 for sid in [s for s in partials if s not in dec.sub_queries]:
                     del partials[sid]
         item_shards: Dict[str, List[int]] = {}
@@ -837,13 +836,29 @@ class ClusterCoordinator(FrontEnd):
         self._item_shards = {item: tuple(sorted(sids))
                              for item, sids in item_shards.items()}
 
+    def announce_rehomed(self, values: Mapping[str, float]) -> None:
+        """After a cutover that re-homed queries: adopt each one's value
+        at its new home — the baseline that home measures its next
+        NOTIFY against — as the served value, and push it once.  Without
+        this the table has no entry until the new home next NOTIFYs,
+        while subscribers still hold the ex-home's last value, which the
+        new home never saw: a drift of ``B`` from *its* baseline could
+        leave them ``B`` further out than the push contract allows."""
+        announced = []
+        for name, value in sorted(values.items()):
+            (home,) = self._home_shards[name]
+            self._partials[name] = {home: float(value)}
+            announced.append((name, float(value)))
+        if announced:
+            self._fanout_notifications(announced, None)
+
     def drop_stale_votes(self, item: str) -> None:
         """Forget DAB votes from shards that no longer read *item*.
 
         A leftover vote keeps the min-merge artificially tight — sound
         (sources just filter harder than needed) but it would never be
-        refreshed, so the effective bound could stay pinned to a dead
-        sub-query's plan forever."""
+        refreshed, so the effective bound could stay pinned to the plan
+        of a query that has since moved home."""
         keep = set(self._item_shards.get(item, ()))
         votes = self._shard_bounds.get(item)
         if not votes:
@@ -889,7 +904,9 @@ class ClusterCoordinator(FrontEnd):
         stats["cluster"] = True
         stats["shard_count"] = self.shard_map.shards
         stats["active_shards"] = list(self.decomposition.active_shards)
-        stats["cross_shard_queries"] = len(self.decomposition.cross_shard)
+        stats["queries_per_shard"] = {
+            str(sid): count
+            for sid, count in self.decomposition.queries_per_shard.items()}
         stats["mirrored_items"] = {
             str(sid): len(items)
             for sid, items in self.decomposition.mirrored_items.items()}

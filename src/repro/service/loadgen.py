@@ -20,9 +20,9 @@ The report is returned and, when ``output`` is given, written as JSON —
 
 Three targets: ``host``/``port`` drive a live ``repro serve`` process
 over TCP; ``shards > 0`` builds an in-process cluster — agents register
-with the *router*, oblivious to sharding, and the recombined values are
-audited at the full per-query budget ``B``, the end-to-end check of the
-cross-shard ``B/k`` decomposition — with the subscribers and the auditor
+with the *router*, oblivious to sharding, and the served values are
+audited at the per-query budget ``B``, the end-to-end check of query
+placement and item mirroring — with the subscribers and the auditor
 behind a ``brokers``-wide fan-out tier if asked; otherwise one in-process
 server.  In process everything rides ``connect_loopback()`` links — same
 protocol messages, no sockets, no bytes.
@@ -94,7 +94,7 @@ async def _run_async(
     ])
     elapsed = _time.perf_counter() - started
 
-    # Let in-flight partials recombine and notifies drain before auditing.
+    # Let in-flight shard notifies and user notifies drain before auditing.
     await asyncio.sleep(0.05 if not over_tcp else 0.2)
 
     auditor = ServiceClient(await _subscriber_attach())
@@ -139,7 +139,9 @@ async def _run_async(
         report.update({
             "shards": node.shard_map.shards,
             "active_shards": list(decomposition.active_shards),
-            "cross_shard_queries": len(decomposition.cross_shard),
+            "queries_per_shard": {
+                str(sid): count for sid, count
+                in decomposition.queries_per_shard.items()},
             "mirrored_items": sum(len(items) for items
                                   in decomposition.mirrored_items.values()),
             "brokers": brokers,
@@ -184,7 +186,7 @@ def run_loadgen(
     and driven over TCP; otherwise the target is built in process — with
     ``shards > 0`` a cluster (``journal_dir`` journals its shards), whose
     report also carries ``shards``, ``active_shards``,
-    ``cross_shard_queries``, ``mirrored_items``, ``brokers`` and
+    ``queries_per_shard``, ``mirrored_items``, ``brokers`` and
     ``broker_stats``.
     """
     trace_length = max(trace_length or 0, duration + 2)

@@ -16,10 +16,10 @@ audit is the paper's Theorem 1 extended to a lossy world:
 * a query either answers within its QAB, **or**
 * it is honestly flagged in the snapshot's ``degraded`` map with a
   widened bound (the PR 1 lease semantics) — and then the widened bound
-  is expected to cover the truth too (tracked, non-fatal, because the
-  drift model is a heuristic).
+  must cover the truth.
 
-Anything else is an **unexcused QAB violation** and fails the soak.
+Anything else — an **unexcused QAB violation**, or a flagged answer
+outside its widened bound — fails the soak.
 
 **Determinism.** The whole run is driven on a logical step clock: the
 server's ``clock`` is the step counter, heartbeats and lease/retry
@@ -142,24 +142,39 @@ def named_schedule(name: str, seed: int = 1) -> Tuple[FaultSchedule, int]:
 
 
 def _plan_reshard_moves(cluster: Any, count: int = 2) -> Dict[str, int]:
-    """Deterministic migration plan for the ``reshard`` soak: the first
-    *count* items (sorted) each move to the active shard after their
-    current owner in rotation — guaranteed real moves, same plan for the
-    same seed/scenario."""
+    """Deterministic migration plan for the ``reshard`` soak: *count*
+    items, in the order they are to run, each moving to the active shard
+    after its current owner in rotation — guaranteed real moves, same
+    plan for the same seed/scenario.  Each pick is the first item by
+    name whose move, *after the picks before it*, re-homes at least one
+    query — that is the path worth soaking — and the first item by name
+    when none does (at two shards the hub items usually put both shards
+    in every spread, so nothing re-homes)."""
+    from repro.service.cluster.migration import plan_move
+
     active = list(cluster.decomposition.active_shards)
+    decomposition, shard_map = cluster.decomposition, cluster.shard_map
     moves: Dict[str, int] = {}
     if len(active) < 2:
         return moves
-    for item in sorted(cluster._item_shards):
-        owner = cluster.shard_map.shard_of(item)
-        if owner not in active:
-            continue
-        target = active[(active.index(owner) + 1) % len(active)]
-        if target == owner:
-            continue
-        moves[item] = target
-        if len(moves) >= count:
+    for _ in range(count):
+        pick = None
+        for item in sorted(cluster._item_shards):
+            owner = shard_map.shard_of(item)
+            if item in moves or owner not in active:
+                continue
+            target = active[(active.index(owner) + 1) % len(active)]
+            new_map, updated, rehomed = plan_move(
+                decomposition, shard_map, item, target)
+            if pick is None or rehomed:
+                pick = (item, target, new_map, updated)
+            if rehomed:
+                break
+        if pick is None:
             break
+        item, target, shard_map, updated = pick
+        moves[item] = target
+        decomposition = decomposition.replace(updated)
     return moves
 
 
@@ -546,8 +561,9 @@ def run_chaos_soak(
     then fail over one *shard* at a time (rotating), restored from its
     own journal, while agents and the auditor stay attached to the
     router.  The run **fails** (``report["passed"] is False``) on any
-    unexcused QAB violation, or if the degraded map has not drained by
-    the end of the recovery tail.
+    unexcused QAB violation, on any degraded-flagged answer outside its
+    widened bound, if a migration was abandoned or left unfinished, or
+    if the degraded map has not drained by the end of the recovery tail.
     """
     if isinstance(schedule, str):
         schedule_name = schedule
@@ -627,7 +643,10 @@ def run_chaos_soak(
             async def step_hook(step: int) -> Dict[str, Any]:
                 result: Dict[str, Any] = {"fault": False, "restarts": []}
                 if step == _RESHARD_MIGRATE_STEP:
-                    migrator.start(_plan_reshard_moves(cluster))
+                    # One start() per move: the plan's order matters
+                    # (a batch is queued by item name).
+                    for item, target in _plan_reshard_moves(cluster).items():
+                        migrator.start({item: target})
                 record = await migrator.tick()
                 if record is not None:
                     # Cutover: the map epoch bumped and buffered
@@ -683,7 +702,8 @@ def run_chaos_soak(
     if shards > 1:
         report["shards"] = shards
         report["active_shards"] = list(cluster.decomposition.active_shards)
-        report["cross_shard_queries"] = len(cluster.decomposition.cross_shard)
+        report["queries_per_shard"] = report["server_stats"][
+            "queries_per_shard"]
         if reshard:
             completed = [r for r in migrator.records
                          if r.get("outcome") == "completed"]
@@ -696,6 +716,7 @@ def run_chaos_soak(
                 "moves_requested": migrator.stats["moves_requested"],
                 "moves_completed": migrator.stats["moves_completed"],
                 "moves_abandoned": migrator.stats["moves_abandoned"],
+                "queries_rehomed": sum(len(r["rehomed"]) for r in completed),
                 "deferrals": migrator.stats["deferrals"],
                 "flushed_refreshes": sum(
                     r.get("flushed_refreshes", 0) for r in completed),
@@ -733,6 +754,7 @@ def run_chaos_soak(
         report["coordinator_recovery"]["kill_steps"] = sorted(
             int(s) for s in kill_steps)
     report["passed"] = (report["qab_violations_unexcused"] == 0
+                        and report["degraded_bound_exceeded"] == 0
                         and not report["final_degraded_queries"]
                         and migrated)
     if output:

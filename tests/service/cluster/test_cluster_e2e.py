@@ -28,8 +28,13 @@ class TestClusterAudit:
             shards=shards, sources=4, queries=20, items=16, duration=15,
             subscribers=2, seed=1)
         assert report["qab_violations"] == 0
-        # The scenario must actually exercise the B/k machinery.
-        assert report["cross_shard_queries"] > 0
+        # The scenario must actually exercise placement and mirroring:
+        # every shard homes queries, and some read items they don't own.
+        assert sorted(map(int, report["queries_per_shard"])) == list(
+            range(shards))
+        assert all(count >= 1
+                   for count in report["queries_per_shard"].values())
+        assert report["mirrored_items"] > 0
         assert len(report["active_shards"]) > 1
         assert report["refreshes_sent"] > 0
 
@@ -38,6 +43,50 @@ class TestClusterAudit:
             shards=2, sources=4, queries=10, items=16, duration=10,
             subscribers=1, seed=2)
         assert report["qab_violations"] == 0
+
+
+class TestSingleCoordinatorPrice:
+    """The cluster pays one coordinator's message cost at every k — by
+    count, not by stopwatch."""
+
+    @pytest.mark.parametrize("queries", [20, 100])
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_sources_are_programmed_with_one_coordinators_bounds(
+            self, shards, queries):
+        # Every query is planned whole on its home, so the router's
+        # min-merge across shards is EQI's per-item minimum: the bounds
+        # a lone coordinator over the same bank merges for itself.
+        from repro.filters.assignment import merge_primary
+
+        scenario = dict(query_count=queries, item_count=40, source_count=8,
+                        trace_length=5, seed=0)
+        server, _, _ = build_scenario_server(**scenario)
+        expected = merge_primary(server.core.plans.values())
+        cluster, _, _ = build_scenario_cluster(shards=shards, **scenario)
+
+        async def body():
+            await cluster.start()
+            programmed = dict(cluster._effective_bounds)
+            await cluster.close()
+            await server.close()
+            return programmed
+
+        programmed = run(body())
+        assert programmed.keys() == expected.keys()
+        for item, bound in expected.items():
+            assert programmed[item] == pytest.approx(bound, rel=1e-9, abs=0.0)
+
+    def test_refreshes_sent_do_not_grow_with_the_shard_count(self):
+        # Same bounds at the sources -> the same refreshes leave them,
+        # however many shards sit behind the router.
+        sent = {
+            shards: run_loadgen(
+                shards=shards, sources=8, queries=100, items=40,
+                duration=30, subscribers=1, seed=0)["refreshes_sent"]
+            for shards in (1, 2, 4)}
+        assert sent[1] > 0
+        for shards in (2, 4):
+            assert abs(sent[shards] - sent[1]) <= 0.01 * sent[1], sent
 
 
 class TestSingleShardBitIdentity:
@@ -223,8 +272,8 @@ class TestClusterStats:
             assert set(stats["shards"]) <= {"0", "1"}
             for sid, shard_stats in stats["shards"].items():
                 assert shard_stats["shard_id"] == int(sid)
-            assert stats["cross_shard_queries"] == len(
-                cluster.decomposition.cross_shard)
+            assert sum(stats["queries_per_shard"].values()) == len(
+                scenario.queries)
             await cluster.close()
 
         run(body())

@@ -360,7 +360,8 @@ class TestFrameCountGate:
             own_decodes += len(received)
             kinds = [message["type"] for message in received]
             assert kinds[0] == MessageType.SNAPSHOT.value
-            assert kinds.count(MessageType.NOTIFY.value) > 5
+            # (Whole-query thresholds: a NOTIFY when a query moves by B.)
+            assert kinds.count(MessageType.NOTIFY.value) >= 5
             assert counts["encode"] - own_encodes == len(received)
             assert counts["decode"] - own_decodes == 1
 

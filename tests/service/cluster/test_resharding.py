@@ -227,3 +227,198 @@ class TestLiveMigration:
             await cluster.close()
 
         run(body())
+
+
+# ---------------------------------------------------------------------------
+# A move that re-homes whole queries
+# ---------------------------------------------------------------------------
+
+#: ShardMap(3) owns x1, x12 on shard 0; x3, x4, x5, x8 (…) on shard 1;
+#: x0, x10 (…) on shard 2.  Moving x1 to shard 1 takes shard 0 out of
+#: the spread of every query whose only shard-0 item is x1.
+MOVED, TARGET = "x1", 1
+
+
+def _homed(text, prefix, before, after):
+    """The first ``<prefix><n>`` that the placement rule homes on shard
+    *before* under the plain map and on *after* once MOVED lives on
+    TARGET — placement hashes the query's *name*."""
+    import itertools
+
+    from repro.filters.shard_budget import decompose_query
+    from repro.queries import parse_query
+
+    old = ShardMap(3)
+    new = old.rebalance({MOVED: TARGET})
+    for n in itertools.count():
+        query = parse_query(text, name=f"{prefix}{n}")
+        if (decompose_query(query, old.shard_of).home_shards == (before,)
+                and decompose_query(query, new.shard_of).home_shards
+                == (after,)):
+            return query
+
+
+def _custom_cluster(queries):
+    """A 3-shard cluster over a hand-built bank, on the scenario's items,
+    traces and planner stack."""
+    from repro.filters.shard_budget import decompose_bank
+    from repro.service.cluster.router import ClusterCoordinator
+    from repro.service.server import _scenario_planning
+
+    scenario, _, make_server, item_to_source = _scenario_planning(
+        SCENARIO["query_count"], SCENARIO["item_count"],
+        SCENARIO["source_count"], SCENARIO["trace_length"], SCENARIO["seed"],
+        "dual_dab", 5.0, "portfolio", True, "full", "flat")
+    shard_map = ShardMap(3)
+    assert shard_map.partition(["x0", "x1", "x10", "x12", "x3", "x4", "x5",
+                                "x8"]) == {
+        0: ["x1", "x12"], 1: ["x3", "x4", "x5", "x8"], 2: ["x0", "x10"]}
+    decomposition = decompose_bank(queries, shard_map.shard_of)
+    cluster = ClusterCoordinator(
+        shards={sid: make_server(decomposition.sub_queries_for[sid],
+                                 decomposition.items_needed[sid],
+                                 shard_id=sid)
+                for sid in decomposition.active_shards},
+        decomposition=decomposition, shard_map=shard_map,
+        item_to_source=item_to_source, queries=queries)
+    return cluster, scenario, item_to_source
+
+
+class TestRehomingMigration:
+    """One item move that changes the home of two queries at once."""
+
+    def _bank(self, anchor):
+        from repro.queries import parse_query
+
+        # Both read x1 as their only shard-0 item and are homed there;
+        # the second also reads x0 (shard 2), which shard 1 reads through
+        # no other query — its new home has to adopt it.
+        leaving = [_homed("x1*x3 : 150", "alpha", before=0, after=1),
+                   _homed("x1*x4 + 2 x0 : 300", "beta", before=0, after=1)]
+        bank = leaving + [parse_query("x5*x8 : 400", name="stays1"),
+                          parse_query("x0*x10 : 800", name="stays2")]
+        if anchor:
+            # Something to keep shard 0's bank non-empty after the move.
+            bank.append(parse_query("3 x12 : 10", name="anchor"))
+        return [q.name for q in leaving], bank
+
+    def test_a_move_that_would_empty_a_shard_is_deferred_untouched(self):
+        leaving, bank = self._bank(anchor=False)
+        cluster, _, _ = _custom_cluster(bank)
+        migrator = ShardMigrator(cluster)
+
+        async def body():
+            await cluster.start()
+            assert cluster.decomposition.queries_per_shard[0] == 2
+            banks = {sid: [q.name for q in server.core.queries]
+                     for sid, server in cluster.shards.items()}
+            assert migrator.start({MOVED: TARGET}) == 1
+            assert await migrator.tick() is None
+            # Deferred *before* anything was touched: nothing frozen,
+            # nothing flagged, no bank edited, the move still queued.
+            assert migrator.stats["deferrals"] == 1
+            assert migrator.stats["moves_completed"] == 0
+            assert MOVED not in cluster._frozen_items
+            assert not cluster._migration_degraded
+            assert migrator._current is None and migrator.active
+            assert {sid: [q.name for q in server.core.queries]
+                    for sid, server in cluster.shards.items()} == banks
+            assert cluster.map_epoch == 0
+            await cluster.close()
+
+        run(body())
+
+    def test_rehomed_queries_are_announced_and_keep_their_push_contract(self):
+        from repro.service.agent import agents_for_scenario
+
+        leaving, bank = self._bank(anchor=True)
+        cluster, scenario, item_to_source = _custom_cluster(bank)
+        migrator = ShardMigrator(cluster)
+        by_name = {q.name: q for q in bank}
+
+        async def body():
+            await cluster.start()
+            agents = agents_for_scenario(scenario, item_to_source)
+            for agent in agents.values():
+                await agent.connect(cluster.connect_loopback())
+            client = ServiceClient(cluster.connect_loopback())
+            await client.subscribe("*")
+
+            async def walk(steps):
+                for step in steps:
+                    for agent in agents.values():
+                        await agent.tick({item: scenario.traces[item].at(step)
+                                          for item in agent.items})
+                    await _drain(20)
+
+            def truth(name):
+                live = {}
+                for agent in agents.values():
+                    live.update(agent.values)
+                return by_name[name].evaluate(live)
+
+            await walk(range(1, 6))
+            assert cluster.decomposition.home_shards(leaving[0]) == (0,)
+            assert "x0" not in cluster.shards[TARGET].core.cache
+
+            assert migrator.start({MOVED: TARGET}) == 1
+            await migrator.tick()                          # FREEZE
+            assert MOVED in cluster._frozen_items
+            for name in leaving:
+                # Moved whole, at the full budget, arrivals first.
+                assert name not in cluster.shards[0].core.query_names
+                moved = next(q for q in cluster.shards[TARGET].core.queries
+                             if q.name == name)
+                assert moved is by_name[name]
+            assert [q.name for q in cluster.shards[0].core.queries] == [
+                "anchor"]
+            await walk([6, 7])            # x0 moves while shard 1 is deaf to it
+            record = await migrator.tick()                 # CUTOVER
+            await _drain(20)
+            assert record["outcome"] == "completed"
+            assert record["rehomed"] == sorted(leaving)
+            assert not cluster._frozen_items
+            assert not cluster._migration_degraded
+
+            new_home = cluster.shards[TARGET].core
+            for name in leaving:
+                assert cluster.decomposition.home_shards(name) == (TARGET,)
+                # The ex-home's value is gone from the table, the new
+                # home's is in it, and the subscriber holds exactly the
+                # baseline its new home pushes against.
+                assert set(cluster._partials[name]) == {TARGET}
+                assert client.values[name] == new_home.last_user_values[name]
+                assert abs(client.values[name] - truth(name)) <= (
+                    2 * by_name[name].qab)
+            # The item the new home adopted at freeze was probed for at
+            # cutover: what it holds is the source's live value, not the
+            # donor's copy from two steps ago.
+            x0_source = agents[item_to_source["x0"]]
+            assert cluster.stats["probes_forwarded"] >= 1
+            assert new_home.cache["x0"] == x0_source.values["x0"]
+
+            # A drift past B at the new home reaches the subscriber.
+            name = leaving[0]
+            held, seen = client.values[name], client.notifies_received
+            x3_source = agents[item_to_source["x3"]]
+            await x3_source.tick({"x3": x3_source.values["x3"] * 1.5})
+            await _drain(20)
+            assert abs(truth(name) - held) > by_name[name].qab
+            assert client.notifies_received > seen
+            assert client.values[name] != held
+            assert abs(client.values[name] - truth(name)) <= by_name[name].qab
+
+            # And the push contract holds along a walk under the new map.
+            for step in range(8, 30):
+                await walk([step])
+                for query in bank:
+                    assert abs(client.values[query.name]
+                               - truth(query.name)) <= (
+                        2 * query.qab * (1.0 + 1e-9)), (step, query.name)
+
+            await client.close()
+            for agent in agents.values():
+                await agent.close()
+            await cluster.close()
+
+        run(body())

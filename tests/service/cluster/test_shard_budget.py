@@ -1,4 +1,6 @@
-"""Cross-shard B/k budget decomposition: soundness and identity cases."""
+"""Query placement (one home per query): soundness and identity cases."""
+
+from hashlib import blake2b
 
 import pytest
 
@@ -7,7 +9,6 @@ from repro.filters.shard_budget import (
     decompose_bank,
     decompose_query,
     recombine,
-    term_home_shard,
 )
 from repro.queries import parse_query
 from repro.service.cluster.routing import ShardMap
@@ -21,6 +22,15 @@ def shard_of_4(item):
     return ShardMap(4).shard_of(item)
 
 
+def expected_home(query, shard_of):
+    """The placement rule, spelled out: rendezvous over the spread by
+    BLAKE2b of ``name NUL shard`` (placement hashes the *name*, so every
+    query whose home is asserted is parsed with an explicit one)."""
+    spread = sorted({shard_of(v) for v in query.variables})
+    return max(spread, key=lambda s: blake2b(
+        f"{query.name}\0{s}".encode(), digest_size=8).digest())
+
+
 class TestDecomposeQuery:
     def test_single_home_shard_keeps_original_object(self):
         # x0..x3 all co-hash to shard 1 at two shards: the query must NOT
@@ -28,21 +38,25 @@ class TestDecomposeQuery:
         # (same terms, same full budget B) — the bit-identity guarantee.
         query = parse_query("x0*x1 + 2 x2*x3 : 5")
         dec = decompose_query(query, shard_of_2)
-        assert not dec.is_cross_shard
+        assert len(dec.home_shards) == 1
         assert dec.home_shards == (1,)
         assert dec.sub_queries[1] is query
         assert dec.sub_qab(1) == query.qab
 
     def test_cross_shard_split_budgets_sum_to_qab(self):
-        query = parse_query("x0*x1 + x2*x3 + x15*x1 : 6")
+        # A query whose items span several shards still gets ONE home,
+        # inside its spread, running the original object — so the budget
+        # summed over its home shards is B, undivided.
+        query = parse_query("x0*x1 + x2*x3 + x15*x1 : 6", name="spanning")
+        spread = {shard_of_4(v) for v in query.variables}
+        assert len(spread) > 1
         dec = decompose_query(query, shard_of_4)
-        assert dec.is_cross_shard
-        k = len(dec.home_shards)
-        assert k > 1
+        (home,) = dec.home_shards
+        assert home in spread
+        assert home == expected_home(query, shard_of_4)
+        assert dec.sub_queries[home] is query
         total = sum(dec.sub_qab(s) for s in dec.home_shards)
-        assert total == pytest.approx(query.qab)
-        for shard in dec.home_shards:
-            assert dec.sub_qab(shard) == pytest.approx(query.qab / k)
+        assert total == query.qab
 
     def test_sub_queries_keep_the_original_name(self):
         query = parse_query("x0*x1 + x2*x3 + x15*x1 : 6")
@@ -58,19 +72,17 @@ class TestDecomposeQuery:
                  for shard, sub in dec.sub_queries.items()}
         assert recombine(parts) == pytest.approx(query.evaluate(values))
 
-    def test_term_home_is_first_variable_owner(self):
-        query = parse_query("x2*x15 : 1")
-        term = query.terms[0]
-        assert term_home_shard(term, shard_of_4) == shard_of_4(
-            min(term.variables))
-
     def test_mirrored_items_are_foreign_reads(self):
-        # x0*x1 homes where min('x0','x1')='x0' lives (shard 1 of 4); x1
-        # lives on shard 3, so shard 1 must mirror x1.
-        query = parse_query("x0*x1 : 2")
+        # x0 lives on shard 1 of 4 and x1 on shard 3: whichever of the
+        # two the name picks as home must mirror the other's item.
+        query = parse_query("x0*x1 : 2", name="pair")
+        owners = {"x0": shard_of_4("x0"), "x1": shard_of_4("x1")}
+        assert owners == {"x0": 1, "x1": 3}
         dec = decompose_query(query, shard_of_4)
-        assert dec.home_shards == (1,)
-        assert dec.mirrored == {1: ("x1",)}
+        home = expected_home(query, shard_of_4)
+        assert dec.home_shards == (home,)
+        foreign = tuple(v for v in ("x0", "x1") if owners[v] != home)
+        assert dec.mirrored == {home: foreign}
 
 
 class TestDecomposeBank:
@@ -97,9 +109,13 @@ class TestDecomposeBank:
             decompose_bank([one, clash], shard_of_4)
 
     def test_shards_of_item_includes_mirrors(self):
-        bank = decompose_bank([parse_query("x0*x1 : 2")], shard_of_4)
-        # x1 is owned by shard 3 but mirrored to home shard 1.
-        assert 1 in bank.shards_of_item("x1")
+        query = parse_query("x0*x1 : 2", name="pair")
+        bank = decompose_bank([query], shard_of_4)
+        # One of x0 (shard 1) / x1 (shard 3) is foreign to the home and
+        # mirrored there: the home reads both.
+        home = expected_home(query, shard_of_4)
+        assert bank.shards_of_item("x0") == (home,)
+        assert bank.shards_of_item("x1") == (home,)
 
 
 class TestRecombine:

@@ -175,6 +175,47 @@ class TestReconnectRetry:
         run(check())
 
 
+    def test_a_corrupted_registration_frame_is_retried_not_fatal(self):
+        # One flipped bit in the REGISTER_SOURCE frame: the node answers
+        # ERROR("corrupt framing") and hangs up.  That is a lost
+        # connection, so the bounded retry dials again and succeeds.
+        from repro.service.agent import agents_for_scenario
+        from repro.service.chaos import (
+            FaultInjector,
+            FaultSchedule,
+            chaos_stream,
+        )
+        from repro.service.server import build_scenario_server
+
+        async def check():
+            server, scenario, item_to_source = build_scenario_server(
+                query_count=4, item_count=20, source_count=2,
+                trace_length=5, seed=3)
+            agent = agents_for_scenario(scenario, item_to_source)[0]
+            injector = FaultInjector(FaultSchedule(corrupt_rate=0.999999))
+            dials = []
+
+            async def dial():
+                dials.append(1)
+                # Only the first dial's client->server frames are hit.
+                injector.enabled = len(dials) == 1
+                client_end, server_end = loopback_pair()
+                chaos_stream(client_end, injector, "src->coord")
+                server.adopt_connection(server_end)
+                return client_end
+
+            await agent._reconnect(
+                dial, RetryPolicy(base_delay=0.0, max_attempts=3))
+            assert len(dials) == 2
+            assert injector.counts["corrupt"] == 1
+            assert agent.stats["registrations_failsafe"] == 0
+            assert set(agent.bounds) == set(agent.items)
+            await agent.close()
+            await server.close()
+
+        run(check())
+
+
 class TestClientDegraded:
     def test_degraded_map_is_replaced_not_merged(self):
         client_end, _ = loopback_pair()

@@ -59,6 +59,36 @@ class TestSoakRun:
         assert report["qab_violations_excused_degraded"] == 0
         assert report["recovery_episodes"] == 0
 
+    def test_heavy_profile_survives_a_corrupted_registration(self):
+        # Seed 7 corrupts a REGISTER_SOURCE frame; the rejected
+        # registration used to escape every retry policy and abort the
+        # whole soak with a ProtocolError.
+        report = run_chaos_soak(schedule="heavy", seed=7)
+        assert report["fault_counts"]["corrupt"] > 0
+        assert report["passed"] is True
+        assert report["qab_violations_unexcused"] == 0
+        assert report["degraded_bound_exceeded"] == 0
+        assert report["connect_give_ups"] == 0
+
+    def test_an_exceeded_widened_bound_fails_the_run(self, monkeypatch):
+        # A degraded-flagged answer outside its widened bound is a wrong
+        # answer the system vouched for: recorded AND fatal.
+        import repro.service.soak as soak
+
+        real = soak.check_served
+
+        def one_exceedance(truth, served, degraded, queries):
+            broken, flagged, exceeded = real(truth, served, degraded, queries)
+            name = queries[0].name
+            return broken, flagged, exceeded + [
+                {"query": name, "error": 2.0, "widened_bound": 1.0}]
+
+        monkeypatch.setattr(soak, "check_served", one_exceedance)
+        report = run_chaos_soak(schedule=FaultSchedule(), steps=6, **SMALL)
+        assert report["qab_violations_unexcused"] == 0
+        assert report["degraded_bound_exceeded"] == report["audits"]
+        assert report["passed"] is False
+
     def test_recovery_section_present_without_a_journal(self):
         report = run_chaos_soak(schedule="smoke", **SMALL)
         assert report["coordinator_recovery"] == {"kills": 0}
