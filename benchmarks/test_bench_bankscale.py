@@ -1,31 +1,38 @@
-"""Query-bank scaling: shared-structure index vs the flat per-item path.
+"""Query-bank scaling: shared-structure index vs the flat term-product table.
 
 The ISSUE 8 tentpole claim, measured directly at the index layer: with
 the number of *distinct monomial structures* fixed (100, the realistic
 subscriber regime — many users watch few aggregate shapes), per-tick
 refresh cost under the shared index stays roughly flat from 10^3 to 10^6
-queries, while the flat path — one
-:class:`~repro.queries.compiled.CompiledQueryBank` evaluation over every
-affected query, exactly what ``CoordinatorCore._react`` does per refresh
-in flat mode — grows linearly with bank size.
+queries, while the flat path — one per-item read of the
+:class:`~repro.queries.compiled.CompiledQueryBank`, exactly what
+``CoordinatorCore._movers_flat`` does per refresh in flat mode — grows
+linearly with the number of queries reading the refreshed item (it
+re-multiplies the terms containing the item, then sums every affected
+query's row).
 
 Each sweep point runs the same pinned random walk through both paths and
 reports two phases:
 
 * **quiet** (±0.2 % ticks): the monitoring steady state where the QAB
   suppresses almost every notification — pure screening cost; the
-  sublinearity gate and the headline per-query speedup gate (>=10x at
-  10^5, measured ~28x) apply here.
+  sublinearity gate applies here.
 * **active** (±0.5 % ticks): enough drift that members actually cross
   their QABs — the mover sets must be *identical* between paths (the
-  at-scale equivalence check); the speedup floor here is a margined
-  5x (measured 8-12x across runs: mover evaluation is shared work
-  both paths must do, so the ratio is noisier than the quiet phase).
+  at-scale equivalence check).
 
-The flat path is measured up to ``FLAT_MAX`` (10^5) only: its per-item
-sub-bank construction alone is O(bank) and the 10^6 point would spend
-minutes building state the shared index exists to avoid — the skip is
-logged in the JSON (``"flat": null``), not silent.
+The shared/flat *ratio* is recorded (``speedup``) but its ISSUE 8 floors
+(>=10x quiet / >=5x active at 10^5, >=3x at 3*10^4) are gone: they were
+measured against a flat path that re-multiplied every term of every
+affected query, and lost their denominator when it stopped (ISSUE 19:
+flat is 3-4x faster at these sizes, the shared index unchanged).  What
+they protected is gated on absolutes instead — neither path's per-tick
+cost may exceed its committed value.
+
+The flat path is measured up to ``FLAT_MAX`` (10^5) only: it compiles one
+``CompiledPolynomial`` per query (~1 KB and ~20 us each), so the 10^6
+point would spend a gigabyte on state the shared index exists to avoid —
+the skip is logged in the JSON (``"flat": null``), not silent.
 
 Results land in ``benchmarks/results/BENCH_bankscale.json``; the
 committed copy is the regression baseline for the CI smoke gate
@@ -64,6 +71,13 @@ FLAT_MAX = 100_000
 FULL_POINTS = (1_000, 10_000, 30_000, 100_000, 1_000_000)
 SMOKE_POINTS = (1_000, 30_000)
 
+#: How much slower than the committed baseline a per-tick cost may read
+#: before it counts as a regression.  Wide on purpose: the same code on
+#: the same shared host read 226, 300 and 680 us per quiet shared tick at
+#: 10^3 in three sweeps of one afternoon; what the gate is for — a path
+#: that has gone back to O(bank) work — costs 4-30x.
+MACHINE_MARGIN = 3.0
+
 #: Per-tick multiplicative wiggle for the two walk phases.
 QUIET_WIGGLE = 0.002
 ACTIVE_WIGGLE = 0.005
@@ -101,18 +115,22 @@ def _run_shared(bank, table, values0, walks, n, qab):
     return phases
 
 
-def _run_flat(flat_queries, table, values0, walks, n, qab, bank):
-    """The flat coordinator's per-refresh idiom: one pre-built per-item
-    sub-bank evaluation plus a vectorized QAB compare."""
+def _run_flat(flat_queries, table, values0, walks, n, qab, shared):
+    """The flat coordinator's per-refresh idiom, on the evaluator it
+    ships (``CoordinatorCore._movers_flat``): one bank over every query,
+    a write that marks the item, one per-item read that re-multiplies the
+    terms containing it, and a vectorized QAB compare.  The build covers
+    what the core pays before its first refresh: compiling the queries,
+    stacking the bank, the first multiplication of the whole table and
+    the walked items' index entries."""
     values = dict(values0)
     pvec = table.vector(values)
-    last_user = bank.values_all(pvec, n)
+    last_user = shared.values_all(pvec, n)
     started = time.perf_counter()
-    sub_banks = {item: CompiledQueryBank(
-        [CompiledPolynomial(q, table) for _, q in entries])
-        for item, entries in flat_queries.items()}
-    indices = {item: np.array([i for i, _ in entries], dtype=np.intp)
-               for item, entries in flat_queries.items()}
+    bank = CompiledQueryBank(
+        [CompiledPolynomial(query, table) for query in flat_queries])
+    for item, _ in walks[0]:
+        bank.values_vector(pvec, item)
     build_seconds = time.perf_counter() - started
     phases = []
     for walk in walks:
@@ -120,9 +138,9 @@ def _run_flat(flat_queries, table, values0, walks, n, qab, bank):
         started = time.perf_counter()
         for item, factor in walk:
             values[item] *= factor
-            table.update(pvec, item, values[item])
-            sub = sub_banks[item].values_vector(pvec)
-            idx = indices[item]
+            bank.write(pvec, item, values[item])
+            sub = bank.values_vector(pvec, item)
+            idx = bank.affected(item)
             moved = np.abs(sub - last_user[idx]) > qab[idx]
             if moved.any():
                 movers += int(moved.sum())
@@ -143,16 +161,14 @@ def _measure_point(n):
     # (item, factor) sequences drive both paths.
     walk_items = registry.names[:3] + registry.names[-2:]
     flat_enabled = n <= FLAT_MAX
-    flat_queries = {item: [] for item in walk_items}
+    flat_queries = []
     started = time.perf_counter()
     for i, query in enumerate(iter_template_bank(registry, values0, n,
                                                  DISTINCT, seed=7)):
         bank.add_query(query, i)
         qab[i] = query.qab
         if flat_enabled:
-            for item in walk_items:
-                if item in query.variables:
-                    flat_queries[item].append((i, query))
+            flat_queries.append(query)
     build_seconds = time.perf_counter() - started
     walks = [_walk(walk_items, QUIET_WIGGLE, seed=5),
              _walk(walk_items, ACTIVE_WIGGLE, seed=6)]
@@ -192,8 +208,8 @@ def _measure_point(n):
     entry["flat"] = ({"build_seconds": round(flat_build, 3)}
                      if flat_enabled else None)
     if not flat_enabled:
-        print(f"n={n}: flat path skipped (O(bank) sub-bank build beyond "
-              f"FLAT_MAX={FLAT_MAX}); shared-only point")
+        print(f"n={n}: flat path skipped (one CompiledPolynomial per "
+              f"query beyond FLAT_MAX={FLAT_MAX}); shared-only point")
     return entry
 
 
@@ -254,42 +270,27 @@ def test_per_tick_cost_sublinear_in_bank_size(benchmark, bankscale):
     assert slope < 0.5, f"shared per-tick cost not sublinear: slope {slope:.3f}"
 
 
-def test_speedup_floors(benchmark, bankscale):
-    """ISSUE 8 acceptance: >=10x per-query speedup at 10^5 vs flat —
-    carried by the quiet monitoring steady state (measured ~28x); the
-    active phase keeps a margined 5x floor (measured 8-12x across
-    runs).  The smoke point keeps a conservative floor for CI
-    machines."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    points = bankscale["points"]
-    if "100000" in points:
-        assert points["100000"]["quiet"]["speedup"] >= 10.0
-        assert points["100000"]["active"]["speedup"] >= 5.0
-    smoke = points.get("30000")
-    if smoke is not None:
-        assert smoke["active"]["speedup"] >= 3.0
-
-
 def test_no_regression_vs_committed(benchmark, bankscale):
-    """CI gate: the measured smoke speedup must stay within 2x of the
-    committed baseline."""
+    """CI gate, on absolutes: at every measured point with a committed
+    entry, neither path's per-tick cost may exceed its committed value
+    by more than ``MACHINE_MARGIN`` (a shared CI machine against the one
+    the baseline was recorded on).  Replaces the shared/flat ratio floors
+    — see the module docstring."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     gated = False
     for key, entry in bankscale["points"].items():
         committed = bankscale["baseline"].get(key)
-        if not committed or entry["flat"] is None:
+        if not committed:
             continue
-        if committed.get("flat") is None or "speedup" not in committed.get(
-                "active", {}):
-            continue
-        if committed["active"]["speedup"] < 1.0:
-            # Tiny banks legitimately favour the flat path; ratios of
-            # two ~100us timings are too noisy to gate on.
-            continue
-        assert entry["active"]["speedup"] >= committed["active"]["speedup"] / 2.0, (
-            f"bank-scale speedup regressed at n={key}: measured "
-            f"{entry['active']['speedup']:.2f}x vs committed "
-            f"{committed['active']['speedup']:.2f}x")
-        gated = True
+        for phase in ("quiet", "active"):
+            for path in ("shared_us_per_tick", "flat_us_per_tick"):
+                before = committed.get(phase, {}).get(path)
+                if before is None or path not in entry[phase]:
+                    continue
+                assert entry[phase][path] <= before * MACHINE_MARGIN, (
+                    f"bank-scale {phase} {path} regressed at n={key}: "
+                    f"measured {entry[phase][path]:.1f} vs committed "
+                    f"{before:.1f}")
+                gated = True
     if not gated:
         pytest.skip("no committed baseline yet")

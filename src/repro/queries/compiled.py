@@ -29,7 +29,14 @@ the golden metrics exactly.  Three empirical facts shape the design:
   no-op.
 * ``np.sum`` uses pairwise summation which diverges from the sequential
   ``sum()`` of the scalar path from 8 terms on; final sums are therefore
-  sequential Python loops.
+  sequential — a Python loop, a column-by-column ``+=``, or
+  ``np.add.accumulate``, whose ``r[i] = r[i-1] + a[i]`` is the scalar
+  chain by definition.
+
+:class:`CompiledQueryBank` adds a fourth rule on top of the three: it
+*keeps* its term products between evaluations and re-multiplies only the
+terms that read a written item, so it is exact only while every write to
+the power vector goes through it (``write`` marks, every read flushes).
 """
 
 from __future__ import annotations
@@ -132,12 +139,16 @@ class CompiledPolynomial:
             for j, (name, exponent) in enumerate(term.key):
                 self._gather[i, j] = self.table.slot(name, exponent)
 
+    def products(self, pvec: np.ndarray) -> np.ndarray:
+        """The term products, in term order, from a power vector of this
+        object's table."""
+        self._factors[:, 1:] = pvec[self._gather]
+        return np.multiply.reduce(self._factors, axis=1)
+
     def evaluate_vector(self, pvec: np.ndarray) -> float:
         """Query value from a power vector of this object's table."""
-        self._factors[:, 1:] = pvec[self._gather]
-        products = np.multiply.reduce(self._factors, axis=1)
         total = 0.0
-        for value in products.tolist():
+        for value in self.products(pvec).tolist():
             total += value
         return total
 
@@ -165,89 +176,261 @@ class CompiledPolynomial:
 
 
 class CompiledQueryBank:
-    """Many compiled queries stacked into one gather/reduce evaluation.
+    """The flat evaluator: every query's term products, kept.
 
-    The coordinator touches several queries per refresh (and every query
-    per fidelity sample); evaluating them one ``evaluate_vector`` at a time
-    pays numpy's per-call overhead dozens of times per event.  The bank
-    concatenates all queries' term rows — padded to a common width with the
-    sentinel slot, a bitwise no-op — so one gather plus one
-    ``multiply.reduce`` yields every term product; per-query values are
-    then sequential Python sums over each query's row slice, reproducing
-    ``query.evaluate`` bitwise (same chain of IEEE adds from ``0.0``).
+    A refresh moves one item, and a hub item sits in one of a query's six
+    or seven terms; re-multiplying every term of every query that reads
+    it does six times the work the refresh caused.  The bank therefore
+    *materialises* the first-order views — the per-term products — in a
+    persistent ``(query, 1 + term position)`` table and lets a write
+    touch only the cells that read the written item (the DBToaster
+    discipline, PAPERS.md):
+
+    * **The table.**  Cell ``[q, 1 + k]`` holds the product of query
+      ``q``'s ``k``-th term, computed by the same left-to-right
+      ``multiply.reduce`` over ``[weight, power, power, ..., 1.0, ...]``
+      as :meth:`CompiledPolynomial.evaluate_vector`, so it is bitwise
+      that term's scalar product.  Column 0 and every cell past a query's
+      last term hold ``+0.0`` forever.  The gather slots and weights
+      behind the cells are stacked in the same ``(query, position)``
+      layout, padded with the sentinel slot and weight ``0.0``.
+    * **The item index.**  ``item -> (gather slots, factor buffer, table
+      cells, bank positions)`` over exactly the terms that contain the
+      item, derived from the gather slots on the item's first use and
+      again after a membership edit that touched it.  Readers are kept in
+      registration order, which is the order
+      ``CoordinatorCore.item_index`` lists them in and notifications are
+      raised in.
+    * **Writes mark, reads flush.**  A materialised product is valid only
+      while the bank sees every write to the power vector it was
+      multiplied from: :meth:`write` is the one way to move an item, and
+      it only *marks* the item; every read — :meth:`values_vector` for
+      one item or for the whole bank — first re-multiplies the cells of
+      the marked items.  A read from a different vector object recomputes
+      the whole table unless the vector is a grown copy of the last one
+      (new slots appended, old ones unchanged — what registering a query
+      with a new ``(item, exponent)`` pair produces).
+    * **Sums.**  A query's value is the strictly sequential row sum
+      ``np.add.accumulate(row)[-1]``: from the zero column it runs the
+      scalar chain ``((0.0 + p0) + p1) ...`` (so a ``-0.0`` first product
+      still sums to ``+0.0``), and the trailing pad cells add ``+0.0`` —
+      a bitwise no-op, since a running IEEE sum that starts at ``+0.0``
+      can never become ``-0.0``.  Never ``np.sum``/``np.add.reduce``:
+      pairwise from 8 addends.
+    * **Membership.**  :meth:`add_query` fills the next row (growing the
+      arrays by doubling, and by a column for a query with more terms
+      than any before); :meth:`remove_query` moves the last query's row
+      into the hole, mirroring ``CoordinatorCore.queries``' swap-remove.
+      Both touch the index entries of that query's items only.
     """
 
-    __slots__ = ("table", "_gather", "_factors", "_slices",
-                 "_scatter_rows", "_scatter_cols", "_matrix")
+    __slots__ = ("table", "_members", "_position", "_gather", "_weights",
+                 "_matrix", "_readers", "_entries", "_dirty", "_seen")
 
     def __init__(self, compiled: Sequence[CompiledPolynomial]):
         if not compiled:
             raise ValueError("a query bank needs at least one compiled query")
-        table = compiled[0].table
+        self.table = compiled[0].table
+        #: Bank position -> member, and back.
+        self._members: List[CompiledPolynomial] = []
+        self._position: Dict[CompiledPolynomial, int] = {}
+        self._gather = np.zeros((0, 0, 0), dtype=np.intp)
+        self._weights = np.zeros((0, 0))
+        self._matrix = np.zeros((0, 1))
+        #: item -> the members reading it, in registration order (a dict
+        #: for its O(1) removal).
+        self._readers: Dict[str, Dict[CompiledPolynomial, None]] = {}
+        #: item -> compiled index entry (see :meth:`_entry`).
+        self._entries: Dict[str, Tuple[np.ndarray, ...]] = {}
+        #: Items written since their cells were last multiplied.
+        self._dirty: set = set()
+        #: The power vector the table was multiplied from.
+        self._seen: Optional[np.ndarray] = None
+        self._reserve(len(compiled),
+                      max(one._gather.shape[0] for one in compiled),
+                      max(one._gather.shape[1] for one in compiled))
         for one in compiled:
-            if one.table is not table:
-                raise ValueError("bank queries must share one power table")
-        self.table = table
-        width = max(one._gather.shape[1] for one in compiled)
-        rows = sum(one._gather.shape[0] for one in compiled)
-        self._gather = np.zeros((rows, width), dtype=np.intp)
-        self._factors = np.ones((rows, width + 1))
-        self._slices: List[Tuple[int, int]] = []
-        start = 0
-        for one in compiled:
-            n, w = one._gather.shape
-            self._gather[start:start + n, :w] = one._gather
-            self._factors[start:start + n, 0] = one._factors[:, 0]
-            self._slices.append((start, start + n))
-            start += n
-        # Scatter map for values_vector(): term row -> (query, position).
-        # Padding cells of the matrix stay 0.0 forever — every non-pad cell
-        # is overwritten on each scatter, so the buffer can be reused.
-        depth = max(stop - begin for begin, stop in self._slices)
-        self._scatter_rows = np.zeros(rows, dtype=np.intp)
-        self._scatter_cols = np.zeros(rows, dtype=np.intp)
-        for q, (begin, stop) in enumerate(self._slices):
-            self._scatter_rows[begin:stop] = q
-            self._scatter_cols[begin:stop] = np.arange(stop - begin)
-        self._matrix = np.zeros((len(self._slices), depth))
+            self._append(one)
 
-    def products(self, pvec: np.ndarray) -> List[float]:
-        """All queries' term products at once (input to :meth:`value_of`)."""
-        self._factors[:, 1:] = pvec[self._gather]
-        return np.multiply.reduce(self._factors, axis=1).tolist()
+    def __len__(self) -> int:
+        return len(self._members)
 
-    def value_of(self, index: int, products: List[float]) -> float:
+    # -- membership --------------------------------------------------------------
+
+    def _reserve(self, size: int, depth: int, width: int) -> None:
+        """Room for ``size`` queries of ``depth`` terms of ``width``
+        factors; fresh cells are padding (sentinel slot, ``0.0``)."""
+        capacity, deep, wide = self._gather.shape
+        if size <= capacity and depth <= deep and width <= wide:
+            return
+        if size > capacity:
+            capacity = max(size, 2 * capacity)
+        deep, wide = max(deep, depth), max(wide, width)
+        live = len(self._members)
+        for attr, shape in (("_gather", (capacity, deep, wide)),
+                            ("_weights", (capacity, deep)),
+                            ("_matrix", (capacity, deep + 1))):
+            old = getattr(self, attr)
+            grown = np.zeros(shape, dtype=old.dtype)
+            grown[(slice(live),) + tuple(slice(n) for n in old.shape[1:])] = \
+                old[:live]
+            setattr(self, attr, grown)
+        # Index entries address table cells by flat offset.
+        self._entries.clear()
+
+    def _append(self, one: CompiledPolynomial) -> int:
+        if one.table is not self.table:
+            raise ValueError("bank queries must share one power table")
+        position = len(self._members)
+        depth, width = one._gather.shape
+        self._reserve(position + 1, depth, width)
+        self._gather[position, :depth, :width] = one._gather
+        self._weights[position, :depth] = one._factors[:, 0]
+        self._members.append(one)
+        self._position[one] = position
+        for name in one.query.variables:
+            self._readers.setdefault(name, {})[one] = None
+            self._entries.pop(name, None)
+        return position
+
+    def add_query(self, one: CompiledPolynomial, pvec: np.ndarray) -> None:
+        """Append ``one`` at position ``len(bank)``; ``pvec`` must already
+        cover the slots its compilation registered."""
+        self._flush(pvec)
+        position = self._append(one)
+        self._matrix[position, 1:1 + len(one.query.terms)] = \
+            one.products(pvec)
+
+    def remove_query(self, position: int) -> None:
+        """Swap-remove: the last query takes ``position``."""
+        last = len(self._members) - 1
+        gone = self._members[position]
+        moved = self._members[last]
+        touched = set(gone.query.variables)
+        for name in gone.query.variables:
+            readers = self._readers[name]
+            del readers[gone]
+            if not readers:
+                del self._readers[name]
+        del self._position[gone]
+        if position != last:
+            self._members[position] = moved
+            self._position[moved] = position
+            touched.update(moved.query.variables)
+            for array in (self._gather, self._weights, self._matrix):
+                array[position] = array[last]
+        self._members.pop()
+        for array in (self._gather, self._weights, self._matrix):
+            array[last] = 0
+        for name in touched:
+            self._entries.pop(name, None)
+
+    # -- the item index ----------------------------------------------------------
+
+    def _entry(self, item: str) -> Tuple[np.ndarray, ...]:
+        """``item``'s index entry ``(gather, powers, factors, cells,
+        positions)`` over the terms containing it, one *column* per term:
+        their gather slots; the factor buffer, weights in row 0 and
+        ``powers`` the view of the rows below it (so
+        ``multiply.reduce(axis=0)`` runs each column's ``((w * p1) * p2)
+        ...`` chain); the flat offsets of the table cells those terms own;
+        and the bank positions of the queries reading the item."""
+        entry = self._entries.get(item)
+        if entry is None:
+            position = self._position
+            positions = np.array(
+                [position[one] for one in self._readers.get(item, ())],
+                dtype=np.intp)
+            # Which (reader, term) cells gather one of the item's slots.
+            reads = np.isin(self._gather[positions],
+                            self.table.slots_of(item)).any(axis=2)
+            which, terms = np.nonzero(reads)
+            rows = positions[which]
+            gather = np.ascontiguousarray(self._gather[rows, terms].T)
+            factors = np.ones((gather.shape[0] + 1, gather.shape[1]))
+            factors[0] = self._weights[rows, terms]
+            cells = rows * self._matrix.shape[1] + terms + 1
+            entry = self._entries[item] = (gather, factors[1:], factors,
+                                           cells, positions)
+        return entry
+
+    def affected(self, item: str) -> np.ndarray:
+        """Bank positions of the queries reading ``item``, in registration
+        order — what ``values_vector(pvec, item)`` is aligned with."""
+        return self._entry(item)[4]
+
+    # -- writes and reads --------------------------------------------------------
+
+    def write(self, pvec: np.ndarray, item: str, value: float) -> None:
+        """Move ``item`` to ``value`` in ``pvec``.  O(its slots): the cells
+        reading it are only marked, and multiplied at the next read."""
+        self.table.update(pvec, item, value)
+        self._dirty.add(item)
+
+    def _multiply_all(self, pvec: np.ndarray) -> np.ndarray:
+        """Every cell's product, multiplied afresh: ``(query, position)``.
+        A pad cell comes out ``0.0 * 1.0 * ... = +0.0``."""
+        live = len(self._members)
+        gather = self._gather[:live]
+        factors = np.empty(gather.shape[:2] + (gather.shape[2] + 1,))
+        factors[:, :, 0] = self._weights[:live]
+        factors[:, :, 1:] = pvec[gather]
+        return np.multiply.reduce(factors, axis=2)
+
+    def _flush(self, pvec: np.ndarray) -> None:
+        """Make the table the products of ``pvec``."""
+        if pvec is not self._seen:
+            seen, self._seen = self._seen, pvec
+            if seen is None or not np.array_equal(pvec[:seen.shape[0]], seen):
+                self._matrix[:len(self._members), 1:] = \
+                    self._multiply_all(pvec)
+                self._dirty.clear()
+                return
+        if self._dirty:
+            matrix = self._matrix
+            for item in self._dirty:
+                gather, powers, factors, cells, _ = self._entry(item)
+                # ``take``/``put`` rather than fancy indexing: a third of
+                # the per-call cost, which is what a 40-term flush is made
+                # of.  ``clip`` only skips ``take``'s defensive copy — every
+                # slot was range-checked against this vector when the
+                # table was multiplied from it or the query was added.
+                pvec.take(gather, out=powers, mode="clip")
+                matrix.put(cells, np.multiply.reduce(factors, axis=0))
+            self._dirty.clear()
+
+    def values_vector(self, pvec: np.ndarray,
+                      item: Optional[str] = None) -> np.ndarray:
+        """Query values at ``pvec``, bitwise ``query.evaluate``: of every
+        query in bank order, or — given ``item`` — of the queries reading
+        it, aligned with :meth:`affected`.  Multiplies only what was
+        written since the last read."""
+        self._flush(pvec)
+        if item is None:
+            cells = self._matrix[:len(self._members)]
+        else:
+            cells = self._matrix.take(self._entry(item)[4], axis=0)
+        return np.add.accumulate(cells, axis=1)[:, -1]
+
+    # -- the stateless reference (tests compare the table against it) ------------
+
+    def products(self, pvec: np.ndarray) -> List[List[float]]:
+        """All queries' term products, multiplied afresh from ``pvec``
+        (input to :meth:`value_of`); the table is neither read nor
+        written."""
+        return self._multiply_all(pvec).tolist()
+
+    def value_of(self, index: int, products: List[List[float]]) -> float:
         """Query ``index``'s value from a :meth:`products` result."""
-        start, stop = self._slices[index]
         total = 0.0
-        for j in range(start, stop):
-            total += products[j]
+        for value in products[index][:len(self._members[index].query.terms)]:
+            total += value
         return total
 
     def values(self, pvec: np.ndarray) -> List[float]:
         """Every query's value at the given power vector."""
         products = self.products(pvec)
-        return [self.value_of(i, products) for i in range(len(self._slices))]
-
-    def values_vector(self, pvec: np.ndarray) -> np.ndarray:
-        """Every query's value as one array, bitwise equal to :meth:`values`.
-
-        Term products are scattered into a (query, term-position) matrix and
-        the columns accumulated left to right, so query ``q``'s total runs
-        the same ``((0.0 + p0) + p1) ...`` chain as :meth:`value_of`,
-        followed by trailing ``+ 0.0`` adds over the padding cells.  Those
-        are bitwise no-ops: a running IEEE sum that starts at ``+0.0`` can
-        never become ``-0.0`` (``x + y`` is ``-0.0`` only when both addends
-        are), so ``total + 0.0`` reproduces ``total`` exactly.
-        """
-        self._factors[:, 1:] = pvec[self._gather]
-        products = np.multiply.reduce(self._factors, axis=1)
-        matrix = self._matrix
-        matrix[self._scatter_rows, self._scatter_cols] = products
-        totals = np.zeros(matrix.shape[0])
-        for j in range(matrix.shape[1]):
-            totals += matrix[:, j]
-        return totals
+        return [self.value_of(i, products) for i in range(len(products))]
 
 
 # ---------------------------------------------------------------------------

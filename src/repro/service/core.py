@@ -7,6 +7,14 @@ checks, recomputation through the planner stack (with GP-solver failure
 degradation), per-item DAB epochs, and the merged-bound diffing that
 decides which sources must be told about a plan change.
 
+The flat bank is one persistent table of term products: a refresh
+re-multiplies only the terms that contain the refreshed item, and
+``add_query``/``remove_query`` edit one row of it.  It is exact only while
+it sees every write to the power vector, so the three writers —
+``apply_refresh``, ``adopt_item``, ``restore_cache_value`` — share one
+method, :meth:`CoordinatorCore._write_powers`, and every read of the bank
+flushes what was written since the last one (DESIGN.md §8.1–8.2).
+
 Two runtimes share this class verbatim:
 
 * the discrete-event simulator's
@@ -197,6 +205,10 @@ class CoordinatorCore:
         self._compiled: Dict[str, CompiledPolynomial] = {}
         self._power_table: Optional[PowerTable] = None
         self._power_vector: Optional[np.ndarray] = None
+        #: The flat evaluator (``bank_index="flat"`` only): one persistent
+        #: term-product table, edited in place by :meth:`add_query` /
+        #: :meth:`remove_query` and told of every power-vector write by
+        #: :meth:`_write_powers`.
         self._bank: Optional[CompiledQueryBank] = None
         self._bank_index: Dict[str, int] = {}
         #: item -> ``(lo, hi)``, the per-item safe band (vectorized runs):
@@ -214,10 +226,13 @@ class CoordinatorCore:
         self.window_screen_hits = 0
         self.window_screen_misses = 0
         #: Shared-structure index state (``bank_index="shared"`` only):
-        #: the deduplicating bank and the count of O(bank) recompilations
-        #: (stays 0 on the shared path — the bounded-work guarantee
-        #: QUERY_SUB tests).
+        #: the deduplicating bank.
         self._shared_bank: Optional[SharedStructureBank] = None
+        #: Re-entries of :meth:`_build_vectorized_state` after
+        #: construction — the O(bank) recompilations.  Both bank modes
+        #: edit their structures in place, so nothing increments it; it
+        #: stays as the bounded-work figure the stats plane and the
+        #: QUERY_SUB tests read.
         self.bank_rebuilds = 0
         #: Names added through :meth:`add_query` — persisted in
         #: :meth:`recovery_state` so dynamically-registered queries
@@ -236,13 +251,11 @@ class CoordinatorCore:
                 self.item_index.setdefault(name, []).append(query)
 
         #: Vectorized notification state: per-query QABs and the last
-        #: user-visible values mirrored as arrays (bank order), plus each
-        #: item's affected-query indices, so one masked compare replaces the
-        #: per-query notification loop in ``react_to_refresh``.
+        #: user-visible values mirrored as arrays (bank order, grown by
+        #: doubling), so one masked compare replaces the per-query
+        #: notification loop in ``react_to_refresh``.
         self._qab_arr: Optional[np.ndarray] = None
         self._last_user_arr: Optional[np.ndarray] = None
-        self._affected_idx: Dict[str, np.ndarray] = {}
-        self._item_banks: Dict[str, CompiledQueryBank] = {}
         if self._vectorize:
             self._power_table = PowerTable()
             self._build_vectorized_state()
@@ -251,53 +264,25 @@ class CoordinatorCore:
         self.epochs: Dict[str, int] = {}
 
     def _build_vectorized_state(self) -> None:
-        """(Re)compile the vectorized evaluation structures.
-
-        The flat path rebuilds everything from the current ``queries``
-        list — O(bank), which is fine at construction and is what dynamic
-        membership changes cost without the shared index.  The shared
-        path builds the structure-deduplicating bank instead of the flat
-        per-query/per-item banks; later membership changes append to it
-        incrementally (:meth:`add_query`) and never re-enter this method.
-        """
+        """Compile the vectorized evaluation structures — O(bank), at
+        construction only: membership changes edit them in place
+        (:meth:`add_query`, :meth:`remove_query`) and never re-enter
+        this method, in either bank mode."""
         table = self._power_table
         for query in self.queries:
-            if query.name not in self._compiled:
-                self._compiled[query.name] = CompiledPolynomial(query, table)
+            self._compiled[query.name] = CompiledPolynomial(query, table)
         self._bank_index = {query.name: i
                             for i, query in enumerate(self.queries)}
         if self.bank_index_mode == "shared":
-            if self._shared_bank is None:
-                self._shared_bank = SharedStructureBank(table)
-            for query in self.queries:
-                if query.name not in self._shared_bank:
-                    self._shared_bank.add_query(
-                        query, self._bank_index[query.name])
+            self._shared_bank = SharedStructureBank(table)
+            for position, query in enumerate(self.queries):
+                self._shared_bank.add_query(query, position)
         else:
             self._bank = CompiledQueryBank(
                 [self._compiled[query.name] for query in self.queries])
-            self._affected_idx = {
-                name: np.array([self._bank_index[q.name] for q in affected],
-                               dtype=np.intp)
-                for name, affected in self.item_index.items()
-            }
-            # Per-item sub-banks: a refresh of one item only needs the
-            # values of the queries containing it, so evaluating a bank
-            # restricted to those rows does strictly less work than the
-            # full bank while producing bitwise-identical per-query sums.
-            self._item_banks = {
-                name: CompiledQueryBank(
-                    [self._compiled[q.name] for q in affected])
-                for name, affected in self.item_index.items()
-            }
         self._power_vector = table.vector(self.cache)
         self._qab_arr = np.array([q.qab for q in self.queries], dtype=float)
-        last_user = np.zeros(len(self.queries))
-        for i, query in enumerate(self.queries):
-            seen = self.last_user_values.get(query.name)
-            if seen is not None:
-                last_user[i] = seen
-        self._last_user_arr = last_user
+        self._last_user_arr = np.zeros(len(self.queries))
 
     # -- bootstrap --------------------------------------------------------------------
 
@@ -370,6 +355,19 @@ class CoordinatorCore:
         stats["rebuilds"] = self.bank_rebuilds
         return stats
 
+    def _write_powers(self, item: str) -> None:
+        """``item``'s cached value moved: refresh its power slots.  The
+        one writer of the power vector after construction — a refresh, a
+        hand-off and a replayed value all come through here — because the
+        flat bank's materialised products are only right while it sees
+        every write (it marks ``item``; its next read re-multiplies the
+        terms containing it)."""
+        if self._bank is not None:
+            self._bank.write(self._power_vector, item, self.cache[item])
+        else:
+            self._power_table.update(self._power_vector, item,
+                                     self.cache[item])
+
     def _sync_power_vector(self) -> None:
         """Grow the power vector to cover slots a new template registered
         (values from the current cache — O(new slots), not O(table))."""
@@ -385,8 +383,8 @@ class CoordinatorCore:
         self._power_vector = grown
 
     def _ensure_query_capacity(self, size: int) -> None:
-        """Amortised growth of the per-query arrays (shared adds are
-        O(1) per subscribe, not O(bank))."""
+        """Amortised growth of the per-query arrays (an add is O(1) per
+        subscribe, not O(bank))."""
         if self._qab_arr.shape[0] >= size:
             return
         capacity = max(size, 2 * self._qab_arr.shape[0])
@@ -614,7 +612,7 @@ class CoordinatorCore:
         """
         self.cache[item] = float(value)
         if self._vectorize:
-            self._power_table.update(self._power_vector, item, self.cache[item])
+            self._write_powers(item)
         if self.journal is not None:
             record = {"t": "refresh", "item": item, "value": self.cache[item]}
             if seq is not None:
@@ -640,7 +638,7 @@ class CoordinatorCore:
         if not fresh and self._vectorize:
             # Already-known items (a mirror of a cross-shard term) may
             # have live power-table slots to refresh.
-            self._power_table.update(self._power_vector, item, self.cache[item])
+            self._write_powers(item)
             self._drop_bands_around(item)
         if source_id is not None:
             self.item_to_source[item] = int(source_id)
@@ -723,12 +721,15 @@ class CoordinatorCore:
         return notifications, recomputed
 
     def _movers_flat(self, item: str) -> Tuple[Sequence[int], Sequence[float]]:
-        """One sub-bank evaluation gives every affected query's value, one
+        """One per-item read of the bank gives every affected query's
+        value (re-multiplying only the terms that contain ``item``), one
         masked compare the bank positions (and new values) of the queries
         whose result moved beyond the QAB."""
-        idx = self._affected_idx[item]
-        sub = self._item_banks[item].values_vector(self._power_vector)
-        moved = np.abs(sub - self._last_user_arr[idx]) > self._qab_arr[idx]
+        bank = self._bank
+        sub = bank.values_vector(self._power_vector, item)
+        idx = bank.affected(item)
+        moved = (np.abs(sub - self._last_user_arr.take(idx))
+                 > self._qab_arr.take(idx))
         if not moved.any():
             return (), ()
         return idx[moved].tolist(), sub[moved].tolist()
@@ -760,10 +761,9 @@ class CoordinatorCore:
     def add_query(self, query: PolynomialQuery, plan: bool = True) -> int:
         """Register a query at runtime; returns its bank position.
 
-        Shared-index mode appends in O(template): the structure index,
-        power vector and notification arrays all grow incrementally.
-        Flat mode recompiles the vectorized state — the O(bank) work the
-        shared index exists to avoid, counted in ``bank_rebuilds``.
+        O(query) in both bank modes: the bank (one row of the flat
+        term-product table, or the shared structure index), the power
+        vector and the notification arrays all grow in place.
         ``plan=False`` skips the solve (journal replay installs the
         journaled plan instead).
         """
@@ -784,17 +784,16 @@ class CoordinatorCore:
         # installed, a query without one).
         self._drop_bands(query)
         if self._vectorize:
+            compiled = self._compiled[name] = CompiledPolynomial(
+                query, self._power_table)
+            self._bank_index[name] = position
             if self._shared_bank is not None:
-                self._compiled[name] = CompiledPolynomial(
-                    query, self._power_table)
-                self._bank_index[name] = position
                 self._shared_bank.add_query(query, position)
-                self._sync_power_vector()
-                self._ensure_query_capacity(position + 1)
-                self._qab_arr[position] = query.qab
-            else:
-                self.bank_rebuilds += 1
-                self._build_vectorized_state()
+            self._sync_power_vector()
+            if self._bank is not None:
+                self._bank.add_query(compiled, self._power_vector)
+            self._ensure_query_capacity(position + 1)
+            self._qab_arr[position] = query.qab
         if self.journal is not None:
             from repro.service.protocol import query_to_wire
 
@@ -810,8 +809,8 @@ class CoordinatorCore:
         return position
 
     def remove_query(self, name: str) -> None:
-        """Drop a dynamically-registered query (swap-remove; O(template)
-        in shared mode, an O(bank) recompile in flat mode)."""
+        """Drop a query (swap-remove: the last query takes its bank
+        position; O(query) in both bank modes)."""
         if name not in self.query_names:
             raise SimulationError(f"unknown query {name!r}")
         if len(self.queries) == 1:
@@ -855,14 +854,14 @@ class CoordinatorCore:
             self._compiled.pop(name, None)
             if self._shared_bank is not None:
                 self._shared_bank.remove_query(name)
-                if position != last:
-                    self._bank_index[moved.name] = position
-                    self._shared_bank.set_position(moved.name, position)
-                    self._qab_arr[position] = self._qab_arr[last]
-                    self._last_user_arr[position] = self._last_user_arr[last]
             else:
-                self.bank_rebuilds += 1
-                self._build_vectorized_state()
+                self._bank.remove_query(position)
+            if position != last:
+                self._bank_index[moved.name] = position
+                if self._shared_bank is not None:
+                    self._shared_bank.set_position(moved.name, position)
+                self._qab_arr[position] = self._qab_arr[last]
+                self._last_user_arr[position] = self._last_user_arr[last]
         if self.journal is not None:
             self.journal.append({"t": "qdel", "name": name})
 
@@ -1035,7 +1034,7 @@ class CoordinatorCore:
             return
         self.cache[item] = float(value)
         if self._vectorize:
-            self._power_table.update(self._power_vector, item, self.cache[item])
+            self._write_powers(item)
             self._drop_bands_around(item)
 
     def restore_user_value(self, name: str, value: float) -> None:

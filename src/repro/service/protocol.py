@@ -89,13 +89,6 @@ class MessageType(enum.Enum):
     SNAPSHOT = "snapshot"
     ERROR = "error"
 
-    @classmethod
-    def from_wire(cls, value: object) -> "MessageType":
-        try:
-            return cls(value)
-        except ValueError:
-            raise ProtocolError(f"unknown message type {value!r}")
-
 
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -225,6 +218,17 @@ _OPTIONAL: Dict[MessageType, Dict[str, Callable[[object], bool]]] = {
                             "trunk": lambda v: isinstance(v, bool)},
 }
 
+#: What :func:`validate_message` walks, built once from the two tables
+#: above and keyed by the *wire string*: ``type`` -> ``(kind, required
+#: (name, check) pairs, optional pairs)``.  Every message received pays
+#: this lookup, so it must not cost an ``Enum`` call and two ``Enum``
+#: hashes.
+_CHECKS = {
+    kind.value: (kind, tuple(_REQUIRED[kind].items()),
+                 tuple(_OPTIONAL.get(kind, {}).items()))
+    for kind in MessageType
+}
+
 
 # ---------------------------------------------------------------------------
 # framing
@@ -339,20 +343,25 @@ def validate_message(message: Mapping[str, Any]) -> MessageType:
         raise ProtocolError(
             f"protocol version mismatch: got {version!r}, "
             f"speaking {PROTOCOL_VERSION}")
-    kind = MessageType.from_wire(message.get("type"))
-    required = _REQUIRED[kind]
-    missing = [name for name in required if name not in message]
-    if missing:
-        raise ProtocolError(
-            f"{kind.value} message missing fields: {', '.join(missing)}")
-    for name, well_formed in required.items():
+    wire = message.get("type")
+    try:
+        kind, required, optional = _CHECKS[wire]
+    except (KeyError, TypeError):       # unknown, or not even hashable
+        raise ProtocolError(f"unknown message type {wire!r}")
+    for name, _ in required:
+        if name not in message:
+            missing = [field for field, _ in required
+                       if field not in message]
+            raise ProtocolError(
+                f"{wire} message missing fields: {', '.join(missing)}")
+    for name, well_formed in required:
         if not well_formed(message[name]):
             raise ProtocolError(
-                f"{kind.value} field {name!r} is malformed: {message[name]!r}")
-    for name, well_formed in _OPTIONAL.get(kind, {}).items():
+                f"{wire} field {name!r} is malformed: {message[name]!r}")
+    for name, well_formed in optional:
         if name in message and not well_formed(message[name]):
             raise ProtocolError(
-                f"{kind.value} field {name!r} is malformed: {message[name]!r}")
+                f"{wire} field {name!r} is malformed: {message[name]!r}")
     return kind
 
 

@@ -134,6 +134,10 @@ class TestCompiledQueryBank:
             for index, one in enumerate(compiled):
                 assert bank.value_of(index, products) == \
                     one.evaluate_vector(vector)
+            for item in ITEMS:
+                assert bank.values_vector(vector, item).tolist() == [
+                    compiled[index].evaluate_vector(vector)
+                    for index in bank.affected(item)]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_values_vector_bitwise_equal_to_values(self, seed):
@@ -145,11 +149,20 @@ class TestCompiledQueryBank:
             assert batched.tolist() == listed
             # buffer reuse across calls must not leak padding state
             assert bank.values_vector(vector).tolist() == listed
+            # one item written through the bank, then read alone
+            bank.write(vector, "x2", float(rng.uniform(0.1, 50.0)))
+            listed = bank.values(vector)
+            assert bank.values_vector(vector, "x2").tolist() == [
+                listed[index] for index in bank.affected("x2")]
+            assert bank.values_vector(vector).tolist() == listed
 
     def test_single_query_bank(self):
         _rng, table, compiled, bank = self._bank(3, n_queries=1)
         vector = table.vector({name: 2.5 for name in ITEMS})
         assert bank.values(vector) == [compiled[0].evaluate_vector(vector)]
+        for item in compiled[0].query.variables:
+            assert bank.values_vector(vector, item).tolist() == \
+                bank.values(vector)
 
     def test_empty_bank_rejected(self):
         with pytest.raises(ValueError):
