@@ -1,23 +1,23 @@
-"""Hot-path throughput: vectorized event loop vs the scalar reference.
+"""Hot-path throughput of the simulator's event loop.
 
-Runs the same fig-6-scale workload (the paper sweeps query count at fixed
-item/trace scale, §7.2) twice — ``vectorize=True`` (the default) and the
-``--no-vectorize`` scalar reference — and reports event-loop throughput
+Runs a fig-6-scale workload (the paper sweeps query count at fixed
+item/trace scale, §7.2) and reports event-loop throughput
 (``duration_ticks / loop_seconds``; the setup-time GP solves of
-``initial_plan`` are identical in both paths and excluded).  The two runs
-must produce identical ``SimulationMetrics``: the vectorized path is a
-bitwise-equal reimplementation, not an approximation (DESIGN.md §8).
+``initial_plan`` are excluded).
 
 Results land in ``benchmarks/results/BENCH_hotpath.json``.  The committed
 copy is the regression baseline: CI re-runs the reduced ``smoke`` entry
-(``REPRO_BENCH_HOTPATH=smoke``) and fails when the measured speedup drops
-below half the committed one.  The window-check screen is gated on
-*counts*, which repeat exactly, not on time: metric identity, and the
-share of refreshes the coordinator's per-item safe band answered.
+(``REPRO_BENCH_HOTPATH=smoke``) and fails when throughput falls below the
+committed figure by more than ``MACHINE_MARGIN``.  Everything else is
+gated on *counts*, which repeat exactly, not on time: the run's metric
+counts must equal the committed ones (first recorded when the loop was
+proved equal to the scalar reference, DESIGN.md §8), and the share of
+refreshes the coordinator's per-item safe band answered.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import replace
@@ -29,9 +29,14 @@ from repro.workloads import scaled_scenario
 
 RESULT_NAME = "BENCH_hotpath.json"
 
-#: Repetitions per (point, path); the minimum loop time is reported so a
+#: Repetitions per point; the minimum loop time is reported so a
 #: background scheduling hiccup cannot masquerade as a regression.
 REPEATS = 3
+
+#: How far below the committed ``ticks_per_sec`` a reading may fall before
+#: it counts as a regression — a shared CI machine against the one the
+#: baseline was recorded on (same margin as ``test_bench_bankscale.py``).
+MACHINE_MARGIN = 3.0
 
 POINTS = {
     "smoke": dict(query_count=40, item_count=40, trace_length=201),
@@ -61,33 +66,28 @@ NAMES = ("smoke",) if MODE == "smoke" else ("smoke", "fig6")
 
 def _measure(params):
     scenario = scaled_scenario(source_count=8, seed=13, **params)
-    base = SimulationConfig(queries=scenario.queries, traces=scenario.traces,
-                            recompute_cost=2.0, source_count=8, seed=13,
-                            fidelity_interval=1)
-    loops = {}
-    results = {}
-    for vectorize in (True, False):
-        config = replace(base, vectorize=vectorize)
-        runs = [run_simulation(config) for _ in range(REPEATS)]
-        loops[vectorize] = min(run.loop_seconds for run in runs)
-        results[vectorize] = runs[0]
-    ticks = results[True].metrics.duration_ticks
-    vector = results[True]
-    screened = vector.window_screen_hits + vector.window_screen_misses
+    config = SimulationConfig(queries=scenario.queries, traces=scenario.traces,
+                              recompute_cost=2.0, source_count=8, seed=13,
+                              fidelity_interval=1)
+    runs = [run_simulation(config) for _ in range(REPEATS)]
+    loop_seconds = min(run.loop_seconds for run in runs)
+    result = runs[0]
+    ticks = result.metrics.duration_ticks
+    screened = result.window_screen_hits + result.window_screen_misses
     return {
-        "window_screen_hits": vector.window_screen_hits,
-        "window_screen_misses": vector.window_screen_misses,
-        "window_screen_hit_rate": vector.window_screen_hits / screened,
+        "window_screen_hits": result.window_screen_hits,
+        "window_screen_misses": result.window_screen_misses,
+        "window_screen_hit_rate": result.window_screen_hits / screened,
         "params": dict(params),
         "ticks": ticks,
-        "loop_seconds_vectorized": loops[True],
-        "loop_seconds_scalar": loops[False],
-        "ticks_per_sec_vectorized": ticks / loops[True],
-        "ticks_per_sec_scalar": ticks / loops[False],
-        "speedup": loops[False] / loops[True],
-        "gp_solves": vector.metrics.gp_solves,
-        "solves_per_sec": vector.metrics.gp_solves / vector.wall_seconds,
-        "metrics_identical": results[True].metrics == results[False].metrics,
+        "loop_seconds": loop_seconds,
+        "ticks_per_sec": ticks / loop_seconds,
+        "solves_per_sec": result.metrics.gp_solves / result.wall_seconds,
+        # Every scalar field of the metrics dataclass (the two per-query
+        # maps are breakdowns of ``recomputations`` and the fidelity loss).
+        "metrics": {name: value for name, value
+                    in dataclasses.asdict(result.metrics).items()
+                    if not isinstance(value, dict)},
     }
 
 
@@ -140,10 +140,13 @@ def hotpath(results_dir):
 
 
 def test_hotpath_metrics_identical(benchmark, hotpath):
-    """The vectorized loop replays the scalar run bit for bit."""
+    """The loop replays the committed run count for count."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     for name, entry in hotpath["entries"].items():
-        assert entry["metrics_identical"], name
+        committed = hotpath["baseline"].get(name, {}).get("metrics")
+        if committed is None:
+            pytest.skip("no committed baseline yet")
+        assert entry["metrics"] == committed, name
 
 
 def test_window_screen_hit_rate(benchmark, hotpath):
@@ -153,15 +156,6 @@ def test_window_screen_hit_rate(benchmark, hotpath):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     for name, entry in hotpath["entries"].items():
         assert entry["window_screen_hit_rate"] >= 0.95, (name, entry)
-
-
-def test_hotpath_speedup_floor(benchmark, hotpath):
-    """Conservative floors — the committed JSON records the real numbers
-    (≥5x on the fig6 point on the reference machine)."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    assert hotpath["entries"]["smoke"]["speedup"] >= 1.5
-    if "fig6" in hotpath["entries"]:
-        assert hotpath["entries"]["fig6"]["speedup"] >= 3.0
 
 
 def test_recompute_latency_acceptance(benchmark, hotpath):
@@ -187,14 +181,14 @@ def test_recompute_latency_acceptance(benchmark, hotpath):
 
 
 def test_hotpath_no_regression_vs_committed(benchmark, hotpath):
-    """CI gate: the measured smoke speedup must stay within 2x of the
-    committed baseline."""
+    """CI gate, on absolutes: at every measured point, throughput may not
+    fall below the committed figure by more than ``MACHINE_MARGIN``."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    committed = hotpath["baseline"].get("smoke")
-    if not committed:
-        pytest.skip("no committed baseline yet")
-    measured = hotpath["entries"]["smoke"]["speedup"]
-    assert measured >= committed["speedup"] / 2.0, (
-        f"smoke speedup regressed: measured {measured:.2f}x vs committed "
-        f"{committed['speedup']:.2f}x"
-    )
+    for name, entry in hotpath["entries"].items():
+        committed = hotpath["baseline"].get(name, {}).get("ticks_per_sec")
+        if committed is None:
+            pytest.skip("no committed baseline yet")
+        measured = entry["ticks_per_sec"]
+        assert measured >= committed / MACHINE_MARGIN, (
+            f"{name} throughput regressed: measured {measured:.0f} ticks/s "
+            f"vs committed {committed:.0f}")

@@ -134,7 +134,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         duration=args.duration, source_count=args.sources, seed=args.seed,
         fidelity_interval=args.fidelity_interval, zero_delay=args.zero_delay,
         aao_period=args.aao_period, fault_config=fault_config,
-        vectorize=not args.no_vectorize,
         recompute_mode=args.recompute_mode,
         bank_index=args.bank_index,
     )
@@ -758,10 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--fidelity-interval", type=int, default=2)
     simulate.add_argument("--zero-delay", action="store_true")
     simulate.add_argument("--aao-period", type=int, default=None)
-    simulate.add_argument("--no-vectorize", action="store_true",
-                          help="use the scalar reference implementation of "
-                               "the hot paths (bit-identical metrics; "
-                               "slower)")
     simulate.add_argument("--recompute-mode", choices=["full", "delta"],
                           default="full",
                           help="how window breaches are re-solved: 'full' "

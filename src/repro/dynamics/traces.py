@@ -126,8 +126,8 @@ class TraceSet:
         """``(items × ticks)`` slab stacking the requested traces.
 
         Row ``i`` is a bitwise copy of ``self[items[i]].values`` — the batch
-        API the vectorized source tick loop scans instead of calling
-        :meth:`Trace.at` item by item.
+        API the source tick loop scans instead of calling the reference
+        sampler :meth:`Trace.at` item by item.
         """
         names = items if items is not None else self.items
         if not names:

@@ -15,11 +15,12 @@ Bit-exactness contract
 A refreshed template must hand the solver *bitwise identical* arrays to
 what ``build_*_program(...).compile()`` would produce at the same values
 and rates — identical inputs plus the solver's own per-call determinism
-give identical solutions, which is what keeps the vectorized simulation
-metric-identical to the scalar reference.  Each template verifies this at
-construction: it refreshes against the very values it compiled from and
-raises :class:`~repro.exceptions.FilterError` on any mismatch, so drift
-between the scalar builders and the refresh recipes fails loudly.
+give identical solutions, which is what keeps the simulation
+metric-identical to the reference (object-GP) builders.  Each template
+verifies this at construction: it refreshes against the very values it
+compiled from and raises :class:`~repro.exceptions.FilterError` on any
+mismatch, so drift between the reference builders and the refresh recipes
+fails loudly.
 """
 
 from __future__ import annotations

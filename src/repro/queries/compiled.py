@@ -12,9 +12,11 @@ posynomials.
 
 Bit-exactness contract
 ----------------------
-Every compiled evaluator here is **bitwise identical** to its scalar
-counterpart, which is what lets the vectorized simulation paths reproduce
-the golden metrics exactly.  Three empirical facts shape the design:
+Every compiled evaluator here is **bitwise identical** to the reference
+evaluator it compiles (:meth:`PolynomialQuery.evaluate`,
+:func:`deviation_posynomial`), which is what lets the simulation
+reproduce the golden metrics exactly.  Three empirical facts shape the
+design:
 
 * ``numpy`` *array* ``**`` uses a SIMD pow path that differs from libm in
   the last ulp for exponents >= 2, while Python's scalar ``**`` (and
@@ -28,8 +30,8 @@ the golden metrics exactly.  Three empirical facts shape the design:
   ``((w * p1) * p2) ...``; padding with exact ``1.0`` factors is a bitwise
   no-op.
 * ``np.sum`` uses pairwise summation which diverges from the sequential
-  ``sum()`` of the scalar path from 8 terms on; final sums are therefore
-  sequential — a Python loop, a column-by-column ``+=``, or
+  ``sum()`` of the reference evaluator from 8 terms on; final sums are
+  therefore sequential — a Python loop, a column-by-column ``+=``, or
   ``np.add.accumulate``, whose ``r[i] = r[i-1] + a[i]`` is the scalar
   chain by definition.
 

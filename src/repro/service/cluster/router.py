@@ -959,7 +959,6 @@ def build_scenario_cluster(
     algorithm: str = "dual_dab",
     recompute_cost: float = 5.0,
     workload: str = "portfolio",
-    vectorize: bool = True,
     notify_queue_limit: int = DEFAULT_NOTIFY_QUEUE_LIMIT,
     recompute_mode: str = "full",
     bank_index: str = "flat",
@@ -991,8 +990,11 @@ def build_scenario_cluster(
     from repro.service.journal import Journal
 
     scenario, queries, make_server, item_to_source = _scenario_planning(
-        query_count, item_count, source_count, trace_length, seed, algorithm,
-        recompute_cost, workload, vectorize, recompute_mode, bank_index)
+        query_count=query_count, item_count=item_count,
+        source_count=source_count, trace_length=trace_length, seed=seed,
+        algorithm=algorithm, recompute_cost=recompute_cost,
+        workload=workload, recompute_mode=recompute_mode,
+        bank_index=bank_index)
     shard_map = ShardMap(shards)
     decomposition = decompose_bank(queries, shard_map.shard_of)
 

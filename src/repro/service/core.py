@@ -1,7 +1,7 @@
 """The protocol-agnostic coordinator core.
 
 Everything a coordinator does that does not touch a transport lives here:
-the item-value cache, query evaluation (scalar or through the compiled
+the item-value cache, query evaluation (through the compiled
 :class:`~repro.queries.compiled.CompiledQueryBank`), secondary-DAB window
 checks, recomputation through the planner stack (with GP-solver failure
 degradation), per-item DAB epochs, and the merged-bound diffing that
@@ -113,7 +113,6 @@ class CoordinatorCore:
         item_to_source: Mapping[str, int],
         aao_planner: Optional[object] = None,
         aao_period: Optional[int] = None,
-        vectorize: bool = False,
         recompute_hook: Optional[Callable[[], None]] = None,
         solver_breaker: Optional[object] = None,
         breaker_shrink: float = 0.9,
@@ -172,9 +171,6 @@ class CoordinatorCore:
             raise SimulationError(
                 f"bank_index must be one of {BANK_INDEX_MODES}, "
                 f"got {bank_index!r}")
-        if bank_index == "shared" and not vectorize:
-            raise SimulationError(
-                "bank_index='shared' requires vectorize=True")
         self.bank_index_mode = bank_index
         #: query name -> (source plan, its shrunk stand-in) while the
         #: breaker is open (cached so shrinkage never compounds).
@@ -200,20 +196,18 @@ class CoordinatorCore:
         self.last_user_values: Dict[str, float] = {}
         self._last_sent_bounds: Dict[str, float] = {}
 
-        # -- vectorized fast path (bitwise-equal to the scalar one) -----------
-        self._vectorize = bool(vectorize)
+        # -- compiled evaluation state (bitwise-equal to ``query.evaluate``) --
         self._compiled: Dict[str, CompiledPolynomial] = {}
-        self._power_table: Optional[PowerTable] = None
-        self._power_vector: Optional[np.ndarray] = None
+        self._power_table = PowerTable()
         #: The flat evaluator (``bank_index="flat"`` only): one persistent
         #: term-product table, edited in place by :meth:`add_query` /
         #: :meth:`remove_query` and told of every power-vector write by
         #: :meth:`_write_powers`.
         self._bank: Optional[CompiledQueryBank] = None
         self._bank_index: Dict[str, int] = {}
-        #: item -> ``(lo, hi)``, the per-item safe band (vectorized runs):
-        #: while the item's value stays inside, no query reading it has a
-        #: broken secondary window, so a refresh needs no per-query check.
+        #: item -> ``(lo, hi)``, the per-item safe band: while the item's
+        #: value stays inside, no query reading it has a broken secondary
+        #: window, so a refresh needs no per-query check.
         #: Built lazily by :meth:`_safe_band`; an entry is dropped whenever
         #: something it was computed from changes (see :meth:`_drop_bands`).
         self._bands: Dict[str, Tuple[float, float]] = {}
@@ -250,24 +244,16 @@ class CoordinatorCore:
             for name in query.variables:
                 self.item_index.setdefault(name, []).append(query)
 
-        #: Vectorized notification state: per-query QABs and the last
-        #: user-visible values mirrored as arrays (bank order, grown by
-        #: doubling), so one masked compare replaces the per-query
-        #: notification loop in ``react_to_refresh``.
-        self._qab_arr: Optional[np.ndarray] = None
-        self._last_user_arr: Optional[np.ndarray] = None
-        if self._vectorize:
-            self._power_table = PowerTable()
-            self._build_vectorized_state()
+        self._build_vectorized_state()
 
         #: Per-item monotone DAB epoch (incremented on every shipped change).
         self.epochs: Dict[str, int] = {}
 
     def _build_vectorized_state(self) -> None:
-        """Compile the vectorized evaluation structures — O(bank), at
-        construction only: membership changes edit them in place
-        (:meth:`add_query`, :meth:`remove_query`) and never re-enter
-        this method, in either bank mode."""
+        """Compile the evaluation structures — O(bank), at construction
+        only: membership changes edit them in place (:meth:`add_query`,
+        :meth:`remove_query`) and never re-enter this method, in either
+        bank mode."""
         table = self._power_table
         for query in self.queries:
             self._compiled[query.name] = CompiledPolynomial(query, table)
@@ -281,6 +267,9 @@ class CoordinatorCore:
             self._bank = CompiledQueryBank(
                 [self._compiled[query.name] for query in self.queries])
         self._power_vector = table.vector(self.cache)
+        #: Per-query QABs and the last user-visible values mirrored as
+        #: arrays (bank order, grown by doubling), so one masked compare
+        #: is the notification decision in ``react_to_refresh``.
         self._qab_arr = np.array([q.qab for q in self.queries], dtype=float)
         self._last_user_arr = np.zeros(len(self.queries))
 
@@ -300,8 +289,7 @@ class CoordinatorCore:
         for index, query in enumerate(self.queries):
             value = self.query_value(query)
             self.last_user_values[query.name] = value
-            if self._last_user_arr is not None:
-                self._last_user_arr[index] = value
+            self._last_user_arr[index] = value
         merged = merge_primary(self.plans.values())
         self._last_sent_bounds = dict(merged)
         return merged
@@ -319,29 +307,23 @@ class CoordinatorCore:
 
     @property
     def power_table(self) -> PowerTable:
-        """The shared (item, exponent) slot registry (vectorized runs only)."""
-        if self._power_table is None:
-            raise SimulationError("coordinator was built with vectorize=False")
+        """The shared (item, exponent) slot registry."""
         return self._power_table
 
     def compiled_query(self, query: PolynomialQuery) -> CompiledPolynomial:
-        """The compiled evaluator for ``query`` (vectorized runs only)."""
+        """The compiled evaluator for ``query``."""
         return self._compiled[query.name]
 
     def query_value(self, query: PolynomialQuery) -> float:
-        if self._vectorize:
-            return self._compiled[query.name].evaluate_vector(self._power_vector)
-        return query.evaluate(self.cache)
+        return self._compiled[query.name].evaluate_vector(self._power_vector)
 
     def query_values(self) -> List[float]:
         """Every query's value at the current cache, in ``queries`` order —
-        one banked evaluation on vectorized runs."""
-        if self._vectorize:
-            return self.query_values_array().tolist()
-        return [query.evaluate(self.cache) for query in self.queries]
+        one banked evaluation."""
+        return self.query_values_array().tolist()
 
     def query_values_array(self) -> np.ndarray:
-        """Array form of :meth:`query_values` (vectorized runs only)."""
+        """Array form of :meth:`query_values`."""
         if self._shared_bank is not None:
             return self._shared_bank.values_all(self._power_vector,
                                                 len(self.queries))
@@ -611,8 +593,7 @@ class CoordinatorCore:
         passes it (and never journals).
         """
         self.cache[item] = float(value)
-        if self._vectorize:
-            self._write_powers(item)
+        self._write_powers(item)
         if self.journal is not None:
             record = {"t": "refresh", "item": item, "value": self.cache[item]}
             if seq is not None:
@@ -635,7 +616,7 @@ class CoordinatorCore:
         """
         fresh = item not in self.cache
         self.cache[item] = float(value)
-        if not fresh and self._vectorize:
+        if not fresh:
             # Already-known items (a mirror of a cross-shard term) may
             # have live power-table slots to refresh.
             self._write_powers(item)
@@ -663,61 +644,38 @@ class CoordinatorCore:
         affected = self.item_index.get(item)
         if not affected:
             return [], False
-        if not self._vectorize:
-            notifications, recomputed = self._react_scalar(affected)
+        # User notification, batched: the cache cannot change again
+        # within this event and notifications draw no randomness, so
+        # raising them ahead of the recomputations leaves the
+        # event-stream state untouched.
+        notifications = self._notify_movers(item)
+        if self.mode is RecomputeMode.EVERY_REFRESH:
+            for query in affected:
+                self._recompute(query)
+            recomputed = True
         else:
-            # User notification, batched: the cache cannot change again
-            # within this event and notifications draw no randomness, so
-            # raising them ahead of the recomputations leaves the
-            # event-stream state untouched.
-            notifications = self._notify_movers(item)
-            if self.mode is RecomputeMode.EVERY_REFRESH:
-                for query in affected:
-                    self._recompute(query)
-                recomputed = True
+            recomputed = False
+            band = self._bands.get(item)
+            if band is None:
+                band = self._bands[item] = self._safe_band(item)
+            if band[0] <= self.cache[item] <= band[1]:
+                self.window_screen_hits += 1
             else:
-                recomputed = False
-                band = self._bands.get(item)
-                if band is None:
-                    band = self._bands[item] = self._safe_band(item)
-                if band[0] <= self.cache[item] <= band[1]:
-                    self.window_screen_hits += 1
-                else:
-                    # Outside the band (or no band): the reference
-                    # predicate decides, query by query.  Whatever it
-                    # finds, the band is rebuilt at the item's next
-                    # refresh — a standing breach may have just healed.
-                    self.window_screen_misses += 1
-                    for query in affected:
-                        if self._window_broken(query):
-                            self._recompute(query)
-                            recomputed = True
-                    self._bands.pop(item, None)
+                # Outside the band (or no band): the reference predicate
+                # decides, query by query.  Whatever it finds, the band is
+                # rebuilt at the item's next refresh — a standing breach
+                # may have just healed.
+                self.window_screen_misses += 1
+                for query in affected:
+                    if self._window_broken(query):
+                        self._recompute(query)
+                        recomputed = True
+                self._bands.pop(item, None)
         if notifications and self.journal is not None:
             # last_user_values gates every future notification, so the
             # values the user saw are part of the recovery state.
             self.journal.append({"t": "notify",
                                  "values": dict(notifications)})
-        return notifications, recomputed
-
-    def _react_scalar(self, affected: Sequence[PolynomialQuery],
-                      ) -> Tuple[List[Tuple[str, float]], bool]:
-        """The ``vectorize=False`` reaction: one query at a time through
-        the reference evaluator and the reference window predicate."""
-        notifications: List[Tuple[str, float]] = []
-        recomputed = False
-        for query in affected:
-            # User notification: has the result moved beyond the QAB
-            # since the last value the user saw?
-            value = self.query_value(query)
-            if abs(value - self.last_user_values[query.name]) > query.qab:
-                self.last_user_values[query.name] = value
-                self.metrics.record_user_notification()
-                notifications.append((query.name, value))
-            if (self.mode is RecomputeMode.EVERY_REFRESH
-                    or self._window_broken(query)):
-                self._recompute(query)
-                recomputed = True
         return notifications, recomputed
 
     def _movers_flat(self, item: str) -> Tuple[Sequence[int], Sequence[float]]:
@@ -783,17 +741,16 @@ class CoordinatorCore:
         # One more window over each of these items (and, until a plan is
         # installed, a query without one).
         self._drop_bands(query)
-        if self._vectorize:
-            compiled = self._compiled[name] = CompiledPolynomial(
-                query, self._power_table)
-            self._bank_index[name] = position
-            if self._shared_bank is not None:
-                self._shared_bank.add_query(query, position)
-            self._sync_power_vector()
-            if self._bank is not None:
-                self._bank.add_query(compiled, self._power_vector)
-            self._ensure_query_capacity(position + 1)
-            self._qab_arr[position] = query.qab
+        compiled = self._compiled[name] = CompiledPolynomial(
+            query, self._power_table)
+        self._bank_index[name] = position
+        if self._shared_bank is not None:
+            self._shared_bank.add_query(query, position)
+        self._sync_power_vector()
+        if self._bank is not None:
+            self._bank.add_query(compiled, self._power_vector)
+        self._ensure_query_capacity(position + 1)
+        self._qab_arr[position] = query.qab
         if self.journal is not None:
             from repro.service.protocol import query_to_wire
 
@@ -804,8 +761,7 @@ class CoordinatorCore:
             self._journal_plan(name, assignment)
         value = self.query_value(query)
         self.last_user_values[name] = value
-        if self._last_user_arr is not None:
-            self._last_user_arr[position] = value
+        self._last_user_arr[position] = value
         return position
 
     def remove_query(self, name: str) -> None:
@@ -815,11 +771,7 @@ class CoordinatorCore:
             raise SimulationError(f"unknown query {name!r}")
         if len(self.queries) == 1:
             raise SimulationError("a coordinator needs at least one query")
-        if self._vectorize:
-            position = self._bank_index[name]
-        else:
-            position = next(i for i, q in enumerate(self.queries)
-                            if q.name == name)
+        position = self._bank_index.pop(name)
         query = self.queries[position]
         last = len(self.queries) - 1
         moved = self.queries[last]
@@ -849,19 +801,17 @@ class CoordinatorCore:
         forget = getattr(self.planner, "forget_query", None)
         if forget is not None:
             forget(name)
-        if self._vectorize:
-            del self._bank_index[name]
-            self._compiled.pop(name, None)
+        self._compiled.pop(name, None)
+        if self._shared_bank is not None:
+            self._shared_bank.remove_query(name)
+        else:
+            self._bank.remove_query(position)
+        if position != last:
+            self._bank_index[moved.name] = position
             if self._shared_bank is not None:
-                self._shared_bank.remove_query(name)
-            else:
-                self._bank.remove_query(position)
-            if position != last:
-                self._bank_index[moved.name] = position
-                if self._shared_bank is not None:
-                    self._shared_bank.set_position(moved.name, position)
-                self._qab_arr[position] = self._qab_arr[last]
-                self._last_user_arr[position] = self._last_user_arr[last]
+                self._shared_bank.set_position(moved.name, position)
+            self._qab_arr[position] = self._qab_arr[last]
+            self._last_user_arr[position] = self._last_user_arr[last]
         if self.journal is not None:
             self.journal.append({"t": "qdel", "name": name})
 
@@ -1033,17 +983,15 @@ class CoordinatorCore:
         if item not in self.cache:
             return
         self.cache[item] = float(value)
-        if self._vectorize:
-            self._write_powers(item)
-            self._drop_bands_around(item)
+        self._write_powers(item)
+        self._drop_bands_around(item)
 
     def restore_user_value(self, name: str, value: float) -> None:
         """Set one last-user-visible value during replay."""
         if name not in self.query_names:
             return
         self.last_user_values[name] = float(value)
-        if self._last_user_arr is not None:
-            self._last_user_arr[self._bank_index[name]] = float(value)
+        self._last_user_arr[self._bank_index[name]] = float(value)
         if self._shared_bank is not None:
             # Screening thresholds are anchored on last-user values; a
             # value restored behind the bank's back must drop them.

@@ -60,7 +60,6 @@ class CoordinatorServer(FrontEnd):
         mode: RecomputeMode = RecomputeMode.ON_WINDOW_VIOLATION,
         aao_planner: Optional[object] = None,
         aao_period: Optional[int] = None,
-        vectorize: bool = True,
         recompute_cost: float = 1.0,
         metrics: Optional[MetricsCollector] = None,
         notify_queue_limit: int = DEFAULT_NOTIFY_QUEUE_LIMIT,
@@ -83,7 +82,7 @@ class CoordinatorServer(FrontEnd):
             queries=queries, planner=planner, mode=mode, metrics=self.metrics,
             initial_values=initial_values, item_to_source=item_to_source,
             aao_planner=aao_planner, aao_period=aao_period,
-            vectorize=vectorize, solver_breaker=solver_breaker,
+            solver_breaker=solver_breaker,
             recompute_strategy=recompute_strategy,
             bank_index=bank_index,
         )
@@ -808,7 +807,7 @@ class CoordinatorServer(FrontEnd):
 
 def _scenario_planning(query_count: int, item_count: int, source_count: int,
                        trace_length: int, seed: int, algorithm: str,
-                       recompute_cost: float, workload: str, vectorize: bool,
+                       recompute_cost: float, workload: str,
                        recompute_mode: str, bank_index: str):
     """What a single-server build and a cluster build share — the same
     workload generator, rate estimation and planner stack as a simulator
@@ -839,7 +838,7 @@ def _scenario_planning(query_count: int, item_count: int, source_count: int,
     config = SimulationConfig(
         queries=scenario.queries, traces=scenario.traces,
         algorithm=algorithm, recompute_cost=recompute_cost,
-        source_count=source_count, seed=seed, vectorize=vectorize,
+        source_count=source_count, seed=seed,
         recompute_mode=recompute_mode, bank_index=bank_index,
     )
     if config.algorithm is AlgorithmName.AAO_T:
@@ -863,7 +862,7 @@ def _scenario_planning(query_count: int, item_count: int, source_count: int,
             initial_values={name: initial_values[name] for name in items},
             item_to_source={name: item_to_source[name] for name in items},
             mode=_SINGLE_DAB_MODES[config.algorithm],
-            vectorize=vectorize, recompute_cost=recompute_cost,
+            recompute_cost=recompute_cost,
             recompute_strategy=recompute_mode, bank_index=bank_index,
             **kwargs)
 
@@ -879,7 +878,6 @@ def build_scenario_server(
     algorithm: str = "dual_dab",
     recompute_cost: float = 5.0,
     workload: str = "portfolio",
-    vectorize: bool = True,
     notify_queue_limit: int = DEFAULT_NOTIFY_QUEUE_LIMIT,
     recompute_mode: str = "full",
     bank_index: str = "flat",
@@ -899,8 +897,11 @@ def build_scenario_server(
     planning, the agents for the item traces.
     """
     scenario, queries, make_server, item_to_source = _scenario_planning(
-        query_count, item_count, source_count, trace_length, seed, algorithm,
-        recompute_cost, workload, vectorize, recompute_mode, bank_index)
+        query_count=query_count, item_count=item_count,
+        source_count=source_count, trace_length=trace_length, seed=seed,
+        algorithm=algorithm, recompute_cost=recompute_cost,
+        workload=workload, recompute_mode=recompute_mode,
+        bank_index=bank_index)
     server = make_server(queries, sorted(item_to_source),
                          notify_queue_limit=notify_queue_limit,
                          **server_kwargs)

@@ -85,7 +85,6 @@ class Coordinator:
         recompute_delay: Optional[DelayModel] = None,
         rate_tracker: Optional[object] = None,
         fault_model: Optional[FaultModel] = None,
-        vectorize: bool = False,
         recompute_strategy: str = "full",
         bank_index: str = "flat",
     ):
@@ -98,7 +97,6 @@ class Coordinator:
             item_to_source=item_to_source,
             aao_planner=aao_planner,
             aao_period=aao_period,
-            vectorize=vectorize,
             recompute_hook=self._charge_recompute_time,
             recompute_strategy=recompute_strategy,
             bank_index=bank_index,
@@ -188,11 +186,11 @@ class Coordinator:
 
     @property
     def power_table(self) -> PowerTable:
-        """The shared (item, exponent) slot registry (vectorized runs only)."""
+        """The shared (item, exponent) slot registry."""
         return self.core.power_table
 
     def compiled_query(self, query: PolynomialQuery) -> CompiledPolynomial:
-        """The compiled evaluator for ``query`` (vectorized runs only)."""
+        """The compiled evaluator for ``query``."""
         return self.core.compiled_query(query)
 
     def query_value(self, query: PolynomialQuery) -> float:

@@ -126,12 +126,6 @@ class SimulationConfig:
     #: default ``FaultConfig()`` leaves the fault machinery provably off —
     #: the run is bit-identical to the fault-free simulator.
     fault_config: Optional[FaultConfig] = None
-    #: Vectorized hot paths: slab-scanned source ticks, compiled query
-    #: evaluators at the coordinator and fidelity sampler, and compiled-GP
-    #: structure reuse in the planners.  Every vectorized path is bitwise
-    #: identical to the scalar reference (``vectorize=False``, the CLI's
-    #: ``--no-vectorize``) — metrics never differ, only wall time.
-    vectorize: bool = True
     #: ``"full"`` answers every window breach with the multi-start solve
     #: (the pre-delta behaviour, bit-identical); ``"delta"`` tries a
     #: warm-started Newton-KKT coefficient patch first and falls back to
@@ -162,25 +156,17 @@ class SimulationConfig:
             raise SimulationError(
                 f"recompute_mode must be one of {RECOMPUTE_MODES}, "
                 f"got {self.recompute_mode!r}")
-        if self.recompute_mode == "delta":
-            if self.algorithm not in _DELTA_ALGORITHMS:
-                supported = ", ".join(a.value for a in _DELTA_ALGORITHMS)
-                raise SimulationError(
-                    f"recompute_mode='delta' supports only the dual-DAB "
-                    f"planner stacks ({supported}); got "
-                    f"{self.algorithm.value!r}")
-            if not self.vectorize:
-                raise SimulationError(
-                    "recompute_mode='delta' needs the compiled-GP templates; "
-                    "it cannot be combined with vectorize=False")
+        if (self.recompute_mode == "delta"
+                and self.algorithm not in _DELTA_ALGORITHMS):
+            supported = ", ".join(a.value for a in _DELTA_ALGORITHMS)
+            raise SimulationError(
+                f"recompute_mode='delta' supports only the dual-DAB "
+                f"planner stacks ({supported}); got "
+                f"{self.algorithm.value!r}")
         if self.bank_index not in BANK_INDEX_MODES:
             raise SimulationError(
                 f"bank_index must be one of {BANK_INDEX_MODES}, "
                 f"got {self.bank_index!r}")
-        if self.bank_index == "shared" and not self.vectorize:
-            raise SimulationError(
-                "bank_index='shared' needs the compiled query bank; "
-                "it cannot be combined with vectorize=False")
         missing = [name for q in self.queries for name in q.variables
                    if name not in self.traces]
         if missing:
@@ -215,9 +201,8 @@ class SimulationResult:
     bank_index: str = "flat"
     bank_stats: Optional[Dict[str, object]] = None
     #: Refreshes the coordinator's per-item safe band answered / sent on
-    #: to the per-query window check (both 0 on the scalar path, which has
-    #: no band — so these stay out of ``metrics``, which the two paths
-    #: must agree on).
+    #: to the per-query window check — how the run was computed, not what
+    #: it computed, so they stay out of ``metrics`` (which the goldens pin).
     window_screen_hits: int = 0
     window_screen_misses: int = 0
 
@@ -253,7 +238,7 @@ def _dual_dab_stack(config: SimulationConfig,
     recompute-latency benchmark can compare modes on equal footing.
     """
     return DeltaRecomputePlanner(
-        DualDABPlanner(cost_model, use_compiled=config.vectorize),
+        DualDABPlanner(cost_model, use_compiled=True),
         mode=config.recompute_mode,
         share_templates=config.bank_index == "shared",
     )
@@ -267,10 +252,9 @@ def build_planner(config: SimulationConfig, cost_model: CostModel):
     wrapper is a pass-through.
     """
     algorithm = config.algorithm
-    use_compiled = config.vectorize
     if algorithm is AlgorithmName.OPTIMAL_REFRESH:
         return DifferentSumPlanner(
-            cost_model, OptimalRefreshPlanner(cost_model, use_compiled=use_compiled))
+            cost_model, OptimalRefreshPlanner(cost_model, use_compiled=True))
     if algorithm in (AlgorithmName.DUAL_DAB, AlgorithmName.DIFFERENT_SUM,
                      AlgorithmName.AAO_T):
         return DifferentSumPlanner(
@@ -356,7 +340,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         owned = [name for name in items if item_to_source[name] == source_id]
         sources[source_id] = SourceNode(
             source_id, owned, config.traces, engine.queue, metrics, network,
-            fault_model=fault_model, vectorize=config.vectorize,
+            fault_model=fault_model,
         )
 
     aao_planner = None
@@ -379,7 +363,6 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         recompute_delay=recompute_delay,
         rate_tracker=rate_tracker,
         fault_model=fault_model,
-        vectorize=config.vectorize,
         recompute_strategy=config.recompute_mode,
         bank_index=config.bank_index,
     )
@@ -404,53 +387,39 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
 
     faults_on = fault_model.enabled
 
-    # Vectorized fidelity sampling: the coordinator's power table already
-    # knows every (item, exponent) slot the queries need, so one slab built
-    # from the traces precomputes every query's truth value at every tick,
-    # and one banked evaluation per sample yields all observed values.
-    # Slab powers, compiled evaluators and the bank are bitwise-identical
-    # to ``query.evaluate`` (see queries/compiled.py) — metrics cannot
-    # drift.
-    truth_matrix = None
-    if config.vectorize:
-        truth_slab = coordinator.power_table.slab(traces)
-        truth_matrix = np.array(
-            [coordinator.compiled_query(query).evaluate_slab(truth_slab)
-             for query in queries])
-        qab_arr = np.array([query.qab for query in queries], dtype=float)
-        query_names = [query.name for query in queries]
-        last_row = truth_slab.shape[0] - 1
+    # Fidelity sampling: the coordinator's power table already knows every
+    # (item, exponent) slot the queries need, so one slab built from the
+    # traces precomputes every query's truth value at every tick, and one
+    # banked evaluation per sample yields all observed values.  Slab
+    # powers, compiled evaluators and the bank are bitwise-identical to
+    # ``query.evaluate`` (see queries/compiled.py) — metrics cannot drift.
+    truth_slab = coordinator.power_table.slab(traces)
+    truth_matrix = np.array(
+        [coordinator.compiled_query(query).evaluate_slab(truth_slab)
+         for query in queries])
+    qab_arr = np.array([query.qab for query in queries], dtype=float)
+    query_names = [query.name for query in queries]
+    last_row = truth_slab.shape[0] - 1
 
     def sample_fidelity(tick: int) -> None:
-        if truth_matrix is not None:
-            row = tick if tick <= last_row else last_row
-            truth_col = truth_matrix[:, row]
-            observed = coordinator.query_values_array()
-            errors = np.abs(truth_col - observed)
-            within = errors <= qab_arr
-            metrics.record_fidelity_batch(query_names, within.tolist())
-            if faults_on:
-                for index, query in enumerate(queries):
-                    if coordinator.suspect_items_of(query):
-                        metrics.record_degraded_sample()
-                        reported = coordinator.reported_bound(query,
-                                                              float(tick))
-                        if float(errors[index]) > reported:
-                            metrics.record_uncertainty_violation()
-            return
-        truth_values = traces.values_at(tick, items)
-        for query in queries:
-            truth = query.evaluate(truth_values)
-            observed = query.evaluate(coordinator.cache)
-            metrics.record_fidelity(query.name, abs(truth - observed) <= query.qab)
-            if faults_on and coordinator.suspect_items_of(query):
-                # Served degraded: the answer carries a widened, honest
-                # uncertainty; count it, and flag the (rare) case where
-                # even the widened bound failed to cover the truth.
-                metrics.record_degraded_sample()
-                reported = coordinator.reported_bound(query, float(tick))
-                if abs(truth - observed) > reported:
-                    metrics.record_uncertainty_violation()
+        row = tick if tick <= last_row else last_row
+        truth_col = truth_matrix[:, row]
+        observed = coordinator.query_values_array()
+        errors = np.abs(truth_col - observed)
+        within = errors <= qab_arr
+        metrics.record_fidelity_batch(query_names, within.tolist())
+        if faults_on:
+            for index, query in enumerate(queries):
+                if coordinator.suspect_items_of(query):
+                    # Served degraded: the answer carries a widened,
+                    # honest uncertainty; count it, and flag the (rare)
+                    # case where even the widened bound failed to cover
+                    # the truth.
+                    metrics.record_degraded_sample()
+                    reported = coordinator.reported_bound(query,
+                                                          float(tick))
+                    if float(errors[index]) > reported:
+                        metrics.record_uncertainty_violation()
 
     engine.on_fidelity_sample(sample_fidelity)
     loop_started = _time.perf_counter()

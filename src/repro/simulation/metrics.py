@@ -164,8 +164,8 @@ class MetricsCollector:
     def record_fidelity_batch(self, query_names: Sequence[str],
                               in_bound: Sequence[bool]) -> None:
         """One sample per query, recorded in one pass — equivalent to
-        calling :meth:`record_fidelity` pairwise (the vectorized fidelity
-        sampler's hot path)."""
+        calling :meth:`record_fidelity` pairwise (the fidelity sampler's
+        hot path)."""
         fidelity = self._fidelity
         for name, good in zip(query_names, in_bound):
             tracker = fidelity.get(name)

@@ -56,7 +56,6 @@ class SourceNode:
         metrics: MetricsCollector,
         network_delay: DelayModel,
         fault_model: Optional[FaultModel] = None,
-        vectorize: bool = False,
     ):
         self.source_id = source_id
         self.items: List[str] = list(items)
@@ -91,15 +90,12 @@ class SourceNode:
         self._crash_windows = tuple(
             w for w in config.crash_windows if w.source_id == source_id
         ) if self.faults.enabled else ()
-        self._vectorize = bool(vectorize)
-        if self._vectorize:
-            # (ticks × items) slab, row-contiguous so each tick is one view;
-            # plus array mirrors of last_pushed/bounds for the vector compare.
-            self._slab = np.ascontiguousarray(
-                traces.values_matrix(self.items).T)
-            self._row = {name: i for i, name in enumerate(self.items)}
-            self._last_arr = self._slab[0].copy()
-            self._bounds_arr = np.full(len(self.items), np.inf)
+        # (ticks × items) slab, row-contiguous so each tick is one view;
+        # plus array mirrors of last_pushed/bounds for the vector compare.
+        self._slab = np.ascontiguousarray(traces.values_matrix(self.items).T)
+        self._row = {name: i for i, name in enumerate(self.items)}
+        self._last_arr = self._slab[0].copy()
+        self._bounds_arr = np.full(len(self.items), np.inf)
 
     def _crashed(self, time: float) -> bool:
         """``faults.is_crashed(self.source_id, time)`` over the precomputed
@@ -149,8 +145,7 @@ class SourceNode:
                 if epoch is not None:
                     self.epochs[name] = int(epoch)
             self.bounds[name] = float(value)
-            if self._vectorize:
-                self._bounds_arr[self._row[name]] = self.bounds[name]
+            self._bounds_arr[self._row[name]] = self.bounds[name]
 
     def on_dab_change(self, event: Event) -> None:
         """A DAB-change message arrived from the coordinator."""
@@ -179,8 +174,7 @@ class SourceNode:
         tick = min(int(event.time), self.traces.duration)
         value = self.traces[name].at(tick)
         self.last_pushed[name] = value
-        if self._vectorize:
-            self._last_arr[self._row[name]] = value
+        self._last_arr[self._row[name]] = value
         self.seq[name] += 1
         self._send(event.time, EventKind.REFRESH_ARRIVAL,
                    {"item": name, "value": value, "source_id": self.source_id,
@@ -189,7 +183,16 @@ class SourceNode:
     # -- data-plane --------------------------------------------------------------
 
     def on_tick(self, tick: int) -> None:
-        """Sample traces; push refreshes for items outside their filter."""
+        """Sample traces; push refreshes for items outside their filter:
+        one vector compare ``|value - cached| > dab`` over the trace slab.
+
+        Items without a DAB hold ``inf`` in the bounds array, so the strict
+        ``>`` never fires for them (finite traces): no DAB yet means stay
+        silent — the coordinator planned against the same initial values,
+        so nothing is stale.  ``flatnonzero`` yields ascending indices, so
+        pushes happen in ``self.items`` order — the network-RNG draw order
+        the golden metrics pin.
+        """
         if self.faults.enabled:
             if self._crashed(float(tick)):
                 self._was_crashed = True
@@ -206,32 +209,6 @@ class SourceNode:
                 # from "quiet because my refreshes were lost".
                 self._send(float(tick), EventKind.HEARTBEAT_ARRIVAL,
                            {"source_id": self.source_id, "seqs": dict(self.seq)})
-        if self._vectorize:
-            self._on_tick_vectorized(tick)
-            return
-        for name in self.items:
-            value = self.traces[name].at(tick)
-            bound = self.bounds.get(name)
-            if bound is None:
-                # No DAB yet: stay silent (the coordinator planned against
-                # the same initial values, so nothing is stale).
-                continue
-            if abs(value - self.last_pushed[name]) > bound:
-                self.last_pushed[name] = value
-                self.seq[name] += 1
-                self._send(float(tick), EventKind.REFRESH_ARRIVAL,
-                           {"item": name, "value": value,
-                            "source_id": self.source_id, "seq": self.seq[name]})
-
-    def _on_tick_vectorized(self, tick: int) -> None:
-        """One vector compare ``|value - cached| > dab`` over the trace slab.
-
-        Items without a DAB hold ``inf`` in the bounds array, so the strict
-        ``>`` never fires for them (finite traces), exactly like the scalar
-        ``bound is None`` skip.  ``flatnonzero`` yields ascending indices, so
-        pushes happen in ``self.items`` order — the same network-RNG draw
-        order as the scalar loop.
-        """
         values = self._slab[tick] if tick < self._slab.shape[0] else self._slab[-1]
         crossed = np.flatnonzero(np.abs(values - self._last_arr) > self._bounds_arr)
         if crossed.size == 0:
@@ -253,8 +230,7 @@ class SourceNode:
         for name in self.items:
             value = self.traces[name].at(tick)
             self.last_pushed[name] = value
-            if self._vectorize:
-                self._last_arr[self._row[name]] = value
+            self._last_arr[self._row[name]] = value
             self.seq[name] += 1
             self._send(float(tick), EventKind.REFRESH_ARRIVAL,
                        {"item": name, "value": value, "source_id": self.source_id,

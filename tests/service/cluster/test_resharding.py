@@ -266,9 +266,8 @@ def _custom_cluster(queries):
     from repro.service.server import _scenario_planning
 
     scenario, _, make_server, item_to_source = _scenario_planning(
-        SCENARIO["query_count"], SCENARIO["item_count"],
-        SCENARIO["source_count"], SCENARIO["trace_length"], SCENARIO["seed"],
-        "dual_dab", 5.0, "portfolio", True, "full", "flat")
+        **SCENARIO, algorithm="dual_dab", recompute_cost=5.0,
+        workload="portfolio", recompute_mode="full", bank_index="flat")
     shard_map = ShardMap(3)
     assert shard_map.partition(["x0", "x1", "x10", "x12", "x3", "x4", "x5",
                                 "x8"]) == {

@@ -1,8 +1,8 @@
 """The Coordinator/CoordinatorCore split, pinned.
 
 Bit-identical *metrics* across the extraction are pinned by the golden
-fault suite and the scalar/vector equivalence suite (which predate the
-split and still pass unchanged).  These tests pin the *structure*: the
+fault suite and the reference-equivalence suite (which predate the
+split).  These tests pin the *structure*: the
 simulator's coordinator really is a thin adapter over the shared core,
 and the core stays importable without dragging the simulator in.
 """
@@ -13,6 +13,7 @@ from repro.service.core import CoordinatorCore, RecomputeMode
 from repro.simulation import coordinator as sim_coordinator
 from repro.simulation.harness import SimulationConfig, run_simulation
 from repro.workloads import scaled_scenario
+from tests.golden import assert_matches_reference
 
 
 def test_recompute_mode_is_the_same_object():
@@ -78,10 +79,6 @@ def test_simulator_coordinator_wraps_a_core():
 
 def test_extraction_preserves_run_metrics_scalar_vs_vector():
     # Belt and braces on top of the golden suite: a fresh end-to-end run
-    # agrees between the scalar and vectorized core paths post-split.
-    from dataclasses import replace
-
-    config = _small_config()
-    scalar = run_simulation(replace(config, vectorize=False))
-    vector = run_simulation(replace(config, vectorize=True))
-    assert scalar.metrics == vector.metrics
+    # through the shared core equals the recorded scalar reference run.
+    assert_matches_reference(run_simulation(_small_config()).metrics,
+                             "core-extraction")

@@ -3,15 +3,17 @@
 ``CoordinatorCore.react_to_refresh`` answers "did this refresh break a
 secondary-DAB window?" from one per-item band and only falls through to
 the per-query predicate when the value is outside it.  The band is a
-screen, never a decision: these tests drive a screened (``vectorize=True``)
-core through generated refresh/plan-change sequences and check, refresh by
-refresh, that it recomputes exactly the queries — in exactly the order —
-that :meth:`DABAssignment.window_contains` says it must, and that the
-scalar ``vectorize=False`` core fed the same sequence reports the same
-``(notifications, recomputed)``.
+screen, never a decision: these tests drive a core through generated
+refresh/plan-change sequences and check, refresh by refresh, both halves
+of the reaction against the reference definitions — it recomputes exactly
+the queries, in exactly the order, that
+:meth:`DABAssignment.window_contains` says it must, and it notifies
+exactly the queries whose :meth:`PolynomialQuery.evaluate` moved beyond
+their QAB, with that value.
 
-The oracle is :func:`must_recompute` below: it reads nothing but the
-core's public ``item_index``/``plans``/``cache`` *before* the reaction.
+The oracles are :func:`must_recompute` and :func:`must_notify` below:
+they read nothing but the core's public ``item_index``/``plans``/
+``cache``/``last_user_values`` *before* the reaction.
 
 Budget: the default ``ci`` profile keeps this in tier-1 seconds; set
 ``REPRO_HYPOTHESIS_PROFILE=nightly`` for the >=200-example sweep (wired
@@ -120,20 +122,30 @@ def must_recompute(core, item):
     return names
 
 
+def must_notify(core, item):
+    """The reference notifications for a refresh of ``item`` that has
+    already landed in the cache: every query reading it, in ``item_index``
+    order, whose value moved beyond its QAB since the user last saw it."""
+    moved = []
+    for query in core.item_index.get(item, ()):
+        value = query.evaluate(core.cache)
+        if abs(value - core.last_user_values[query.name]) > query.qab:
+            moved.append((query.name, value))
+    return moved
+
+
 class Rig:
-    """A screened core and the scalar reference core, in lockstep."""
+    """One core, checked against the two oracles at every refresh."""
 
     def __init__(self, bank_index="flat", breaker=False):
         self.planner = WindowPlanner()
         self.clock = StepClock()
         self.bank_index = bank_index
         self.breaker = breaker
-        self.screened = self._core(vectorize=True, bank_index=bank_index)
-        self.scalar = self._core(vectorize=False, bank_index="flat")
-        for core in self.cores:
-            core.bootstrap()
+        self.core = self._core()
+        self.core.bootstrap()
 
-    def _core(self, vectorize, bank_index):
+    def _core(self):
         breaker = (CircuitBreaker(failure_threshold=2, reset_timeout=3.0,
                                   clock=self.clock)
                    if self.breaker else None)
@@ -142,42 +154,34 @@ class Rig:
             mode=RecomputeMode.ON_WINDOW_VIOLATION,
             metrics=RecordingMetrics(), initial_values=INITIAL,
             item_to_source={name: 0 for name in ITEMS},
-            vectorize=vectorize, bank_index=bank_index,
-            solver_breaker=breaker)
-
-    @property
-    def cores(self):
-        return (self.screened, self.scalar)
+            bank_index=self.bank_index, solver_breaker=breaker)
 
     def refresh(self, item, value):
         self.clock.now += 1.0
-        outcomes = []
-        for core in self.cores:
-            before = len(core.metrics.recompute_order)
-            core.apply_refresh(item, value)
-            expected = must_recompute(core, item)
-            notifications, recomputed = core.react_to_refresh(item)
-            assert core.metrics.recompute_order[before:] == expected
-            assert recomputed == bool(expected)
-            outcomes.append((notifications, recomputed, expected))
-        screened, scalar = outcomes
-        assert screened[1:] == scalar[1:]
+        core = self.core
+        before = len(core.metrics.recompute_order)
+        core.apply_refresh(item, value)
+        expected = must_recompute(core, item)
+        moved = must_notify(core, item)
+        notifications, recomputed = core.react_to_refresh(item)
+        assert core.metrics.recompute_order[before:] == expected
+        assert recomputed == bool(expected)
         if self.bank_index == "flat":
-            assert screened[0] == scalar[0]          # bitwise
+            assert notifications == moved            # bitwise
         else:
             # The shared bank walks templates, not ``item_index``, and
             # sums ``W @ P`` in another association.
-            assert dict(screened[0]) == pytest.approx(dict(scalar[0]),
-                                                      rel=1e-9)
-        return screened
+            assert dict(notifications) == pytest.approx(dict(moved),
+                                                        rel=1e-9)
+        return notifications, recomputed, expected
 
     def edge_value(self, item, pick, side, nudge):
         """A value on (or one ulp / 1e-12 either side of) the edge of one
         of the windows around ``item``; ``None`` when it has none."""
-        readers = self.screened.item_index.get(item, ())
+        readers = self.core.item_index.get(item, ())
         if not readers:
             return None
-        plan = self.screened.plans.get(readers[pick % len(readers)].name)
+        plan = self.core.plans.get(readers[pick % len(readers)].name)
         if plan is None or plan.secondary is None or item not in plan.primary:
             return None
         reference = plan.reference_values[item]
@@ -192,26 +196,20 @@ class Rig:
         return value
 
     def add(self, query):
-        for core in self.cores:
-            if query.name not in core.query_names:
-                core.add_query(query)
+        if query.name not in self.core.query_names:
+            self.core.add_query(query)
 
     def remove(self, name):
-        for core in self.cores:
-            if name in core.query_names:
-                core.remove_query(name)
+        if name in self.core.query_names:
+            self.core.remove_query(name)
 
     def snapshot_restore(self):
-        """Cut a snapshot of each core, through the journal's own codec,
+        """Cut a snapshot of the core, through the journal's own codec,
         and carry on from a freshly built core restored from it."""
-        restored = []
-        for core, vectorize in zip(self.cores, (True, False)):
-            state = protocol.decode_body(
-                protocol.encode_body(core.recovery_state()))
-            fresh = self._core(vectorize, core.bank_index_mode)
-            fresh.restore_recovery_state(state)
-            restored.append(fresh)
-        self.screened, self.scalar = restored
+        state = protocol.decode_body(
+            protocol.encode_body(self.core.recovery_state()))
+        self.core = self._core()
+        self.core.restore_recovery_state(state)
 
 
 refresh_ops = st.tuples(
@@ -242,7 +240,7 @@ def _drive(rig, ops):
         if kind == "refresh":
             _, item, how = op
             if how[0] == "scale":
-                value = rig.screened.cache[item] * how[1]
+                value = rig.core.cache[item] * how[1]
             else:
                 value = rig.edge_value(item, *how[1:])
                 if value is None:
@@ -257,8 +255,7 @@ def _drive(rig, ops):
         elif kind == "restore":
             rig.snapshot_restore()
         elif kind == "adopt":
-            for core in rig.cores:
-                core.adopt_item(op[1], core.cache[op[1]] * op[2])
+            rig.core.adopt_item(op[1], rig.core.cache[op[1]] * op[2])
 
 
 EDGE_WALK = [("refresh", "a", ("edge", pick, side, nudge))
@@ -312,21 +309,21 @@ class TestStandingBreach:
     def test_failed_recompute_keeps_triggering_on_every_item(self):
         rig = Rig()
         rig.planner.fail = True
-        stale = rig.screened.plans["q3"]
+        stale = rig.core.plans["q3"]
         _, recomputed, names = rig.refresh("e", INITIAL["e"] * 1.5)
         assert recomputed and "q3" in names
-        assert rig.screened.plans["q3"] is stale     # same object came back
-        solves = rig.screened.metrics.solver_fallbacks
+        assert rig.core.plans["q3"] is stale     # same object came back
+        solves = rig.core.metrics.solver_fallbacks
         # ``c`` never left its window, but q3 = c*e still has ``e`` outside:
         # every refresh of either item must try again.
         for _ in range(3):
             _, recomputed, names = rig.refresh("c", INITIAL["c"])
             assert recomputed and "q3" in names
-        assert rig.screened.metrics.solver_fallbacks > solves
+        assert rig.core.metrics.solver_fallbacks > solves
         rig.planner.fail = False
         _, recomputed, names = rig.refresh("c", INITIAL["c"])
         assert recomputed and "q3" in names
-        assert rig.screened.plans["q3"] is not stale
+        assert rig.core.plans["q3"] is not stale
         assert rig.refresh("c", INITIAL["c"])[1] is False
         assert rig.refresh("e", INITIAL["e"] * 1.5)[1] is False
 
@@ -336,10 +333,10 @@ class TestStandingBreach:
         rig.refresh("e", INITIAL["e"] * 1.5)
         rig.refresh("e", INITIAL["e"])               # back inside, no solve
         rig.refresh("c", INITIAL["c"])               # band rebuilt from here
-        misses = rig.screened.window_screen_misses
+        misses = rig.core.window_screen_misses
         for item in ("c", "e", "c", "e"):
             assert rig.refresh(item, INITIAL[item])[1] is False
-        assert rig.screened.window_screen_misses == misses
+        assert rig.core.window_screen_misses == misses
 
 
 class TestAdoptedValue:
@@ -350,8 +347,7 @@ class TestAdoptedValue:
         rig = Rig()
         for item in ITEMS:                           # build every band
             assert rig.refresh(item, INITIAL[item])[1] is False
-        for core in rig.cores:
-            core.adopt_item("e", INITIAL["e"] * 1.5)
+        rig.core.adopt_item("e", INITIAL["e"] * 1.5)
         # ``c`` itself did not move, but q1 and q3 read ``e`` next to it.
         _, recomputed, names = rig.refresh("c", INITIAL["c"])
         assert recomputed and names == ["q1", "q3"]
@@ -360,8 +356,7 @@ class TestAdoptedValue:
         rig = Rig()
         for item in ITEMS:
             rig.refresh(item, INITIAL[item])
-        for core in rig.cores:
-            core.restore_cache_value("e", INITIAL["e"] * 1.5)
+        rig.core.restore_cache_value("e", INITIAL["e"] * 1.5)
         _, recomputed, names = rig.refresh("f", INITIAL["f"])
         assert recomputed and names == ["q1"]
 
@@ -369,7 +364,7 @@ class TestAdoptedValue:
 class TestPlanSeam:
     def test_install_plan_voids_exactly_that_querys_items(self):
         rig = Rig()
-        core = rig.screened
+        core = rig.core
         for item in ITEMS:
             rig.refresh(item, INITIAL[item])
         assert set(core._bands) == set(ITEMS)
@@ -378,19 +373,17 @@ class TestPlanSeam:
 
     def test_single_dab_and_unplanned_queries_have_no_band(self):
         rig = Rig()
-        core = rig.screened
+        core = rig.core
         single = DABAssignment(primary={"c": 1.0, "e": 1.0},
                                reference_values={"c": INITIAL["c"],
                                                  "e": INITIAL["e"]})
-        for other in rig.cores:
-            other.install_plan("q3", single)
+        core.install_plan("q3", single)
         hits = core.window_screen_hits
         assert rig.refresh("c", INITIAL["c"])[1] is False    # nothing moved
         _, recomputed, names = rig.refresh("c", INITIAL["c"] * 1.0001)
         assert recomputed and names == ["q3"]
         assert core.window_screen_hits == hits               # never screened
-        for other in rig.cores:
-            other.add_query(POOL[1], plan=False)     # dyn1 = e*f, no plan
+        core.add_query(POOL[1], plan=False)          # dyn1 = e*f, no plan
         _, recomputed, names = rig.refresh("f", INITIAL["f"])
         assert recomputed and names == ["dyn1"]
 

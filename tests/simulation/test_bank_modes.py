@@ -35,7 +35,7 @@ def _golden_config(bank_index):
                                source_count=4, seed=13, volatility=0.02)
     return SimulationConfig(queries=scenario.queries, traces=scenario.traces,
                             recompute_cost=5.0, source_count=4, seed=13,
-                            fidelity_interval=2, vectorize=True,
+                            fidelity_interval=2,
                             bank_index=bank_index)
 
 
@@ -50,7 +50,7 @@ def _bank_config(bank_index):
                                      seed=3)
     return SimulationConfig(queries=queries, traces=scenario.traces,
                             recompute_cost=5.0, source_count=4, seed=13,
-                            fidelity_interval=2, vectorize=True,
+                            fidelity_interval=2,
                             bank_index=bank_index)
 
 
@@ -125,11 +125,3 @@ class TestConfigValidation:
         with pytest.raises(SimulationError, match="bank_index"):
             SimulationConfig(queries=scenario.queries, traces=scenario.traces,
                              source_count=2, seed=1, bank_index="hashed")
-
-    def test_shared_requires_vectorize(self):
-        scenario = scaled_scenario(query_count=2, item_count=20,
-                                   trace_length=41, source_count=2, seed=1)
-        with pytest.raises(SimulationError, match="compiled"):
-            SimulationConfig(queries=scenario.queries, traces=scenario.traces,
-                             source_count=2, seed=1, vectorize=False,
-                             bank_index="shared")

@@ -1,7 +1,9 @@
 """Tests for the coordinator's recompute policies and message fanout."""
 
+import numpy as np
 import pytest
 
+from repro.dynamics.traces import Trace, TraceSet
 from repro.exceptions import SimulationError
 from repro.filters import CostModel, DualDABPlanner, OptimalRefreshPlanner
 from repro.filters.heuristics import DifferentSumPlanner
@@ -13,8 +15,9 @@ from repro.simulation import (
     EventQueue,
     MetricsCollector,
     RecomputeMode,
+    SourceNode,
 )
-from repro.simulation.network import ConstantDelayModel
+from repro.simulation.network import ConstantDelayModel, ZeroDelayModel
 
 
 class _FakeSource:
@@ -86,6 +89,30 @@ class TestBootstrap:
                         mode=RecomputeMode.AAO_PERIODIC, queue=EventQueue(),
                         metrics=MetricsCollector(1.0),
                         initial_values={"x": 1.0}, item_to_source={})
+
+
+class TestDirectConstruction:
+    def test_minimal_arguments_build_what_ships(self):
+        """No optional argument selects an evaluator: a bare Coordinator
+        serves the banked evaluation and a bare SourceNode scans a slab,
+        both equal to the reference definitions."""
+        coordinator, _queue, _metrics, _source = make_coordinator(
+            RecomputeMode.ON_WINDOW_VIOLATION)
+        coordinator.on_refresh(refresh(1.0, "x", 2.5))
+        assert coordinator.query_values_array().tolist() == [
+            query.evaluate(coordinator.cache) for query in coordinator.queries]
+        traces = TraceSet([Trace("x", np.array([5.0, 6.5, 6.6])),
+                           Trace("y", np.array([2.0, 2.5, 9.0]))])
+        queue = EventQueue()
+        source = SourceNode(0, ["x", "y"], traces, queue,
+                            MetricsCollector(1.0), ZeroDelayModel())
+        assert source._slab.tolist() == [
+            [traces[name].at(tick) for name in ("x", "y")]
+            for tick in range(3)]
+        source.set_bounds({"x": 1.0, "y": 1.0})
+        source.on_tick(1)
+        assert queue.pop().payload["item"] == "x"
+        assert not queue
 
 
 class TestEveryRefreshPolicy:

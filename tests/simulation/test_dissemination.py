@@ -3,8 +3,14 @@
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.simulation import DisseminationConfig, run_dissemination
+from repro.simulation import (
+    CrashWindow,
+    DisseminationConfig,
+    FaultConfig,
+    run_dissemination,
+)
 from repro.workloads import scaled_scenario
+from tests.golden import assert_matches_reference
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +40,27 @@ class TestConfig:
                                      traces=scenario.traces, algorithm="aao_t")
         with pytest.raises(SimulationError, match="AAO"):
             run_dissemination(config)
+
+
+class TestReferenceGolden:
+    """Fig. 8(c)-shaped runs (3 children, Pareto delays, 10x volatility so
+    windows break) against the metrics the scalar sources and coordinators
+    produced before ``run_dissemination`` moved to the one evaluation
+    path.  The root port is each child's only "source"; it has no slab."""
+
+    FAULTS = FaultConfig(loss_rate=0.05, duplicate_rate=0.02,
+                         crash_windows=(CrashWindow(1, 40.0, 70.0),), seed=5)
+
+    @pytest.mark.parametrize("golden_id, faults", [
+        ("dissemination-pareto", None),
+        ("dissemination-pareto-faulted", FAULTS)])
+    def test_matches_scalar_reference(self, golden_id, faults):
+        volatile = scaled_scenario(query_count=6, item_count=16,
+                                   trace_length=121, source_count=2, seed=17,
+                                   volatility=0.02)
+        result = run(volatile, fault_config=faults)
+        assert result.metrics.recomputations > 0
+        assert_matches_reference(result.metrics, golden_id)
 
 
 class TestBehaviour:

@@ -7,8 +7,8 @@ recomputes):
 1. **Golden bit-identity** — ``recompute_mode="full"`` (the default) runs
    the exact pre-delta solve path: the golden metrics tuple below was
    captured on this config with the delta wrapper in pass-through mode and
-   must never drift; the vectorized full-mode run must also equal the
-   ``vectorize=False`` scalar reference field for field.
+   must never drift; the full-mode run must also equal the recorded
+   scalar reference run (``tests/golden.py``) field for field.
 2. **Observable equivalence** — a delta-mode run differs from the full-mode
    run *only* in the delta counters: every simulation-visible metric
    (refreshes, recomputations, fidelity, messages, notifications) is
@@ -26,6 +26,7 @@ import pytest
 from repro.exceptions import SimulationError
 from repro.simulation import SimulationConfig, run_simulation
 from repro.workloads import scaled_scenario
+from tests.golden import assert_matches_reference
 
 # (refreshes, recomputations, fidelity_loss_percent, dab_change_messages,
 #  user_notifications, gp_solves) at seed 13, fidelity_interval 2,
@@ -33,13 +34,12 @@ from repro.workloads import scaled_scenario
 GOLDEN_FULL = (2499, 75, 0.0, 166, 946, 81)
 
 
-def _config(mode, vectorize=True):
+def _config(mode):
     scenario = scaled_scenario(query_count=6, item_count=20, trace_length=151,
                                source_count=4, seed=13, volatility=0.02)
     return SimulationConfig(queries=scenario.queries, traces=scenario.traces,
                             recompute_cost=5.0, source_count=4, seed=13,
-                            fidelity_interval=2, vectorize=vectorize,
-                            recompute_mode=mode)
+                            fidelity_interval=2, recompute_mode=mode)
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +62,8 @@ class TestGoldenIdentity:
 
     def test_full_mode_equals_scalar_reference(self, full_result):
         """The wrapper in pass-through mode may not perturb a single
-        metric relative to the scalar (vectorize=False) reference."""
-        scalar = run_simulation(_config("full", vectorize=False))
-        for field in dataclasses.fields(scalar.metrics):
-            assert (getattr(full_result.metrics, field.name)
-                    == getattr(scalar.metrics, field.name)), (
-                f"full-mode run diverged from scalar reference on {field.name!r}")
+        metric relative to the scalar reference run."""
+        assert_matches_reference(full_result.metrics, "recompute-full")
 
 
 class TestModeEquivalence:
@@ -114,10 +110,6 @@ class TestConfigValidation:
     def test_unknown_mode_rejected(self):
         with pytest.raises(SimulationError, match="recompute_mode"):
             _config("incremental")
-
-    def test_delta_requires_vectorize(self):
-        with pytest.raises(SimulationError, match="vectorize"):
-            _config("delta", vectorize=False)
 
     def test_delta_requires_dual_dab_family(self):
         scenario = scaled_scenario(query_count=2, item_count=16,

@@ -1,14 +1,13 @@
-"""The scalar/vector equivalence contract (DESIGN.md §8).
+"""The reference-equivalence contract (DESIGN.md §8).
 
-Every vectorized hot path — slab-scanned source ticks, compiled query
-evaluators, vectorized window checks, compiled-GP templates — must be
-*bitwise* identical to the scalar reference implementation.  These tests
-pin the contract end to end: a full simulation run with ``vectorize=True``
-(the default) must produce the exact same ``SimulationMetrics`` dataclass,
-field for field, as the ``vectorize=False`` reference on the same config.
+Every hot path — slab-scanned source ticks, compiled query evaluators,
+the safe-band window screen, compiled-GP templates — must be *bitwise*
+identical to the reference definitions (``PolynomialQuery.evaluate``,
+``DABAssignment.window_contains``, ``Trace.at``).  These tests pin the
+contract end to end: a full simulation run must produce the exact same
+``SimulationMetrics`` dataclass, field for field, as the scalar reference
+run recorded on the same config (see ``tests/golden.py``).
 """
-
-import dataclasses
 
 import pytest
 
@@ -19,63 +18,54 @@ from repro.simulation import (
     run_simulation,
 )
 from repro.workloads import scaled_scenario
+from tests.golden import assert_matches_reference
 
 
-def _metrics(seed, *, vectorize, **kw):
+def _assert_identical(golden_id, seed, **kw):
     scenario = scaled_scenario(query_count=4, item_count=16, trace_length=121,
                                source_count=3, seed=seed,
                                query_kind=kw.pop("query_kind", "portfolio"))
     config = SimulationConfig(queries=scenario.queries, traces=scenario.traces,
                               recompute_cost=2.0, source_count=3, seed=seed,
-                              fidelity_interval=2, vectorize=vectorize, **kw)
-    return run_simulation(config).metrics
-
-
-def _assert_identical(seed, **kw):
-    scalar = _metrics(seed, vectorize=False, **kw)
-    vector = _metrics(seed, vectorize=True, **kw)
-    # Field-by-field so a divergence names the metric that drifted.
-    for field in dataclasses.fields(scalar):
-        assert getattr(vector, field.name) == getattr(scalar, field.name), (
-            f"vectorized run diverged on {field.name!r}"
-        )
-    assert vector == scalar
+                              fidelity_interval=2, **kw)
+    assert_matches_reference(run_simulation(config).metrics, golden_id)
 
 
 @pytest.mark.parametrize("seed", [13, 29])
 def test_dual_dab_identical(seed):
-    _assert_identical(seed)
+    _assert_identical(f"dual-dab-{seed}", seed)
 
 
 @pytest.mark.parametrize("seed", [13, 29])
 def test_optimal_refresh_identical(seed):
-    _assert_identical(seed, algorithm="optimal_refresh")
+    _assert_identical(f"optimal-refresh-{seed}", seed,
+                      algorithm="optimal_refresh")
 
 
 def test_random_walk_identical():
-    _assert_identical(13, ddm="random_walk")
+    _assert_identical("random-walk", 13, ddm="random_walk")
 
 
 def test_zero_delay_identical():
-    _assert_identical(13, zero_delay=True)
+    _assert_identical("zero-delay", 13, zero_delay=True)
 
 
 def test_arbitrage_mixed_sign_identical():
     # Mixed-sign queries exercise the Different-Sum mirror through the
     # compiled templates.
-    _assert_identical(13, query_kind="arbitrage")
+    _assert_identical("arbitrage", 13, query_kind="arbitrage")
 
 
 def test_faulted_run_identical():
-    # Loss, duplicates and a mid-run crash: the vectorized source slab and
-    # the warm-start clearing on resync must replay the scalar run exactly.
+    # Loss, duplicates and a mid-run crash: the source slab and the
+    # warm-start clearing on resync must replay the reference run exactly.
     faults = FaultConfig(loss_rate=0.05, duplicate_rate=0.02,
                          crash_windows=(CrashWindow(1, 40.0, 70.0),),
                          seed=5)
-    _assert_identical(13, fault_config=faults)
+    _assert_identical("faulted", 13, fault_config=faults)
 
 
 def test_uncached_identical():
     # Without the quantising cache every plan is a fresh GP solve — the
     # compiled templates carry the full solver load.
-    _assert_identical(13, cache_grid=None)
+    _assert_identical("uncached", 13, cache_grid=None)

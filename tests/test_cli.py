@@ -137,13 +137,6 @@ class TestPerfFlags:
              "--duration", "60", "--sources", "3",
              "--fidelity-interval", "5"]
 
-    def test_no_vectorize_matches_default(self, capsys):
-        assert main(self.SMALL) == 0
-        vectorized = capsys.readouterr().out
-        assert main(self.SMALL + ["--no-vectorize"]) == 0
-        scalar = capsys.readouterr().out
-        assert _strip_timings(vectorized) == _strip_timings(scalar)
-
     def test_seed_sweep(self, capsys):
         code = main(self.SMALL + ["--runs", "3", "--jobs", "2"])
         assert code == 0
