@@ -134,7 +134,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         duration=args.duration, source_count=args.sources, seed=args.seed,
         fidelity_interval=args.fidelity_interval, zero_delay=args.zero_delay,
         aao_period=args.aao_period, fault_config=fault_config,
-        recompute_mode=args.recompute_mode,
         bank_index=args.bank_index,
     )
     if args.runs > 1:
@@ -168,16 +167,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"GP solves            {m.gp_solves} "
           f"(cache hits {result.cache_hits})")
     print(f"wall time            {result.wall_seconds:.2f}s")
-    # Only the non-default mode reports its counters: full-mode output
-    # stays byte-identical to the pre-delta CLI (and to itself across
-    # runs — the percentiles are wall-clock readouts).
-    if result.recompute_latency is not None and result.recompute_mode != "full":
+    # Dual-DAB stacks only; like the wall time, the percentiles are
+    # wall-clock readouts and differ between otherwise identical runs.
+    if result.recompute_latency is not None:
         latency = result.recompute_latency
-        line = (f"recompute mode       {result.recompute_mode} "
-                f"(patches {latency['patches']}, "
-                f"fallbacks {latency['fallbacks']}, "
-                f"hit rate {latency['patch_hit_rate']:.2%})")
-        print(line)
+        print(f"breach recomputes    patches {latency['patches']}, "
+              f"fallbacks {latency['fallbacks']}, "
+              f"hit rate {latency['patch_hit_rate']:.2%}")
         if "p95_ms" in latency:
             print(f"recompute latency    p50 {latency['p50_ms']:.2f}ms  "
                   f"p95 {latency['p95_ms']:.2f}ms  "
@@ -321,8 +317,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         query_count=args.queries, item_count=args.items,
         source_count=args.sources, trace_length=args.trace_length,
         seed=args.seed, algorithm=args.algorithm, recompute_cost=args.mu,
-        workload=args.workload, recompute_mode=args.recompute_mode,
-        bank_index=args.bank_index,
+        workload=args.workload, bank_index=args.bank_index,
         journal=journal, bootstrap=journal is None,
     )
     if journal is not None:
@@ -586,8 +581,7 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
         shards=args.shards, query_count=args.queries, item_count=args.items,
         source_count=args.sources, trace_length=args.trace_length,
         seed=args.seed, algorithm=args.algorithm, recompute_cost=args.mu,
-        workload=args.workload, recompute_mode=args.recompute_mode,
-        bank_index=args.bank_index,
+        workload=args.workload, bank_index=args.bank_index,
         journal_dir=args.journal or None,
         snapshot_every=args.snapshot_every, fsync=args.fsync,
     )
@@ -757,12 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--fidelity-interval", type=int, default=2)
     simulate.add_argument("--zero-delay", action="store_true")
     simulate.add_argument("--aao-period", type=int, default=None)
-    simulate.add_argument("--recompute-mode", choices=["full", "delta"],
-                          default="full",
-                          help="how window breaches are re-solved: 'full' "
-                               "(multi-start GP solve, the default) or "
-                               "'delta' (warm Newton-KKT coefficient patch "
-                               "with full-solve fallback)")
     simulate.add_argument("--bank-index", choices=["flat", "shared"],
                           default="flat",
                           help="query-bank layout: 'flat' (one compiled row "
@@ -850,11 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=DEFAULT_SERVICE_PORT)
     serve.add_argument("--mu", type=float, default=5.0,
                        help="recomputation cost in messages")
-    serve.add_argument("--recompute-mode", choices=["full", "delta"],
-                       default="full",
-                       help="how window breaches are re-solved: 'full' "
-                            "(multi-start GP solve) or 'delta' (warm "
-                            "Newton-KKT patch with full-solve fallback)")
     serve.add_argument("--bank-index", choices=["flat", "shared"],
                        default="flat",
                        help="query-bank layout: 'flat' (per-query compiled "
@@ -942,8 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
                                default=DEFAULT_SERVICE_PORT)
     cluster_serve.add_argument("--mu", type=float, default=5.0,
                                help="recomputation cost in messages")
-    cluster_serve.add_argument("--recompute-mode",
-                               choices=["full", "delta"], default="full")
     cluster_serve.add_argument("--bank-index", choices=["flat", "shared"],
                                default="flat")
     cluster_serve.add_argument("--journal", default=None, metavar="DIR",

@@ -65,35 +65,14 @@ class QuantisingCachePlanner:
         self._log_step = math.log1p(grid)
 
     @property
-    def _mode_key(self) -> str:
-        """The wrapped stack's recompute mode, part of every cache key.
-
-        Keying on values alone let a planner whose mode changed between
-        runs (full <-> delta) serve entries computed under the other mode —
-        sound plans, but the wrong solve path's plans, which silently
-        corrupts mode-comparison experiments and the patch/fallback
-        counters.  Stacks without a delta layer key as "full"."""
-        node = self.planner
-        seen = set()
-        while node is not None and id(node) not in seen:
-            mode = getattr(node, "recompute_mode", None)
-            if isinstance(mode, str):
-                return mode
-            seen.add(id(node))
-            node = (getattr(node, "planner", None)
-                    or getattr(node, "base", None)
-                    or getattr(node, "inner", None))
-        return "full"
-
-    @property
     def _bank_key(self) -> str:
         """The bank-index mode, part of every cache key (PR 8).
 
-        Same rationale as :attr:`_mode_key`: a flat- and a shared-index
-        run must never serve each other's entries — the shared stack
-        warm-starts solves from per-template anchors, so its plans can
-        differ in the last ulp from the flat stack's, and kill -9 replay
-        determinism requires each mode to replay only its own solves.
+        A flat- and a shared-index run must never serve each other's
+        entries — the shared stack warm-starts solves from per-template
+        anchors, so its plans can differ in the last ulp from the flat
+        stack's, and kill -9 replay determinism requires each mode to
+        replay only its own solves.
         The mode is set explicitly by the harness/server builders; as a
         fallback the planner stack is walked for a ``bank_index_mode``
         attribute.  Stacks without one key as "flat"."""
@@ -120,7 +99,7 @@ class QuantisingCachePlanner:
     def plan(self, query: PolynomialQuery, values: Mapping[str, float]) -> DABAssignment:
         quantised = {name: self._quantise_up(float(values[name]))
                      for name in query.variables}
-        key = (query.name, self._mode_key, self._bank_key,
+        key = (query.name, self._bank_key,
                tuple(sorted(quantised.items())))
         cached = self._cache.get(key)
         if cached is not None:

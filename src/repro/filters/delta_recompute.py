@@ -7,8 +7,8 @@ every breach with the full multi-start solve (phase-1 feasibility
 restoration + SLSQP + trust-constr retries) wastes almost all of that
 locality.
 
-:class:`DeltaRecomputePlanner` wraps a :class:`DualDABPlanner` and, in
-``delta`` mode, answers a breach with a *local coefficient patch*:
+:class:`DeltaRecomputePlanner` wraps a :class:`DualDABPlanner` and answers
+a breach with a *local coefficient patch*:
 
 1. the query's compiled template refreshes its log-coefficient vectors at
    the new values (`changed_items` records which log-variables moved);
@@ -33,14 +33,18 @@ exactly what the property-based equivalence suite asserts.  The QAB
 invariant is additionally enforced directly, so even a wrongly-accepted
 patch could never ship an unsound plan.
 
-In ``full`` mode the wrapper is a strict pass-through around the inner
-planner: it returns the inner plan object untouched and only measures
-latency and counts solves, which feeds the recompute-latency benchmark.
+This is the only recompute pipeline: a query's first plan (no optimum to
+patch from yet) and every declined patch go to the inner planner's
+multi-start solve, which stays the oracle the equivalence suite compares
+patches against.
 
 The patch and the full solve evaluate the program through the same fused
-kernel (:meth:`repro.gp.program.CompiledProgram.evaluate`): one pass per
-Newton iterate yields every constraint value, the Jacobian rows of the
-working set and the multiplier-weighted Lagrangian Hessian.
+kernel (:meth:`repro.gp.program.CompiledProgram.evaluate`): exactly one
+pass per Newton iterate yields every constraint value, the Jacobian rows
+of the working set and the multiplier-weighted Lagrangian Hessian — the
+warm start's pass seeds the working set, each round starts from the pass
+its predecessor ended on, and the acceptance residual reads the accepted
+iterate's.
 """
 
 from __future__ import annotations
@@ -56,15 +60,12 @@ from scipy.optimize import nnls
 from repro.exceptions import FilterError, GPError
 from repro.filters.assignment import DABAssignment
 from repro.filters.dual_dab import RECOMPUTE_RATE_VARIABLE, DualDABPlanner
-from repro.gp.program import CompiledProgram
+from repro.gp.program import CompiledProgram, Evaluation
 from repro.gp.sensitivity import kkt_residual
 from repro.gp.solver import FEASIBILITY_TOL, _Y_BOUND
 from repro.queries.bank_index import template_key
 from repro.queries.deviation import primary_variable, secondary_variable
 from repro.queries.polynomial import PolynomialQuery
-
-#: Modes the planner (and the ``--recompute-mode`` flag) accepts.
-RECOMPUTE_MODES = ("full", "delta")
 
 #: Constraints within this of active (log-space) seed the working set.
 #: Loose on purpose: a coefficient refresh shifts a previously-active
@@ -101,19 +102,16 @@ class PatchResult:
 class DeltaStats:
     """Patch/fallback/residual counters for the stats plane.
 
-    ``patches``/``fallbacks`` partition the *window-breach* recomputes of
-    delta mode (a breach either patched or fell back to the full solve);
-    ``cold_solves`` are first-plan solves that had no previous optimum to
-    patch from, and ``full_solves`` counts pass-through solves in ``full``
-    mode.  Latency samples are kept per category so the benchmark can
-    report breach-resolution percentiles for both modes.
+    ``patches``/``fallbacks`` partition the *window-breach* recomputes (a
+    breach either patched or fell back to the full solve); ``cold_solves``
+    are first-plan solves that had no previous optimum to patch from.
+    Breach latency samples are kept per category so the benchmark can
+    report breach-resolution percentiles.
     """
 
-    mode: str = "full"
     patches: int = 0
     fallbacks: int = 0
     cold_solves: int = 0
-    full_solves: int = 0
     #: Cold solves warm-started from a structurally-identical sibling's
     #: optimum (``share_templates`` mode — the shared bank-index stack).
     template_seeds: int = 0
@@ -124,7 +122,6 @@ class DeltaStats:
     declines: Dict[str, int] = field(default_factory=dict)
     patch_seconds: List[float] = field(default_factory=list)
     fallback_seconds: List[float] = field(default_factory=list)
-    full_seconds: List[float] = field(default_factory=list)
 
     @property
     def breaches(self) -> int:
@@ -159,35 +156,24 @@ class DeltaStats:
         self.fallbacks += 1
         self._record(self.fallback_seconds, seconds)
 
-    def record_cold(self, seconds: float) -> None:
-        self.cold_solves += 1
-        self._record(self.full_seconds, seconds)
-
-    def record_full(self, seconds: float) -> None:
-        self.full_solves += 1
-        self._record(self.full_seconds, seconds)
-
     def breach_seconds(self) -> List[float]:
-        """Latencies of breach-driven recomputes: patches + fallbacks in
-        delta mode, the pass-through solves in full mode."""
-        if self.mode == "delta":
-            return self.patch_seconds + self.fallback_seconds
-        return self.full_seconds
+        """Latencies of breach-driven recomputes: patches + fallbacks."""
+        return self.patch_seconds + self.fallback_seconds
 
     def latency_summary(self) -> Dict[str, float]:
         """The ``recompute_latency`` section: breach-resolution percentiles
-        (milliseconds) plus patch-hit/fallback rates."""
+        (milliseconds), patch-hit/fallback rates and the largest KKT
+        residual an accepted patch carried."""
         samples = self.breach_seconds()
         summary: Dict[str, float] = {
-            "mode": self.mode,
             "samples": len(samples),
             "patches": self.patches,
             "fallbacks": self.fallbacks,
             "cold_solves": self.cold_solves,
-            "full_solves": self.full_solves,
             "template_seeds": self.template_seeds,
             "patch_hit_rate": round(self.patch_hit_rate, 4),
             "fallback_rate": round(self.fallback_rate, 4),
+            "max_residual": self.max_residual,
         }
         if samples:
             arr = np.asarray(samples) * 1000.0
@@ -199,11 +185,9 @@ class DeltaStats:
     def snapshot(self) -> Dict[str, object]:
         """Counter snapshot for the service stats plane (no latency lists)."""
         return {
-            "mode": self.mode,
             "patches": self.patches,
             "fallbacks": self.fallbacks,
             "cold_solves": self.cold_solves,
-            "full_solves": self.full_solves,
             "template_seeds": self.template_seeds,
             "patch_hit_rate": round(self.patch_hit_rate, 4),
             "last_residual": self.last_residual,
@@ -215,14 +199,16 @@ class DeltaStats:
 def _newton_working_set(
     compiled: CompiledProgram,
     y0: np.ndarray,
+    evaluation: Evaluation,
     working: Sequence[int],
     max_iterations: int,
     kkt_tol: float,
 ):
     """Newton on the KKT equalities of a fixed working set.
 
-    Solves ``min F0(y)  s.t.  F_i(y) = 0, i in working`` from ``y0`` by
-    iterating the (regularised) KKT system
+    Solves ``min F0(y)  s.t.  F_i(y) = 0, i in working`` from ``y0`` (with
+    ``evaluation`` the program's evaluation there) by iterating the
+    (regularised) KKT system
 
         [ H   Aᵀ ] [dy]   [-(∇F0 + Aᵀν)]
         [ A   0  ] [dν] = [    -F       ]
@@ -242,7 +228,6 @@ def _newton_working_set(
     hessian_weights = np.zeros(len(compiled.constraints) + 1)
     hessian_weights[0] = 1.0
     y = y0.copy()
-    evaluation = compiled.evaluate(y)
     jacobian = evaluation.jacobian()
     # Seed the multipliers with the NNLS stationarity fit (the sensitivity
     # machinery's recovery) instead of zero: the Lagrangian Hessian only
@@ -317,18 +302,18 @@ def newton_patch(
 
     # Seed the working set with the constraints (near-)active or violated
     # at the warm start under the *new* coefficients.
+    evaluation = compiled.evaluate(y)
     working = np.flatnonzero(
-        compiled.evaluate(y).values[1:] >= -_WORKING_SET_TOL).tolist()
+        evaluation.values[1:] >= -_WORKING_SET_TOL).tolist()
 
     iterations = 0
     log_feas = math.log1p(feasibility_tol)
     for _ in range(max_working_set_rounds):
-        y_next, nu, residual, used, evaluation = _newton_working_set(
-            compiled, y, working, max_newton_iterations, kkt_tol)
+        y, nu, residual, used, evaluation = _newton_working_set(
+            compiled, y, evaluation, working, max_newton_iterations, kkt_tol)
         iterations += used
         if not math.isfinite(residual) or residual > kkt_tol:
             return None
-        y = y_next
         in_working = set(working)
         violated = [
             i for i in np.flatnonzero(evaluation.values[1:] > log_feas).tolist()
@@ -338,7 +323,8 @@ def newton_patch(
         if not violated and not negative:
             objective = math.exp(float(evaluation.values[0]))
             final_residual = kkt_residual(
-                compiled, y, working, np.maximum(nu, 0.0))
+                compiled, y, working, np.maximum(nu, 0.0),
+                evaluation=evaluation)
             if final_residual > 10.0 * kkt_tol:
                 return None
             return PatchResult(
@@ -362,33 +348,27 @@ class DeltaRecomputePlanner:
 
     Sits *below* the Different-Sum / Half-and-Half mirroring wrappers (so
     it only ever sees PPQs, exactly like the inner planner) and *above*
-    the inner :class:`DualDABPlanner`.  ``mode="full"`` is a strict
-    pass-through — identical plans, only timing/counting added — which is
-    the default wiring so existing runs stay bit-identical.
+    the inner :class:`DualDABPlanner`, whose multi-start solve answers a
+    query's first plan and every declined patch.
     """
 
     def __init__(
         self,
         inner: DualDABPlanner,
-        mode: str = "delta",
         kkt_tol: float = 1e-7,
         max_newton_iterations: int = 12,
         max_working_set_rounds: int = 4,
         share_templates: bool = False,
     ):
-        if mode not in RECOMPUTE_MODES:
-            raise FilterError(
-                f"recompute mode must be one of {RECOMPUTE_MODES}, got {mode!r}")
-        if mode == "delta" and not inner.use_compiled:
+        if not inner.use_compiled:
             raise FilterError(
                 "delta recompute needs the compiled-GP templates; build the "
                 "inner DualDABPlanner with use_compiled=True")
         self.inner = inner
-        self.mode = mode
         self.kkt_tol = float(kkt_tol)
         self.max_newton_iterations = int(max_newton_iterations)
         self.max_working_set_rounds = int(max_working_set_rounds)
-        self.stats = DeltaStats(mode=mode)
+        self.stats = DeltaStats()
         #: query name -> {"main": last main-solve values,
         #:                "secondary": last widened secondary DABs}
         self._states: Dict[str, Dict[str, Dict[str, float]]] = {}
@@ -401,21 +381,11 @@ class DeltaRecomputePlanner:
         self.share_templates = bool(share_templates)
         self._anchors: Dict[tuple, Dict[str, float]] = {}
 
-    @property
-    def recompute_mode(self) -> str:
-        """The mode, discoverable by cache layers for mode-aware keying."""
-        return self.mode
-
     # -- planning -----------------------------------------------------------------
 
     def plan(self, query: PolynomialQuery,
              values: Mapping[str, float]) -> DABAssignment:
         started = _time.perf_counter()
-        if self.mode != "delta":
-            plan = self.inner.plan(query, values)
-            self.stats.record_full(_time.perf_counter() - started)
-            return plan
-
         state = self._states.get(query.name)
         if state is not None:
             plan = self._try_patch(query, values, state)
@@ -431,7 +401,7 @@ class DeltaRecomputePlanner:
                 self.inner.seed_warm_start(query.name, dict(anchor))
                 self.stats.template_seeds += 1
         plan = self._full_solve(query, values)
-        self.stats.record_cold(_time.perf_counter() - started)
+        self.stats.cold_solves += 1
         return plan
 
     def _full_solve(self, query: PolynomialQuery,

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from repro.exceptions import GPError
-from repro.gp.program import CompiledProgram, GeometricProgram
+from repro.gp.program import CompiledProgram, Evaluation, GeometricProgram
 from repro.gp.solver import GPSolution
 
 #: A constraint counts as active when ``|g(t) - 1|`` is below this.
@@ -112,18 +112,21 @@ def analyze_compiled(compiled: CompiledProgram,
 
 
 def kkt_residual(compiled: CompiledProgram, y: np.ndarray,
-                 working: "List[int]", nu: np.ndarray) -> float:
+                 working: "List[int]", nu: np.ndarray,
+                 evaluation: Optional[Evaluation] = None) -> float:
     """∞-norm of the KKT residual of a working-set iterate.
 
     ``working`` indexes the constraints treated as equalities, ``nu`` their
-    multipliers.  The residual combines stationarity
+    multipliers; ``evaluation`` is the program's evaluation at ``y`` when
+    the caller already holds it.  The residual combines stationarity
     (``∇F0 + Σ ν_i ∇F_i``) with primal feasibility of the working set
     (``F_i = 0``); dual feasibility (``ν >= 0``) and feasibility of the
     *non*-working constraints are checked separately by the caller, because
     their violation calls for an active-set update rather than more Newton
     steps.  This is the acceptance metric of the delta-recompute patch.
     """
-    evaluation = compiled.evaluate(y)
+    if evaluation is None:
+        evaluation = compiled.evaluate(y)
     stationarity = evaluation.jacobian()[0]
     primal = 0.0
     if len(working):

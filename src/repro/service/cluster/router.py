@@ -960,7 +960,6 @@ def build_scenario_cluster(
     recompute_cost: float = 5.0,
     workload: str = "portfolio",
     notify_queue_limit: int = DEFAULT_NOTIFY_QUEUE_LIMIT,
-    recompute_mode: str = "full",
     bank_index: str = "flat",
     journal_dir: Optional[str] = None,
     snapshot_every: int = 500,
@@ -993,8 +992,7 @@ def build_scenario_cluster(
         query_count=query_count, item_count=item_count,
         source_count=source_count, trace_length=trace_length, seed=seed,
         algorithm=algorithm, recompute_cost=recompute_cost,
-        workload=workload, recompute_mode=recompute_mode,
-        bank_index=bank_index)
+        workload=workload, bank_index=bank_index)
     shard_map = ShardMap(shards)
     decomposition = decompose_bank(queries, shard_map.shard_of)
 

@@ -116,7 +116,6 @@ class CoordinatorCore:
         recompute_hook: Optional[Callable[[], None]] = None,
         solver_breaker: Optional[object] = None,
         breaker_shrink: float = 0.9,
-        recompute_strategy: str = "full",
         bank_index: str = "flat",
     ):
         if not queries:
@@ -148,25 +147,13 @@ class CoordinatorCore:
             raise SimulationError(
                 f"breaker_shrink must be in (0, 1], got {breaker_shrink!r}")
         self.breaker_shrink = float(breaker_shrink)
-        #: How the planner stack answers window breaches: ``"full"`` (the
-        #: classic multi-start solve; named ``recompute_strategy`` here to
-        #: avoid colliding with :class:`RecomputeMode`, the *trigger*
-        #: policy) or ``"delta"`` (Newton-KKT patch with full-solve
-        #: fallback).  Journaled with every plan record when not "full" so
-        #: a replayed run can prove it restored under the same strategy.
-        if recompute_strategy not in ("full", "delta"):
-            raise SimulationError(
-                f"recompute_strategy must be 'full' or 'delta', "
-                f"got {recompute_strategy!r}")
-        self.recompute_strategy = recompute_strategy
         #: How the query bank is compiled: ``"flat"`` (one gather row per
         #: term per query — the golden-pinned classic path) or
         #: ``"shared"`` (structure-deduplicating
         #: :class:`~repro.queries.bank_index.SharedStructureBank`: one
         #: gather per distinct structure, per-query coefficient matrices,
         #: slack-screened notifications).
-        #: Journaled with every plan record when not "flat", mirroring
-        #: the ``recompute_strategy`` stamp.
+        #: Journaled with every plan record when not "flat".
         if bank_index not in BANK_INDEX_MODES:
             raise SimulationError(
                 f"bank_index must be one of {BANK_INDEX_MODES}, "
@@ -561,15 +548,10 @@ class CoordinatorCore:
         from repro.service.journal import plan_to_wire
 
         record = {"t": "plan", "q": name, "plan": plan_to_wire(plan)}
-        if self.recompute_strategy != "full":
-            # Full-mode journals stay byte-identical to the pre-delta
-            # format; delta runs stamp the strategy so replay can
-            # verify it restored under the same one.
-            record["mode"] = self.recompute_strategy
         if self.bank_index_mode != "flat":
-            # Same contract for the bank-index mode: flat journals stay
-            # byte-identical, shared runs stamp the mode so flat- and
-            # shared-mode histories can never be confused on replay.
+            # Flat journals stay byte-identical to the pre-index format;
+            # shared runs stamp the mode so flat- and shared-mode
+            # histories can never be confused on replay.
             record["bank_index"] = self.bank_index_mode
         self.journal.append(record)
 

@@ -72,7 +72,6 @@ class CoordinatorServer(FrontEnd):
         clock: Callable[[], float] = _time.time,
         journal: Optional[Journal] = None,
         bootstrap: bool = True,
-        recompute_strategy: str = "full",
         bank_index: str = "flat",
         shard_id: Optional[int] = None,
     ):
@@ -83,7 +82,6 @@ class CoordinatorServer(FrontEnd):
             initial_values=initial_values, item_to_source=item_to_source,
             aao_planner=aao_planner, aao_period=aao_period,
             solver_breaker=solver_breaker,
-            recompute_strategy=recompute_strategy,
             bank_index=bank_index,
         )
         #: ``bootstrap=False`` defers the initial GP solves to
@@ -807,8 +805,7 @@ class CoordinatorServer(FrontEnd):
 
 def _scenario_planning(query_count: int, item_count: int, source_count: int,
                        trace_length: int, seed: int, algorithm: str,
-                       recompute_cost: float, workload: str,
-                       recompute_mode: str, bank_index: str):
+                       recompute_cost: float, workload: str, bank_index: str):
     """What a single-server build and a cluster build share — the same
     workload generator, rate estimation and planner stack as a simulator
     run.  Returns ``(scenario, queries, make_server, item_to_source)``:
@@ -838,8 +835,7 @@ def _scenario_planning(query_count: int, item_count: int, source_count: int,
     config = SimulationConfig(
         queries=scenario.queries, traces=scenario.traces,
         algorithm=algorithm, recompute_cost=recompute_cost,
-        source_count=source_count, seed=seed,
-        recompute_mode=recompute_mode, bank_index=bank_index,
+        source_count=source_count, seed=seed, bank_index=bank_index,
     )
     if config.algorithm is AlgorithmName.AAO_T:
         raise ReproError("the live service has no periodic scheduler yet; "
@@ -862,8 +858,7 @@ def _scenario_planning(query_count: int, item_count: int, source_count: int,
             initial_values={name: initial_values[name] for name in items},
             item_to_source={name: item_to_source[name] for name in items},
             mode=_SINGLE_DAB_MODES[config.algorithm],
-            recompute_cost=recompute_cost,
-            recompute_strategy=recompute_mode, bank_index=bank_index,
+            recompute_cost=recompute_cost, bank_index=bank_index,
             **kwargs)
 
     return scenario, config.queries, make_server, item_to_source
@@ -879,7 +874,6 @@ def build_scenario_server(
     recompute_cost: float = 5.0,
     workload: str = "portfolio",
     notify_queue_limit: int = DEFAULT_NOTIFY_QUEUE_LIMIT,
-    recompute_mode: str = "full",
     bank_index: str = "flat",
     **server_kwargs: Any,
 ):
@@ -900,8 +894,7 @@ def build_scenario_server(
         query_count=query_count, item_count=item_count,
         source_count=source_count, trace_length=trace_length, seed=seed,
         algorithm=algorithm, recompute_cost=recompute_cost,
-        workload=workload, recompute_mode=recompute_mode,
-        bank_index=bank_index)
+        workload=workload, bank_index=bank_index)
     server = make_server(queries, sorted(item_to_source),
                          notify_queue_limit=notify_queue_limit,
                          **server_kwargs)

@@ -85,7 +85,6 @@ class Coordinator:
         recompute_delay: Optional[DelayModel] = None,
         rate_tracker: Optional[object] = None,
         fault_model: Optional[FaultModel] = None,
-        recompute_strategy: str = "full",
         bank_index: str = "flat",
     ):
         self.core = CoordinatorCore(
@@ -98,7 +97,6 @@ class Coordinator:
             aao_planner=aao_planner,
             aao_period=aao_period,
             recompute_hook=self._charge_recompute_time,
-            recompute_strategy=recompute_strategy,
             bank_index=bank_index,
         )
         self.queue = queue

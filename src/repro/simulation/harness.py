@@ -30,7 +30,6 @@ from repro.filters.baselines import SharfmanStyleBaseline, UniformAllocationBase
 from repro.filters.caching import QuantisingCachePlanner
 from repro.filters.cost_model import CostModel
 from repro.filters.delta_recompute import (
-    RECOMPUTE_MODES,
     DeltaRecomputePlanner,
     find_delta_planner,
 )
@@ -126,12 +125,6 @@ class SimulationConfig:
     #: default ``FaultConfig()`` leaves the fault machinery provably off —
     #: the run is bit-identical to the fault-free simulator.
     fault_config: Optional[FaultConfig] = None
-    #: ``"full"`` answers every window breach with the multi-start solve
-    #: (the pre-delta behaviour, bit-identical); ``"delta"`` tries a
-    #: warm-started Newton-KKT coefficient patch first and falls back to
-    #: the full solve when the patch's KKT residual or the QAB invariant
-    #: rejects it (see :mod:`repro.filters.delta_recompute`).
-    recompute_mode: str = "full"
     #: ``"flat"`` keeps the per-query compiled bank (bit-identical to the
     #: pre-index path); ``"shared"`` routes evaluation, notification
     #: screening and window checks through the structure-deduplicating
@@ -152,17 +145,6 @@ class SimulationConfig:
             )
         if self.algorithm is AlgorithmName.AAO_T and (self.aao_period or 0) < 1:
             raise SimulationError("AAO_T requires aao_period >= 1")
-        if self.recompute_mode not in RECOMPUTE_MODES:
-            raise SimulationError(
-                f"recompute_mode must be one of {RECOMPUTE_MODES}, "
-                f"got {self.recompute_mode!r}")
-        if (self.recompute_mode == "delta"
-                and self.algorithm not in _DELTA_ALGORITHMS):
-            supported = ", ".join(a.value for a in _DELTA_ALGORITHMS)
-            raise SimulationError(
-                f"recompute_mode='delta' supports only the dual-DAB "
-                f"planner stacks ({supported}); got "
-                f"{self.algorithm.value!r}")
         if self.bank_index not in BANK_INDEX_MODES:
             raise SimulationError(
                 f"bank_index must be one of {BANK_INDEX_MODES}, "
@@ -190,10 +172,9 @@ class SimulationResult:
     #: rate estimation and the time-zero initial plan) — the hot path the
     #: ticks/sec benchmarks measure.
     loop_seconds: float = 0.0
-    #: The run's ``--recompute-mode`` and, when a delta-capable stack was
-    #: wired, the breach-resolution latency summary (percentiles in ms,
-    #: patch-hit/fallback rates) from the delta planner's stats.
-    recompute_mode: str = "full"
+    #: For the dual-DAB planner stacks, the breach-resolution latency
+    #: summary (percentiles in ms, patch-hit/fallback rates) from the
+    #: delta planner's stats.
     recompute_latency: Optional[Dict[str, float]] = None
     #: The run's ``--bank-index`` mode and, in ``shared`` mode, the
     #: structure-index stats plane (distinct structures, dedup ratio,
@@ -205,15 +186,6 @@ class SimulationResult:
     #: it computed, so they stay out of ``metrics`` (which the goldens pin).
     window_screen_hits: int = 0
     window_screen_misses: int = 0
-
-
-#: Algorithms whose planner stack routes PPQ solves through the dual-DAB
-#: planner — the stacks the delta-recompute wrapper can patch.
-_DELTA_ALGORITHMS = (
-    AlgorithmName.DUAL_DAB,
-    AlgorithmName.DIFFERENT_SUM,
-    AlgorithmName.HALF_AND_HALF,
-)
 
 
 _SINGLE_DAB_MODES = {
@@ -231,15 +203,10 @@ _SINGLE_DAB_MODES = {
 
 def _dual_dab_stack(config: SimulationConfig,
                     cost_model: CostModel) -> DeltaRecomputePlanner:
-    """The dual-DAB core wrapped by the delta-recompute layer.
-
-    The wrapper goes in for *both* modes: in ``full`` mode it is a strict
-    pass-through (bit-identical plans) that only times the solves, so the
-    recompute-latency benchmark can compare modes on equal footing.
-    """
+    """The dual-DAB core under the patch-first recompute layer (see
+    :mod:`repro.filters.delta_recompute`)."""
     return DeltaRecomputePlanner(
         DualDABPlanner(cost_model, use_compiled=True),
-        mode=config.recompute_mode,
         share_templates=config.bank_index == "shared",
     )
 
@@ -363,7 +330,6 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         recompute_delay=recompute_delay,
         rate_tracker=rate_tracker,
         fault_model=fault_model,
-        recompute_strategy=config.recompute_mode,
         bank_index=config.bank_index,
     )
     coordinator.attach_sources(sources.values())
@@ -449,7 +415,6 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         cache_hits=cache.stats.hits if cache else 0,
         cache_misses=cache.stats.misses if cache else 0,
         loop_seconds=loop_seconds,
-        recompute_mode=config.recompute_mode,
         recompute_latency=recompute_latency,
         bank_index=config.bank_index,
         bank_stats=bank_stats,

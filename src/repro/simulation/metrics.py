@@ -73,7 +73,7 @@ class SimulationMetrics:
     staleness_exposure_seconds: float = 0.0
     degraded_samples: int = 0
     uncertainty_violations: int = 0
-    # -- delta-recompute counters (zero in full mode) ----------------------------
+    # -- breach recomputes of the dual-DAB stacks: patched / fell back -----------
     delta_patches: int = 0
     delta_fallbacks: int = 0
     # -- shared bank-index counters (zero in flat mode) ---------------------------

@@ -176,41 +176,6 @@ class TestSoundness:
         assert plan1.primary is not plan2.primary
 
 
-class TestModeKeying:
-    """Cache keys carry the stack's recompute mode (ISSUE 7 satellite):
-    full-mode and delta-mode solves of the same quantised cell must not
-    share entries."""
-
-    def test_mode_change_is_a_cache_miss(self, fig2_query, unit_cost_model):
-        inner = _CountingPlanner(OptimalRefreshPlanner(unit_cost_model))
-        inner.recompute_mode = "full"
-        cache = QuantisingCachePlanner(inner)
-        cache.plan(fig2_query, {"x": 2.0, "y": 2.0})
-        inner.recompute_mode = "delta"
-        cache.plan(fig2_query, {"x": 2.0, "y": 2.0})
-        assert inner.calls == 2          # same cell, different mode: solve
-        inner.recompute_mode = "full"
-        cache.plan(fig2_query, {"x": 2.0, "y": 2.0})
-        assert inner.calls == 2          # original full-mode entry still hits
-        assert cache.stats.hits == 1
-
-    def test_mode_discovered_through_wrapper_links(self, fig2_query,
-                                                   unit_cost_model):
-        from repro.filters.delta_recompute import DeltaRecomputePlanner
-
-        delta = DeltaRecomputePlanner(
-            DualDABPlanner(unit_cost_model, use_compiled=True), mode="delta")
-        counting = _CountingPlanner(delta)   # cache -> counter -> delta
-        cache = QuantisingCachePlanner(counting)
-        assert cache._mode_key == "delta"
-        cache.plan(fig2_query, {"x": 2.0, "y": 2.0})
-        assert counting.calls == 1
-
-    def test_stacks_without_delta_layer_key_as_full(self, cached_optimal):
-        _inner, cache = cached_optimal
-        assert cache._mode_key == "full"
-
-
 class TestBankKeying:
     """Cache keys carry the bank-index mode (ISSUE 8 satellite): flat- and
     shared-mode solves of the same quantised cell must not share entries,

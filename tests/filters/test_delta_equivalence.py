@@ -11,8 +11,11 @@ query banks and perturbation sequences:
    solve at the same values to solver tolerance (the log-space program is
    convex, so a KKT point *is* the optimum — this suite is the empirical
    check on that argument).
-3. **Pass-through** — in ``full`` mode the wrapper returns the inner
-   planner's plan object untouched (bit-identity, not approximation).
+3. **Cold start** — a query's first plan (nothing to patch from) is the
+   inner planner's plan, bit for bit.
+
+The reference throughout is a bare :class:`DualDABPlanner` — the
+multi-start solve the patch replaces on the breach path.
 
 Budget: the default ``ci`` Hypothesis profile keeps the suite under a
 minute for tier-1; set ``REPRO_HYPOTHESIS_PROFILE=nightly`` for the
@@ -81,9 +84,8 @@ def _perturb(values, perturb_seed, tick, magnitude):
 
 
 def _delta_pair(model):
-    """A delta-mode planner plus an independent full-solve reference."""
-    delta = DeltaRecomputePlanner(
-        DualDABPlanner(model, use_compiled=True), mode="delta")
+    """A patch-first planner plus an independent full-solve reference."""
+    delta = DeltaRecomputePlanner(DualDABPlanner(model, use_compiled=True))
     reference = DualDABPlanner(model, use_compiled=True)
     return delta, reference
 
@@ -139,28 +141,6 @@ class TestPatchedPlanEquivalence:
             assert plan.objective == pytest.approx(
                 full.objective, rel=OBJECTIVE_RTOL, abs=1e-9)
 
-    @given(case_seed=st.integers(0, 2**20),
-           qab_frac=st.floats(0.05, 0.5))
-    @example(case_seed=77, qab_frac=0.3)
-    def test_full_mode_is_bitwise_passthrough(self, case_seed, qab_frac):
-        query, values, model = _build_case(case_seed, qab_frac)
-        inner = DualDABPlanner(model, use_compiled=True)
-        wrapper = DeltaRecomputePlanner(inner, mode="full")
-        bare = DualDABPlanner(model, use_compiled=True)
-        try:
-            wrapped_plan = wrapper.plan(query, values)
-            bare_plan = bare.plan(query, values)
-        except GPError:
-            assume(False)
-        # Exact float equality, not approx: full mode may not perturb the
-        # solve path in any way.
-        assert wrapped_plan.primary == bare_plan.primary
-        assert wrapped_plan.secondary == bare_plan.secondary
-        assert wrapped_plan.recompute_rate == bare_plan.recompute_rate
-        assert wrapped_plan.objective == bare_plan.objective
-        assert wrapper.stats.full_solves == 1
-        assert wrapper.stats.patches == 0 and wrapper.stats.fallbacks == 0
-
 
 class TestDeterministicWalk:
     """A longer pinned random walk: exercises repeated patching with the
@@ -187,6 +167,18 @@ class TestDeterministicWalk:
         assert delta.stats.patch_hit_rate >= 0.7
         assert delta.stats.max_residual <= 10.0 * delta.kkt_tol
 
+    def test_cold_solve_is_the_inner_planners_plan(self):
+        """Exact float equality, not approx: with no optimum to patch from
+        the wrapper may not perturb the solve path in any way."""
+        query, values, model = _build_case(77, 0.3)
+        delta, reference = _delta_pair(model)
+        got, want = delta.plan(query, values), reference.plan(query, values)
+        assert got.primary == want.primary
+        assert got.secondary == want.secondary
+        assert got.recompute_rate == want.recompute_rate
+        assert got.objective == want.objective
+        assert delta.stats.cold_solves == 1 and delta.stats.breaches == 0
+
     def test_residual_counters_track_accepted_patches(self):
         query, values, model = _build_case(12, 0.25)
         delta, _ = _delta_pair(model)
@@ -201,7 +193,6 @@ class TestDeterministicWalk:
             assert 0.0 <= stats.last_residual <= stats.max_residual
             assert stats.patch_newton_iterations >= stats.patches
         summary = stats.latency_summary()
-        assert summary["mode"] == "delta"
         assert summary["samples"] == stats.breaches
         if stats.breaches:
             assert summary["p50_ms"] <= summary["p95_ms"] <= summary["p99_ms"]

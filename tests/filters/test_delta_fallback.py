@@ -16,7 +16,6 @@ from repro.filters import CostModel, DualDABPlanner
 from repro.filters.caching import QuantisingCachePlanner
 from repro.filters.delta_recompute import (
     DeltaRecomputePlanner,
-    RECOMPUTE_MODES,
     find_delta_planner,
     newton_patch,
 )
@@ -34,7 +33,7 @@ def world():
 
 def _delta(model, **kwargs):
     return DeltaRecomputePlanner(
-        DualDABPlanner(model, use_compiled=True), mode="delta", **kwargs)
+        DualDABPlanner(model, use_compiled=True), **kwargs)
 
 
 class TestForcedDeclines:
@@ -138,23 +137,58 @@ class TestNewtonPatchGuards:
         assert newton_patch(compiled, start) is None
 
 
-class TestConstruction:
-    def test_modes_are_the_public_tuple(self):
-        assert RECOMPUTE_MODES == ("full", "delta")
+class TestNewtonPatchCost:
+    """One fused-kernel pass per Newton iterate: the warm start's pass
+    seeds the working set and is the first round's first iterate, and the
+    acceptance residual reads the pass the last step ended on."""
 
+    def test_one_round_patch_evaluates_once_per_iterate(self, world,
+                                                        monkeypatch):
+        from repro.filters import delta_recompute
+        from repro.gp.program import CompiledProgram
+
+        query, values, model = world
+        inner = DualDABPlanner(model, use_compiled=True)
+        inner.plan(query, values)
+        template = inner.compiled_template(query.name)
+        template.refresh({k: v * 1.02 for k, v in values.items()})
+
+        calls = {"evaluate": 0, "rounds": 0}
+        evaluate = CompiledProgram.evaluate
+        newton_round = delta_recompute._newton_working_set
+
+        def counting_evaluate(self, y):
+            calls["evaluate"] += 1
+            return evaluate(self, y)
+
+        def counting_round(*args, **kwargs):
+            calls["rounds"] += 1
+            return newton_round(*args, **kwargs)
+
+        monkeypatch.setattr(CompiledProgram, "evaluate", counting_evaluate)
+        monkeypatch.setattr(delta_recompute, "_newton_working_set",
+                            counting_round)
+        patched = newton_patch(template.compiled, inner.warm_start(query.name))
+        assert patched is not None
+        assert calls["rounds"] == 1 and patched.iterations >= 1
+        assert calls["evaluate"] == 1 + patched.iterations
+
+
+class TestConstruction:
     def test_unknown_mode_rejected(self, world):
+        """There is one pipeline and no selector: the deleted ``mode``
+        argument has no shim behind it, whatever its value."""
         _, _, model = world
         inner = DualDABPlanner(model, use_compiled=True)
-        with pytest.raises(FilterError, match="recompute mode"):
-            DeltaRecomputePlanner(inner, mode="incremental")
+        for mode in ("full", "delta", "incremental"):
+            with pytest.raises(TypeError, match="mode"):
+                DeltaRecomputePlanner(inner, mode=mode)
 
     def test_delta_requires_compiled_templates(self, world):
         _, _, model = world
         inner = DualDABPlanner(model, use_compiled=False)
         with pytest.raises(FilterError, match="use_compiled"):
-            DeltaRecomputePlanner(inner, mode="delta")
-        # full mode tolerates a scalar inner planner (pure pass-through)
-        DeltaRecomputePlanner(inner, mode="full")
+            DeltaRecomputePlanner(inner)
 
     def test_find_delta_planner_walks_wrapper_stacks(self, world):
         _, _, model = world

@@ -7,6 +7,11 @@ line, the full metrics dataclass that the scalar reference path
 produced at the commit named under ``_recorded_at`` — the last one that
 shipped that path, and where the suites proved it equal to the compiled
 one.  JSON floats round-trip through ``repr``, so equality is exact.
+
+Those runs answered every window breach with the full multi-start solve,
+so they record ``delta_patches == delta_fallbacks == 0``; today a breach is
+patched first.  The two counters say *how* a breach was answered, not what
+was served, and are the only fields a run may differ on.
 """
 
 import dataclasses
@@ -19,11 +24,21 @@ _GOLDEN = json.loads((pathlib.Path(__file__).parent / "simulation"
                       / "golden_reference_metrics.json").read_text())
 
 
+#: How a breach was answered (Newton-KKT patch / full-solve fallback).
+HOW_FIELDS = ("delta_patches", "delta_fallbacks")
+
+
+def reference_metrics(golden_id):
+    return SimulationMetrics(**_GOLDEN[golden_id])
+
+
 def assert_matches_reference(metrics, golden_id):
-    """``metrics`` equals the recorded reference run, every field."""
-    want = SimulationMetrics(**_GOLDEN[golden_id])
+    """``metrics`` equals the recorded reference run on every field but
+    :data:`HOW_FIELDS`."""
+    want = reference_metrics(golden_id)
     # Field by field so a divergence names the metric that drifted.
     for field in dataclasses.fields(want):
+        if field.name in HOW_FIELDS:
+            continue
         assert getattr(metrics, field.name) == getattr(want, field.name), (
             f"{golden_id}: run diverged from the reference on {field.name!r}")
-    assert metrics == want

@@ -209,7 +209,7 @@ class TestTemplateSeeding:
         q1, q2, values, model = self._pair()
         assert template_key(q1) == template_key(q2)
         planner = DeltaRecomputePlanner(
-            DualDABPlanner(model, use_compiled=True), mode="delta",
+            DualDABPlanner(model, use_compiled=True),
             share_templates=True)
         plan1 = planner.plan(q1, values)
         assert planner.stats.template_seeds == 0
@@ -221,10 +221,10 @@ class TestTemplateSeeding:
     def test_seeding_does_not_change_the_plan(self):
         q1, q2, values, model = self._pair()
         seeded = DeltaRecomputePlanner(
-            DualDABPlanner(model, use_compiled=True), mode="delta",
+            DualDABPlanner(model, use_compiled=True),
             share_templates=True)
         bare = DeltaRecomputePlanner(
-            DualDABPlanner(model, use_compiled=True), mode="delta")
+            DualDABPlanner(model, use_compiled=True))
         seeded.plan(q1, values)
         bare.plan(q1, values)
         plan_seeded = seeded.plan(q2, values)

@@ -1,0 +1,111 @@
+"""Window breaches through a real ``CoordinatorServer``.
+
+The Newton-KKT patch is what answers a breach in production and the full
+multi-start solve only its fallback, so both are driven here at the
+service level: agents replay a 10x-volatility scenario (the
+``test_recompute_modes`` shape — default traces barely break a window)
+over ``connect_loopback`` links into one server, and the served values are
+judged by the shared oracle, :func:`repro.invariants.check_served`, at
+checkpoints along the run.  Once with the planner as shipped (breaches
+patch), once with ``kkt_tol=0`` (every patch declines, every breach gets
+the full solve): the served-value contract is the same.
+"""
+
+import asyncio
+
+from repro.dynamics.estimation import SampledRateEstimator
+from repro.filters.caching import QuantisingCachePlanner
+from repro.filters.cost_model import CostModel
+from repro.filters.delta_recompute import find_delta_planner
+from repro.invariants import check_served
+from repro.service.agent import agents_for_scenario
+from repro.service.client import ServiceClient
+from repro.service.server import CoordinatorServer
+from repro.simulation.harness import SimulationConfig, build_planner
+from repro.simulation.source import assign_items_to_sources
+from repro.workloads import scaled_scenario
+
+SOURCES = 4
+STEPS = 150
+AUDIT_EVERY = 25
+
+
+def build_server():
+    """One coordinator over the volatile scenario, planned exactly as
+    ``build_scenario_server`` plans (which cannot set the volatility)."""
+    scenario = scaled_scenario(query_count=6, item_count=20,
+                               trace_length=STEPS + 1, source_count=SOURCES,
+                               seed=13, volatility=0.02)
+    config = SimulationConfig(queries=scenario.queries, traces=scenario.traces,
+                              recompute_cost=5.0, source_count=SOURCES,
+                              seed=13)
+    items = config.used_items
+    cost_model = CostModel(
+        ddm=config.ddm, recompute_cost=config.recompute_cost,
+        rates=SampledRateEstimator().estimate_all(config.traces, items))
+    planner = QuantisingCachePlanner(build_planner(config, cost_model),
+                                     grid=config.cache_grid)
+    item_to_source = assign_items_to_sources(items, SOURCES)
+    server = CoordinatorServer(
+        queries=config.queries, planner=planner,
+        initial_values=config.traces.initial_values(items),
+        item_to_source=item_to_source,
+        recompute_cost=config.recompute_cost)
+    return server, scenario, item_to_source
+
+
+async def drive(server, scenario, item_to_source):
+    """Replay the traces in ``AUDIT_EVERY``-step legs, auditing every
+    served value after each; returns ``(violations, server stats)``."""
+    agents = agents_for_scenario(scenario, item_to_source)
+    for agent in agents.values():
+        await agent.connect(server.connect_loopback())
+    violations = []
+    for start in range(1, STEPS + 1, AUDIT_EVERY):
+        await asyncio.gather(*[
+            agent.replay(scenario.traces, start_step=start,
+                         max_steps=AUDIT_EVERY)
+            for agent in agents.values()])
+        await asyncio.sleep(0.05)      # in-flight refreshes reach the core
+        auditor = ServiceClient(server.connect_loopback())
+        served = await auditor.subscribe("*")
+        await auditor.close()
+        truth = {}
+        for agent in agents.values():
+            truth.update(agent.values)
+        # Fault-free: nothing may be excused as degraded.
+        unexcused, _, _ = check_served(truth, served, {}, scenario.queries)
+        violations.extend(unexcused)
+    stats = server.server_stats()
+    for agent in agents.values():
+        await agent.close()
+    await server.close()
+    return violations, stats
+
+
+def test_breaches_are_patched_and_served_values_hold():
+    server, scenario, item_to_source = build_server()
+    kkt_tol = find_delta_planner(server.core.planner).kkt_tol
+    violations, stats = asyncio.run(drive(server, scenario, item_to_source))
+    assert violations == []
+    delta = stats["delta_recompute"]
+    breaches = delta["patches"] + delta["fallbacks"]
+    assert breaches >= 50
+    assert breaches == stats["recomputations"]
+    assert delta["patches"] > 0
+    assert delta["fallbacks"] <= 0.05 * breaches
+    assert delta["fallbacks"] == sum(delta["declines"].values())
+    assert delta["max_residual"] <= 10.0 * kkt_tol <= 1e-6
+
+
+def test_every_patch_declining_serves_the_same_contract():
+    server, scenario, item_to_source = build_server()
+    find_delta_planner(server.core.planner).kkt_tol = 0.0
+    violations, stats = asyncio.run(drive(server, scenario, item_to_source))
+    assert violations == []
+    delta = stats["delta_recompute"]
+    assert delta["patches"] == 0
+    assert delta["fallbacks"] >= 50
+    assert delta["fallbacks"] == stats["recomputations"]
+    assert delta["declines"] == {"main_kkt": delta["fallbacks"]}
+    assert delta["max_residual"] == 0.0

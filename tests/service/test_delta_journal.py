@@ -1,12 +1,13 @@
-"""Delta-mode service: journaled mode tag, stats plane, kill-9 recovery.
+"""Patch-first service: stats plane, journal format, kill-9 recovery.
 
-ISSUE 7's service-layer satellite: a delta-mode coordinator journals which
-solve path produced each plan, surfaces the patch/fallback/residual
-counters through ``server_stats()``, and — the hard one — restores
-deterministically after a kill -9: snapshot + WAL-tail replay reconstructs
-the pre-crash core state bit-identically even though the plans were a mix
-of Newton patches and full-solve fallbacks (replay installs journaled
-plans; it never re-runs a solver).
+The coordinator surfaces the patch/fallback/residual counters through
+``server_stats()``, journals plans in the one (pre-delta) record format —
+while still replaying journals whose plan records carry the retired
+``"mode"`` stamp — and, the hard one, restores deterministically after a
+kill -9: snapshot + WAL-tail replay reconstructs the pre-crash core state
+bit-identically even though the plans were a mix of Newton patches and
+full-solve fallbacks (replay installs journaled plans; it never re-runs a
+solver).
 """
 
 import asyncio
@@ -14,6 +15,8 @@ import json
 
 import pytest
 
+from repro.cli import main as cli_main
+from repro.filters.delta_recompute import find_delta_planner
 from repro.service import protocol
 from repro.service.journal import Journal
 from repro.service.protocol import MessageType
@@ -24,14 +27,14 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def build(tmp_path=None, bootstrap=True, mode="delta", **kwargs):
+def build(tmp_path=None, bootstrap=True, **kwargs):
     journal = None
     if tmp_path is not None:
         journal = Journal(str(tmp_path), **kwargs.pop("journal_kwargs", {}))
     server, scenario, item_to_source = build_scenario_server(
         query_count=4, item_count=20, source_count=2, trace_length=41,
         seed=1, journal=journal, bootstrap=bootstrap and journal is None,
-        recompute_mode=mode, **kwargs)
+        **kwargs)
     return server, scenario, item_to_source
 
 
@@ -88,7 +91,6 @@ class TestStatsAndJournalTag:
             server, _, item_to_source = build()
             await push_load(server, item_to_source)
             stats = server.server_stats()["delta_recompute"]
-            assert stats["mode"] == "delta"
             assert stats["patches"] + stats["fallbacks"] > 0
             assert stats["cold_solves"] >= 1
             assert stats["max_residual"] >= stats["last_residual"] >= 0.0
@@ -97,41 +99,50 @@ class TestStatsAndJournalTag:
 
         run(check())
 
-    def test_full_mode_stats_count_passthrough_solves(self):
+    def test_plan_records_tagged_with_delta_mode(self, tmp_path, capsys):
+        """Journals written under the retired ``--recompute-mode delta``
+        carry ``"mode": "delta"`` on every plan record.  Nothing reads the
+        key: a WAL with it restores to the same state as one without, and
+        ``repro journal inspect`` summarises it."""
         async def check():
-            server, _, item_to_source = build(mode="full")
+            server, _, item_to_source = build(
+                tmp_path / "live", journal_kwargs={"fsync": "off"})
+            server.restore()
             await push_load(server, item_to_source)
-            stats = server.server_stats()["delta_recompute"]
-            assert stats["mode"] == "full"
-            assert stats["patches"] == 0 and stats["fallbacks"] == 0
-            assert stats["full_solves"] > 0
-            await server.close()
+            records = list(server.journal.records())
+            before = core_fingerprint(server.core)
+            await server.close(final_snapshot=False)
+            assert any(record["t"] == "plan" for record in records)
+
+            for label in ("tagged", "plain"):
+                wal = Journal(str(tmp_path / label), fsync="off").open()
+                for record in records:
+                    if label == "tagged" and record["t"] == "plan":
+                        record = {**record, "mode": "delta"}
+                    wal.append(record)
+                wal.close()
+                revived, _, _ = build(tmp_path / label, bootstrap=False)
+                recovery = revived.restore()
+                assert recovery["records_replayed"] == len(records)
+                assert core_fingerprint(revived.core) == before
+                await revived.close()
 
         run(check())
+        assert cli_main(["journal", "inspect", str(tmp_path / "tagged"),
+                         "--last", "3"]) == 0
+        assert "plan" in capsys.readouterr().out
 
-    def test_plan_records_tagged_with_delta_mode(self, tmp_path):
+    def test_full_mode_plan_records_carry_no_mode_key(self, tmp_path):
+        """The one pipeline writes the pre-delta (full-mode) plan record,
+        patched plan or not: no mode stamp."""
         async def check():
             server, _, item_to_source = build(tmp_path)
             server.restore()
             await push_load(server, item_to_source)
+            assert server.server_stats()["delta_recompute"]["patches"] > 0
             plans = [r for r in server.journal.records() if r["t"] == "plan"]
             assert plans
-            assert all(r.get("mode") == "delta" for r in plans)
-            await server.close()
-
-        run(check())
-
-    def test_full_mode_plan_records_carry_no_mode_key(self, tmp_path):
-        """Byte-identity of full-mode journals with the pre-delta format:
-        the mode tag only appears when the non-default path produced the
-        plan."""
-        async def check():
-            server, _, item_to_source = build(tmp_path, mode="full")
-            server.restore()
-            await push_load(server, item_to_source)
-            plans = [r for r in server.journal.records() if r["t"] == "plan"]
-            assert plans
-            assert all("mode" not in r for r in plans)
+            assert all(set(r) == {"t", "q", "plan"} for r in plans)
             await server.close()
 
         run(check())
@@ -165,14 +176,23 @@ class TestDeltaCrashRecovery:
 
     def test_delta_and_full_servers_converge_on_same_values(self):
         """The service-level equivalence check: the same load through a
-        delta-mode and a full-mode server yields the same query values
-        (plans agree to solver tolerance; values are exact)."""
+        patching server and through one whose every patch declines
+        (``kkt_tol=0``: each breach gets the full multi-start solve)
+        yields the same query values (plans agree to solver tolerance;
+        values are exact)."""
         async def check():
             results = {}
-            for mode in ("full", "delta"):
-                server, _, item_to_source = build(mode=mode)
+            for label in ("full", "delta"):
+                server, _, item_to_source = build()
+                if label == "full":
+                    find_delta_planner(server.core.planner).kkt_tol = 0.0
                 await push_load(server, item_to_source)
-                results[mode] = dict(zip(
+                stats = server.server_stats()["delta_recompute"]
+                if label == "full":
+                    assert stats["patches"] == 0 < stats["fallbacks"]
+                else:
+                    assert stats["patches"] > 0
+                results[label] = dict(zip(
                     [q.name for q in server.core.queries],
                     server.core.query_values()))
                 await server.close()

@@ -3,13 +3,12 @@
 Mirrors ``test_recompute_modes.py`` for the ``bank_index`` axis:
 
 1. **Golden bit-identity** — ``bank_index="flat"`` (the default) runs the
-   exact pre-index code path; the golden tuple from the recompute-mode
+   exact pre-index code path; the golden tuple from the recompute
    suite must still hold when the flag is passed explicitly.
 2. **Observable equivalence** — a shared-index run over a high-overlap
    query bank matches the flat run on *every* simulation-visible metric;
    only the mode-dependent bank stats fields (``bank_templates``,
-   ``bank_dedup_ratio``) may differ, exactly as the delta counters do for
-   ``recompute_mode``.
+   ``bank_dedup_ratio``) may differ.
 3. **Stats plane** — dedup figures surface through ``SimulationResult``
    and ``SimulationMetrics`` in shared mode and stay inert in flat mode.
 """
