@@ -5,9 +5,9 @@ Seven subcommands mirror the library's workflow::
     repro plan "x*y : 5" --values x=2,y=2 --rates x=1,y=1 --mu 5
     repro simulate --queries 10 --items 30 --duration 300 --algorithm dual_dab
     repro figures fig5 --queries 5,10 --items 30 --trace-length 201
-    repro traces --items 3 --length 10 --kind gbm
+    repro traces --items 3 --length 10
     repro serve --queries 100 --items 40 --sources 8 --port 7410
-    repro agent --source-id 0 --port 7410 --duration 300
+    repro agent --port 7410 --duration 300
     repro loadgen --sources 8 --queries 100 --duration 30
 
 ``serve``/``agent``/``loadgen`` are the live service layer (DESIGN.md §9):
@@ -105,9 +105,6 @@ def _build_fault_config(args: argparse.Namespace):
         partitions=parse_partition_spec(args.partition_spec),
         delay_spikes=parse_delay_spike_spec(args.delay_spike_spec),
         seed=args.fault_seed,
-        lease_duration=args.lease_duration,
-        heartbeat_interval=args.heartbeat_interval,
-        retry_timeout=args.retry_timeout,
     )
     return config if config.enabled else None
 
@@ -281,7 +278,7 @@ def cmd_traces(args: argparse.Namespace) -> int:
     from repro.workloads import paper_registry, paper_traces
 
     registry = paper_registry(args.items)
-    traces = paper_traces(registry, args.length, kind=args.kind, seed=args.seed)
+    traces = paper_traces(registry, args.length, seed=args.seed)
     names = traces.items
     print("tick," + ",".join(names))
     for tick in range(args.length):
@@ -353,8 +350,6 @@ def _journal_inspect_cluster(args: argparse.Namespace,
                              shard_dirs) -> int:
     """Per-shard summary for a cluster journal root (``shard-<i>``
     subdirectories, as written by ``repro cluster serve --journal``)."""
-    import json as _json
-
     from repro.service.journal import Journal, JournalError
 
     summaries = {}
@@ -364,12 +359,6 @@ def _journal_inspect_cluster(args: argparse.Namespace,
         except JournalError as error:
             print(f"error: shard {sid}: {error}", file=sys.stderr)
             return 1
-    if args.json:
-        print(_json.dumps({"directory": args.directory,
-                           "shards": {str(sid): summary
-                                      for sid, summary in summaries.items()}},
-                          indent=2, sort_keys=True))
-        return 0
     print(f"cluster journal      {args.directory} "
           f"({len(summaries)} shards)")
     header = (f"  {'shard':>5s} {'records':>8s} {'wal_bytes':>10s} "
@@ -419,9 +408,6 @@ def cmd_journal(args: argparse.Namespace) -> int:
     except JournalError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    if args.json:
-        print(_json.dumps(summary, indent=2, sort_keys=True))
-        return 0
     print(f"journal              {summary['directory']}")
     print(f"WAL                  {summary['wal_bytes']} bytes, "
           f"{summary['records']} records"
@@ -470,19 +456,11 @@ def cmd_agent(args: argparse.Namespace) -> int:
     used = sorted({v for q in scenario.queries for v in q.variables})
     item_to_source = assign_items_to_sources(used, args.sources)
     agents = agents_for_scenario(scenario, item_to_source,
-                                 timestamp_refreshes=True,
-                                 heartbeat_interval=args.heartbeat_interval)
-    if args.source_id is not None:
-        try:
-            agents = {args.source_id: agents[args.source_id]}
-        except KeyError:
-            raise SystemExit(f"error: no items route to source {args.source_id} "
-                             f"(have {sorted(agents)})")
+                                 timestamp_refreshes=True)
 
     async def _run_all() -> int:
         results = await asyncio.gather(*[
             agent.run(args.host, args.port, scenario.traces,
-                      tick_interval=args.tick_interval,
                       max_steps=args.duration)
             for agent in agents.values()
         ])
@@ -529,8 +507,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 
     report = run_loadgen(
         sources=args.sources, queries=args.queries, items=args.items,
-        duration=args.duration, subscribers=args.subscribers,
-        tick_interval=args.tick_interval, seed=args.seed,
+        duration=args.duration, seed=args.seed,
         algorithm=args.algorithm, workload=args.workload,
         host=host, port=port, output=args.output or None,
         trace_length=args.trace_length, shards=args.shards,
@@ -624,10 +601,9 @@ def cmd_chaos_soak(args: argparse.Namespace) -> int:
             raise SystemExit(f"error: --kill-steps expects comma-separated "
                              f"integers, got {args.kill_steps!r}")
     report = run_chaos_soak(
-        schedule=args.schedule, steps=args.steps,
+        schedule=args.schedule,
         queries=args.queries, items=args.items, sources=args.sources,
         seed=args.seed, algorithm=args.algorithm, workload=args.workload,
-        lease_duration=args.lease_duration,
         output=args.output or None,
         journal_dir=args.journal or None, kill_steps=kill_steps,
         snapshot_every=args.snapshot_every, fsync=args.fsync,
@@ -781,13 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help='delay-spike windows, e.g. "50:80:10" '
                              "(start:end:factor)")
     faults.add_argument("--fault-seed", type=int, default=0)
-    faults.add_argument("--lease-duration", type=float, default=20.0,
-                        help="seconds an item may stay unheard-from before "
-                             "it is marked suspect")
-    faults.add_argument("--heartbeat-interval", type=float, default=10.0)
-    faults.add_argument("--retry-timeout", type=float, default=2.0,
-                        help="first DAB-change retransmit timeout (doubles "
-                             "per attempt)")
     simulate.set_defaults(func=cmd_simulate)
 
     figures = sub.add_parser("figures", help="regenerate a paper figure/table")
@@ -808,8 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
     traces = sub.add_parser("traces", help="print synthetic traces as CSV")
     traces.add_argument("--items", type=int, default=3)
     traces.add_argument("--length", type=int, default=10)
-    traces.add_argument("--kind", choices=["gbm", "random_walk", "monotonic"],
-                        default="gbm")
     traces.add_argument("--seed", type=int, default=0)
     traces.set_defaults(func=cmd_traces)
 
@@ -865,8 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
     inspect.add_argument("directory", help="the --journal directory")
     inspect.add_argument("--last", type=int, default=5,
                          help="show the final N records")
-    inspect.add_argument("--json", action="store_true",
-                         help="emit the summary as JSON")
     inspect.set_defaults(func=cmd_journal)
 
     agent = sub.add_parser("agent",
@@ -875,15 +840,8 @@ def build_parser() -> argparse.ArgumentParser:
     _scenario_flags(agent)
     agent.add_argument("--host", default="127.0.0.1")
     agent.add_argument("--port", type=int, default=DEFAULT_SERVICE_PORT)
-    agent.add_argument("--source-id", type=int, default=None,
-                       help="run only this source (default: all of them "
-                            "in one process)")
     agent.add_argument("--duration", type=int, default=300,
                        help="trace steps to replay")
-    agent.add_argument("--tick-interval", type=float, default=0.0,
-                       help="seconds to sleep between trace steps")
-    agent.add_argument("--heartbeat-interval", type=float, default=None,
-                       help="send HEARTBEAT every this many seconds")
     agent.set_defaults(func=cmd_agent)
 
     loadgen = sub.add_parser("loadgen",
@@ -892,8 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
     _scenario_flags(loadgen)
     loadgen.add_argument("--duration", type=int, default=30,
                          help="trace steps each source replays")
-    loadgen.add_argument("--subscribers", type=int, default=4)
-    loadgen.add_argument("--tick-interval", type=float, default=0.0)
     loadgen.add_argument("--connect", default=None, metavar="HOST:PORT",
                          help="drive a live coordinator over TCP (default: "
                               "probe 127.0.0.1:%d, else run in process)"
@@ -944,12 +900,10 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_loadgen.add_argument("--shards", type=int, default=2)
     cluster_loadgen.add_argument("--duration", type=int, default=30,
                                  help="trace steps each source replays")
-    cluster_loadgen.add_argument("--subscribers", type=int, default=4)
     cluster_loadgen.add_argument("--brokers", type=int, default=0,
                                  help="attach subscribers through an "
                                       "N-broker fan-out tier instead of "
                                       "directly to the router")
-    cluster_loadgen.add_argument("--tick-interval", type=float, default=0.0)
     cluster_loadgen.add_argument("--journal", default=None, metavar="DIR")
     cluster_loadgen.add_argument("--output", default="",
                                  help="write the JSON report here "
@@ -973,9 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run the soak against an N-shard cluster behind "
                            "the shard router (kills then fail over one "
                            "shard at a time)")
-    soak.add_argument("--steps", type=int, default=None,
-                      help="trace steps to soak (default: the schedule's "
-                           "budget)")
     soak.add_argument("--queries", type=int, default=6)
     soak.add_argument("--items", type=int, default=16)
     soak.add_argument("--sources", type=int, default=3)
@@ -987,8 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "half_and_half", "different_sum",
                                "signomial", "sharfman_baseline",
                                "uniform_baseline", "laq"])
-    soak.add_argument("--lease-duration", type=float, default=3.0,
-                      help="staleness lease in logical steps")
     soak.add_argument("--journal", default=None, metavar="DIR",
                       help="journal the coordinator to DIR (a temp dir is "
                            "created when kills are requested without one)")

@@ -65,35 +65,20 @@ class QueryDecomposition:
     """One query's placement: its home shard and what is mirrored there."""
 
     query: PolynomialQuery
-    #: home shard -> the query it runs — one entry, the original object
-    #: at its full budget ``B``.  A mapping because the router keys its
-    #: last-served-value table by shard and the migrator diffs two
-    #: placements shard by shard.
-    sub_queries: Dict[int, PolynomialQuery]
-    #: home shard -> items the query reads but the home does not own
-    #: (absent when the home owns everything).
-    mirrored: Dict[int, Tuple[str, ...]]
-
-    @property
-    def home(self) -> int:
-        (home,) = self.sub_queries
-        return home
-
-    @property
-    def home_shards(self) -> Tuple[int, ...]:
-        return tuple(self.sub_queries)
-
-    def sub_qab(self, shard: int) -> float:
-        return self.sub_queries[shard].qab
+    #: the shard that runs the query — the original object, at its full
+    #: budget ``B``.
+    home: int
+    #: items the query reads but the home does not own.
+    mirrored: Tuple[str, ...]
 
 
 def decompose_query(query: PolynomialQuery, shard_of: ShardOf) -> QueryDecomposition:
     """Place *query* whole on its home shard; list what must be mirrored."""
     home = home_shard(query, shard_of)
-    foreign = tuple(item for item in query.variables
-                    if shard_of(item) != home)
-    return QueryDecomposition(query=query, sub_queries={home: query},
-                              mirrored={home: foreign} if foreign else {})
+    return QueryDecomposition(
+        query=query, home=home,
+        mirrored=tuple(item for item in query.variables
+                       if shard_of(item) != home))
 
 
 @dataclass(frozen=True)
@@ -143,28 +128,9 @@ class BankDecomposition:
         """shard -> sorted foreign items mirrored to it (union over queries)."""
         merged: Dict[int, set] = {}
         for dec in self.decompositions.values():
-            for shard, items in dec.mirrored.items():
-                merged.setdefault(shard, set()).update(items)
+            if dec.mirrored:
+                merged.setdefault(dec.home, set()).update(dec.mirrored)
         return {shard: tuple(sorted(items)) for shard, items in sorted(merged.items())}
-
-    def home_shards(self, name: str) -> Tuple[int, ...]:
-        return self.decompositions[name].home_shards
-
-    def shards_of_item(self, item: str) -> Tuple[int, ...]:
-        """Every shard whose bank reads *item* (owner and mirrors)."""
-        return tuple(sorted(
-            shard for shard, items in self.items_needed.items()
-            if item in self._needed_sets[shard]
-        ))
-
-    @property
-    def _needed_sets(self) -> Dict[int, frozenset]:
-        cache = getattr(self, "__needed_sets", None)
-        if cache is None:
-            cache = {shard: frozenset(items)
-                     for shard, items in self.items_needed.items()}
-            object.__setattr__(self, "__needed_sets", cache)
-        return cache
 
     def queries_reading(self, item: str) -> Tuple[str, ...]:
         """Names of every query whose variables include *item*."""
@@ -205,14 +171,13 @@ def decompose_bank(queries: Sequence[PolynomialQuery],
 
 
 def recombine(partials: Mapping[int, float]) -> float:
-    """A query's served value from its ``{home shard: value}`` table.
+    """A query's served value from a ``{shard: value}`` table.
 
-    One home per query, so the router always hands this a single entry
-    and the home's value passes through verbatim (bit-identically).  The
-    table stays keyed by shard because failover and a re-homing cutover
-    need "the last value *this* shard served" — an ex-home's entry is
-    deleted, never read.  Several entries sum in sorted shard order
-    (deterministic floating point).
+    Residue of the ``B/k`` split, kept because ``benchmarks/perf`` times
+    the router's notify path under this name: with one home per query the
+    router hands it the home's single entry, which passes through
+    verbatim (bit-identically).  Several entries sum in sorted shard
+    order (deterministic floating point).
     """
     if not partials:
         raise SimulationError("cannot recombine an empty partial set")

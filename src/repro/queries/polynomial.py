@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.exceptions import InvalidQueryError
 from repro.queries.terms import Number, QueryTerm
@@ -151,12 +151,6 @@ class PolynomialQuery:
             self._qab if qab is None else qab,
             name or f"{self._name}__mirror",
         )
-
-    def sub_query(self, terms: Sequence[QueryTerm], qab: Number,
-                  name: Optional[str] = None) -> "PolynomialQuery":
-        """Build a query over a subset of (positive) terms — used by
-        Half-and-Half for ``P1 : B/2`` and ``P2 : B/2``."""
-        return PolynomialQuery(terms, qab, name)
 
     def halves_are_independent(self) -> bool:
         """True when ``P1`` and ``P2`` share no data item — the condition

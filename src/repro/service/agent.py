@@ -23,8 +23,7 @@ Semantics carried over from the simulator (and its fault suite):
   would otherwise never be retried (the coordinator would keep serving
   the stale value forever).
 
-The agent is transport-agnostic: ``run`` drives a real TCP connection,
-``run_on_stream`` drives any :class:`MessageStream` (loopback included).
+``run`` dials TCP; ``connect`` takes any :class:`MessageStream`.
 """
 
 from __future__ import annotations
@@ -35,14 +34,15 @@ import time as _time
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
 from repro.service import protocol
-from repro.service.protocol import MessageType, ProtocolError
+from repro.service.client import SourceLink
+from repro.service.protocol import ProtocolError
 from repro.service.resilience import RetryPolicy, retry_async
 from repro.service.transports import MessageStream, TransportClosed, open_tcp_stream
 
 _LOG = logging.getLogger(__name__)
 
 
-class SourceAgent:
+class SourceAgent(SourceLink):
     """Replay item ticks, filter through primary DABs, push refreshes."""
 
     def __init__(
@@ -50,12 +50,10 @@ class SourceAgent:
         source_id: int,
         items: Iterable[str],
         initial_values: Mapping[str, float],
-        heartbeat_interval: Optional[float] = None,
         timestamp_refreshes: bool = False,
         clock: Callable[[], float] = _time.time,
     ):
-        self.source_id = int(source_id)
-        self.items: List[str] = sorted(items)
+        super().__init__(source_id, items)
         missing = [name for name in self.items if name not in initial_values]
         if missing:
             raise ProtocolError(
@@ -69,7 +67,6 @@ class SourceAgent:
         self.bounds: Dict[str, float] = {}
         self.epochs: Dict[str, int] = {}
         self.seq: Dict[str, int] = {name: 0 for name in self.items}
-        self.heartbeat_interval = heartbeat_interval
         self.timestamp_refreshes = timestamp_refreshes
         self.clock = clock
         self._resync_pending: set = set()
@@ -85,9 +82,6 @@ class SourceAgent:
             "dab_acks_sent": 0,
             "probes_answered": 0,
         }
-        self._stream: Optional[MessageStream] = None
-        self._listener: Optional[asyncio.Task] = None
-        self._heartbeat_task: Optional[asyncio.Task] = None
 
     # -- DAB handling (mirrors SourceNode.set_bounds) -----------------------------
 
@@ -178,64 +172,28 @@ class SourceAgent:
 
     async def connect(self, stream: MessageStream,
                       register_timeout: float = 5.0) -> None:
-        """Register on ``stream`` and start applying inbound DAB updates.
-
-        The registration reply (a ``DAB_UPDATE`` carrying current bounds,
-        epochs and the server's accepted-seq high-water marks) is consumed
-        *before* this returns: a tick racing ahead of it would both
-        forward unfiltered values and — after a process restart — number
-        its refreshes below the server's dedup guard.  If no reply lands
-        within ``register_timeout`` seconds the agent proceeds fail-safe
-        (no bounds → forward everything) and the listener applies the
-        reply whenever it arrives.
-        """
+        """Register on ``stream`` (:meth:`SourceLink.connect`); on a
+        reconnect, every item is first marked for a forced resend."""
         if self._stream is not None:
             self.stats["reconnects"] += 1
             self._resync_pending = set(self.items)
-            await self._stop_background()
-            self._stream.close()
-        self._stream = stream
-        await stream.send(protocol.register_source(self.source_id, self.items))
-        try:
-            reply = await asyncio.wait_for(stream.receive(), register_timeout)
-        except (asyncio.TimeoutError, TransportClosed, ProtocolError):
-            # Timed out, connection died, or the reply arrived corrupt —
-            # either way there is no usable reply.
-            reply = None
-            self.stats["registrations_failsafe"] += 1
-            _LOG.warning(
-                "source %d: no usable registration reply within %.3fs; "
-                "proceeding fail-safe (no bounds -> every tick is forwarded)",
-                self.source_id, register_timeout)
-        if reply is not None:
-            try:
-                kind = protocol.validate_message(reply)
-            except ProtocolError:
-                kind = None
-            if kind is MessageType.DAB_UPDATE:
-                await self._handle_dab_update(reply, stream)
-            elif kind is MessageType.ERROR:
-                # The node answers ERROR and hangs up — for a bad source,
-                # or because one flipped bit corrupted our REGISTER frame
-                # on the way.  Either way this connection is gone, so it
-                # is reported as such and the callers' bounded retry
-                # policies (which retry a closed transport) dial again.
-                stream.close()
-                self._stream = None
-                raise TransportClosed(
-                    f"registration rejected: {reply.get('reason')}")
-        self._listener = asyncio.ensure_future(self._listen(stream))
-        if self.heartbeat_interval:
-            self._heartbeat_task = asyncio.ensure_future(self._heartbeats())
+        await super().connect(stream, register_timeout)
 
-    async def _handle_dab_update(self, message: Mapping[str, Any],
-                                 stream: MessageStream) -> None:
-        """Apply an inbound DAB_UPDATE, ack it, and answer value probes."""
+    def _on_failsafe(self, register_timeout: float) -> None:
+        self.stats["registrations_failsafe"] += 1
+        _LOG.warning(
+            "source %d: no usable registration reply within %.3fs; "
+            "proceeding fail-safe (no bounds -> every tick is forwarded)",
+            self.source_id, register_timeout)
+
+    def _on_dab_update(self, message: Mapping[str, Any]) -> None:
         self.apply_dab_update(message["bounds"], message["epochs"],
                               message.get("seqs"))
-        msg_id = message.get("msg_id")
-        if msg_id is not None:
-            await stream.send(protocol.dab_ack(self.source_id, int(msg_id)))
+
+    async def _after_dab_update(self, message: Mapping[str, Any],
+                                applied: None, stream: MessageStream) -> None:
+        """Count the ack just sent and answer value probes."""
+        if message.get("msg_id") is not None:
             self.stats["dab_acks_sent"] += 1
         probe = message.get("probe")
         if probe:
@@ -264,65 +222,11 @@ class SourceAgent:
             self.stats["probes_answered"] += 1
             self.stats["refreshes_sent"] += 1
 
-    async def _listen(self, stream: MessageStream) -> None:
-        try:
-            while True:
-                message = await stream.receive()
-                if message is None:
-                    break
-                try:
-                    kind = protocol.validate_message(message)
-                except ProtocolError:
-                    break
-                if kind is MessageType.DAB_UPDATE:
-                    await self._handle_dab_update(message, stream)
-                elif kind is MessageType.ERROR:
-                    break
-        except (ProtocolError, TransportClosed):
-            pass
-        except asyncio.CancelledError:
-            return
-        # The inbound half is unusable (EOF, poisoned decoder, or a
-        # rejection): close the whole stream so the next tick raises
-        # TransportClosed and the reconnect path takes over, instead of
-        # sending into a connection the coordinator already gave up on.
-        stream.close()
-
-    async def _heartbeats(self) -> None:
-        try:
-            while True:
-                await asyncio.sleep(self.heartbeat_interval)
-                if self._stream is None:
-                    return
-                await self._stream.send(
-                    protocol.heartbeat(self.source_id, self.seq))
-                self.stats["heartbeats_sent"] += 1
-        except (TransportClosed, asyncio.CancelledError):
-            return
-
-    async def _stop_background(self) -> None:
-        for task in (self._listener, self._heartbeat_task):
-            if task is not None and not task.done():
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-        self._listener = None
-        self._heartbeat_task = None
-
-    async def close(self) -> None:
-        await self._stop_background()
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
-
     # -- trace replay ----------------------------------------------------------------
 
     async def replay(
         self,
         traces: "Any",
-        tick_interval: float = 0.0,
         start_step: int = 1,
         max_steps: Optional[int] = None,
         reconnect: Optional[Callable[[], "Any"]] = None,
@@ -361,8 +265,6 @@ class SourceAgent:
                 await self._reconnect(reconnect, retry_policy)
                 continue            # retry the same step after resync
             step += 1
-            if tick_interval:
-                await asyncio.sleep(tick_interval)
         return sent
 
     async def _reconnect(self, reconnect: Callable[[], "Any"],
@@ -379,7 +281,6 @@ class SourceAgent:
             retry_on=(TransportClosed, ConnectionError, OSError))
 
     async def run(self, host: str, port: int, traces: "Any",
-                  tick_interval: float = 0.0,
                   max_steps: Optional[int] = None,
                   retry_policy: Optional[RetryPolicy] = None,
                   resolve: Optional[Callable[[], Any]] = None) -> int:
@@ -403,8 +304,8 @@ class SourceAgent:
 
         await self.connect(await _dial())
         try:
-            return await self.replay(traces, tick_interval=tick_interval,
-                                     max_steps=max_steps, reconnect=_dial,
+            return await self.replay(traces, max_steps=max_steps,
+                                     reconnect=_dial,
                                      retry_policy=retry_policy)
         finally:
             await self.close()
@@ -412,7 +313,6 @@ class SourceAgent:
 
 def agents_for_scenario(scenario: "Any", item_to_source: Mapping[str, int],
                         timestamp_refreshes: bool = False,
-                        heartbeat_interval: Optional[float] = None,
                         ) -> Dict[int, SourceAgent]:
     """One agent per source id, owning exactly the items the coordinator
     routes to it (same round-robin assignment on both sides)."""
@@ -422,7 +322,6 @@ def agents_for_scenario(scenario: "Any", item_to_source: Mapping[str, int],
         owned.setdefault(source_id, []).append(item)
     return {
         source_id: SourceAgent(source_id, items, initial,
-                               timestamp_refreshes=timestamp_refreshes,
-                               heartbeat_interval=heartbeat_interval)
+                               timestamp_refreshes=timestamp_refreshes)
         for source_id, items in sorted(owned.items())
     }

@@ -1,4 +1,4 @@
-"""Subscriber SDK for the live coordinator — and the one subscriber client.
+"""Subscriber SDK for the live coordinator — and the service's two clients.
 
 A :class:`ServiceClient` subscribes to query-result notifications,
 maintains the latest value per query, and records per-notification
@@ -11,17 +11,19 @@ It is also the receiving end of every NOTIFY stream *inside* the
 service: the cluster router's shard trunks and a broker's upstream are
 subclasses that fill its hooks (DESIGN.md §9.3), so the handshake, the
 read loop, the snapshot waiters and resubscribe-on-loss exist once, here.
+:class:`SourceLink` is its twin on the source plane, filled in by a
+``SourceAgent`` and by the router's per-(shard, source) links.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time as _time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.service import protocol
 from repro.service.protocol import MessageType, ProtocolError
-from repro.service.transports import MessageStream, open_tcp_stream
+from repro.service.transports import MessageStream, TransportClosed, open_tcp_stream
 
 
 class ServiceClient:
@@ -224,6 +226,101 @@ class ServiceClient:
                 # wait_for cancelled the listener — as it does when our
                 # caller is cancelled, and *that* is not ours to swallow.
                 pass
+
+
+class SourceLink:
+    """The source end of a coordinator connection: :meth:`connect`
+    registers and consumes the node's reply → each DAB_UPDATE is applied
+    (:meth:`_on_dab_update`), acked if it carries a ``msg_id`` — so an ack
+    means the bounds are in force — and followed up
+    (:meth:`_after_dab_update`) → EOF, ERROR or an invalid message: the
+    stream is closed and :meth:`_on_lost` fires."""
+
+    def __init__(self, source_id: int, items: Iterable[str]):
+        self.source_id = int(source_id)
+        self.items: List[str] = sorted(items)
+        self._stream: Optional[MessageStream] = None
+        self._listener: Optional[asyncio.Task] = None
+
+    async def connect(self, stream: MessageStream,
+                      register_timeout: float = 5.0) -> None:
+        """Register on ``stream``, dropping any previous connection.
+
+        The reply (a ``DAB_UPDATE`` with current bounds, epochs and the
+        node's accepted-seq high-water marks) is consumed *before* this
+        returns: a tick racing ahead of it would forward unfiltered values
+        and — after a process restart — number its refreshes below the
+        node's dedup guard.  With no usable reply in ``register_timeout``
+        seconds the link goes on fail-safe (:meth:`_on_failsafe`); the
+        listener applies a late one.
+        """
+        await self.close()
+        self._stream = stream
+        await stream.send(protocol.register_source(self.source_id, self.items))
+        try:
+            reply = await asyncio.wait_for(stream.receive(), register_timeout)
+            kind = reply is not None and protocol.validate_message(reply)
+        except (asyncio.TimeoutError, ProtocolError):
+            # Timed out, the connection died, the reply is corrupt or invalid.
+            kind = None
+            self._on_failsafe(register_timeout)
+        if kind is MessageType.ERROR:
+            # A bad source, or one flipped bit in our REGISTER frame: the node
+            # hangs up — a closed transport, which callers' retries re-dial.
+            await self.close()
+            raise TransportClosed(
+                f"registration rejected: {reply.get('reason')}")
+        if kind is MessageType.DAB_UPDATE:
+            await self._handle_dab_update(reply, stream)
+        self._listener = asyncio.ensure_future(self._listen(stream))
+
+    async def _handle_dab_update(self, message: Dict[str, Any],
+                                 stream: MessageStream) -> None:
+        applied = self._on_dab_update(message)
+        msg_id = message.get("msg_id")
+        if msg_id is not None:
+            await stream.send(protocol.dab_ack(self.source_id, int(msg_id)))
+        await self._after_dab_update(message, applied, stream)
+
+    async def _listen(self, stream: MessageStream) -> None:
+        try:
+            while True:
+                message = await stream.receive()
+                if message is None:
+                    break
+                kind = protocol.validate_message(message)
+                if kind is MessageType.DAB_UPDATE:
+                    await self._handle_dab_update(message, stream)
+                elif kind is MessageType.ERROR:
+                    break
+        except ProtocolError:
+            pass         # corrupt framing, an invalid message, a broken pipe
+        # Not reached by a cancelled listener.  With the whole stream closed
+        # the next send raises TransportClosed, not into a dead connection.
+        stream.close()
+        self._on_lost()
+
+    def _on_failsafe(self, register_timeout: float) -> None:
+        """Hook: :meth:`connect` got no usable registration reply."""
+
+    def _on_dab_update(self, message: Dict[str, Any]) -> Any:
+        """Hook: apply a valid DAB_UPDATE; the result is ``applied`` below."""
+
+    async def _after_dab_update(self, message: Dict[str, Any], applied: Any,
+                                stream: MessageStream) -> None:
+        """Hook: what follows the ack — probe answers, forwarding."""
+
+    def _on_lost(self) -> None:
+        """Hook: the listener ended, and not by :meth:`close`; fired once."""
+
+    async def close(self) -> None:
+        listener, self._listener = self._listener, None
+        if listener is not None and not listener.done():
+            listener.cancel()
+            await asyncio.wait([listener])
+        if self._stream is not None:
+            self._stream.close()
+            self._stream = None
 
 
 def latency_percentiles(samples: Sequence[float],

@@ -85,10 +85,11 @@ class ShardHealthMonitor:
         The reply lands in the trunk listener, refreshing
         ``shard_last_seen`` before the next poll.  Returns False when
         the probe could not even be sent."""
-        stream = self.cluster._sub_streams.get(sid)
-        if stream is None:
+        trunk = self.cluster._trunks.get(sid)
+        if trunk is None or not trunk.connected:
             return False
-        if not await self.cluster._safe_send(stream, protocol.snapshot()):
+        if not await self.cluster._safe_send(trunk.stream,
+                                             protocol.snapshot()):
             return False
         self.stats["probes_sent"] += 1
         return True

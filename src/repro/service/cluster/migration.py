@@ -331,14 +331,14 @@ class ShardMigrator:
 
         # The move may have created brand-new (shard, source) needs, or
         # extended existing registrations; re-open the impersonated
-        # streams for every shard whose bank was edited (replacement is
-        # idempotent — _open_upstream tears down the old pair stream).
+        # links for every shard whose bank was edited (replacement is
+        # idempotent — _open_link tears down the pair's old link).
         for sid in state["edited_shards"]:
             if not self._is_live(sid):
                 continue
             for source_id, items in sorted(
                     cluster._sources_for_shard(sid).items()):
-                await cluster._open_upstream(sid, source_id, items)
+                await cluster._open_link(sid, source_id, items)
         # Refreshes routed during the window never reached a new home
         # for the items it adopted at freeze; fresh values are the cure
         # (same as a restored shard's reattachment).

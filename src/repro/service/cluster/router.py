@@ -25,10 +25,11 @@ refreshes to every shard whose bank reads it, so the forwarding table is
 
 **Source impersonation.**  For every (shard, source) pair the router
 holds an in-process link registered *as that source* for the items the
-shard needs.  Inbound REFRESH messages are fanned to the owning links
-verbatim; HEARTBEATs go to every shard holding the source's items; the
-shards' DAB_UPDATE replies (bounds, probes) flow back through the same
-streams.
+shard needs — a :class:`~repro.service.client.SourceLink`, the client a
+``SourceAgent`` is.  Inbound REFRESH messages are fanned to the owning
+links verbatim; HEARTBEATs go to every shard holding the source's items;
+the shards' DAB_UPDATE replies (bounds, probes) flow back through the
+same streams.
 
 **DAB min-merge.**  Each shard programs primary DABs for *its* view of
 an item.  The router takes the min bound across shards — the only
@@ -39,19 +40,22 @@ have programmed — and forwards it to the real source under its own
 per-item epoch counter, bumped only on material change (the core's 1e-9
 relative tolerance).  Toward real sources the
 router runs the same acked/retried delivery as a lone server
-(:mod:`repro.service.frontend`); toward shards it acks instantly (the
-in-process hop is lossless), so when delivery to a source is given up
-on, the router marks the items suspect on the shards that read them.
+(:mod:`repro.service.frontend`); a shard's update is acked as soon as it
+is merged (the in-process hop is lossless), so when delivery to a source
+is given up on, the router marks the items suspect on the shards that
+read them.
 
-**Pass-through.**  One wildcard subscription per shard feeds a
-last-served table ``{query: {shard: value}}``; a shard NOTIFY passes its
-home's value through :func:`~repro.filters.shard_budget.recombine`
-bit-identically and fans it to downstream subscribers through the shared
-bounded-queue/slow-consumer-eviction subscriber plane — so subscribers
-are pushed to when the *query* moves by ``B``, as on one coordinator.
-The table stays keyed by shard because failover and a re-homing cutover
-need "the last value *this* shard served", and an ex-home's value must
-never be served.  SNAPSHOT requests gather a *fresh* snapshot from every
+**Pass-through.**  One wildcard subscription per shard feeds the
+served-value table ``{query: value}`` beside the placement table
+``{query: home}``, under two rules.  *Admission:* a NOTIFY or seed
+SNAPSHOT from shard ``s`` writes a query's entry iff ``s`` is its home.
+*Cutover:* a query whose home changed loses its entry until
+:meth:`ClusterCoordinator.announce_rehomed` installs the new home's — so
+an ex-home's value is never served.  An admitted value passes through
+bit-identically and is fanned to downstream subscribers through the
+shared bounded-queue/slow-consumer-eviction subscriber plane — so
+subscribers are pushed to when the *query* moves by ``B``, as on one
+coordinator.  SNAPSHOT requests gather a *fresh* snapshot from every
 shard (error ≤ ``B``) rather than serving the last pushed values, which
 may trail by another ``B``.
 
@@ -71,7 +75,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, 
 
 from repro.filters.shard_budget import BankDecomposition, decompose_bank, recombine
 from repro.service import protocol
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, SourceLink
 from repro.service.cluster.routing import ShardMap
 from repro.service.core import _DAB_CHANGE_REL_TOL
 from repro.service.frontend import (
@@ -87,21 +91,20 @@ from repro.service.server import CoordinatorServer, _scenario_planning
 from repro.service.transports import (
     InprocessLink,
     MessageStream,
-    TransportClosed,
     inprocess_pair,
 )
 
 #: How long a snapshot gather waits per shard before falling back to the
-#: last known partials (a dead shard mid-failover must not hang audits).
+#: last served values (a dead shard mid-failover must not hang audits).
 SNAPSHOT_GATHER_TIMEOUT = 5.0
 
 #: Floor for each shard's notify-queue limit toward its single
 #: subscriber, the router's aggregation trunk.  A burst that evicts an
 #: ordinary slow subscriber must *not* evict the trunk — that silently
-#: freezes the shard's partials — so the trunk rides a much deeper queue
-#: than user-facing subscribers and the router re-subscribes if it is
-#: ever cut anyway.  Same floor the servers grant ``trunk=True``
-#: subscriptions (brokers' upstreams) on the wire.
+#: freezes the values of the queries the shard homes — so the trunk rides
+#: a much deeper queue than user-facing subscribers and the router
+#: re-subscribes if it is ever cut anyway.  Same floor the servers grant
+#: ``trunk=True`` subscriptions (brokers' upstreams) on the wire.
 SHARD_TRUNK_QUEUE_LIMIT = TRUNK_QUEUE_LIMIT
 
 #: How much the budget of a query homed on a *suspected* (unresponsive,
@@ -110,9 +113,9 @@ SHARD_TRUNK_QUEUE_LIMIT = TRUNK_QUEUE_LIMIT
 #: substitutes this documented heuristic — the same honesty contract as
 #: the lease machinery's drift widening: served answers carry a bound
 #: the cluster can actually promise, never silent staleness.  The soak
-#: audit excuses flagged queries whatever the factor; 2.0 mirrors the
-#: one-missed-refresh-per-item worst case the failure detector's
-#: deadline tolerates before firing.
+#: audit holds a flagged query to this widened bound (exceeding it is
+#: fatal); 2.0 mirrors the one-missed-refresh-per-item worst case the
+#: failure detector's deadline tolerates before firing.
 SUSPECT_WIDEN_FACTOR = 2.0
 
 
@@ -160,24 +163,49 @@ class _ShardTrunk(ServiceClient):
             return
         cluster = self.cluster
         if not self._seeded:
-            # The subscription's own reply (re-)seeds the partial table —
+            # The subscription's own reply (re-)seeds the served values —
             # which is how a re-subscribe heals the staleness of a trunk
-            # drop; gather replies never overwrite NOTIFY-fed partials.
+            # drop; gather replies never overwrite NOTIFY-fed values.
             for name, value in (message.get("values") or {}).items():
-                if self.sid in cluster._home_shards.get(name, ()):
-                    cluster._partials.setdefault(name, {})[self.sid] = (
-                        float(value))
+                if cluster._home.get(name) == self.sid:
+                    cluster._served[name] = float(value)
         if message.get("degraded") is not None:
             cluster._set_shard_degraded(self.sid, message["degraded"])
         self._answer_snapshot(message)
 
     def _on_lost(self) -> None:
         # The shard is still attached (it evicted us as a slow consumer
-        # under a notify storm, say) and without the trunk its partials
-        # silently go stale.  A crashed shard refuses: its trunk stays
-        # down until the health monitor fails the shard over.
+        # under a notify storm, say) and without the trunk its queries'
+        # served values silently go stale.  A crashed shard refuses: its
+        # trunk stays down until the health monitor fails the shard over.
         self.cluster.stats["shard_resubscribes"] += 1
         self.reopen(self.cluster.shards[self.sid].connect_loopback())
+
+
+class _ShardSourceLink(SourceLink):
+    """The router registered on one shard *as* one source: the shard's
+    bounds join the min-merge, its probes go on to the real source."""
+
+    def __init__(self, cluster: "ClusterCoordinator", sid: int,
+                 source_id: int, items: Sequence[str]):
+        super().__init__(source_id, items)
+        self.cluster = cluster
+        self.sid = sid
+
+    def _on_dab_update(self, message: Dict[str, Any]) -> Dict[str, float]:
+        return self.cluster._merge_shard_bounds(self.sid, message)
+
+    async def _after_dab_update(self, message: Dict[str, Any],
+                                applied: Dict[str, float],
+                                stream: MessageStream) -> None:
+        cluster = self.cluster
+        await cluster._push_changed_bounds(applied)
+        # (Not for items a moved query left behind in this shard's cache:
+        # the answer would never be routed here.)
+        probe = [item for item in message.get("probe") or ()
+                 if self.sid in cluster._item_shards.get(item, ())]
+        if probe:
+            await cluster._forward_probe(self.source_id, probe)
 
 
 class ClusterCoordinator(FrontEnd):
@@ -208,8 +236,9 @@ class ClusterCoordinator(FrontEnd):
         self.make_shard = make_shard
         self.started = False
 
-        self._home_shards: Dict[str, Tuple[int, ...]] = {
-            name: dec.home_shards
+        #: query -> its home shard, the only shard that speaks for it.
+        self._home: Dict[str, int] = {
+            name: dec.home
             for name, dec in decomposition.decompositions.items()}
         self._qab: Dict[str, float] = {
             name: dec.query.qab
@@ -222,8 +251,7 @@ class ClusterCoordinator(FrontEnd):
             item: tuple(sorted(sids)) for item, sids in item_shards.items()}
 
         # upstream plumbing (router -> shards)
-        self._up_streams: Dict[Tuple[int, int], MessageStream] = {}
-        self._up_tasks: Dict[Tuple[int, int], asyncio.Task] = {}
+        self._links: Dict[Tuple[int, int], _ShardSourceLink] = {}
         self._trunks: Dict[int, _ShardTrunk] = {}
 
         # DAB merge state
@@ -236,7 +264,8 @@ class ClusterCoordinator(FrontEnd):
         self._seq_floors: Dict[str, int] = {}
 
         # aggregation state
-        self._partials: Dict[str, Dict[int, float]] = {}
+        #: query -> the last value its *current* home sent or announced.
+        self._served: Dict[str, float] = {}
         self._shard_degraded: Dict[int, Dict[str, float]] = {}
         self._last_degraded_keys: frozenset = frozenset()
 
@@ -331,18 +360,6 @@ class ClusterCoordinator(FrontEnd):
         """The cluster's current shard-map epoch (0 until a reshard)."""
         return self.shard_map.epoch
 
-    @property
-    def _sub_streams(self) -> Dict[int, MessageStream]:
-        """sid → the stream of its live trunk (the health monitor's probe
-        path); a shard whose trunk is down is absent."""
-        return {sid: trunk.stream for sid, trunk in self._trunks.items()
-                if trunk.connected}
-
-    @property
-    def _sub_tasks(self) -> Dict[int, asyncio.Task]:
-        return {sid: trunk._listener for sid, trunk in self._trunks.items()
-                if trunk._listener is not None}
-
     # -- health / suspicion -------------------------------------------------------
 
     def mark_shard_suspect(self, sid: int) -> None:
@@ -387,52 +404,28 @@ class ClusterCoordinator(FrontEnd):
 
     async def _attach_shard(self, sid: int) -> None:
         for source_id, items in sorted(self._sources_for_shard(sid).items()):
-            await self._open_upstream(sid, source_id, items)
+            await self._open_link(sid, source_id, items)
         trunk = self._trunks[sid] = _ShardTrunk(self, sid)
         await trunk.subscribe("*", trunk=True)
         self.shard_last_seen[sid] = self.clock()
 
-    async def _open_upstream(self, sid: int, source_id: int,
-                             items: Sequence[str]) -> None:
-        """Open (or replace) the impersonated source stream for one
+    async def _open_link(self, sid: int, source_id: int,
+                         items: Sequence[str]) -> None:
+        """Open (or replace) the impersonated source link for one
         (shard, source) pair and register the given item list on it.
         The registration reply's DAB_UPDATE is min-merged like any
-        other; a previous stream for the pair (an item migration
-        extending the list) is torn down first."""
-        server = self.shards[sid]
-        stream = server.connect_loopback()
-        await stream.send(protocol.register_source(source_id, sorted(items)))
-        reply = await stream.receive()
-        if reply is not None:
-            try:
-                kind = protocol.validate_message(reply)
-            except ProtocolError:
-                kind = None
-            if kind is MessageType.DAB_UPDATE:
-                changed = self._merge_shard_bounds(sid, reply)
-                await self._push_changed_bounds(changed)
-        key = (sid, source_id)
-        old_task = self._up_tasks.pop(key, None)
-        old_stream = self._up_streams.pop(key, None)
-        if old_stream is not None:
-            old_stream.close()
-        if old_task is not None:
-            old_task.cancel()
-        self._up_streams[key] = stream
-        self._up_tasks[key] = asyncio.ensure_future(
-            self._upstream_listener(sid, source_id, stream))
+        other; a previous link for the pair (an item migration
+        extending the list) is torn down afterwards."""
+        link = _ShardSourceLink(self, sid, source_id, items)
+        await link.connect(self.shards[sid].connect_loopback())
+        old = self._links.get((sid, source_id))
+        self._links[sid, source_id] = link     # before the await: no gap
+        if old is not None:
+            await old.close()
 
     async def _detach_shard(self, sid: int) -> None:
-        for key in [k for k in list(self._up_tasks) if k[0] == sid]:
-            task = self._up_tasks.pop(key)
-            task.cancel()
-            stream = self._up_streams.pop(key, None)
-            if stream is not None:
-                stream.close()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        for key in [k for k in self._links if k[0] == sid]:
+            await self._links.pop(key).close()
         trunk = self._trunks.pop(sid, None)
         if trunk is not None:
             await trunk.close()
@@ -477,7 +470,7 @@ class ClusterCoordinator(FrontEnd):
 
     async def close(self, final_snapshot: bool = True) -> None:
         await self._shutdown()
-        for sid in sorted(set(self._trunks) | {k[0] for k in self._up_streams}):
+        for sid in sorted(set(self._trunks) | {k[0] for k in self._links}):
             await self._detach_shard(sid)
         for sid in sorted(self.shards):
             await self.shards[sid].close(final_snapshot=final_snapshot)
@@ -526,8 +519,8 @@ class ClusterCoordinator(FrontEnd):
 
     def _dab_gave_up(self, items: List[str]) -> None:
         """A real source may still be filtering on a stale, wider DAB
-        than a shard planned with — and that shard was acked long ago
-        (see :meth:`_upstream_listener`), so it is told here: every shard
+        than a shard planned with — and that shard was acked on merge
+        (:class:`_ShardSourceLink`), so it is told here: every shard
         reading the item serves the queries over it ``degraded`` (with
         leases on) until the item is heard from again, exactly as a lone
         server does."""
@@ -543,45 +536,6 @@ class ClusterCoordinator(FrontEnd):
         for sid in sorted(self.shards):
             await self.shards[sid].check_leases()
             await self.shards[sid].check_retries()
-
-    # -- shard listeners ----------------------------------------------------------
-
-    async def _upstream_listener(self, sid: int, source_id: int,
-                                 stream: MessageStream) -> None:
-        """Consume one shard's source-plane traffic: bound changes are
-        min-merged and pushed outward; probes are forwarded to the real
-        source; msg_id-tagged updates are acked instantly (the in-process
-        hop is lossless — retries toward the router would be noise)."""
-        try:
-            while True:
-                message = await stream.receive()
-                if message is None:
-                    break
-                try:
-                    kind = protocol.validate_message(message)
-                except ProtocolError:
-                    break
-                if kind is MessageType.DAB_UPDATE:
-                    msg_id = message.get("msg_id")
-                    if msg_id is not None:
-                        await self._safe_send(
-                            stream, protocol.dab_ack(source_id, int(msg_id)))
-                    changed = self._merge_shard_bounds(sid, message)
-                    await self._push_changed_bounds(changed)
-                    # (Not for items a moved query left behind in this
-                    # shard's cache: the answer would never be routed here.)
-                    probe = [item for item in message.get("probe") or ()
-                             if sid in self._item_shards.get(item, ())]
-                    if probe:
-                        await self._forward_probe(source_id, probe)
-                elif kind is MessageType.ERROR:
-                    break
-        except (TransportClosed, ProtocolError):
-            pass
-        except asyncio.CancelledError:
-            raise
-        finally:
-            stream.close()
 
     async def _forward_probe(self, source_id: int,
                              items: Sequence[str]) -> None:
@@ -612,7 +566,7 @@ class ClusterCoordinator(FrontEnd):
             # on every trunk NOTIFY.
             return {}
         merged: Dict[str, float] = {}
-        for name, (home,) in self._home_shards.items():
+        for name, home in self._home.items():
             if home in suspects:
                 merged[name] = self._qab[name] * SUSPECT_WIDEN_FACTOR
                 continue
@@ -623,37 +577,26 @@ class ClusterCoordinator(FrontEnd):
             merged[name] = max(merged.get(name, 0.0), bound)
         return merged
 
-    def _recombined_value(self, name: str) -> Optional[float]:
-        # The table only ever holds the home's entry: both writers admit
-        # nothing else and a cutover deletes an ex-home's.
-        partials = self._partials.get(name)
-        return recombine(partials) if partials else None
-
     def _on_shard_notify(self, sid: int, message: Dict[str, Any]) -> None:
         self.stats["partial_notifies"] += 1
         degraded = message.get("degraded")
         if degraded is not None:
             self._set_shard_degraded(sid, degraded)
-        changed: List[str] = []
+        served: List[Tuple[str, float]] = []
         for update in message.get("updates") or []:
             name = update.get("query")
-            if sid not in self._home_shards.get(name, ()):
+            if self._home.get(name) != sid:
                 # Only a query's home speaks for it: mid-migration the
                 # incoming home already runs the query, and its value is
                 # adopted at cutover (:meth:`announce_rehomed`), not before.
                 continue
-            self._partials.setdefault(name, {})[sid] = float(update["value"])
-            changed.append(name)
-        recombined: List[Tuple[str, float]] = []
-        for name in changed:
-            value = self._recombined_value(name)
-            if value is not None:
-                recombined.append((name, value))
-        if recombined or degraded is not None:
-            self._fanout_notifications(recombined,
+            value = self._served[name] = recombine({sid: update["value"]})
+            served.append((name, value))
+        if served or degraded is not None:
+            self._fanout_notifications(served,
                                        message.get("refresh_sent_at"))
 
-    def _fanout_notifications(self, recombined: List[Tuple[str, float]],
+    def _fanout_notifications(self, served: List[Tuple[str, float]],
                               refresh_sent_at: Optional[float]) -> None:
         now = self.clock()
         merged = self._merged_degraded()
@@ -661,7 +604,7 @@ class ClusterCoordinator(FrontEnd):
         include_degraded = bool(merged) or keys != self._last_degraded_keys
         self._last_degraded_keys = keys
         self._publish(
-            [{"query": name, "value": value} for name, value in recombined],
+            [{"query": name, "value": value} for name, value in served],
             merged if include_degraded else None,
             sent_at=now, refresh_sent_at=refresh_sent_at)
 
@@ -676,9 +619,9 @@ class ClusterCoordinator(FrontEnd):
         budget.  A shard that cannot answer (mid-failover) falls back to
         its last pushed values and is counted."""
         self.stats["snapshot_gathers"] += 1
-        # No live trunk (mid-failover, or re-subscribing): the shard
-        # serves its stale partials below — as does one whose reply is
-        # late, lost with the link, or fenced.
+        # No live trunk (mid-failover, or re-subscribing): the shard's
+        # queries keep their last served values below — as do those of one
+        # whose reply is late, lost with the link, or fenced.
         asked = {sid: asyncio.ensure_future(trunk.request_snapshot())
                  for sid, trunk in sorted(self._trunks.items())
                  if trunk.connected}
@@ -699,18 +642,11 @@ class ClusterCoordinator(FrontEnd):
         self.stats["snapshot_gather_fallbacks"] += (
             len(self.shards) - len(values_by_shard))
         values: Dict[str, float] = {}
-        for name, home in self._home_shards.items():
-            per: Dict[int, float] = {}
-            for sid in home:
-                fresh = values_by_shard.get(sid)
-                if fresh is not None and name in fresh:
-                    per[sid] = fresh[name]
-                    continue
-                stale = self._partials.get(name, {}).get(sid)
-                if stale is not None:
-                    per[sid] = stale
-            if per:
-                values[name] = recombine(per)
+        for name, home in self._home.items():
+            fresh = values_by_shard.get(home, {})
+            value = fresh.get(name, self._served.get(name))
+            if value is not None:
+                values[name] = value
         return values, self._merged_degraded(), stats_by_shard
 
     # -- downstream connection handling -------------------------------------------
@@ -765,20 +701,20 @@ class ClusterCoordinator(FrontEnd):
             message["map_epoch"] = self.map_epoch
         source_id = self.item_to_source.get(item)
         for sid in shards:
-            stream = self._up_streams.get((sid, source_id))
-            if stream is None:
+            link = self._links.get((sid, source_id))
+            if link is None:
                 continue              # shard down: healed on reattach probe
-            if await self._safe_send(stream, message):
+            if await self._safe_send(link._stream, message):
                 self.stats["refreshes_routed"] += 1
 
     async def _on_heartbeat(self, peer: Peer,
                             message: Dict[str, Any]) -> None:
         self.stats["heartbeats_received"] += 1
         source_id = int(message["source_id"])
-        for (sid, src), stream in sorted(self._up_streams.items()):
+        for (sid, src), link in sorted(self._links.items()):
             if src != source_id:
                 continue
-            if await self._safe_send(stream, message):
+            if await self._safe_send(link._stream, message):
                 self.stats["heartbeats_forwarded"] += 1
 
     # -- resharding support (driven by cluster.migration.ShardMigrator) -----------
@@ -822,13 +758,11 @@ class ClusterCoordinator(FrontEnd):
         self.shard_map = new_map
         self.decomposition = self.decomposition.replace(updated)
         for name, dec in updated.items():
-            self._home_shards[name] = dec.home_shards
-            partials = self._partials.get(name)
-            if partials:
+            if self._home[name] != dec.home:
                 # An ex-home's last value must never be served under the
                 # new home; :meth:`announce_rehomed` seeds its successor.
-                for sid in [s for s in partials if s not in dec.sub_queries]:
-                    del partials[sid]
+                self._home[name] = dec.home
+                self._served.pop(name, None)
         item_shards: Dict[str, List[int]] = {}
         for sid, items in self.decomposition.items_needed.items():
             for item in items:
@@ -844,11 +778,9 @@ class ClusterCoordinator(FrontEnd):
         while subscribers still hold the ex-home's last value, which the
         new home never saw: a drift of ``B`` from *its* baseline could
         leave them ``B`` further out than the push contract allows."""
-        announced = []
-        for name, value in sorted(values.items()):
-            (home,) = self._home_shards[name]
-            self._partials[name] = {home: float(value)}
-            announced.append((name, float(value)))
+        announced = [(name, float(value))
+                     for name, value in sorted(values.items())]
+        self._served.update(announced)
         if announced:
             self._fanout_notifications(announced, None)
 
@@ -874,7 +806,7 @@ class ClusterCoordinator(FrontEnd):
             raise ProtocolError(
                 "the cluster router does not accept QUERY_SUB definitions "
                 "yet; register queries at build time")
-        sub = self._add_subscriber(peer, message, self._home_shards)
+        sub = self._add_subscriber(peer, message, self._home)
         await self._safe_send(peer.stream, await self._snapshot_response(sub))
 
     async def _on_snapshot(self, peer: Peer, message: Dict[str, Any]) -> None:
@@ -910,7 +842,7 @@ class ClusterCoordinator(FrontEnd):
         stats["mirrored_items"] = {
             str(sid): len(items)
             for sid, items in self.decomposition.mirrored_items.items()}
-        stats["queries"] = len(self._home_shards)
+        stats["queries"] = len(self._home)
         stats["items"] = len(self._item_shards)
         stats["listen_address"] = (list(self.listen_address)
                                    if self.listen_address is not None else None)

@@ -209,12 +209,6 @@ class CoordinatorCore:
         #: Shared-structure index state (``bank_index="shared"`` only):
         #: the deduplicating bank.
         self._shared_bank: Optional[SharedStructureBank] = None
-        #: Re-entries of :meth:`_build_vectorized_state` after
-        #: construction — the O(bank) recompilations.  Both bank modes
-        #: edit their structures in place, so nothing increments it; it
-        #: stays as the bounded-work figure the stats plane and the
-        #: QUERY_SUB tests read.
-        self.bank_rebuilds = 0
         #: Names added through :meth:`add_query` — persisted in
         #: :meth:`recovery_state` so dynamically-registered queries
         #: survive a snapshot + kill -9 restart.
@@ -320,9 +314,7 @@ class CoordinatorCore:
         """The shared-index stats section; ``None`` in flat mode."""
         if self._shared_bank is None:
             return None
-        stats = self._shared_bank.stats()
-        stats["rebuilds"] = self.bank_rebuilds
-        return stats
+        return self._shared_bank.stats()
 
     def _write_powers(self, item: str) -> None:
         """``item``'s cached value moved: refresh its power slots.  The

@@ -48,7 +48,6 @@ async def _run_async(
     item_to_source: Dict[str, int],
     subscriber_count: int,
     duration: int,
-    tick_interval: float,
     host: Optional[str],
     port: Optional[int],
     clustered: bool,
@@ -88,8 +87,7 @@ async def _run_async(
 
     started = _time.perf_counter()
     sent = await asyncio.gather(*[
-        agent.replay(scenario.traces, tick_interval=tick_interval,
-                     max_steps=duration)
+        agent.replay(scenario.traces, max_steps=duration)
         for agent in agents.values()
     ])
     elapsed = _time.perf_counter() - started
@@ -166,7 +164,6 @@ def run_loadgen(
     items: int = 40,
     duration: int = 30,
     subscribers: int = 4,
-    tick_interval: float = 0.0,
     seed: int = 0,
     algorithm: str = "dual_dab",
     workload: str = "portfolio",
@@ -226,7 +223,7 @@ def run_loadgen(
     report = asyncio.run(_run_async(
         node=node, scenario=scenario, item_to_source=item_to_source,
         subscriber_count=subscribers, duration=duration,
-        tick_interval=tick_interval, host=host, port=port,
+        host=host, port=port,
         clustered=bool(shards) and not over_tcp, brokers=brokers,
     ))
     report["seed"] = seed

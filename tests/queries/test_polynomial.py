@@ -89,13 +89,6 @@ class TestStructure:
         assert q.qab == 9.0
         assert q.terms == make_mixed().terms
 
-    def test_sub_query(self):
-        q = make_mixed()
-        p1, _ = q.split()
-        half = q.sub_query(p1, q.qab / 2, name="half")
-        assert half.qab == 2.5
-        assert half.is_positive_coefficient
-
 
 class TestEvaluation:
     def test_evaluate_mixed(self):

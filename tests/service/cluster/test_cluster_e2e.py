@@ -135,7 +135,8 @@ class TestSingleShardBitIdentity:
         cluster, scenario, _ = build_scenario_cluster(shards=1, **SCENARIO)
         for query in scenario.queries:
             dec = cluster.decomposition.decompositions[query.name]
-            assert dec.sub_queries[0] is query
+            assert dec.home == 0 and dec.query is query
+            assert query in cluster.decomposition.sub_queries_for[0]
 
         async def close():
             await cluster.close()
@@ -154,12 +155,13 @@ class TestTrunkResilience:
         async def body():
             await cluster.start()
             sid = cluster.decomposition.active_shards[0]
-            old_trunk = cluster._sub_streams[sid]
+            old_trunk = cluster._trunks[sid].stream
             old_trunk.close()                      # simulate the eviction
             for _ in range(20):
                 await asyncio.sleep(0)
             assert cluster.stats["shard_resubscribes"] == 1
-            assert cluster._sub_streams[sid] is not old_trunk
+            assert cluster._trunks[sid].connected
+            assert cluster._trunks[sid].stream is not old_trunk
 
             # The new trunk serves fresh gathers: a snapshot through the
             # router matches a direct read of each shard.

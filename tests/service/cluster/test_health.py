@@ -47,9 +47,14 @@ async def _push_steps(streams, item_to_source, traces, steps, seq):
         await _drain()
 
 
-class _FakeStream:
+class _FakeTrunk:
+    """A live trunk: ``stream`` records what the monitor sends on it."""
+
+    connected = True
+
     def __init__(self):
         self.sent = []
+        self.stream = self
 
 
 class _FakeCluster:
@@ -58,7 +63,7 @@ class _FakeCluster:
     def __init__(self, shard_ids=(0, 1)):
         self.shards = {sid: object() for sid in shard_ids}
         self.shard_last_seen = {}
-        self._sub_streams = {sid: _FakeStream() for sid in shard_ids}
+        self._trunks = {sid: _FakeTrunk() for sid in shard_ids}
         self.clock = lambda: 0.0
         self.health = None
         self.suspects = []
@@ -106,7 +111,7 @@ class TestDetectorLogic:
         assert records == []
         assert monitor.misses == {}
         assert monitor.suspected_at == {}
-        assert all(not s.sent for s in cluster._sub_streams.values())
+        assert all(not trunk.sent for trunk in cluster._trunks.values())
 
     def test_silent_shard_is_probed_then_suspected_at_max_misses(self):
         cluster = _FakeCluster()
@@ -117,7 +122,7 @@ class TestDetectorLogic:
         # First miss: probed (read-only SNAPSHOT down the trunk), not
         # yet suspected — a quiet-but-healthy shard can answer.
         assert monitor.misses == {0: 1}
-        assert [m["type"] for m in cluster._sub_streams[0].sent] == ["snapshot"]
+        assert [m["type"] for m in cluster._trunks[0].sent] == ["snapshot"]
         assert cluster.suspects == []
         run(monitor.poll(now=11.0))
         assert monitor.misses == {0: 2}

@@ -385,9 +385,9 @@ class TestClosedShard:
         async def body():
             await cluster.start()
             victim = cluster.decomposition.active_shards[0]
-            upstream_tasks = [task for (sid, _), task
-                              in cluster._up_tasks.items() if sid == victim]
-            trunk_task = cluster._sub_tasks[victim]
+            upstream_tasks = [link._listener for (sid, _), link
+                              in cluster._links.items() if sid == victim]
+            trunk_task = cluster._trunks[victim]._listener
             assert upstream_tasks and not trunk_task.done()
 
             # An undetected crash: the router is told nothing, the hang-up
@@ -399,11 +399,12 @@ class TestClosedShard:
             # The trunk listener went through its resubscribe path, which
             # a closed shard refuses (failover rebuilds the trunk).
             assert cluster.stats["shard_resubscribes"] == 1
-            assert victim not in cluster._sub_streams
+            assert not cluster._trunks[victim].connected
             # Routing towards the corpse fails soft.
-            stream = cluster._up_streams[
-                next(key for key in cluster._up_streams if key[0] == victim)]
-            assert not await cluster._safe_send(stream, protocol.snapshot())
+            link = cluster._links[
+                next(key for key in cluster._links if key[0] == victim)]
+            assert not await cluster._safe_send(link._stream,
+                                                protocol.snapshot())
             await cluster.close()
 
         run(body())

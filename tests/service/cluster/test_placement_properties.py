@@ -89,16 +89,14 @@ class TestPlacementShape:
         assert set(bank.decompositions) == {q.name for q in queries}
         for query in queries:
             dec = bank.decompositions[query.name]
-            (home,) = dec.home_shards
+            home = dec.home
             assert home in _spread(query, shard_map)
-            assert dec.sub_queries == {home: query}
-            assert dec.sub_queries[home] is query
-            assert dec.sub_qab(home) == query.qab
+            assert dec.query is query
             assert set(bank.items_needed[home]) >= set(query.variables)
             assert query in bank.sub_queries_for[home]
             foreign = tuple(item for item in query.variables
                             if shard_map.shard_of(item) != home)
-            assert dec.mirrored == ({home: foreign} if foreign else {})
+            assert dec.mirrored == foreign
         assert sum(bank.queries_per_shard.values()) == len(queries)
         assert set(bank.queries_per_shard) == set(bank.active_shards)
 
@@ -110,10 +108,10 @@ class TestPlacementShape:
         one = decompose_bank(queries, shard_map.shard_of)
         other = decompose_bank(shuffled, shard_map.shard_of)
         for query in queries:
-            assert (one.home_shards(query.name)
-                    == other.home_shards(query.name))
-            assert (decompose_query(query, shard_map.shard_of).home_shards
-                    == one.home_shards(query.name))
+            assert (one.decompositions[query.name].home
+                    == other.decompositions[query.name].home)
+            assert (decompose_query(query, shard_map.shard_of).home
+                    == one.decompositions[query.name].home)
         assert one.items_needed == other.items_needed
 
     def test_placement_ignores_pythonhashseed(self):
@@ -125,7 +123,7 @@ class TestPlacementShape:
             "bank = scaled_scenario(query_count=40, item_count=24,\n"
             "    trace_length=3, source_count=4, query_kind='portfolio',\n"
             "    seed=5).queries\n"
-            "print(json.dumps({k: {n: list(d.home_shards) for n, d in\n"
+            "print(json.dumps({k: {n: d.home for n, d in\n"
             "    decompose_bank(bank, ShardMap(k).shard_of)\n"
             "    .decompositions.items()} for k in (2, 3, 5)},\n"
             "    sort_keys=True))\n")

@@ -252,9 +252,8 @@ def _homed(text, prefix, before, after):
     new = old.rebalance({MOVED: TARGET})
     for n in itertools.count():
         query = parse_query(text, name=f"{prefix}{n}")
-        if (decompose_query(query, old.shard_of).home_shards == (before,)
-                and decompose_query(query, new.shard_of).home_shards
-                == (after,)):
+        if (decompose_query(query, old.shard_of).home == before
+                and decompose_query(query, new.shard_of).home == after):
             return query
 
 
@@ -357,7 +356,7 @@ class TestRehomingMigration:
                 return by_name[name].evaluate(live)
 
             await walk(range(1, 6))
-            assert cluster.decomposition.home_shards(leaving[0]) == (0,)
+            assert cluster.decomposition.decompositions[leaving[0]].home == 0
             assert "x0" not in cluster.shards[TARGET].core.cache
 
             assert migrator.start({MOVED: TARGET}) == 1
@@ -381,11 +380,12 @@ class TestRehomingMigration:
 
             new_home = cluster.shards[TARGET].core
             for name in leaving:
-                assert cluster.decomposition.home_shards(name) == (TARGET,)
+                assert cluster.decomposition.decompositions[name].home == TARGET
+                assert cluster._home[name] == TARGET
                 # The ex-home's value is gone from the table, the new
                 # home's is in it, and the subscriber holds exactly the
                 # baseline its new home pushes against.
-                assert set(cluster._partials[name]) == {TARGET}
+                assert cluster._served[name] == new_home.last_user_values[name]
                 assert client.values[name] == new_home.last_user_values[name]
                 assert abs(client.values[name] - truth(name)) <= (
                     2 * by_name[name].qab)

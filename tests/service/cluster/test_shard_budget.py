@@ -10,7 +10,7 @@ from repro.filters.shard_budget import (
     decompose_query,
     recombine,
 )
-from repro.queries import parse_query
+from repro.queries import PolynomialQuery, parse_query
 from repro.service.cluster.routing import ShardMap
 
 
@@ -33,44 +33,42 @@ def expected_home(query, shard_of):
 
 class TestDecomposeQuery:
     def test_single_home_shard_keeps_original_object(self):
-        # x0..x3 all co-hash to shard 1 at two shards: the query must NOT
-        # split, and the sub-query must be the original object verbatim
-        # (same terms, same full budget B) — the bit-identity guarantee.
+        # x0..x3 all co-hash to shard 1 at two shards: the query lives
+        # there with nothing mirrored, and what the shard runs is the
+        # original object verbatim (same terms, same full budget B) — the
+        # bit-identity guarantee.
         query = parse_query("x0*x1 + 2 x2*x3 : 5")
         dec = decompose_query(query, shard_of_2)
-        assert len(dec.home_shards) == 1
-        assert dec.home_shards == (1,)
-        assert dec.sub_queries[1] is query
-        assert dec.sub_qab(1) == query.qab
+        assert dec.home == 1
+        assert dec.query is query
+        assert dec.mirrored == ()
 
     def test_cross_shard_split_budgets_sum_to_qab(self):
         # A query whose items span several shards still gets ONE home,
-        # inside its spread, running the original object — so the budget
-        # summed over its home shards is B, undivided.
+        # inside its spread, running the original object — so its budget
+        # there is B, undivided.
         query = parse_query("x0*x1 + x2*x3 + x15*x1 : 6", name="spanning")
         spread = {shard_of_4(v) for v in query.variables}
         assert len(spread) > 1
         dec = decompose_query(query, shard_of_4)
-        (home,) = dec.home_shards
-        assert home in spread
-        assert home == expected_home(query, shard_of_4)
-        assert dec.sub_queries[home] is query
-        total = sum(dec.sub_qab(s) for s in dec.home_shards)
-        assert total == query.qab
+        assert dec.home in spread
+        assert dec.home == expected_home(query, shard_of_4)
+        assert dec.query is query
+        assert dec.query.qab == 6.0
 
     def test_sub_queries_keep_the_original_name(self):
         query = parse_query("x0*x1 + x2*x3 + x15*x1 : 6")
-        dec = decompose_query(query, shard_of_4)
-        assert all(sub.name == query.name
-                   for sub in dec.sub_queries.values())
+        bank = decompose_bank([query], shard_of_4)
+        home = bank.decompositions[query.name].home
+        assert bank.sub_queries_for == {home: (query,)}
+        assert [sub.name for sub in bank.sub_queries_for[home]] == [query.name]
 
     def test_sub_query_evaluations_sum_to_original(self):
         query = parse_query("3 x0*x1 - 2 x2*x3 + x15 : 6")
         values = {"x0": 2.0, "x1": 3.0, "x2": 1.5, "x3": 4.0, "x15": 7.0}
         dec = decompose_query(query, shard_of_4)
-        parts = {shard: sub.evaluate(values)
-                 for shard, sub in dec.sub_queries.items()}
-        assert recombine(parts) == pytest.approx(query.evaluate(values))
+        parts = {dec.home: dec.query.evaluate(values)}
+        assert recombine(parts) == query.evaluate(values)
 
     def test_mirrored_items_are_foreign_reads(self):
         # x0 lives on shard 1 of 4 and x1 on shard 3: whichever of the
@@ -80,20 +78,24 @@ class TestDecomposeQuery:
         assert owners == {"x0": 1, "x1": 3}
         dec = decompose_query(query, shard_of_4)
         home = expected_home(query, shard_of_4)
-        assert dec.home_shards == (home,)
-        foreign = tuple(v for v in ("x0", "x1") if owners[v] != home)
-        assert dec.mirrored == {home: foreign}
+        assert dec.home == home
+        assert dec.mirrored == tuple(
+            v for v in ("x0", "x1") if owners[v] != home)
 
 
 class TestDecomposeBank:
     def test_items_needed_covers_owned_and_mirrored(self):
-        queries = [parse_query("x0*x1 : 2"), parse_query("x2*x3 : 3")]
+        queries = [parse_query("x0*x1 : 2", name="pair"),
+                   parse_query("x2*x3 : 3")]
         bank = decompose_bank(queries, shard_of_4)
         for query in queries:
-            for shard in bank.home_shards(query.name):
-                needed = set(bank.items_needed[shard])
-                sub = bank.decompositions[query.name].sub_queries[shard]
-                assert set(sub.variables) <= needed
+            dec = bank.decompositions[query.name]
+            assert set(query.variables) <= set(bank.items_needed[dec.home])
+        # "pair" reads x0 (shard 1) and x1 (shard 3): one is mirrored at
+        # its home, and the bank's per-shard view says so.
+        pair = bank.decompositions["pair"]
+        assert len(pair.mirrored) == 1
+        assert set(pair.mirrored) <= set(bank.mirrored_items[pair.home])
 
     def test_empty_shards_are_absent(self):
         bank = decompose_bank([parse_query("x0*x2 : 2")], shard_of_4)
@@ -104,18 +106,9 @@ class TestDecomposeBank:
     def test_duplicate_names_rejected(self):
         one = parse_query("x0*x1 : 2")
         clash = parse_query("x2*x3 : 2")
-        clash = clash.sub_query(clash.terms, clash.qab, name=one.name)
+        clash = PolynomialQuery(clash.terms, clash.qab, name=one.name)
         with pytest.raises(SimulationError):
             decompose_bank([one, clash], shard_of_4)
-
-    def test_shards_of_item_includes_mirrors(self):
-        query = parse_query("x0*x1 : 2", name="pair")
-        bank = decompose_bank([query], shard_of_4)
-        # One of x0 (shard 1) / x1 (shard 3) is foreign to the home and
-        # mirrored there: the home reads both.
-        home = expected_home(query, shard_of_4)
-        assert bank.shards_of_item("x0") == (home,)
-        assert bank.shards_of_item("x1") == (home,)
 
 
 class TestRecombine:

@@ -22,7 +22,11 @@ from repro.service.client import ServiceClient
 from repro.service.journal import Journal
 from repro.service.protocol import MessageType
 from repro.service.server import build_scenario_server
-from tests.service.test_bank_subscribe import _dynamic_bank
+from tests.service.test_bank_subscribe import (
+    _dynamic_bank,
+    assert_edited_in_place,
+    bank_objects,
+)
 
 
 def run(coro):
@@ -123,9 +127,10 @@ class TestSharedCrashRecovery:
 
             # Mid-run dynamic subscription: qadd records hit the WAL.
             bank = _dynamic_bank(server.core, count=6, distinct=2)
+            structures = bank_objects(server.core)
             client = ServiceClient(server.connect_loopback())
             await client.subscribe(definitions=bank)
-            assert server.core.bank_rebuilds == 0
+            assert_edited_in_place(server.core, structures)
             await push_load(server, item_to_source, rounds=range(4, 6))
 
             assert server.core.dynamic_names == {q.name for q in bank}
@@ -134,6 +139,7 @@ class TestSharedCrashRecovery:
             await client.close()
 
             revived, _, _ = build(tmp_path, bootstrap=False)
+            structures = bank_objects(revived.core)
             recovery = revived.restore()
             assert recovery["records_replayed"] > 0
             assert core_fingerprint(revived.core) == before
@@ -141,10 +147,10 @@ class TestSharedCrashRecovery:
             # appends — never an O(bank) rebuild — with no subscriber
             # holding a reference (those died with the old process).
             assert revived.core.dynamic_names == {q.name for q in bank}
-            assert revived.core.bank_rebuilds == 0
+            assert_edited_in_place(revived.core, structures)
             assert revived._dynamic_refs == {q.name: 0 for q in bank}
             stats = revived.server_stats()["bank_index"]
-            assert stats["queries"] == 4 + 6
+            assert stats["queries"] == stats["appends"] == 4 + 6
             await revived.close()
 
         run(check())

@@ -2,12 +2,12 @@
 
 The bounded-work contract: subscribing N new query definitions costs N
 index *appends* (template-sized work each), never an O(bank) vectorized
-rebuild — ``core.bank_rebuilds`` must stay 0 while a thousand definitions
-stream in (and in flat mode, whose term-product table grows a row per
-definition).  Plus the registration semantics around
-it: idempotent duplicate registration via refcounts, validate-all-first
-rejection (no partial effect), and last-reference removal when the
-defining subscriber goes away.
+rebuild — the bank and every compiled query stay the *same objects*
+while a thousand definitions stream in (and in flat mode, whose
+term-product table grows a row per definition).  Plus the registration
+semantics around it: idempotent duplicate registration via refcounts,
+validate-all-first rejection (no partial effect), and last-reference
+removal when the defining subscriber goes away.
 """
 
 import asyncio
@@ -44,6 +44,22 @@ def _dynamic_bank(core, count, distinct, prefix="dyn", seed=2):
                                   config=cfg, seed=seed, name_prefix=prefix)
 
 
+def bank_objects(core):
+    """What an O(bank) rebuild would replace: the bank, the power table
+    its rows index, and every query's compiled row."""
+    bank = core._shared_bank if core._shared_bank is not None else core._bank
+    return bank, bank.table, {query.name: core.compiled_query(query)
+                              for query in core.queries}
+
+
+def assert_edited_in_place(core, before):
+    bank, table, compiled = before
+    now_bank, now_table, now_compiled = bank_objects(core)
+    assert now_bank is bank and now_table is table
+    for name, one in compiled.items():
+        assert now_compiled[name] is one
+
+
 async def _settled(server, predicate, timeout=5.0):
     deadline = asyncio.get_event_loop().time() + timeout
     while not predicate():
@@ -59,14 +75,15 @@ class TestBoundedWork:
 
         async def body():
             bank = _dynamic_bank(server.core, count=1000, distinct=10)
+            before = bank_objects(server.core)
             client = ServiceClient(server.connect_loopback())
             snapshot = await client.subscribe(definitions=bank)
             # Every definition is live and served in the snapshot.
             assert len(snapshot) == 4 + 1000
-            # The headline: not one O(bank) recompile happened.
-            assert server.core.bank_rebuilds == 0
+            # The headline: not one O(bank) recompile happened — each
+            # definition was one append to the index that was there.
+            assert_edited_in_place(server.core, before)
             stats = server.server_stats()["bank_index"]
-            assert stats["rebuilds"] == 0
             assert stats["appends"] == 4 + 1000
             assert stats["dynamic_queries"] == 1000
             # 4 initial structures + 10 dynamic ones, not 1004.
@@ -82,12 +99,14 @@ class TestBoundedWork:
 
         async def body():
             bank = _dynamic_bank(server.core, count=3, distinct=3)
+            core = server.core
+            before = bank_objects(core)
             client = ServiceClient(server.connect_loopback())
             snapshot = await client.subscribe(definitions=bank)
             # The flat bank appends a row per definition too: the O(bank)
             # recompile this test used to count is gone.
-            core = server.core
-            assert core.bank_rebuilds == 0
+            assert_edited_in_place(core, before)
+            assert len(core._bank) == 4 + 3
             for query in bank:
                 assert snapshot[query.name] == query.evaluate(core.cache)
             assert core.query_values() == [
@@ -136,6 +155,7 @@ class TestRegistrationSemantics:
                 qab=1.0, name=taken)
             (fresh,) = _dynamic_bank(server.core, count=1, distinct=1,
                                      prefix="fresh")
+            before = bank_objects(server.core)
             stream = server.connect_loopback()
             await stream.send(protocol.query_sub([], [fresh, conflict]))
             reply = await asyncio.wait_for(stream.receive(), timeout=5)
@@ -144,7 +164,8 @@ class TestRegistrationSemantics:
             # Validate-all-first: the valid definition before the bad one
             # must not have been registered.
             assert fresh.name not in server.core.query_names
-            assert server.core.bank_rebuilds == 0
+            assert_edited_in_place(server.core, before)
+            assert server.server_stats()["bank_index"]["appends"] == 4
             await server.close()
 
         run(body())

@@ -321,10 +321,11 @@ async def in_server(kind):
         node=node, feeder=feeder, close=node.close, name=name,
         stamps={"shard": sid},
         client=lambda: node._trunks[sid],
-        stream=lambda: node._sub_streams.get(sid),
+        stream=lambda: (node._trunks[sid].stream
+                        if node._trunks[sid].connected else None),
         resubscribes="shard_resubscribes", received="partial_notifies",
-        held=lambda: node._partials[name][sid],
-        poison=lambda: node._partials[name].__setitem__(sid, -1.0))
+        held=lambda: node._served[name],
+        poison=lambda: node._served.__setitem__(name, -1.0))
 
 
 def _served(feeder, name):
@@ -461,8 +462,7 @@ class TestTrunkAdmission:
     def test_a_fenced_snapshot_reply_makes_the_gather_fall_back_at_once(self):
         async def body():
             wired, cluster = await self._fenced_cluster()
-            partials = {name: sum(per.values())
-                        for name, per in cluster._partials.items()}
+            held = dict(cluster._served)
             client = ServiceClient(cluster.connect_loopback())
             # Far inside SNAPSHOT_GATHER_TIMEOUT (5 s per shard).
             served = await asyncio.wait_for(client.subscribe("*"), 1.0)
@@ -470,9 +470,7 @@ class TestTrunkAdmission:
                 cluster.shards)
             assert cluster.stats["fenced_frames_rejected"] == len(
                 cluster.shards)
-            assert served.keys() == partials.keys()
-            for name, value in served.items():
-                assert value == pytest.approx(partials[name])
+            assert served == held
             await client.close()
             await wired.close()
 

@@ -100,7 +100,7 @@ class TestStatsPlane:
         assert stats["queries"] == BANK_QUERIES
         assert stats["dedup_ratio"] == BANK_QUERIES / BANK_STRUCTURES
         assert stats["structure_hits"] == BANK_QUERIES - BANK_STRUCTURES
-        assert stats["rebuilds"] == 0
+        assert stats["appends"] == BANK_QUERIES
         assert shared_result.metrics.bank_templates == BANK_STRUCTURES
         assert (shared_result.metrics.bank_dedup_ratio
                 == BANK_QUERIES / BANK_STRUCTURES)

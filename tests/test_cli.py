@@ -49,6 +49,15 @@ class TestPlan:
         assert code == 0
         assert ": 3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("ddm, primary", [("monotonic", "0.582576"),
+                                              ("random_walk", "0.584638")])
+    def test_ddm_reaches_the_cost_model(self, ddm, primary, capsys):
+        # The only CLI route to the paper's two data-dynamics models.
+        code = main(["plan", "x*y : 5", "--values", "x=2,y=2", "--ddm", ddm])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"ddm={ddm}" in out and primary in out
+
     def test_missing_values_rejected(self):
         with pytest.raises(SystemExit, match="no values"):
             main(["plan", "x*y : 5", "--values", "x=2"])
@@ -75,6 +84,44 @@ class TestSimulate:
                      "--duration", "60", "--algorithm", "aao_t"])
         assert code == 1
         assert "aao_period" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, reads", [
+        (["--ddm", "random_walk"], lambda c: c.ddm.value == "random_walk"),
+        (["--zero-delay"], lambda c: c.zero_delay is True),
+        (["--algorithm", "aao_t", "--aao-period", "30"],
+         lambda c: c.aao_period == 30),
+        (["--partition-spec", "20:30"],
+         lambda c: [(w.start, w.end) for w in c.fault_config.partitions]
+         == [(20.0, 30.0)]),
+        (["--delay-spike-spec", "20:30:10"],
+         lambda c: [(w.start, w.end, w.factor)
+                    for w in c.fault_config.delay_spikes]
+         == [(20.0, 30.0, 10.0)]),
+    ], ids=["ddm", "zero-delay", "aao-period", "partition-spec",
+            "delay-spike-spec"])
+    def test_paper_and_fault_flags_reach_the_simulator(self, flags, reads,
+                                                       capsys, monkeypatch):
+        # Each flag is the only CLI route to a paper feature (the ddm,
+        # zero-delay fidelity, AAO-T's period) or to a fault kind.
+        import repro.simulation
+
+        seen = []
+        real = repro.simulation.run_simulation
+
+        def spy(config):
+            seen.append(config)
+            return real(config)
+
+        monkeypatch.setattr(repro.simulation, "run_simulation", spy)
+        code = main(["simulate", "--queries", "2", "--items", "16",
+                     "--duration", "60", "--sources", "3",
+                     "--fidelity-interval", "5"] + flags)
+        assert code == 0
+        (config,) = seen
+        assert reads(config)
+        faulted = config.fault_config is not None
+        assert ("Fault injection & recovery"
+                in capsys.readouterr().out) == faulted
 
     def test_arbitrage_workload(self, capsys):
         code = main(["simulate", "--queries", "2", "--items", "20",
