@@ -1,12 +1,16 @@
 """Query-bank scaling: shared-structure index vs the flat term-product table.
 
+A library micro-benchmark of two classes: the table is the coordinator's
+one evaluator, the shared index is imported by nothing in ``src/`` any
+more (DESIGN.md §13.3) and is measured here as the evidence for that.
+
 The ISSUE 8 tentpole claim, measured directly at the index layer: with
 the number of *distinct monomial structures* fixed (100, the realistic
 subscriber regime — many users watch few aggregate shapes), per-tick
 refresh cost under the shared index stays roughly flat from 10^3 to 10^6
 queries, while the flat path — one per-item read of the
 :class:`~repro.queries.compiled.CompiledQueryBank`, exactly what
-``CoordinatorCore._movers_flat`` does per refresh in flat mode — grows
+``CoordinatorCore._notify_movers`` does per refresh — grows
 linearly with the number of queries reading the refreshed item (it
 re-multiplies the terms containing the item, then sums every affected
 query's row).
@@ -116,8 +120,8 @@ def _run_shared(bank, table, values0, walks, n, qab):
 
 
 def _run_flat(flat_queries, table, values0, walks, n, qab, shared):
-    """The flat coordinator's per-refresh idiom, on the evaluator it
-    ships (``CoordinatorCore._movers_flat``): one bank over every query,
+    """The coordinator's per-refresh idiom, on the evaluator it
+    ships (``CoordinatorCore._notify_movers``): one bank over every query,
     a write that marks the item, one per-item read that re-multiplies the
     terms containing it, and a vectorized QAB compare.  The build covers
     what the core pays before its first refresh: compiling the queries,

@@ -131,7 +131,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         duration=args.duration, source_count=args.sources, seed=args.seed,
         fidelity_interval=args.fidelity_interval, zero_delay=args.zero_delay,
         aao_period=args.aao_period, fault_config=fault_config,
-        bank_index=args.bank_index,
     )
     if args.runs > 1:
         results = run_seed_sweep(config, args.runs, jobs=args.jobs)
@@ -175,24 +174,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(f"recompute latency    p50 {latency['p50_ms']:.2f}ms  "
                   f"p95 {latency['p95_ms']:.2f}ms  "
                   f"p99 {latency['p99_ms']:.2f}ms")
-    # Same contract for the bank index: flat output stays byte-identical.
-    if result.bank_stats is not None and result.bank_index != "flat":
-        bank = result.bank_stats
-        print(f"bank index           {result.bank_index} "
-              f"({bank['distinct_structures']} structures over "
-              f"{bank['queries']} queries, "
-              f"dedup {bank['dedup_ratio']:.1f}x)")
-        screened = bank["screen_evaluated"] + bank["screen_skipped"]
-        if screened:
-            skip_rate = bank["screen_skipped"] / screened
-            print(f"notify screening     {bank['screen_skipped']}/{screened} "
-                  f"skipped ({skip_rate:.1%}), "
-                  f"{bank['template_syncs']} template resyncs")
-        update = bank.get("update_latency_us")
-        if update:
-            print(f"index update         p50 {update['p50']:.1f}us  "
-                  f"p95 {update['p95']:.1f}us  "
-                  f"({bank['appends']} appends, {bank['removals']} removals)")
     if fault_config is not None:
         print()
         print(format_table(fault_counter_rows(m), "Fault injection & recovery"))
@@ -314,7 +295,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         query_count=args.queries, item_count=args.items,
         source_count=args.sources, trace_length=args.trace_length,
         seed=args.seed, algorithm=args.algorithm, recompute_cost=args.mu,
-        workload=args.workload, bank_index=args.bank_index,
+        workload=args.workload,
         journal=journal, bootstrap=journal is None,
     )
     if journal is not None:
@@ -558,7 +539,7 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
         shards=args.shards, query_count=args.queries, item_count=args.items,
         source_count=args.sources, trace_length=args.trace_length,
         seed=args.seed, algorithm=args.algorithm, recompute_cost=args.mu,
-        workload=args.workload, bank_index=args.bank_index,
+        workload=args.workload,
         journal_dir=args.journal or None,
         snapshot_every=args.snapshot_every, fsync=args.fsync,
     )
@@ -727,13 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--fidelity-interval", type=int, default=2)
     simulate.add_argument("--zero-delay", action="store_true")
     simulate.add_argument("--aao-period", type=int, default=None)
-    simulate.add_argument("--bank-index", choices=["flat", "shared"],
-                          default="flat",
-                          help="query-bank layout: 'flat' (one compiled row "
-                               "per query, the default) or 'shared' "
-                               "(structure-deduplicating template index — "
-                               "per-tick cost scales with distinct "
-                               "structures, not bank size)")
     simulate.add_argument("--runs", type=int, default=1,
                           help="replicate the run at N derived seeds "
                                "(deterministic per-index derivation)")
@@ -805,12 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=DEFAULT_SERVICE_PORT)
     serve.add_argument("--mu", type=float, default=5.0,
                        help="recomputation cost in messages")
-    serve.add_argument("--bank-index", choices=["flat", "shared"],
-                       default="flat",
-                       help="query-bank layout: 'flat' (per-query compiled "
-                            "rows) or 'shared' (structure-deduplicating "
-                            "template index with incremental QUERY_SUB "
-                            "registration)")
     serve.add_argument("--journal", default=None, metavar="DIR",
                        help="journal coordinator state to DIR (write-ahead "
                             "log + periodic snapshots); on start, restore "
@@ -881,8 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
                                default=DEFAULT_SERVICE_PORT)
     cluster_serve.add_argument("--mu", type=float, default=5.0,
                                help="recomputation cost in messages")
-    cluster_serve.add_argument("--bank-index", choices=["flat", "shared"],
-                               default="flat")
     cluster_serve.add_argument("--journal", default=None, metavar="DIR",
                                help="journal every shard under "
                                     "DIR/shard-<i> (enables shard "

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Tuple
 
 from repro.exceptions import FilterError
 from repro.filters.assignment import DABAssignment
@@ -50,8 +50,7 @@ class CacheStats:
 class QuantisingCachePlanner:
     """Wrap a planner with an upward-quantising LRU solve cache."""
 
-    def __init__(self, planner: object, grid: float = 0.02, max_entries: int = 50000,
-                 bank_index_mode: Optional[str] = None):
+    def __init__(self, planner: object, grid: float = 0.02, max_entries: int = 50000):
         if not (0.0 < grid < 1.0):
             raise FilterError(f"grid must be in (0, 1), got {grid!r}")
         if max_entries < 1:
@@ -59,36 +58,9 @@ class QuantisingCachePlanner:
         self.planner = planner
         self.grid = grid
         self.max_entries = max_entries
-        self.bank_index_mode = bank_index_mode
         self.stats = CacheStats()
         self._cache: "OrderedDict[Tuple, DABAssignment]" = OrderedDict()
         self._log_step = math.log1p(grid)
-
-    @property
-    def _bank_key(self) -> str:
-        """The bank-index mode, part of every cache key (PR 8).
-
-        A flat- and a shared-index run must never serve each other's
-        entries — the shared stack warm-starts solves from per-template
-        anchors, so its plans can differ in the last ulp from the flat
-        stack's, and kill -9 replay determinism requires each mode to
-        replay only its own solves.
-        The mode is set explicitly by the harness/server builders; as a
-        fallback the planner stack is walked for a ``bank_index_mode``
-        attribute.  Stacks without one key as "flat"."""
-        if isinstance(self.bank_index_mode, str):
-            return self.bank_index_mode
-        node = self.planner
-        seen = set()
-        while node is not None and id(node) not in seen:
-            mode = getattr(node, "bank_index_mode", None)
-            if isinstance(mode, str):
-                return mode
-            seen.add(id(node))
-            node = (getattr(node, "planner", None)
-                    or getattr(node, "base", None)
-                    or getattr(node, "inner", None))
-        return "flat"
 
     def _quantise_up(self, value: float) -> float:
         if value <= 0.0:
@@ -99,8 +71,7 @@ class QuantisingCachePlanner:
     def plan(self, query: PolynomialQuery, values: Mapping[str, float]) -> DABAssignment:
         quantised = {name: self._quantise_up(float(values[name]))
                      for name in query.variables}
-        key = (query.name, self._bank_key,
-               tuple(sorted(quantised.items())))
+        key = (query.name, tuple(sorted(quantised.items())))
         cached = self._cache.get(key)
         if cached is not None:
             self._cache.move_to_end(key)

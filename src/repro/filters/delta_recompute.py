@@ -60,10 +60,10 @@ from scipy.optimize import nnls
 from repro.exceptions import FilterError, GPError
 from repro.filters.assignment import DABAssignment
 from repro.filters.dual_dab import RECOMPUTE_RATE_VARIABLE, DualDABPlanner
+from repro.filters.optimal_refresh import _forget_name
 from repro.gp.program import CompiledProgram, Evaluation
 from repro.gp.sensitivity import kkt_residual
 from repro.gp.solver import FEASIBILITY_TOL, _Y_BOUND
-from repro.queries.bank_index import template_key
 from repro.queries.deviation import primary_variable, secondary_variable
 from repro.queries.polynomial import PolynomialQuery
 
@@ -112,9 +112,6 @@ class DeltaStats:
     patches: int = 0
     fallbacks: int = 0
     cold_solves: int = 0
-    #: Cold solves warm-started from a structurally-identical sibling's
-    #: optimum (``share_templates`` mode — the shared bank-index stack).
-    template_seeds: int = 0
     patch_newton_iterations: int = 0
     affected_items: int = 0
     last_residual: float = 0.0
@@ -170,7 +167,6 @@ class DeltaStats:
             "patches": self.patches,
             "fallbacks": self.fallbacks,
             "cold_solves": self.cold_solves,
-            "template_seeds": self.template_seeds,
             "patch_hit_rate": round(self.patch_hit_rate, 4),
             "fallback_rate": round(self.fallback_rate, 4),
             "max_residual": self.max_residual,
@@ -188,7 +184,6 @@ class DeltaStats:
             "patches": self.patches,
             "fallbacks": self.fallbacks,
             "cold_solves": self.cold_solves,
-            "template_seeds": self.template_seeds,
             "patch_hit_rate": round(self.patch_hit_rate, 4),
             "last_residual": self.last_residual,
             "max_residual": self.max_residual,
@@ -358,7 +353,6 @@ class DeltaRecomputePlanner:
         kkt_tol: float = 1e-7,
         max_newton_iterations: int = 12,
         max_working_set_rounds: int = 4,
-        share_templates: bool = False,
     ):
         if not inner.use_compiled:
             raise FilterError(
@@ -372,14 +366,6 @@ class DeltaRecomputePlanner:
         #: query name -> {"main": last main-solve values,
         #:                "secondary": last widened secondary DABs}
         self._states: Dict[str, Dict[str, Dict[str, float]]] = {}
-        #: Shared-bank-index stack: seed a *cold* query's multi-start solve
-        #: from a structurally-identical sibling's last optimum.  Same
-        #: template key means same items and hence same GP variable names,
-        #: so a sibling's point is a valid start; the full solve still
-        #: verifies every constraint, so this only moves the start point,
-        #: never soundness.
-        self.share_templates = bool(share_templates)
-        self._anchors: Dict[tuple, Dict[str, float]] = {}
 
     # -- planning -----------------------------------------------------------------
 
@@ -395,11 +381,6 @@ class DeltaRecomputePlanner:
             plan = self._full_solve(query, values)
             self.stats.record_fallback(_time.perf_counter() - started)
             return plan
-        if self.share_templates and self.inner.warm_start(query.name) is None:
-            anchor = self._anchors.get(template_key(query))
-            if anchor is not None:
-                self.inner.seed_warm_start(query.name, dict(anchor))
-                self.stats.template_seeds += 1
         plan = self._full_solve(query, values)
         self.stats.cold_solves += 1
         return plan
@@ -421,8 +402,6 @@ class DeltaRecomputePlanner:
                 "main": dict(main),
                 "secondary": dict(plan.secondary),
             }
-        if self.share_templates and main is not None:
-            self._anchors[template_key(query)] = dict(main)
         return plan
 
     def _try_patch(self, query: PolynomialQuery, values: Mapping[str, float],
@@ -489,8 +468,6 @@ class DeltaRecomputePlanner:
         # Keep the full-solve path warm-started from the patched optimum,
         # exactly as a full solve would have left it.
         self.inner.seed_warm_start(query.name, main.values)
-        if self.share_templates:
-            self._anchors[template_key(query)] = dict(main.values)
         stats.note_residual(main.residual)
         return plan
 
@@ -531,10 +508,7 @@ class DeltaRecomputePlanner:
     def forget_query(self, name: str) -> None:
         """Drop *name*'s anchor state and the inner planner's per-name
         caches (the query may be re-registered with a different shape)."""
-        prefix = f"{name}__"
-        for key in [k for k in self._states
-                    if k == name or k.startswith(prefix)]:
-            del self._states[key]
+        _forget_name(name, self._states)
         forget = getattr(self.inner, "forget_query", None)
         if forget is not None:
             forget(name)
@@ -544,7 +518,6 @@ class DeltaRecomputePlanner:
         anchors — a patch from a pre-resync optimum would face arbitrary
         value drift, exactly what the resync says happened."""
         self._states.clear()
-        self._anchors.clear()
         self.inner.clear_warm_starts()
 
 

@@ -27,7 +27,7 @@ from repro.gp.posynomial import Posynomial, substitute
 from repro.gp.program import GeometricProgram
 from repro.filters.assignment import DABAssignment
 from repro.filters.cost_model import CostModel
-from repro.filters.optimal_refresh import _require_ppq
+from repro.filters.optimal_refresh import _forget_name, _require_ppq
 from repro.queries.deviation import (
     dual_dab_condition,
     primary_variable,
@@ -265,7 +265,4 @@ class DualDABPlanner:
         name — e.g. live resharding re-adding a re-decomposed sub-query:
         a stale compiled template or warm start solves the old program
         shape and misses the new variables."""
-        prefix = f"{name}__"
-        for table in (self._warm_starts, self._templates):
-            for key in [k for k in table if k == name or k.startswith(prefix)]:
-                del table[key]
+        _forget_name(name, self._warm_starts, self._templates)

@@ -34,6 +34,15 @@ def _require_ppq(query: PolynomialQuery, planner: str) -> None:
         )
 
 
+def _forget_name(name: str, *tables: Dict[str, object]) -> None:
+    """Drop *name* and the ``name__*`` derivatives the split heuristics
+    plan through from per-query-name caches."""
+    prefix = f"{name}__"
+    for table in tables:
+        for key in [k for k in table if k == name or k.startswith(prefix)]:
+            del table[key]
+
+
 def build_optimal_refresh_program(
     query: PolynomialQuery,
     values: Mapping[str, float],
@@ -98,3 +107,9 @@ class OptimalRefreshPlanner:
     def clear_warm_starts(self) -> None:
         """Drop cached solver starts (per-query); next solves run cold."""
         self._warm_starts.clear()
+
+    def forget_query(self, name: str) -> None:
+        """Drop every per-name cache for *name*: a different query may
+        later reuse it, and a stale compiled template solves the old
+        program (old budget, old variables)."""
+        _forget_name(name, self._warm_starts, self._templates)

@@ -16,11 +16,6 @@ This subpackage models the paper's query class (Section I-A):
   the paper, generalised to arbitrary positive integer exponents).
 """
 
-from repro.queries.bank_index import (
-    BANK_INDEX_MODES,
-    SharedStructureBank,
-    template_key,
-)
 from repro.queries.items import DataItem, ItemRegistry
 from repro.queries.terms import QueryTerm
 from repro.queries.polynomial import PolynomialQuery
@@ -35,9 +30,6 @@ from repro.queries.deviation import (
 )
 
 __all__ = [
-    "BANK_INDEX_MODES",
-    "SharedStructureBank",
-    "template_key",
     "DataItem",
     "ItemRegistry",
     "QueryTerm",

@@ -892,7 +892,6 @@ def build_scenario_cluster(
     recompute_cost: float = 5.0,
     workload: str = "portfolio",
     notify_queue_limit: int = DEFAULT_NOTIFY_QUEUE_LIMIT,
-    bank_index: str = "flat",
     journal_dir: Optional[str] = None,
     snapshot_every: int = 500,
     fsync: str = "always",
@@ -924,7 +923,7 @@ def build_scenario_cluster(
         query_count=query_count, item_count=item_count,
         source_count=source_count, trace_length=trace_length, seed=seed,
         algorithm=algorithm, recompute_cost=recompute_cost,
-        workload=workload, bank_index=bank_index)
+        workload=workload)
     shard_map = ShardMap(shards)
     decomposition = decompose_bank(queries, shard_map.shard_of)
 

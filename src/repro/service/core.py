@@ -7,7 +7,7 @@ checks, recomputation through the planner stack (with GP-solver failure
 degradation), per-item DAB epochs, and the merged-bound diffing that
 decides which sources must be told about a plan change.
 
-The flat bank is one persistent table of term products: a refresh
+The bank is one persistent table of term products: a refresh
 re-multiplies only the terms that contain the refreshed item, and
 ``add_query``/``remove_query`` edit one row of it.  It is exact only while
 it sees every write to the power vector, so the three writers —
@@ -51,7 +51,6 @@ import numpy as np
 
 from repro.exceptions import GPError, SimulationError
 from repro.filters.assignment import DABAssignment, merge_primary
-from repro.queries.bank_index import BANK_INDEX_MODES, SharedStructureBank
 from repro.queries.compiled import (
     CompiledPolynomial,
     CompiledQueryBank,
@@ -116,7 +115,6 @@ class CoordinatorCore:
         recompute_hook: Optional[Callable[[], None]] = None,
         solver_breaker: Optional[object] = None,
         breaker_shrink: float = 0.9,
-        bank_index: str = "flat",
     ):
         if not queries:
             raise SimulationError("a coordinator needs at least one query")
@@ -147,18 +145,6 @@ class CoordinatorCore:
             raise SimulationError(
                 f"breaker_shrink must be in (0, 1], got {breaker_shrink!r}")
         self.breaker_shrink = float(breaker_shrink)
-        #: How the query bank is compiled: ``"flat"`` (one gather row per
-        #: term per query — the golden-pinned classic path) or
-        #: ``"shared"`` (structure-deduplicating
-        #: :class:`~repro.queries.bank_index.SharedStructureBank`: one
-        #: gather per distinct structure, per-query coefficient matrices,
-        #: slack-screened notifications).
-        #: Journaled with every plan record when not "flat".
-        if bank_index not in BANK_INDEX_MODES:
-            raise SimulationError(
-                f"bank_index must be one of {BANK_INDEX_MODES}, "
-                f"got {bank_index!r}")
-        self.bank_index_mode = bank_index
         #: query name -> (source plan, its shrunk stand-in) while the
         #: breaker is open (cached so shrinkage never compounds).
         self._breaker_plans: Dict[str, Tuple[DABAssignment, DABAssignment]] = {}
@@ -186,12 +172,6 @@ class CoordinatorCore:
         # -- compiled evaluation state (bitwise-equal to ``query.evaluate``) --
         self._compiled: Dict[str, CompiledPolynomial] = {}
         self._power_table = PowerTable()
-        #: The flat evaluator (``bank_index="flat"`` only): one persistent
-        #: term-product table, edited in place by :meth:`add_query` /
-        #: :meth:`remove_query` and told of every power-vector write by
-        #: :meth:`_write_powers`.
-        self._bank: Optional[CompiledQueryBank] = None
-        self._bank_index: Dict[str, int] = {}
         #: item -> ``(lo, hi)``, the per-item safe band: while the item's
         #: value stays inside, no query reading it has a broken secondary
         #: window, so a refresh needs no per-query check.
@@ -206,9 +186,6 @@ class CoordinatorCore:
         #: Refreshes the band answered / sent to the exact per-query check.
         self.window_screen_hits = 0
         self.window_screen_misses = 0
-        #: Shared-structure index state (``bank_index="shared"`` only):
-        #: the deduplicating bank.
-        self._shared_bank: Optional[SharedStructureBank] = None
         #: Names added through :meth:`add_query` — persisted in
         #: :meth:`recovery_state` so dynamically-registered queries
         #: survive a snapshot + kill -9 restart.
@@ -233,20 +210,19 @@ class CoordinatorCore:
     def _build_vectorized_state(self) -> None:
         """Compile the evaluation structures — O(bank), at construction
         only: membership changes edit them in place (:meth:`add_query`,
-        :meth:`remove_query`) and never re-enter this method, in either
-        bank mode."""
+        :meth:`remove_query`) and never re-enter this method."""
         table = self._power_table
         for query in self.queries:
             self._compiled[query.name] = CompiledPolynomial(query, table)
-        self._bank_index = {query.name: i
-                            for i, query in enumerate(self.queries)}
-        if self.bank_index_mode == "shared":
-            self._shared_bank = SharedStructureBank(table)
-            for position, query in enumerate(self.queries):
-                self._shared_bank.add_query(query, position)
-        else:
-            self._bank = CompiledQueryBank(
-                [self._compiled[query.name] for query in self.queries])
+        #: query name -> its position in :attr:`queries`, the bank and the
+        #: per-query arrays.
+        self._position: Dict[str, int] = {
+            query.name: i for i, query in enumerate(self.queries)}
+        #: The evaluator: one persistent term-product table, edited in
+        #: place by :meth:`add_query` / :meth:`remove_query` and told of
+        #: every power-vector write by :meth:`_write_powers`.
+        self._bank = CompiledQueryBank(
+            [self._compiled[query.name] for query in self.queries])
         self._power_vector = table.vector(self.cache)
         #: Per-query QABs and the last user-visible values mirrored as
         #: arrays (bank order, grown by doubling), so one masked compare
@@ -305,29 +281,16 @@ class CoordinatorCore:
 
     def query_values_array(self) -> np.ndarray:
         """Array form of :meth:`query_values`."""
-        if self._shared_bank is not None:
-            return self._shared_bank.values_all(self._power_vector,
-                                                len(self.queries))
         return self._bank.values_vector(self._power_vector)
-
-    def bank_stats(self) -> Optional[Dict[str, object]]:
-        """The shared-index stats section; ``None`` in flat mode."""
-        if self._shared_bank is None:
-            return None
-        return self._shared_bank.stats()
 
     def _write_powers(self, item: str) -> None:
         """``item``'s cached value moved: refresh its power slots.  The
         one writer of the power vector after construction — a refresh, a
         hand-off and a replayed value all come through here — because the
-        flat bank's materialised products are only right while it sees
-        every write (it marks ``item``; its next read re-multiplies the
-        terms containing it)."""
-        if self._bank is not None:
-            self._bank.write(self._power_vector, item, self.cache[item])
-        else:
-            self._power_table.update(self._power_vector, item,
-                                     self.cache[item])
+        bank's materialised products are only right while it sees every
+        write (it marks ``item``; its next read re-multiplies the terms
+        containing it)."""
+        self._bank.write(self._power_vector, item, self.cache[item])
 
     def _sync_power_vector(self) -> None:
         """Grow the power vector to cover slots a new template registered
@@ -460,7 +423,7 @@ class CoordinatorCore:
         snapshot restore or journal replay."""
         self.plans[name] = plan
         if self._bands:
-            self._drop_bands(self.queries[self._bank_index[name]])
+            self._drop_bands(self.queries[self._position[name]])
 
     def _replace_plans(self, plans: Mapping[str, DABAssignment]) -> None:
         """Swap the whole plan set (joint AAO solve, snapshot restore)."""
@@ -540,11 +503,6 @@ class CoordinatorCore:
         from repro.service.journal import plan_to_wire
 
         record = {"t": "plan", "q": name, "plan": plan_to_wire(plan)}
-        if self.bank_index_mode != "flat":
-            # Flat journals stay byte-identical to the pre-index format;
-            # shared runs stamp the mode so flat- and shared-mode
-            # histories can never be confused on replay.
-            record["bank_index"] = self.bank_index_mode
         self.journal.append(record)
 
     def _recompute(self, query: PolynomialQuery) -> None:
@@ -652,35 +610,21 @@ class CoordinatorCore:
                                  "values": dict(notifications)})
         return notifications, recomputed
 
-    def _movers_flat(self, item: str) -> Tuple[Sequence[int], Sequence[float]]:
-        """One per-item read of the bank gives every affected query's
-        value (re-multiplying only the terms that contain ``item``), one
-        masked compare the bank positions (and new values) of the queries
-        whose result moved beyond the QAB."""
+    def _notify_movers(self, item: str) -> List[Tuple[str, float]]:
+        """Raise the user notifications ``item``'s refresh caused: one
+        per-item read of the bank gives every affected query's value
+        (re-multiplying only the terms that contain ``item``), one masked
+        compare the queries whose result moved beyond the QAB since the
+        user last saw it."""
         bank = self._bank
         sub = bank.values_vector(self._power_vector, item)
         idx = bank.affected(item)
         moved = (np.abs(sub - self._last_user_arr.take(idx))
                  > self._qab_arr.take(idx))
-        if not moved.any():
-            return (), ()
-        return idx[moved].tolist(), sub[moved].tolist()
-
-    def _notify_movers(self, item: str) -> List[Tuple[str, float]]:
-        """Raise the user notifications ``item``'s refresh caused.
-
-        The shared bank's slack screening (DESIGN.md §13) makes the same
-        *decisions* as the flat path's exact per-tick evaluation
-        (screened-out members provably cannot have crossed their QAB);
-        its values differ from the flat sums only in float association
-        (``W @ P``)."""
-        if self._shared_bank is not None:
-            positions, values = self._shared_bank.refresh_movers(
-                item, self._power_vector, self._last_user_arr, self._qab_arr)
-        else:
-            positions, values = self._movers_flat(item)
         notifications: List[Tuple[str, float]] = []
-        for position, value in zip(positions, values):
+        if not moved.any():
+            return notifications
+        for position, value in zip(idx[moved].tolist(), sub[moved].tolist()):
             name = self.queries[position].name
             self.last_user_values[name] = value
             self._last_user_arr[position] = value
@@ -693,8 +637,7 @@ class CoordinatorCore:
     def add_query(self, query: PolynomialQuery, plan: bool = True) -> int:
         """Register a query at runtime; returns its bank position.
 
-        O(query) in both bank modes: the bank (one row of the flat
-        term-product table, or the shared structure index), the power
+        O(query): the bank (one row of the term-product table), the power
         vector and the notification arrays all grow in place.
         ``plan=False`` skips the solve (journal replay installs the
         journaled plan instead).
@@ -717,12 +660,9 @@ class CoordinatorCore:
         self._drop_bands(query)
         compiled = self._compiled[name] = CompiledPolynomial(
             query, self._power_table)
-        self._bank_index[name] = position
-        if self._shared_bank is not None:
-            self._shared_bank.add_query(query, position)
+        self._position[name] = position
         self._sync_power_vector()
-        if self._bank is not None:
-            self._bank.add_query(compiled, self._power_vector)
+        self._bank.add_query(compiled, self._power_vector)
         self._ensure_query_capacity(position + 1)
         self._qab_arr[position] = query.qab
         if self.journal is not None:
@@ -740,12 +680,12 @@ class CoordinatorCore:
 
     def remove_query(self, name: str) -> None:
         """Drop a query (swap-remove: the last query takes its bank
-        position; O(query) in both bank modes)."""
+        position; O(query))."""
         if name not in self.query_names:
             raise SimulationError(f"unknown query {name!r}")
         if len(self.queries) == 1:
             raise SimulationError("a coordinator needs at least one query")
-        position = self._bank_index.pop(name)
+        position = self._position.pop(name)
         query = self.queries[position]
         last = len(self.queries) - 1
         moved = self.queries[last]
@@ -776,14 +716,9 @@ class CoordinatorCore:
         if forget is not None:
             forget(name)
         self._compiled.pop(name, None)
-        if self._shared_bank is not None:
-            self._shared_bank.remove_query(name)
-        else:
-            self._bank.remove_query(position)
+        self._bank.remove_query(position)
         if position != last:
-            self._bank_index[moved.name] = position
-            if self._shared_bank is not None:
-                self._shared_bank.set_position(moved.name, position)
+            self._position[moved.name] = position
             self._qab_arr[position] = self._qab_arr[last]
             self._last_user_arr[position] = self._last_user_arr[last]
         if self.journal is not None:
@@ -949,8 +884,6 @@ class CoordinatorCore:
                              for name, wire in state["plans"].items()})
         # Identity-keyed caches are meaningless across a restart.
         self._breaker_plans.clear()
-        if self._shared_bank is not None:
-            self._shared_bank.invalidate()
 
     def restore_cache_value(self, item: str, value: float) -> None:
         """Set one cached value during replay — no metrics, no journal."""
@@ -965,8 +898,4 @@ class CoordinatorCore:
         if name not in self.query_names:
             return
         self.last_user_values[name] = float(value)
-        self._last_user_arr[self._bank_index[name]] = float(value)
-        if self._shared_bank is not None:
-            # Screening thresholds are anchored on last-user values; a
-            # value restored behind the bank's back must drop them.
-            self._shared_bank.invalidate()
+        self._last_user_arr[self._position[name]] = float(value)

@@ -72,7 +72,6 @@ class CoordinatorServer(FrontEnd):
         clock: Callable[[], float] = _time.time,
         journal: Optional[Journal] = None,
         bootstrap: bool = True,
-        bank_index: str = "flat",
         shard_id: Optional[int] = None,
     ):
         self.metrics = metrics if metrics is not None else MetricsCollector(
@@ -82,7 +81,6 @@ class CoordinatorServer(FrontEnd):
             initial_values=initial_values, item_to_source=item_to_source,
             aao_planner=aao_planner, aao_period=aao_period,
             solver_breaker=solver_breaker,
-            bank_index=bank_index,
         )
         #: ``bootstrap=False`` defers the initial GP solves to
         #: :meth:`restore` — the journaled start path, where a snapshot
@@ -792,10 +790,6 @@ class CoordinatorServer(FrontEnd):
         delta = find_delta_planner(self.core.planner)
         if delta is not None:
             stats["delta_recompute"] = delta.stats.snapshot()
-        bank = self.core.bank_stats()
-        if bank is not None:
-            stats["bank_index"] = bank
-            stats["bank_index"]["dynamic_queries"] = len(self._dynamic_refs)
         return stats
 
 
@@ -805,7 +799,7 @@ class CoordinatorServer(FrontEnd):
 
 def _scenario_planning(query_count: int, item_count: int, source_count: int,
                        trace_length: int, seed: int, algorithm: str,
-                       recompute_cost: float, workload: str, bank_index: str):
+                       recompute_cost: float, workload: str):
     """What a single-server build and a cluster build share — the same
     workload generator, rate estimation and planner stack as a simulator
     run.  Returns ``(scenario, queries, make_server, item_to_source)``:
@@ -835,7 +829,7 @@ def _scenario_planning(query_count: int, item_count: int, source_count: int,
     config = SimulationConfig(
         queries=scenario.queries, traces=scenario.traces,
         algorithm=algorithm, recompute_cost=recompute_cost,
-        source_count=source_count, seed=seed, bank_index=bank_index,
+        source_count=source_count, seed=seed,
     )
     if config.algorithm is AlgorithmName.AAO_T:
         raise ReproError("the live service has no periodic scheduler yet; "
@@ -851,15 +845,13 @@ def _scenario_planning(query_count: int, item_count: int, source_count: int,
                     items: Sequence[str], **kwargs: Any) -> CoordinatorServer:
         planner = build_planner(config, cost_model)
         if config.cache_grid is not None:
-            planner = QuantisingCachePlanner(planner, grid=config.cache_grid,
-                                             bank_index_mode=bank_index)
+            planner = QuantisingCachePlanner(planner, grid=config.cache_grid)
         return CoordinatorServer(
             queries=queries, planner=planner,
             initial_values={name: initial_values[name] for name in items},
             item_to_source={name: item_to_source[name] for name in items},
             mode=_SINGLE_DAB_MODES[config.algorithm],
-            recompute_cost=recompute_cost, bank_index=bank_index,
-            **kwargs)
+            recompute_cost=recompute_cost, **kwargs)
 
     return scenario, config.queries, make_server, item_to_source
 
@@ -874,7 +866,6 @@ def build_scenario_server(
     recompute_cost: float = 5.0,
     workload: str = "portfolio",
     notify_queue_limit: int = DEFAULT_NOTIFY_QUEUE_LIMIT,
-    bank_index: str = "flat",
     **server_kwargs: Any,
 ):
     """A :class:`CoordinatorServer` plus its scenario, built exactly like a
@@ -894,7 +885,7 @@ def build_scenario_server(
         query_count=query_count, item_count=item_count,
         source_count=source_count, trace_length=trace_length, seed=seed,
         algorithm=algorithm, recompute_cost=recompute_cost,
-        workload=workload, bank_index=bank_index)
+        workload=workload)
     server = make_server(queries, sorted(item_to_source),
                          notify_queue_limit=notify_queue_limit,
                          **server_kwargs)

@@ -85,7 +85,6 @@ class Coordinator:
         recompute_delay: Optional[DelayModel] = None,
         rate_tracker: Optional[object] = None,
         fault_model: Optional[FaultModel] = None,
-        bank_index: str = "flat",
     ):
         self.core = CoordinatorCore(
             queries=queries,
@@ -97,7 +96,6 @@ class Coordinator:
             aao_planner=aao_planner,
             aao_period=aao_period,
             recompute_hook=self._charge_recompute_time,
-            bank_index=bank_index,
         )
         self.queue = queue
         self.metrics = metrics
@@ -199,10 +197,6 @@ class Coordinator:
 
     def query_values_array(self) -> np.ndarray:
         return self.core.query_values_array()
-
-    def bank_stats(self) -> Optional[Dict[str, Any]]:
-        """Shared-structure bank-index stats (``None`` in flat mode)."""
-        return self.core.bank_stats()
 
     # -- wiring ---------------------------------------------------------------------
 

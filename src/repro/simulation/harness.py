@@ -37,7 +37,6 @@ from repro.filters.dual_dab import DualDABPlanner
 from repro.filters.heuristics import DifferentSumPlanner, HalfAndHalfPlanner
 from repro.filters.multi_query import AAOPlanner
 from repro.filters.optimal_refresh import OptimalRefreshPlanner
-from repro.queries.bank_index import BANK_INDEX_MODES
 from repro.queries.polynomial import PolynomialQuery
 from repro.simulation.coordinator import Coordinator, RecomputeMode
 from repro.simulation.engine import SimulationEngine
@@ -51,8 +50,6 @@ from repro.simulation.network import (
     DEFAULT_NODE_DELAY_MEAN,
 )
 from repro.simulation.source import SourceNode, assign_items_to_sources
-
-import numpy as np
 
 
 class AlgorithmName(enum.Enum):
@@ -125,12 +122,6 @@ class SimulationConfig:
     #: default ``FaultConfig()`` leaves the fault machinery provably off —
     #: the run is bit-identical to the fault-free simulator.
     fault_config: Optional[FaultConfig] = None
-    #: ``"flat"`` keeps the per-query compiled bank (bit-identical to the
-    #: pre-index path); ``"shared"`` routes evaluation, notification
-    #: screening and window checks through the structure-deduplicating
-    #: :class:`~repro.queries.bank_index.SharedStructureBank` so per-tick
-    #: cost scales with *distinct structures*, not bank size.
-    bank_index: str = "flat"
 
     def __post_init__(self) -> None:
         self.algorithm = AlgorithmName.from_string(self.algorithm)
@@ -145,10 +136,6 @@ class SimulationConfig:
             )
         if self.algorithm is AlgorithmName.AAO_T and (self.aao_period or 0) < 1:
             raise SimulationError("AAO_T requires aao_period >= 1")
-        if self.bank_index not in BANK_INDEX_MODES:
-            raise SimulationError(
-                f"bank_index must be one of {BANK_INDEX_MODES}, "
-                f"got {self.bank_index!r}")
         missing = [name for q in self.queries for name in q.variables
                    if name not in self.traces]
         if missing:
@@ -176,11 +163,6 @@ class SimulationResult:
     #: summary (percentiles in ms, patch-hit/fallback rates) from the
     #: delta planner's stats.
     recompute_latency: Optional[Dict[str, float]] = None
-    #: The run's ``--bank-index`` mode and, in ``shared`` mode, the
-    #: structure-index stats plane (distinct structures, dedup ratio,
-    #: screening counters, update-latency percentiles).
-    bank_index: str = "flat"
-    bank_stats: Optional[Dict[str, object]] = None
     #: Refreshes the coordinator's per-item safe band answered / sent on
     #: to the per-query window check — how the run was computed, not what
     #: it computed, so they stay out of ``metrics`` (which the goldens pin).
@@ -201,14 +183,11 @@ _SINGLE_DAB_MODES = {
 }
 
 
-def _dual_dab_stack(config: SimulationConfig,
-                    cost_model: CostModel) -> DeltaRecomputePlanner:
+def _dual_dab_stack(cost_model: CostModel) -> DeltaRecomputePlanner:
     """The dual-DAB core under the patch-first recompute layer (see
     :mod:`repro.filters.delta_recompute`)."""
     return DeltaRecomputePlanner(
-        DualDABPlanner(cost_model, use_compiled=True),
-        share_templates=config.bank_index == "shared",
-    )
+        DualDABPlanner(cost_model, use_compiled=True))
 
 
 def build_planner(config: SimulationConfig, cost_model: CostModel):
@@ -225,10 +204,10 @@ def build_planner(config: SimulationConfig, cost_model: CostModel):
     if algorithm in (AlgorithmName.DUAL_DAB, AlgorithmName.DIFFERENT_SUM,
                      AlgorithmName.AAO_T):
         return DifferentSumPlanner(
-            cost_model, _dual_dab_stack(config, cost_model))
+            cost_model, _dual_dab_stack(cost_model))
     if algorithm is AlgorithmName.HALF_AND_HALF:
         return HalfAndHalfPlanner(
-            cost_model, _dual_dab_stack(config, cost_model),
+            cost_model, _dual_dab_stack(cost_model),
             split_ratio=config.split_ratio)
     if algorithm is AlgorithmName.SHARFMAN_BASELINE:
         return SharfmanStyleBaseline(cost_model)
@@ -281,8 +260,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     planner = build_planner(config, cost_model)
     cache: Optional[QuantisingCachePlanner] = None
     if config.cache_grid is not None:
-        cache = QuantisingCachePlanner(planner, grid=config.cache_grid,
-                                       bank_index_mode=config.bank_index)
+        cache = QuantisingCachePlanner(planner, grid=config.cache_grid)
         planner = cache
 
     metrics = MetricsCollector(recompute_cost=config.recompute_cost)
@@ -330,7 +308,6 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         recompute_delay=recompute_delay,
         rate_tracker=rate_tracker,
         fault_model=fault_model,
-        bank_index=config.bank_index,
     )
     coordinator.attach_sources(sources.values())
     coordinator.initial_plan()
@@ -402,12 +379,6 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
                                        delta.stats.fallbacks)
         recompute_latency = delta.stats.latency_summary()
 
-    bank_stats = coordinator.bank_stats()
-    if bank_stats is not None:
-        metrics.record_bank_index(
-            int(bank_stats.get("distinct_structures", 0)),
-            float(bank_stats.get("dedup_ratio", 1.0)))
-
     return SimulationResult(
         metrics=metrics.summary(),
         algorithm=config.algorithm,
@@ -416,8 +387,6 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         cache_misses=cache.stats.misses if cache else 0,
         loop_seconds=loop_seconds,
         recompute_latency=recompute_latency,
-        bank_index=config.bank_index,
-        bank_stats=bank_stats,
         window_screen_hits=coordinator.core.window_screen_hits,
         window_screen_misses=coordinator.core.window_screen_misses,
     )

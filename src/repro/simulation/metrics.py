@@ -76,9 +76,6 @@ class SimulationMetrics:
     # -- breach recomputes of the dual-DAB stacks: patched / fell back -----------
     delta_patches: int = 0
     delta_fallbacks: int = 0
-    # -- shared bank-index counters (zero in flat mode) ---------------------------
-    bank_templates: int = 0
-    bank_dedup_ratio: float = 0.0
 
     @property
     def total_cost(self) -> float:
@@ -137,9 +134,6 @@ class MetricsCollector:
         # delta-recompute counters
         self.delta_patches = 0
         self.delta_fallbacks = 0
-        # shared bank-index counters
-        self.bank_templates = 0
-        self.bank_dedup_ratio = 0.0
 
     # -- recording ----------------------------------------------------------------
 
@@ -230,11 +224,6 @@ class MetricsCollector:
         self.delta_patches += patches
         self.delta_fallbacks += fallbacks
 
-    def record_bank_index(self, templates: int, dedup_ratio: float) -> None:
-        """Adopt the shared bank-index's structure counts (end of run)."""
-        self.bank_templates = templates
-        self.bank_dedup_ratio = dedup_ratio
-
     # -- summaries ----------------------------------------------------------------
 
     @property
@@ -281,6 +270,4 @@ class MetricsCollector:
             uncertainty_violations=self.uncertainty_violations,
             delta_patches=self.delta_patches,
             delta_fallbacks=self.delta_fallbacks,
-            bank_templates=self.bank_templates,
-            bank_dedup_ratio=self.bank_dedup_ratio,
         )

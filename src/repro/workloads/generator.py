@@ -170,7 +170,7 @@ def generate_template_bank(
     name_prefix: str = "bank",
 ) -> List[PolynomialQuery]:
     """``count`` portfolio PPQs drawn from ``distinct_structures`` monomial
-    structures — the shared-bank-index scaling workload.
+    structures — the bank-scale workload.
 
     A *structure* is a fixed (item, exponent) footprint; every query built
     on it gets fresh uniform weights and its own QAB, so structurally-

@@ -175,42 +175,3 @@ class TestSoundness:
         assert plan1.primary == plan2.primary
         assert plan1.primary is not plan2.primary
 
-
-class TestBankKeying:
-    """Cache keys carry the bank-index mode (ISSUE 8 satellite): flat- and
-    shared-mode solves of the same quantised cell must not share entries,
-    so kill -9 replay stays deterministic per mode."""
-
-    def test_explicit_mode_partitions_the_cache(self, fig2_query,
-                                                unit_cost_model):
-        inner = _CountingPlanner(OptimalRefreshPlanner(unit_cost_model))
-        flat = QuantisingCachePlanner(inner, bank_index_mode="flat")
-        shared = QuantisingCachePlanner(inner, bank_index_mode="shared")
-        assert flat._bank_key == "flat"
-        assert shared._bank_key == "shared"
-        flat.plan(fig2_query, {"x": 2.0, "y": 2.0})
-        shared.plan(fig2_query, {"x": 2.0, "y": 2.0})
-        assert inner.calls == 2
-
-    def test_mode_change_is_a_cache_miss(self, fig2_query, unit_cost_model):
-        inner = _CountingPlanner(OptimalRefreshPlanner(unit_cost_model))
-        cache = QuantisingCachePlanner(inner)
-        inner.bank_index_mode = "flat"
-        cache.plan(fig2_query, {"x": 2.0, "y": 2.0})
-        inner.bank_index_mode = "shared"
-        cache.plan(fig2_query, {"x": 2.0, "y": 2.0})
-        assert inner.calls == 2          # same cell, different bank mode
-        inner.bank_index_mode = "flat"
-        cache.plan(fig2_query, {"x": 2.0, "y": 2.0})
-        assert inner.calls == 2          # the flat entry still hits
-        assert cache.stats.hits == 1
-
-    def test_stacks_without_bank_mode_key_as_flat(self, cached_optimal):
-        _inner, cache = cached_optimal
-        assert cache._bank_key == "flat"
-
-    def test_explicit_mode_wins_over_discovery(self, unit_cost_model):
-        inner = _CountingPlanner(OptimalRefreshPlanner(unit_cost_model))
-        inner.bank_index_mode = "flat"
-        cache = QuantisingCachePlanner(inner, bank_index_mode="shared")
-        assert cache._bank_key == "shared"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.exceptions import NotPositiveCoefficientError
 from repro.filters import CostModel, OptimalRefreshPlanner
+from repro.filters.heuristics import DifferentSumPlanner, HalfAndHalfPlanner
 from repro.queries import parse_query
 from repro.queries.deviation import max_query_deviation
 
@@ -89,3 +90,44 @@ class TestOptimality:
         # naive: equal b solving 20b + 40b + b^2 = 50 -> b ~ 0.8221
         naive_cost = model.estimated_refresh_rate({"x": 0.8221, "y": 0.8221})
         assert optimal_cost < naive_cost
+
+
+class TestForgetQuery:
+    """A removed query's name may come back as a different query; the
+    compiled template and warm start cached under it must not."""
+
+    VALUES = {"x": 2.0, "y": 4.0, "z": 3.0}
+
+    def _stack(self):
+        model = CostModel(rates={name: 1.0 for name in self.VALUES})
+        return DifferentSumPlanner(
+            model, OptimalRefreshPlanner(model, use_compiled=True))
+
+    def test_same_name_tighter_budget_is_replanned(self):
+        planner = self._stack()
+        planner.plan(parse_query("x*y : 5.0", name="a"), self.VALUES)
+        planner.forget_query("a")
+        tight = parse_query("x*y : 0.5", name="a")
+        plan = planner.plan(tight, self.VALUES)
+        assert plan.guarantees_qab(tight, self.VALUES)
+        fresh = self._stack().plan(tight, self.VALUES)
+        assert plan.primary == pytest.approx(fresh.primary, rel=1e-6)
+
+    def test_same_name_other_items_is_replanned(self):
+        planner = self._stack()
+        planner.plan(parse_query("x*y : 5.0", name="a"), self.VALUES)
+        planner.forget_query("a")
+        moved = parse_query("x*z : 5.0", name="a")
+        plan = planner.plan(moved, self.VALUES)      # was KeyError: 'b__z'
+        assert set(plan.primary) == {"x", "z"}
+        assert plan.guarantees_qab(moved, self.VALUES)
+
+    def test_split_derivatives_are_forgotten_too(self):
+        model = CostModel(rates={name: 1.0 for name in self.VALUES})
+        base = OptimalRefreshPlanner(model, use_compiled=True)
+        planner = HalfAndHalfPlanner(model, base)
+        planner.plan(parse_query("x*y - y*z : 5.0", name="a"), self.VALUES)
+        planner.plan(parse_query("x*z : 5.0", name="ab"), self.VALUES)
+        assert set(base._templates) == {"a__p1", "a__p2", "ab"}
+        planner.forget_query("a")
+        assert set(base._templates) == set(base._warm_starts) == {"ab"}

@@ -1,8 +1,12 @@
-"""Property-based flat/shared bank-index equivalence suite (ISSUE 8).
+"""Property-based equivalence of ``SharedStructureBank`` and per-query
+compiled evaluation.
 
-Hypothesis-generated high-overlap banks, perturbation walks and churn
-sequences, asserting the shared-structure index is *observably identical*
-to the flat per-query path:
+``repro.queries.bank_index`` is no longer a service mode — nothing in
+``src/`` imports it; it stays on disk until the benchmark PR that drops
+its ``SPAN_TABLE`` row (ROADMAP item 3), and this class-level suite keeps
+it honest until then.  Hypothesis-generated high-overlap banks,
+perturbation walks and churn sequences, asserting the shared-structure
+index is *observably identical* to the flat per-query path:
 
 1. **Value equivalence** — ``SharedStructureBank.values_all`` matches the
    per-query :class:`CompiledPolynomial` evaluation at every walk step.
@@ -13,8 +17,7 @@ to the flat per-query path:
    position maintenance, as the live QUERY_SUB path performs it) keep
    every surviving member's value and the stats plane consistent.
 4. **Edge cases** — empty bank, all-distinct structures, duplicate
-   registration, re-registration after removal, and sibling warm-start
-   seeding on the delta planner.
+   registration, re-registration after removal.
 
 Budget: the default ``ci`` profile keeps this in tier-1 seconds; set
 ``REPRO_HYPOTHESIS_PROFILE=nightly`` for the >=200-example sweep (wired
@@ -28,10 +31,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.filters import CostModel, DualDABPlanner
-from repro.filters.delta_recompute import DeltaRecomputePlanner
-from repro.queries import PolynomialQuery, QueryTerm
-from repro.queries.bank_index import SharedStructureBank, template_key
+from repro.queries.bank_index import SharedStructureBank
 from repro.queries.compiled import CompiledPolynomial, PowerTable
 from repro.workloads import generate_template_bank, paper_registry
 
@@ -188,49 +188,3 @@ class TestEdgeCases:
         exact = CompiledPolynomial(queries[0], table).evaluate_vector(pvec)
         assert bank.value_of(pvec, queries[0].name) == pytest.approx(exact)
 
-
-class TestTemplateSeeding:
-    """Sibling warm-start anchors on the delta planner (structurally
-    identical queries share a GP start point; never the solution)."""
-
-    def _pair(self):
-        q1 = PolynomialQuery([QueryTerm.product(2.0, "x", "y"),
-                              QueryTerm.product(3.0, "u", "v")],
-                             qab=4.0, name="s1")
-        q2 = PolynomialQuery([QueryTerm.product(5.0, "x", "y"),
-                              QueryTerm.product(1.5, "u", "v")],
-                             qab=3.0, name="s2")
-        values = {"x": 4.0, "y": 5.0, "u": 2.0, "v": 3.0}
-        model = CostModel(rates={k: 1.0 for k in values},
-                          recompute_cost=5.0)
-        return q1, q2, values, model
-
-    def test_sibling_cold_solve_is_seeded(self):
-        q1, q2, values, model = self._pair()
-        assert template_key(q1) == template_key(q2)
-        planner = DeltaRecomputePlanner(
-            DualDABPlanner(model, use_compiled=True),
-            share_templates=True)
-        plan1 = planner.plan(q1, values)
-        assert planner.stats.template_seeds == 0
-        plan2 = planner.plan(q2, values)
-        assert planner.stats.template_seeds == 1
-        assert plan1.guarantees_qab_over_window(q1)
-        assert plan2.guarantees_qab_over_window(q2)
-
-    def test_seeding_does_not_change_the_plan(self):
-        q1, q2, values, model = self._pair()
-        seeded = DeltaRecomputePlanner(
-            DualDABPlanner(model, use_compiled=True),
-            share_templates=True)
-        bare = DeltaRecomputePlanner(
-            DualDABPlanner(model, use_compiled=True))
-        seeded.plan(q1, values)
-        bare.plan(q1, values)
-        plan_seeded = seeded.plan(q2, values)
-        plan_bare = bare.plan(q2, values)
-        # The GP is convex: a different start point converges to the same
-        # optimum (solver tolerance), it only gets there faster.
-        assert plan_seeded.objective == pytest.approx(plan_bare.objective,
-                                                      rel=1e-6)
-        assert bare.stats.template_seeds == 0

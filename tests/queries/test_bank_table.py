@@ -326,7 +326,7 @@ class TestSteadyFanoutReplay:
                 got = core._bank.values_vector(core._power_vector, item)
                 assert _hex(got) == _hex(expected), (tick, item)
                 assert core._bank.affected(item).tolist() == [
-                    core._bank_index[q.name] for q in core.item_index[item]]
+                    core._position[q.name] for q in core.item_index[item]]
                 _, recomputed = core.react_to_refresh(item)
                 if recomputed:
                     for _, (changed, _) in \

@@ -266,7 +266,7 @@ def _custom_cluster(queries):
 
     scenario, _, make_server, item_to_source = _scenario_planning(
         **SCENARIO, algorithm="dual_dab", recompute_cost=5.0,
-        workload="portfolio", bank_index="flat")
+        workload="portfolio")
     shard_map = ShardMap(3)
     assert shard_map.partition(["x0", "x1", "x10", "x12", "x3", "x4", "x5",
                                 "x8"]) == {

@@ -1,17 +1,16 @@
-"""Shared bank index under the write-ahead journal (ISSUE 8 satellite).
+"""A dynamic bank under the write-ahead journal.
 
-Three durability contracts:
+Two durability contracts:
 
-1. **Journal byte-identity in flat mode** — plan records carry a
-   ``bank_index`` tag only when the non-default shared index produced
-   them, so flat-mode journals are byte-identical with the pre-index
-   format (same rule as the delta ``mode`` tag).
-2. **Kill-9 replay bit-identity with the shared index** — snapshot +
-   WAL-tail replay reconstructs the pre-crash core state fingerprint-
-   identically, *including dynamically-subscribed queries* (``qadd``
-   records and the snapshot's ``dynamic_queries`` section).
-3. **Service-level mode equivalence** — the same refresh load through a
-   flat and a shared server yields identical query values.
+1. **Kill-9 replay bit-identity** — snapshot + WAL-tail replay
+   reconstructs the pre-crash core state fingerprint-identically,
+   *including dynamically-subscribed queries* (``qadd`` records and the
+   snapshot's ``dynamic_queries`` section), as row appends to the bank
+   that was there.
+2. **Old journals still restore** — servers that ran the retired
+   ``shared`` bank index stamped ``"bank_index": "shared"`` on every
+   ``plan`` record; the stamp is gone from the writer only, and such a
+   WAL replays here with it ignored.
 """
 
 import asyncio
@@ -19,7 +18,7 @@ import json
 
 from repro.service import protocol
 from repro.service.client import ServiceClient
-from repro.service.journal import Journal
+from repro.service.journal import Journal, encode_record
 from repro.service.protocol import MessageType
 from repro.service.server import build_scenario_server
 from tests.service.test_bank_subscribe import (
@@ -33,14 +32,14 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def build(tmp_path=None, bootstrap=True, bank_index="shared", **kwargs):
+def build(tmp_path=None, bootstrap=True, **kwargs):
     journal = None
     if tmp_path is not None:
         journal = Journal(str(tmp_path), **kwargs.pop("journal_kwargs", {}))
     server, scenario, item_to_source = build_scenario_server(
         query_count=4, item_count=20, source_count=2, trace_length=41,
         seed=1, journal=journal, bootstrap=bootstrap and journal is None,
-        bank_index=bank_index, **kwargs)
+        **kwargs)
     return server, scenario, item_to_source
 
 
@@ -89,32 +88,6 @@ async def push_load(server, item_to_source, rounds=range(1, 6)):
     await drain()
 
 
-class TestJournalTag:
-    def test_shared_plan_records_carry_bank_index(self, tmp_path):
-        async def check():
-            server, _, item_to_source = build(tmp_path)
-            server.restore()
-            await push_load(server, item_to_source)
-            plans = [r for r in server.journal.records() if r["t"] == "plan"]
-            assert plans
-            assert all(r.get("bank_index") == "shared" for r in plans)
-            await server.close()
-
-        run(check())
-
-    def test_flat_plan_records_carry_no_bank_index_key(self, tmp_path):
-        async def check():
-            server, _, item_to_source = build(tmp_path, bank_index="flat")
-            server.restore()
-            await push_load(server, item_to_source)
-            plans = [r for r in server.journal.records() if r["t"] == "plan"]
-            assert plans
-            assert all("bank_index" not in r for r in plans)
-            await server.close()
-
-        run(check())
-
-
 class TestSharedCrashRecovery:
     def test_kill9_replay_restores_dynamic_bank_bit_identically(
             self, tmp_path):
@@ -143,14 +116,16 @@ class TestSharedCrashRecovery:
             recovery = revived.restore()
             assert recovery["records_replayed"] > 0
             assert core_fingerprint(revived.core) == before
-            # The dynamic queries came back through qadd replay, as index
+            # The dynamic queries came back through qadd replay, as row
             # appends — never an O(bank) rebuild — with no subscriber
             # holding a reference (those died with the old process).
             assert revived.core.dynamic_names == {q.name for q in bank}
             assert_edited_in_place(revived.core, structures)
             assert revived._dynamic_refs == {q.name: 0 for q in bank}
-            stats = revived.server_stats()["bank_index"]
-            assert stats["queries"] == stats["appends"] == 4 + 6
+            assert len(revived.core.queries) == len(revived.core._bank) == 4 + 6
+            replayed = list(revived.journal.records())
+            assert sum(r["t"] == "qadd" for r in replayed) == 6
+            assert not any(r["t"] == "qdel" for r in replayed)
             await revived.close()
 
         run(check())
@@ -181,10 +156,10 @@ class TestSharedCrashRecovery:
 
     def test_static_snapshots_stay_byte_identical(self, tmp_path):
         """No dynamic queries → no ``dynamic_queries`` key anywhere in the
-        recovery state (flat-format durability is pinned elsewhere; this
-        guards the new field's gating)."""
+        recovery state (the journal format is pinned elsewhere; this
+        guards the field's gating)."""
         async def check():
-            server, _, item_to_source = build(tmp_path, bank_index="flat")
+            server, _, item_to_source = build(tmp_path)
             server.restore()
             await push_load(server, item_to_source, rounds=range(1, 3))
             assert "dynamic_queries" not in server.core.recovery_state()
@@ -193,20 +168,46 @@ class TestSharedCrashRecovery:
         run(check())
 
 
-class TestServiceEquivalence:
-    def test_flat_and_shared_servers_converge_on_same_values(self):
+class TestOldJournals:
+    def test_shared_mode_wal_restores_with_the_tag_ignored(self, tmp_path):
         async def check():
-            results = {}
-            for bank_index in ("flat", "shared"):
-                server, _, item_to_source = build(bank_index=bank_index)
-                await push_load(server, item_to_source)
-                results[bank_index] = dict(zip(
-                    [q.name for q in server.core.queries],
-                    server.core.query_values()))
-                await server.close()
-            assert set(results["shared"]) == set(results["flat"])
-            for name, value in results["flat"].items():
-                shared = results["shared"][name]
-                assert abs(shared - value) <= 1e-9 * max(1.0, abs(value))
+            server, _, item_to_source = build(
+                tmp_path, journal_kwargs={"fsync": "off"})
+            server.restore()
+            bank = _dynamic_bank(server.core, count=4, distinct=2)
+            client = ServiceClient(server.connect_loopback())
+            await client.subscribe(definitions=bank)
+            server._maybe_snapshot(force=True)
+            snapshot_index, snapshot = server.journal.latest_snapshot()
+            assert len(snapshot["core"]["dynamic_queries"]) == 4
+            await push_load(server, item_to_source, rounds=range(1, 4))
+            before = core_fingerprint(server.core)
+            await server.close(final_snapshot=False)      # the kill
+            await client.close()
+
+            # What this build writes carries no tag ...
+            records = list(server.journal.records())
+            tail_plans = [r for r in records[snapshot_index:]
+                          if r["t"] == "plan"]
+            assert tail_plans
+            assert not any("bank_index" in r for r in records)
+            # ... what a shared-mode server wrote did, on every plan.
+            for record in records:
+                if record["t"] == "plan":
+                    record["bank_index"] = "shared"
+            server.journal.wal_path.write_bytes(
+                b"".join(encode_record(r) for r in records))
+
+            revived, _, _ = build(tmp_path, bootstrap=False)
+            recovery = revived.restore()
+            assert recovery["snapshot_index"] == snapshot_index
+            assert recovery["records_replayed"] == len(
+                records) - snapshot_index
+            core = revived.core
+            assert core_fingerprint(core) == before
+            assert core.dynamic_names == {q.name for q in bank}
+            assert [value.hex() for value in core.query_values()] == [
+                query.evaluate(core.cache).hex() for query in core.queries]
+            await revived.close()
 
         run(check())

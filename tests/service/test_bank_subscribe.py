@@ -1,10 +1,9 @@
-"""Live QUERY_SUB registration against the shared bank index (ISSUE 8).
+"""Live QUERY_SUB registration against the bank.
 
 The bounded-work contract: subscribing N new query definitions costs N
-index *appends* (template-sized work each), never an O(bank) vectorized
-rebuild — the bank and every compiled query stay the *same objects*
-while a thousand definitions stream in (and in flat mode, whose
-term-product table grows a row per definition).  Plus the registration
+row *appends* to the term-product table (query-sized work each), never an
+O(bank) rebuild — the bank and every compiled query stay the *same
+objects* while a thousand definitions stream in.  Plus the registration
 semantics around it: idempotent duplicate registration via refcounts,
 validate-all-first rejection (no partial effect), and last-reference
 removal when the defining subscriber goes away.
@@ -18,6 +17,7 @@ from repro.queries import PolynomialQuery, QueryTerm
 from repro.queries.items import ItemRegistry
 from repro.service import protocol
 from repro.service.client import ServiceClient
+from repro.service.journal import Journal
 from repro.service.protocol import MessageType
 from repro.service.server import build_scenario_server
 from repro.workloads import WorkloadConfig, generate_template_bank
@@ -27,10 +27,22 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def _server(bank_index="shared"):
-    return build_scenario_server(query_count=4, item_count=20,
-                                 source_count=2, trace_length=41, seed=1,
-                                 bank_index=bank_index)
+def _server(journal_dir=None):
+    """Four static queries; with ``journal_dir`` the server journals (and
+    is restored here), so a test can count ``qadd`` / ``qdel`` records."""
+    journal = Journal(str(journal_dir)) if journal_dir is not None else None
+    built = build_scenario_server(query_count=4, item_count=20,
+                                  source_count=2, trace_length=41, seed=1,
+                                  journal=journal, bootstrap=journal is None)
+    if journal is not None:
+        built[0].restore()
+    return built
+
+
+def journaled(server, kind):
+    """How many records of type ``kind`` the server's journal holds."""
+    return sum(1 for record in server.journal.records()
+               if record["t"] == kind)
 
 
 def _dynamic_bank(core, count, distinct, prefix="dyn", seed=2):
@@ -47,7 +59,7 @@ def _dynamic_bank(core, count, distinct, prefix="dyn", seed=2):
 def bank_objects(core):
     """What an O(bank) rebuild would replace: the bank, the power table
     its rows index, and every query's compiled row."""
-    bank = core._shared_bank if core._shared_bank is not None else core._bank
+    bank = core._bank
     return bank, bank.table, {query.name: core.compiled_query(query)
                               for query in core.queries}
 
@@ -81,21 +93,19 @@ class TestBoundedWork:
             # Every definition is live and served in the snapshot.
             assert len(snapshot) == 4 + 1000
             # The headline: not one O(bank) recompile happened — each
-            # definition was one append to the index that was there.
-            assert_edited_in_place(server.core, before)
-            stats = server.server_stats()["bank_index"]
-            assert stats["appends"] == 4 + 1000
-            assert stats["dynamic_queries"] == 1000
-            # 4 initial structures + 10 dynamic ones, not 1004.
-            assert stats["distinct_structures"] <= 14
-            assert stats["dedup_ratio"] > 50.0
+            # definition was one append to the bank that was there.
+            core = server.core
+            assert_edited_in_place(core, before)
+            assert len(core.queries) == len(core._bank) == 4 + 1000
+            assert core.dynamic_names == {query.name for query in bank}
+            assert len(server._dynamic_refs) == 1000
             await client.close()
             await server.close()
 
         run(body())
 
-    def test_flat_mode_pays_one_rebuild_per_definition(self):
-        server, scenario, item_to_source = _server(bank_index="flat")
+    def test_each_definition_appends_one_row(self):
+        server, scenario, item_to_source = _server()
 
         async def body():
             bank = _dynamic_bank(server.core, count=3, distinct=3)
@@ -103,15 +113,12 @@ class TestBoundedWork:
             before = bank_objects(core)
             client = ServiceClient(server.connect_loopback())
             snapshot = await client.subscribe(definitions=bank)
-            # The flat bank appends a row per definition too: the O(bank)
-            # recompile this test used to count is gone.
             assert_edited_in_place(core, before)
             assert len(core._bank) == 4 + 3
             for query in bank:
                 assert snapshot[query.name] == query.evaluate(core.cache)
             assert core.query_values() == [
                 query.evaluate(core.cache) for query in core.queries]
-            assert "bank_index" not in server.server_stats()
             await client.close()
             await server.close()
 
@@ -119,8 +126,8 @@ class TestBoundedWork:
 
 
 class TestRegistrationSemantics:
-    def test_duplicate_registration_is_refcounted(self):
-        server, scenario, item_to_source = _server()
+    def test_duplicate_registration_is_refcounted(self, tmp_path):
+        server, scenario, item_to_source = _server(tmp_path)
 
         async def body():
             (query,) = _dynamic_bank(server.core, count=1, distinct=1)
@@ -129,8 +136,9 @@ class TestRegistrationSemantics:
             second = ServiceClient(server.connect_loopback())
             await second.subscribe(definitions=[query])
             assert server._dynamic_refs[query.name] == 2
-            appends = server.server_stats()["bank_index"]["appends"]
-            assert appends == 4 + 1            # second sub did not re-add
+            # The second subscription did not re-add it.
+            assert len(server.core.queries) == 4 + 1
+            assert journaled(server, "qadd") == 1
             await first.close()
             assert await _settled(
                 server, lambda: server._dynamic_refs.get(query.name) == 1)
@@ -139,13 +147,17 @@ class TestRegistrationSemantics:
             assert await _settled(
                 server, lambda: query.name not in server.core.query_names)
             assert query.name not in server._dynamic_refs
-            assert server.server_stats()["bank_index"]["removals"] == 1
+            assert len(server.core.queries) == 4
+            assert server.core.dynamic_names == set()
+            assert journaled(server, "qadd") == 1
+            assert journaled(server, "qdel") == 1
             await server.close()
 
         run(body())
 
-    def test_conflicting_definition_rejected_without_partial_effect(self):
-        server, scenario, item_to_source = _server()
+    def test_conflicting_definition_rejected_without_partial_effect(
+            self, tmp_path):
+        server, scenario, item_to_source = _server(tmp_path)
 
         async def body():
             taken = server.core.queries[0].name
@@ -165,7 +177,9 @@ class TestRegistrationSemantics:
             # must not have been registered.
             assert fresh.name not in server.core.query_names
             assert_edited_in_place(server.core, before)
-            assert server.server_stats()["bank_index"]["appends"] == 4
+            assert len(server.core.queries) == 4
+            assert server.core.dynamic_names == set()
+            assert journaled(server, "qadd") == 0
             await server.close()
 
         run(body())
@@ -235,3 +249,35 @@ class TestImplicitSubscription:
             await server.close()
 
         run(body())
+
+
+class TestReRegisteredName:
+    """``remove_query`` must leave nothing of the query behind in the
+    planner stack: the name is free, and the next query to take it is
+    planned for *its* budget and items."""
+
+    @pytest.mark.parametrize("algorithm", ["optimal_refresh", "dual_dab"])
+    def test_new_plan_meets_the_new_qab(self, algorithm):
+        server, _, _ = build_scenario_server(
+            query_count=4, item_count=20, source_count=2, trace_length=41,
+            seed=1, algorithm=algorithm)
+        core = server.core
+        first, second, third = sorted(core.cache)[:3]
+
+        def register(qab, *items):
+            query = PolynomialQuery([QueryTerm.product(1.0, *items)],
+                                    qab=qab, name="again")
+            core.add_query(query)
+            plan = core.plans["again"]
+            values = {name: core.cache[name] for name in query.variables}
+            assert set(plan.primary) == set(items)
+            assert plan.guarantees_qab(query, values)
+            return plan
+
+        product = core.cache[first] * core.cache[second]
+        loose = register(0.05 * product, first, second)
+        core.remove_query("again")
+        tight = register(0.005 * product, first, second)
+        assert tight.primary[first] < 0.2 * loose.primary[first]
+        core.remove_query("again")
+        register(0.05 * product, first, third)

@@ -23,7 +23,6 @@ into the nightly-properties CI job).
 import math
 import os
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -137,10 +136,9 @@ def must_notify(core, item):
 class Rig:
     """One core, checked against the two oracles at every refresh."""
 
-    def __init__(self, bank_index="flat", breaker=False):
+    def __init__(self, breaker=False):
         self.planner = WindowPlanner()
         self.clock = StepClock()
-        self.bank_index = bank_index
         self.breaker = breaker
         self.core = self._core()
         self.core.bootstrap()
@@ -154,7 +152,7 @@ class Rig:
             mode=RecomputeMode.ON_WINDOW_VIOLATION,
             metrics=RecordingMetrics(), initial_values=INITIAL,
             item_to_source={name: 0 for name in ITEMS},
-            bank_index=self.bank_index, solver_breaker=breaker)
+            solver_breaker=breaker)
 
     def refresh(self, item, value):
         self.clock.now += 1.0
@@ -166,13 +164,7 @@ class Rig:
         notifications, recomputed = core.react_to_refresh(item)
         assert core.metrics.recompute_order[before:] == expected
         assert recomputed == bool(expected)
-        if self.bank_index == "flat":
-            assert notifications == moved            # bitwise
-        else:
-            # The shared bank walks templates, not ``item_index``, and
-            # sums ``W @ P`` in another association.
-            assert dict(notifications) == pytest.approx(dict(moved),
-                                                        rel=1e-9)
+        assert notifications == moved            # bitwise
         return notifications, recomputed, expected
 
     def edge_value(self, item, pick, side, nudge):
@@ -290,13 +282,6 @@ class TestScreenMatchesReferencePredicate:
                   ("remove", 0), ("refresh", "b", ("scale", 0.93))])
     def test_flat_bank(self, ops):
         _drive(Rig(), ops)
-
-    @given(ops=operations)
-    @example(ops=EDGE_WALK)
-    @example(ops=STALE_BAND_WALK)
-    @example(ops=FAILED_PLANNER_WALK)
-    def test_shared_bank(self, ops):
-        _drive(Rig(bank_index="shared"), ops)
 
     @given(ops=operations)
     @example(ops=FAILED_PLANNER_WALK
