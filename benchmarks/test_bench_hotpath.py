@@ -13,6 +13,11 @@ gated on *counts*, which repeat exactly, not on time: the run's metric
 counts must equal the committed ones (first recorded when the loop was
 proved equal to the scalar reference, DESIGN.md §8), and the share of
 refreshes the coordinator's per-item safe band answered.
+
+Two more sections time the planner, not the loop: ``recompute_latency``
+(a window breach: the Newton-KKT patch next to the multi-start solve at the
+same breach points) and ``cold_plan`` (a query's first plan: the patch from
+the linear anchor next to the multi-start solve on the same bank).
 """
 
 from __future__ import annotations
@@ -25,9 +30,16 @@ import time
 import numpy as np
 import pytest
 
-from repro.filters.delta_recompute import DeltaRecomputePlanner
+from repro.dynamics.estimation import SampledRateEstimator
+from repro.filters.cost_model import CostModel
+from repro.filters.delta_recompute import (
+    DeltaRecomputePlanner,
+    find_delta_planner,
+)
 from repro.filters.dual_dab import DualDABPlanner
+from repro.filters.heuristics import DifferentSumPlanner
 from repro.simulation import SimulationConfig, run_simulation
+from repro.simulation.harness import build_planner
 from repro.workloads import scaled_scenario
 
 RESULT_NAME = "BENCH_hotpath.json"
@@ -174,6 +186,53 @@ def _measure_recompute(params):
     return entry
 
 
+def _measure_cold(params):
+    """First-plan latency of the point's whole bank through the planner
+    stack that ships (minus the solve cache, which a first plan always
+    misses), next to the same plans through a bare
+    :class:`DualDABPlanner` — the multi-start solve that answered every
+    first plan before the linear-anchor rung, and is still its fallback.
+    ``accepted_share`` is the share of first plans the rung answered."""
+    scenario = scaled_scenario(source_count=8, seed=13, **params)
+    config = SimulationConfig(queries=scenario.queries, traces=scenario.traces,
+                              recompute_cost=2.0, source_count=8, seed=13)
+    items = config.used_items
+    cost_model = CostModel(
+        ddm=config.ddm, recompute_cost=config.recompute_cost,
+        rates=SampledRateEstimator().estimate_all(config.traces, items))
+    values = config.traces.initial_values(items)
+
+    def first_plans(planner):
+        seconds = []
+        for query in config.queries:
+            started = time.perf_counter()
+            planner.plan(query, values)
+            seconds.append(time.perf_counter() - started)
+        return seconds
+
+    def reference_stack():
+        return DifferentSumPlanner(
+            cost_model, DualDABPlanner(cost_model, use_compiled=True))
+
+    first_plans(reference_stack())          # warm the interpreter and numpy
+    shipped = build_planner(config, cost_model)
+    cold = _percentiles_ms(first_plans(shipped))
+    reference = _percentiles_ms(first_plans(reference_stack()))
+    stats = find_delta_planner(shipped).stats
+    return {
+        "params": dict(params),
+        "plans": stats.cold_solves,
+        "accepted_share": round(stats.reanchors / stats.cold_solves, 4),
+        "multistart_solves": stats.multistart_solves,
+        "newton_iterations_per_plan": round(
+            stats.patch_newton_iterations / max(stats.reanchors, 1), 2),
+        "max_residual": stats.max_residual,
+        "cold": cold,
+        "reference": reference,
+        "p50_speedup": round(reference["p50_ms"] / cold["p50_ms"], 2),
+    }
+
+
 @pytest.fixture(scope="module")
 def hotpath(results_dir):
     """Measured entries plus the committed baseline (read before writing)."""
@@ -186,12 +245,15 @@ def hotpath(results_dir):
         entry = recompute[name] = _measure_recompute(RECOMPUTE_POINTS[name])
         entry["metrics_identical"] = (
             entry["metrics"] == committed.get(name, {}).get("metrics"))
+    cold = {name: _measure_cold(POINTS[name]) for name in NAMES}
     merged = dict(baseline)
     merged.update(entries)
     merged["recompute_latency"] = dict(
         baseline.get("recompute_latency", {}), **recompute)
+    merged["cold_plan"] = dict(baseline.get("cold_plan", {}), **cold)
     path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-    return {"entries": entries, "recompute": recompute, "baseline": baseline}
+    return {"entries": entries, "recompute": recompute, "cold": cold,
+            "baseline": baseline}
 
 
 def test_hotpath_metrics_identical(benchmark, hotpath):
@@ -236,6 +298,20 @@ def test_recompute_latency_acceptance(benchmark, hotpath):
             assert patch["p50_ms"] <= 2.0 * committed[name]["patch"]["p50_ms"], (
                 f"{name}: patch p50 {patch['p50_ms']:.2f} ms vs committed "
                 f"{committed[name]['patch']['p50_ms']:.2f} ms")
+
+
+def test_cold_plan_acceptance(benchmark, hotpath):
+    """A first plan is a Newton-KKT patch from the linear anchor: the rung
+    answers at least 95 % of the bank's first plans (a count), and their
+    median is at most half the multi-start solve's, timed on the same
+    plans in the same process."""
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    for name, entry in hotpath["cold"].items():
+        assert entry["plans"] == POINTS[name]["query_count"], name
+        assert entry["accepted_share"] >= 0.95, (name, entry)
+        assert entry["max_residual"] <= 1e-6, (name, entry)
+        assert entry["cold"]["p50_ms"] <= 0.5 * entry["reference"]["p50_ms"], (
+            name, entry)
 
 
 def test_hotpath_no_regression_vs_committed(benchmark, hotpath):

@@ -169,11 +169,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         latency = result.recompute_latency
         print(f"breach recomputes    patches {latency['patches']}, "
               f"fallbacks {latency['fallbacks']}, "
-              f"hit rate {latency['patch_hit_rate']:.2%}")
+              f"hit rate {latency['patch_hit_rate']:.2%} "
+              f"(re-anchored {latency['reanchors']}, "
+              f"multi-start {latency['multistart_solves']})")
         if "p95_ms" in latency:
             print(f"recompute latency    p50 {latency['p50_ms']:.2f}ms  "
                   f"p95 {latency['p95_ms']:.2f}ms  "
                   f"p99 {latency['p99_ms']:.2f}ms")
+        if "cold_p50_ms" in latency:
+            print(f"first-plan latency   p50 {latency['cold_p50_ms']:.2f}ms "
+                  f"over {latency['cold_solves']} plans")
     if fault_config is not None:
         print()
         print(format_table(fault_counter_rows(m), "Fault injection & recovery"))

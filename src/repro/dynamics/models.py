@@ -77,6 +77,12 @@ def refresh_rate_coefficient(model: DataDynamicsModel,
     raise FilterError(f"unhandled ddm {model!r}")
 
 
+def refresh_rate_exponent(model: DataDynamicsModel) -> float:
+    """Exponent of the DAB in :func:`refresh_rate_monomial`: ``-1`` for the
+    monotonic model, ``-2`` for the random walk."""
+    return -1.0 if model is DataDynamicsModel.MONOTONIC else -2.0
+
+
 def refresh_rate_monomial(model: DataDynamicsModel, rate_of_change: float,
                           dab_variable: str) -> Monomial:
     """The refresh-rate estimate as a GP monomial in the DAB variable.
@@ -84,6 +90,5 @@ def refresh_rate_monomial(model: DataDynamicsModel, rate_of_change: float,
     ``λ / b`` for the monotonic model, ``λ² / b²`` for the random walk —
     exactly the objective terms of the paper's two formulations.
     """
-    power = -1.0 if model is DataDynamicsModel.MONOTONIC else -2.0
     return Monomial(refresh_rate_coefficient(model, rate_of_change),
-                    {dab_variable: power})
+                    {dab_variable: refresh_rate_exponent(model)})

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.exceptions import FilterError
 from repro.filters.assignment import DABAssignment
@@ -47,6 +47,12 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
+def _root(name: str) -> str:
+    """The registered name a (possibly ``name__*`` derivative) query name
+    belongs to."""
+    return name.partition("__")[0]
+
+
 class QuantisingCachePlanner:
     """Wrap a planner with an upward-quantising LRU solve cache."""
 
@@ -60,6 +66,10 @@ class QuantisingCachePlanner:
         self.max_entries = max_entries
         self.stats = CacheStats()
         self._cache: "OrderedDict[Tuple, DABAssignment]" = OrderedDict()
+        #: root query name (what precedes any ``__`` derivative suffix) ->
+        #: its cache keys, so forgetting a name costs its own entries, not
+        #: a scan of the cache (a dict for its O(1) removal).
+        self._keys_of: Dict[str, Dict[Tuple, None]] = {}
         self._log_step = math.log1p(grid)
 
     def _quantise_up(self, value: float) -> float:
@@ -80,8 +90,10 @@ class QuantisingCachePlanner:
             self.stats.misses += 1
             cached = self.planner.plan(query, quantised)
             self._cache[key] = cached
+            self._keys_of.setdefault(_root(query.name), {})[key] = None
             if len(self._cache) > self.max_entries:
-                self._cache.popitem(last=False)
+                evicted, _ = self._cache.popitem(last=False)
+                self._drop_key(evicted)
         # Re-centre the (feasible-at-inflated-values) plan on the true values.
         return replace(
             cached,
@@ -90,8 +102,16 @@ class QuantisingCachePlanner:
             reference_values={name: float(values[name]) for name in query.variables},
         )
 
+    def _drop_key(self, key: Tuple) -> None:
+        root = _root(key[0])
+        keys = self._keys_of[root]
+        del keys[key]
+        if not keys:
+            del self._keys_of[root]
+
     def clear(self) -> None:
         self._cache.clear()
+        self._keys_of.clear()
         self.stats = CacheStats()
 
     def forget_query(self, name: str) -> None:
@@ -102,9 +122,10 @@ class QuantisingCachePlanner:
         same-variables/different-budget re-registration would otherwise
         replay a plan solved for the old budget."""
         prefix = f"{name}__"
-        for key in [k for k in self._cache
-                    if k[0] == name or str(k[0]).startswith(prefix)]:
+        for key in [k for k in self._keys_of.get(_root(name), ())
+                    if k[0] == name or k[0].startswith(prefix)]:
             del self._cache[key]
+            self._drop_key(key)
         forget = getattr(self.planner, "forget_query", None)
         if forget is not None:
             forget(name)

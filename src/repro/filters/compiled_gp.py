@@ -1,71 +1,52 @@
 """Compiled-GP structure reuse for the DAB planners.
 
-Every recomputation used to rebuild the planner's whole geometric program
-from posynomials — re-running the worst-case deviation expansion, the
-like-term combining and ``compile()`` — even though only the *numbers*
-change between recomputes: the exponent matrices, variable order,
-constraint names and stacked evaluator layout of a query's GP are all
-value-independent.  The templates here build the scalar program exactly
-once (on the first plan), keep its :class:`~repro.gp.program.CompiledProgram`
-arrays, and thereafter refresh only the log-coefficient vectors in place
-before calling :func:`repro.gp.solver.solve_compiled`.
+Only the *numbers* of a query's geometric program change between
+recomputes: the exponent matrices, variable order, constraint names and
+stacked evaluator layout are all value-independent.  The templates here
+assemble that structure once, straight from arrays — the deviation rows
+from :class:`~repro.queries.compiled.CompiledDeviation` /
+:class:`~repro.queries.compiled.CompiledSubstitution`, the objective,
+``recompute``, ``order[·]`` and ``window[·]`` rows from their one- and
+two-variable signatures — and thereafter refresh only the log-coefficient
+vectors in place before :func:`repro.gp.solver.solve_compiled` or a
+Newton-KKT patch.  No ``Monomial`` or ``Posynomial`` is constructed.
 
 Bit-exactness contract
 ----------------------
 A refreshed template must hand the solver *bitwise identical* arrays to
-what ``build_*_program(...).compile()`` would produce at the same values
-and rates — identical inputs plus the solver's own per-call determinism
+what the object builders of :mod:`repro.filters.dual_dab` and
+:mod:`repro.filters.optimal_refresh` produce through ``.compile()`` at the
+same values and rates — variables, constraint names, ``A``, ``starts`` and
+``log_c`` — identical inputs plus the solver's own per-call determinism
 give identical solutions, which is what keeps the simulation
-metric-identical to the reference (object-GP) builders.  Each template
-verifies this at construction: it refreshes against the very values it
-compiled from and raises :class:`~repro.exceptions.FilterError` on any
-mismatch, so drift between the reference builders and the refresh recipes
-fails loudly.
+metric-identical to the reference (object-GP) path.  That means every
+function's rows in sorted-signature order (how a ``Posynomial`` keeps its
+terms), constraints in the builders' order, and a constant constraint
+dropped or reported infeasible exactly as ``compile()`` does.  The
+builders are the oracle: ``tests/filters/test_template_arrays.py`` holds
+the templates to them over generated queries.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import FilterError, InfeasibleProblemError
-from repro.dynamics.models import refresh_rate_coefficient
+from repro.exceptions import InfeasibleProblemError
+from repro.dynamics.models import refresh_rate_coefficient, refresh_rate_exponent
 from repro.filters.cost_model import CostModel
-from repro.filters.dual_dab import (
-    RECOMPUTE_RATE_VARIABLE,
-    build_dual_dab_program,
-    build_widen_program,
-)
-from repro.gp.posynomial import Posynomial
-from repro.gp.program import CompiledProgram
+from repro.filters.dual_dab import RECOMPUTE_RATE_VARIABLE
+from repro.gp.program import CompiledFunction, CompiledProgram
 from repro.gp.solver import GPSolution
-from repro.queries.compiled import CompiledDeviation
-from repro.queries.deviation import (
-    dual_dab_condition,
-    item_of_variable,
-    primary_variable,
-    secondary_variable,
-)
+from repro.queries.compiled import CompiledDeviation, Signature, signature_matrix
+from repro.queries.deviation import primary_variable, secondary_variable
 from repro.queries.polynomial import PolynomialQuery
 
-_SECONDARY_PREFIX = "c__"
-
-
-def _single_variable_items(function, variables, rate_variable: str) -> List[Optional[str]]:
-    """Per row of a compiled function, the item whose ``b``/``c`` variable
-    the row prices — ``None`` for the μ·R row (recognised by the rate
-    variable)."""
-    rows: List[Optional[str]] = []
-    for i in range(function.A.shape[0]):
-        columns = np.nonzero(function.A[i])[0]
-        names = [variables[j] for j in columns if variables[j] != rate_variable]
-        if not names:
-            rows.append(None)
-        else:
-            rows.append(item_of_variable(names[0]))
-    return rows
+#: One function of a program: its constraint name, its rows' signatures in
+#: sorted order and, per row, the item whose rate the row is priced by.
+_Function = Tuple[str, Sequence[Signature], Sequence[Optional[str]]]
 
 
 def _log_rate(cost_model: CostModel, item: str) -> float:
@@ -75,19 +56,34 @@ def _log_rate(cost_model: CostModel, item: str) -> float:
                                              cost_model.rate_of(item)))
 
 
-def _self_check(compiled: CompiledProgram, refresh, label: str) -> None:
-    """Refreshing at the compile-time values must be a bitwise no-op."""
-    originals = [compiled.objective.log_c.copy()] + [
-        f.log_c.copy() for f in compiled.constraints
-    ]
-    refresh()
-    refreshed = [compiled.objective.log_c] + [f.log_c for f in compiled.constraints]
-    for original, current in zip(originals, refreshed):
-        if not np.array_equal(original, current):
-            raise FilterError(
-                f"{label}: compiled template drifted from the scalar program "
-                "(refresh recipe does not reproduce compile())"
-            )
+def _priced(name: str, rows: List[Tuple[Signature, Optional[str]]]) -> _Function:
+    """A function from ``(signature, item)`` rows, sorted as a
+    ``Posynomial`` sorts its terms."""
+    rows = sorted(rows, key=lambda row: row[0])
+    return (name, [signature for signature, _ in rows],
+            [item for _, item in rows])
+
+
+def _assemble(functions: Sequence[_Function]) -> CompiledProgram:
+    """The :class:`CompiledProgram` of an objective (first) and its
+    constraints, every ``log_c`` zero until the first refresh."""
+    rows = [signature for _, signatures, _ in functions
+            for signature in signatures]
+    order = tuple(sorted({name for signature in rows for name, _ in signature}))
+    A = signature_matrix(rows, order)
+    bounds = np.cumsum([0] + [len(signatures) for _, signatures, _ in functions])
+    compiled = [CompiledFunction(A[lo:hi], np.zeros(hi - lo))
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return CompiledProgram(
+        variables=order, objective=compiled[0], constraints=compiled[1:],
+        constraint_names=[name for name, _, _ in functions[1:]])
+
+
+def _priced_functions(compiled: CompiledProgram, priced_by):
+    """``(name, function, items pricing its rows)`` per function of a
+    template's program, objective first."""
+    return zip(["objective", *compiled.constraint_names],
+               [compiled.objective, *compiled.constraints], priced_by)
 
 
 class CompiledDualDabTemplate:
@@ -101,45 +97,47 @@ class CompiledDualDabTemplate:
         constrain_window: bool = True,
         recompute_envelope: str = "sum",
     ):
+        if recompute_envelope not in ("max", "sum"):
+            raise ValueError(f"recompute_envelope must be 'max' or 'sum', "
+                             f"got {recompute_envelope!r}")
         self.query = query
         self.cost_model = cost_model
         self.constrain_window = constrain_window
-        self.recompute_envelope = recompute_envelope
-        # The deviation expansion is the expensive part of both scalar
-        # builders; expand once and hand it to the widening template too,
-        # which the first plan builds at these same values.
-        condition = dual_dab_condition(query.terms, values, query.qab)
-        self._expansion = (
-            {name: float(values[name]) for name in query.variables}, condition)
-        program = build_dual_dab_program(
-            query, values, cost_model,
-            constrain_window=constrain_window,
-            recompute_envelope=recompute_envelope,
-            condition=condition,
-        )
-        self.compiled = program.compile()
         self.deviation = CompiledDeviation(query.terms, include_secondary=True)
-        variables = self.compiled.variables
-        self._objective_rows = _single_variable_items(
-            self.compiled.objective, variables, RECOMPUTE_RATE_VARIABLE)
-        self._constraint_rows: Dict[str, List[Optional[str]]] = {}
-        for name, function in zip(self.compiled.constraint_names,
-                                  self.compiled.constraints):
-            if name == "recompute":
-                self._constraint_rows[name] = _single_variable_items(
-                    function, variables, RECOMPUTE_RATE_VARIABLE)
+        rate = RECOMPUTE_RATE_VARIABLE
+        power = refresh_rate_exponent(cost_model.ddm)
+        functions = [
+            _priced("objective", [(((rate, 1.0),), None)] + [
+                (((primary_variable(item), power),), item)
+                for item in query.variables]),
+            ("qab", self.deviation.signatures, ()),
+        ]
+        if recompute_envelope == "sum":
+            functions.append(_priced("recompute", [
+                (((rate, -1.0), (secondary_variable(item), power)), item)
+                for item in query.variables]))
+        for item in query.variables:
+            b, c = primary_variable(item), secondary_variable(item)
+            functions.append((f"order[{item}]", [((b, 1.0), (c, -1.0))], ()))
+            if recompute_envelope == "max":
+                functions.append((f"recompute[{item}]",
+                                  [((rate, -1.0), (c, power))], [item]))
+            if constrain_window:
+                functions.append((f"window[{item}]", [((c, 1.0),)], [item]))
+        self.compiled = _assemble(functions)
+        #: Per function (objective first), the item pricing each row;
+        #: ``None`` is the μ·R row, ``()`` a function with nothing to price.
+        self._priced_by = [priced for _, _, priced in functions]
         self._widen: Optional[CompiledWidenTemplate] = None
         #: Item values of the last refresh — the per-item delta structure
         #: the incremental recompute path diffs against to find which
         #: log-variables a window breach actually touched.
         self.last_values: Dict[str, float] = {}
-        _self_check(self.compiled, lambda: self.refresh(values),
-                    f"dual-DAB template for {query.name!r}")
+        self.refresh(values)
 
     def changed_items(self, values: Mapping[str, float]) -> List[str]:
         """Items whose value moved since the last :meth:`refresh` — the
-        variables a delta patch must actually re-solve around.  Every item
-        counts as changed before the first refresh."""
+        variables a delta patch must actually re-solve around."""
         last = self.last_values
         return [name for name in self.query.variables
                 if last.get(name) != float(values[name])]
@@ -149,26 +147,18 @@ class CompiledDualDabTemplate:
         self.last_values = {name: float(values[name])
                             for name in self.query.variables}
         cost_model = self.cost_model
-        objective_log = self.compiled.objective.log_c
-        for i, item in enumerate(self._objective_rows):
-            if item is None:
-                objective_log[i] = math.log(max(cost_model.recompute_cost, 1e-9))
-            else:
-                objective_log[i] = _log_rate(cost_model, item)
-        for name, function in zip(self.compiled.constraint_names,
-                                  self.compiled.constraints):
+        log_price = {item: _log_rate(cost_model, item)
+                     for item in self.query.variables}
+        log_price[None] = math.log(max(cost_model.recompute_cost, 1e-9))
+        for name, function, items in _priced_functions(self.compiled,
+                                                       self._priced_by):
             if name == "qab":
                 function.log_c[:] = self.deviation.log_coefficients(
                     values, qab=self.query.qab)
-            elif name == "recompute":
-                for i, item in enumerate(self._constraint_rows[name]):
-                    function.log_c[i] = _log_rate(cost_model, item)
-            elif name.startswith("recompute["):
-                item = name[len("recompute["):-1]
-                function.log_c[0] = _log_rate(cost_model, item)
             elif name.startswith("window["):
-                item = name[len("window["):-1]
-                function.log_c[0] = math.log(1.0 / float(values[item]))
+                function.log_c[0] = math.log(1.0 / float(values[items[0]]))
+            elif items:
+                function.log_c[:] = [log_price[item] for item in items]
             # order[...] constraints are fully static (log 1.0 == 0.0).
 
     def solve(self, values: Mapping[str, float],
@@ -181,15 +171,9 @@ class CompiledDualDabTemplate:
         """The (lazily-built) widening template — exposed so the delta
         recompute path can Newton-patch the widening program directly."""
         if self._widen is None:
-            expanded_at, condition = self._expansion
-            self._expansion = None
-            if any(float(values[name]) != value
-                   for name, value in expanded_at.items()):
-                condition = None        # stale: the builder re-expands
             self._widen = CompiledWidenTemplate(
                 self.query, values, primary, self.cost_model, self.deviation,
-                constrain_window=self.constrain_window, condition=condition,
-            )
+                constrain_window=self.constrain_window)
         return self._widen
 
     def widen(self, values: Mapping[str, float], primary: Mapping[str, float],
@@ -222,23 +206,27 @@ class CompiledWidenTemplate:
         cost_model: CostModel,
         deviation: CompiledDeviation,
         constrain_window: bool = True,
-        condition: Optional[Posynomial] = None,
     ):
         self.query = query
         self.cost_model = cost_model
         self.deviation = deviation
         items = query.variables
-        self._fixed_names = tuple(primary_variable(name) for name in items)
-        self.substituted = deviation.substituted(self._fixed_names)
-        program = build_widen_program(query, values, primary, cost_model,
-                                      constrain_window=constrain_window,
-                                      condition=condition)
-        self.compiled = program.compile()
-        self._objective_rows = _single_variable_items(
-            self.compiled.objective, self.compiled.variables,
-            RECOMPUTE_RATE_VARIABLE)
-        _self_check(self.compiled, lambda: self.refresh(values, primary),
-                    f"widen template for {query.name!r}")
+        self.substituted = deviation.substituted(
+            primary_variable(name) for name in items)
+        functions = [_priced("objective", [
+            (((secondary_variable(item), -1.0),), item) for item in items])]
+        # compile() drops a fully-substituted (constant) QAB constraint: a
+        # purely linear query's deviation has no secondary DAB in it.
+        if not self.substituted.is_constant:
+            functions.append(("qab", self.substituted.signatures, ()))
+        for item in items:
+            c = secondary_variable(item)
+            functions.append((f"order[{item}]", [((c, -1.0),)], [item]))
+            if constrain_window:
+                functions.append((f"window[{item}]", [((c, 1.0),)], [item]))
+        self.compiled = _assemble(functions)
+        self._priced_by = [priced for _, _, priced in functions]
+        self.refresh(values, primary)
 
     def _qab_coefficients(self, values: Mapping[str, float],
                           primary: Mapping[str, float]) -> List[float]:
@@ -250,29 +238,25 @@ class CompiledWidenTemplate:
     def refresh(self, values: Mapping[str, float],
                 primary: Mapping[str, float]) -> None:
         cost_model = self.cost_model
-        objective_log = self.compiled.objective.log_c
-        for i, item in enumerate(self._objective_rows):
-            objective_log[i] = math.log(max(cost_model.rate_of(item), 1e-12))
         coefficients = self._qab_coefficients(values, primary)
-        if self.substituted.is_constant:
-            # compile() drops a fully-substituted (constant) QAB constraint —
-            # unless it is violated, which it reports as infeasibility.
-            constant = coefficients[0]
-            if constant > 1.0 + 1e-12:
-                raise InfeasibleProblemError(
-                    f"constraint qab is constant and violated: "
-                    f"{constant:.6g} <= 1"
-                )
-        for name, function in zip(self.compiled.constraint_names,
-                                  self.compiled.constraints):
-            if name == "qab":
+        # compile() reports a violated constant constraint as infeasibility
+        # (and drops one that holds, as the constructor did).
+        if self.substituted.is_constant and coefficients[0] > 1.0 + 1e-12:
+            raise InfeasibleProblemError(
+                f"constraint qab is constant and violated: "
+                f"{coefficients[0]:.6g} <= 1")
+        for name, function, items in _priced_functions(self.compiled,
+                                                       self._priced_by):
+            if name == "objective":
+                function.log_c[:] = [
+                    math.log(max(cost_model.rate_of(item), 1e-12))
+                    for item in items]
+            elif name == "qab":
                 function.log_c[:] = [math.log(c) for c in coefficients]
             elif name.startswith("order["):
-                item = name[len("order["):-1]
-                function.log_c[0] = math.log(float(primary[item]))
-            elif name.startswith("window["):
-                item = name[len("window["):-1]
-                function.log_c[0] = math.log(1.0 / float(values[item]))
+                function.log_c[0] = math.log(float(primary[items[0]]))
+            else:
+                function.log_c[0] = math.log(1.0 / float(values[items[0]]))
 
     def solve(self, values: Mapping[str, float], primary: Mapping[str, float],
               initial: Optional[Mapping[str, float]] = None) -> GPSolution:
@@ -285,29 +269,23 @@ class CompiledOptimalRefreshTemplate:
 
     def __init__(self, query: PolynomialQuery, values: Mapping[str, float],
                  cost_model: CostModel):
-        from repro.filters.optimal_refresh import build_optimal_refresh_program
-
         self.query = query
         self.cost_model = cost_model
-        program = build_optimal_refresh_program(query, values, cost_model)
-        self.compiled = program.compile()
         self.deviation = CompiledDeviation(query.terms, include_secondary=False)
-        self._objective_rows = _single_variable_items(
-            self.compiled.objective, self.compiled.variables,
-            RECOMPUTE_RATE_VARIABLE)
-        _self_check(self.compiled, lambda: self.refresh(values),
-                    f"optimal-refresh template for {query.name!r}")
+        power = refresh_rate_exponent(cost_model.ddm)
+        objective = _priced("objective", [
+            (((primary_variable(item), power),), item)
+            for item in query.variables])
+        self._priced_by = objective[2]
+        self.compiled = _assemble(
+            [objective, ("qab", self.deviation.signatures, ())])
+        self.refresh(values)
 
     def refresh(self, values: Mapping[str, float]) -> None:
-        cost_model = self.cost_model
-        objective_log = self.compiled.objective.log_c
-        for i, item in enumerate(self._objective_rows):
-            objective_log[i] = _log_rate(cost_model, item)
-        for name, function in zip(self.compiled.constraint_names,
-                                  self.compiled.constraints):
-            if name == "qab":
-                function.log_c[:] = self.deviation.log_coefficients(
-                    values, qab=self.query.qab)
+        self.compiled.objective.log_c[:] = [
+            _log_rate(self.cost_model, item) for item in self._priced_by]
+        self.compiled.constraints[0].log_c[:] = self.deviation.log_coefficients(
+            values, qab=self.query.qab)
 
     def solve(self, values: Mapping[str, float],
               initial: Optional[Mapping[str, float]] = None) -> GPSolution:

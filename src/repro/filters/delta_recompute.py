@@ -33,10 +33,14 @@ exactly what the property-based equivalence suite asserts.  The QAB
 invariant is additionally enforced directly, so even a wrongly-accepted
 patch could never ship an unsound plan.
 
-This is the only recompute pipeline: a query's first plan (no optimum to
-patch from yet) and every declined patch go to the inner planner's
-multi-start solve, which stays the oracle the equivalence suite compares
-patches against.
+This is the only recompute pipeline, and it has one start ladder: the
+query's last optimum; then the *linear anchor* (:func:`linear_anchor` —
+the closed-form optimum of the linearised query, read off the refreshed
+template's own arrays), which is where a query's first plan starts and
+where a plan whose last optimum declined starts again; then the inner
+planner's multi-start solve, which stays the last rung and the oracle the
+equivalence suite compares patches against.  Both patch rungs go through
+the same acceptance checks.
 
 The patch and the full solve evaluate the program through the same fused
 kernel (:meth:`repro.gp.program.CompiledProgram.evaluate`): exactly one
@@ -76,6 +80,12 @@ from repro.queries.polynomial import PolynomialQuery
 #: at -0.04 after a volatile tick would stall Newton entirely at 3e-2).
 _WORKING_SET_TOL = 0.1
 
+#: Secondary-to-primary DAB ratio ``c_i / b_i`` of the linear anchor.
+_ANCHOR_WINDOW_RATIO = 4.0
+
+#: Most bisection steps spent scaling the linear anchor onto ``qab``.
+_ANCHOR_BISECTIONS = 14
+
 #: Multipliers below this are treated as negative (drop from working set).
 _DUAL_TOL = 1e-9
 
@@ -104,14 +114,21 @@ class DeltaStats:
 
     ``patches``/``fallbacks`` partition the *window-breach* recomputes (a
     breach either patched or fell back to the full solve); ``cold_solves``
-    are first-plan solves that had no previous optimum to patch from.
-    Breach latency samples are kept per category so the benchmark can
-    report breach-resolution percentiles.
+    are first plans, which had no previous optimum to patch from.  Which
+    rung of the start ladder answered cuts across both: ``reanchors`` are
+    plans patched from the linear anchor, ``multistart_solves`` plans that
+    reached the inner planner's multi-start solve, and every other plan
+    was patched from its query's last optimum.  ``declines`` counts
+    declined *attempts* by reason — a plan that falls through both patch
+    rungs notes two.  Latency samples are kept per category so the
+    benchmarks can report percentiles.
     """
 
     patches: int = 0
     fallbacks: int = 0
     cold_solves: int = 0
+    reanchors: int = 0
+    multistart_solves: int = 0
     patch_newton_iterations: int = 0
     affected_items: int = 0
     last_residual: float = 0.0
@@ -119,6 +136,7 @@ class DeltaStats:
     declines: Dict[str, int] = field(default_factory=dict)
     patch_seconds: List[float] = field(default_factory=list)
     fallback_seconds: List[float] = field(default_factory=list)
+    cold_seconds: List[float] = field(default_factory=list)
 
     @property
     def breaches(self) -> int:
@@ -153,6 +171,10 @@ class DeltaStats:
         self.fallbacks += 1
         self._record(self.fallback_seconds, seconds)
 
+    def record_cold(self, seconds: float) -> None:
+        self.cold_solves += 1
+        self._record(self.cold_seconds, seconds)
+
     def breach_seconds(self) -> List[float]:
         """Latencies of breach-driven recomputes: patches + fallbacks."""
         return self.patch_seconds + self.fallback_seconds
@@ -167,6 +189,8 @@ class DeltaStats:
             "patches": self.patches,
             "fallbacks": self.fallbacks,
             "cold_solves": self.cold_solves,
+            "reanchors": self.reanchors,
+            "multistart_solves": self.multistart_solves,
             "patch_hit_rate": round(self.patch_hit_rate, 4),
             "fallback_rate": round(self.fallback_rate, 4),
             "max_residual": self.max_residual,
@@ -176,6 +200,9 @@ class DeltaStats:
             for label, q in (("p50", 50), ("p95", 95), ("p99", 99)):
                 summary[f"{label}_ms"] = round(float(np.percentile(arr, q)), 4)
             summary["mean_ms"] = round(float(arr.mean()), 4)
+        if self.cold_seconds:
+            summary["cold_p50_ms"] = round(
+                float(np.median(self.cold_seconds)) * 1000.0, 4)
         return summary
 
     def snapshot(self) -> Dict[str, object]:
@@ -184,6 +211,8 @@ class DeltaStats:
             "patches": self.patches,
             "fallbacks": self.fallbacks,
             "cold_solves": self.cold_solves,
+            "reanchors": self.reanchors,
+            "multistart_solves": self.multistart_solves,
             "patch_hit_rate": round(self.patch_hit_rate, 4),
             "last_residual": self.last_residual,
             "max_residual": self.max_residual,
@@ -278,10 +307,10 @@ def newton_patch(
 ) -> Optional[PatchResult]:
     """Warm-started Newton-KKT patch of a refreshed compiled program.
 
-    ``start`` is the previous optimum (original-space values, every
-    variable present and positive).  Returns the patched solution, or
-    ``None`` whenever any acceptance condition fails — the caller then
-    falls back to the full multi-start solve.  Never raises on numerical
+    ``start`` is the previous optimum or the linear anchor (original-space
+    values, every variable present and positive).  Returns the patched
+    solution, or ``None`` whenever any acceptance condition fails — the
+    caller then moves down the start ladder.  Never raises on numerical
     trouble: a bad patch is a decline, not an error.
     """
     if start is None:
@@ -338,13 +367,87 @@ def newton_patch(
     return None
 
 
+def linear_anchor(template) -> Dict[str, float]:
+    """A Newton-KKT start for a refreshed dual-DAB template that has no
+    usable last optimum: the optimum of the *linearised* query, scaled onto
+    the real QAB constraint.
+
+    The ``qab`` rows whose signature is ``b_i`` alone carry
+    ``a_i = ∂P/∂x_i / B`` at the template's values, so the linearised
+    program is the paper's LAQ case, ``min Σ λ_i b_i^-p`` subject to
+    ``Σ a_i b_i <= 1``, solved in closed form by
+    ``b_i ∝ (λ_i / a_i)^(1/(p+1))``.  Windows open at a fixed ratio,
+    ``c_i = min(κ b_i, V_i / 2)``, and ``R`` is set where the recompute
+    envelope is active.  The higher-order rows then leave ``qab``
+    violated, and a start far *inside* it would seed an empty working set
+    (see :data:`_WORKING_SET_TOL`) — unconstrained Newton on this
+    objective has no minimiser — so the point is bisected along the ray
+    that scales every DAB together (and ``R`` with them, keeping the
+    envelope active) until ``qab`` sits within half the working-set
+    tolerance inside active.
+    """
+    compiled = template.compiled
+    names = compiled.constraint_names
+    items = template.query.variables
+    column = {name: j for j, name in enumerate(compiled.variables)}
+    b = np.array([column[primary_variable(name)] for name in items])
+    c = np.array([column[secondary_variable(name)] for name in items])
+    rate = column[RECOMPUTE_RATE_VARIABLE]
+    qab_index = names.index("qab")
+    qab = compiled.constraints[qab_index]
+    objective = compiled.objective
+
+    priced = np.argmax(objective.A[:, b] != 0.0, axis=0)
+    power = -float(objective.A[priced[0], b[0]])
+    log_lam = objective.log_c[priced]
+    linear = ((np.count_nonzero(qab.A, axis=1) == 1)[:, None]
+              & (qab.A[:, b] == 1.0))
+    log_a = qab.log_c[np.argmax(linear, axis=0)]
+    log_b = (log_lam - log_a) / (power + 1.0)
+    log_b -= np.log(np.exp(log_a + log_b).sum())
+    log_v = np.log([template.last_values[name] for name in items])
+    log_c = np.minimum(log_b + math.log(_ANCHOR_WINDOW_RATIO),
+                       log_v - math.log(2.0))
+    if template.constrain_window:
+        # A secondary DAB the QAB condition does not mention (its item
+        # enters the query linearly) is bounded by its window alone.
+        log_c = np.where(qab.A[:, c].any(axis=0), log_c, log_v)
+    crossings = np.exp(log_lam - power * log_c)
+    y = np.zeros(len(compiled.variables))
+    y[b], y[c] = log_b, log_c
+    y[rate] = np.log(
+        crossings.sum() if "recompute" in names else crossings.max())
+    ray = np.zeros_like(y)
+    ray[b] = ray[c] = 1.0
+    ray[rate] = -power
+
+    # Every qab row has degree >= 1 in the DABs and the linear rows sum to
+    # one, so 0 <= excess and scaling by exp(-excess) is feasible.
+    low, high = -float(compiled.evaluate(y).values[1 + qab_index]), 0.0
+    shift = low
+    for _ in range(_ANCHOR_BISECTIONS):
+        excess = float(
+            compiled.evaluate(y + shift * ray).values[1 + qab_index])
+        if excess > 0.0:
+            high = shift
+        elif excess >= -0.5 * _WORKING_SET_TOL:
+            break
+        else:
+            low = shift
+        shift = 0.5 * (low + high)
+    else:
+        shift = low
+    y = np.clip(y + shift * ray, -_Y_BOUND, _Y_BOUND)
+    return dict(zip(compiled.variables, np.exp(y).tolist()))
+
+
 class DeltaRecomputePlanner:
     """Patch-first recompute wrapper around a :class:`DualDABPlanner`.
 
     Sits *below* the Different-Sum / Half-and-Half mirroring wrappers (so
     it only ever sees PPQs, exactly like the inner planner) and *above*
-    the inner :class:`DualDABPlanner`, whose multi-start solve answers a
-    query's first plan and every declined patch.
+    the inner :class:`DualDABPlanner`, whose multi-start solve answers
+    only what both patch rungs declined.
     """
 
     def __init__(
@@ -372,17 +475,29 @@ class DeltaRecomputePlanner:
     def plan(self, query: PolynomialQuery,
              values: Mapping[str, float]) -> DABAssignment:
         started = _time.perf_counter()
+        stats = self.stats
         state = self._states.get(query.name)
+        first = state is None
+        plan = None
         if state is not None:
             plan = self._try_patch(query, values, state)
+        if plan is None:
+            anchor: Dict[str, Dict[str, float]] = {}
+            plan = self._try_patch(query, values, anchor)
             if plan is not None:
-                self.stats.record_patch(_time.perf_counter() - started)
-                return plan
+                self._states[query.name] = anchor
+                stats.reanchors += 1
+        patched = plan is not None
+        if plan is None:
             plan = self._full_solve(query, values)
-            self.stats.record_fallback(_time.perf_counter() - started)
-            return plan
-        plan = self._full_solve(query, values)
-        self.stats.cold_solves += 1
+            stats.multistart_solves += 1
+        seconds = _time.perf_counter() - started
+        if first:
+            stats.record_cold(seconds)
+        elif patched:
+            stats.record_patch(seconds)
+        else:
+            stats.record_fallback(seconds)
         return plan
 
     def _full_solve(self, query: PolynomialQuery,
@@ -406,13 +521,12 @@ class DeltaRecomputePlanner:
 
     def _try_patch(self, query: PolynomialQuery, values: Mapping[str, float],
                    state: Dict[str, Dict[str, float]]) -> Optional[DABAssignment]:
-        """One breach, patched — or ``None`` with the decline reason noted."""
+        """One plan, patched from ``state["main"]`` — from the linear anchor
+        when ``state`` has none yet — or ``None`` with the decline reason
+        noted."""
         stats = self.stats
-        template = self.inner.compiled_template(query.name)
-        if template is None:
-            stats.note_decline("no_template")
-            return None
         items = query.variables
+        template = self.inner.ensure_template(query, values)
         try:
             affected = template.changed_items(values)
             template.refresh(values)
@@ -422,7 +536,7 @@ class DeltaRecomputePlanner:
         stats.affected_items += len(affected)
 
         main = newton_patch(
-            template.compiled, state["main"],
+            template.compiled, state.get("main") or linear_anchor(template),
             kkt_tol=self.kkt_tol,
             max_newton_iterations=self.max_newton_iterations,
             max_working_set_rounds=self.max_working_set_rounds,

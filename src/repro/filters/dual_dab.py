@@ -46,14 +46,10 @@ def build_dual_dab_program(
     rate_variable: str = RECOMPUTE_RATE_VARIABLE,
     constrain_window: bool = True,
     recompute_envelope: str = "sum",
-    condition: Optional[Posynomial] = None,
 ) -> GeometricProgram:
     """Construct the dual-DAB GP for one PPQ (exposed for AAO, which embeds
-    per-query copies of these constraints in a joint program).
-
-    ``condition`` is ``dual_dab_condition(query.terms, values, query.qab)``
-    when the caller has already expanded it (the compiled templates share
-    one expansion between this program and the widening program).
+    per-query copies of these constraints in a joint program, and as the
+    oracle the array-built compiled templates are tested against).
 
     ``recompute_envelope`` selects how the recomputation rate ``R`` bounds
     the per-item window-crossing rates:
@@ -78,9 +74,8 @@ def build_dual_dab_program(
         + Monomial(max(cost_model.recompute_cost, 1e-9), {rate_variable: 1.0})
     )
     program = GeometricProgram(objective=objective)
-    if condition is None:
-        condition = dual_dab_condition(query.terms, values, query.qab)
-    program.add_constraint(condition, 1.0, name="qab")
+    program.add_constraint(
+        dual_dab_condition(query.terms, values, query.qab), 1.0, name="qab")
     if recompute_envelope == "sum":
         program.add_constraint(
             Posynomial([cost_model.recompute_rate_monomial(name) for name in items])
@@ -107,11 +102,9 @@ def build_widen_program(
     primary: Mapping[str, float],
     cost_model: CostModel,
     constrain_window: bool = True,
-    condition: Optional[Posynomial] = None,
 ) -> GeometricProgram:
     """Construct the second-pass widening GP (see :func:`widen_secondary`);
-    exposed so the compiled-template path can build it once per query.
-    ``condition`` as in :func:`build_dual_dab_program`."""
+    exposed as the oracle of the compiled widening template."""
     items = query.variables
     fixed = {primary_variable(name): float(primary[name]) for name in items}
     objective = Posynomial([
@@ -119,8 +112,7 @@ def build_widen_program(
         for name in items
     ])
     program = GeometricProgram(objective=objective)
-    if condition is None:
-        condition = dual_dab_condition(query.terms, values, query.qab)
+    condition = dual_dab_condition(query.terms, values, query.qab)
     program.add_constraint(substitute(condition, fixed), 1.0, name="qab")
     for name in items:
         c = Monomial.variable(secondary_variable(name))
@@ -190,16 +182,7 @@ class DualDABPlanner:
 
         template = None
         if self.use_compiled:
-            template = self._templates.get(query.name)
-            if template is None:
-                from repro.filters.compiled_gp import CompiledDualDabTemplate
-
-                template = CompiledDualDabTemplate(
-                    query, values, self.cost_model,
-                    constrain_window=self.constrain_window,
-                    recompute_envelope=self.recompute_envelope,
-                )
-                self._templates[query.name] = template
+            template = self.ensure_template(query, values)
             solution = template.solve(
                 values, initial=self._warm_starts.get(query.name))
         else:
@@ -238,10 +221,21 @@ class DualDABPlanner:
 
     # -- delta-recompute plumbing ------------------------------------------------
 
-    def compiled_template(self, query_name: str):
-        """The query's :class:`CompiledDualDabTemplate`, or ``None`` before
-        its first compiled plan (or with ``use_compiled=False``)."""
-        return self._templates.get(query_name)
+    def ensure_template(self, query: PolynomialQuery,
+                        values: Mapping[str, float]):
+        """The query's :class:`CompiledDualDabTemplate`, assembled (and
+        refreshed at ``values``) on first use."""
+        template = self._templates.get(query.name)
+        if template is None:
+            from repro.filters.compiled_gp import CompiledDualDabTemplate
+
+            _require_ppq(query, "DualDABPlanner")
+            template = self._templates[query.name] = CompiledDualDabTemplate(
+                query, values, self.cost_model,
+                constrain_window=self.constrain_window,
+                recompute_envelope=self.recompute_envelope,
+            )
+        return template
 
     def warm_start(self, query_name: str) -> Optional[Dict[str, float]]:
         """The main-program optimum of the query's last solve (captured

@@ -513,6 +513,22 @@ def _merge_signatures(a: Tuple[Tuple[str, float], ...],
     return _normalise_exponents(merged)
 
 
+Signature = Tuple[Tuple[str, float], ...]
+
+
+def signature_matrix(signatures: Sequence[Signature],
+                     order: Sequence[str]) -> np.ndarray:
+    """The exponent matrix ``A`` over ``order`` of monomials given by their
+    canonical signatures, one row each — what
+    ``Posynomial.exponent_matrix`` returns for the same terms."""
+    index = {name: j for j, name in enumerate(order)}
+    A = np.zeros((len(signatures), len(order)))
+    for i, signature in enumerate(signatures):
+        for name, exponent in signature:
+            A[i, index[name]] = exponent
+    return A
+
+
 class CompiledDeviation:
     """Structure-compiled :func:`deviation_posynomial` for one term set.
 
@@ -594,12 +610,7 @@ class CompiledDeviation:
     def exponent_matrix(self, order: Sequence[str]) -> np.ndarray:
         """Static ``A`` matrix over ``order`` (matches
         ``Posynomial.exponent_matrix`` for the scalar expansion)."""
-        index = {name: j for j, name in enumerate(order)}
-        A = np.zeros((len(self._rows), len(order)))
-        for i, (sig, _) in enumerate(self._rows):
-            for name, exponent in sig:
-                A[i, index[name]] = exponent
-        return A
+        return signature_matrix(self.signatures, order)
 
     # -- evaluation --------------------------------------------------------------
 
@@ -664,12 +675,7 @@ class CompiledSubstitution:
         return all(not sig for sig, _ in self._rows)
 
     def exponent_matrix(self, order: Sequence[str]) -> np.ndarray:
-        index = {name: j for j, name in enumerate(order)}
-        A = np.zeros((len(self._rows), len(order)))
-        for i, (sig, _) in enumerate(self._rows):
-            for name, exponent in sig:
-                A[i, index[name]] = exponent
-        return A
+        return signature_matrix(self.signatures, order)
 
     def coefficients(self, parent_coefficients: Sequence[float],
                      fixed: Mapping[str, float]) -> List[float]:

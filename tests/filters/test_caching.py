@@ -175,3 +175,86 @@ class TestSoundness:
         assert plan1.primary == plan2.primary
         assert plan1.primary is not plan2.primary
 
+
+
+class _StubPlanner:
+    """A planner whose plans cost nothing, for cache-bookkeeping tests."""
+
+    def __init__(self):
+        self.forgotten = []
+
+    def plan(self, query, values):
+        from repro.filters.assignment import DABAssignment
+
+        bounds = {name: 0.1 for name in query.variables}
+        return DABAssignment(primary=bounds, secondary=None,
+                             reference_values=dict(values))
+
+    def forget_query(self, name):
+        self.forgotten.append(name)
+
+
+class TestForgetQuery:
+    """``forget_query`` runs on the event loop at every dynamic-query
+    disconnect: it must cost the forgotten name's entries, not the cache's."""
+
+    def _filled(self, foreign):
+        cache = QuantisingCachePlanner(_StubPlanner(), grid=0.02)
+        for i in range(foreign):
+            cache.plan(parse_query("x*y : 5", name=f"other{i % 100}"),
+                       {"x": 1.03 ** (i // 100 + 1), "y": 2.0})
+        return cache
+
+    def test_drops_the_name_and_its_derivatives_only(self):
+        cache = self._filled(300)
+        for name in ("gone", "gone__pos", "gone__neg", "gone2", "go"):
+            cache.plan(parse_query("x*y : 5", name=name), {"x": 2.0, "y": 2.0})
+            cache.plan(parse_query("x*y : 5", name=name), {"x": 3.0, "y": 2.0})
+        cache.forget_query("gone")
+        assert cache.planner.forgotten == ["gone"]
+        left = {key[0] for key in cache._cache}
+        assert not left & {"gone", "gone__pos", "gone__neg"}
+        assert {"gone2", "go"} <= left
+        assert len(cache._cache) == 300 + 4
+        # The index follows the cache exactly.
+        indexed = {key for keys in cache._keys_of.values() for key in keys}
+        assert indexed == set(cache._cache)
+        # A derivative can be forgotten on its own.
+        cache.plan(parse_query("x*y : 5", name="gone__pos"), {"x": 2.0, "y": 2.0})
+        cache.plan(parse_query("x*y : 5", name="gone__neg"), {"x": 2.0, "y": 2.0})
+        cache.forget_query("gone__pos")
+        assert {key[0] for key in cache._cache} >= {"gone__neg"}
+        assert "gone__pos" not in {key[0] for key in cache._cache}
+
+    def test_eviction_keeps_the_index_in_step(self):
+        cache = QuantisingCachePlanner(_StubPlanner(), grid=0.02, max_entries=3)
+        for i, name in enumerate(("a", "b", "a", "c", "d")):
+            cache.plan(parse_query("x*y : 5", name=name),
+                       {"x": 1.5 + i, "y": 2.0})
+        assert len(cache._cache) == 3
+        indexed = {key for keys in cache._keys_of.values() for key in keys}
+        assert indexed == set(cache._cache)
+        assert "b" not in cache._keys_of       # its only entry was evicted
+        cache.clear()
+        assert not cache._keys_of
+
+    def test_cost_is_the_names_entries_not_the_caches(self):
+        """At 10^4 foreign entries, forgetting a 3-entry name never walks
+        the cache: counted, not timed."""
+        from collections import OrderedDict
+
+        class NoScan(OrderedDict):
+            def __iter__(self):
+                raise AssertionError("forget_query scanned the whole cache")
+
+        cache = self._filled(10_000)
+        query = parse_query("x*y : 5", name="mine")
+        for x in (2.0, 3.0, 4.0):
+            cache.plan(query, {"x": x, "y": 2.0})
+        assert len(cache._cache) == 10_003
+        assert len(cache._keys_of["mine"]) == 3
+        cache._cache = NoScan(cache._cache)
+        cache.forget_query("mine")
+        assert len(cache._cache) == 10_000
+        assert "mine" not in cache._keys_of
+        assert cache.stats.misses == 10_003       # stats untouched by forgetting

@@ -11,8 +11,11 @@ query banks and perturbation sequences:
    solve at the same values to solver tolerance (the log-space program is
    convex, so a KKT point *is* the optimum — this suite is the empirical
    check on that argument).
-3. **Cold start** — a query's first plan (nothing to patch from) is the
-   inner planner's plan, bit for bit.
+3. **Cold start** — a query's first plan (nothing to patch from) is a
+   Newton-KKT patch from the linear anchor, held to the same acceptance
+   checks as a breach patch and to the full solve's objective within
+   1e-6; when that rung declines it is the inner planner's plan, bit for
+   bit.
 
 The reference throughout is a bare :class:`DualDABPlanner` — the
 multi-start solve the patch replaces on the breach path.
@@ -142,6 +145,65 @@ class TestPatchedPlanEquivalence:
                 full.objective, rel=OBJECTIVE_RTOL, abs=1e-9)
 
 
+#: Relative tolerance for a cold (linear-anchor) plan against the full
+#: solve: both are KKT points of one convex program.
+COLD_OBJECTIVE_RTOL = 1e-6
+
+
+class TestColdPlan:
+    """A first plan answered by the linear-anchor rung is the optimum the
+    multi-start solve finds, and passes the same gates as a breach patch."""
+
+    @given(case_seed=st.integers(0, 2**20),
+           qab_frac=st.floats(0.01, 0.5),
+           ddm=st.sampled_from(["monotonic", "random_walk"]))
+    @example(case_seed=12, qab_frac=0.25, ddm="monotonic")
+    @example(case_seed=77, qab_frac=0.3, ddm="random_walk")
+    # A purely linear query: the anchor's closed form is its optimum.
+    @example(case_seed=2, qab_frac=0.05, ddm="monotonic")
+    def test_cold_plan_matches_full_solve(self, case_seed, qab_frac, ddm):
+        query, values, model = _build_case(case_seed, qab_frac)
+        model = CostModel(ddm=ddm, rates=model.rates,
+                          recompute_cost=model.recompute_cost)
+        delta, reference = _delta_pair(model)
+        try:
+            plan = delta.plan(query, values)
+        except GPError:
+            assume(False)
+        stats = delta.stats
+        assert stats.cold_solves == 1 and stats.breaches == 0
+        assert stats.reanchors + stats.multistart_solves == 1
+        assert plan.guarantees_qab_over_window(query)
+        assert plan.recompute_rate > 0.0
+        for item in query.variables:
+            assert plan.secondary[item] >= plan.primary[item] * (1 - 1e-9)
+        if not stats.reanchors:
+            return                                 # the oracle itself answered
+        assert stats.max_residual <= 10.0 * delta.kkt_tol
+        try:
+            full = reference.plan(query, values)
+        except GPError:
+            assume(False)
+        assert plan.objective == pytest.approx(
+            full.objective, rel=COLD_OBJECTIVE_RTOL)
+
+    def test_the_rung_answers_generated_queries(self):
+        """The anchor is not a rarity: over a pinned spread of generated
+        queries and budgets it answers most first plans outright."""
+        answered = planned = 0
+        for case_seed in range(40):
+            query, values, model = _build_case(case_seed, 0.1)
+            delta, _ = _delta_pair(model)
+            try:
+                delta.plan(query, values)
+            except GPError:
+                continue
+            planned += 1
+            answered += delta.stats.reanchors
+        assert planned >= 30
+        assert answered >= 0.85 * planned
+
+
 class TestDeterministicWalk:
     """A longer pinned random walk: exercises repeated patching with the
     warm-start state advancing each tick — independent of the Hypothesis
@@ -168,16 +230,22 @@ class TestDeterministicWalk:
         assert delta.stats.max_residual <= 10.0 * delta.kkt_tol
 
     def test_cold_solve_is_the_inner_planners_plan(self):
-        """Exact float equality, not approx: with no optimum to patch from
-        the wrapper may not perturb the solve path in any way."""
+        """Exact float equality, not approx: when the linear-anchor rung
+        declines (``kkt_tol=0`` — no finite residual passes) the cold plan
+        *is* the inner planner's, and the declined attempt may not have
+        perturbed the solve path in any way."""
         query, values, model = _build_case(77, 0.3)
         delta, reference = _delta_pair(model)
+        delta.kkt_tol = 0.0
         got, want = delta.plan(query, values), reference.plan(query, values)
         assert got.primary == want.primary
         assert got.secondary == want.secondary
         assert got.recompute_rate == want.recompute_rate
         assert got.objective == want.objective
-        assert delta.stats.cold_solves == 1 and delta.stats.breaches == 0
+        stats = delta.stats
+        assert stats.cold_solves == 1 and stats.breaches == 0
+        assert stats.reanchors == 0 and stats.multistart_solves == 1
+        assert stats.declines == {"main_kkt": 1}
 
     def test_residual_counters_track_accepted_patches(self):
         query, values, model = _build_case(12, 0.25)

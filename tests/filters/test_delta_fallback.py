@@ -40,12 +40,19 @@ class TestForcedDeclines:
     def test_unreachable_kkt_tol_declines_and_falls_back(self, world):
         query, values, model = world
         planner = _delta(model, kkt_tol=0.0)   # no finite residual passes
-        planner.plan(query, values)
-        plan = planner.plan(query, {k: v * 1.05 for k, v in values.items()})
+        first = planner.plan(query, values)
         stats = planner.stats
+        # The first plan's one patch rung (the linear anchor) declined ...
+        assert stats.cold_solves == 1 and stats.multistart_solves == 1
+        assert stats.declines == {"main_kkt": 1}
+        assert first.guarantees_qab_over_window(query)
+        plan = planner.plan(query, {k: v * 1.05 for k, v in values.items()})
+        # ... and the breach's two (last optimum, then the linear anchor).
         assert stats.patches == 0
         assert stats.fallbacks == 1
-        assert stats.declines.get("main_kkt", 0) == 1
+        assert stats.reanchors == 0
+        assert stats.multistart_solves == 2
+        assert stats.declines == {"main_kkt": 3}
         # The breach was still answered, by the full solve, soundly.
         assert plan.guarantees_qab_over_window(query)
         assert plan.recompute_rate > 0.0
@@ -106,6 +113,56 @@ class TestForcedDeclines:
         assert planner.stats.breaches == 0
 
 
+class TestReanchorRung:
+    """A common move large enough to leave ``qab`` slacker than the
+    working-set tolerance at the last optimum used to decline every patch
+    (an empty working set has no KKT point) and pay a multi-start solve
+    per query; the ladder's linear-anchor rung answers it instead."""
+
+    @pytest.fixture()
+    def bank(self):
+        from repro.dynamics.estimation import SampledRateEstimator
+        from repro.workloads import scaled_scenario
+
+        scenario = scaled_scenario(query_count=12, item_count=20,
+                                   trace_length=51, source_count=4, seed=3)
+        items = sorted({name for query in scenario.queries
+                        for name in query.variables})
+        model = CostModel(
+            rates=SampledRateEstimator().estimate_all(scenario.traces, items),
+            recompute_cost=5.0)
+        return scenario.queries, scenario.traces.initial_values(items), model
+
+    @pytest.mark.parametrize("factor", [0.7, 0.85, 0.9, 1.1, 1.3])
+    def test_common_move_never_reaches_the_multistart_solve(
+            self, bank, factor, monkeypatch):
+        from repro.gp import solver
+
+        queries, values, model = bank
+        planner = _delta(model)
+        for query in queries:
+            planner.plan(query, values)
+
+        solves = []
+        solve_compiled = solver.solve_compiled
+        monkeypatch.setattr(
+            solver, "solve_compiled",
+            lambda *args, **kwargs: (solves.append(1),
+                                     solve_compiled(*args, **kwargs))[1])
+        moved = {name: value * factor for name, value in values.items()}
+        for query in queries:
+            plan = planner.plan(query, moved)
+            assert plan.guarantees_qab_over_window(query)
+        stats = planner.stats
+        assert solves == []
+        assert stats.patches == len(queries) and stats.fallbacks == 0
+        assert stats.max_residual <= 10.0 * planner.kkt_tol
+        if factor <= 0.85:
+            # The drop left every last optimum strictly interior.
+            assert stats.declines == {"main_kkt": len(queries)}
+            assert stats.reanchors >= 2 * len(queries)
+
+
 class TestNewtonPatchGuards:
     """Degenerate starts are declines (None), never exceptions."""
 
@@ -114,7 +171,7 @@ class TestNewtonPatchGuards:
         query, values, model = world
         inner = DualDABPlanner(model, use_compiled=True)
         inner.plan(query, values)
-        return inner.compiled_template(query.name).compiled
+        return inner.ensure_template(query, values).compiled
 
     def test_no_start_declines(self, compiled):
         assert newton_patch(compiled, None) is None
@@ -150,7 +207,7 @@ class TestNewtonPatchCost:
         query, values, model = world
         inner = DualDABPlanner(model, use_compiled=True)
         inner.plan(query, values)
-        template = inner.compiled_template(query.name)
+        template = inner.ensure_template(query, values)
         template.refresh({k: v * 1.02 for k, v in values.items()})
 
         calls = {"evaluate": 0, "rounds": 0}

@@ -118,29 +118,20 @@ def test_newton_patch_after_refresh_sees_the_refresh(cost_model,
     assert patched.objective != pytest.approx(anchor.objective, rel=1e-5)
 
 
-def test_widen_template_reuses_the_first_expansion_only_at_its_values(
-        cost_model, monkeypatch):
-    """One deviation expansion per new query: the widening template built
-    during the first plan takes the dual template's expansion; built later at
-    other values it must expand again rather than reuse stale coefficients."""
-    from repro.filters import compiled_gp, dual_dab
-
-    calls = []
-    expand = compiled_gp.dual_dab_condition
-
-    def counting(terms, values, qab):
-        calls.append(dict(values))
-        return expand(terms, values, qab)
-
-    monkeypatch.setattr(compiled_gp, "dual_dab_condition", counting)
-    monkeypatch.setattr(dual_dab, "dual_dab_condition", counting)
-
-    template = CompiledDualDabTemplate(QUERY, V1, cost_model)
-    primary = _primary(QUERY, template.solve(V1))
-    template.widen_template(V1, primary)
-    assert len(calls) == 1
-
+def test_widen_template_built_late_is_priced_at_its_own_values(cost_model):
+    """A widening template first built at other values than its dual
+    template was is priced at those values, not the dual template's: it
+    solves to what a template built there from scratch does."""
     late = CompiledDualDabTemplate(QUERY, V1, cost_model)
-    late_primary = _primary(QUERY, late.solve(V2))
-    late.widen_template(V2, late_primary)       # self-checks at V2
-    assert [call["x"] for call in calls[1:]] == [V1["x"], V2["x"]]
+    main = late.solve(V2)
+    primary = _primary(QUERY, main)
+    got = late.widen_template(V2, primary).solve(
+        V2, primary, initial=main.values)
+
+    fresh = CompiledDualDabTemplate(QUERY, V2, cost_model)
+    want = fresh.widen_template(V2, primary).solve(
+        V2, primary, initial=main.values)
+    assert got.values == want.values
+    stale = fresh.widen_template(V2, primary).solve(
+        V1, primary, initial=main.values)
+    assert got.values != stale.values

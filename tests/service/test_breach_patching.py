@@ -6,9 +6,10 @@ service level: agents replay a 10x-volatility scenario (the
 ``test_recompute_modes`` shape — default traces barely break a window)
 over ``connect_loopback`` links into one server, and the served values are
 judged by the shared oracle, :func:`repro.invariants.check_served`, at
-checkpoints along the run.  Once with the planner as shipped (breaches
-patch), once with ``kkt_tol=0`` (every patch declines, every breach gets
-the full solve): the served-value contract is the same.
+checkpoints along the run.  Once with the planner as shipped (first plans
+and breaches patch), once with ``kkt_tol=0`` from construction (every
+patch rung declines, every plan is the full solve's): the served-value
+contract is the same.
 """
 
 import asyncio
@@ -30,9 +31,11 @@ STEPS = 150
 AUDIT_EVERY = 25
 
 
-def build_server():
+def build_server(kkt_tol=None):
     """One coordinator over the volatile scenario, planned exactly as
-    ``build_scenario_server`` plans (which cannot set the volatility)."""
+    ``build_scenario_server`` plans (which cannot set the volatility).
+    ``kkt_tol`` is set on the patch layer before the server plans
+    anything."""
     scenario = scaled_scenario(query_count=6, item_count=20,
                                trace_length=STEPS + 1, source_count=SOURCES,
                                seed=13, volatility=0.02)
@@ -45,6 +48,8 @@ def build_server():
         rates=SampledRateEstimator().estimate_all(config.traces, items))
     planner = QuantisingCachePlanner(build_planner(config, cost_model),
                                      grid=config.cache_grid)
+    if kkt_tol is not None:
+        find_delta_planner(planner).kkt_tol = kkt_tol
     item_to_source = assign_items_to_sources(items, SOURCES)
     server = CoordinatorServer(
         queries=config.queries, planner=planner,
@@ -94,18 +99,32 @@ def test_breaches_are_patched_and_served_values_hold():
     assert breaches == stats["recomputations"]
     assert delta["patches"] > 0
     assert delta["fallbacks"] <= 0.05 * breaches
-    assert delta["fallbacks"] == sum(delta["declines"].values())
+    # Every first plan was answered by the linear-anchor rung, and only a
+    # fallback reaches the multi-start solve.
+    assert delta["cold_solves"] == len(scenario.queries)
+    assert delta["multistart_solves"] == delta["fallbacks"]
+    # Declined attempts: two per fallback, one per breach the anchor rung
+    # answered after the last optimum declined.
+    rescued = delta["reanchors"] - delta["cold_solves"]
+    assert rescued >= 0
+    assert sum(delta["declines"].values()) == (2 * delta["fallbacks"]
+                                               + rescued)
     assert delta["max_residual"] <= 10.0 * kkt_tol <= 1e-6
 
 
 def test_every_patch_declining_serves_the_same_contract():
-    server, scenario, item_to_source = build_server()
-    find_delta_planner(server.core.planner).kkt_tol = 0.0
+    server, scenario, item_to_source = build_server(kkt_tol=0.0)
     violations, stats = asyncio.run(drive(server, scenario, item_to_source))
     assert violations == []
     delta = stats["delta_recompute"]
-    assert delta["patches"] == 0
+    assert delta["patches"] == 0 and delta["reanchors"] == 0
     assert delta["fallbacks"] >= 50
     assert delta["fallbacks"] == stats["recomputations"]
-    assert delta["declines"] == {"main_kkt": delta["fallbacks"]}
+    assert delta["cold_solves"] == len(scenario.queries)
+    assert delta["multistart_solves"] == (delta["cold_solves"]
+                                          + delta["fallbacks"])
+    # One declined rung per first plan (the linear anchor), two per breach
+    # (the last optimum, then the anchor).
+    assert delta["declines"] == {
+        "main_kkt": delta["cold_solves"] + 2 * delta["fallbacks"]}
     assert delta["max_residual"] == 0.0
