@@ -128,7 +128,7 @@ def _time_reference(cost_model, plan_calls):
     and returns the latencies of the breach solves only.  A test-side
     oracle: nothing in ``src/`` can route a breach this way.
     """
-    reference = DualDABPlanner(cost_model, use_compiled=True)
+    reference = DualDABPlanner(cost_model)
     planned, seconds = set(), []
     for query, values in plan_calls:
         started = time.perf_counter()
@@ -212,7 +212,7 @@ def _measure_cold(params):
 
     def reference_stack():
         return DifferentSumPlanner(
-            cost_model, DualDABPlanner(cost_model, use_compiled=True))
+            cost_model, DualDABPlanner(cost_model))
 
     first_plans(reference_stack())          # warm the interpreter and numpy
     shipped = build_planner(config, cost_model)

@@ -65,7 +65,9 @@ class QuantisingCachePlanner:
         self.grid = grid
         self.max_entries = max_entries
         self.stats = CacheStats()
-        self._cache: "OrderedDict[Tuple, DABAssignment]" = OrderedDict()
+        #: key -> (the query the plan was solved for, the plan).
+        self._cache: "OrderedDict[Tuple, Tuple[PolynomialQuery, DABAssignment]]" \
+            = OrderedDict()
         #: root query name (what precedes any ``__`` derivative suffix) ->
         #: its cache keys, so forgetting a name costs its own entries, not
         #: a scan of the cache (a dict for its O(1) removal).
@@ -82,14 +84,19 @@ class QuantisingCachePlanner:
         quantised = {name: self._quantise_up(float(values[name]))
                      for name in query.variables}
         key = (query.name, tuple(sorted(quantised.items())))
-        cached = self._cache.get(key)
-        if cached is not None:
+        entry = self._cache.get(key)
+        if entry is not None and entry[0] == query:
+            cached = entry[1]
             self._cache.move_to_end(key)
             self.stats.hits += 1
         else:
+            # A same-named query with other terms or another QAB misses
+            # and takes the entry over: a plan serves the query it was
+            # solved for and no other.
             self.stats.misses += 1
             cached = self.planner.plan(query, quantised)
-            self._cache[key] = cached
+            self._cache[key] = (query, cached)
+            self._cache.move_to_end(key)
             self._keys_of.setdefault(_root(query.name), {})[key] = None
             if len(self._cache) > self.max_entries:
                 evicted, _ = self._cache.popitem(last=False)
@@ -116,11 +123,10 @@ class QuantisingCachePlanner:
 
     def forget_query(self, name: str) -> None:
         """Evict every cached plan for *name* (and its ``name__*`` split
-        derivatives) and forget it downstream.  Needed when the name may
-        be re-registered with a different polynomial or budget: the
-        cache key carries the quantised values but not the qab, so a
-        same-variables/different-budget re-registration would otherwise
-        replay a plan solved for the old budget."""
+        derivatives) and forget it downstream, releasing their memory once
+        the query is gone.  Not needed for soundness: every entry keeps
+        the query it was solved for, and a same-named query with another
+        polynomial or budget misses."""
         prefix = f"{name}__"
         for key in [k for k in self._keys_of.get(_root(name), ())
                     if k[0] == name or k[0].startswith(prefix)]:

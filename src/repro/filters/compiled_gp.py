@@ -10,6 +10,8 @@ from :class:`~repro.queries.compiled.CompiledDeviation` /
 two-variable signatures — and thereafter refresh only the log-coefficient
 vectors in place before :func:`repro.gp.solver.solve_compiled` or a
 Newton-KKT patch.  No ``Monomial`` or ``Posynomial`` is constructed.
+They are the only way the planners solve; a template serves the query it
+was built for (``template.query``) and no other.
 
 Bit-exactness contract
 ----------------------
@@ -17,9 +19,8 @@ A refreshed template must hand the solver *bitwise identical* arrays to
 what the object builders of :mod:`repro.filters.dual_dab` and
 :mod:`repro.filters.optimal_refresh` produce through ``.compile()`` at the
 same values and rates — variables, constraint names, ``A``, ``starts`` and
-``log_c`` — identical inputs plus the solver's own per-call determinism
-give identical solutions, which is what keeps the simulation
-metric-identical to the reference (object-GP) path.  That means every
+``log_c`` — so that a template solve *is* the solve of the paper's
+program as those builders write it down.  That means every
 function's rows in sorted-signature order (how a ``Posynomial`` keeps its
 terms), constraints in the builders' order, and a constant constraint
 dropped or reported infeasible exactly as ``compile()`` does.  The
@@ -178,7 +179,9 @@ class CompiledDualDabTemplate:
 
     def widen(self, values: Mapping[str, float], primary: Mapping[str, float],
               initial: Optional[Mapping[str, float]] = None) -> Dict[str, float]:
-        """Compiled equivalent of :func:`repro.filters.dual_dab.widen_secondary`."""
+        """The widened secondary DABs for fixed ``primary`` (the second
+        pass of :class:`~repro.filters.dual_dab.DualDABPlanner`), never
+        below the primaries."""
         solution = self.widen_template(values, primary).solve(
             values, primary, initial=initial)
         items = self.query.variables

@@ -64,7 +64,7 @@ from scipy.optimize import nnls
 from repro.exceptions import FilterError, GPError
 from repro.filters.assignment import DABAssignment
 from repro.filters.dual_dab import RECOMPUTE_RATE_VARIABLE, DualDABPlanner
-from repro.filters.optimal_refresh import _forget_name
+from repro.filters.optimal_refresh import _built_for, _forget_name
 from repro.gp.program import CompiledProgram, Evaluation
 from repro.gp.sensitivity import kkt_residual
 from repro.gp.solver import FEASIBILITY_TOL, _Y_BOUND
@@ -218,6 +218,17 @@ class DeltaStats:
             "max_residual": self.max_residual,
             "declines": dict(self.declines),
         }
+
+
+@dataclass
+class _PatchState:
+    """What a query's next patch starts from: the last main-program optimum
+    (``None`` until one is accepted) and the last widened secondary DABs,
+    kept for the query they were solved for and no other."""
+
+    query: PolynomialQuery
+    main: Optional[Dict[str, float]] = None
+    secondary: Dict[str, float] = field(default_factory=dict)
 
 
 def _newton_working_set(
@@ -457,18 +468,12 @@ class DeltaRecomputePlanner:
         max_newton_iterations: int = 12,
         max_working_set_rounds: int = 4,
     ):
-        if not inner.use_compiled:
-            raise FilterError(
-                "delta recompute needs the compiled-GP templates; build the "
-                "inner DualDABPlanner with use_compiled=True")
         self.inner = inner
         self.kkt_tol = float(kkt_tol)
         self.max_newton_iterations = int(max_newton_iterations)
         self.max_working_set_rounds = int(max_working_set_rounds)
         self.stats = DeltaStats()
-        #: query name -> {"main": last main-solve values,
-        #:                "secondary": last widened secondary DABs}
-        self._states: Dict[str, Dict[str, Dict[str, float]]] = {}
+        self._states: Dict[str, _PatchState] = {}
 
     # -- planning -----------------------------------------------------------------
 
@@ -476,13 +481,13 @@ class DeltaRecomputePlanner:
              values: Mapping[str, float]) -> DABAssignment:
         started = _time.perf_counter()
         stats = self.stats
-        state = self._states.get(query.name)
+        state = _built_for(self._states, query)
         first = state is None
         plan = None
         if state is not None:
             plan = self._try_patch(query, values, state)
         if plan is None:
-            anchor: Dict[str, Dict[str, float]] = {}
+            anchor = _PatchState(query)
             plan = self._try_patch(query, values, anchor)
             if plan is not None:
                 self._states[query.name] = anchor
@@ -513,15 +518,13 @@ class DeltaRecomputePlanner:
             raise
         main = self.inner.warm_start(query.name)
         if main is not None and plan.secondary is not None:
-            self._states[query.name] = {
-                "main": dict(main),
-                "secondary": dict(plan.secondary),
-            }
+            self._states[query.name] = _PatchState(
+                query, dict(main), dict(plan.secondary))
         return plan
 
     def _try_patch(self, query: PolynomialQuery, values: Mapping[str, float],
-                   state: Dict[str, Dict[str, float]]) -> Optional[DABAssignment]:
-        """One plan, patched from ``state["main"]`` — from the linear anchor
+                   state: _PatchState) -> Optional[DABAssignment]:
+        """One plan, patched from ``state.main`` — from the linear anchor
         when ``state`` has none yet — or ``None`` with the decline reason
         noted."""
         stats = self.stats
@@ -536,7 +539,7 @@ class DeltaRecomputePlanner:
         stats.affected_items += len(affected)
 
         main = newton_patch(
-            template.compiled, state.get("main") or linear_anchor(template),
+            template.compiled, state.main or linear_anchor(template),
             kkt_tol=self.kkt_tol,
             max_newton_iterations=self.max_newton_iterations,
             max_working_set_rounds=self.max_working_set_rounds,
@@ -577,8 +580,8 @@ class DeltaRecomputePlanner:
             stats.note_decline("qab_invariant")
             return None
 
-        state["main"] = dict(main.values)
-        state["secondary"] = dict(secondary)
+        state.main = dict(main.values)
+        state.secondary = dict(secondary)
         # Keep the full-solve path warm-started from the patched optimum,
         # exactly as a full solve would have left it.
         self.inner.seed_warm_start(query.name, main.values)
@@ -597,7 +600,7 @@ class DeltaRecomputePlanner:
             stats.note_decline("widen_infeasible")
             return None
         start = {}
-        previous = state.get("secondary", {})
+        previous = state.secondary
         for name in items:
             c = previous.get(name, main_secondary[name])
             start[secondary_variable(name)] = max(float(c), primary[name])
@@ -621,7 +624,8 @@ class DeltaRecomputePlanner:
 
     def forget_query(self, name: str) -> None:
         """Drop *name*'s anchor state and the inner planner's per-name
-        caches (the query may be re-registered with a different shape)."""
+        caches, releasing their memory once the query is gone (a query
+        re-registered under the name starts cold either way)."""
         _forget_name(name, self._states)
         forget = getattr(self.inner, "forget_query", None)
         if forget is not None:

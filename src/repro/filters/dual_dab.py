@@ -27,7 +27,7 @@ from repro.gp.posynomial import Posynomial, substitute
 from repro.gp.program import GeometricProgram
 from repro.filters.assignment import DABAssignment
 from repro.filters.cost_model import CostModel
-from repro.filters.optimal_refresh import _forget_name, _require_ppq
+from repro.filters.optimal_refresh import _built_for, _forget_name, _require_ppq
 from repro.queries.deviation import (
     dual_dab_condition,
     primary_variable,
@@ -47,9 +47,9 @@ def build_dual_dab_program(
     constrain_window: bool = True,
     recompute_envelope: str = "sum",
 ) -> GeometricProgram:
-    """Construct the dual-DAB GP for one PPQ (exposed for AAO, which embeds
-    per-query copies of these constraints in a joint program, and as the
-    oracle the array-built compiled templates are tested against).
+    """Construct the dual-DAB GP for one PPQ — the test oracle the
+    array-built :class:`~repro.filters.compiled_gp.CompiledDualDabTemplate`
+    is held to.
 
     ``recompute_envelope`` selects how the recomputation rate ``R`` bounds
     the per-item window-crossing rates:
@@ -103,8 +103,8 @@ def build_widen_program(
     cost_model: CostModel,
     constrain_window: bool = True,
 ) -> GeometricProgram:
-    """Construct the second-pass widening GP (see :func:`widen_secondary`);
-    exposed as the oracle of the compiled widening template."""
+    """Construct the second-pass widening GP (see :class:`DualDABPlanner`)
+    — the test oracle of the compiled widening template."""
     items = query.variables
     fixed = {primary_variable(name): float(primary[name]) for name in items}
     objective = Posynomial([
@@ -122,51 +122,28 @@ def build_widen_program(
     return program
 
 
-def widen_secondary(
-    query: PolynomialQuery,
-    values: Mapping[str, float],
-    primary: Mapping[str, float],
-    cost_model: CostModel,
-    constrain_window: bool = True,
-    initial: Optional[Mapping[str, float]] = None,
-) -> Dict[str, float]:
-    """Second-pass window widening: with the primary DABs fixed at ``b*``,
-    choose the secondary DABs minimising the *union-bound* recomputation
-    rate ``sum_i λ_i / c_i`` subject to the same QAB condition.
-
-    The paper's formulation constrains only ``R = max_i λ_i / c_i``, which
-    leaves the non-binding ``c_i`` degenerate — an interior-point solver
-    (the paper's CVXOPT) lands on generous windows, an active-set solver
-    parks them at their lower bound.  This pass removes the degeneracy
-    deterministically, never touching refresh optimality (``b*`` is fixed)
-    and never loosening the QAB guarantee.
-    """
-    items = query.variables
-    program = build_widen_program(query, values, primary, cost_model,
-                                  constrain_window=constrain_window)
-    solution = program.solve(initial=initial)
-    secondary = {name: solution.values[secondary_variable(name)] for name in items}
-    for name in items:
-        if secondary[name] < primary[name]:
-            secondary[name] = float(primary[name])
-    return secondary
-
-
 class DualDABPlanner:
     """Primary+secondary DAB planner for PPQs (the paper's main algorithm).
 
-    ``widen_windows`` enables the second-pass secondary-DAB widening (see
-    :func:`widen_secondary`); disable it to study the raw formulation.
+    Each query's GP is a :class:`~repro.filters.compiled_gp.CompiledDualDabTemplate`,
+    built once per query and re-priced at every plan.  ``widen_windows``
+    adds a second pass: with the primary DABs fixed at ``b*``, choose the
+    secondary DABs minimising the *union-bound* recomputation rate
+    ``sum_i λ_i / c_i`` subject to the same QAB condition.  The paper's
+    formulation constrains only ``R = max_i λ_i / c_i``, which leaves the
+    non-binding ``c_i`` degenerate — an interior-point solver (the paper's
+    CVXOPT) lands on generous windows, an active-set solver parks them at
+    their lower bound.  The pass removes the degeneracy deterministically,
+    never touching refresh optimality (``b*`` is fixed) and never loosening
+    the QAB guarantee; disable it to study the raw formulation.
     """
 
     def __init__(self, cost_model: CostModel, constrain_window: bool = True,
-                 widen_windows: bool = True, recompute_envelope: str = "sum",
-                 use_compiled: bool = False):
+                 widen_windows: bool = True, recompute_envelope: str = "sum"):
         self.cost_model = cost_model
         self.constrain_window = constrain_window
         self.widen_windows = widen_windows
         self.recompute_envelope = recompute_envelope
-        self.use_compiled = bool(use_compiled)
         self._warm_starts: Dict[str, Dict[str, float]] = {}
         self._templates: Dict[str, object] = {}
 
@@ -177,20 +154,10 @@ class DualDABPlanner:
         ``reference ± secondary``; only then must this method be called
         again (the coordinator's recompute policy enforces this).
         """
-        _require_ppq(query, "DualDABPlanner")
         items = query.variables
-
-        template = None
-        if self.use_compiled:
-            template = self.ensure_template(query, values)
-            solution = template.solve(
-                values, initial=self._warm_starts.get(query.name))
-        else:
-            program = build_dual_dab_program(
-                query, values, self.cost_model, constrain_window=self.constrain_window,
-                recompute_envelope=self.recompute_envelope,
-            )
-            solution = program.solve(initial=self._warm_starts.get(query.name))
+        template = self.ensure_template(query, values)
+        solution = template.solve(
+            values, initial=self._warm_starts.get(query.name))
         self._warm_starts[query.name] = dict(solution.values)
 
         primary = {name: solution.values[primary_variable(name)] for name in items}
@@ -200,17 +167,8 @@ class DualDABPlanner:
             if secondary[name] < primary[name]:
                 secondary[name] = primary[name]
         if self.widen_windows:
-            if template is not None:
-                secondary = template.widen(
-                    values, primary,
-                    initial=self._warm_starts.get(query.name),
-                )
-            else:
-                secondary = widen_secondary(
-                    query, values, primary, self.cost_model,
-                    constrain_window=self.constrain_window,
-                    initial=self._warm_starts.get(query.name),
-                )
+            secondary = template.widen(
+                values, primary, initial=self._warm_starts.get(query.name))
         return DABAssignment(
             primary=primary,
             secondary=secondary,
@@ -219,23 +177,26 @@ class DualDABPlanner:
             objective=solution.objective,
         )
 
-    # -- delta-recompute plumbing ------------------------------------------------
-
     def ensure_template(self, query: PolynomialQuery,
                         values: Mapping[str, float]):
         """The query's :class:`CompiledDualDabTemplate`, assembled (and
-        refreshed at ``values``) on first use."""
-        template = self._templates.get(query.name)
+        refreshed at ``values``) on the query's first use.  A same-named
+        query with other terms or another QAB gets a new template, and its
+        predecessor's warm start goes with the old one."""
+        template = _built_for(self._templates, query)
         if template is None:
             from repro.filters.compiled_gp import CompiledDualDabTemplate
 
             _require_ppq(query, "DualDABPlanner")
+            self._warm_starts.pop(query.name, None)
             template = self._templates[query.name] = CompiledDualDabTemplate(
                 query, values, self.cost_model,
                 constrain_window=self.constrain_window,
                 recompute_envelope=self.recompute_envelope,
             )
         return template
+
+    # -- delta-recompute plumbing ------------------------------------------------
 
     def warm_start(self, query_name: str) -> Optional[Dict[str, float]]:
         """The main-program optimum of the query's last solve (captured
@@ -254,9 +215,8 @@ class DualDABPlanner:
 
     def forget_query(self, name: str) -> None:
         """Drop every per-name cache for *name* (and the ``name__*``
-        derivatives the split heuristics plan through).  Required when a
-        query is removed and a *different* query may later reuse the
-        name — e.g. live resharding re-adding a re-decomposed sub-query:
-        a stale compiled template or warm start solves the old program
-        shape and misses the new variables."""
+        derivatives the split heuristics plan through) to release their
+        memory once the query is gone.  Not needed for soundness: a
+        different query reusing the name gets its own template and a cold
+        start (:meth:`ensure_template`)."""
         _forget_name(name, self._warm_starts, self._templates)

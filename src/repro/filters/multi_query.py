@@ -29,6 +29,7 @@ from repro.gp.monomial import Monomial
 from repro.gp.posynomial import Posynomial
 from repro.gp.program import GeometricProgram
 from repro.filters.assignment import DABAssignment, MultiQueryAssignment
+from repro.filters.compiled_gp import CompiledDualDabTemplate
 from repro.filters.cost_model import CostModel
 from repro.filters.dual_dab import DualDABPlanner
 from repro.filters.heuristics import DifferentSumPlanner
@@ -162,12 +163,10 @@ class AAOPlanner:
                 if secondary[name] < primary[name]:
                     secondary[name] = primary[name]
             if self.widen_windows:
-                from repro.filters.dual_dab import widen_secondary
-
-                secondary = widen_secondary(
-                    query, values, primary, self.cost_model,
+                secondary = CompiledDualDabTemplate(
+                    query, values, self.cost_model,
                     constrain_window=self.constrain_window,
-                )
+                ).widen(values, primary)
             per_query[query.name] = DABAssignment(
                 primary=primary,
                 secondary=secondary,

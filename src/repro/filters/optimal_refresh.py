@@ -43,13 +43,23 @@ def _forget_name(name: str, *tables: Dict[str, object]) -> None:
             del table[key]
 
 
+def _built_for(table: Dict[str, object], query: PolynomialQuery):
+    """The entry *table* keeps under ``query.name`` if it was built for
+    this very query — equal terms and QAB — else ``None``.  A name is a
+    label: a same-named query with another polynomial or bound is priced
+    on its own program, never on the one compiled for its predecessor."""
+    entry = table.get(query.name)
+    return entry if entry is not None and entry.query == query else None
+
+
 def build_optimal_refresh_program(
     query: PolynomialQuery,
     values: Mapping[str, float],
     cost_model: CostModel,
 ) -> GeometricProgram:
-    """Construct the Optimal-Refresh GP for one PPQ (exposed so the
-    compiled-template path can build it once per query)."""
+    """Construct the Optimal-Refresh GP for one PPQ — the test oracle the
+    array-built :class:`~repro.filters.compiled_gp.CompiledOptimalRefreshTemplate`
+    is held to."""
     program = GeometricProgram(objective=cost_model.refresh_objective(query.variables))
     condition = deviation_posynomial(query.terms, values, include_secondary=False)
     program.add_constraint(condition / query.qab, 1.0, name="qab")
@@ -59,15 +69,13 @@ def build_optimal_refresh_program(
 class OptimalRefreshPlanner:
     """Refresh-optimal single-DAB planner for PPQs.
 
-    With ``use_compiled`` the per-query GP structure (exponent matrices,
-    constraint layout) is built once and only its log-coefficients refresh
-    per recomputation — bitwise identical solves, minus the posynomial
-    rebuild (see :mod:`repro.filters.compiled_gp`).
+    Each query's GP structure (exponent matrices, constraint layout) is
+    built once, as a :class:`~repro.filters.compiled_gp.CompiledOptimalRefreshTemplate`,
+    and only its log-coefficients refresh per recomputation.
     """
 
-    def __init__(self, cost_model: CostModel, use_compiled: bool = False):
+    def __init__(self, cost_model: CostModel):
         self.cost_model = cost_model
-        self.use_compiled = bool(use_compiled)
         self._warm_starts: Dict[str, Dict[str, float]] = {}
         self._templates: Dict[str, object] = {}
 
@@ -77,22 +85,17 @@ class OptimalRefreshPlanner:
         Returns a single-DAB assignment (``secondary=None``): the caller
         must recompute it whenever any input item is refreshed.
         """
-        _require_ppq(query, "OptimalRefreshPlanner")
         items = query.variables
+        template = _built_for(self._templates, query)
+        if template is None:
+            from repro.filters.compiled_gp import CompiledOptimalRefreshTemplate
 
-        if self.use_compiled:
-            template = self._templates.get(query.name)
-            if template is None:
-                from repro.filters.compiled_gp import CompiledOptimalRefreshTemplate
-
-                template = CompiledOptimalRefreshTemplate(
-                    query, values, self.cost_model)
-                self._templates[query.name] = template
-            solution = template.solve(
-                values, initial=self._warm_starts.get(query.name))
-        else:
-            program = build_optimal_refresh_program(query, values, self.cost_model)
-            solution = program.solve(initial=self._warm_starts.get(query.name))
+            _require_ppq(query, "OptimalRefreshPlanner")
+            self._warm_starts.pop(query.name, None)
+            template = self._templates[query.name] = \
+                CompiledOptimalRefreshTemplate(query, values, self.cost_model)
+        solution = template.solve(
+            values, initial=self._warm_starts.get(query.name))
         self._warm_starts[query.name] = dict(solution.values)
 
         primary = {name: solution.values[primary_variable(name)] for name in items}
@@ -109,7 +112,8 @@ class OptimalRefreshPlanner:
         self._warm_starts.clear()
 
     def forget_query(self, name: str) -> None:
-        """Drop every per-name cache for *name*: a different query may
-        later reuse it, and a stale compiled template solves the old
-        program (old budget, old variables)."""
+        """Drop every per-name cache for *name* (and its ``name__*``
+        derivatives) to release their memory once the query is gone.  Not
+        needed for soundness: a different query reusing the name gets its
+        own template and a cold start."""
         _forget_name(name, self._warm_starts, self._templates)

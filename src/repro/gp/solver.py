@@ -214,12 +214,12 @@ def solve_compiled(
 ) -> GPSolution:
     """Solve an already-compiled program (see :func:`solve`).
 
-    This is the re-entry point for compiled-GP structure reuse: planners
-    keep a :class:`CompiledProgram` per query, refresh only its
-    log-coefficient vectors at each recomputation, and call this directly —
-    skipping the posynomial rebuild and ``compile()`` entirely.  Given
-    bitwise-identical arrays and warm start, the solve trajectory (and
-    hence the returned solution) is identical to the uncompiled path.
+    This is the planners' solver: they keep a :class:`CompiledProgram` per
+    query, refresh only its log-coefficient vectors at each recomputation,
+    and call this directly — no posynomial is built or compiled.
+    :func:`solve` is ``compile()`` followed by this call, so given
+    bitwise-identical arrays and warm start the two return the same
+    solution, bit for bit.
     """
     iterate = _Iterate(compiled)
     rng = np.random.default_rng(seed)

@@ -186,8 +186,7 @@ _SINGLE_DAB_MODES = {
 def _dual_dab_stack(cost_model: CostModel) -> DeltaRecomputePlanner:
     """The dual-DAB core under the patch-first recompute layer (see
     :mod:`repro.filters.delta_recompute`)."""
-    return DeltaRecomputePlanner(
-        DualDABPlanner(cost_model, use_compiled=True))
+    return DeltaRecomputePlanner(DualDABPlanner(cost_model))
 
 
 def build_planner(config: SimulationConfig, cost_model: CostModel):
@@ -199,8 +198,7 @@ def build_planner(config: SimulationConfig, cost_model: CostModel):
     """
     algorithm = config.algorithm
     if algorithm is AlgorithmName.OPTIMAL_REFRESH:
-        return DifferentSumPlanner(
-            cost_model, OptimalRefreshPlanner(cost_model, use_compiled=True))
+        return DifferentSumPlanner(cost_model, OptimalRefreshPlanner(cost_model))
     if algorithm in (AlgorithmName.DUAL_DAB, AlgorithmName.DIFFERENT_SUM,
                      AlgorithmName.AAO_T):
         return DifferentSumPlanner(

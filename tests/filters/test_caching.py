@@ -165,6 +165,21 @@ class TestSoundness:
         assert plan.reference_values == {"x": 2.02, "y": 2.05}
         assert plan.guarantees_qab_over_window(fig2_query)
 
+    def test_same_name_tighter_qab_misses(self, cached_optimal, fig2_query):
+        """An entry serves the query it was solved for: the same name
+        under a tenfold tighter QAB at the same values is a miss that
+        takes the entry over, never a replay of the loose plan."""
+        inner, cache = cached_optimal
+        values = {"x": 2.0, "y": 2.0}
+        tight = fig2_query.with_qab(fig2_query.qab / 10)
+        cache.plan(fig2_query, values)
+        plan = cache.plan(tight, values)
+        assert (cache.stats.hits, cache.stats.misses, inner.calls) == (0, 2, 2)
+        assert plan.guarantees_qab(tight, values)
+        assert len(cache._cache) == 1
+        cache.plan(tight, values)
+        assert cache.stats.hits == 1
+
     def test_references_always_recentred(self, cached_optimal, fig2_query):
         _inner, cache = cached_optimal
         plan1 = cache.plan(fig2_query, {"x": 2.0, "y": 2.0})

@@ -5,22 +5,25 @@ import numpy as np
 import pytest
 
 from repro.dynamics.models import DataDynamicsModel
+from repro.dynamics.traces import Trace, TraceSet
 from repro.filters.compiled_gp import (
     CompiledDualDabTemplate,
     CompiledOptimalRefreshTemplate,
 )
 from repro.filters.cost_model import CostModel
 from repro.filters.dual_dab import (
+    RECOMPUTE_RATE_VARIABLE,
     DualDABPlanner,
     build_dual_dab_program,
     build_widen_program,
-    widen_secondary,
 )
 from repro.filters.optimal_refresh import (
     OptimalRefreshPlanner,
     build_optimal_refresh_program,
 )
 from repro.queries import parse_query
+from repro.queries.deviation import primary_variable, secondary_variable
+from repro.simulation.harness import SimulationConfig, build_planner
 
 
 def _assert_same_arrays(compiled, reference):
@@ -104,32 +107,78 @@ def test_widen_template_matches_scalar_compile(query):
 
 @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)
 def test_planner_solutions_identical(query):
-    """End to end: compiled planners return the exact scalar assignments,
-    warm starts included."""
-    values = VALUE_SETS[0]
-    for make in (
-        lambda cm, c: DualDABPlanner(cm, use_compiled=c),
-        lambda cm, c: OptimalRefreshPlanner(cm, use_compiled=c),
-    ):
-        cost_model = CostModel(rates={"x": 1.0, "y": 2.0, "z": 0.5},
-                               recompute_cost=5.0)
-        scalar = make(cost_model, False)
-        compiled = make(cost_model, True)
-        for vals in VALUE_SETS:
-            a = scalar.plan(query, vals)
-            b = compiled.plan(query, vals)
-            assert a.primary == b.primary
-            assert a.secondary == b.secondary
-            assert a.reference_values == b.reference_values
-            assert a.recompute_rate == b.recompute_rate
-            assert a.objective == b.objective
+    """End to end: each planner returns, bit for bit, what the object
+    builders' programs solve to from the same warm starts."""
+    items = query.variables
+    cost_model = CostModel(rates={"x": 1.0, "y": 2.0, "z": 0.5},
+                           recompute_cost=5.0)
+    dual, refresh = DualDABPlanner(cost_model), OptimalRefreshPlanner(cost_model)
+    dual_warm = refresh_warm = None
+    for vals in VALUE_SETS:
+        main = build_dual_dab_program(query, vals, cost_model).solve(
+            initial=dual_warm)
+        primary = {name: main.values[primary_variable(name)] for name in items}
+        widened = build_widen_program(query, vals, primary, cost_model).solve(
+            initial=main.values)
+        plan = dual.plan(query, vals)
+        assert plan.primary == primary
+        assert plan.secondary == {
+            name: max(widened.values[secondary_variable(name)], primary[name])
+            for name in items}
+        assert plan.reference_values == {name: vals[name] for name in items}
+        assert plan.recompute_rate == main.values[RECOMPUTE_RATE_VARIABLE]
+        assert plan.objective == main.objective
+        dual_warm = main.values
+
+        single = build_optimal_refresh_program(query, vals, cost_model).solve(
+            initial=refresh_warm)
+        plan = refresh.plan(query, vals)
+        assert plan.primary == {name: single.values[primary_variable(name)]
+                                for name in items}
+        assert plan.objective == single.objective
+        refresh_warm = single.values
 
 
-def test_widen_secondary_equivalence():
-    query = QUERIES[1]
-    cost_model = CostModel(rates={"x": 1.0, "y": 2.0, "z": 0.5})
-    values = VALUE_SETS[1]
-    primary = {name: 0.005 for name in query.variables}
-    main = CompiledDualDabTemplate(query, values, cost_model)
-    assert main.widen(values, primary) == widen_secondary(
-        query, values, primary, cost_model)
+def _dual_dab_stack(query, values, cost_model):
+    """The dual-DAB planner stack the simulator and the service ship."""
+    traces = TraceSet(Trace(name, [value, value])
+                      for name, value in values.items())
+    config = SimulationConfig(queries=[query], traces=traces,
+                              algorithm="dual_dab")
+    return build_planner(config, cost_model)
+
+
+class TestTemplateServesItsQuery:
+    """A template is reused only for an equal query (terms and QAB): the
+    same name under a tenfold tighter QAB is planned on its own program."""
+
+    QUERY = QUERIES[0]
+    VALUES = {"x": 10.0, "y": 20.0}
+    TIGHT = QUERY.with_qab(QUERY.qab / 10)
+
+    @pytest.fixture()
+    def cost_model(self):
+        return CostModel(rates={"x": 1.0, "y": 2.0}, recompute_cost=5.0)
+
+    def test_optimal_refresh(self, cost_model):
+        planner = OptimalRefreshPlanner(cost_model)
+        planner.plan(self.QUERY, self.VALUES)
+        plan = planner.plan(self.TIGHT, self.VALUES)
+        assert plan.guarantees_qab(self.TIGHT, self.VALUES)
+        assert plan == OptimalRefreshPlanner(cost_model).plan(
+            self.TIGHT, self.VALUES)
+
+    def test_dual_dab(self, cost_model):
+        planner = DualDABPlanner(cost_model)
+        planner.plan(self.QUERY, self.VALUES)
+        plan = planner.plan(self.TIGHT, self.VALUES)
+        assert plan.guarantees_qab_over_window(self.TIGHT)
+        assert plan == DualDABPlanner(cost_model).plan(self.TIGHT, self.VALUES)
+
+    def test_shipped_stack(self, cost_model):
+        stack = _dual_dab_stack(self.QUERY, self.VALUES, cost_model)
+        stack.plan(self.QUERY, self.VALUES)
+        plan = stack.plan(self.TIGHT, self.VALUES)
+        assert plan.guarantees_qab_over_window(self.TIGHT)
+        fresh = _dual_dab_stack(self.TIGHT, self.VALUES, cost_model)
+        assert plan == fresh.plan(self.TIGHT, self.VALUES)

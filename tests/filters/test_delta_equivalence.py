@@ -88,8 +88,8 @@ def _perturb(values, perturb_seed, tick, magnitude):
 
 def _delta_pair(model):
     """A patch-first planner plus an independent full-solve reference."""
-    delta = DeltaRecomputePlanner(DualDABPlanner(model, use_compiled=True))
-    reference = DualDABPlanner(model, use_compiled=True)
+    delta = DeltaRecomputePlanner(DualDABPlanner(model))
+    reference = DualDABPlanner(model)
     return delta, reference
 
 

@@ -11,7 +11,6 @@ import math
 
 import pytest
 
-from repro.exceptions import FilterError
 from repro.filters import CostModel, DualDABPlanner
 from repro.filters.caching import QuantisingCachePlanner
 from repro.filters.delta_recompute import (
@@ -32,8 +31,7 @@ def world():
 
 
 def _delta(model, **kwargs):
-    return DeltaRecomputePlanner(
-        DualDABPlanner(model, use_compiled=True), **kwargs)
+    return DeltaRecomputePlanner(DualDABPlanner(model), **kwargs)
 
 
 class TestForcedDeclines:
@@ -169,7 +167,7 @@ class TestNewtonPatchGuards:
     @pytest.fixture()
     def compiled(self, world):
         query, values, model = world
-        inner = DualDABPlanner(model, use_compiled=True)
+        inner = DualDABPlanner(model)
         inner.plan(query, values)
         return inner.ensure_template(query, values).compiled
 
@@ -205,7 +203,7 @@ class TestNewtonPatchCost:
         from repro.gp.program import CompiledProgram
 
         query, values, model = world
-        inner = DualDABPlanner(model, use_compiled=True)
+        inner = DualDABPlanner(model)
         inner.plan(query, values)
         template = inner.ensure_template(query, values)
         template.refresh({k: v * 1.02 for k, v in values.items()})
@@ -236,16 +234,10 @@ class TestConstruction:
         """There is one pipeline and no selector: the deleted ``mode``
         argument has no shim behind it, whatever its value."""
         _, _, model = world
-        inner = DualDABPlanner(model, use_compiled=True)
+        inner = DualDABPlanner(model)
         for mode in ("full", "delta", "incremental"):
             with pytest.raises(TypeError, match="mode"):
                 DeltaRecomputePlanner(inner, mode=mode)
-
-    def test_delta_requires_compiled_templates(self, world):
-        _, _, model = world
-        inner = DualDABPlanner(model, use_compiled=False)
-        with pytest.raises(FilterError, match="use_compiled"):
-            DeltaRecomputePlanner(inner)
 
     def test_find_delta_planner_walks_wrapper_stacks(self, world):
         _, _, model = world

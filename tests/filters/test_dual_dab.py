@@ -4,9 +4,9 @@ import pytest
 
 from repro.exceptions import NotPositiveCoefficientError
 from repro.filters import CostModel, DualDABPlanner, OptimalRefreshPlanner
-from repro.filters.dual_dab import build_dual_dab_program, widen_secondary
+from repro.filters.dual_dab import build_dual_dab_program, build_widen_program
 from repro.queries import parse_query
-from repro.queries.deviation import max_query_deviation
+from repro.queries.deviation import max_query_deviation, secondary_variable
 
 
 class TestStructure:
@@ -91,9 +91,10 @@ class TestEnvelopesAndWidening:
         values = {"x": 4.0, "y": 3.0, "z": 5.0}
         model = CostModel(rates={"x": 2.0, "y": 1.0, "z": 0.2}, recompute_cost=1.0)
         raw = DualDABPlanner(model, widen_windows=False).plan(q, values)
-        widened_secondary = widen_secondary(q, values, raw.primary, model)
+        widened = build_widen_program(q, values, raw.primary, model).solve()
         for item in raw.primary:
-            assert widened_secondary[item] >= raw.secondary[item] * (1 - 1e-6)
+            assert widened.values[secondary_variable(item)] >= \
+                raw.secondary[item] * (1 - 1e-6)
 
     def test_widened_plan_still_guarantees_window(self):
         q = parse_query("2 x*y + y*z : 3")

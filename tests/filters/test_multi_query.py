@@ -4,11 +4,12 @@ import pytest
 
 from repro.exceptions import FilterError, NotPositiveCoefficientError
 from repro.filters import AAOPlanner, CostModel, EQIPlanner
+from repro.filters.dual_dab import build_widen_program
 from repro.filters.multi_query import AAOTSchedule, rename_posynomial
 from repro.gp.monomial import Monomial
 from repro.gp.posynomial import Posynomial
 from repro.queries import parse_query
-from repro.queries.deviation import max_query_deviation
+from repro.queries.deviation import max_query_deviation, secondary_variable
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,21 @@ class TestAAO:
         eqi_rate = model.estimated_refresh_rate(eqi.coordinator)
         aao_rate = model.estimated_refresh_rate(aao.coordinator)
         assert aao_rate <= eqi_rate * (1 + 1e-4)
+
+    def test_secondaries_are_the_widening_oracle(self, two_queries,
+                                                 three_values, model):
+        """AAO widens each query's windows through its compiled template:
+        bit for bit what the object-built widening program solves to."""
+        queries = two_queries + [parse_query("x^2*y + 3 z : 6", name="mq3")]
+        multi = AAOPlanner(model).plan_all(queries, three_values)
+        for query in queries:
+            plan = multi.per_query[query.name]
+            widened = build_widen_program(
+                query, three_values, plan.primary, model).solve()
+            assert plan.secondary == {
+                name: max(widened.values[secondary_variable(name)],
+                          plan.primary[name])
+                for name in query.variables}
 
     def test_rejects_mixed_sign(self, model):
         queries = [parse_query("x - u*v : 5", name="bad_aao")]

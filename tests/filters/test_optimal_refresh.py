@@ -101,7 +101,7 @@ class TestForgetQuery:
     def _stack(self):
         model = CostModel(rates={name: 1.0 for name in self.VALUES})
         return DifferentSumPlanner(
-            model, OptimalRefreshPlanner(model, use_compiled=True))
+            model, OptimalRefreshPlanner(model))
 
     def test_same_name_tighter_budget_is_replanned(self):
         planner = self._stack()
@@ -124,7 +124,7 @@ class TestForgetQuery:
 
     def test_split_derivatives_are_forgotten_too(self):
         model = CostModel(rates={name: 1.0 for name in self.VALUES})
-        base = OptimalRefreshPlanner(model, use_compiled=True)
+        base = OptimalRefreshPlanner(model)
         planner = HalfAndHalfPlanner(model, base)
         planner.plan(parse_query("x*y - y*z : 5.0", name="a"), self.VALUES)
         planner.plan(parse_query("x*z : 5.0", name="ab"), self.VALUES)

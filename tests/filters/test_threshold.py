@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.dynamics.traces import Trace, TraceSet
 from repro.exceptions import FilterError
 from repro.filters import CostModel
 from repro.filters.threshold import ThresholdMonitor, ThresholdQuery
 from repro.queries import parse_query
 from repro.queries.deviation import max_query_deviation
+from repro.simulation.harness import SimulationConfig, build_planner
 
 
 @pytest.fixture()
@@ -133,3 +135,38 @@ class TestMonitor:
         with pytest.raises(FilterError):
             ThresholdMonitor(threshold_query(spread_query, 10.0), model,
                              replan_ratio=1.0)
+
+
+class TestTighteningBound:
+    """Driving the value toward the threshold shrinks the bound replan
+    after replan; each plan must hold the bound it was planned with, on
+    whatever stack plans it (every replan reuses one query name)."""
+
+    START = {"x": 10.0, "y": 20.0}
+
+    @staticmethod
+    def _shipped_stack(poly, model):
+        traces = TraceSet(Trace(name, [value, value])
+                          for name, value in TestTighteningBound.START.items())
+        config = SimulationConfig(queries=[poly], traces=traces,
+                                  algorithm="dual_dab")
+        return build_planner(config, model)
+
+    @pytest.mark.parametrize("stack", ["default", "dual_dab"])
+    def test_every_replan_holds_its_bound(self, stack):
+        poly = parse_query("2 x*y + x^2 : 1", name="thr")    # P(START) = 500
+        model = CostModel(rates={"x": 1.0, "y": 2.0}, recompute_cost=5.0)
+        planner = self._shipped_stack(poly, model) if stack == "dual_dab" else None
+        monitor = ThresholdMonitor(threshold_query(poly, threshold=100.0),
+                                   model, planner=planner)
+        bounds = []
+        for step in range(12):
+            scale = 0.93 ** step
+            values = {name: value * scale for name, value in self.START.items()}
+            replans = monitor.replan_count
+            plan = monitor.plan(values)
+            if monitor.replan_count > replans:
+                bounds.append(monitor.planned_bound)
+                assert plan.guarantees_qab_over_window(
+                    poly.with_qab(monitor.planned_bound))
+        assert sum(b < a for a, b in zip(bounds, bounds[1:])) >= 3
