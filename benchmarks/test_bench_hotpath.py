@@ -188,8 +188,7 @@ def _measure_recompute(params):
 
 def _measure_cold(params):
     """First-plan latency of the point's whole bank through the planner
-    stack that ships (minus the solve cache, which a first plan always
-    misses), next to the same plans through a bare
+    stack that ships, next to the same plans through a bare
     :class:`DualDABPlanner` — the multi-start solve that answered every
     first plan before the linear-anchor rung, and is still its fallback.
     ``accepted_share`` is the share of first plans the rung answered."""

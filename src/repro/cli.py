@@ -116,7 +116,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         format_table,
         run_seed_sweep,
     )
-    from repro.simulation import SimulationConfig, run_simulation
+    from repro.simulation import AlgorithmName, SimulationConfig, run_simulation
     from repro.workloads import scaled_scenario
 
     scenario = scaled_scenario(
@@ -160,13 +160,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"fidelity loss        {m.fidelity_loss_percent:.3f}%")
     print(f"user notifications   {m.user_notifications}")
     print(f"DAB-change messages  {m.dab_change_messages}")
-    print(f"GP solves            {m.gp_solves} "
-          f"(cache hits {result.cache_hits})")
+    print(f"GP solves            {m.gp_solves}")
     print(f"wall time            {result.wall_seconds:.2f}s")
-    # Dual-DAB stacks only; like the wall time, the percentiles are
+    # Patch-ladder stacks only; like the wall time, the percentiles are
     # wall-clock readouts and differ between otherwise identical runs.
-    if result.recompute_latency is not None:
-        latency = result.recompute_latency
+    latency = result.recompute_latency
+    refresh_only = result.algorithm is AlgorithmName.OPTIMAL_REFRESH
+    if latency is not None and refresh_only:
+        print(f"plans                patched {latency['patches']}, "
+              f"solver {latency['multistart_solves']}")
+    elif latency is not None:
         print(f"breach recomputes    patches {latency['patches']}, "
               f"fallbacks {latency['fallbacks']}, "
               f"hit rate {latency['patch_hit_rate']:.2%} "

@@ -28,7 +28,6 @@ from repro.filters.heuristics import DifferentSumPlanner, HalfAndHalfPlanner
 from repro.filters.multi_query import AAOPlanner, EQIPlanner
 from repro.filters.baselines import SharfmanStyleBaseline, UniformAllocationBaseline
 from repro.filters.laq import assign_laq
-from repro.filters.caching import QuantisingCachePlanner
 from repro.filters.threshold import ThresholdMonitor, ThresholdQuery
 from repro.filters.signomial import SignomialPlanner
 
@@ -46,7 +45,6 @@ __all__ = [
     "SharfmanStyleBaseline",
     "UniformAllocationBaseline",
     "assign_laq",
-    "QuantisingCachePlanner",
     "ThresholdMonitor",
     "ThresholdQuery",
     "SignomialPlanner",

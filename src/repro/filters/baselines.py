@@ -25,39 +25,62 @@ from typing import Dict, Mapping, Optional
 from repro.exceptions import FilterError
 from repro.filters.assignment import DABAssignment
 from repro.filters.cost_model import CostModel
-from repro.queries.deviation import max_query_deviation, max_term_deviation
+from repro.queries.deviation import max_term_deviation
 from repro.queries.polynomial import PolynomialQuery
+from repro.queries.terms import QueryTerm
 
-#: Bisection tolerance relative to the initial bracket.
-_BISECT_REL_TOL = 1e-10
+#: A width is final once its Newton step is this small relative to it.
+_WIDTH_REL_TOL = 1e-12
+
+#: Most Newton steps per width; a width typically takes four to six.
+_WIDTH_ITERATIONS = 60
 
 
-def _solve_width(budget: float, deviation_at) -> float:
-    """Largest ``b`` with ``deviation_at(b) <= budget`` via bracket+bisect.
+def _positive_value(values: Mapping[str, float], name: str) -> float:
+    value = float(values[name])
+    if not value > 0.0:
+        raise FilterError(
+            f"baseline requires positive item values; {name!r} = {value!r}")
+    return value
 
-    ``deviation_at`` must be continuous, increasing and 0 at 0 — true for
-    every worst-case deviation in this package.
+
+def _term_width(term: QueryTerm, values: Mapping[str, float],
+                budget: float) -> float:
+    """Largest ``b`` with ``max_term_deviation(term, values, {i: b}) <=
+    budget`` when every item of the term moves by ``b``.
+
+    The deviation ``|w| (Π (V_i + b)^{p_i} - Π V_i^{p_i})`` is an
+    increasing, convex polynomial in ``b``; its log form
+    ``φ(b) = Σ p_i log1p(b / V_i) - log1p(budget / (|w| Π V_i^{p_i}))`` is
+    increasing and *concave*, with the same root.  Newton's method on
+    ``φ`` from ``b = 0`` — whose first step is the linear estimate — climbs
+    to the root monotonically, never past it.  The width it stops at is
+    checked against the budget with ``max_term_deviation`` itself, and
+    backed off while rounding leaves it a last ulp over.
     """
     if budget <= 0.0:
         raise FilterError(f"deviation budget must be positive, got {budget!r}")
-    low, high = 0.0, 1.0
-    # Grow the bracket until the budget is exceeded (cap to avoid runaway
-    # on degenerate inputs, e.g. items with near-zero weight).
-    for _ in range(200):
-        if deviation_at(high) >= budget:
+    factors = [(_positive_value(values, name), power)
+               for name, power in term.key]
+    base = math.prod(value ** power for value, power in factors)
+    target = math.log1p(budget / (abs(term.weight) * base))
+    width = 0.0
+    for _ in range(_WIDTH_ITERATIONS):
+        excess, slope = -target, 0.0
+        for value, power in factors:
+            excess += power * math.log1p(width / value)
+            slope += power / (value + width)
+        step = -excess / slope
+        width += step
+        if step <= _WIDTH_REL_TOL * width:
             break
-        low, high = high, high * 2.0
-    else:
-        return high  # deviation never reaches the budget: effectively unbounded
-    for _ in range(200):
-        mid = 0.5 * (low + high)
-        if deviation_at(mid) <= budget:
-            low = mid
-        else:
-            high = mid
-        if high - low <= _BISECT_REL_TOL * max(high, 1.0):
-            break
-    return low if low > 0.0 else high * 0.5
+    bounds = dict.fromkeys([name for name, _ in term.key], width)
+    backoff = _WIDTH_REL_TOL
+    while max_term_deviation(term, values, bounds) > budget:
+        width *= 1.0 - backoff
+        backoff = min(2.0 * backoff, 0.5)
+        bounds = dict.fromkeys(bounds, width)
+    return width
 
 
 class UniformAllocationBaseline:
@@ -72,13 +95,8 @@ class UniformAllocationBaseline:
         share = query.qab / len(query.terms)
         primary: Dict[str, float] = {}
         for term in query.terms:
-            width = _solve_width(
-                share,
-                lambda b, t=term: max_term_deviation(
-                    t, values, {name: b for name in t.variables}
-                ),
-            )
-            for name in term.variables:
+            width = _term_width(term, values, share)
+            for name, _ in term.key:
                 primary[name] = min(primary.get(name, width), width)
         return DABAssignment(
             primary=primary,
@@ -113,12 +131,7 @@ class SharfmanStyleBaseline:
         for term in query.terms:
             base = 1.0
             for name, power in term.key:
-                value = float(values[name])
-                if value <= 0.0:
-                    raise FilterError(
-                        f"baseline requires positive item values; {name!r} = {value!r}"
-                    )
-                base *= value ** power
+                base *= _positive_value(values, name) ** power
             relative_budget = share / (abs(term.weight) * base)
             growth = (1.0 + relative_budget) ** (1.0 / term.degree)
             for name, _power in term.key:

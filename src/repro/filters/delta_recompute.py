@@ -112,13 +112,14 @@ class PatchResult:
 class DeltaStats:
     """Patch/fallback/residual counters for the stats plane.
 
-    ``patches``/``fallbacks`` partition the *window-breach* recomputes (a
-    breach either patched or fell back to the full solve); ``cold_solves``
-    are first plans, which had no previous optimum to patch from.  Which
-    rung of the start ladder answered cuts across both: ``reanchors`` are
-    plans patched from the linear anchor, ``multistart_solves`` plans that
-    reached the inner planner's multi-start solve, and every other plan
-    was patched from its query's last optimum.  ``declines`` counts
+    ``patches``/``fallbacks`` partition the recomputes — the window
+    breaches of a dual-DAB stack, every plan after a query's first on
+    Optimal Refresh — into patched and fell back to the full solve;
+    ``cold_solves`` are first plans, which had no previous optimum to
+    patch from.  Which rung of the start ladder answered cuts across both:
+    ``reanchors`` are plans patched from the linear anchor,
+    ``multistart_solves`` plans that reached the solve, and every other
+    plan was patched from its query's last optimum.  ``declines`` counts
     declined *attempts* by reason — a plan that falls through both patch
     rungs notes two.  Latency samples are kept per category so the
     benchmarks can report percentiles.
@@ -159,21 +160,20 @@ class DeltaStats:
         if residual > self.max_residual:
             self.max_residual = float(residual)
 
-    def _record(self, samples: List[float], seconds: float) -> None:
+    def record_plan(self, seconds: float, first: bool, patched: bool) -> None:
+        """Count one plan — a first plan, a patched recompute or one that
+        fell back to the solve — and keep its latency."""
+        if first:
+            self.cold_solves += 1
+            samples = self.cold_seconds
+        elif patched:
+            self.patches += 1
+            samples = self.patch_seconds
+        else:
+            self.fallbacks += 1
+            samples = self.fallback_seconds
         if len(samples) < _MAX_LATENCY_SAMPLES:
             samples.append(float(seconds))
-
-    def record_patch(self, seconds: float) -> None:
-        self.patches += 1
-        self._record(self.patch_seconds, seconds)
-
-    def record_fallback(self, seconds: float) -> None:
-        self.fallbacks += 1
-        self._record(self.fallback_seconds, seconds)
-
-    def record_cold(self, seconds: float) -> None:
-        self.cold_solves += 1
-        self._record(self.cold_seconds, seconds)
 
     def breach_seconds(self) -> List[float]:
         """Latencies of breach-driven recomputes: patches + fallbacks."""
@@ -496,13 +496,7 @@ class DeltaRecomputePlanner:
         if plan is None:
             plan = self._full_solve(query, values)
             stats.multistart_solves += 1
-        seconds = _time.perf_counter() - started
-        if first:
-            stats.record_cold(seconds)
-        elif patched:
-            stats.record_patch(seconds)
-        else:
-            stats.record_fallback(seconds)
+        stats.record_plan(_time.perf_counter() - started, first, patched)
         return plan
 
     def _full_solve(self, query: PolynomialQuery,
@@ -639,16 +633,28 @@ class DeltaRecomputePlanner:
         self.inner.clear_warm_starts()
 
 
-def find_delta_planner(planner: object) -> Optional[DeltaRecomputePlanner]:
-    """Walk a planner stack (``.planner``/``.base``/``.inner`` links) to the
-    :class:`DeltaRecomputePlanner`, if one is wired in."""
+def _stack(node: object):
+    """The planners of a stack, outermost first, along its ``.base`` /
+    ``.inner`` links."""
     seen = set()
-    node = planner
     while node is not None and id(node) not in seen:
-        if isinstance(node, DeltaRecomputePlanner):
-            return node
+        yield node
         seen.add(id(node))
-        node = (getattr(node, "planner", None)
-                or getattr(node, "base", None)
-                or getattr(node, "inner", None))
-    return None
+        node = getattr(node, "base", None) or getattr(node, "inner", None)
+
+
+def find_delta_planner(planner: object) -> Optional[DeltaRecomputePlanner]:
+    """Walk a planner stack to the :class:`DeltaRecomputePlanner`, if one
+    is wired in."""
+    return next((node for node in _stack(planner)
+                 if isinstance(node, DeltaRecomputePlanner)), None)
+
+
+def find_planner_stats(planner: object) -> Optional[DeltaStats]:
+    """The :class:`DeltaStats` of a planner stack's patch ladder — the
+    :class:`DeltaRecomputePlanner`'s or the
+    :class:`~repro.filters.optimal_refresh.OptimalRefreshPlanner`'s — if
+    the stack has one."""
+    return next((node.stats for node in _stack(planner)
+                 if isinstance(getattr(node, "stats", None), DeltaStats)),
+                None)

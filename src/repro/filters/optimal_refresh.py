@@ -15,6 +15,7 @@ Dual-DAB approach then improves on.
 
 from __future__ import annotations
 
+import time as _time
 from typing import Dict, Mapping, Optional
 
 from repro.exceptions import NotPositiveCoefficientError
@@ -72,10 +73,20 @@ class OptimalRefreshPlanner:
     Each query's GP structure (exponent matrices, constraint layout) is
     built once, as a :class:`~repro.filters.compiled_gp.CompiledOptimalRefreshTemplate`,
     and only its log-coefficients refresh per recomputation.
+
+    A plan is a two-rung ladder.  Once the query has an optimum, the
+    refreshed template is Newton-KKT patched from it
+    (:func:`~repro.filters.delta_recompute.newton_patch`), accepted under
+    that function's checks and :meth:`DABAssignment.guarantees_qab` at the
+    values.  A first plan or a declined patch is the template's solve,
+    warm-started from the last optimum.  ``stats`` counts the rungs.
     """
 
     def __init__(self, cost_model: CostModel):
+        from repro.filters.delta_recompute import DeltaStats
+
         self.cost_model = cost_model
+        self.stats = DeltaStats()
         self._warm_starts: Dict[str, Dict[str, float]] = {}
         self._templates: Dict[str, object] = {}
 
@@ -85,7 +96,7 @@ class OptimalRefreshPlanner:
         Returns a single-DAB assignment (``secondary=None``): the caller
         must recompute it whenever any input item is refreshed.
         """
-        items = query.variables
+        started = _time.perf_counter()
         template = _built_for(self._templates, query)
         if template is None:
             from repro.filters.compiled_gp import CompiledOptimalRefreshTemplate
@@ -94,11 +105,45 @@ class OptimalRefreshPlanner:
             self._warm_starts.pop(query.name, None)
             template = self._templates[query.name] = \
                 CompiledOptimalRefreshTemplate(query, values, self.cost_model)
-        solution = template.solve(
-            values, initial=self._warm_starts.get(query.name))
-        self._warm_starts[query.name] = dict(solution.values)
+        start = self._warm_starts.get(query.name)
+        plan = None if start is None else self._patch(query, values, template,
+                                                      start)
+        patched = plan is not None
+        if not patched:
+            solution = template.solve(values, initial=start)
+            self._warm_starts[query.name] = dict(solution.values)
+            plan = self._assignment(query, values, solution)
+            self.stats.multistart_solves += 1
+        self.stats.record_plan(_time.perf_counter() - started,
+                               first=start is None, patched=patched)
+        return plan
 
-        primary = {name: solution.values[primary_variable(name)] for name in items}
+    def _patch(self, query: PolynomialQuery, values: Mapping[str, float],
+               template, start: Mapping[str, float]) -> Optional[DABAssignment]:
+        """The plan patched from ``start``, or ``None`` with the decline
+        reason noted."""
+        from repro.filters.delta_recompute import newton_patch
+
+        template.refresh(values)
+        result = newton_patch(template.compiled, start)
+        if result is None:
+            self.stats.note_decline("main_kkt")
+            return None
+        plan = self._assignment(query, values, result)
+        if not plan.guarantees_qab(query, values):
+            self.stats.note_decline("qab_invariant")
+            return None
+        self._warm_starts[query.name] = result.values
+        self.stats.patch_newton_iterations += result.iterations
+        self.stats.note_residual(result.residual)
+        return plan
+
+    def _assignment(self, query: PolynomialQuery, values: Mapping[str, float],
+                    solution) -> DABAssignment:
+        """The single-DAB plan of a solve's or a patch's optimum."""
+        items = query.variables
+        primary = {name: solution.values[primary_variable(name)]
+                   for name in items}
         return DABAssignment(
             primary=primary,
             secondary=None,
@@ -108,7 +153,7 @@ class OptimalRefreshPlanner:
         )
 
     def clear_warm_starts(self) -> None:
-        """Drop cached solver starts (per-query); next solves run cold."""
+        """Drop cached solver starts (per-query); next plans run cold."""
         self._warm_starts.clear()
 
     def forget_query(self, name: str) -> None:

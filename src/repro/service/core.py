@@ -437,7 +437,7 @@ class CoordinatorCore:
         """A recovered source resynced: its items may have drifted
         arbitrarily far while it was down, so solver warm starts anchored
         near the pre-crash optimum are stale — drop them before the replan
-        this resync triggers (plan caches stay; they are value-keyed)."""
+        this resync triggers."""
         for planner in (self.planner, self.aao_planner):
             clear = getattr(planner, "clear_warm_starts", None)
             if clear is not None:

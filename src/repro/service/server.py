@@ -785,11 +785,11 @@ class CoordinatorServer(FrontEnd):
             stats["journal"] = self.journal.stats()
             if self.last_recovery is not None:
                 stats["last_recovery"] = dict(self.last_recovery)
-        from repro.filters.delta_recompute import find_delta_planner
+        from repro.filters.delta_recompute import find_planner_stats
 
-        delta = find_delta_planner(self.core.planner)
-        if delta is not None:
-            stats["delta_recompute"] = delta.stats.snapshot()
+        planner_stats = find_planner_stats(self.core.planner)
+        if planner_stats is not None:
+            stats["delta_recompute"] = planner_stats.snapshot()
         return stats
 
 
@@ -810,7 +810,6 @@ def _scenario_planning(query_count: int, item_count: int, source_count: int,
     # repro.service.core — keeping the heavy imports out of module scope
     # keeps the import graph acyclic from every entry point.
     from repro.dynamics.estimation import SampledRateEstimator
-    from repro.filters.caching import QuantisingCachePlanner
     from repro.filters.cost_model import CostModel
     from repro.simulation.harness import (
         AlgorithmName,
@@ -843,11 +842,8 @@ def _scenario_planning(query_count: int, item_count: int, source_count: int,
 
     def make_server(queries: Sequence[PolynomialQuery],
                     items: Sequence[str], **kwargs: Any) -> CoordinatorServer:
-        planner = build_planner(config, cost_model)
-        if config.cache_grid is not None:
-            planner = QuantisingCachePlanner(planner, grid=config.cache_grid)
         return CoordinatorServer(
-            queries=queries, planner=planner,
+            queries=queries, planner=build_planner(config, cost_model),
             initial_values={name: initial_values[name] for name in items},
             item_to_source={name: item_to_source[name] for name in items},
             mode=_SINGLE_DAB_MODES[config.algorithm],

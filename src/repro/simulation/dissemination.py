@@ -31,7 +31,6 @@ from repro.exceptions import SimulationError
 from repro.dynamics.estimation import RateEstimator, SampledRateEstimator
 from repro.dynamics.models import DataDynamicsModel
 from repro.dynamics.traces import TraceSet
-from repro.filters.caching import QuantisingCachePlanner
 from repro.filters.cost_model import CostModel
 from repro.queries.polynomial import PolynomialQuery
 from repro.simulation.coordinator import Coordinator, RecomputeMode
@@ -72,7 +71,6 @@ class DisseminationConfig:
     zero_delay: bool = False
     node_delay_mean: float = 0.110
     rate_estimator: Optional[RateEstimator] = None
-    cache_grid: Optional[float] = 0.02
     #: Fault injection on the source↔root links (loss, crashes, partitions,
     #: delay spikes, duplicates).  Root↔child forwarding shares the loss
     #: model; the ack/retry and lease machinery stay single-coordinator
@@ -275,16 +273,13 @@ def run_dissemination(config: DisseminationConfig) -> DisseminationResult:
                          if i % config.coordinator_count == child_id]
         if not child_queries:
             continue
-        # Each child gets its own planner stack (its own warm-start cache).
+        # Each child gets its own planner stack (its own warm starts).
         child_config = SimulationConfig(
             queries=child_queries, traces=config.traces,
             algorithm=config.algorithm, ddm=config.ddm,
             recompute_cost=config.recompute_cost, duration=config.duration,
-            cache_grid=None,
         )
         planner = build_planner(child_config, cost_model)
-        if config.cache_grid is not None:
-            planner = QuantisingCachePlanner(planner, grid=config.cache_grid)
         port = _RootPort(root, child_id)
         child_items = sorted({n for q in child_queries for n in q.variables})
         coordinator = Coordinator(

@@ -27,11 +27,10 @@ from repro.dynamics.estimation import RateEstimator, SampledRateEstimator, UnitR
 from repro.dynamics.models import DataDynamicsModel
 from repro.dynamics.traces import TraceSet
 from repro.filters.baselines import SharfmanStyleBaseline, UniformAllocationBaseline
-from repro.filters.caching import QuantisingCachePlanner
 from repro.filters.cost_model import CostModel
 from repro.filters.delta_recompute import (
     DeltaRecomputePlanner,
-    find_delta_planner,
+    find_planner_stats,
 )
 from repro.filters.dual_dab import DualDABPlanner
 from repro.filters.heuristics import DifferentSumPlanner, HalfAndHalfPlanner
@@ -81,9 +80,8 @@ class SimulationConfig:
     """Everything one run needs.
 
     Paper-default knobs: 20 sources, ~110 ms Pareto node delays, the
-    1-minute sampled λ estimator, monotonic ddm.  ``cache_grid`` controls
-    the (sound) quantised solve cache — set ``None`` to solve every
-    recomputation exactly.
+    1-minute sampled λ estimator, monotonic ddm.  Every recomputation
+    plans at the item values the coordinator holds.
     """
 
     queries: Sequence[PolynomialQuery]
@@ -105,14 +103,10 @@ class SimulationConfig:
     recompute_delay_mean: float = 0.01
     zero_delay: bool = False
     rate_estimator: Optional[RateEstimator] = None
-    cache_grid: Optional[float] = 0.02
     aao_period: Optional[int] = None
     split_ratio: float = 0.5
     #: When set, the coordinator tracks λ online (EWMA over refresh
-    #: arrivals) and recomputations plan with the live estimates.  Note:
-    #: the quantised solve cache keys on values only, so cached plans may
-    #: lag a rate change (still sound — λ never enters the constraints);
-    #: set ``cache_grid=None`` for strict adaptivity.
+    #: arrivals) and recomputations plan with the live estimates.
     adaptive_rate_alpha: Optional[float] = None
     #: When true, the planning objective weights each item's λ by its
     #: co-movement with term partners (see repro.dynamics.correlation).
@@ -153,15 +147,13 @@ class SimulationResult:
     metrics: SimulationMetrics
     algorithm: AlgorithmName
     wall_seconds: float
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Wall time of the event loop alone (excludes workload construction,
     #: rate estimation and the time-zero initial plan) — the hot path the
     #: ticks/sec benchmarks measure.
     loop_seconds: float = 0.0
-    #: For the dual-DAB planner stacks, the breach-resolution latency
-    #: summary (percentiles in ms, patch-hit/fallback rates) from the
-    #: delta planner's stats.
+    #: For the planner stacks with a patch ladder (dual-DAB and Optimal
+    #: Refresh), the recompute latency summary (percentiles in ms,
+    #: patch-hit/fallback rates) from the ladder's stats.
     recompute_latency: Optional[Dict[str, float]] = None
     #: Refreshes the coordinator's per-item safe band answered / sent on
     #: to the per-query window check — how the run was computed, not what
@@ -256,10 +248,6 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         rate_tracker.rates = cost_model.rates
 
     planner = build_planner(config, cost_model)
-    cache: Optional[QuantisingCachePlanner] = None
-    if config.cache_grid is not None:
-        cache = QuantisingCachePlanner(planner, grid=config.cache_grid)
-        planner = cache
 
     metrics = MetricsCollector(recompute_cost=config.recompute_cost)
     engine = SimulationEngine(config.duration, config.fidelity_interval)
@@ -367,22 +355,17 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     engine.run()
     loop_seconds = _time.perf_counter() - loop_started
 
-    if cache is not None:
-        metrics.record_gp_solves(cache.stats.misses)
-
     recompute_latency: Optional[Dict[str, float]] = None
-    delta = find_delta_planner(planner)
-    if delta is not None:
-        metrics.record_delta_recompute(delta.stats.patches,
-                                       delta.stats.fallbacks)
-        recompute_latency = delta.stats.latency_summary()
+    stats = find_planner_stats(planner)
+    if stats is not None:
+        metrics.record_gp_solves(stats.multistart_solves)
+        metrics.record_delta_recompute(stats.patches, stats.fallbacks)
+        recompute_latency = stats.latency_summary()
 
     return SimulationResult(
         metrics=metrics.summary(),
         algorithm=config.algorithm,
         wall_seconds=_time.perf_counter() - started,
-        cache_hits=cache.stats.hits if cache else 0,
-        cache_misses=cache.stats.misses if cache else 0,
         loop_seconds=loop_seconds,
         recompute_latency=recompute_latency,
         window_screen_hits=coordinator.core.window_screen_hits,

@@ -9,8 +9,8 @@
 
 The collector also tracks quantities the paper discusses qualitatively:
 DAB-change messages to sources, user notifications, and the GP-solve count
-(to separate algorithmic recomputations from actual solver work once the
-quantised cache is in play).
+(the plans the solver rung answered rather than a Newton-KKT patch, to
+separate algorithmic recomputations from actual solver work).
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class SimulationMetrics:
     staleness_exposure_seconds: float = 0.0
     degraded_samples: int = 0
     uncertainty_violations: int = 0
-    # -- breach recomputes of the dual-DAB stacks: patched / fell back -----------
+    # -- recomputes of the patch-ladder stacks: patched / fell back --------------
     delta_patches: int = 0
     delta_fallbacks: int = 0
 

@@ -160,7 +160,7 @@ class TestHarnessIntegration:
             queries=scenario.queries, traces=scenario.traces,
             algorithm="dual_dab", recompute_cost=2.0, source_count=3,
             seed=41, fidelity_interval=4,
-            adaptive_rate_alpha=0.2, correlation_aware=True, cache_grid=None,
+            adaptive_rate_alpha=0.2, correlation_aware=True,
         )
         metrics = run_simulation(config).metrics
         assert metrics.refreshes > 0

@@ -1,6 +1,7 @@
 """Tests for the baseline DAB schemes (paper Section V comparison)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import FilterError
 from repro.filters import (
@@ -9,12 +10,43 @@ from repro.filters import (
     SharfmanStyleBaseline,
     UniformAllocationBaseline,
 )
-from repro.filters.baselines import _solve_width
-from repro.queries import parse_query
-from repro.queries.deviation import max_query_deviation
+from repro.filters.baselines import _term_width
+from repro.queries import QueryTerm, parse_query
+from repro.queries.deviation import max_query_deviation, max_term_deviation
+
+
+def _solve_width(budget, deviation_at, rel_tol=1e-12):
+    """Largest ``b`` with ``deviation_at(b) <= budget`` via bracket+bisect —
+    the oracle :func:`_term_width` is held to.
+
+    ``deviation_at`` must be continuous, increasing and 0 at 0 — true for
+    every worst-case deviation in this package.
+    """
+    if budget <= 0.0:
+        raise FilterError(f"deviation budget must be positive, got {budget!r}")
+    low, high = 0.0, 1.0
+    # Grow the bracket until the budget is exceeded (cap to avoid runaway
+    # on degenerate inputs, e.g. items with near-zero weight).
+    for _ in range(200):
+        if deviation_at(high) >= budget:
+            break
+        low, high = high, high * 2.0
+    else:
+        return high  # deviation never reaches the budget: effectively unbounded
+    for _ in range(200):
+        mid = 0.5 * (low + high)
+        if deviation_at(mid) <= budget:
+            low = mid
+        else:
+            high = mid
+        if high - low <= rel_tol * high:
+            break
+    return low if low > 0.0 else high * 0.5
 
 
 class TestSolveWidth:
+    """The bisection oracle itself."""
+
     def test_monotone_function(self):
         width = _solve_width(10.0, lambda b: 2.0 * b)
         assert width == pytest.approx(5.0, rel=1e-6)
@@ -31,6 +63,48 @@ class TestSolveWidth:
         # deviation saturates below the budget: a very wide filter comes back
         width = _solve_width(10.0, lambda b: 1.0 - 1.0 / (1.0 + b))
         assert width > 1e10
+
+
+@st.composite
+def _terms(draw):
+    """A term over one to three items with exponents 1–4, its values and a
+    budget spanning tight to loose relative to the term's value."""
+    names = draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3,
+                          unique=True))
+    exponents = {name: draw(st.integers(1, 4)) for name in names}
+    term = QueryTerm(draw(st.floats(-5.0, 5.0).filter(lambda w: abs(w) > 1e-3)),
+                     exponents)
+    values = {name: draw(st.floats(0.01, 500.0)) for name in names}
+    budget = abs(term.evaluate(values)) * draw(st.floats(1e-4, 10.0))
+    return term, values, budget
+
+
+class TestTermWidth:
+    """The safeguarded Newton width against the bisection oracle."""
+
+    @given(_terms())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bisection_and_stays_within_budget(self, case):
+        term, values, budget = case
+        width = _term_width(term, values, budget)
+        bounds = dict.fromkeys(term.variables, width)
+        assert 0.0 < width
+        assert max_term_deviation(term, values, bounds) <= budget
+        oracle = _solve_width(budget, lambda b: max_term_deviation(
+            term, values, dict.fromkeys(term.variables, b)))
+        assert width == pytest.approx(oracle, rel=1e-9)
+
+    def test_linear_term_is_its_estimate(self):
+        term = QueryTerm(2.0, {"x": 1})
+        assert _term_width(term, {"x": 3.0}, 5.0) == pytest.approx(2.5)
+
+    def test_nonpositive_budget_rejected(self):
+        with pytest.raises(FilterError):
+            _term_width(QueryTerm(1.0, {"x": 2}), {"x": 3.0}, 0.0)
+
+    def test_nonpositive_value_rejected(self):
+        with pytest.raises(FilterError):
+            _term_width(QueryTerm(1.0, {"x": 2}), {"x": 0.0}, 1.0)
 
 
 class TestSoundness:

@@ -107,8 +107,11 @@ def test_widen_template_matches_scalar_compile(query):
 
 @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)
 def test_planner_solutions_identical(query):
-    """End to end: each planner returns, bit for bit, what the object
-    builders' programs solve to from the same warm starts."""
+    """End to end: the dual-DAB planner returns, bit for bit, what the
+    object builders' programs solve to from the same warm starts.  Optimal
+    Refresh's first plan is its builder's program solved cold, bit for
+    bit; a later one is patched from the last optimum, and matches the
+    builder's warm-started solve to 1e-6 relative objective."""
     items = query.variables
     cost_model = CostModel(rates={"x": 1.0, "y": 2.0, "z": 0.5},
                            recompute_cost=5.0)
@@ -133,9 +136,13 @@ def test_planner_solutions_identical(query):
         single = build_optimal_refresh_program(query, vals, cost_model).solve(
             initial=refresh_warm)
         plan = refresh.plan(query, vals)
-        assert plan.primary == {name: single.values[primary_variable(name)]
-                                for name in items}
-        assert plan.objective == single.objective
+        if refresh_warm is None:
+            assert plan.primary == {name: single.values[primary_variable(name)]
+                                    for name in items}
+            assert plan.objective == single.objective
+        else:
+            assert plan.objective == pytest.approx(single.objective, rel=1e-6)
+            assert plan.guarantees_qab(query, vals)
         refresh_warm = single.values
 
 

@@ -11,8 +11,7 @@ import math
 
 import pytest
 
-from repro.filters import CostModel, DualDABPlanner
-from repro.filters.caching import QuantisingCachePlanner
+from repro.filters import CostModel, DifferentSumPlanner, DualDABPlanner
 from repro.filters.delta_recompute import (
     DeltaRecomputePlanner,
     find_delta_planner,
@@ -242,8 +241,7 @@ class TestConstruction:
     def test_find_delta_planner_walks_wrapper_stacks(self, world):
         _, _, model = world
         delta = _delta(model)
-        cache = QuantisingCachePlanner(delta)
-        assert find_delta_planner(cache) is delta
+        assert find_delta_planner(DifferentSumPlanner(model, delta)) is delta
         assert find_delta_planner(delta) is delta
         assert find_delta_planner(DualDABPlanner(model)) is None
         assert find_delta_planner(None) is None

@@ -75,7 +75,8 @@ class TestExpansionProperties:
     @settings(max_examples=80, deadline=None)
     def test_deviation_monotone_in_base_values(self, world):
         """Feasibility at inflated values implies feasibility at true ones —
-        the soundness argument of the quantised solve cache."""
+        why the secondary window's worst point is its upper edge ``V + c``
+        (and why a plan made at inflated values is needlessly tight)."""
         terms, values, bounds = world
         inflated = {k: v * 1.07 for k, v in values.items()}
         assert max_query_deviation(terms, values, bounds) <= \

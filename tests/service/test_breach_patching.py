@@ -15,7 +15,6 @@ contract is the same.
 import asyncio
 
 from repro.dynamics.estimation import SampledRateEstimator
-from repro.filters.caching import QuantisingCachePlanner
 from repro.filters.cost_model import CostModel
 from repro.filters.delta_recompute import find_delta_planner
 from repro.invariants import check_served
@@ -46,8 +45,7 @@ def build_server(kkt_tol=None):
     cost_model = CostModel(
         ddm=config.ddm, recompute_cost=config.recompute_cost,
         rates=SampledRateEstimator().estimate_all(config.traces, items))
-    planner = QuantisingCachePlanner(build_planner(config, cost_model),
-                                     grid=config.cache_grid)
+    planner = build_planner(config, cost_model)
     if kkt_tol is not None:
         find_delta_planner(planner).kkt_tol = kkt_tol
     item_to_source = assign_items_to_sources(items, SOURCES)

