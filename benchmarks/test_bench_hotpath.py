@@ -30,7 +30,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.dynamics.estimation import SampledRateEstimator
+from repro.dynamics.estimation import estimate_rates
 from repro.filters.cost_model import CostModel
 from repro.filters.delta_recompute import (
     DeltaRecomputePlanner,
@@ -198,7 +198,7 @@ def _measure_cold(params):
     items = config.used_items
     cost_model = CostModel(
         ddm=config.ddm, recompute_cost=config.recompute_cost,
-        rates=SampledRateEstimator().estimate_all(config.traces, items))
+        rates=estimate_rates(config.traces, config.rate_estimator, items))
     values = config.traces.initial_values(items)
 
     def first_plans(planner):

@@ -8,9 +8,9 @@ formulations assume (monotonic drift and arithmetic random walk).  The
 algorithms only consume the current value and a sampled rate-of-change
 estimate, both of which the synthetic traces exercise identically.
 
-:mod:`repro.dynamics.estimation` reproduces the paper's λ estimation: sample
-the trace at fixed intervals (1 minute in the paper) and average ``|Δvalue| /
-Δt`` over the trace.
+:mod:`repro.dynamics.estimation` implements the paper's λ estimation: sample
+the trace at fixed intervals and average ``|Δvalue| / Δt`` over the trace —
+every update by default, where the paper's ~10 000 s traces afford 1 minute.
 """
 
 from repro.dynamics.models import DataDynamicsModel, refresh_rate, refresh_rate_monomial

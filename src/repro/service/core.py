@@ -700,7 +700,9 @@ class CoordinatorCore:
         for item in query.variables:
             bucket = self.item_index.get(item)
             if bucket is not None:
-                bucket.remove(query)
+                # By identity: ``==`` ignores the name, so ``list.remove``
+                # would drop the first structurally equal query instead.
+                bucket[:] = [other for other in bucket if other is not query]
                 if not bucket:
                     del self.item_index[item]
         self.plans.pop(name, None)

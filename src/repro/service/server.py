@@ -28,6 +28,7 @@ single-coordinator model of the paper (§II).
 
 from __future__ import annotations
 
+import asyncio
 import time as _time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -679,6 +680,7 @@ class CoordinatorServer(FrontEnd):
         """Drop this subscriber's references; remove a dynamic query when
         the last reference goes (the core keeps it only if it is the very
         last query standing — a coordinator cannot run empty)."""
+        removed = False
         for name in sub.registered:
             refs = self._dynamic_refs.get(name)
             if refs is None:
@@ -694,7 +696,15 @@ class CoordinatorServer(FrontEnd):
             del self._dynamic_refs[name]
             self._query_objects.pop(name, None)
             self._query_names.discard(name)
+            removed = True
         sub.registered = set()
+        if removed and not self.closed:
+            # The removed plans left the min-merge: ship the loosened
+            # bounds.  This hook runs synchronously (an eviction fires it
+            # mid-publish), so the send goes on a task of its own.
+            task = asyncio.ensure_future(self._fanout_bound_changes())
+            self._handler_tasks.add(task)
+            task.add_done_callback(self._handler_tasks.discard)
 
     async def _on_query_sub(self, peer: Peer,
                             message: Dict[str, Any]) -> None:
@@ -709,6 +719,10 @@ class CoordinatorServer(FrontEnd):
             sub.queries |= {data["name"] for data in definitions or []}
         sub.registered = registered
         await self._safe_send(peer.stream, self._snapshot_response(sub))
+        if registered:
+            # The new plans may tighten primaries their sources enforce:
+            # ship them after the reply, which need not wait for them.
+            await self._fanout_bound_changes()
 
     async def _on_snapshot(self, peer: Peer, message: Dict[str, Any]) -> None:
         await self._safe_send(peer.stream, self._snapshot_response())
@@ -809,7 +823,7 @@ def _scenario_planning(query_count: int, item_count: int, source_count: int,
     # Imported here: these pull in repro.simulation, which imports
     # repro.service.core — keeping the heavy imports out of module scope
     # keeps the import graph acyclic from every entry point.
-    from repro.dynamics.estimation import SampledRateEstimator
+    from repro.dynamics.estimation import estimate_rates
     from repro.filters.cost_model import CostModel
     from repro.simulation.harness import (
         AlgorithmName,
@@ -834,7 +848,7 @@ def _scenario_planning(query_count: int, item_count: int, source_count: int,
         raise ReproError("the live service has no periodic scheduler yet; "
                          "pick a per-query algorithm")
     items = config.used_items
-    rates = SampledRateEstimator().estimate_all(config.traces, items)
+    rates = estimate_rates(config.traces, config.rate_estimator, items)
     cost_model = CostModel(ddm=config.ddm, rates=rates,
                            recompute_cost=recompute_cost)
     item_to_source = assign_items_to_sources(items, source_count)

@@ -28,7 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.exceptions import SimulationError
-from repro.dynamics.estimation import RateEstimator, SampledRateEstimator
+from repro.dynamics.estimation import RateEstimator, estimate_rates
 from repro.dynamics.models import DataDynamicsModel
 from repro.dynamics.traces import TraceSet
 from repro.filters.cost_model import CostModel
@@ -234,8 +234,7 @@ class DisseminationResult:
 def run_dissemination(config: DisseminationConfig) -> DisseminationResult:
     """Run the two-level dissemination network and return summed metrics."""
     items = config.used_items
-    estimator = config.rate_estimator or SampledRateEstimator()
-    rates = estimator.estimate_all(config.traces, items)
+    rates = estimate_rates(config.traces, config.rate_estimator, items)
     cost_model = CostModel(ddm=config.ddm, rates=rates,
                            recompute_cost=config.recompute_cost)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.exceptions import SimulationError
-from repro.dynamics.estimation import RateEstimator, SampledRateEstimator, UnitRateEstimator
+from repro.dynamics.estimation import RateEstimator, estimate_rates
 from repro.dynamics.models import DataDynamicsModel
 from repro.dynamics.traces import TraceSet
 from repro.filters.baselines import SharfmanStyleBaseline, UniformAllocationBaseline
@@ -79,9 +79,11 @@ class AlgorithmName(enum.Enum):
 class SimulationConfig:
     """Everything one run needs.
 
-    Paper-default knobs: 20 sources, ~110 ms Pareto node delays, the
-    1-minute sampled λ estimator, monotonic ddm.  Every recomputation
-    plans at the item values the coordinator holds.
+    Paper-default knobs: 20 sources, ~110 ms Pareto node delays,
+    monotonic ddm.  λ is the paper's whole-trace average sampled at every
+    update (``rate_estimator=None``; see :mod:`repro.dynamics.estimation`
+    for why not every minute).  Every recomputation plans at the item
+    values the coordinator holds.
     """
 
     queries: Sequence[PolynomialQuery]
@@ -225,8 +227,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     started = _time.perf_counter()
     items = config.used_items
 
-    estimator = config.rate_estimator or SampledRateEstimator()
-    rates = estimator.estimate_all(config.traces, items)
+    rates = estimate_rates(config.traces, config.rate_estimator, items)
     if config.correlation_aware:
         from repro.dynamics.correlation import (
             correlation_adjusted_rates,

@@ -118,16 +118,15 @@ class TestReanchorRung:
 
     @pytest.fixture()
     def bank(self):
-        from repro.dynamics.estimation import SampledRateEstimator
+        from repro.dynamics.estimation import estimate_rates
         from repro.workloads import scaled_scenario
 
         scenario = scaled_scenario(query_count=12, item_count=20,
                                    trace_length=51, source_count=4, seed=3)
         items = sorted({name for query in scenario.queries
                         for name in query.variables})
-        model = CostModel(
-            rates=SampledRateEstimator().estimate_all(scenario.traces, items),
-            recompute_cost=5.0)
+        model = CostModel(rates=estimate_rates(scenario.traces, items=items),
+                          recompute_cost=5.0)
         return scenario.queries, scenario.traces.initial_values(items), model
 
     @pytest.mark.parametrize("factor", [0.7, 0.85, 0.9, 1.1, 1.3])

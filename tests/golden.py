@@ -2,15 +2,16 @@
 
 ``tests/simulation/golden_reference_metrics.json`` holds, one scenario a
 line, the full metrics dataclass of each pinned run, recorded from the
-compiled evaluation path once every planner stack planned at the item
-values it was given: no quantising plan cache in front of any stack,
-dual-DAB plans patched through their start ladder, and Optimal-Refresh
-plans patched from each query's last optimum.  ``_recorded_at`` names that
-tree.  Earlier records came from the scalar reference path behind a plan
-cache that solved at values rounded up to a 2 % grid; that path's one
-cache-free record equals today's ``dual-dab-13`` on every field but the
-two below.  JSON floats round-trip through ``repr``, so equality is
-exact.
+compiled evaluation path once every planner stack priced each item at its
+per-update λ (the whole-trace mean of ``|Δvalue|`` sampled at every
+update, not every 60 ticks) and planned at the item values it was given:
+no quantising plan cache in front of any stack, dual-DAB plans patched
+through their start ladder, and Optimal-Refresh plans patched from each
+query's last optimum.  ``_recorded_at`` names that tree.  Earlier records
+came from the scalar reference path behind a plan cache that solved at
+values rounded up to a 2 % grid; that path's one cache-free record equaled
+the 60-tick-λ tree's ``dual-dab-13`` on every field but the two below.
+JSON floats round-trip through ``repr``, so equality is exact.
 
 ``delta_patches`` / ``delta_fallbacks`` say *how* a recompute was answered
 (Newton-KKT patch / full solve), not what was served, and are the only

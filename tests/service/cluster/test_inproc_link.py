@@ -309,8 +309,10 @@ class TestFrameCountGate:
         monkeypatch.setattr(transports, "encode_frame", counting_encode)
         monkeypatch.setattr(protocol, "decode_body", counting_decode)
 
+        # A longer replay than the other tests': the byte subscriber's
+        # phase must see several whole-query NOTIFYs.
         cluster, scenario, item_to_source = build_scenario_cluster(
-            shards=2, **SCENARIO)
+            shards=2, **dict(SCENARIO, trace_length=60))
 
         async def body():
             await cluster.start()
@@ -349,7 +351,7 @@ class TestFrameCountGate:
             counts["encode"] = counts["decode"] = 0
             await client_end.send(protocol.query_sub("*"))
             own_encodes, own_decodes = 1, 0     # the QUERY_SUB we just sent
-            await replay(20, 38)
+            await replay(20, 58)
             while True:
                 try:
                     message = await asyncio.wait_for(client_end.receive(),

@@ -5,8 +5,10 @@ row *appends* to the term-product table (query-sized work each), never an
 O(bank) rebuild — the bank and every compiled query stay the *same
 objects* while a thousand definitions stream in.  Plus the registration
 semantics around it: idempotent duplicate registration via refcounts,
-validate-all-first rejection (no partial effect), and last-reference
-removal when the defining subscriber goes away.
+validate-all-first rejection (no partial effect), last-reference
+removal when the defining subscriber goes away — of that query, not an
+equal one under another name — and the source bounds a definition's plan
+tightens on registration and loosens on removal.
 """
 
 import asyncio
@@ -21,6 +23,7 @@ from repro.service.journal import Journal
 from repro.service.protocol import MessageType
 from repro.service.server import build_scenario_server
 from repro.workloads import WorkloadConfig, generate_template_bank
+from tests.service.nodes import SOURCE_FACING, start_node
 
 
 def run(coro):
@@ -247,6 +250,112 @@ class TestImplicitSubscription:
             assert set(client.values) == {"mine"}
             await client.close()
             await server.close()
+
+        run(body())
+
+
+class TestRemoveByIdentity:
+    """``PolynomialQuery.__eq__`` ignores the name, so a definition equal to
+    a static query under a new name is accepted.  Removing it must unindex
+    *it*, not the first equal query in each item's bucket."""
+
+    def test_removing_a_twin_keeps_the_original_indexed(self):
+        server, _, _ = _server()
+        core = server.core
+        original = core.queries[0]
+        twin = original.with_qab(original.qab, name="twin")
+        assert twin == original
+        core.add_query(twin)
+        core.remove_query("twin")
+
+        for item in original.variables:
+            bucket = core.item_index[item]
+            assert [q.name for q in bucket].count(original.name) == 1
+            assert any(q is original for q in bucket)
+            assert "twin" not in [q.name for q in bucket]
+        assert "twin" not in core.plans and original.name in core.plans
+
+        replanned = []
+        record = core.metrics.record_recomputation
+
+        def recording(name, count=1):
+            replanned.append(name)
+            record(name, count)
+
+        core.metrics.record_recomputation = recording
+        item = original.variables[0]
+        core.apply_refresh(item, core.cache[item] * 1.5)
+        notifications, recomputed = core.react_to_refresh(item)
+        # The original is window-checked, re-planned and notified; the
+        # removed twin gets neither a plan nor a notification.
+        assert recomputed and original.name in replanned
+        assert "twin" not in replanned and "twin" not in core.plans
+        notified = dict(notifications)
+        assert original.name in notified and "twin" not in notified
+        assert notified[original.name] == original.evaluate(core.cache)
+
+
+async def _next_dab_update(stream, timeout=5.0):
+    while True:
+        message = await asyncio.wait_for(stream.receive(), timeout=timeout)
+        if message["type"] == MessageType.DAB_UPDATE.value:
+            return message
+
+
+def _tightening_definition(coordinators, item_to_source):
+    """``(coordinator, source_id, items, query)``: the first coordinator
+    and source with two items the coordinator's static plans already
+    bound, and a definition over them at a budget that plans both far
+    tighter."""
+    for coordinator in coordinators:
+        core = coordinator.core
+        for source_id in sorted(set(item_to_source.values())):
+            shared = [name for name in sorted(core.item_index)
+                      if item_to_source.get(name) == source_id][:2]
+            if len(shared) == 2:
+                product = core.cache[shared[0]] * core.cache[shared[1]]
+                return coordinator, source_id, shared, PolynomialQuery(
+                    [QueryTerm.product(1.0, *shared)],
+                    qab=1e-4 * product, name="tight")
+    raise AssertionError("no source has two items under static plans")
+
+
+class TestSubscribeShipsBounds:
+    """A QUERY_SUB definition's plan joins the min-merge: the tighter
+    primaries reach their source, and the subscriber's departure ships
+    them loosened again."""
+
+    @pytest.mark.parametrize("kind", SOURCE_FACING)
+    def test_definition_tightens_and_removal_loosens_the_source_bounds(
+            self, kind):
+        async def body():
+            node, close, item_to_source = await start_node(kind)
+            # The router takes no definitions: its shards run the
+            # server's QUERY_SUB handler, and their bounds reach the
+            # sources through its min-merge.
+            coordinators = ([node] if kind == "server" else
+                            [node.shards[sid] for sid in sorted(node.shards)])
+            coordinator, source_id, shared, tight = _tightening_definition(
+                coordinators, item_to_source)
+            source = node.connect_loopback()
+            await source.send(protocol.register_source(
+                source_id, sorted(name for name, owner in item_to_source.items()
+                                  if owner == source_id)))
+            before = (await _next_dab_update(source))["bounds"]
+
+            client = ServiceClient(coordinator.connect_loopback())
+            await client.subscribe(queries=[], definitions=[tight])
+            planned = coordinator.core.plans["tight"].primary
+            update = await _next_dab_update(source)
+            for name in shared:
+                assert planned[name] < before[name]
+                assert update["bounds"][name] == planned[name]
+
+            await client.close()
+            update = await _next_dab_update(source)
+            for name in shared:
+                assert update["bounds"][name] == before[name]
+            await close()
 
         run(body())
 

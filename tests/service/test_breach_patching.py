@@ -14,7 +14,7 @@ contract is the same.
 
 import asyncio
 
-from repro.dynamics.estimation import SampledRateEstimator
+from repro.dynamics.estimation import estimate_rates
 from repro.filters.cost_model import CostModel
 from repro.filters.delta_recompute import find_delta_planner
 from repro.invariants import check_served
@@ -44,7 +44,7 @@ def build_server(kkt_tol=None):
     items = config.used_items
     cost_model = CostModel(
         ddm=config.ddm, recompute_cost=config.recompute_cost,
-        rates=SampledRateEstimator().estimate_all(config.traces, items))
+        rates=estimate_rates(config.traces, config.rate_estimator, items))
     planner = build_planner(config, cost_model)
     if kkt_tol is not None:
         find_delta_planner(planner).kkt_tol = kkt_tol

@@ -48,7 +48,7 @@ def test_simulator_coordinator_wraps_a_core():
     # same way and inspect the adapter surface.
     from repro.simulation.engine import SimulationEngine
     from repro.simulation.harness import _SINGLE_DAB_MODES, build_planner
-    from repro.dynamics.estimation import SampledRateEstimator
+    from repro.dynamics.estimation import estimate_rates
     from repro.filters.cost_model import CostModel
     from repro.simulation.coordinator import Coordinator
     from repro.simulation.metrics import MetricsCollector
@@ -56,7 +56,7 @@ def test_simulator_coordinator_wraps_a_core():
     from repro.simulation.source import assign_items_to_sources
 
     items = config.used_items
-    rates = SampledRateEstimator().estimate_all(config.traces, items)
+    rates = estimate_rates(config.traces, config.rate_estimator, items)
     planner = build_planner(config, CostModel(ddm=config.ddm, rates=rates,
                                               recompute_cost=config.recompute_cost))
     engine = SimulationEngine(config.duration, config.fidelity_interval)

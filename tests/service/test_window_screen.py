@@ -414,7 +414,9 @@ class TestScreenCounters:
         core = server.core
         items = sorted(core.cache)
         recomputing = 0
-        for item, value in _sweep(scenario, items, amp=4.0):
+        # This bank's secondary windows are wide: below ≈ 8× the traces'
+        # own log-moves no window breaks.
+        for item, value in _sweep(scenario, items, amp=12.0):
             misses = core.window_screen_misses
             core.apply_refresh(item, value)
             if core.react_to_refresh(item)[1]:

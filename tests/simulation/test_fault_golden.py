@@ -6,7 +6,8 @@ Two properties anchor the fault subsystem:
    default ``FaultConfig()``) the simulator must be *bit-identical* to the
    fault-free one: the golden metrics below were first captured on the
    tree before ``repro/simulation/faults.py`` existed, and re-recorded once
-   every planner stack planned at the item values it was given.
+   every planner stack planned at the item values it was given, and again
+   once λ became the per-update whole-trace mean.
 2. **Graceful degradation** — with loss, duplicates and a mid-run crash
    injected, a run completes without exceptions and the staleness /
    uncertainty accounting is internally consistent.
@@ -29,26 +30,26 @@ from repro.workloads import scaled_scenario
 GOLDEN = [
     pytest.param(
         dict(qc=5, ic=20, tl=201, sc=4, mu=5.0, kind="portfolio", kw={}),
-        (611, 0, 0.0, 0, 18, 0), id="pareto-dual-dab-portfolio"),
+        (579, 0, 0.0, 0, 16, 0), id="pareto-dual-dab-portfolio"),
     pytest.param(
         dict(qc=5, ic=20, tl=201, sc=4, mu=5.0, kind="arbitrage", kw={}),
-        (1574, 0, 0.0, 0, 50, 0), id="pareto-dual-dab-arbitrage"),
+        (1499, 0, 0.0, 0, 40, 0), id="pareto-dual-dab-arbitrage"),
     pytest.param(
         dict(qc=5, ic=20, tl=201, sc=4, mu=5.0, kind="portfolio",
              kw=dict(ddm="random_walk")),
-        (524, 7, 0.0, 19, 16, 0), id="pareto-dual-dab-random-walk"),
+        (446, 7, 0.0, 12, 18, 0), id="pareto-dual-dab-random-walk"),
     pytest.param(
         dict(qc=4, ic=16, tl=121, sc=3, mu=2.0, kind="portfolio",
              kw=dict(algorithm="optimal_refresh")),
-        (287, 996, 0.0, 858, 5, 4), id="pareto-optimal-refresh"),
+        (228, 797, 0.0, 684, 5, 4), id="pareto-optimal-refresh"),
     pytest.param(
         dict(qc=4, ic=16, tl=121, sc=3, mu=2.0, kind="portfolio",
              kw=dict(algorithm="aao_t", aao_period=40)),
-        (224, 3, 0.0, 9, 4, 0), id="pareto-aao-40"),
+        (192, 3, 0.0, 9, 4, 0), id="pareto-aao-40"),
     pytest.param(
         dict(qc=4, ic=16, tl=121, sc=3, mu=2.0, kind="portfolio",
              kw=dict(zero_delay=True)),
-        (332, 0, 0.0, 0, 5, 0), id="zero-delay-dual-dab"),
+        (264, 0, 0.0, 0, 7, 0), id="zero-delay-dual-dab"),
 ]
 
 

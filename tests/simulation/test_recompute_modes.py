@@ -10,8 +10,9 @@ actually break — default traces produce almost no recomputes):
    patch-first run reproduced them on every simulation-visible metric (an
    accepted patch is the optimum the full solve would have produced).
    Both were re-recorded once plans were made at the values the
-   coordinator holds, with no plan cache in front of the planner.  Only
-   the two patch/fallback counters may differ.
+   coordinator holds, with no plan cache in front of the planner, and
+   again once λ became the per-update whole-trace mean.  Only the two
+   patch/fallback counters may differ.
 2. **Accounting** — every breach recompute is either a patch or a
    full-solve fallback, the clear majority patch, and every accepted
    patch held the KKT residual to 10x the tolerance.
@@ -35,7 +36,7 @@ from tests.golden import (
 # (refreshes, recomputations, fidelity_loss_percent, dab_change_messages,
 #  user_notifications, gp_solves) at seed 13, fidelity_interval 2,
 # volatility 0.02.
-GOLDEN_FULL = (2497, 81, 0.0, 183, 905, 0)
+GOLDEN_FULL = (2447, 48, 0.21929824561403577, 127, 943, 0)
 
 #: ``DeltaRecomputePlanner``'s default, which is what the harness builds.
 KKT_TOL = 1e-7
