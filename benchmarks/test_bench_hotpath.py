@@ -31,14 +31,12 @@ import numpy as np
 import pytest
 
 from repro.dynamics.estimation import estimate_rates
+from repro.filters.compiled_gp import CompiledDualDabTemplate
 from repro.filters.cost_model import CostModel
-from repro.filters.delta_recompute import (
-    DeltaRecomputePlanner,
-    find_delta_planner,
-)
+from repro.filters.delta_recompute import find_planner_stats
 from repro.filters.dual_dab import DualDABPlanner
-from repro.filters.heuristics import DifferentSumPlanner
 from repro.simulation import SimulationConfig, run_simulation
+from repro.queries.deviation import primary_variable
 from repro.simulation.harness import build_planner
 from repro.workloads import scaled_scenario
 
@@ -118,21 +116,43 @@ def _percentiles_ms(seconds):
     return summary
 
 
+def _solve_chain(cost_model):
+    """A ``plan(query, values)`` that answers every plan with the
+    multi-start solve of the query's compiled template (built on its first
+    plan), warm-started from that query's previous optimum, plus the
+    widening solve — the dual-DAB planner's last rung, as a
+    solve-every-plan coordinator would run it.  A test-side oracle:
+    nothing in ``src/`` can route a plan this way."""
+    templates, warm = {}, {}
+
+    def plan(query, values):
+        template = templates.get(query.name)
+        if template is None:
+            template = templates[query.name] = CompiledDualDabTemplate(
+                query, values, cost_model)
+        solution = template.solve(values, initial=warm.get(query.name))
+        warm[query.name] = solution.values
+        primary = {name: solution.values[primary_variable(name)]
+                   for name in query.variables}
+        return template.widen(values, primary, initial=solution.values)
+
+    return plan
+
+
 def _time_reference(cost_model, plan_calls):
     """The multi-start solve at the run's own breach points.
 
-    Replays every ``plan`` call the run's patch layer saw, in order,
-    through a bare :class:`DualDABPlanner` on the run's cost model — cold
-    solves included, so each breach solve starts warm from that query's
-    previous optimum exactly as a solve-every-breach coordinator's would —
-    and returns the latencies of the breach solves only.  A test-side
-    oracle: nothing in ``src/`` can route a breach this way.
+    Replays every ``plan`` call the run's planner saw, in order, through
+    :func:`_solve_chain` on the run's cost model — cold solves included,
+    so each breach solve starts warm from that query's previous optimum
+    exactly as a solve-every-breach coordinator's would — and returns the
+    latencies of the breach solves only.
     """
-    reference = DualDABPlanner(cost_model)
+    reference = _solve_chain(cost_model)
     planned, seconds = set(), []
     for query, values in plan_calls:
         started = time.perf_counter()
-        reference.plan(query, values)
+        reference(query, values)
         elapsed = time.perf_counter() - started
         if query.name in planned:
             seconds.append(elapsed)
@@ -156,7 +176,7 @@ def _measure_recompute(params):
                               recompute_cost=5.0, source_count=8, seed=13,
                               fidelity_interval=1)
     planners, plan_calls = set(), []
-    plan = DeltaRecomputePlanner.plan
+    plan = DualDABPlanner.plan
 
     def recording_plan(self, query, values):
         planners.add(self)
@@ -164,12 +184,12 @@ def _measure_recompute(params):
         return plan(self, query, values)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(DeltaRecomputePlanner, "plan", recording_plan)
+        patch.setattr(DualDABPlanner, "plan", recording_plan)
         result = run_simulation(config)
     latency = result.recompute_latency
     (planner,) = planners           # one coordinator, one planner stack
     reference = _percentiles_ms(
-        _time_reference(planner.inner.cost_model, plan_calls))
+        _time_reference(planner.cost_model, plan_calls))
     entry = {
         "params": dict(params),
         "volatility": BREACH_VOLATILITY,
@@ -188,10 +208,10 @@ def _measure_recompute(params):
 
 def _measure_cold(params):
     """First-plan latency of the point's whole bank through the planner
-    stack that ships, next to the same plans through a bare
-    :class:`DualDABPlanner` — the multi-start solve that answered every
-    first plan before the linear-anchor rung, and is still its fallback.
-    ``accepted_share`` is the share of first plans the rung answered."""
+    stack that ships, next to the same plans through :func:`_solve_chain`
+    — the multi-start solve that answered every first plan before the
+    linear-anchor rung, and is still its fallback.  ``accepted_share`` is
+    the share of first plans the rung answered."""
     scenario = scaled_scenario(source_count=8, seed=13, **params)
     config = SimulationConfig(queries=scenario.queries, traces=scenario.traces,
                               recompute_cost=2.0, source_count=8, seed=13)
@@ -201,23 +221,19 @@ def _measure_cold(params):
         rates=estimate_rates(config.traces, config.rate_estimator, items))
     values = config.traces.initial_values(items)
 
-    def first_plans(planner):
+    def first_plans(plan):
         seconds = []
         for query in config.queries:
             started = time.perf_counter()
-            planner.plan(query, values)
+            plan(query, values)
             seconds.append(time.perf_counter() - started)
         return seconds
 
-    def reference_stack():
-        return DifferentSumPlanner(
-            cost_model, DualDABPlanner(cost_model))
-
-    first_plans(reference_stack())          # warm the interpreter and numpy
+    first_plans(_solve_chain(cost_model))   # warm the interpreter and numpy
     shipped = build_planner(config, cost_model)
-    cold = _percentiles_ms(first_plans(shipped))
-    reference = _percentiles_ms(first_plans(reference_stack()))
-    stats = find_delta_planner(shipped).stats
+    cold = _percentiles_ms(first_plans(shipped.plan))
+    reference = _percentiles_ms(first_plans(_solve_chain(cost_model)))
+    stats = find_planner_stats(shipped)
     return {
         "params": dict(params),
         "plans": stats.cold_solves,

@@ -131,7 +131,7 @@ class CompiledDualDabTemplate:
         self._priced_by = [priced for _, _, priced in functions]
         self._widen: Optional[CompiledWidenTemplate] = None
         #: Item values of the last refresh — the per-item delta structure
-        #: the incremental recompute path diffs against to find which
+        #: the planner's patch ladder diffs against to find which
         #: log-variables a window breach actually touched.
         self.last_values: Dict[str, float] = {}
         self.refresh(values)
@@ -169,8 +169,8 @@ class CompiledDualDabTemplate:
 
     def widen_template(self, values: Mapping[str, float],
                        primary: Mapping[str, float]) -> "CompiledWidenTemplate":
-        """The (lazily-built) widening template — exposed so the delta
-        recompute path can Newton-patch the widening program directly."""
+        """The (lazily-built) widening template — exposed so the planner's
+        patch ladder can Newton-patch the widening program directly."""
         if self._widen is None:
             self._widen = CompiledWidenTemplate(
                 self.query, values, primary, self.cost_model, self.deviation,

@@ -1,46 +1,37 @@
-"""Delta-driven incremental recompute (the DBToaster idea for GP plans).
+"""The Newton-KKT patch kernel both planner ladders share (the DBToaster
+idea for GP plans).
 
-Most secondary-DAB window breaches barely move a query's optimum: one or
-two items drifted past their window edge, the compiled-GP structure is
-unchanged, and the previous optimum is an excellent start.  Answering
-every breach with the full multi-start solve (phase-1 feasibility
-restoration + SLSQP + trust-constr retries) wastes almost all of that
-locality.
+Most re-plans barely move a query's optimum: one or two items drifted, the
+compiled-GP structure is unchanged, and the previous optimum is an
+excellent start.  :func:`newton_patch` re-solves a refreshed compiled
+program from such a start by warm-started Newton on the KKT system of a
+working set of constraints:
 
-:class:`DeltaRecomputePlanner` wraps a :class:`DualDABPlanner` and answers
-a breach with a *local coefficient patch*:
-
-1. the query's compiled template refreshes its log-coefficient vectors at
-   the new values (`changed_items` records which log-variables moved);
-2. a warm-started Newton-KKT solve on the template's log-space program —
-   starting from the last optimum and its active set — computes the
-   patched main solution (primary DABs + recompute rate);
-3. the widening program gets the same treatment for the secondary DABs;
+1. the working set is seeded with the constraints (near-)active at the
+   start under the *new* coefficients;
+2. Newton on the KKT equalities of the working set (:func:`_newton_working_set`)
+   drives the stationarity and feasibility residuals to tolerance;
+3. a violated constraint joins the working set, the one with the most
+   negative multiplier leaves it, and the round repeats;
 4. the patch is **accepted only if** every KKT condition holds to
    tolerance (primal feasibility, dual feasibility ``ν >= 0``, and the
    stationarity/working-set residual of
-   :func:`repro.gp.sensitivity.kkt_residual`) *and* the assembled plan
-   satisfies the paper's QAB-over-window fidelity invariant
-   (:meth:`DABAssignment.guarantees_qab_over_window`).  Anything else —
-   degenerate KKT systems, an active set that will not settle, value
-   perturbations too violent for a local step — *declines*, and the
-   planner falls back to the full multi-start solve.
+   :func:`repro.gp.sensitivity.kkt_residual`).  Anything else — degenerate
+   KKT systems, an active set that will not settle, value perturbations
+   too violent for a local step — *declines* (returns ``None``), and the
+   caller moves down its start ladder.
 
 Soundness: the log-space program is convex, so a point satisfying the KKT
 conditions to tolerance is the global optimum to (the same) tolerance —
 the patched objective matches what the full solve would return, which is
-exactly what the property-based equivalence suite asserts.  The QAB
-invariant is additionally enforced directly, so even a wrongly-accepted
+exactly what the property-based equivalence suites assert.  The callers
+additionally enforce the plan's QAB invariant, so even a wrongly-accepted
 patch could never ship an unsound plan.
 
-This is the only recompute pipeline, and it has one start ladder: the
-query's last optimum; then the *linear anchor* (:func:`linear_anchor` —
-the closed-form optimum of the linearised query, read off the refreshed
-template's own arrays), which is where a query's first plan starts and
-where a plan whose last optimum declined starts again; then the inner
-planner's multi-start solve, which stays the last rung and the oracle the
-equivalence suite compares patches against.  Both patch rungs go through
-the same acceptance checks.
+The callers are :class:`~repro.filters.dual_dab.DualDABPlanner` (last
+optimum → linear anchor → multi-start solve) and
+:class:`~repro.filters.optimal_refresh.OptimalRefreshPlanner` (last
+optimum → solve); each counts its rungs in a :class:`DeltaStats`.
 
 The patch and the full solve evaluate the program through the same fused
 kernel (:meth:`repro.gp.program.CompiledProgram.evaluate`): exactly one
@@ -54,22 +45,15 @@ iterate's.
 from __future__ import annotations
 
 import math
-import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import nnls
 
-from repro.exceptions import FilterError, GPError
-from repro.filters.assignment import DABAssignment
-from repro.filters.dual_dab import RECOMPUTE_RATE_VARIABLE, DualDABPlanner
-from repro.filters.optimal_refresh import _built_for, _forget_name
 from repro.gp.program import CompiledProgram, Evaluation
 from repro.gp.sensitivity import kkt_residual
 from repro.gp.solver import FEASIBILITY_TOL, _Y_BOUND
-from repro.queries.deviation import primary_variable, secondary_variable
-from repro.queries.polynomial import PolynomialQuery
 
 #: Constraints within this of active (log-space) seed the working set.
 #: Loose on purpose: a coefficient refresh shifts a previously-active
@@ -79,12 +63,6 @@ from repro.queries.polynomial import PolynomialQuery
 #: the constraint that carries all the curvature (a qab constraint sitting
 #: at -0.04 after a volatile tick would stall Newton entirely at 3e-2).
 _WORKING_SET_TOL = 0.1
-
-#: Secondary-to-primary DAB ratio ``c_i / b_i`` of the linear anchor.
-_ANCHOR_WINDOW_RATIO = 4.0
-
-#: Most bisection steps spent scaling the linear anchor onto ``qab``.
-_ANCHOR_BISECTIONS = 14
 
 #: Multipliers below this are treated as negative (drop from working set).
 _DUAL_TOL = 1e-9
@@ -218,17 +196,6 @@ class DeltaStats:
             "max_residual": self.max_residual,
             "declines": dict(self.declines),
         }
-
-
-@dataclass
-class _PatchState:
-    """What a query's next patch starts from: the last main-program optimum
-    (``None`` until one is accepted) and the last widened secondary DABs,
-    kept for the query they were solved for and no other."""
-
-    query: PolynomialQuery
-    main: Optional[Dict[str, float]] = None
-    secondary: Dict[str, float] = field(default_factory=dict)
 
 
 def _newton_working_set(
@@ -378,283 +345,14 @@ def newton_patch(
     return None
 
 
-def linear_anchor(template) -> Dict[str, float]:
-    """A Newton-KKT start for a refreshed dual-DAB template that has no
-    usable last optimum: the optimum of the *linearised* query, scaled onto
-    the real QAB constraint.
-
-    The ``qab`` rows whose signature is ``b_i`` alone carry
-    ``a_i = ∂P/∂x_i / B`` at the template's values, so the linearised
-    program is the paper's LAQ case, ``min Σ λ_i b_i^-p`` subject to
-    ``Σ a_i b_i <= 1``, solved in closed form by
-    ``b_i ∝ (λ_i / a_i)^(1/(p+1))``.  Windows open at a fixed ratio,
-    ``c_i = min(κ b_i, V_i / 2)``, and ``R`` is set where the recompute
-    envelope is active.  The higher-order rows then leave ``qab``
-    violated, and a start far *inside* it would seed an empty working set
-    (see :data:`_WORKING_SET_TOL`) — unconstrained Newton on this
-    objective has no minimiser — so the point is bisected along the ray
-    that scales every DAB together (and ``R`` with them, keeping the
-    envelope active) until ``qab`` sits within half the working-set
-    tolerance inside active.
-    """
-    compiled = template.compiled
-    names = compiled.constraint_names
-    items = template.query.variables
-    column = {name: j for j, name in enumerate(compiled.variables)}
-    b = np.array([column[primary_variable(name)] for name in items])
-    c = np.array([column[secondary_variable(name)] for name in items])
-    rate = column[RECOMPUTE_RATE_VARIABLE]
-    qab_index = names.index("qab")
-    qab = compiled.constraints[qab_index]
-    objective = compiled.objective
-
-    priced = np.argmax(objective.A[:, b] != 0.0, axis=0)
-    power = -float(objective.A[priced[0], b[0]])
-    log_lam = objective.log_c[priced]
-    linear = ((np.count_nonzero(qab.A, axis=1) == 1)[:, None]
-              & (qab.A[:, b] == 1.0))
-    log_a = qab.log_c[np.argmax(linear, axis=0)]
-    log_b = (log_lam - log_a) / (power + 1.0)
-    log_b -= np.log(np.exp(log_a + log_b).sum())
-    log_v = np.log([template.last_values[name] for name in items])
-    log_c = np.minimum(log_b + math.log(_ANCHOR_WINDOW_RATIO),
-                       log_v - math.log(2.0))
-    if template.constrain_window:
-        # A secondary DAB the QAB condition does not mention (its item
-        # enters the query linearly) is bounded by its window alone.
-        log_c = np.where(qab.A[:, c].any(axis=0), log_c, log_v)
-    crossings = np.exp(log_lam - power * log_c)
-    y = np.zeros(len(compiled.variables))
-    y[b], y[c] = log_b, log_c
-    y[rate] = np.log(
-        crossings.sum() if "recompute" in names else crossings.max())
-    ray = np.zeros_like(y)
-    ray[b] = ray[c] = 1.0
-    ray[rate] = -power
-
-    # Every qab row has degree >= 1 in the DABs and the linear rows sum to
-    # one, so 0 <= excess and scaling by exp(-excess) is feasible.
-    low, high = -float(compiled.evaluate(y).values[1 + qab_index]), 0.0
-    shift = low
-    for _ in range(_ANCHOR_BISECTIONS):
-        excess = float(
-            compiled.evaluate(y + shift * ray).values[1 + qab_index])
-        if excess > 0.0:
-            high = shift
-        elif excess >= -0.5 * _WORKING_SET_TOL:
-            break
-        else:
-            low = shift
-        shift = 0.5 * (low + high)
-    else:
-        shift = low
-    y = np.clip(y + shift * ray, -_Y_BOUND, _Y_BOUND)
-    return dict(zip(compiled.variables, np.exp(y).tolist()))
-
-
-class DeltaRecomputePlanner:
-    """Patch-first recompute wrapper around a :class:`DualDABPlanner`.
-
-    Sits *below* the Different-Sum / Half-and-Half mirroring wrappers (so
-    it only ever sees PPQs, exactly like the inner planner) and *above*
-    the inner :class:`DualDABPlanner`, whose multi-start solve answers
-    only what both patch rungs declined.
-    """
-
-    def __init__(
-        self,
-        inner: DualDABPlanner,
-        kkt_tol: float = 1e-7,
-        max_newton_iterations: int = 12,
-        max_working_set_rounds: int = 4,
-    ):
-        self.inner = inner
-        self.kkt_tol = float(kkt_tol)
-        self.max_newton_iterations = int(max_newton_iterations)
-        self.max_working_set_rounds = int(max_working_set_rounds)
-        self.stats = DeltaStats()
-        self._states: Dict[str, _PatchState] = {}
-
-    # -- planning -----------------------------------------------------------------
-
-    def plan(self, query: PolynomialQuery,
-             values: Mapping[str, float]) -> DABAssignment:
-        started = _time.perf_counter()
-        stats = self.stats
-        state = _built_for(self._states, query)
-        first = state is None
-        plan = None
-        if state is not None:
-            plan = self._try_patch(query, values, state)
-        if plan is None:
-            anchor = _PatchState(query)
-            plan = self._try_patch(query, values, anchor)
-            if plan is not None:
-                self._states[query.name] = anchor
-                stats.reanchors += 1
-        patched = plan is not None
-        if plan is None:
-            plan = self._full_solve(query, values)
-            stats.multistart_solves += 1
-        stats.record_plan(_time.perf_counter() - started, first, patched)
-        return plan
-
-    def _full_solve(self, query: PolynomialQuery,
-                    values: Mapping[str, float]) -> DABAssignment:
-        """The inner multi-start solve, with the patch state re-anchored on
-        its result (GP failures propagate — the coordinator's degradation
-        machinery owns those)."""
-        try:
-            plan = self.inner.plan(query, values)
-        except GPError:
-            # No sound optimum to patch from next breach.
-            self._states.pop(query.name, None)
-            raise
-        main = self.inner.warm_start(query.name)
-        if main is not None and plan.secondary is not None:
-            self._states[query.name] = _PatchState(
-                query, dict(main), dict(plan.secondary))
-        return plan
-
-    def _try_patch(self, query: PolynomialQuery, values: Mapping[str, float],
-                   state: _PatchState) -> Optional[DABAssignment]:
-        """One plan, patched from ``state.main`` — from the linear anchor
-        when ``state`` has none yet — or ``None`` with the decline reason
-        noted."""
-        stats = self.stats
-        items = query.variables
-        template = self.inner.ensure_template(query, values)
-        try:
-            affected = template.changed_items(values)
-            template.refresh(values)
-        except (KeyError, ValueError, OverflowError):
-            stats.note_decline("refresh_error")
-            return None
-        stats.affected_items += len(affected)
-
-        main = newton_patch(
-            template.compiled, state.main or linear_anchor(template),
-            kkt_tol=self.kkt_tol,
-            max_newton_iterations=self.max_newton_iterations,
-            max_working_set_rounds=self.max_working_set_rounds,
-        )
-        if main is None:
-            stats.note_decline("main_kkt")
-            return None
-        stats.patch_newton_iterations += main.iterations
-
-        primary = {name: main.values[primary_variable(name)] for name in items}
-        secondary = {name: main.values[secondary_variable(name)]
-                     for name in items}
-        for name in items:
-            if secondary[name] < primary[name]:
-                secondary[name] = primary[name]
-
-        if self.inner.widen_windows:
-            widen = self._patch_widening(query, values, primary, secondary,
-                                         state, template)
-            if widen is None:
-                return None
-            secondary = widen
-
-        try:
-            plan = DABAssignment(
-                primary=primary,
-                secondary=secondary,
-                reference_values={name: float(values[name]) for name in items},
-                recompute_rate=main.values[RECOMPUTE_RATE_VARIABLE],
-                objective=main.objective,
-            )
-        except FilterError:
-            stats.note_decline("invalid_assignment")
-            return None
-        # The fidelity invariant is a hard post-condition: even an
-        # erroneously-accepted KKT point may never ship an unsound plan.
-        if not plan.guarantees_qab_over_window(query):
-            stats.note_decline("qab_invariant")
-            return None
-
-        state.main = dict(main.values)
-        state.secondary = dict(secondary)
-        # Keep the full-solve path warm-started from the patched optimum,
-        # exactly as a full solve would have left it.
-        self.inner.seed_warm_start(query.name, main.values)
-        stats.note_residual(main.residual)
-        return plan
-
-    def _patch_widening(self, query, values, primary, main_secondary,
-                        state, template) -> Optional[Dict[str, float]]:
-        """Newton-patch the secondary-widening program; ``None`` declines."""
-        stats = self.stats
-        items = query.variables
-        try:
-            widen_template = template.widen_template(values, primary)
-            widen_template.refresh(values, primary)
-        except GPError:
-            stats.note_decline("widen_infeasible")
-            return None
-        start = {}
-        previous = state.secondary
-        for name in items:
-            c = previous.get(name, main_secondary[name])
-            start[secondary_variable(name)] = max(float(c), primary[name])
-        result = newton_patch(
-            widen_template.compiled, start,
-            kkt_tol=self.kkt_tol,
-            max_newton_iterations=self.max_newton_iterations,
-            max_working_set_rounds=self.max_working_set_rounds,
-        )
-        if result is None:
-            stats.note_decline("widen_kkt")
-            return None
-        secondary = {name: result.values[secondary_variable(name)]
-                     for name in items}
-        for name in items:
-            if secondary[name] < primary[name]:
-                secondary[name] = float(primary[name])
-        return secondary
-
-    # -- stack protocol -----------------------------------------------------------
-
-    def forget_query(self, name: str) -> None:
-        """Drop *name*'s anchor state and the inner planner's per-name
-        caches, releasing their memory once the query is gone (a query
-        re-registered under the name starts cold either way)."""
-        _forget_name(name, self._states)
-        forget = getattr(self.inner, "forget_query", None)
-        if forget is not None:
-            forget(name)
-
-    def clear_warm_starts(self) -> None:
-        """Fault resync: drop the inner solver starts *and* the patch
-        anchors — a patch from a pre-resync optimum would face arbitrary
-        value drift, exactly what the resync says happened."""
-        self._states.clear()
-        self.inner.clear_warm_starts()
-
-
-def _stack(node: object):
-    """The planners of a stack, outermost first, along its ``.base`` /
-    ``.inner`` links."""
-    seen = set()
-    while node is not None and id(node) not in seen:
-        yield node
-        seen.add(id(node))
-        node = getattr(node, "base", None) or getattr(node, "inner", None)
-
-
-def find_delta_planner(planner: object) -> Optional[DeltaRecomputePlanner]:
-    """Walk a planner stack to the :class:`DeltaRecomputePlanner`, if one
-    is wired in."""
-    return next((node for node in _stack(planner)
-                 if isinstance(node, DeltaRecomputePlanner)), None)
-
-
 def find_planner_stats(planner: object) -> Optional[DeltaStats]:
     """The :class:`DeltaStats` of a planner stack's patch ladder — the
-    :class:`DeltaRecomputePlanner`'s or the
-    :class:`~repro.filters.optimal_refresh.OptimalRefreshPlanner`'s — if
-    the stack has one."""
-    return next((node.stats for node in _stack(planner)
-                 if isinstance(getattr(node, "stats", None), DeltaStats)),
-                None)
+    :class:`~repro.filters.dual_dab.DualDABPlanner`'s or the
+    :class:`~repro.filters.optimal_refresh.OptimalRefreshPlanner`'s, found
+    along the wrappers' ``.base`` links — if the stack has one."""
+    while planner is not None:
+        stats = getattr(planner, "stats", None)
+        if isinstance(stats, DeltaStats):
+            return stats
+        planner = getattr(planner, "base", None)
+    return None

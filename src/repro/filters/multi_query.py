@@ -31,7 +31,6 @@ from repro.gp.program import GeometricProgram
 from repro.filters.assignment import DABAssignment, MultiQueryAssignment
 from repro.filters.compiled_gp import CompiledDualDabTemplate
 from repro.filters.cost_model import CostModel
-from repro.filters.dual_dab import DualDABPlanner
 from repro.filters.heuristics import DifferentSumPlanner
 from repro.queries.deviation import (
     dual_dab_condition,

@@ -213,3 +213,16 @@ class SignomialPlanner:
         except Exception:
             return False
         return deviation <= query.qab * (1.0 + tol)
+
+    # -- stack protocol -----------------------------------------------------------
+
+    def clear_warm_starts(self) -> None:
+        """Fault resync: both inner planners drop their optima."""
+        self._ppq_planner.clear_warm_starts()
+        self._seed_planner.clear_warm_starts()
+
+    def forget_query(self, name: str) -> None:
+        """Forget *name* (and its ``name__*`` derivatives) in both inner
+        planners' per-name state."""
+        self._ppq_planner.forget_query(name)
+        self._seed_planner.forget_query(name)

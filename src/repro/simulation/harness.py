@@ -28,10 +28,7 @@ from repro.dynamics.models import DataDynamicsModel
 from repro.dynamics.traces import TraceSet
 from repro.filters.baselines import SharfmanStyleBaseline, UniformAllocationBaseline
 from repro.filters.cost_model import CostModel
-from repro.filters.delta_recompute import (
-    DeltaRecomputePlanner,
-    find_planner_stats,
-)
+from repro.filters.delta_recompute import find_planner_stats
 from repro.filters.dual_dab import DualDABPlanner
 from repro.filters.heuristics import DifferentSumPlanner, HalfAndHalfPlanner
 from repro.filters.multi_query import AAOPlanner
@@ -177,12 +174,6 @@ _SINGLE_DAB_MODES = {
 }
 
 
-def _dual_dab_stack(cost_model: CostModel) -> DeltaRecomputePlanner:
-    """The dual-DAB core under the patch-first recompute layer (see
-    :mod:`repro.filters.delta_recompute`)."""
-    return DeltaRecomputePlanner(DualDABPlanner(cost_model))
-
-
 def build_planner(config: SimulationConfig, cost_model: CostModel):
     """The per-query planner stack for an algorithm.
 
@@ -195,12 +186,10 @@ def build_planner(config: SimulationConfig, cost_model: CostModel):
         return DifferentSumPlanner(cost_model, OptimalRefreshPlanner(cost_model))
     if algorithm in (AlgorithmName.DUAL_DAB, AlgorithmName.DIFFERENT_SUM,
                      AlgorithmName.AAO_T):
-        return DifferentSumPlanner(
-            cost_model, _dual_dab_stack(cost_model))
+        return DifferentSumPlanner(cost_model, DualDABPlanner(cost_model))
     if algorithm is AlgorithmName.HALF_AND_HALF:
-        return HalfAndHalfPlanner(
-            cost_model, _dual_dab_stack(cost_model),
-            split_ratio=config.split_ratio)
+        return HalfAndHalfPlanner(cost_model, DualDABPlanner(cost_model),
+                                  split_ratio=config.split_ratio)
     if algorithm is AlgorithmName.SHARFMAN_BASELINE:
         return SharfmanStyleBaseline(cost_model)
     if algorithm is AlgorithmName.UNIFORM_BASELINE:

@@ -95,6 +95,7 @@ class TestTables:
                                    trace_length=61, repetitions=2)
         assert timing["dual_dab_cold_ms"] > 0
         assert timing["dual_dab_warm_ms"] > 0
+        assert timing["dual_dab_plan_ms"] > 0
         assert timing["aao_3_queries_ms"] > 0
         # warm starts must not be slower than cold solves (same problem)
         assert timing["dual_dab_warm_ms"] <= timing["dual_dab_cold_ms"] * 1.5

@@ -1,18 +1,19 @@
 """Compiled-GP templates must hand the solver bitwise-identical arrays —
-and hence return bitwise-identical solutions — to the scalar builders."""
+and hence return bitwise-identical solutions — to the scalar builders;
+the planners' patch ladders must land on the builders' optima."""
 
 import numpy as np
 import pytest
 
 from repro.dynamics.models import DataDynamicsModel
 from repro.dynamics.traces import Trace, TraceSet
+from repro.filters import dual_dab
 from repro.filters.compiled_gp import (
     CompiledDualDabTemplate,
     CompiledOptimalRefreshTemplate,
 )
 from repro.filters.cost_model import CostModel
 from repro.filters.dual_dab import (
-    RECOMPUTE_RATE_VARIABLE,
     DualDABPlanner,
     build_dual_dab_program,
     build_widen_program,
@@ -22,8 +23,9 @@ from repro.filters.optimal_refresh import (
     build_optimal_refresh_program,
 )
 from repro.queries import parse_query
-from repro.queries.deviation import primary_variable, secondary_variable
+from repro.queries.deviation import primary_variable
 from repro.simulation.harness import SimulationConfig, build_planner
+from tests.filters.test_delta_equivalence import _Oracle
 
 
 def _assert_same_arrays(compiled, reference):
@@ -106,32 +108,37 @@ def test_widen_template_matches_scalar_compile(query):
 
 
 @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)
-def test_planner_solutions_identical(query):
-    """End to end: the dual-DAB planner returns, bit for bit, what the
-    object builders' programs solve to from the same warm starts.  Optimal
-    Refresh's first plan is its builder's program solved cold, bit for
-    bit; a later one is patched from the last optimum, and matches the
+def test_planner_solutions_identical(query, monkeypatch):
+    """End to end: with every Newton-KKT patch declined, the dual-DAB
+    planner returns, bit for bit, what the object builders' programs solve
+    to from the same warm starts — the declined rungs leave no trace."""
+    monkeypatch.setattr(dual_dab, "newton_patch", lambda *args, **kwargs: None)
+    cost_model = CostModel(rates={"x": 1.0, "y": 2.0, "z": 0.5},
+                           recompute_cost=5.0)
+    dual, oracle = DualDABPlanner(cost_model), _Oracle(cost_model)
+    for vals in VALUE_SETS:
+        assert dual.plan(query, vals) == oracle.plan(query, vals)
+
+
+@pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)
+def test_planner_ladders_match_builders(query):
+    """Both ladders as shipped: every dual-DAB plan — a linear-anchor patch
+    first, then patches from the last optimum — is within 1e-6 relative
+    objective of the builders' chain and holds the QAB over its window.
+    Optimal Refresh's first plan is its builder's program solved cold, bit
+    for bit; a later one is patched from the last optimum, and matches the
     builder's warm-started solve to 1e-6 relative objective."""
     items = query.variables
     cost_model = CostModel(rates={"x": 1.0, "y": 2.0, "z": 0.5},
                            recompute_cost=5.0)
-    dual, refresh = DualDABPlanner(cost_model), OptimalRefreshPlanner(cost_model)
-    dual_warm = refresh_warm = None
+    dual, oracle = DualDABPlanner(cost_model), _Oracle(cost_model)
+    refresh = OptimalRefreshPlanner(cost_model)
+    refresh_warm = None
     for vals in VALUE_SETS:
-        main = build_dual_dab_program(query, vals, cost_model).solve(
-            initial=dual_warm)
-        primary = {name: main.values[primary_variable(name)] for name in items}
-        widened = build_widen_program(query, vals, primary, cost_model).solve(
-            initial=main.values)
         plan = dual.plan(query, vals)
-        assert plan.primary == primary
-        assert plan.secondary == {
-            name: max(widened.values[secondary_variable(name)], primary[name])
-            for name in items}
-        assert plan.reference_values == {name: vals[name] for name in items}
-        assert plan.recompute_rate == main.values[RECOMPUTE_RATE_VARIABLE]
-        assert plan.objective == main.objective
-        dual_warm = main.values
+        assert plan.objective == pytest.approx(
+            oracle.plan(query, vals).objective, rel=1e-6)
+        assert plan.guarantees_qab_over_window(query)
 
         single = build_optimal_refresh_program(query, vals, cost_model).solve(
             initial=refresh_warm)
@@ -144,9 +151,10 @@ def test_planner_solutions_identical(query):
             assert plan.objective == pytest.approx(single.objective, rel=1e-6)
             assert plan.guarantees_qab(query, vals)
         refresh_warm = single.values
+    assert dual.stats.multistart_solves == 0
 
 
-def _dual_dab_stack(query, values, cost_model):
+def _shipped_stack(query, values, cost_model):
     """The dual-DAB planner stack the simulator and the service ship."""
     traces = TraceSet(Trace(name, [value, value])
                       for name, value in values.items())
@@ -183,9 +191,9 @@ class TestTemplateServesItsQuery:
         assert plan == DualDABPlanner(cost_model).plan(self.TIGHT, self.VALUES)
 
     def test_shipped_stack(self, cost_model):
-        stack = _dual_dab_stack(self.QUERY, self.VALUES, cost_model)
+        stack = _shipped_stack(self.QUERY, self.VALUES, cost_model)
         stack.plan(self.QUERY, self.VALUES)
         plan = stack.plan(self.TIGHT, self.VALUES)
         assert plan.guarantees_qab_over_window(self.TIGHT)
-        fresh = _dual_dab_stack(self.TIGHT, self.VALUES, cost_model)
+        fresh = _shipped_stack(self.TIGHT, self.VALUES, cost_model)
         assert plan == fresh.plan(self.TIGHT, self.VALUES)

@@ -1,9 +1,8 @@
-"""Property-based equivalence suite for delta-driven incremental recompute.
+"""Property-based equivalence suite for the dual-DAB planner's patch ladder.
 
-The tentpole invariants of ISSUE 7, asserted over Hypothesis-generated
-query banks and perturbation sequences:
+Asserted over Hypothesis-generated query banks and perturbation sequences:
 
-1. **Fidelity** — every plan the delta planner ships (patched or not)
+1. **Fidelity** — every plan :class:`DualDABPlanner` ships (patched or not)
    satisfies the paper's QAB-over-window invariant
    (:meth:`DABAssignment.guarantees_qab_over_window`).
 2. **Equivalence** — whenever a breach is answered with a Newton-KKT
@@ -14,11 +13,12 @@ query banks and perturbation sequences:
 3. **Cold start** — a query's first plan (nothing to patch from) is a
    Newton-KKT patch from the linear anchor, held to the same acceptance
    checks as a breach patch and to the full solve's objective within
-   1e-6; when that rung declines it is the inner planner's plan, bit for
-   bit.
+   1e-6; when that rung declines it is the oracle's solve, bit for bit.
 
-The reference throughout is a bare :class:`DualDABPlanner` — the
-multi-start solve the patch replaces on the breach path.
+The reference throughout is the object builders' solve chain
+(:func:`build_dual_dab_program` warm-started from the query's previous
+optimum, then :func:`build_widen_program`) — the multi-start solve the
+patch replaces, and the planner's own last rung.
 
 Budget: the default ``ci`` Hypothesis profile keeps the suite under a
 minute for tier-1; set ``REPRO_HYPOTHESIS_PROFILE=nightly`` for the
@@ -27,6 +27,7 @@ exercised every decline/accept path while the feature was built, so the
 interesting cases run even at ``max_examples=1``.
 """
 
+import functools
 import math
 import os
 
@@ -36,18 +37,28 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GPError
-from repro.filters import CostModel, DualDABPlanner
-from repro.filters.delta_recompute import DeltaRecomputePlanner
+from repro.filters import CostModel, DABAssignment, DualDABPlanner, dual_dab
+from repro.filters.delta_recompute import newton_patch
+from repro.filters.dual_dab import (
+    RECOMPUTE_RATE_VARIABLE,
+    build_dual_dab_program,
+    build_widen_program,
+)
 from repro.queries import parse_query
+from repro.queries.deviation import primary_variable, secondary_variable
 
 settings.register_profile("ci", max_examples=25, deadline=None)
 settings.register_profile("nightly", max_examples=200, deadline=None)
 settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "ci"))
 
-#: Relative tolerance for patched-vs-full objective agreement.  The full
-#: solver itself only promises ~1e-6 feasibility, and an accepted patch
-#: holds the KKT residual to 1e-7; observed disagreement is ~1e-9.
-OBJECTIVE_RTOL = 1e-5
+#: Relative tolerance for patched-vs-full objective agreement: both are
+#: KKT points of one convex program, the solve's to ≈ 1e-6 and an accepted
+#: patch's to 1e-7; observed disagreement is ~1e-9.
+OBJECTIVE_RTOL = 1e-6
+
+#: ``newton_patch``'s default KKT tolerance, which the planner runs with;
+#: an accepted patch's residual is at most ten times it.
+KKT_TOL = 1e-7
 
 
 def _build_case(case_seed, qab_frac):
@@ -86,11 +97,42 @@ def _perturb(values, perturb_seed, tick, magnitude):
             for (name, value), d in zip(sorted(values.items()), deltas)}
 
 
+class _Oracle:
+    """The builders' solve chain for one query: the dual-DAB program solved
+    warm from the previous optimum, then the widening program solved from
+    the new one."""
+
+    def __init__(self, model):
+        self.model = model
+        self.warm = None
+
+    def plan(self, query, values):
+        items = query.variables
+        main = build_dual_dab_program(query, values, self.model).solve(
+            initial=self.warm)
+        self.warm = main.values
+        primary = {name: main.values[primary_variable(name)] for name in items}
+        widened = build_widen_program(query, values, primary,
+                                      self.model).solve(initial=main.values)
+        return DABAssignment(
+            primary=primary,
+            secondary={name: max(widened.values[secondary_variable(name)],
+                                 primary[name]) for name in items},
+            reference_values={name: float(values[name]) for name in items},
+            recompute_rate=main.values[RECOMPUTE_RATE_VARIABLE],
+            objective=main.objective,
+        )
+
+
 def _delta_pair(model):
-    """A patch-first planner plus an independent full-solve reference."""
-    delta = DeltaRecomputePlanner(DualDABPlanner(model))
-    reference = DualDABPlanner(model)
-    return delta, reference
+    """The planner plus an independent full-solve reference."""
+    return DualDABPlanner(model), _Oracle(model)
+
+
+def _decline_every_patch(monkeypatch):
+    """``kkt_tol=0``: no finite residual passes, so every patch declines."""
+    monkeypatch.setattr(dual_dab, "newton_patch",
+                        functools.partial(newton_patch, kkt_tol=0.0))
 
 
 class TestPatchedPlanEquivalence:
@@ -179,7 +221,7 @@ class TestColdPlan:
             assert plan.secondary[item] >= plan.primary[item] * (1 - 1e-9)
         if not stats.reanchors:
             return                                 # the oracle itself answered
-        assert stats.max_residual <= 10.0 * delta.kkt_tol
+        assert stats.max_residual <= 10.0 * KKT_TOL
         try:
             full = reference.plan(query, values)
         except GPError:
@@ -227,25 +269,35 @@ class TestDeterministicWalk:
         # The walk must actually exercise the patch path, and mostly so.
         assert checked >= 10
         assert delta.stats.patch_hit_rate >= 0.7
-        assert delta.stats.max_residual <= 10.0 * delta.kkt_tol
+        assert delta.stats.max_residual <= 10.0 * KKT_TOL
 
-    def test_cold_solve_is_the_inner_planners_plan(self):
+    def test_cold_solve_is_the_inner_planners_plan(self, monkeypatch):
         """Exact float equality, not approx: when the linear-anchor rung
-        declines (``kkt_tol=0`` — no finite residual passes) the cold plan
-        *is* the inner planner's, and the declined attempt may not have
-        perturbed the solve path in any way."""
+        declines the cold plan *is* the oracle's solve, and the declined
+        attempt may not have perturbed the solve path in any way."""
+        _decline_every_patch(monkeypatch)
         query, values, model = _build_case(77, 0.3)
         delta, reference = _delta_pair(model)
-        delta.kkt_tol = 0.0
-        got, want = delta.plan(query, values), reference.plan(query, values)
-        assert got.primary == want.primary
-        assert got.secondary == want.secondary
-        assert got.recompute_rate == want.recompute_rate
-        assert got.objective == want.objective
+        assert delta.plan(query, values) == reference.plan(query, values)
         stats = delta.stats
         assert stats.cold_solves == 1 and stats.breaches == 0
         assert stats.reanchors == 0 and stats.multistart_solves == 1
         assert stats.declines == {"main_kkt": 1}
+
+    def test_every_patch_declining_is_the_oracle_chain(self, monkeypatch):
+        """With every patch declined, each plan is the solve warm-started
+        from the last optimum — the oracle chain itself, bit for bit."""
+        _decline_every_patch(monkeypatch)
+        query, values, model = _build_case(12, 0.25)
+        delta, reference = _delta_pair(model)
+        for tick in range(6):
+            if tick:
+                values = _perturb(values, 99, tick, 0.06)
+            assert delta.plan(query, values) == reference.plan(query, values)
+        stats = delta.stats
+        assert (stats.cold_solves, stats.patches, stats.fallbacks) == (1, 0, 5)
+        assert stats.multistart_solves == 6
+        assert stats.declines == {"main_kkt": 1 + 2 * 5}
 
     def test_residual_counters_track_accepted_patches(self):
         query, values, model = _build_case(12, 0.25)

@@ -1,4 +1,4 @@
-"""Fallback-trigger tests for the delta-recompute planner (ISSUE 7).
+"""Fallback-trigger tests for the dual-DAB planner's patch ladder.
 
 A patch may *decline* for many reasons — an unreachable KKT tolerance, an
 iteration budget too small for the drift, values too violent for a local
@@ -7,17 +7,24 @@ counter with the reason recorded, (b) still answer the breach with the
 full multi-start solve, and (c) ship a plan that holds the QAB invariant.
 """
 
+import functools
 import math
 
 import pytest
 
-from repro.filters import CostModel, DifferentSumPlanner, DualDABPlanner
-from repro.filters.delta_recompute import (
-    DeltaRecomputePlanner,
-    find_delta_planner,
-    newton_patch,
+from repro.filters import (
+    CostModel,
+    DifferentSumPlanner,
+    DualDABPlanner,
+    HalfAndHalfPlanner,
+    dual_dab,
 )
+from repro.filters.compiled_gp import CompiledDualDabTemplate
+from repro.filters.delta_recompute import find_planner_stats, newton_patch
 from repro.queries import parse_query
+
+#: ``newton_patch``'s default KKT tolerance, which the planner runs with.
+KKT_TOL = 1e-7
 
 
 @pytest.fixture()
@@ -29,14 +36,19 @@ def world():
     return query, values, model
 
 
-def _delta(model, **kwargs):
-    return DeltaRecomputePlanner(DualDABPlanner(model), **kwargs)
+def _patch_with(monkeypatch, **kwargs):
+    """Run every patch with ``newton_patch`` options other than its
+    defaults."""
+    monkeypatch.setattr(dual_dab, "newton_patch",
+                        functools.partial(newton_patch, **kwargs))
 
 
 class TestForcedDeclines:
-    def test_unreachable_kkt_tol_declines_and_falls_back(self, world):
+    def test_unreachable_kkt_tol_declines_and_falls_back(self, world,
+                                                         monkeypatch):
         query, values, model = world
-        planner = _delta(model, kkt_tol=0.0)   # no finite residual passes
+        _patch_with(monkeypatch, kkt_tol=0.0)  # no finite residual passes
+        planner = DualDABPlanner(model)
         first = planner.plan(query, values)
         stats = planner.stats
         # The first plan's one patch rung (the linear anchor) declined ...
@@ -54,10 +66,12 @@ class TestForcedDeclines:
         assert plan.guarantees_qab_over_window(query)
         assert plan.recompute_rate > 0.0
 
-    def test_tiny_iteration_budget_declines_on_large_drift(self, world):
+    def test_tiny_iteration_budget_declines_on_large_drift(self, world,
+                                                            monkeypatch):
         query, values, model = world
-        planner = _delta(model, max_newton_iterations=1,
-                         max_working_set_rounds=1)
+        _patch_with(monkeypatch, max_newton_iterations=1,
+                    max_working_set_rounds=1)
+        planner = DualDABPlanner(model)
         planner.plan(query, values)
         shaken = {k: v * (1.8 if k == "x" else 0.6)
                   for k, v in values.items()}
@@ -73,7 +87,7 @@ class TestForcedDeclines:
         far beyond what the damped log-space steps can cover — the patch
         must decline rather than return a half-converged point."""
         query, values, model = world
-        planner = _delta(model)
+        planner = DualDABPlanner(model)
         planner.plan(query, values)
         crashed = dict(values)
         crashed["y"] = 1e-12
@@ -83,26 +97,27 @@ class TestForcedDeclines:
         assert stats.patches == 0
         assert plan.guarantees_qab_over_window(query)
 
-    def test_fallback_reanchors_so_next_breach_can_patch(self, world):
+    def test_fallback_reanchors_so_next_breach_can_patch(self, world,
+                                                         monkeypatch):
         query, values, model = world
-        planner = _delta(model, max_newton_iterations=1,
-                         max_working_set_rounds=1)
-        planner.plan(query, values)
+        planner = DualDABPlanner(model)
         shaken = {k: v * (1.8 if k == "x" else 0.6)
                   for k, v in values.items()}
-        planner.plan(query, shaken)
+        with monkeypatch.context() as patch:
+            _patch_with(patch, max_newton_iterations=1,
+                        max_working_set_rounds=1)
+            planner.plan(query, values)
+            planner.plan(query, shaken)
         assert planner.stats.fallbacks == 1
         # The full solve re-anchored the patch state: a gentle follow-up
         # breach patches (with a sane budget it converges in one round).
-        planner.max_newton_iterations = 12
-        planner.max_working_set_rounds = 4
         plan = planner.plan(query, {k: v * 1.02 for k, v in shaken.items()})
         assert planner.stats.patches == 1
         assert plan.guarantees_qab_over_window(query)
 
     def test_clear_warm_starts_forces_cold_solve(self, world):
         query, values, model = world
-        planner = _delta(model)
+        planner = DualDABPlanner(model)
         planner.plan(query, values)
         planner.clear_warm_starts()
         planner.plan(query, {k: v * 1.03 for k, v in values.items()})
@@ -135,7 +150,7 @@ class TestReanchorRung:
         from repro.gp import solver
 
         queries, values, model = bank
-        planner = _delta(model)
+        planner = DualDABPlanner(model)
         for query in queries:
             planner.plan(query, values)
 
@@ -152,7 +167,7 @@ class TestReanchorRung:
         stats = planner.stats
         assert solves == []
         assert stats.patches == len(queries) and stats.fallbacks == 0
-        assert stats.max_residual <= 10.0 * planner.kkt_tol
+        assert stats.max_residual <= 10.0 * KKT_TOL
         if factor <= 0.85:
             # The drop left every last optimum strictly interior.
             assert stats.declines == {"main_kkt": len(queries)}
@@ -165,9 +180,7 @@ class TestNewtonPatchGuards:
     @pytest.fixture()
     def compiled(self, world):
         query, values, model = world
-        inner = DualDABPlanner(model)
-        inner.plan(query, values)
-        return inner.ensure_template(query, values).compiled
+        return CompiledDualDabTemplate(query, values, model).compiled
 
     def test_no_start_declines(self, compiled):
         assert newton_patch(compiled, None) is None
@@ -201,9 +214,8 @@ class TestNewtonPatchCost:
         from repro.gp.program import CompiledProgram
 
         query, values, model = world
-        inner = DualDABPlanner(model)
-        inner.plan(query, values)
-        template = inner.ensure_template(query, values)
+        template = CompiledDualDabTemplate(query, values, model)
+        optimum = template.solve(values).values
         template.refresh({k: v * 1.02 for k, v in values.items()})
 
         calls = {"evaluate": 0, "rounds": 0}
@@ -221,26 +233,20 @@ class TestNewtonPatchCost:
         monkeypatch.setattr(CompiledProgram, "evaluate", counting_evaluate)
         monkeypatch.setattr(delta_recompute, "_newton_working_set",
                             counting_round)
-        patched = newton_patch(template.compiled, inner.warm_start(query.name))
+        patched = newton_patch(template.compiled, optimum)
         assert patched is not None
         assert calls["rounds"] == 1 and patched.iterations >= 1
         assert calls["evaluate"] == 1 + patched.iterations
 
 
-class TestConstruction:
-    def test_unknown_mode_rejected(self, world):
-        """There is one pipeline and no selector: the deleted ``mode``
-        argument has no shim behind it, whatever its value."""
-        _, _, model = world
-        inner = DualDABPlanner(model)
-        for mode in ("full", "delta", "incremental"):
-            with pytest.raises(TypeError, match="mode"):
-                DeltaRecomputePlanner(inner, mode=mode)
 
-    def test_find_delta_planner_walks_wrapper_stacks(self, world):
+class TestStack:
+    def test_stats_reach_the_stack(self, world):
+        """The ladder's counters are what a run reports, found through
+        either general-polynomial wrapper a shipped stack carries."""
         _, _, model = world
-        delta = _delta(model)
-        assert find_delta_planner(DifferentSumPlanner(model, delta)) is delta
-        assert find_delta_planner(delta) is delta
-        assert find_delta_planner(DualDABPlanner(model)) is None
-        assert find_delta_planner(None) is None
+        planner = DualDABPlanner(model)
+        for stack in (planner, DifferentSumPlanner(model, planner),
+                      HalfAndHalfPlanner(model, planner)):
+            assert find_planner_stats(stack) is planner.stats
+        assert find_planner_stats(None) is None

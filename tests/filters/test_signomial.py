@@ -121,6 +121,35 @@ class TestPlannerGuarantees:
             SignomialPlanner(model, max_iterations=0)
 
 
+class TestStackProtocol:
+    """The coordinator forgets a removed query and clears starts on a fault
+    resync through whatever planner it holds; under ``--algorithm
+    signomial`` both calls must reach the PPQ planner and the Different-Sum
+    seed planner."""
+
+    @pytest.fixture()
+    def planned(self, mixed_query, mixed_values, model):
+        planner = SignomialPlanner(model)
+        ppq = parse_query("x*y + u : 5", name="sig_ppq")
+        planner.plan(ppq, mixed_values)
+        planner.plan(mixed_query, mixed_values)
+        inner = (planner._ppq_planner, planner._seed_planner.base)
+        assert all(dual._queries for dual in inner)
+        return planner, inner, (ppq, mixed_query)
+
+    def test_forget_query_reaches_every_inner_planner(self, planned):
+        planner, inner, queries = planned
+        for query in queries:
+            planner.forget_query(query.name)
+        assert [dual._queries for dual in inner] == [{}, {}]
+
+    def test_clear_warm_starts_reaches_every_inner_planner(self, planned):
+        planner, inner, _ = planned
+        planner.clear_warm_starts()
+        assert all(state.main is None
+                   for dual in inner for state in dual._queries.values())
+
+
 class TestPlannerVsHeuristics:
     def test_beats_both_heuristics_on_refresh_objective(self, mixed_query,
                                                         mixed_values, model):

@@ -7,16 +7,18 @@ service level: agents replay a 10x-volatility scenario (the
 over ``connect_loopback`` links into one server, and the served values are
 judged by the shared oracle, :func:`repro.invariants.check_served`, at
 checkpoints along the run.  Once with the planner as shipped (first plans
-and breaches patch), once with ``kkt_tol=0`` from construction (every
-patch rung declines, every plan is the full solve's): the served-value
-contract is the same.
+and breaches patch), once with ``newton_patch`` monkeypatched to
+``kkt_tol=0`` before the server is built (every patch rung declines, every
+plan is the full solve's): the served-value contract is the same.
 """
 
 import asyncio
+import functools
 
 from repro.dynamics.estimation import estimate_rates
+from repro.filters import dual_dab
 from repro.filters.cost_model import CostModel
-from repro.filters.delta_recompute import find_delta_planner
+from repro.filters.delta_recompute import newton_patch
 from repro.invariants import check_served
 from repro.service.agent import agents_for_scenario
 from repro.service.client import ServiceClient
@@ -30,11 +32,9 @@ STEPS = 150
 AUDIT_EVERY = 25
 
 
-def build_server(kkt_tol=None):
+def build_server():
     """One coordinator over the volatile scenario, planned exactly as
-    ``build_scenario_server`` plans (which cannot set the volatility).
-    ``kkt_tol`` is set on the patch layer before the server plans
-    anything."""
+    ``build_scenario_server`` plans (which cannot set the volatility)."""
     scenario = scaled_scenario(query_count=6, item_count=20,
                                trace_length=STEPS + 1, source_count=SOURCES,
                                seed=13, volatility=0.02)
@@ -46,8 +46,6 @@ def build_server(kkt_tol=None):
         ddm=config.ddm, recompute_cost=config.recompute_cost,
         rates=estimate_rates(config.traces, config.rate_estimator, items))
     planner = build_planner(config, cost_model)
-    if kkt_tol is not None:
-        find_delta_planner(planner).kkt_tol = kkt_tol
     item_to_source = assign_items_to_sources(items, SOURCES)
     server = CoordinatorServer(
         queries=config.queries, planner=planner,
@@ -88,7 +86,6 @@ async def drive(server, scenario, item_to_source):
 
 def test_breaches_are_patched_and_served_values_hold():
     server, scenario, item_to_source = build_server()
-    kkt_tol = find_delta_planner(server.core.planner).kkt_tol
     violations, stats = asyncio.run(drive(server, scenario, item_to_source))
     assert violations == []
     delta = stats["delta_recompute"]
@@ -107,11 +104,14 @@ def test_breaches_are_patched_and_served_values_hold():
     assert rescued >= 0
     assert sum(delta["declines"].values()) == (2 * delta["fallbacks"]
                                                + rescued)
-    assert delta["max_residual"] <= 10.0 * kkt_tol <= 1e-6
+    # Ten times newton_patch's default KKT tolerance.
+    assert delta["max_residual"] <= 1e-6
 
 
-def test_every_patch_declining_serves_the_same_contract():
-    server, scenario, item_to_source = build_server(kkt_tol=0.0)
+def test_every_patch_declining_serves_the_same_contract(monkeypatch):
+    monkeypatch.setattr(dual_dab, "newton_patch",
+                        functools.partial(newton_patch, kkt_tol=0.0))
+    server, scenario, item_to_source = build_server()
     violations, stats = asyncio.run(drive(server, scenario, item_to_source))
     assert violations == []
     delta = stats["delta_recompute"]

@@ -11,12 +11,14 @@ solver).
 """
 
 import asyncio
+import functools
 import json
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.filters.delta_recompute import find_delta_planner
+from repro.filters import dual_dab
+from repro.filters.delta_recompute import newton_patch
 from repro.service import protocol
 from repro.service.journal import Journal
 from repro.service.protocol import MessageType
@@ -177,16 +179,20 @@ class TestDeltaCrashRecovery:
     def test_delta_and_full_servers_converge_on_same_values(self):
         """The service-level equivalence check: the same load through a
         patching server and through one whose every patch declines
-        (``kkt_tol=0``: each breach gets the full multi-start solve)
+        (``newton_patch`` at ``kkt_tol=0``: each breach gets the full
+        multi-start solve)
         yields the same query values (plans agree to solver tolerance;
         values are exact)."""
         async def check():
             results = {}
             for label in ("full", "delta"):
                 server, _, item_to_source = build()
-                if label == "full":
-                    find_delta_planner(server.core.planner).kkt_tol = 0.0
-                await push_load(server, item_to_source)
+                with pytest.MonkeyPatch.context() as patch:
+                    if label == "full":
+                        patch.setattr(dual_dab, "newton_patch",
+                                      functools.partial(newton_patch,
+                                                        kkt_tol=0.0))
+                    await push_load(server, item_to_source)
                 stats = server.server_stats()["delta_recompute"]
                 if label == "full":
                     assert stats["patches"] == 0 < stats["fallbacks"]

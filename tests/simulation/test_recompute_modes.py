@@ -38,7 +38,7 @@ from tests.golden import (
 # volatility 0.02.
 GOLDEN_FULL = (2447, 48, 0.21929824561403577, 127, 943, 0)
 
-#: ``DeltaRecomputePlanner``'s default, which is what the harness builds.
+#: ``newton_patch``'s default KKT tolerance, which every planner runs with.
 KKT_TOL = 1e-7
 
 
