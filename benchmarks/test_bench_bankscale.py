@@ -134,7 +134,7 @@ def _run_flat(flat_queries, table, values0, walks, n, qab, shared):
     bank = CompiledQueryBank(
         [CompiledPolynomial(query, table) for query in flat_queries])
     for item, _ in walks[0]:
-        bank.values_vector(pvec, item)
+        bank.values_vector(pvec, bank.affected(item))
     build_seconds = time.perf_counter() - started
     phases = []
     for walk in walks:
@@ -143,8 +143,8 @@ def _run_flat(flat_queries, table, values0, walks, n, qab, shared):
         for item, factor in walk:
             values[item] *= factor
             bank.write(pvec, item, values[item])
-            sub = bank.values_vector(pvec, item)
             idx = bank.affected(item)
+            sub = bank.values_vector(pvec, idx)
             moved = np.abs(sub - last_user[idx]) > qab[idx]
             if moved.any():
                 movers += int(moved.sum())

@@ -207,8 +207,8 @@ class CompiledQueryBank:
       while the bank sees every write to the power vector it was
       multiplied from: :meth:`write` is the one way to move an item, and
       it only *marks* the item; every read — :meth:`values_vector` for
-      one item or for the whole bank — first re-multiplies the cells of
-      the marked items.  A read from a different vector object recomputes
+      some queries or for the whole bank — first re-multiplies the cells
+      of the marked items.  A read from a different vector object recomputes
       the whole table unless the vector is a grown copy of the last one
       (new slots appended, old ones unchanged — what registering a query
       with a new ``(item, exponent)`` pair produces).
@@ -358,7 +358,7 @@ class CompiledQueryBank:
 
     def affected(self, item: str) -> np.ndarray:
         """Bank positions of the queries reading ``item``, in registration
-        order — what ``values_vector(pvec, item)`` is aligned with."""
+        order (``values_vector(pvec, affected(item))`` reads them)."""
         return self._entry(item)[4]
 
     # -- writes and reads --------------------------------------------------------
@@ -402,16 +402,16 @@ class CompiledQueryBank:
             self._dirty.clear()
 
     def values_vector(self, pvec: np.ndarray,
-                      item: Optional[str] = None) -> np.ndarray:
+                      positions: Optional[np.ndarray] = None) -> np.ndarray:
         """Query values at ``pvec``, bitwise ``query.evaluate``: of every
-        query in bank order, or — given ``item`` — of the queries reading
-        it, aligned with :meth:`affected`.  Multiplies only what was
-        written since the last read."""
+        query in bank order, or of the queries at ``positions``, in that
+        order (``affected(item)``: the queries reading ``item``).
+        Multiplies only what was written since the last read."""
         self._flush(pvec)
-        if item is None:
+        if positions is None:
             cells = self._matrix[:len(self._members)]
         else:
-            cells = self._matrix.take(self._entry(item)[4], axis=0)
+            cells = self._matrix.take(positions, axis=0)
         return np.add.accumulate(cells, axis=1)[:, -1]
 
     # -- the stateless reference (tests compare the table against it) ------------

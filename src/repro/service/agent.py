@@ -156,16 +156,18 @@ class SourceAgent(SourceLink):
         return messages
 
     async def tick(self, updates: Mapping[str, float]) -> int:
-        """Programmatic tick: new values in, filtered refreshes out.
+        """Programmatic tick: new values in, filtered refreshes out, all
+        of them in one write.
 
         Returns how many refreshes were actually pushed upstream."""
         messages = self.pending_refreshes(updates)
+        if not messages:
+            return 0
         stream = self._stream
-        if messages and stream is None:
+        if stream is None:
             raise TransportClosed(
                 f"source {self.source_id} ticked while disconnected")
-        for message in messages:
-            await stream.send(message)
+        await stream.send_many(messages)
         return len(messages)
 
     # -- connection lifecycle -------------------------------------------------------
@@ -265,6 +267,10 @@ class SourceAgent(SourceLink):
                 await self._reconnect(reconnect, retry_policy)
                 continue            # retry the same step after resync
             step += 1
+            # A trace is a stream over time: the loop gets a turn between
+            # ticks, so an in-process coordinator takes each tick as it
+            # lands instead of the whole trace as one backlogged batch.
+            await asyncio.sleep(0)
         return sent
 
     async def _reconnect(self, reconnect: Callable[[], "Any"],

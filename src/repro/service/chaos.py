@@ -5,10 +5,11 @@ The simulator's :mod:`repro.simulation.faults` decides the fate of
 substreams, loss, duplication, partitions, crash windows — to *frames*:
 real :class:`~repro.service.protocol.FrameDecoder` bytes flowing through
 a real transport.  A :class:`ChaosWriter` wraps the writer half of any
-stream (the loopback ``_MemoryPipe`` or asyncio's ``StreamWriter``), and
-because :class:`~repro.service.transports.MessageStream` issues exactly
-one ``write()`` per frame, every fault decision lands on a whole-frame
-boundary:
+stream (the loopback ``_MemoryPipe`` or asyncio's ``StreamWriter``) and
+splits every ``write()`` — one frame from
+:meth:`~repro.service.transports.MessageStream.send`, a tick's worth from
+``send_many`` — at its frame boundaries, so every fault decision lands
+on a whole frame:
 
 * **drop** — the frame silently vanishes;
 * **duplicate** — the frame is written twice (the peer's seq/epoch
@@ -49,6 +50,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import SimulationError
+from repro.service.protocol import HEADER_BYTES
 from repro.service.transports import MessageStream, loopback_pair
 from repro.simulation.faults import CrashWindow, PartitionWindow
 
@@ -239,8 +241,6 @@ def _corrupt(frame: bytes) -> bytes:
     poisoned, connection torn down), never a silent value change that
     would fake a QAB violation.
     """
-    from repro.service.protocol import HEADER_BYTES
-
     if len(frame) <= HEADER_BYTES:
         return frame
     mutated = bytearray(frame)
@@ -260,6 +260,17 @@ class ChaosWriter:
         injector._writers.append(self)
 
     def write(self, data: bytes) -> None:
+        """Split ``data`` at its frame boundaries and apply each frame's
+        fate, drawn in frame order — a write of many frames is faulted
+        exactly as one write per frame would be."""
+        start = 0
+        while start < len(data):
+            length = int.from_bytes(data[start:start + HEADER_BYTES], "big")
+            end = start + HEADER_BYTES + length
+            self._write_frame(data[start:end])
+            start = end
+
+    def _write_frame(self, frame: bytes) -> None:
         fate = self.injector.decide(self.link)
         if fate.get("drop"):
             return
@@ -269,14 +280,14 @@ class ChaosWriter:
             self.close()
             raise ConnectionError(f"chaos: forced disconnect on {self.link}")
         if fate.get("corrupt"):
-            data = _corrupt(data)
+            frame = _corrupt(frame)
         release = fate.get("delay_until")
         if release is not None:
-            self._held.append((int(release), bytes(data)))
+            self._held.append((int(release), bytes(frame)))
             return
-        self.inner.write(data)
+        self.inner.write(frame)
         if fate.get("duplicate"):
-            self.inner.write(data)
+            self.inner.write(frame)
 
     def flush_due(self, now: int) -> None:
         if self._closed or not self._held:

@@ -667,25 +667,29 @@ class ClusterCoordinator(FrontEnd):
                                                      seqs=seqs or None)):
             self.stats["dab_updates_sent"] += 1
 
-    async def _on_refresh(self, peer: Peer, message: Dict[str, Any]) -> None:
-        item = message["item"]
-        seq = int(message["seq"])
-        if seq > self._seq_floors.get(item, 0):
-            self._seq_floors[item] = seq
-        if item in self._frozen_items:
-            # Mid-migration: buffer instead of routing — neither the old
-            # nor the new owner may apply this value until the hand-off
-            # commits (two owners could accept diverging seq floors).
-            # Flushed under the new map at cutover.
-            self._frozen_items[item].append(dict(message))
-            self.stats["refreshes_frozen"] += 1
+    async def _on_refresh(self, peer: Peer,
+                          messages: List[Dict[str, Any]]) -> None:
+        """Route each REFRESH of the batch in order; the in-process links
+        queue them, so each shard takes its share as one batch."""
+        for message in messages:
+            item = message["item"]
+            seq = int(message["seq"])
+            if seq > self._seq_floors.get(item, 0):
+                self._seq_floors[item] = seq
+            if item in self._frozen_items:
+                # Mid-migration: buffer instead of routing — neither the
+                # old nor the new owner may apply this value until the
+                # hand-off commits (two owners could accept diverging seq
+                # floors).  Flushed under the new map at cutover.
+                self._frozen_items[item].append(dict(message))
+                self.stats["refreshes_frozen"] += 1
+                self.stats["refreshes_accepted"] += 1
+                continue
+            if item not in self._item_shards:
+                self.stats["refreshes_unroutable"] += 1
+                continue
             self.stats["refreshes_accepted"] += 1
-            return
-        if item not in self._item_shards:
-            self.stats["refreshes_unroutable"] += 1
-            return
-        self.stats["refreshes_accepted"] += 1
-        await self._route_refresh(message)
+            await self._route_refresh(message)
 
     async def _route_refresh(self, message: Dict[str, Any]) -> None:
         item = message["item"]
@@ -854,7 +858,7 @@ class ClusterCoordinator(FrontEnd):
         # Aggregate the hot counters so single-node tooling can read the
         # cluster like one big coordinator.
         for key in ("recomputations", "window_screen_hits",
-                    "window_screen_misses", "refreshes",
+                    "window_screen_misses", "refresh_batches", "refreshes",
                     "dab_change_messages", "user_notifications",
                     "duplicate_rejects"):
             stats[key] = sum(int(shard_stats.get(key, 0))

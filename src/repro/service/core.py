@@ -40,6 +40,7 @@ import math
 from typing import (
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -75,6 +76,14 @@ _BAND_MARGIN_REL = 1e-12
 #: The band that admits nothing: every refresh of the item takes the
 #: exact per-query check.
 _NO_BAND = (math.inf, -math.inf)
+
+
+def _readers(index: Mapping[str, List[PolynomialQuery]],
+             items: Sequence[str]) -> Iterable[PolynomialQuery]:
+    """Each query reading one of ``items`` once, in item then ``index``
+    order."""
+    return {query.name: query
+            for item in items for query in index[item]}.values()
 
 
 class RecomputeMode(enum.Enum):
@@ -566,43 +575,61 @@ class CoordinatorCore:
                 record["seq"] = int(seq)
             self.journal.append(record)
 
-    def react_to_refresh(self, item: str) -> Tuple[List[Tuple[str, float]], bool]:
-        """Notify users and recompute plans after ``item`` refreshed.
+    def react_to_refresh(self, items: Sequence[str],
+                         ) -> Tuple[List[Tuple[str, float]], bool]:
+        """Notify users and recompute plans after a batch of refreshes —
+        ``items``, each already applied by :meth:`apply_refresh` — landed.
 
         Returns ``(notifications, recomputed)``: the ``(query name, new
         value)`` pairs whose result moved beyond its QAB since the user
         last saw it, and whether any plan was recomputed (in which case the
-        adapter should ship :meth:`changed_bound_updates`)."""
-        affected = self.item_index.get(item)
-        if not affected:
+        adapter should ship :meth:`changed_bound_updates`).
+
+        The whole batch is judged at the cache it left: one bank read over
+        the queries reading any of its items, one notification per moved
+        query, and each query whose window may be broken checked — and
+        recomputed — once.  Every item keeps its own safe-band screen.  A
+        batch of one is the per-refresh reaction of DESIGN.md §8.5 (the
+        simulator reacts to each refresh event alone)."""
+        if isinstance(items, str):
+            raise TypeError("react_to_refresh takes a sequence of items")
+        index = self.item_index
+        batch = [item for item in dict.fromkeys(items) if index.get(item)]
+        if not batch:
             return [], False
-        # User notification, batched: the cache cannot change again
-        # within this event and notifications draw no randomness, so
-        # raising them ahead of the recomputations leaves the
-        # event-stream state untouched.
-        notifications = self._notify_movers(item)
+        # User notification first: the cache cannot change again within
+        # this batch and notifications draw no randomness, so raising them
+        # ahead of the recomputations leaves the event-stream state
+        # untouched.
+        notifications = self._notify_movers(batch)
         if self.mode is RecomputeMode.EVERY_REFRESH:
-            for query in affected:
+            for query in _readers(index, batch):
                 self._recompute(query)
             recomputed = True
         else:
             recomputed = False
-            band = self._bands.get(item)
-            if band is None:
-                band = self._bands[item] = self._safe_band(item)
-            if band[0] <= self.cache[item] <= band[1]:
-                self.window_screen_hits += 1
-            else:
+            bands, cache = self._bands, self.cache
+            missed = []
+            for item in batch:
+                band = bands.get(item)
+                if band is None:
+                    band = bands[item] = self._safe_band(item)
+                if band[0] <= cache[item] <= band[1]:
+                    self.window_screen_hits += 1
+                else:
+                    self.window_screen_misses += 1
+                    missed.append(item)
+            if missed:
                 # Outside the band (or no band): the reference predicate
                 # decides, query by query.  Whatever it finds, the band is
                 # rebuilt at the item's next refresh — a standing breach
                 # may have just healed.
-                self.window_screen_misses += 1
-                for query in affected:
+                for query in _readers(index, missed):
                     if self._window_broken(query):
                         self._recompute(query)
                         recomputed = True
-                self._bands.pop(item, None)
+                for item in missed:
+                    bands.pop(item, None)
         if notifications and self.journal is not None:
             # last_user_values gates every future notification, so the
             # values the user saw are part of the recovery state.
@@ -610,15 +637,23 @@ class CoordinatorCore:
                                  "values": dict(notifications)})
         return notifications, recomputed
 
-    def _notify_movers(self, item: str) -> List[Tuple[str, float]]:
-        """Raise the user notifications ``item``'s refresh caused: one
-        per-item read of the bank gives every affected query's value
-        (re-multiplying only the terms that contain ``item``), one masked
-        compare the queries whose result moved beyond the QAB since the
-        user last saw it."""
+    def _notify_movers(self, items: List[str]) -> List[Tuple[str, float]]:
+        """Raise the user notifications a batch over ``items`` caused: one
+        read of the bank gives the value of every query reading one of
+        them (re-multiplying only the terms that contain a written item),
+        one masked compare the queries whose result moved beyond the QAB
+        since the user last saw it.  One item reads its readers in
+        registration order; several read the union of theirs in bank
+        order."""
         bank = self._bank
-        sub = bank.values_vector(self._power_vector, item)
-        idx = bank.affected(item)
+        if len(items) == 1:
+            idx = bank.affected(items[0])
+        else:
+            union = np.zeros(len(self.queries), dtype=bool)
+            for item in items:
+                union.put(bank.affected(item), True)
+            idx = np.flatnonzero(union)
+        sub = bank.values_vector(self._power_vector, idx)
         moved = (np.abs(sub - self._last_user_arr.take(idx))
                  > self._qab_arr.take(idx))
         notifications: List[Tuple[str, float]] = []

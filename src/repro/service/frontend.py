@@ -4,8 +4,9 @@ The coordinator server, the cluster router and each NOTIFY broker are
 all :class:`FrontEnd`\\ s.  *What* a node publishes and *when* is its own
 business; how peers are accepted, policed, fed and let go is written
 here once (DESIGN.md §9.3), in three parts: the **peer loop** (accept,
-``receive → validate → dispatch → protocol-error reply → teardown`` over
-the node's handler table, the maintenance task, the drain on shutdown),
+``receive_many → validate → dispatch → protocol-error reply → teardown``
+over the node's handler table — each run of REFRESHes one read delivered
+is dispatched as one batch — the maintenance task, the drain on shutdown),
 the **subscriber plane** (a bounded NOTIFY queue and writer task per
 subscriber, the one fan-out loop, slow-consumer eviction, the graceful
 drop) and **reliable DAB delivery** (``msg_id``-tagged DAB_UPDATEs resent
@@ -66,7 +67,9 @@ class Peer:
         self.sub: Optional[_Subscriber] = None
 
 
-Handler = Callable[[Peer, Dict[str, Any]], Awaitable[None]]
+#: What a node does with one message — or, for ``REFRESH``, with a batch:
+#: the list of consecutive REFRESH messages one read delivered.
+Handler = Callable[[Peer, Any], Awaitable[None]]
 
 
 class FrontEnd:
@@ -155,30 +158,8 @@ class FrontEnd:
         peer = Peer(stream)
         try:
             while True:
-                message = await stream.receive()
-                if message is None:
-                    break
-                try:
-                    kind = protocol.validate_message(message)
-                except ProtocolError as err:
-                    await self._protocol_error(stream, str(err))
-                    break
-                handler = self.handlers.get(kind)
-                if handler is None:
-                    # e.g. NOTIFY/DAB_UPDATE/ERROR: node-to-peer only.
-                    await self._protocol_error(
-                        stream, f"unexpected {kind.value} from a client")
-                    break
-                try:
-                    await handler(peer, message)
-                except (ValueError, TypeError, KeyError,
-                        ProtocolError) as err:
-                    # validate_message shape-checks every known field, but
-                    # a handler tripping over a hostile payload (or a
-                    # refused QUERY_SUB definition) must still answer
-                    # with a protocol error, not kill the task.
-                    await self._protocol_error(
-                        stream, f"malformed {kind.value} message: {err}")
+                messages = await stream.receive_many()
+                if not messages or not await self._dispatch(peer, messages):
                     break
         except ProtocolError:
             await self._protocol_error(stream, "corrupt framing")
@@ -189,6 +170,57 @@ class FrontEnd:
                 del self._source_streams[peer.source_id]
             if peer.sub is not None:
                 await self._drop_subscriber(peer.sub)
+
+    async def _dispatch(self, peer: Peer,
+                        messages: List[Dict[str, Any]]) -> bool:
+        """Validate and handle what one read delivered, in order: each
+        run of consecutive REFRESHes is one batch for the REFRESH
+        handler, every other message is handled alone.  ``False`` once
+        the peer has been told why it is being hung up on — after the
+        batch in front of the offending message was handled."""
+        batch: List[Dict[str, Any]] = []
+        for message in messages:
+            try:
+                kind: Optional[MessageType] = protocol.validate_message(message)
+            except ProtocolError as err:
+                kind, invalid = None, str(err)
+            if kind is MessageType.REFRESH:
+                batch.append(message)
+                continue
+            if batch and not await self._handle(peer, MessageType.REFRESH,
+                                                batch):
+                return False
+            batch = []
+            if kind is None:
+                await self._protocol_error(peer.stream, invalid)
+                return False
+            if not await self._handle(peer, kind, message):
+                return False
+        return not batch or await self._handle(peer, MessageType.REFRESH,
+                                               batch)
+
+    async def _handle(self, peer: Peer, kind: MessageType,
+                      payload: Any) -> bool:
+        """Run ``kind``'s handler on ``payload``; ``False`` (the peer told
+        why) when the node takes no such message or the handler refused
+        it."""
+        handler = self.handlers.get(kind)
+        if handler is None:
+            # e.g. NOTIFY/DAB_UPDATE/ERROR: node-to-peer only.
+            await self._protocol_error(
+                peer.stream, f"unexpected {kind.value} from a client")
+            return False
+        try:
+            await handler(peer, payload)
+        except (ValueError, TypeError, KeyError, ProtocolError) as err:
+            # validate_message shape-checks every known field, but a
+            # handler tripping over a hostile payload (or a refused
+            # QUERY_SUB definition) must still answer with a protocol
+            # error, not kill the task.
+            await self._protocol_error(
+                peer.stream, f"malformed {kind.value} message: {err}")
+            return False
+        return True
 
     async def _protocol_error(self, stream: MessageStream,
                               reason: str) -> None:

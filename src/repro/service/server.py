@@ -153,6 +153,9 @@ class CoordinatorServer(FrontEnd):
             MessageType.SNAPSHOT: self._on_snapshot,
         }, stats={
             "refreshes_accepted": 0,
+            # REFRESH batches that reached the core: refreshes_accepted /
+            # refresh_batches is the mean batch size.
+            "refresh_batches": 0,
             "refreshes_rejected_stale_seq": 0,
             "refreshes_rejected_stale_map_epoch": 0,
             "notifies_sent": 0,
@@ -419,7 +422,33 @@ class CoordinatorServer(FrontEnd):
             self.stats["dab_updates_sent"] += 1
 
     async def _on_refresh(self, peer: Peer,
-                          message: Dict[str, Any]) -> None:
+                          messages: List[Dict[str, Any]]) -> None:
+        """A batch of REFRESHes (DESIGN.md §9.3): each is fenced, deduped
+        and applied in order, then the core reacts once to every item the
+        batch moved — one DAB fan-out, one NOTIFY per subscriber stamped
+        with the earliest accepted ``sent_at``, one snapshot check."""
+        items: List[str] = []
+        sent_at: Optional[float] = None
+        for message in messages:
+            if not self._apply_refresh(message):
+                continue
+            items.append(message["item"])
+            stamp = message.get("sent_at")
+            if stamp is not None and (sent_at is None or stamp < sent_at):
+                sent_at = stamp
+        if not items:
+            return
+        self.stats["refresh_batches"] += 1
+        notifications, recomputed = self.core.react_to_refresh(items)
+        if recomputed:
+            await self._fanout_bound_changes()
+        if notifications:
+            self._fanout_notifications(notifications, sent_at)
+        self._maybe_snapshot()
+
+    def _apply_refresh(self, message: Dict[str, Any]) -> bool:
+        """Fence, route-check, dedup and apply one REFRESH; ``False`` when
+        it was turned away."""
         item = message["item"]
         frame_epoch = message.get("map_epoch")
         if self.map_epoch is not None and (frame_epoch or 0) < self.map_epoch:
@@ -428,14 +457,14 @@ class CoordinatorServer(FrontEnd):
             # (the new owner already has a fresher hand-off value), so
             # it is dropped — the router re-sends under the new map.
             self.stats["refreshes_rejected_stale_map_epoch"] += 1
-            return
+            return False
         if frame_epoch is not None:
             # A frame from the future means we missed a cutover
             # broadcast (e.g. restored from an old snapshot): converge.
             self.advance_map_epoch(frame_epoch)
         if item not in self.core.cache:
             self.metrics.record_misrouted_bounds()
-            return
+            return False
         seq = int(message["seq"])
         # Same dedup the simulator applies under faults — always on here:
         # TCP per connection is ordered, but a reconnecting source resends,
@@ -444,7 +473,7 @@ class CoordinatorServer(FrontEnd):
             self.metrics.record_refresh()
             self.metrics.record_duplicate_reject()
             self.stats["refreshes_rejected_stale_seq"] += 1
-            return
+            return False
         self.last_seq[item] = seq
         now = self.clock()
         self.last_heard[int(message["source_id"])] = now
@@ -455,13 +484,7 @@ class CoordinatorServer(FrontEnd):
         self.stats["refreshes_accepted"] += 1
         if message.get("resync"):
             self.core.clear_planner_warm_starts()
-        notifications, recomputed = self.core.react_to_refresh(item)
-        if recomputed:
-            await self._fanout_bound_changes()
-        if notifications:
-            self._fanout_notifications(notifications,
-                                       message.get("sent_at"))
-        self._maybe_snapshot()
+        return True
 
     async def _fanout_bound_changes(self) -> None:
         for source_id, (bounds, epochs) in self.core.changed_bound_updates().items():

@@ -8,6 +8,11 @@ and by :class:`_MemoryPipe` (:func:`loopback_pair`, no sockets involved):
 * reader: ``async read(n) -> bytes`` (``b""`` at EOF)
 * writer: ``write(data)``, ``async drain()``, ``close()``
 
+A read returns whatever has arrived, so it may carry many frames: what
+one read delivered is what :meth:`MessageStream.receive_many` hands a
+node as one batch (DESIGN.md §9.3), and :meth:`MessageStream.send_many`
+puts many frames in one write.
+
 The loopback *pipe* is a real transport in every sense that matters to the
 protocol code — messages are *serialized to bytes* and re-parsed through
 the same :class:`~repro.service.protocol.FrameDecoder` as TCP traffic, so
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.service import protocol
 from repro.service.protocol import FrameDecoder, ProtocolError, encode_frame
@@ -81,6 +86,8 @@ class _MemoryPipe:
     # -- reader side -------------------------------------------------------------
 
     async def read(self, n: int = -1) -> bytes:
+        """Everything buffered, up to ``n`` bytes — as a socket read
+        returns whatever arrived — waiting only while nothing is."""
         if self._leftover:
             data, self._leftover = self._leftover, b""
         else:
@@ -92,6 +99,18 @@ class _MemoryPipe:
                 self._eof = True
                 self._chunks.put_nowait(b"")
                 return b""
+        parts = [data]
+        size = len(data)
+        while (n < 0 or size < n) and not self._chunks.empty():
+            chunk = self._chunks.get_nowait()
+            if chunk == b"":
+                # EOF sentinel (always the last chunk): the next read's.
+                self._chunks.put_nowait(b"")
+                break
+            parts.append(chunk)
+            size += len(chunk)
+        if len(parts) > 1:
+            data = b"".join(parts)
         if 0 <= n < len(data):
             self._leftover = data[n:]
             data = data[:n]
@@ -114,11 +133,16 @@ class MessageStream:
     # -- sending -----------------------------------------------------------------
 
     async def send(self, message: Dict[str, Any]) -> None:
+        await self.send_many((message,))
+
+    async def send_many(self, messages: Sequence[Dict[str, Any]]) -> None:
+        """Every message, in order, in one write and one drain."""
         if self._closed:
             raise TransportClosed(f"send on closed stream to {self.name}")
-        frame = encode_frame(message, self._decoder.max_frame_bytes)
+        limit = self._decoder.max_frame_bytes
+        data = b"".join([encode_frame(message, limit) for message in messages])
         try:
-            self._writer.write(frame)
+            self._writer.write(data)
             await self._writer.drain()
         except (ConnectionError, RuntimeError, TransportClosed) as err:
             self._closed = True
@@ -126,8 +150,8 @@ class MessageStream:
 
     # -- receiving ---------------------------------------------------------------
 
-    async def receive(self) -> Optional[Dict[str, Any]]:
-        """The next message, or ``None`` on a clean EOF.
+    async def _fill(self) -> bool:
+        """Read until a message is decoded; ``False`` on a clean EOF.
 
         Raises :class:`ProtocolError` on corrupt framing (the caller
         should close the connection)."""
@@ -135,11 +159,25 @@ class MessageStream:
             try:
                 chunk = await self._reader.read(_READ_CHUNK)
             except ConnectionError:
-                return None
+                return False
             if not chunk:
-                return None
+                return False
             self._pending.extend(self._decoder.feed(chunk))
-        return self._pending.popleft()
+        return True
+
+    async def receive(self) -> Optional[Dict[str, Any]]:
+        """The next message, or ``None`` on a clean EOF."""
+        return self._pending.popleft() if await self._fill() else None
+
+    async def receive_many(self) -> List[Dict[str, Any]]:
+        """The next message and every one already decoded behind it, in
+        order — what one read delivered; ``[]`` on a clean EOF.  Waits
+        only while nothing is decoded."""
+        if not await self._fill():
+            return []
+        messages = list(self._pending)
+        self._pending.clear()
+        return messages
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -205,11 +243,26 @@ class _MessagePipe:
             self._messages.put_nowait(None)
         return message
 
+    async def get_many(self) -> List[Dict[str, Any]]:
+        """The next message and every one queued behind it; ``[]`` at EOF."""
+        message = await self.get()
+        if message is None:
+            return []
+        messages = [message]
+        queue = self._messages
+        while not queue.empty():
+            message = queue.get_nowait()
+            if message is None:
+                queue.put_nowait(None)      # the next call's EOF
+                break
+            messages.append(message)
+        return messages
+
 
 class InprocessLink:
     """One end of an in-process message link — :class:`MessageStream`'s
-    surface (``send``/``receive``/``close``/``closed``/``name``) with no
-    bytes underneath.
+    surface (``send``/``send_many``/``receive``/``receive_many``/
+    ``close``/``closed``/``name``) with no bytes underneath.
 
     ``send`` hands the peer *the message object itself*, so **a received
     message is read-only**: the sender may hand the same dict to several
@@ -234,10 +287,20 @@ class InprocessLink:
             self._closed = True
             raise TransportClosed(f"peer {self.name} went away: {err}")
 
+    async def send_many(self, messages: Sequence[Dict[str, Any]]) -> None:
+        """Each message, in order (there is no write to share)."""
+        for message in messages:
+            await self.send(message)
+
     async def receive(self) -> Optional[Dict[str, Any]]:
         """The next message, or ``None`` once either end has closed and
         everything sent before that has been received."""
         return await self._inbox.get()
+
+    async def receive_many(self) -> List[Dict[str, Any]]:
+        """The next message and every one already queued behind it, in
+        order; ``[]`` where :meth:`receive` would return ``None``."""
+        return await self._inbox.get_many()
 
     def close(self) -> None:
         """Hang up both directions: the peer's blocked ``receive()`` wakes

@@ -327,7 +327,7 @@ class Coordinator:
         if self.rate_tracker is not None:
             self.rate_tracker.observe(item, self.core.cache[item], event.time)
 
-        _notifications, recomputed = self.core.react_to_refresh(item)
+        _notifications, recomputed = self.core.react_to_refresh((item,))
         if recomputed:
             self._fanout_bound_changes(event.time)
 

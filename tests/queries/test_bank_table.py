@@ -149,7 +149,7 @@ class Machine:
         assert sorted(positions) == [
             i for i, query in enumerate(self.queries)
             if item in query.variables]
-        got = self.bank.values_vector(self.pvec, item)
+        got = self.bank.values_vector(self.pvec, self.bank.affected(item))
         assert _hex(got) == _hex(expected[i] for i in positions), item
 
     def check_all(self):
@@ -323,11 +323,12 @@ class TestSteadyFanoutReplay:
                 pushed[item] = value
                 core.apply_refresh(item, value)
                 expected = oracle[item].values_vector(core._power_vector)
-                got = core._bank.values_vector(core._power_vector, item)
+                got = core._bank.values_vector(core._power_vector,
+                                                core._bank.affected(item))
                 assert _hex(got) == _hex(expected), (tick, item)
                 assert core._bank.affected(item).tolist() == [
                     core._position[q.name] for q in core.item_index[item]]
-                _, recomputed = core.react_to_refresh(item)
+                _, recomputed = core.react_to_refresh([item])
                 if recomputed:
                     for _, (changed, _) in \
                             core.changed_bound_updates().items():

@@ -255,7 +255,7 @@ class TestLinkEquivalence:
 
             def __init__(self, end):
                 self._end = end
-                self._handling = None
+                self._handling = []
                 self.name = end.name
 
             async def send(self, message):
@@ -263,13 +263,26 @@ class TestLinkEquivalence:
                 sent.append(entry)
                 await self._end.send(entry)
 
+            async def send_many(self, messages):
+                for message in messages:
+                    await self.send(message)
+
+            def _handled(self):
+                # Asking for the next messages is the handler's exit from
+                # the previous ones.
+                for entry in self._handling:
+                    check(entry)
+
             async def receive(self):
-                # Asking for the next message is the handler's exit from
-                # the previous one.
-                if self._handling is not None:
-                    check(self._handling)
-                self._handling = await self._end.receive()
-                return None if self._handling is None else self._handling[0]
+                self._handled()
+                entry = await self._end.receive()
+                self._handling = [] if entry is None else [entry]
+                return None if entry is None else entry[0]
+
+            async def receive_many(self):
+                self._handled()
+                self._handling = await self._end.receive_many()
+                return [message for message, _ in self._handling]
 
             def close(self):
                 self._end.close()

@@ -213,13 +213,13 @@ class TestLiveMigration:
             before = server.core.cache[item]
             stale = protocol.refresh(0, item, before + 1000.0, 10**6)
             stale["map_epoch"] = 2
-            await server._on_refresh(None, stale)
+            await server._on_refresh(None, [stale])
             assert server.stats["refreshes_rejected_stale_map_epoch"] == 1
             assert server.core.cache[item] == before
             # An unstamped (pre-resharding) frame is also stale once the
             # shard has fenced: epoch-0 traffic cannot land post-cutover.
             legacy = protocol.refresh(0, item, before + 1000.0, 10**6)
-            await server._on_refresh(None, legacy)
+            await server._on_refresh(None, [legacy])
             assert server.stats["refreshes_rejected_stale_map_epoch"] == 2
             # A current-epoch frame converges the fence monotonically.
             server.advance_map_epoch(2)

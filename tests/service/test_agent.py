@@ -211,6 +211,10 @@ class _FlakyStream:
             raise TransportClosed("injected mid-replay drop")
         await self.inner.send(message)
 
+    async def send_many(self, messages):
+        for message in messages:
+            await self.send(message)
+
     async def receive(self):
         return await self.inner.receive()
 

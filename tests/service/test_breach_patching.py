@@ -28,7 +28,10 @@ from repro.simulation.source import assign_items_to_sources
 from repro.workloads import scaled_scenario
 
 SOURCES = 4
-STEPS = 150
+#: Each source's tick is one batch, judged in one window pass, so a
+#: breach the per-refresh path saw mid-tick may heal within it: 200 steps
+#: give the >= 50 breaches the cases below need.
+STEPS = 200
 AUDIT_EVERY = 25
 
 

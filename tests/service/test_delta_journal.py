@@ -87,6 +87,18 @@ async def push_load(server, item_to_source, jitter=0.02):
     await drain()
 
 
+async def push_tail(server, item_to_source):
+    """One more refresh: fewer records than ``snapshot_every``, so they
+    stay a WAL tail behind the snapshot the load's last batch cut."""
+    stream = await register(server, item_to_source, 0)
+    item = owned(item_to_source, 0)[0]
+    await stream.send(protocol.refresh(0, item, server.core.cache[item] * 1.01,
+                                       seq=server.last_seq[item] + 1))
+    await drain()
+    stream.close()
+    await drain()
+
+
 class TestStatsAndJournalTag:
     def test_stats_plane_exposes_delta_counters(self):
         async def check():
@@ -158,6 +170,7 @@ class TestDeltaCrashRecovery:
                                           "fsync": "off"})
             server.restore()
             await push_load(server, item_to_source)
+            await push_tail(server, item_to_source)
             live = server.server_stats()["delta_recompute"]
             assert live["patches"] > 0        # patches actually happened
             assert server.core.plans

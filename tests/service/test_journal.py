@@ -84,6 +84,18 @@ async def push_load(server, item_to_source, scale=1.0):
     await drain()
 
 
+async def push_tail(server, item_to_source):
+    """One more refresh: fewer records than ``snapshot_every``, so they
+    stay a WAL tail behind the snapshot the load's last batch cut."""
+    stream = await register(server, item_to_source, 0)
+    item = owned(item_to_source, 0)[0]
+    await stream.send(protocol.refresh(0, item, server.core.cache[item] * 1.01,
+                                       seq=server.last_seq[item] + 1))
+    await drain()
+    stream.close()
+    await drain()
+
+
 # ---------------------------------------------------------------------------
 # record format
 # ---------------------------------------------------------------------------
@@ -204,6 +216,7 @@ class TestCrashRecovery:
                                           "fsync": "off"})
             server.restore()
             await push_load(server, item_to_source)
+            await push_tail(server, item_to_source)
             assert server.core.plans          # recomputes happened
             before = core_fingerprint(server.core)
             seqs_before = dict(server.last_seq)

@@ -1,0 +1,398 @@
+"""A batch of refreshes, handled as one (DESIGN.md §8.5, §9.3).
+
+Whatever one read delivered is one batch: the node applies each REFRESH
+in order and the core reacts once, at the cache the batch left.  Three
+contracts are checked here:
+
+* **a batch of one is the per-refresh reaction** — its notifications,
+  recomputations (in order), journal records and plans are the ones the
+  reference predicates of ``test_window_screen`` prescribe, bit for bit;
+* **any split of a refresh sequence is safe** — driven batch by batch
+  beside a core that reacts to every refresh alone, the caches agree
+  after every batch, every notification is the reference one, no query
+  is recomputed twice in a batch or leaves it with a broken window and no
+  recompute, and every user value stays within its QAB of the truth;
+* **the peer loop keeps message order** — REFRESHes around a SNAPSHOT or
+  in front of a malformed message are handled exactly where they stand.
+
+Budget: the ``ci`` Hypothesis profile keeps this in tier-1 seconds.
+"""
+
+import asyncio
+import os
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.service import protocol
+from repro.service.chaos import FaultInjector, FaultSchedule, chaos_stream
+from repro.service.core import RecomputeMode
+from repro.service.journal import plan_to_wire
+from repro.service.protocol import MessageType
+from repro.service.transports import inprocess_pair, loopback_pair
+
+from tests.service.nodes import start_node
+from tests.service.test_window_screen import (
+    ITEMS,
+    Rig,
+    _drive,
+    must_notify,
+    must_recompute,
+    operations,
+)
+
+settings.register_profile("ci", max_examples=25, deadline=None)
+settings.register_profile("nightly", max_examples=200, deadline=None)
+settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "ci"))
+
+
+def run(coro):
+    return asyncio.run(coro)
+
+
+class JournalTap:
+    """Stands in for the write-ahead journal: keeps what was appended."""
+
+    def __init__(self):
+        self.records = []
+
+    def append(self, record):
+        self.records.append(record)
+
+
+def broken(core, query):
+    """The reference predicate: no plan, or a value outside its window."""
+    plan = core.plans.get(query.name)
+    values = {name: core.cache[name] for name in query.variables}
+    return plan is None or not plan.window_contains(values)
+
+
+# ---------------------------------------------------------------------------
+# a batch of one
+# ---------------------------------------------------------------------------
+
+class OneAtATime(Rig):
+    """Every refresh is a batch of one, checked against the reference
+    reaction down to its journal records and plans."""
+
+    def _core(self):
+        core = super()._core()
+        core.journal = JournalTap()
+        return core
+
+    def refresh(self, item, value):
+        self.clock.now += 1.0
+        core = self.core
+        before = dict(core.plans)
+        order = len(core.metrics.recompute_order)
+        records = len(core.journal.records)
+        core.apply_refresh(item, value)
+        expected = must_recompute(core, item)
+        moved = must_notify(core, item)
+        notifications, recomputed = core.react_to_refresh([item])
+        assert notifications == moved                   # bitwise
+        assert core.metrics.recompute_order[order:] == expected
+        assert recomputed == bool(expected)
+        journal = [{"t": "refresh", "item": item, "value": value}]
+        for name in expected:
+            query = core.queries[core._position[name]]
+            # A failed solve keeps the plan it had.
+            plan = before[name] if self.planner.fail else self.planner.plan(
+                query, {v: core.cache[v] for v in query.variables})
+            assert plan_to_wire(core.plans[name]) == plan_to_wire(plan)
+            journal.append({"t": "plan", "q": name,
+                            "plan": plan_to_wire(plan)})
+        if moved:
+            journal.append({"t": "notify", "values": dict(moved)})
+        assert core.journal.records[records:] == journal
+        return notifications, recomputed, expected
+
+
+class TestBatchOfOne:
+    @given(ops=operations)
+    def test_matches_the_per_refresh_reaction(self, ops):
+        _drive(OneAtATime(), ops)
+
+    def test_a_string_is_not_a_batch(self):
+        with pytest.raises(TypeError):
+            Rig().core.react_to_refresh("a")
+
+
+# ---------------------------------------------------------------------------
+# any split of a refresh sequence
+# ---------------------------------------------------------------------------
+
+#: ``(item, factor, the batch ends here)``, or ``("fail", on)`` — which
+#: ends the batch and switches the planner's failures on or off.
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(ITEMS),
+                  st.sampled_from((0.94, 0.97, 0.985, 0.995, 1.0,
+                                   1.005, 1.015, 1.03, 1.06)),
+                  st.booleans()),
+        st.tuples(st.just("fail"), st.booleans())),
+    min_size=1, max_size=50)
+
+
+def _batches(ops):
+    """``(planner fails, [(item, factor), ...])`` per batch."""
+    batch, fail = [], False
+    for op in ops:
+        if op[0] == "fail":
+            if batch:
+                yield fail, batch
+                batch = []
+            fail = op[1]
+            continue
+        item, factor, last = op
+        batch.append((item, factor))
+        if last:
+            yield fail, batch
+            batch = []
+    if batch:
+        yield fail, batch
+
+
+#: With the planner down a breach outlives its recompute: ``a`` and ``b``
+#: both leave their bands, and q0 and q2 read both.
+STANDING_BREACH = [("fail", True), ("a", 1.06, False), ("b", 1.06, True)]
+
+#: Only the middle item of the batch moves: it breaks q3 = 2·c·e, which
+#: reads neither ``a`` nor ``b``, and moves it past its QAB.
+QUIET_AROUND = [("a", 1.0, False), ("e", 1.06, False), ("e", 1.06, False),
+                ("b", 1.0, True)]
+
+
+class TestAnySplit:
+    @given(ops=steps)
+    @example(ops=STANDING_BREACH)
+    @example(ops=QUIET_AROUND)
+    def test_batched_run_is_as_safe_as_the_per_item_run(self, ops):
+        single, batched = Rig(), Rig()
+        core = batched.core
+        failed = False
+        for fail, batch in _batches(ops):
+            single.planner.fail = batched.planner.fail = fail
+            failed = failed or fail
+            for item, factor in batch:
+                value = single.core.cache[item] * factor
+                single.refresh(item, value)      # checked refresh by refresh
+                core.apply_refresh(item, value)
+            assert core.cache == single.core.cache
+            items = [item for item, _ in batch]
+            readers = {query.name: query for item in items
+                       for query in core.item_index[item]}
+            expected = {}
+            for name, query in readers.items():
+                value = query.evaluate(core.cache)
+                if abs(value - core.last_user_values[name]) > query.qab:
+                    expected[name] = value
+            order = len(core.metrics.recompute_order)
+            notifications, recomputed = core.react_to_refresh(items)
+            assert len(notifications) == len(expected)
+            assert dict(notifications) == expected      # bitwise
+            names = core.metrics.recompute_order[order:]
+            assert len(names) == len(set(names))        # once per batch
+            assert recomputed == bool(names)
+            assert set(names) <= set(readers)
+            for name, query in readers.items():
+                assert name in names or not broken(core, query)
+            if not failed:
+                assert not any(broken(core, query) for query in core.queries)
+            for query in core.queries:
+                value = query.evaluate(core.cache)
+                assert abs(value - core.last_user_values[query.name]) \
+                    <= query.qab
+
+    def test_every_refresh_mode_recomputes_each_reader_once(self):
+        rig = Rig()
+        core = rig.core
+        core.mode = RecomputeMode.EVERY_REFRESH
+        for item in ("a", "c"):
+            core.apply_refresh(item, core.cache[item] * 1.001)
+        _, recomputed = core.react_to_refresh(["a", "c", "a"])
+        readers = list(dict.fromkeys(
+            query.name for item in ("a", "c") for query in core.item_index[item]))
+        assert recomputed
+        assert core.metrics.recompute_order == readers
+
+    def test_items_nobody_reads_make_no_batch(self):
+        core = Rig().core
+        assert core.react_to_refresh([]) == ([], False)
+        assert core.react_to_refresh(["nobody"]) == ([], False)
+
+
+# ---------------------------------------------------------------------------
+# the transports hand over what one read delivered
+# ---------------------------------------------------------------------------
+
+def _refreshes(count, source_id=0):
+    return [protocol.refresh(source_id, f"x{n}", float(n), seq=n + 1)
+            for n in range(count)]
+
+
+class TestReceiveMany:
+    @pytest.mark.parametrize("pair", [loopback_pair, inprocess_pair])
+    def test_everything_sent_arrives_as_one_batch_then_eof(self, pair):
+        async def check():
+            client_end, server_end = pair()
+            messages = _refreshes(3)
+            await client_end.send_many(messages[:2])
+            await client_end.send(messages[2])
+            assert await server_end.receive_many() == messages
+            await client_end.send(messages[0])
+            client_end.close()
+            assert await server_end.receive_many() == messages[:1]
+            assert await server_end.receive_many() == []
+            assert await server_end.receive_many() == []
+
+        run(check())
+
+    def test_a_pipe_read_returns_everything_buffered_up_to_n(self):
+        async def check():
+            client_end, _ = loopback_pair()
+            pipe = client_end._writer
+            pipe.write(b"abc")
+            pipe.write(b"defg")
+            assert await pipe.read(5) == b"abcde"
+            pipe.write(b"h")
+            pipe.close()
+            assert await pipe.read() == b"fgh"
+            assert await pipe.read() == b""
+
+        run(check())
+
+    def test_chaos_draws_one_fate_per_frame_of_a_write(self):
+        """A tick's frames in one write meet the faults that one write per
+        frame would have met, in the same order."""
+        async def delivered(one_write):
+            injector = FaultInjector(FaultSchedule(
+                drop_rate=0.4, duplicate_rate=0.3, seed=5))
+            client_end, server_end = loopback_pair()
+            chaos_stream(client_end, injector, "src->coord")
+            messages = _refreshes(12)
+            if one_write:
+                await client_end.send_many(messages)
+            else:
+                for message in messages:
+                    await client_end.send(message)
+            client_end.close()
+            received = []
+            while True:
+                batch = await server_end.receive_many()
+                if not batch:
+                    return received, injector.trace
+                received.extend(batch)
+
+        batched = run(delivered(True))
+        assert batched == run(delivered(False))
+        assert {kind for _, _, kind, _ in batched[1]} == {"drop", "duplicate"}
+
+
+# ---------------------------------------------------------------------------
+# the peer loop: order and error semantics
+# ---------------------------------------------------------------------------
+
+async def _one_read(pair, build):
+    """A server, and a peer whose ``build(server, item_to_source)``
+    messages reach it in one read (one write over bytes; queued without
+    a yield over a link)."""
+    server, close, item_to_source = await start_node("server")
+    if pair is None:
+        client_end = server.connect_loopback()
+    else:
+        client_end, server_end = pair()
+        server.adopt_connection(server_end)
+    await client_end.send_many(build(server, item_to_source))
+    return server, close, client_end
+
+
+def _two_refreshes(server, item_to_source):
+    """REFRESHes of two different items, each far from its cached value."""
+    first, second = sorted(item_to_source)[:2]
+    cache = server.core.cache
+    return [protocol.refresh(item_to_source[first], first,
+                             cache[first] * 1.5, seq=1),
+            protocol.refresh(item_to_source[second], second,
+                             cache[second] * 0.5, seq=1)]
+
+
+class TestPeerLoopOrder:
+    @pytest.mark.parametrize("pair", [None, loopback_pair])
+    def test_refreshes_before_a_malformed_message_are_applied(self, pair):
+        async def check():
+            sent = []
+
+            def build(server, item_to_source):
+                sent.extend(_two_refreshes(server, item_to_source))
+                malformed = dict(sent[0], seq=2)
+                del malformed["value"]
+                return sent + [malformed]
+
+            server, close, client_end = await _one_read(pair, build)
+            reply = await asyncio.wait_for(client_end.receive(), 5)
+            assert reply["type"] == MessageType.ERROR.value
+            assert await client_end.receive() is None        # hung up
+            for refresh in sent:
+                assert server.core.cache[refresh["item"]] == refresh["value"]
+            stats = server.server_stats()
+            assert stats["refreshes_accepted"] == 2
+            assert stats["refresh_batches"] == 1
+            assert stats["protocol_errors"] == 1
+            await close()
+
+        run(check())
+
+    @pytest.mark.parametrize("pair", [None, loopback_pair])
+    def test_a_snapshot_between_refreshes_sees_the_first_only(self, pair):
+        async def check():
+            sent, expected = [], {}
+
+            def build(server, item_to_source):
+                sent.extend(_two_refreshes(server, item_to_source))
+                cache = dict(server.core.cache)
+                cache[sent[0]["item"]] = sent[0]["value"]
+                expected.update({query.name: query.evaluate(cache)
+                                 for query in server.core.queries})
+                return [sent[0], protocol.snapshot(), sent[1]]
+
+            server, close, client_end = await _one_read(pair, build)
+            reply = await asyncio.wait_for(client_end.receive(), 5)
+            assert reply["type"] == MessageType.SNAPSHOT.value
+            assert reply["values"] == expected               # bitwise
+            for _ in range(10):
+                await asyncio.sleep(0)
+            for refresh in sent:
+                assert server.core.cache[refresh["item"]] == refresh["value"]
+            assert server.stats["refresh_batches"] == 2
+            client_end.close()
+            await close()
+
+        run(check())
+
+
+class TestBatchCounter:
+    def test_the_router_sums_its_shards_batches(self):
+        async def check():
+            cluster, close, item_to_source = await start_node("router")
+            source_id = min(item_to_source.values())
+            items = sorted(name for name, owner in item_to_source.items()
+                           if owner == source_id)
+            stream = cluster.connect_loopback()
+            await stream.send(protocol.register_source(source_id, items))
+            await stream.receive()
+            await stream.send_many([
+                protocol.refresh(source_id, item, 1.0 + n, seq=1)
+                for n, item in enumerate(items)])
+            for _ in range(20):
+                await asyncio.sleep(0)
+            shards = [server.server_stats()["refresh_batches"]
+                      for server in cluster.shards.values()]
+            assert cluster.server_stats()["refresh_batches"] == sum(shards)
+            # Each shard took its share of the routed run as one batch.
+            assert 0 < sum(shards) <= len(shards)
+            stream.close()
+            await close()
+
+        run(check())

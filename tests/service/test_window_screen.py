@@ -161,7 +161,7 @@ class Rig:
         core.apply_refresh(item, value)
         expected = must_recompute(core, item)
         moved = must_notify(core, item)
-        notifications, recomputed = core.react_to_refresh(item)
+        notifications, recomputed = core.react_to_refresh([item])
         assert core.metrics.recompute_order[before:] == expected
         assert recomputed == bool(expected)
         assert notifications == moved            # bitwise
@@ -399,7 +399,7 @@ class TestScreenCounters:
         refreshes = 0
         for item, value in _sweep(scenario, items, amp=0.02):
             core.apply_refresh(item, value)
-            assert core.react_to_refresh(item)[1] is False
+            assert core.react_to_refresh([item])[1] is False
             refreshes += 1
             if refreshes == len(items):
                 first_pass = core.window_screen_misses
@@ -419,7 +419,7 @@ class TestScreenCounters:
         for item, value in _sweep(scenario, items, amp=12.0):
             misses = core.window_screen_misses
             core.apply_refresh(item, value)
-            if core.react_to_refresh(item)[1]:
+            if core.react_to_refresh([item])[1]:
                 recomputing += 1
                 assert core.window_screen_misses == misses + 1
         stats = server.server_stats()
