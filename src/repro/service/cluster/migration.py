@@ -277,9 +277,9 @@ class ShardMigrator:
                     if needed in server.core.cache:
                         continue
                     held = cluster.item_to_source.get(needed)
-                    floor = (owner_server.last_seq.get(needed, 0)
+                    floor = (owner_server.leases.last_seq.get(needed, 0)
                              if needed == item else
-                             cluster._seq_floors.get(needed, 0))
+                             cluster._floors.last_seq.get(needed, 0))
                     donor = value if needed == item else None
                     if donor is None:
                         for other in cluster._item_shards.get(needed, ()):

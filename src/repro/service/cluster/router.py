@@ -88,6 +88,7 @@ from repro.service.frontend import (
 from repro.service.protocol import MessageType, ProtocolError
 from repro.service.resilience import RetryPolicy
 from repro.service.server import CoordinatorServer, _scenario_planning
+from repro.service.source_plane import SeqFloors
 from repro.service.transports import (
     InprocessLink,
     MessageStream,
@@ -261,7 +262,7 @@ class ClusterCoordinator(FrontEnd):
         #: per-item accepted-seq high-water marks observed at the router
         #: (floors for restarted sources; the shards remain the dedup
         #: authority).
-        self._seq_floors: Dict[str, int] = {}
+        self._floors = SeqFloors()
 
         # aggregation state
         #: query -> the last value its *current* home sent or announced.
@@ -459,7 +460,7 @@ class ClusterCoordinator(FrontEnd):
     def maintenance_interval(self) -> Optional[float]:
         intervals = [srv.lease_check_interval for srv in self.shards.values()
                      if srv.lease_check_interval is not None]
-        if not intervals and self.dab_retry_policy is None:
+        if not intervals and self.dab_retries is None:
             return None
         return min(intervals) if intervals else 1.0
 
@@ -496,8 +497,7 @@ class ClusterCoordinator(FrontEnd):
             self.epochs[name] = self.epochs.get(name, 0) + 1
             changed[name] = effective
         for name, floor in (message.get("seqs") or {}).items():
-            self._seq_floors[name] = max(self._seq_floors.get(name, 0),
-                                         int(floor))
+            self._floors.raise_floor(name, int(floor))
         return changed
 
     async def _push_changed_bounds(self, changed: Mapping[str, float]) -> None:
@@ -660,8 +660,7 @@ class ClusterCoordinator(FrontEnd):
         bounds = {name: self._effective_bounds[name] for name in items
                   if name in self._effective_bounds}
         epochs = {name: self.epochs[name] for name in bounds}
-        seqs = {name: self._seq_floors[name] for name in items
-                if name in self._seq_floors}
+        seqs = self._floors.floors(items)
         if await self._safe_send(peer.stream,
                                  protocol.dab_update(source_id, bounds, epochs,
                                                      seqs=seqs or None)):
@@ -673,9 +672,7 @@ class ClusterCoordinator(FrontEnd):
         queue them, so each shard takes its share as one batch."""
         for message in messages:
             item = message["item"]
-            seq = int(message["seq"])
-            if seq > self._seq_floors.get(item, 0):
-                self._seq_floors[item] = seq
+            self._floors.raise_floor(item, int(message["seq"]))
             if item in self._frozen_items:
                 # Mid-migration: buffer instead of routing — neither the
                 # old nor the new owner may apply this value until the
@@ -863,8 +860,8 @@ class ClusterCoordinator(FrontEnd):
                     "duplicate_rejects"):
             stats[key] = sum(int(shard_stats.get(key, 0))
                              for shard_stats in per_shard.values())
-        if self.dab_retry_policy is not None:
-            stats["dab_updates_outstanding"] = len(self._outstanding_dabs)
+        if self.dab_retries is not None:
+            stats["dab_updates_outstanding"] = len(self.dab_retries)
         if self.lease_duration is not None:
             stats["suspect_items"] = len(self.suspect_since)
             stats["degraded_queries"] = len(self._last_degraded_keys)

@@ -23,6 +23,7 @@ from typing import (Any, Awaitable, Callable, Container, Dict, List, Mapping,
 from repro.service import protocol
 from repro.service.protocol import MessageType, ProtocolError
 from repro.service.resilience import RetryPolicy
+from repro.service.source_plane import DabRetryTable
 from repro.service.transports import MessageStream, TransportClosed
 
 #: NOTIFY batches a subscriber may have outstanding before it is evicted.
@@ -96,14 +97,13 @@ class FrontEnd:
         self.writer_join_timeout = float(writer_join_timeout)
         self._subscribers: Dict[int, _Subscriber] = {}
         self._sub_counter = 0
-        #: ``None`` disables reliable DAB delivery; with a policy, every
-        #: changed-bound DAB_UPDATE carries a ``msg_id`` and is retried
-        #: with backoff until acked or given up on.
-        self.dab_retry_policy = dab_retry_policy
+        #: ``None`` without a retry policy (no reliable DAB delivery); with
+        #: one, every changed-bound DAB_UPDATE carries a ``msg_id`` and is
+        #: retried on the policy's schedule until acked or given up on.
+        self.dab_retries = (DabRetryTable(dab_retry_policy)
+                            if dab_retry_policy is not None else None)
         #: source_id -> its (sole) live stream; replaced on re-register.
         self._source_streams: Dict[int, MessageStream] = {}
-        self._outstanding_dabs: Dict[int, Dict[str, Any]] = {}
-        self._dab_msg_counter = 0
         #: True once shutdown began.  A closed node refuses new peers —
         #: this is what makes a supervisor-``crash()``ed shard behave like
         #: a dead process instead of a still-answering zombie behind the
@@ -390,9 +390,8 @@ class FrontEnd:
         self._source_streams[source_id] = peer.stream
         peer.source_id = source_id
         self.stats["sources_registered"] += 1
-        for msg_id in [m for m, entry in self._outstanding_dabs.items()
-                       if entry["source_id"] == source_id]:
-            del self._outstanding_dabs[msg_id]
+        if self.dab_retries is not None:
+            self.dab_retries.forget_source(source_id)
 
     async def _send_to_source(self, source_id: int,
                               message: Dict[str, Any]) -> bool:
@@ -403,36 +402,23 @@ class FrontEnd:
     async def _send_dab_update(self, source_id: int,
                                bounds: Dict[str, float],
                                epochs: Dict[str, int],
-                               attempt: int = 0,
                                msg_id: Optional[int] = None) -> None:
-        """Ship one changed-bound DAB_UPDATE, reliably when configured.
-
-        With a retry policy, the message carries a ``msg_id`` and sits in
-        the outstanding table until the source's DAB_ACK lands —
-        :meth:`check_retries` resends it with backoff otherwise.  A
-        dropped *narrowing* update is the one loss the seq/lease
-        machinery cannot see (the source keeps filtering against a
-        stale, wider bound), so delivery has to be acknowledged.
-
-        To a disconnected source nothing is sent: its bounds are
-        re-programmed wholesale when it re-registers, and the outstanding
-        entry keeps nagging until then.
-        """
-        policy = self.dab_retry_policy
-        if policy is not None:
-            if msg_id is None:
-                self._dab_msg_counter += 1
-                msg_id = self._dab_msg_counter
-            self._outstanding_dabs[msg_id] = {
-                "source_id": source_id, "bounds": bounds, "epochs": epochs,
-                "attempt": attempt, "due": self.clock() + policy.delay(attempt),
-            }
+        """Ship one changed-bound DAB_UPDATE (a resend passes its
+        ``msg_id``); with a retry policy it carries a ``msg_id`` and stays
+        in :attr:`dab_retries` until acked — a dropped *narrowing* update
+        is the one loss the seq/lease machinery cannot see.  A disconnected
+        source is sent nothing: its re-registration re-programs every
+        bound, and the entry nags until then."""
+        if msg_id is None and self.dab_retries is not None:
+            msg_id = self.dab_retries.track(source_id, bounds, epochs,
+                                            self.clock())
         if await self._send_to_source(source_id, protocol.dab_update(
                 source_id, bounds, epochs, msg_id=msg_id)):
             self.stats["dab_updates_sent"] += 1
 
     async def _on_dab_ack(self, peer: Peer, message: Dict[str, Any]) -> None:
-        self._outstanding_dabs.pop(int(message["msg_id"]), None)
+        if self.dab_retries is not None:
+            self.dab_retries.ack(int(message["msg_id"]))
         self.stats["dab_acks_received"] += 1
 
     def _dab_retried(self) -> None:
@@ -445,20 +431,12 @@ class FrontEnd:
     async def check_retries(self) -> None:
         """Resend overdue unacked DAB_UPDATEs; hand the items of one that
         exhausted its attempts to :meth:`_dab_gave_up`."""
-        policy = self.dab_retry_policy
-        if policy is None or not self._outstanding_dabs:
+        if not self.dab_retries:
             return
-        now = self.clock()
-        for msg_id in list(self._outstanding_dabs):
-            entry = self._outstanding_dabs.get(msg_id)
-            if entry is None or entry["due"] > now:
-                continue
-            del self._outstanding_dabs[msg_id]
-            attempt = entry["attempt"] + 1
-            if attempt >= policy.max_attempts:
-                self._dab_gave_up(list(entry["bounds"]))
-                continue
+        resend, given_up = self.dab_retries.due(self.clock())
+        for entry in given_up:
+            self._dab_gave_up(list(entry.bounds))
+        for msg_id, entry in resend:
             self._dab_retried()
-            await self._send_dab_update(entry["source_id"], entry["bounds"],
-                                        entry["epochs"], attempt=attempt,
-                                        msg_id=msg_id)
+            await self._send_dab_update(entry.source_id, entry.bounds,
+                                        entry.epochs, msg_id)

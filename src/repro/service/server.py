@@ -45,6 +45,7 @@ from repro.service.frontend import (
 from repro.service.journal import Journal, JournalError, plan_from_wire
 from repro.service.protocol import MessageType, ProtocolError
 from repro.service.resilience import RetryPolicy
+from repro.service.source_plane import SourceLeases
 from repro.service.transports import InprocessLink, inprocess_pair
 from repro.simulation.metrics import MetricsCollector
 
@@ -110,24 +111,20 @@ class CoordinatorServer(FrontEnd):
         #: clock inherits ours instead of silently ticking wall time.
         if solver_breaker is not None and hasattr(solver_breaker, "bind_clock"):
             solver_breaker.bind_clock(clock)
-        #: ``None`` disables the staleness-lease machinery entirely (the
-        #: default: behaviour is then byte-identical to the pre-lease
-        #: server).  Units are whatever ``clock`` counts.
-        self.lease_duration = (float(lease_duration)
-                               if lease_duration is not None else None)
+        #: Seq floors (the dedup guard, always on) and, with a
+        #: ``lease_duration``, the staleness leases — ``None`` leaves them
+        #: off (the default: behaviour is then byte-identical to the
+        #: pre-lease server).  Units are whatever ``clock`` counts.
+        self.leases = SourceLeases(
+            self.core.item_to_source, lease_duration=lease_duration,
+            drift_rel=suspect_drift_rel, metrics=self.metrics)
         if lease_check_interval is not None:
             self.lease_check_interval: Optional[float] = float(lease_check_interval)
         else:
             self.lease_check_interval = (self.lease_duration / 4.0
                                          if self.lease_duration else None)
-        self.suspect_drift_rel = float(suspect_drift_rel)
-        #: item -> time its lease expired (or its seq gap was detected).
-        self.suspect_since: Dict[str, float] = {}
-        self._item_last_heard: Dict[str, float] = {}
         self._degraded_keys: frozenset = frozenset()
         self.solver_breaker = solver_breaker
-        #: item -> highest refresh sequence number accepted (dedup guard).
-        self.last_seq: Dict[str, int] = {}
         #: source_id -> wall-clock time of the last refresh/heartbeat.
         self.last_heard: Dict[int, float] = {}
         #: This coordinator's shard id inside a cluster (``None`` when it
@@ -165,16 +162,25 @@ class CoordinatorServer(FrontEnd):
             "sources_registered": 0,
             "subscribers": 0,
             "heartbeats_received": 0,
-            "seq_gaps_detected": 0,
             "dab_acks_received": 0,
         }, clock=clock, notify_queue_limit=notify_queue_limit,
             writer_join_timeout=writer_join_timeout,
             dab_retry_policy=dab_retry_policy)
 
+    @property
+    def lease_duration(self) -> Optional[float]:
+        return self.leases.lease_duration
+
+    @property
+    def suspect_since(self) -> Dict[str, float]:
+        """item -> when it went suspect (the router offers the same view
+        over its shards)."""
+        return self.leases.suspect_since
+
     # -- lifecycle ---------------------------------------------------------------
 
     def maintenance_interval(self) -> Optional[float]:
-        if self.lease_check_interval is None and self.dab_retry_policy is None:
+        if self.lease_check_interval is None and self.dab_retries is None:
             return None
         return self.lease_check_interval or 1.0
 
@@ -216,11 +222,7 @@ class CoordinatorServer(FrontEnd):
         Outstanding DAB retries and the message-id counter are *not*
         persisted — re-registration re-programs every bound, superseding
         them (the same guarantee a source reconnect leans on)."""
-        server_state: Dict[str, Any] = {
-            "last_seq": dict(self.last_seq),
-            "suspect_since": dict(self.suspect_since),
-            "item_last_heard": dict(self._item_last_heard),
-        }
+        server_state: Dict[str, Any] = self.leases.recovery_state()
         if self.map_epoch is not None:
             # Only once a reshard happened — pre-resharding snapshots
             # stay byte-identical to the old format.
@@ -236,12 +238,7 @@ class CoordinatorServer(FrontEnd):
             self.core.restore_recovery_state(core_state)
         server_state = state.get("server")
         if isinstance(server_state, Mapping):
-            for name, seq in (server_state.get("last_seq") or {}).items():
-                self.last_seq[str(name)] = int(seq)
-            for name, since in (server_state.get("suspect_since") or {}).items():
-                self.suspect_since[str(name)] = float(since)
-            for name, at in (server_state.get("item_last_heard") or {}).items():
-                self._item_last_heard[str(name)] = float(at)
+            self.leases.restore(server_state)
             if server_state.get("map_epoch") is not None:
                 self.advance_map_epoch(int(server_state["map_epoch"]))
 
@@ -254,7 +251,7 @@ class CoordinatorServer(FrontEnd):
             item = str(record["item"])
             seq = record.get("seq")
             if seq is not None:
-                self.last_seq[item] = max(self.last_seq.get(item, 0), int(seq))
+                self.leases.raise_floor(item, int(seq))
             self.core.restore_cache_value(item, float(record["value"]))
         elif kind == "plan":
             name = str(record["q"])
@@ -290,7 +287,7 @@ class CoordinatorServer(FrontEnd):
             item = str(record["item"])
             seq = record.get("seq")
             if seq is not None:
-                self.last_seq[item] = max(self.last_seq.get(item, 0), int(seq))
+                self.leases.raise_floor(item, int(seq))
             self.core.adopt_item(item, float(record["value"]),
                                  source_id=record.get("source"))
         else:
@@ -388,8 +385,7 @@ class CoordinatorServer(FrontEnd):
         across the hand-off, so a duplicate of an old refresh replayed
         at the new owner is still rejected."""
         if seq_floor:
-            self.last_seq[item] = max(self.last_seq.get(item, 0),
-                                      int(seq_floor))
+            self.leases.raise_floor(item, int(seq_floor))
         self.core.adopt_item(item, float(value), source_id=source_id,
                              seq=int(seq_floor) if seq_floor else None)
 
@@ -414,8 +410,7 @@ class CoordinatorServer(FrontEnd):
         # stale duplicate until it climbed past the old incarnation's
         # numbering (resetting last_seq instead would let an in-flight
         # stale refresh from the dead connection clobber the cache).
-        seqs = {name: self.last_seq[name] for name in known
-                if name in self.last_seq}
+        seqs = self.leases.floors(known)
         if await self._safe_send(peer.stream,
                                  protocol.dab_update(source_id, bounds, epochs,
                                                      seqs=seqs or None)):
@@ -469,16 +464,13 @@ class CoordinatorServer(FrontEnd):
         # Same dedup the simulator applies under faults — always on here:
         # TCP per connection is ordered, but a reconnecting source resends,
         # and nothing stops two connections racing for one source_id.
-        if seq <= self.last_seq.get(item, 0):
-            self.metrics.record_refresh()
-            self.metrics.record_duplicate_reject()
+        if not self.leases.accept(item, seq):
             self.stats["refreshes_rejected_stale_seq"] += 1
             return False
-        self.last_seq[item] = seq
         now = self.clock()
         self.last_heard[int(message["source_id"])] = now
-        if self.lease_duration is not None:
-            self._hear_from_item(item, now)
+        if self.leases.enabled:
+            self.leases.heard(item, now)
             self._fanout_degraded_if_changed()
         self.core.apply_refresh(item, float(message["value"]), seq=seq)
         self.stats["refreshes_accepted"] += 1
@@ -504,12 +496,9 @@ class CoordinatorServer(FrontEnd):
         """Flag ``items`` as possibly stale (a no-op with leases off):
         queries over them are served ``degraded`` until each is heard
         from again; the lease sweep probes for them meanwhile."""
-        if self.lease_duration is None:
-            return
-        now = self.clock()
-        for name in items:
-            self.suspect_since.setdefault(name, now)
-        self._fanout_degraded_if_changed()
+        if self.leases.enabled:
+            self.leases.mark_suspect(items, self.clock())
+            self._fanout_degraded_if_changed()
 
     # -- staleness leases -----------------------------------------------------------
 
@@ -523,43 +512,18 @@ class CoordinatorServer(FrontEnd):
         self.last_heard[source_id] = now
         self.stats["heartbeats_received"] += 1
         self.metrics.record_heartbeat()
-        if self.lease_duration is None:
+        if not self.leases.enabled:
             return
-        probes: List[str] = []
-        behind: List[str] = []
-        for name, seq in message["seqs"].items():
-            if self.core.item_to_source.get(name) != source_id:
-                continue
-            held = self.last_seq.get(name, 0)
-            if int(seq) == held:
-                self._hear_from_item(name, now)
-                continue
-            if name not in self.suspect_since:
-                self.suspect_since[name] = now
-                self.stats["seq_gaps_detected"] += 1
-                self.metrics.record_refresh_gap()
-            if int(seq) > held:
-                probes.append(name)
-            else:
-                # Numbering *behind* ours: a restarted source whose
-                # registration reply (with the seq high-water marks) was
-                # lost.  Its refreshes are being rejected as duplicates,
-                # so a probe alone cannot cure it — re-floor its seqs.
-                behind.append(name)
+        probes, behind = self.leases.heartbeat(source_id, message["seqs"], now)
         if behind:
-            bounds, epochs = self.core.current_bounds_for(source_id)
-            await self._send_resync(source_id, behind, bounds, epochs)
+            # Numbering *behind* ours: a restarted source whose
+            # registration reply (with the seq high-water marks) was
+            # lost.  Its refreshes are being rejected as duplicates, so a
+            # probe alone cannot cure it — re-floor its seqs.
+            await self._send_probe(source_id, behind, resync=True)
         if probes:
             await self._send_probe(source_id, probes)
         self._fanout_degraded_if_changed()
-
-    def _hear_from_item(self, name: str, now: float) -> None:
-        """A refresh (or probe reply) vouched for ``name``: renew its
-        lease, clear suspicion, close the staleness-exposure interval."""
-        self._item_last_heard[name] = now
-        since = self.suspect_since.pop(name, None)
-        if since is not None:
-            self.metrics.record_staleness_exposure(max(0.0, now - since))
 
     async def check_leases(self) -> None:
         """Expire leases on unheard-from items; probe and degrade.
@@ -567,86 +531,47 @@ class CoordinatorServer(FrontEnd):
         Driven by the maintenance task under TCP, or explicitly per step
         by the chaos soak.  First sweep baselines every item's lease at
         the current clock (a grace period, not an instant expiry)."""
-        if self.lease_duration is None:
+        if not self.leases.enabled:
             return
-        now = self.clock()
-        probes_by_source: Dict[int, List[str]] = {}
-        for name in self.core.cache:
-            last = self._item_last_heard.setdefault(name, now)
-            source_id = self.core.item_to_source.get(name)
-            if name in self.suspect_since:
-                # Keep probing until the value (or its resync) lands.
-                if source_id is not None:
-                    probes_by_source.setdefault(source_id, []).append(name)
-                continue
-            if now - last > self.lease_duration:
-                self.suspect_since[name] = now
-                self.metrics.record_lease_expiry()
-                if source_id is not None:
-                    probes_by_source.setdefault(source_id, []).append(name)
-        for source_id, items in probes_by_source.items():
+        probes = self.leases.sweep(self.clock(), self.core.cache)
+        for source_id, items in probes.items():
             await self._send_probe(source_id, items)
         self._fanout_degraded_if_changed()
 
-    async def _send_probe(self, source_id: int, items: List[str]) -> None:
-        """Ask a source to resend the listed items' current values now
-        (an empty-bounds DAB_UPDATE carrying only ``probe``)."""
-        message = protocol.dab_update(source_id, {}, {}, probe=items)
-        if await self._send_to_source(source_id, message):
-            self.metrics.record_value_probe(len(items))
-
-    async def _send_resync(self, source_id: int, items: List[str],
-                           bounds: Dict[str, float],
-                           epochs: Dict[str, int]) -> None:
-        """A mini registration reply for ``items``: current bounds,
-        epochs and seq floors, plus a probe so the re-numbered source
-        answers with fresh values immediately."""
-        message = protocol.dab_update(
-            source_id,
-            {name: bounds[name] for name in items if name in bounds},
-            {name: epochs[name] for name in items if name in epochs},
-            seqs={name: self.last_seq[name] for name in items
-                  if name in self.last_seq},
-            probe=items)
+    async def _send_probe(self, source_id: int, items: List[str],
+                          resync: bool = False) -> None:
+        """Ask a source to resend the listed items' current values now (a
+        DAB_UPDATE carrying ``probe``); with ``resync`` it is also a mini
+        registration reply for them: current bounds, epochs and seq floors,
+        so a re-numbered source answers above the floors."""
+        bounds: Dict[str, float] = {}
+        epochs: Dict[str, int] = {}
+        seqs = None
+        if resync:
+            held, held_epochs = self.core.current_bounds_for(source_id)
+            bounds = {name: held[name] for name in items if name in held}
+            epochs = {name: held_epochs[name] for name in items
+                      if name in held_epochs}
+            seqs = self.leases.floors(items)
+        message = protocol.dab_update(source_id, bounds, epochs, seqs=seqs,
+                                      probe=items)
         if await self._send_to_source(source_id, message):
             self.metrics.record_value_probe(len(items))
 
     def degraded_bounds(self) -> Dict[str, float]:
         """``{query name: honestly-widened bound}`` for every query with
-        at least one suspect input — the PR 1 lease semantics, computed
-        by :meth:`CoordinatorCore.uncertainty_widened_bound` with drifts
-        that grow with each item's staleness."""
-        if self.lease_duration is None or not self.suspect_since:
-            return {}
-        now = self.clock()
-        cache = self.core.cache
-        degraded: Dict[str, float] = {}
-        for query in self.core.queries:
-            drifts: Dict[str, float] = {}
-            for name in query.variables:
-                since = self.suspect_since.get(name)
-                if since is None:
-                    continue
-                staleness = max(0.0, now - since)
-                drifts[name] = (self.suspect_drift_rel
-                                * max(abs(cache[name]), 1e-12)
-                                * (1.0 + staleness / self.lease_duration))
-            if drifts:
-                degraded[query.name] = self.core.uncertainty_widened_bound(
-                    query, drifts)
-        return degraded
+        at least one suspect input, at the current clock."""
+        return self.leases.degraded_bounds(self.clock(), self.core)
 
     def _fanout_degraded_if_changed(self) -> None:
         """When the set of degraded queries changes, push a bare NOTIFY
         carrying the authoritative ``degraded`` map to every subscriber —
         including the empty map that clears a recovered degradation."""
-        if self.lease_duration is None:
+        if not self.leases.enabled:
             return
-        affected = set()
-        for name in self.suspect_since:
-            for query in self.core.item_index.get(name, []):
-                affected.add(query.name)
-        keys = frozenset(affected)
+        index = self.core.item_index
+        keys = frozenset(query.name for name in self.leases.suspect_since
+                         for query in index.get(name, ()))
         if keys == self._degraded_keys:
             return
         self._degraded_keys = keys
@@ -755,7 +680,7 @@ class CoordinatorServer(FrontEnd):
         values = {query.name: value for query, value in
                   zip(self.core.queries, self.core.query_values())
                   if sub is None or sub.wants(query.name)}
-        if self.lease_duration is not None:
+        if self.leases.enabled:
             # Always present once leases are on (``{}`` = all healthy),
             # so a snapshot is an authoritative degraded-state read.
             degraded: Optional[Dict[str, float]] = {
@@ -773,7 +698,7 @@ class CoordinatorServer(FrontEnd):
         bounded queue; a full queue evicts the slow consumer."""
         now = self.clock()
         degraded = (self.degraded_bounds()
-                    if self.lease_duration is not None and self.suspect_since
+                    if self.leases.enabled and self.leases.suspect_since
                     else None)
         self._publish(
             [{"query": name, "value": value}
@@ -799,22 +724,23 @@ class CoordinatorServer(FrontEnd):
         stats["dab_change_messages"] = self.metrics.dab_change_messages
         stats["user_notifications"] = self.metrics.user_notifications
         stats["duplicate_rejects"] = self.metrics.duplicate_rejects
+        stats["seq_gaps_detected"] = self.metrics.refresh_gaps
         stats["queries"] = len(self.core.queries)
         stats["items"] = len(self.core.cache)
         if self.map_epoch is not None:
             stats["map_epoch"] = self.map_epoch
-        if self.lease_duration is not None:
-            stats["suspect_items"] = len(self.suspect_since)
+        if self.leases.enabled:
+            stats["suspect_items"] = len(self.leases.suspect_since)
             stats["degraded_queries"] = len(self._degraded_keys)
             stats["lease_expiries"] = self.metrics.lease_expiries
             stats["refresh_gaps"] = self.metrics.refresh_gaps
             stats["value_probes"] = self.metrics.value_probes
             stats["staleness_exposure_seconds"] = (
                 self.metrics.staleness_exposure_seconds)
-        if self.dab_retry_policy is not None:
+        if self.dab_retries is not None:
             stats["dab_retries"] = self.metrics.dab_retries
             stats["dab_retries_exhausted"] = self.metrics.dab_retry_exhausted
-            stats["dab_updates_outstanding"] = len(self._outstanding_dabs)
+            stats["dab_updates_outstanding"] = len(self.dab_retries)
         if self.solver_breaker is not None:
             stats["solver_breaker_state"] = self.solver_breaker.state.value
             stats["solver_breaker"] = dict(self.solver_breaker.stats)

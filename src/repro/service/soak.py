@@ -455,7 +455,7 @@ async def _run_async(
             # A migration is still mid-flight (or a failover pending):
             # keep stepping so it completes inside the bounded tail.
             continue
-        if not server.suspect_since and not server._outstanding_dabs:
+        if not server.suspect_since and not server.dab_retries:
             break
     _track_degraded(tail_end + 1)              # close still-open episodes
     await _audit(tail_end, "final")

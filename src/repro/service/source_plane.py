@@ -1,0 +1,243 @@
+"""The source plane's fault-side state, written once (DESIGN.md §7.2).
+
+Two clock-free tables: time is passed in, neither does I/O, and each call
+returns the effects its caller carries out — items to probe or resync,
+DAB_UPDATEs to resend or give up on.  The simulator's ``Coordinator``, the
+live ``CoordinatorServer`` and the cluster router (through ``FrontEnd``)
+are adapters that turn those effects into events or frames.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+
+from repro.service.resilience import RetryPolicy
+
+
+class SeqFloors:
+    """Per-item refresh sequence floors: the highest number accepted (or
+    handed over) for each item.  The cluster router keeps one as its
+    mirror of the shards' floors; :class:`SourceLeases` builds on it."""
+
+    def __init__(self) -> None:
+        #: item -> highest refresh sequence number accepted.
+        self.last_seq: Dict[str, int] = {}
+
+    def raise_floor(self, item: str, seq: int) -> None:
+        if seq > self.last_seq.get(item, 0):
+            self.last_seq[item] = int(seq)
+
+    def floors(self, items: Iterable[str]) -> Dict[str, int]:
+        """What a (re)registering source must number ``items`` above."""
+        return {name: self.last_seq[name] for name in items
+                if name in self.last_seq}
+
+
+class SourceLeases(SeqFloors):
+    """Seq floors, staleness leases and the suspect set of one coordinator.
+
+    ``owner`` is the live item → source map (the core's, so adopted items
+    are covered).  With ``lease_duration=None`` only the seq floors work:
+    every lease call is a no-op and nothing is ever degraded.  ``metrics``
+    (a ``MetricsCollector``) counts duplicate rejects, gaps, lease
+    expiries and staleness exposure.
+    """
+
+    def __init__(self, owner: Mapping[str, int],
+                 lease_duration: Optional[float] = None,
+                 drift_rel: float = 0.05, metrics: Any = None):
+        super().__init__()
+        self.owner = owner
+        self.lease_duration = (float(lease_duration)
+                               if lease_duration is not None else None)
+        #: Relative drift a suspect item is assumed to gain per lease.
+        self.drift_rel = float(drift_rel)
+        self.metrics = metrics
+        #: item -> last time a refresh or heartbeat vouched for it.
+        self.last_heard: Dict[str, float] = {}
+        #: item -> time it went suspect.
+        self.suspect_since: Dict[str, float] = {}
+
+    @property
+    def enabled(self) -> bool:
+        return self.lease_duration is not None
+
+    def accept(self, item: str, seq: int) -> bool:
+        """Admit a refresh numbered ``seq``; ``False`` (counted as a
+        delivered, rejected refresh) at or below the item's floor."""
+        if seq <= self.last_seq.get(item, 0):
+            self.metrics.record_refresh()
+            self.metrics.record_duplicate_reject()
+            return False
+        self.last_seq[item] = int(seq)
+        return True
+
+    def heard(self, item: str, now: float) -> None:
+        """A refresh or probe answer vouched for ``item``: renew its lease;
+        if it was suspect, clear it and record the whole exposure."""
+        if self.lease_duration is not None:
+            self.last_heard[item] = now
+            since = self.suspect_since.pop(item, None)
+            if since is not None:
+                self.metrics.record_staleness_exposure(max(0.0, now - since))
+
+    def heartbeat(self, source_id: int, seqs: Mapping[str, int],
+                  now: float) -> Tuple[List[str], List[str]]:
+        """A source's beacon.  Items numbered at the floor renew their
+        leases; any other goes suspect (one gap) and is returned in
+        ``(probe, resync)`` on every such beacon: ``probe`` when the
+        source is ahead (refreshes were lost), ``resync`` when it numbers
+        behind (it restarted).  Items it does not own are ignored."""
+        probe: List[str] = []
+        resync: List[str] = []
+        if self.lease_duration is None:
+            return probe, resync
+        for name, seq in seqs.items():
+            if self.owner.get(name) != source_id:
+                continue
+            held = self.last_seq.get(name, 0)
+            if int(seq) == held:
+                self.heard(name, now)
+                continue
+            if name not in self.suspect_since:
+                self.suspect_since[name] = now
+                self.metrics.record_refresh_gap()
+            (probe if int(seq) > held else resync).append(name)
+        return probe, resync
+
+    def sweep(self, now: float, items: Iterable[str]) -> Dict[int, List[str]]:
+        """Expire the leases of ``items`` (a lease never heard from starts
+        at its first sweep); returns ``{source: every suspect item}``, in
+        ``items`` order, to probe."""
+        probes: Dict[int, List[str]] = {}
+        if self.lease_duration is None:
+            return probes
+        for name in items:
+            last = self.last_heard.setdefault(name, now)
+            if name not in self.suspect_since:
+                if now - last <= self.lease_duration:
+                    continue
+                self.suspect_since[name] = now
+                self.metrics.record_lease_expiry()
+            source_id = self.owner.get(name)
+            if source_id is not None:
+                probes.setdefault(source_id, []).append(name)
+        return probes
+
+    def mark_suspect(self, items: Iterable[str], now: float) -> None:
+        if self.lease_duration is not None:
+            for name in items:
+                self.suspect_since.setdefault(name, now)
+
+    def widened_bound(self, query: Any, now: float, core: Any) -> float:
+        """``query``'s QAB widened, per suspect input, by its response to a
+        drift growing with the item's staleness."""
+        drifts: Dict[str, float] = {}
+        for name in query.variables:
+            since = self.suspect_since.get(name)
+            if since is not None:
+                staleness = max(0.0, now - since)
+                drifts[name] = (self.drift_rel
+                                * max(abs(core.cache[name]), 1e-12)
+                                * (1.0 + staleness / self.lease_duration))
+        return core.uncertainty_widened_bound(query, drifts)
+
+    def degraded_bounds(self, now: float, core: Any) -> Dict[str, float]:
+        """``{name: widened bound}`` of every query with a suspect input."""
+        if self.lease_duration is None or not self.suspect_since:
+            return {}
+        suspects = self.suspect_since
+        return {query.name: self.widened_bound(query, now, core)
+                for query in core.queries
+                if any(name in suspects for name in query.variables)}
+
+    def recovery_state(self) -> Dict[str, Dict[str, Any]]:
+        """The snapshot's ``server`` section, under its original keys."""
+        return {"last_seq": dict(self.last_seq),
+                "suspect_since": dict(self.suspect_since),
+                "item_last_heard": dict(self.last_heard)}
+
+    def restore(self, state: Mapping[str, Any]) -> None:
+        for name, seq in (state.get("last_seq") or {}).items():
+            self.last_seq[str(name)] = int(seq)
+        for name, since in (state.get("suspect_since") or {}).items():
+            self.suspect_since[str(name)] = float(since)
+        for name, at in (state.get("item_last_heard") or {}).items():
+            self.last_heard[str(name)] = float(at)
+
+
+@dataclass
+class PendingDab:
+    """One DAB change awaiting its ack."""
+
+    source_id: int
+    bounds: Dict[str, float]
+    epochs: Dict[str, int]
+    attempt: int        # resends so far
+    due: float          # next resend (or give-up) unless acked first
+
+
+class DabRetryTable:
+    """DAB changes resent on ``policy``'s schedule until acked: resend
+    ``k`` falls due ``policy.delay(k)`` after the previous send, and the
+    change is given up on once ``k`` would reach ``policy.max_attempts``."""
+
+    def __init__(self, policy: RetryPolicy):
+        self.policy = policy
+        #: msg_id -> its entry, in order of last (re)send.
+        self.outstanding: Dict[int, PendingDab] = {}
+        self._last_id = 0
+
+    def __len__(self) -> int:
+        return len(self.outstanding)
+
+    def track(self, source_id: int, bounds: Dict[str, float],
+              epochs: Dict[str, int], now: float) -> int:
+        """Register a change about to be sent; returns its message id."""
+        self._last_id += 1
+        self.outstanding[self._last_id] = PendingDab(
+            source_id, bounds, epochs, 0, now + self.policy.delay(0))
+        return self._last_id
+
+    def ack(self, msg_id: int) -> None:
+        self.outstanding.pop(msg_id, None)
+
+    def check(self, msg_id: int, now: float) -> Tuple[Optional[PendingDab],
+                                                      bool]:
+        """Settle one message at ``now`` (an event-driven caller checks
+        each at its own due time): ``(None, False)`` if it was acked or is
+        not due yet, else ``(entry, resend)`` — rescheduled for a resend,
+        or dropped because its attempts ran out."""
+        entry = self.outstanding.get(msg_id)
+        if entry is None or entry.due > now:
+            return None, False
+        del self.outstanding[msg_id]
+        if entry.attempt + 1 >= self.policy.max_attempts:
+            return entry, False
+        entry.attempt += 1
+        entry.due = now + self.policy.delay(entry.attempt)
+        self.outstanding[msg_id] = entry
+        return entry, True
+
+    def due(self, now: float) -> Tuple[List[Tuple[int, PendingDab]],
+                                       List[PendingDab]]:
+        """Every message due at ``now``: ``(resend, given_up)``, the
+        ``(msg_id, entry)`` pairs to send again, already rescheduled, and
+        the entries dropped because their attempts ran out."""
+        resend: List[Tuple[int, PendingDab]] = []
+        given_up: List[PendingDab] = []
+        for msg_id in list(self.outstanding):
+            entry, again = self.check(msg_id, now)
+            if again:
+                resend.append((msg_id, entry))
+            elif entry is not None:
+                given_up.append(entry)
+        return resend, given_up
+
+    def forget_source(self, source_id: int) -> None:
+        """Drop what ``source_id`` is owed (its re-registration re-programs
+        every bound)."""
+        for msg_id in [m for m, entry in self.outstanding.items()
+                       if entry.source_id == source_id]:
+            del self.outstanding[msg_id]

@@ -327,9 +327,9 @@ def run_dissemination(config: DisseminationConfig) -> DisseminationResult:
     def sample_fidelity(tick: int) -> None:
         truth_values = traces.values_at(tick, items)
         for child in children.values():
-            for query in child.queries:
+            for query in child.core.queries:
                 truth = query.evaluate(truth_values)
-                observed = query.evaluate(child.cache)
+                observed = query.evaluate(child.core.cache)
                 metrics.record_fidelity(query.name, abs(truth - observed) <= query.qab)
 
     engine.on_fidelity_sample(sample_fidelity)

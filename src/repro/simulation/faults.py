@@ -23,12 +23,13 @@ fallback) is described in DESIGN.md §7.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import SimulationError
+from repro.service.resilience import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,13 @@ class DelaySpike:
         return self.start <= time < self.end
 
 
+#: The simulator's DAB-change retransmit schedule: checks fall 2, 4, 8, 16,
+#: then every 30 ticks after each send, and a change is given up on after
+#: 8 resends.
+DAB_RETRY = RetryPolicy(base_delay=2.0, backoff=2.0, max_delay=30.0,
+                        max_attempts=9)
+
+
 @dataclass
 class FaultConfig:
     """What to inject, and how the protocol degrades around it.
@@ -115,11 +123,6 @@ class FaultConfig:
     lease_check_interval: float = 5.0
     #: Sources heartbeat at this period so quiet items renew their leases.
     heartbeat_interval: float = 10.0
-    #: First DAB-change retransmit timeout; doubles each attempt.
-    retry_timeout: float = 2.0
-    retry_backoff: float = 2.0
-    retry_cap: float = 30.0
-    retry_max: int = 8
     #: Relative drift a suspect item is conservatively assumed to have
     #: accumulated per lease duration (widens reported uncertainty).
     suspect_drift_rel: float = 0.05
@@ -133,12 +136,9 @@ class FaultConfig:
         self.crash_windows = tuple(self.crash_windows)
         self.partitions = tuple(self.partitions)
         self.delay_spikes = tuple(self.delay_spikes)
-        for knob in ("lease_duration", "lease_check_interval", "heartbeat_interval",
-                     "retry_timeout", "retry_backoff", "retry_cap"):
+        for knob in ("lease_duration", "lease_check_interval", "heartbeat_interval"):
             if getattr(self, knob) <= 0.0:
                 raise SimulationError(f"{knob} must be positive")
-        if self.retry_max < 0:
-            raise SimulationError(f"retry_max must be >= 0, got {self.retry_max!r}")
         if self.suspect_drift_rel < 0.0:
             raise SimulationError("suspect_drift_rel must be >= 0")
 

@@ -19,8 +19,8 @@ import enum
 import time as _time
 
 import numpy as np
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.exceptions import SimulationError
 from repro.dynamics.estimation import RateEstimator, estimate_rates
@@ -312,9 +312,9 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     # banked evaluation per sample yields all observed values.  Slab
     # powers, compiled evaluators and the bank are bitwise-identical to
     # ``query.evaluate`` (see queries/compiled.py) — metrics cannot drift.
-    truth_slab = coordinator.power_table.slab(traces)
+    truth_slab = coordinator.core.power_table.slab(traces)
     truth_matrix = np.array(
-        [coordinator.compiled_query(query).evaluate_slab(truth_slab)
+        [coordinator.core.compiled_query(query).evaluate_slab(truth_slab)
          for query in queries])
     qab_arr = np.array([query.qab for query in queries], dtype=float)
     query_names = [query.name for query in queries]
@@ -323,20 +323,21 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     def sample_fidelity(tick: int) -> None:
         row = tick if tick <= last_row else last_row
         truth_col = truth_matrix[:, row]
-        observed = coordinator.query_values_array()
+        observed = coordinator.core.query_values_array()
         errors = np.abs(truth_col - observed)
         within = errors <= qab_arr
         metrics.record_fidelity_batch(query_names, within.tolist())
         if faults_on:
-            for index, query in enumerate(queries):
-                if coordinator.suspect_items_of(query):
+            degraded = coordinator.leases.degraded_bounds(float(tick),
+                                                          coordinator.core)
+            for index, name in enumerate(query_names):
+                reported = degraded.get(name)
+                if reported is not None:
                     # Served degraded: the answer carries a widened,
                     # honest uncertainty; count it, and flag the (rare)
                     # case where even the widened bound failed to cover
                     # the truth.
                     metrics.record_degraded_sample()
-                    reported = coordinator.reported_bound(query,
-                                                          float(tick))
                     if float(errors[index]) > reported:
                         metrics.record_uncertainty_violation()
 

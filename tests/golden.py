@@ -11,6 +11,10 @@ query's last optimum.  ``_recorded_at`` names that tree.  Earlier records
 came from the scalar reference path behind a plan cache that solved at
 values rounded up to a 2 % grid; that path's one cache-free record equaled
 the 60-tick-λ tree's ``dual-dab-13`` on every field but the two below.
+``faulted`` was re-recorded once more, when the simulator took on the live
+server's source-plane rules (one set of lease/retry tables, DESIGN.md
+§7.2); every move in it comes from re-probing on every heartbeat whose
+sequence number is ahead of the coordinator's.
 JSON floats round-trip through ``repr``, so equality is exact.
 
 ``delta_patches`` / ``delta_fallbacks`` say *how* a recompute was answered

@@ -135,7 +135,7 @@ class TestLiveAgent:
                     break
                 await asyncio.sleep(0.01)
             assert server.stats["refreshes_accepted"] == 2
-            assert server.last_seq[item] == 2          # seq continued, no reset
+            assert server.leases.last_seq[item] == 2          # seq continued, no reset
             await agent.close()
             await server.close()
 
@@ -246,7 +246,7 @@ class TestReconnectRecovery:
                 if server.stats["refreshes_accepted"] == 2:
                     break
                 await asyncio.sleep(0.01)
-            assert server.last_seq[item] == 2
+            assert server.leases.last_seq[item] == 2
             await agent.close()
 
             # The process restarts: same source id, counters back at 0.
@@ -261,7 +261,7 @@ class TestReconnectRecovery:
                     break
                 await asyncio.sleep(0.01)
             assert server.core.cache[item] == value    # accepted, not muted
-            assert server.last_seq[item] == 3
+            assert server.leases.last_seq[item] == 3
             await restarted.close()
             await server.close()
 

@@ -69,12 +69,11 @@ def test_simulator_coordinator_wraps_a_core():
         network_delay=ZeroDelayModel(),
     )
     assert isinstance(coordinator.core, CoordinatorCore)
-    # Delegated state is shared, not copied.
-    assert coordinator.cache is coordinator.core.cache
-    assert coordinator.plans is coordinator.core.plans
-    assert coordinator.epochs is coordinator.core.epochs
-    assert coordinator.item_to_source is coordinator.core.item_to_source
-    assert coordinator.queries is coordinator.core.queries
+    # The adapter keeps no view of the core's state, so none can drift
+    # from it; the item map it hands the source-plane tables is the core's.
+    for name in ("cache", "plans", "epochs", "queries", "item_to_source"):
+        assert not hasattr(coordinator, name)
+    assert coordinator.leases.owner is coordinator.core.item_to_source
 
 
 def test_extraction_preserves_run_metrics_scalar_vs_vector():

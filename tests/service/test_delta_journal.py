@@ -93,7 +93,7 @@ async def push_tail(server, item_to_source):
     stream = await register(server, item_to_source, 0)
     item = owned(item_to_source, 0)[0]
     await stream.send(protocol.refresh(0, item, server.core.cache[item] * 1.01,
-                                       seq=server.last_seq[item] + 1))
+                                       seq=server.leases.last_seq[item] + 1))
     await drain()
     stream.close()
     await drain()

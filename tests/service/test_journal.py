@@ -90,7 +90,7 @@ async def push_tail(server, item_to_source):
     stream = await register(server, item_to_source, 0)
     item = owned(item_to_source, 0)[0]
     await stream.send(protocol.refresh(0, item, server.core.cache[item] * 1.01,
-                                       seq=server.last_seq[item] + 1))
+                                       seq=server.leases.last_seq[item] + 1))
     await drain()
     stream.close()
     await drain()
@@ -219,7 +219,7 @@ class TestCrashRecovery:
             await push_tail(server, item_to_source)
             assert server.core.plans          # recomputes happened
             before = core_fingerprint(server.core)
-            seqs_before = dict(server.last_seq)
+            seqs_before = dict(server.leases.last_seq)
             # the kill: no parting snapshot, recovery is WAL-tail replay
             await server.close(final_snapshot=False)
 
@@ -227,7 +227,7 @@ class TestCrashRecovery:
             recovery = revived.restore()
             assert recovery["records_replayed"] > 0
             assert core_fingerprint(revived.core) == before
-            assert revived.last_seq == seqs_before
+            assert revived.leases.last_seq == seqs_before
             await revived.close()
 
         run(check())
@@ -246,7 +246,7 @@ class TestCrashRecovery:
             revived.restore()
             stream = await register(revived, item_to_source, 0)
             item = owned(item_to_source, 0)[0]
-            stale = revived.last_seq[item]     # recovered high-water mark
+            stale = revived.leases.last_seq[item]     # recovered high-water mark
             await stream.send(protocol.refresh(0, item, -9e9, seq=stale))
             await drain()
             assert revived.stats["refreshes_rejected_stale_seq"] == 1

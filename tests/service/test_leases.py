@@ -181,7 +181,7 @@ class TestStalenessLeases:
             await stream.send(protocol.heartbeat(0, {item: 3}))
             await drain()
             assert item in server.suspect_since
-            assert server.stats["seq_gaps_detected"] == 1
+            assert server.server_stats()["seq_gaps_detected"] == 1
             probe = await stream.receive()
             assert probe["probe"] == [item]
             await stream.send(protocol.refresh(0, item, 42.0, seq=4))
@@ -227,7 +227,7 @@ async def dab_node(kind, policy):
     # Whatever was owed to the sources before they connected (a router
     # programs bounds as soon as its shards attach) was superseded by
     # their registration replies.
-    assert node._outstanding_dabs == {}
+    assert node.dab_retries.outstanding == {}
     return node, close, clock, streams[0], owned(item_to_source, 0)[0]
 
 
@@ -237,7 +237,7 @@ async def check_unacked_update_is_retried_then_acked(kind):
     await node._send_dab_update(0, {item: 1.5}, {item: 99})
     first = await stream.receive()
     assert first["msg_id"] is not None
-    assert len(node._outstanding_dabs) == 1
+    assert len(node.dab_retries.outstanding) == 1
     clock.now = 3.0                          # past due, no ack
     await node.check_retries()
     second = await stream.receive()
@@ -245,7 +245,7 @@ async def check_unacked_update_is_retried_then_acked(kind):
     assert node.server_stats()["dab_retries"] == 1
     await stream.send(protocol.dab_ack(0, first["msg_id"]))
     await drain()
-    assert node._outstanding_dabs == {}
+    assert node.dab_retries.outstanding == {}
     assert node.stats["dab_acks_received"] == 1
     await close()
 
@@ -258,7 +258,7 @@ async def check_retry_exhaustion_marks_items_suspect(kind):
     for step in (2.0, 4.0, 6.0):
         clock.now = step
         await node.check_retries()
-    assert node._outstanding_dabs == {}
+    assert node.dab_retries.outstanding == {}
     assert node.server_stats()["dab_retries_exhausted"] == 1
     assert item in node.suspect_since        # honest degradation
     await close()
@@ -269,12 +269,12 @@ async def check_reregistration_supersedes_outstanding(kind):
         base_delay=1.0, backoff=1.0, max_delay=1.0, max_attempts=2))
     await node._send_dab_update(0, {item: 1.5}, {item: 99})
     await node._send_dab_update(1, {}, {})
-    assert len(node._outstanding_dabs) == 2
+    assert len(node.dab_retries.outstanding) == 2
     again = node.connect_loopback()
     await again.send(protocol.register_source(0, [item]))
     assert (await again.receive())["type"] == MessageType.DAB_UPDATE.value
-    assert [entry["source_id"]
-            for entry in node._outstanding_dabs.values()] == [1]
+    assert [entry.source_id
+            for entry in node.dab_retries.outstanding.values()] == [1]
     assert await stream.receive() is not None   # the update, then...
     assert await stream.receive() is None       # ...displaced
     await close()

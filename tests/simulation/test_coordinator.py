@@ -99,8 +99,8 @@ class TestDirectConstruction:
         coordinator, _queue, _metrics, _source = make_coordinator(
             RecomputeMode.ON_WINDOW_VIOLATION)
         coordinator.on_refresh(refresh(1.0, "x", 2.5))
-        assert coordinator.query_values_array().tolist() == [
-            query.evaluate(coordinator.cache) for query in coordinator.queries]
+        assert coordinator.core.query_values_array().tolist() == [
+            query.evaluate(coordinator.core.cache) for query in coordinator.core.queries]
         traces = TraceSet([Trace("x", np.array([5.0, 6.5, 6.6])),
                            Trace("y", np.array([2.0, 2.5, 9.0]))])
         queue = EventQueue()
@@ -128,14 +128,14 @@ class TestEveryRefreshPolicy:
         coordinator, _queue, _metrics, _source = make_coordinator(
             RecomputeMode.EVERY_REFRESH)
         coordinator.on_refresh(refresh(1.0, "x", 2.5))
-        assert coordinator.cache["x"] == 2.5
+        assert coordinator.core.cache["x"] == 2.5
 
 
 class TestWindowPolicy:
     def test_no_recompute_inside_window(self):
         coordinator, _queue, metrics, _source = make_coordinator(
             RecomputeMode.ON_WINDOW_VIOLATION)
-        plan = coordinator.plans["cq"]
+        plan = coordinator.core.plans["cq"]
         inside = plan.reference_values["x"] + 0.5 * plan.secondary["x"]
         coordinator.on_refresh(refresh(1.0, "x", inside))
         assert metrics.refreshes == 1
@@ -144,12 +144,12 @@ class TestWindowPolicy:
     def test_recompute_on_violation(self):
         coordinator, _queue, metrics, _source = make_coordinator(
             RecomputeMode.ON_WINDOW_VIOLATION)
-        plan = coordinator.plans["cq"]
+        plan = coordinator.core.plans["cq"]
         outside = plan.reference_values["x"] + 1.5 * plan.secondary["x"]
         coordinator.on_refresh(refresh(1.0, "x", outside))
         assert metrics.recomputations == 1
         # plan is re-centred on the new values
-        assert coordinator.plans["cq"].reference_values["x"] == pytest.approx(outside)
+        assert coordinator.core.plans["cq"].reference_values["x"] == pytest.approx(outside)
 
     def test_only_affected_queries_recomputed(self):
         queries = [parse_query("x*y : 5", name="qa"),
@@ -157,7 +157,7 @@ class TestWindowPolicy:
         values = {"x": 2.0, "y": 2.0, "u": 2.0, "v": 2.0}
         coordinator, _queue, metrics, _source = make_coordinator(
             RecomputeMode.ON_WINDOW_VIOLATION, queries=queries, values=values)
-        plan = coordinator.plans["qa"]
+        plan = coordinator.core.plans["qa"]
         outside = plan.reference_values["x"] + 2.0 * plan.secondary["x"]
         coordinator.on_refresh(refresh(1.0, "x", outside))
         assert metrics.summary().recomputations_per_query == {"qa": 1}

@@ -64,15 +64,15 @@ class TestAAOPeriodic:
 
     def test_initial_plans_share_primaries(self, aao_coordinator):
         coordinator, _queue, _metrics, _source = aao_coordinator
-        y1 = coordinator.plans["aq1"].primary["y"]
-        y2 = coordinator.plans["aq2"].primary["y"]
+        y1 = coordinator.core.plans["aq1"].primary["y"]
+        y2 = coordinator.core.plans["aq2"].primary["y"]
         assert y1 == pytest.approx(y2, rel=1e-6)
 
     def test_periodic_event_recomputes_and_reschedules(self, aao_coordinator):
         coordinator, queue, metrics, _source = aao_coordinator
         while queue:
             queue.pop()
-        coordinator.cache["x"] = 2.4
+        coordinator.core.cache["x"] = 2.4
         coordinator.on_aao_periodic(Event(30.0, EventKind.AAO_PERIODIC))
         assert metrics.recomputations == 1  # one AAO solve == one recomputation
         next_times = []
@@ -82,11 +82,11 @@ class TestAAOPeriodic:
                 next_times.append(event.time)
         assert next_times == [60.0]
         # the new plans are centred on the drifted cache
-        assert coordinator.plans["aq1"].reference_values["x"] == pytest.approx(2.4)
+        assert coordinator.core.plans["aq1"].reference_values["x"] == pytest.approx(2.4)
 
     def test_window_violation_patches_single_query(self, aao_coordinator):
         coordinator, _queue, metrics, _source = aao_coordinator
-        plan = coordinator.plans["aq1"]
+        plan = coordinator.core.plans["aq1"]
         outside = plan.reference_values["x"] + 2.0 * plan.secondary["x"]
         coordinator.on_refresh(Event(5.0, EventKind.REFRESH_ARRIVAL,
                                      {"item": "x", "value": outside,

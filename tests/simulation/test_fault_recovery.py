@@ -137,7 +137,7 @@ class TestRefreshSequencing:
         coordinator.on_refresh(Event(1.1, EventKind.REFRESH_ARRIVAL,
                                      {"item": "x", "value": 9.0,
                                       "source_id": 0, "seq": 1}))
-        assert coordinator.cache["x"] == 3.0   # the overtaken value lost
+        assert coordinator.core.cache["x"] == 3.0   # the overtaken value lost
         assert metrics.duplicate_rejects == 1
         assert metrics.refreshes == 2          # both deliveries still counted
 
@@ -151,41 +151,55 @@ class TestRefreshSequencing:
                                       "source_id": 0, "seq": 1}))
         # Without faults the original last-writer-wins semantics hold
         # bit-for-bit (the golden-identity guarantee).
-        assert coordinator.cache["x"] == 9.0
+        assert coordinator.core.cache["x"] == 9.0
 
 
 class TestAckRetry:
     def test_delivered_change_is_acked_and_retires(self):
         coordinator, source, queue, metrics = make_world(FAR_CRASH)
         coordinator._send_dab_change(0, {"x": 0.7}, {"x": 1}, time=1.0)
-        assert len(coordinator._outstanding) == 1
+        assert len(coordinator.dab_retries.outstanding) == 1
         drain(queue, coordinator, source)
-        assert coordinator._outstanding == {}
+        assert coordinator.dab_retries.outstanding == {}
         assert source.bounds["x"] == 0.7
         assert metrics.dab_retries == 0
 
     def test_partition_lost_change_is_retried_until_delivered(self):
-        config = FaultConfig(partitions=(PartitionWindow(0.5, 2.0),),
-                             retry_timeout=1.0, retry_backoff=2.0)
+        config = FaultConfig(partitions=(PartitionWindow(0.5, 2.0),))
         coordinator, source, queue, metrics = make_world(config)
         coordinator._send_dab_change(0, {"x": 0.7}, {"x": 1}, time=1.0)
         assert metrics.messages_dropped == 1   # initial send fell in the hole
         drain(queue, coordinator, source)
         assert metrics.dab_retries >= 1
         assert source.bounds["x"] == 0.7       # the retransmit got through
-        assert coordinator._outstanding == {}
+        assert coordinator.dab_retries.outstanding == {}
 
     def test_permanent_partition_exhausts_retries(self):
-        config = FaultConfig(partitions=(PartitionWindow(0.0, 1e9),),
-                             retry_timeout=0.5, retry_max=3)
+        config = FaultConfig(partitions=(PartitionWindow(0.0, 1e9),))
         coordinator, source, queue, metrics = make_world(config)
         bootstrap_bound = source.bounds["x"]
         coordinator._send_dab_change(0, {"x": 0.7}, {"x": 1}, time=1.0)
         drain(queue, coordinator, source)
-        assert metrics.dab_retries == 3
+        assert metrics.dab_retries == 8        # the whole default schedule
         assert metrics.dab_retry_exhausted == 1
-        assert coordinator._outstanding == {}
+        assert coordinator.dab_retries.outstanding == {}
         assert source.bounds["x"] == bootstrap_bound   # never delivered; gave up
+
+    def test_given_up_change_widens_the_served_bound(self):
+        """A source that never acked may still filter on a wider, stale
+        bound, so giving up marks the item suspect and the answer is
+        served with a widened bound until the item is heard from."""
+        query = parse_query("x*y : 5", name="cq")
+        # Longer than the whole default schedule: 2+4+8+16+5*30 = 180.
+        config = FaultConfig(partitions=(PartitionWindow(0.0, 200.0),))
+        coordinator, source, queue, metrics = make_world(config,
+                                                         queries=[query])
+        coordinator._send_dab_change(0, {"x": 0.7}, {"x": 1}, time=1.0)
+        drain(queue, coordinator, source)
+        assert metrics.dab_retries == 8
+        assert metrics.dab_retry_exhausted == 1
+        assert coordinator.reported_bound(query, 181.0) > query.qab
+        assert coordinator.leases.suspect_since == {"x": 181.0}
 
 
 class TestStalenessLeases:
@@ -194,7 +208,7 @@ class TestStalenessLeases:
                              lease_duration=10.0, lease_check_interval=5.0)
         coordinator, _source, queue, metrics = make_world(config)
         coordinator.on_lease_check(Event(15.0, EventKind.LEASE_CHECK))
-        assert set(coordinator.suspect_since) == {"x", "y"}
+        assert set(coordinator.leases.suspect_since) == {"x", "y"}
         assert metrics.lease_expiries == 2
         assert metrics.value_probes == 2
         kinds = [queue.pop().kind for _ in range(len(queue))]
@@ -209,8 +223,8 @@ class TestStalenessLeases:
         coordinator.on_refresh(Event(18.0, EventKind.REFRESH_ARRIVAL,
                                      {"item": "x", "value": 2.1,
                                       "source_id": 0, "seq": 1}))
-        assert "x" not in coordinator.suspect_since
-        assert "y" in coordinator.suspect_since
+        assert "x" not in coordinator.leases.suspect_since
+        assert "y" in coordinator.leases.suspect_since
         assert metrics.staleness_exposure_seconds == pytest.approx(3.0)
 
     def test_heartbeat_seq_gap_means_lost_refreshes(self):
@@ -219,18 +233,33 @@ class TestStalenessLeases:
         coordinator.on_heartbeat(Event(12.0, EventKind.HEARTBEAT_ARRIVAL,
                                        {"source_id": 0,
                                         "seqs": {"x": 4, "y": 0}}))
-        assert "x" in coordinator.suspect_since
-        assert "y" not in coordinator.suspect_since
+        assert "x" in coordinator.leases.suspect_since
+        assert "y" not in coordinator.leases.suspect_since
         assert metrics.refresh_gaps == 1
         assert metrics.value_probes == 1
-        assert coordinator.last_heard["y"] == 12.0   # quiet-but-in-bound: renewed
+        assert coordinator.leases.last_heard["y"] == 12.0   # quiet-but-in-bound: renewed
+
+    def test_heartbeat_overtaken_by_a_refresh_renews_the_lease(self):
+        coordinator, _source, _queue, metrics = make_world(FAR_CRASH)
+        coordinator.on_refresh(Event(11.0, EventKind.REFRESH_ARRIVAL,
+                                     {"item": "x", "value": 2.1,
+                                      "source_id": 0, "seq": 3}))
+        # Sent when x was at seq 2, delivered after the seq-3 refresh: a
+        # simulated source never renumbers, so this is reorder, not loss.
+        coordinator.on_heartbeat(Event(12.0, EventKind.HEARTBEAT_ARRIVAL,
+                                       {"source_id": 0,
+                                        "seqs": {"x": 2, "y": 0}}))
+        assert coordinator.leases.suspect_since == {}
+        assert metrics.refresh_gaps == 0
+        assert metrics.value_probes == 0
+        assert coordinator.leases.last_heard["x"] == 12.0
 
     def test_reported_bound_widens_with_staleness(self):
         query = parse_query("x*y : 5", name="cq")
         coordinator, _source, _queue, _metrics = make_world(
             FAR_CRASH, queries=[query])
         assert coordinator.reported_bound(query, 10.0) == query.qab
-        coordinator.suspect_since["x"] = 10.0
+        coordinator.leases.mark_suspect(["x"], 10.0)
         early = coordinator.reported_bound(query, 10.0)
         late = coordinator.reported_bound(query, 50.0)
         assert early > query.qab
@@ -306,7 +335,7 @@ class TestSolverDegradation:
         coordinator, metrics = self._world(_RaisingPlanner())
         coordinator.initial_plan()    # must not raise
         assert metrics.solver_fallbacks == 1
-        plan = coordinator.plans["cq"]
+        plan = coordinator.core.plans["cq"]
         assert all(b > 0 for b in plan.primary.values())
 
     def test_runtime_failure_keeps_previous_plan(self):
@@ -315,12 +344,12 @@ class TestSolverDegradation:
         planner = _RaisingPlanner(calls_before_failure=1, inner=good)
         coordinator, metrics = self._world(planner)
         coordinator.initial_plan()
-        valid_plan = coordinator.plans["cq"]
+        valid_plan = coordinator.core.plans["cq"]
         # A refresh far outside the window forces a recompute, which fails.
         coordinator.on_refresh(Event(1.0, EventKind.REFRESH_ARRIVAL,
                                      {"item": "x", "value": 40.0, "source_id": 0}))
         assert metrics.solver_fallbacks == 1
-        assert coordinator.plans["cq"] is valid_plan
+        assert coordinator.core.plans["cq"] is valid_plan
         assert metrics.recomputations == 1    # the attempt is still counted
 
 

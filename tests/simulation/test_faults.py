@@ -37,8 +37,8 @@ class TestFaultConfig:
         dict(duplicate_rate=1.5),
         dict(lease_duration=0.0),
         dict(heartbeat_interval=-1.0),
-        dict(retry_timeout=0.0),
-        dict(retry_max=-1),
+        dict(lease_check_interval=0.0),
+        dict(duplicate_rate=-0.1),
         dict(suspect_drift_rel=-0.5),
     ])
     def test_invalid_knobs_rejected(self, kwargs):
