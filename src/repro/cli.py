@@ -382,6 +382,7 @@ def cmd_journal(args: argparse.Namespace) -> int:
     import json as _json
     from pathlib import Path
 
+    from repro.service.core import RECORD_KINDS
     from repro.service.journal import Journal, JournalError
 
     root = Path(args.directory)
@@ -406,9 +407,7 @@ def cmd_journal(args: argparse.Namespace) -> int:
     if counts:
         # Canonical kinds first (shown even at zero, so the table shape
         # is stable across journals), then anything else the scan found.
-        known = ("refresh", "plan", "aao", "bounds", "qadd", "qdel",
-                 "adopt")
-        kinds = list(known) + sorted(set(counts) - set(known))
+        kinds = list(RECORD_KINDS) + sorted(set(counts) - set(RECORD_KINDS))
         width = max(len(kind) for kind in kinds)
         total = sum(counts.values())
         print("records by type")

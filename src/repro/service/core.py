@@ -10,10 +10,14 @@ decides which sources must be told about a plan change.
 The bank is one persistent table of term products: a refresh
 re-multiplies only the terms that contain the refreshed item, and
 ``add_query``/``remove_query`` edit one row of it.  It is exact only while
-it sees every write to the power vector, so the three writers —
-``apply_refresh``, ``adopt_item``, ``restore_cache_value`` — share one
-method, :meth:`CoordinatorCore._write_powers`, and every read of the bank
-flushes what was written since the last one (DESIGN.md §8.1–8.2).
+it sees every write to the power vector, so every writer — a refresh, a
+hand-off, a replayed value — goes through one method,
+:meth:`CoordinatorCore._set_value`, and every read of the bank flushes
+what was written since the last one (DESIGN.md §8.1–8.2).
+
+Durable state has one write path (DESIGN.md §11.1): each journal record
+kind has one mutator, which live handling, :meth:`CoordinatorCore.replay`
+and snapshot restore all call.
 
 Two runtimes share this class verbatim:
 
@@ -38,6 +42,7 @@ from __future__ import annotations
 import enum
 import math
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -58,6 +63,8 @@ from repro.queries.compiled import (
     PowerTable,
 )
 from repro.queries.polynomial import PolynomialQuery
+from repro.service.journal import JournalError, plan_from_wire, plan_to_wire
+from repro.service.protocol import query_from_wire, query_to_wire
 
 #: Relative change below which a DAB update is not worth a message.
 _DAB_CHANGE_REL_TOL = 1e-9
@@ -229,7 +236,7 @@ class CoordinatorCore:
             query.name: i for i, query in enumerate(self.queries)}
         #: The evaluator: one persistent term-product table, edited in
         #: place by :meth:`add_query` / :meth:`remove_query` and told of
-        #: every power-vector write by :meth:`_write_powers`.
+        #: every power-vector write by :meth:`_set_value`.
         self._bank = CompiledQueryBank(
             [self._compiled[query.name] for query in self.queries])
         self._power_vector = table.vector(self.cache)
@@ -252,10 +259,8 @@ class CoordinatorCore:
         else:
             for query in self.queries:
                 self.install_plan(query.name, self._plan_query(query))
-        for index, query in enumerate(self.queries):
-            value = self.query_value(query)
-            self.last_user_values[query.name] = value
-            self._last_user_arr[index] = value
+        self._set_user_values([(query.name, self.query_value(query))
+                               for query in self.queries])
         merged = merge_primary(self.plans.values())
         self._last_sent_bounds = dict(merged)
         return merged
@@ -280,6 +285,11 @@ class CoordinatorCore:
         """The compiled evaluator for ``query``."""
         return self._compiled[query.name]
 
+    def query_named(self, name: str) -> Optional[PolynomialQuery]:
+        """The registered query called ``name``, or ``None`` (O(1))."""
+        position = self._position.get(name)
+        return None if position is None else self.queries[position]
+
     def query_value(self, query: PolynomialQuery) -> float:
         return self._compiled[query.name].evaluate_vector(self._power_vector)
 
@@ -292,14 +302,15 @@ class CoordinatorCore:
         """Array form of :meth:`query_values`."""
         return self._bank.values_vector(self._power_vector)
 
-    def _write_powers(self, item: str) -> None:
-        """``item``'s cached value moved: refresh its power slots.  The
-        one writer of the power vector after construction — a refresh, a
-        hand-off and a replayed value all come through here — because the
-        bank's materialised products are only right while it sees every
-        write (it marks ``item``; its next read re-multiplies the terms
-        containing it)."""
-        self._bank.write(self._power_vector, item, self.cache[item])
+    def _set_value(self, item: str, value: float) -> None:
+        """The ``refresh`` mutator: ``item``'s cached value moves, and its
+        power slots with it.  The one writer of the power vector after
+        construction — a refresh, a hand-off and a replayed value all come
+        through here — because the bank's materialised products are only
+        right while it sees every write (it marks ``item``; its next read
+        re-multiplies the terms containing it)."""
+        value = self.cache[item] = float(value)
+        self._bank.write(self._power_vector, item, value)
 
     def _sync_power_vector(self) -> None:
         """Grow the power vector to cover slots a new template registered
@@ -421,24 +432,28 @@ class CoordinatorCore:
                 self._bands.pop(name, None)
 
     def _drop_bands_around(self, item: str) -> None:
-        """``item``'s cached value moved outside a refresh (a hand-off or
-        a replay): every band computed with it in its window is void."""
+        """``item``'s cached value moved with no :meth:`react_to_refresh`
+        to follow (a hand-off or a replay): every band computed with it in
+        its window is void."""
         if self._bands:
             for query in self.item_index.get(item, ()):
                 self._drop_bands(query)
 
     def install_plan(self, name: str, plan: DABAssignment) -> None:
-        """The one way a plan enters :attr:`plans` — solve, AAO solve,
-        snapshot restore or journal replay."""
+        """The ``plan`` mutator, and the one way a plan enters
+        :attr:`plans` — solve, AAO solve or replay."""
         self.plans[name] = plan
         if self._bands:
             self._drop_bands(self.queries[self._position[name]])
 
     def _replace_plans(self, plans: Mapping[str, DABAssignment]) -> None:
-        """Swap the whole plan set (joint AAO solve, snapshot restore)."""
+        """The ``aao`` mutator: swap the whole plan set (joint AAO solve,
+        snapshot restore).  The breaker's stand-ins are keyed on plans
+        that are gone."""
         self.plans = {}
         self._bands.clear()
         self._windows.clear()
+        self._breaker_plans.clear()
         for name, plan in plans.items():
             self.install_plan(name, plan)
 
@@ -506,19 +521,11 @@ class CoordinatorCore:
         self._breaker_plans[query.name] = (previous, shrunk)
         return shrunk
 
-    def _journal_plan(self, name: str, plan: DABAssignment) -> None:
-        if self.journal is None:
-            return
-        from repro.service.journal import plan_to_wire
-
-        record = {"t": "plan", "q": name, "plan": plan_to_wire(plan)}
-        self.journal.append(record)
-
     def _recompute(self, query: PolynomialQuery) -> None:
         plan = self._plan_query(query)
         self.install_plan(query.name, plan)
         self.metrics.record_recomputation(query.name)
-        self._journal_plan(query.name, plan)
+        self._log("plan", query.name, plan)
         if self.recompute_hook is not None:
             self.recompute_hook()
 
@@ -533,13 +540,8 @@ class CoordinatorCore:
         mark a restarted coordinator must restore.  The simulator never
         passes it (and never journals).
         """
-        self.cache[item] = float(value)
-        self._write_powers(item)
-        if self.journal is not None:
-            record = {"t": "refresh", "item": item, "value": self.cache[item]}
-            if seq is not None:
-                record["seq"] = int(seq)
-            self.journal.append(record)
+        self._set_value(item, value)
+        self._log("refresh", item, self.cache[item], seq)
         self.metrics.record_refresh()
 
     def adopt_item(self, item: str, value: float,
@@ -555,25 +557,22 @@ class CoordinatorCore:
         rides the journal record so a replayed shard restores the same
         dedup floor the live one was handed.
         """
-        fresh = item not in self.cache
-        self.cache[item] = float(value)
-        if not fresh:
+        source = int(source_id) if source_id is not None else None
+        self._adopt(item, value, source)
+        self._log("adopt", item, self.cache[item], source, seq)
+
+    def _adopt(self, item: str, value: float, source: Optional[int]) -> None:
+        """The ``adopt`` mutator."""
+        if item in self.cache:
             # Already-known items (a mirror of a cross-shard term) may
             # have live power-table slots to refresh.
-            self._write_powers(item)
+            self._set_value(item, value)
             self._drop_bands_around(item)
-        if source_id is not None:
-            self.item_to_source[item] = int(source_id)
-        self._adopted_items[item] = (int(source_id)
-                                     if source_id is not None else None)
-        if self.journal is not None:
-            record: Dict[str, object] = {"t": "adopt", "item": item,
-                                         "value": self.cache[item]}
-            if source_id is not None:
-                record["source"] = int(source_id)
-            if seq is not None:
-                record["seq"] = int(seq)
-            self.journal.append(record)
+        else:
+            self.cache[item] = float(value)
+        if source is not None:
+            self.item_to_source[item] = source
+        self._adopted_items[item] = source
 
     def react_to_refresh(self, items: Sequence[str],
                          ) -> Tuple[List[Tuple[str, float]], bool]:
@@ -630,11 +629,10 @@ class CoordinatorCore:
                         recomputed = True
                 for item in missed:
                     bands.pop(item, None)
-        if notifications and self.journal is not None:
+        if notifications:
             # last_user_values gates every future notification, so the
             # values the user saw are part of the recovery state.
-            self.journal.append({"t": "notify",
-                                 "values": dict(notifications)})
+            self._log("notify", notifications)
         return notifications, recomputed
 
     def _notify_movers(self, items: List[str]) -> List[Tuple[str, float]]:
@@ -656,27 +654,39 @@ class CoordinatorCore:
         sub = bank.values_vector(self._power_vector, idx)
         moved = (np.abs(sub - self._last_user_arr.take(idx))
                  > self._qab_arr.take(idx))
-        notifications: List[Tuple[str, float]] = []
         if not moved.any():
-            return notifications
-        for position, value in zip(idx[moved].tolist(), sub[moved].tolist()):
-            name = self.queries[position].name
-            self.last_user_values[name] = value
-            self._last_user_arr[position] = value
-            self.metrics.record_user_notification()
-            notifications.append((name, value))
+            return []
+        queries = self.queries
+        notifications = [(queries[position].name, value) for position, value
+                         in zip(idx[moved].tolist(), sub[moved].tolist())]
+        self._set_user_values(notifications)
+        self.metrics.record_user_notification(len(notifications))
         return notifications
+
+    def _set_user_values(self, values: Iterable[Tuple[str, float]]) -> None:
+        """The ``notify`` mutator: the values the users last saw."""
+        position = self._position
+        for name, value in values:
+            self.last_user_values[name] = value
+            self._last_user_arr[position[name]] = value
 
     # -- dynamic membership (live QUERY_SUB path) --------------------------------------
 
     def add_query(self, query: PolynomialQuery, plan: bool = True) -> int:
-        """Register a query at runtime; returns its bank position.
+        """Register a query at runtime and plan it (``plan=False``: leave
+        it unplanned); returns its bank position."""
+        position = self._register(query)
+        self._log("qadd", query)
+        if plan:
+            assignment = self._plan_query(query)
+            self.install_plan(query.name, assignment)
+            self._log("plan", query.name, assignment)
+        return position
 
-        O(query): the bank (one row of the term-product table), the power
-        vector and the notification arrays all grow in place.
-        ``plan=False`` skips the solve (journal replay installs the
-        journaled plan instead).
-        """
+    def _register(self, query: PolynomialQuery) -> int:
+        """The ``qadd`` mutator.  O(query): the bank (one row of the
+        term-product table), the power vector and the notification arrays
+        all grow in place."""
         name = query.name
         if name in self.query_names:
             raise SimulationError(f"query {name!r} already registered")
@@ -700,22 +710,17 @@ class CoordinatorCore:
         self._bank.add_query(compiled, self._power_vector)
         self._ensure_query_capacity(position + 1)
         self._qab_arr[position] = query.qab
-        if self.journal is not None:
-            from repro.service.protocol import query_to_wire
-
-            self.journal.append({"t": "qadd", "query": query_to_wire(query)})
-        if plan:
-            assignment = self._plan_query(query)
-            self.install_plan(name, assignment)
-            self._journal_plan(name, assignment)
-        value = self.query_value(query)
-        self.last_user_values[name] = value
-        self._last_user_arr[position] = value
+        self._set_user_values([(name, self.query_value(query))])
         return position
 
     def remove_query(self, name: str) -> None:
         """Drop a query (swap-remove: the last query takes its bank
         position; O(query))."""
+        self._unregister(name)
+        self._log("qdel", name)
+
+    def _unregister(self, name: str) -> None:
+        """The ``qdel`` mutator."""
         if name not in self.query_names:
             raise SimulationError(f"unknown query {name!r}")
         if len(self.queries) == 1:
@@ -758,8 +763,6 @@ class CoordinatorCore:
             self._position[moved.name] = position
             self._qab_arr[position] = self._qab_arr[last]
             self._last_user_arr[position] = self._last_user_arr[last]
-        if self.journal is not None:
-            self.journal.append({"t": "qdel", "name": name})
 
     # -- plan fanout -------------------------------------------------------------------
 
@@ -770,30 +773,33 @@ class CoordinatorCore:
         returns ``{source_id: (bounds, epochs)}`` — one entry per source
         that must be told (each counted as one DAB-change message, the
         overhead μ approximates)."""
-        merged = merge_primary(self.plans.values())
-        changed_by_source: Dict[int, Dict[str, float]] = {}
-        changed_bounds: Dict[str, float] = {}
-        for name, bound in merged.items():
-            previous = self._last_sent_bounds.get(name)
+        sent = self._last_sent_bounds
+        changed: Dict[str, float] = {}
+        for name, bound in merge_primary(self.plans.values()).items():
+            previous = sent.get(name)
             if previous is not None and abs(bound - previous) <= _DAB_CHANGE_REL_TOL * previous:
                 continue
-            self._last_sent_bounds[name] = bound
-            self.epochs[name] = self.epochs.get(name, 0) + 1
-            changed_bounds[name] = bound
+            changed[name] = bound
+        if not changed:
+            return {}
+        epochs = {name: self.epochs.get(name, 0) + 1 for name in changed}
+        self._set_bounds(changed, epochs)
+        self._log("bounds", changed, epochs)
+        by_source: Dict[int, Dict[str, float]] = {}
+        for name, bound in changed.items():
             source_id = self.item_to_source.get(name)
             if source_id is not None:
-                changed_by_source.setdefault(source_id, {})[name] = bound
-        if changed_bounds and self.journal is not None:
-            self.journal.append({
-                "t": "bounds", "bounds": changed_bounds,
-                "epochs": {name: self.epochs[name] for name in changed_bounds},
-            })
-        updates: Dict[int, BoundUpdate] = {}
-        for source_id, bounds in changed_by_source.items():
-            epochs = {name: self.epochs[name] for name in bounds}
-            self.metrics.record_dab_change_messages(1)
-            updates[source_id] = (bounds, epochs)
-        return updates
+                by_source.setdefault(source_id, {})[name] = bound
+        self.metrics.record_dab_change_messages(len(by_source))
+        return {source_id: (bounds, {name: epochs[name] for name in bounds})
+                for source_id, bounds in by_source.items()}
+
+    def _set_bounds(self, bounds: Mapping[str, float],
+                    epochs: Mapping[str, int]) -> None:
+        """The ``bounds`` mutator: what each source was last sent, and
+        the epochs it was sent under."""
+        self._last_sent_bounds.update(bounds)
+        self.epochs.update(epochs)
 
     def current_bounds_for(self, source_id: int) -> BoundUpdate:
         """The latest sent bounds (and epochs) for one source — what a
@@ -820,17 +826,77 @@ class CoordinatorCore:
             return False
         self._replace_plans(multi.per_query)
         self.metrics.record_recomputation("__aao__")
-        if self.journal is not None:
-            from repro.service.journal import plan_to_wire
-
-            self.journal.append({
-                "t": "aao",
-                "plans": {name: plan_to_wire(plan)
-                          for name, plan in sorted(self.plans.items())},
-            })
+        self._log("aao", self.plans)
         return True
 
-    # -- durability (snapshot / replay) ------------------------------------------------
+    # -- durability: one mutator per journal record kind -----------------------------
+
+    def _log(self, kind: str, *fields: Any) -> None:
+        """Journal the change a mutator just made as one ``kind`` record,
+        leaving out fields that are ``None``.  With no journal attached
+        no record is built."""
+        if self.journal is not None:
+            self.journal.append({key: value for key, value
+                                 in _RECORDS[kind](*fields).items()
+                                 if value is not None})
+
+    def replay(self, record: Mapping[str, Any]) -> None:
+        """Apply one journal record through the mutator its live writer
+        called.  A record naming a query or item this core does not hold
+        (for ``qadd``: one it holds) changes nothing."""
+        read = self._READERS.get(record.get("t"))
+        if read is None:
+            raise JournalError(
+                f"unknown journal record type {record.get('t')!r}")
+        read(self, record)
+
+    def _replay_refresh(self, record: Mapping[str, Any]) -> None:
+        if record["item"] in self.cache:
+            self._set_value(record["item"], record["value"])
+            self._drop_bands_around(record["item"])
+
+    def _replay_plan(self, record: Mapping[str, Any]) -> None:
+        if record["q"] in self.query_names:
+            self.install_plan(record["q"], plan_from_wire(record["plan"]))
+
+    def _replay_aao(self, record: Mapping[str, Any]) -> None:
+        self._replace_plans({name: plan_from_wire(wire) for name, wire
+                             in record["plans"].items()
+                             if name in self.query_names})
+
+    def _replay_bounds(self, record: Mapping[str, Any]) -> None:
+        cache = self.cache
+        self._set_bounds(
+            {name: float(bound) for name, bound in record["bounds"].items()
+             if name in cache},
+            {name: int(epoch) for name, epoch in record["epochs"].items()
+             if name in cache})
+
+    def _replay_notify(self, record: Mapping[str, Any]) -> None:
+        self._set_user_values((name, float(value)) for name, value
+                              in record["values"].items()
+                              if name in self.query_names)
+
+    def _replay_qadd(self, record: Mapping[str, Any]) -> None:
+        query = query_from_wire(record["query"])
+        if query.name not in self.query_names:
+            self._register(query)
+
+    def _replay_qdel(self, record: Mapping[str, Any]) -> None:
+        if record["name"] in self.query_names:
+            self._unregister(record["name"])
+
+    def _replay_adopt(self, record: Mapping[str, Any]) -> None:
+        source = record.get("source")
+        self._adopt(record["item"], record["value"],
+                    int(source) if source is not None else None)
+
+    #: record kind -> how :meth:`replay` reads it.
+    _READERS = {
+        "refresh": _replay_refresh, "plan": _replay_plan, "aao": _replay_aao,
+        "bounds": _replay_bounds, "notify": _replay_notify,
+        "qadd": _replay_qadd, "qdel": _replay_qdel, "adopt": _replay_adopt,
+    }
 
     def recovery_state(self) -> Dict[str, object]:
         """Everything a restarted coordinator must restore to be
@@ -838,21 +904,16 @@ class CoordinatorCore:
         cache, per-item DAB epochs, the bounds each source last saw, the
         values each user last saw, and every current plan (which is also
         the breaker's last-good plan set)."""
-        from repro.service.journal import plan_to_wire
-
         state: Dict[str, object] = {
             "cache": dict(self.cache),
             "epochs": dict(self.epochs),
             "last_sent_bounds": dict(self._last_sent_bounds),
             "last_user_values": dict(self.last_user_values),
-            "plans": {name: plan_to_wire(plan)
-                      for name, plan in sorted(self.plans.items())},
+            "plans": _plans_to_wire(self.plans),
         }
         if self.dynamic_names:
             # Only when present — snapshots of a static bank stay
             # byte-identical to the pre-index format.
-            from repro.service.protocol import query_to_wire
-
             state["dynamic_queries"] = [
                 query_to_wire(query) for query in
                 sorted((q for q in self.queries
@@ -872,67 +933,57 @@ class CoordinatorCore:
             state["removed_queries"] = sorted(self._removed_queries)
         return state
 
-    def restore_recovery_state(self, state: Mapping[str, object]) -> None:
-        """Adopt a :meth:`recovery_state` snapshot wholesale."""
-        from repro.service.journal import plan_from_wire
-        from repro.service.protocol import query_from_wire
-
-        # Adopted items first: dynamic queries registered after a
-        # reshard may read migrated items this core was not built with,
-        # and add_query refuses unknown variables.  The placeholder 0.0
-        # is immediately overwritten by the cache loop below.
-        for item, source in (state.get("adopted_items") or {}).items():
-            if item not in self.cache:
-                self.adopt_item(item, 0.0, source_id=source)
-            elif source is not None:
-                self.item_to_source[item] = int(source)
-        # Dynamic queries next: the plans/user values below may belong
-        # to them.  (No journal is attached yet on the restore path, so
-        # these re-registrations are not re-journaled.)  Non-colliding
-        # names go first so the static removals below can never empty
-        # the bank; a dynamic query whose name collides with a static
-        # one is its post-migration replacement and is re-added right
-        # after the stale static version is dropped.
-        dynamic = [query_from_wire(wire)
-                   for wire in state.get("dynamic_queries", ())]
-        replacements = {q.name: q for q in dynamic}
-        for query in dynamic:
-            if query.name not in self.query_names:
-                self.add_query(query, plan=False)
+    def restore_recovery_state(self, state: Mapping[str, Any]) -> None:
+        """Adopt a :meth:`recovery_state` snapshot by replaying the
+        records that rebuild it.  Adopted items come before the dynamic
+        queries that may read them.  Dynamic queries come before the
+        static removals, so no removal empties the bank; the exception is
+        a dynamic query named like a removed static one, which is that
+        query's replacement and follows its ``qdel``.  Values, bounds,
+        user values and the plan set come last."""
+        dynamic = {wire["name"]: wire
+                   for wire in state.get("dynamic_queries", ())}
+        records: List[Dict[str, Any]] = [
+            {"t": "adopt", "item": item, "value": 0.0, "source": source}
+            for item, source in (state.get("adopted_items") or {}).items()]
+        records += [{"t": "qadd", "query": wire} for wire in dynamic.values()]
         for name in state.get("removed_queries", ()):
-            name = str(name)
-            # Keep the tombstone so the *next* snapshot cut from this
-            # core records the removal too.
-            self._removed_queries.add(name)
-            if name in self.query_names and name not in self.dynamic_names:
-                self.remove_query(name)
-                replacement = replacements.get(name)
-                if replacement is not None:
-                    self.add_query(replacement, plan=False)
-        for item, value in state["cache"].items():
-            self.restore_cache_value(item, float(value))
-        self.epochs = {name: int(epoch)
-                       for name, epoch in state["epochs"].items()}
-        self._last_sent_bounds = {name: float(bound) for name, bound
-                                  in state["last_sent_bounds"].items()}
-        for name, value in state["last_user_values"].items():
-            self.restore_user_value(name, float(value))
-        self._replace_plans({name: plan_from_wire(wire)
-                             for name, wire in state["plans"].items()})
-        # Identity-keyed caches are meaningless across a restart.
-        self._breaker_plans.clear()
+            records.append({"t": "qdel", "name": name})
+            if name in dynamic:
+                records.append({"t": "qadd", "query": dynamic[name]})
+        records += [{"t": "refresh", "item": item, "value": value}
+                    for item, value in state["cache"].items()]
+        records += [
+            {"t": "bounds", "bounds": state["last_sent_bounds"],
+             "epochs": state["epochs"]},
+            {"t": "notify", "values": state["last_user_values"]},
+            {"t": "aao", "plans": state["plans"]}]
+        for record in records:
+            self.replay(record)
 
-    def restore_cache_value(self, item: str, value: float) -> None:
-        """Set one cached value during replay — no metrics, no journal."""
-        if item not in self.cache:
-            return
-        self.cache[item] = float(value)
-        self._write_powers(item)
-        self._drop_bands_around(item)
 
-    def restore_user_value(self, name: str, value: float) -> None:
-        """Set one last-user-visible value during replay."""
-        if name not in self.query_names:
-            return
-        self.last_user_values[name] = float(value)
-        self._last_user_arr[self._position[name]] = float(value)
+def _plans_to_wire(plans: Mapping[str, DABAssignment]) -> Dict[str, Any]:
+    return {name: plan_to_wire(plan) for name, plan in sorted(plans.items())}
+
+
+#: record kind -> its journal record, from the fields its live writer
+#: passes :meth:`CoordinatorCore._log`.
+_RECORDS: Dict[str, Callable[..., Dict[str, Any]]] = {
+    "refresh": lambda item, value, seq: {"t": "refresh", "item": item,
+                                         "value": value, "seq": seq},
+    "plan": lambda name, plan: {"t": "plan", "q": name,
+                                "plan": plan_to_wire(plan)},
+    "aao": lambda plans: {"t": "aao", "plans": _plans_to_wire(plans)},
+    "bounds": lambda bounds, epochs: {"t": "bounds", "bounds": bounds,
+                                      "epochs": epochs},
+    "notify": lambda values: {"t": "notify", "values": dict(values)},
+    "qadd": lambda query: {"t": "qadd", "query": query_to_wire(query)},
+    "qdel": lambda name: {"t": "qdel", "name": name},
+    "adopt": lambda item, value, source, seq: {
+        "t": "adopt", "item": item, "value": value, "source": source,
+        "seq": seq},
+}
+
+#: Every journal record kind, in the order ``repro journal inspect``
+#: lists them.
+RECORD_KINDS = tuple(CoordinatorCore._READERS)

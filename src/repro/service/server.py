@@ -42,7 +42,7 @@ from repro.service.frontend import (
     Peer,
     _Subscriber,
 )
-from repro.service.journal import Journal, JournalError, plan_from_wire
+from repro.service.journal import Journal, JournalError
 from repro.service.protocol import MessageType, ProtocolError
 from repro.service.resilience import RetryPolicy
 from repro.service.source_plane import SourceLeases
@@ -98,13 +98,9 @@ class CoordinatorServer(FrontEnd):
         self._journal_attached = False
         #: The last :meth:`restore` report (records replayed, wall time).
         self.last_recovery: Optional[Dict[str, Any]] = None
-        self._query_names = {query.name for query in self.core.queries}
-        #: name -> query object (O(1) duplicate/conflict checks on the
-        #: incremental QUERY_SUB registration path — never an O(bank)
-        #: scan) and name -> live subscriber refcount for queries added
-        #: through QUERY_SUB ``definitions``.
-        self._query_objects = {query.name: query
-                               for query in self.core.queries}
+        #: name -> live subscriber refcount for queries added through
+        #: QUERY_SUB ``definitions`` (which queries exist is the core's
+        #: to say: a migration edits it directly).
         self._dynamic_refs: Dict[str, int] = {}
 
         #: One clock end-to-end: a breaker built without an explicit
@@ -242,57 +238,6 @@ class CoordinatorServer(FrontEnd):
             if server_state.get("map_epoch") is not None:
                 self.advance_map_epoch(int(server_state["map_epoch"]))
 
-    def _replay_record(self, record: Mapping[str, Any]) -> None:
-        """Apply one journal record directly to state — no metrics, no
-        fanout, no re-journaling; replay must be side-effect free so a
-        double restore converges on the same state."""
-        kind = record.get("t")
-        if kind == "refresh":
-            item = str(record["item"])
-            seq = record.get("seq")
-            if seq is not None:
-                self.leases.raise_floor(item, int(seq))
-            self.core.restore_cache_value(item, float(record["value"]))
-        elif kind == "plan":
-            name = str(record["q"])
-            if name in self.core.query_names:
-                self.core.install_plan(name, plan_from_wire(record["plan"]))
-        elif kind == "aao":
-            for name, plan in (record.get("plans") or {}).items():
-                if str(name) in self.core.query_names:
-                    self.core.install_plan(str(name), plan_from_wire(plan))
-        elif kind == "bounds":
-            for name, bound in (record.get("bounds") or {}).items():
-                if str(name) in self.core.cache:
-                    self.core._last_sent_bounds[str(name)] = float(bound)
-            for name, epoch in (record.get("epochs") or {}).items():
-                if str(name) in self.core.cache:
-                    self.core.epochs[str(name)] = int(epoch)
-        elif kind == "notify":
-            for name, value in (record.get("values") or {}).items():
-                self.core.restore_user_value(str(name), float(value))
-        elif kind == "qadd":
-            query = protocol.query_from_wire(record["query"])
-            if query.name not in self.core.query_names:
-                self.core.add_query(query, plan=False)
-        elif kind == "qdel":
-            name = str(record["name"])
-            if name in self.core.query_names:
-                self.core.remove_query(name)
-        elif kind == "adopt":
-            # A live reshard handed this shard an item mid-flight; the
-            # record carries the transferred value, owning source and the
-            # previous owner's seq high-water mark so replay restores the
-            # same dedup floor the live hand-off installed.
-            item = str(record["item"])
-            seq = record.get("seq")
-            if seq is not None:
-                self.leases.raise_floor(item, int(seq))
-            self.core.adopt_item(item, float(record["value"]),
-                                 source_id=record.get("source"))
-        else:
-            raise JournalError(f"unknown journal record type {kind!r}")
-
     def restore(self) -> Dict[str, Any]:
         """The journaled start path: open the WAL (truncating any torn
         tail), load the newest intact snapshot, replay the journal tail on
@@ -326,7 +271,11 @@ class CoordinatorServer(FrontEnd):
             self._bootstrapped = True
         replayed = 0
         for record in journal.records(start=replay_start):
-            self._replay_record(record)
+            self.core.replay(record)
+            seq = record.get("seq")
+            if seq is not None:
+                # The dedup floor a refresh or a hand-off carried.
+                self.leases.raise_floor(str(record["item"]), int(seq))
             replayed += 1
         if snapshot is None and replayed == 0:
             # Truly fresh: persist the starting point as snapshot zero so
@@ -335,14 +284,9 @@ class CoordinatorServer(FrontEnd):
         elif replayed:
             # Replayed plans/values may be far from any cached warm start.
             self.core.clear_planner_warm_starts()
-        # Replayed qadd/qdel records (and snapshot dynamic queries) grew
-        # the bank behind the server's name maps — re-sync them.  The
-        # subscribers holding the references died with the old process,
-        # so restored dynamic queries start at refcount 0 and live until
-        # a future subscriber claims and then releases them.
-        self._query_names = {query.name for query in self.core.queries}
-        self._query_objects = {query.name: query
-                               for query in self.core.queries}
+        # The subscribers holding references on restored dynamic queries
+        # died with the old process, so those start at refcount 0 and
+        # live until a future subscriber claims and then releases them.
         self._dynamic_refs = {name: 0 for name in self.core.dynamic_names}
         self.core.journal = journal
         self._journal_attached = True
@@ -595,7 +539,7 @@ class CoordinatorServer(FrontEnd):
         decoded = [protocol.query_from_wire(data) for data in definitions]
         staged: Dict[str, PolynomialQuery] = {}
         for query in decoded:
-            existing = (self._query_objects.get(query.name)
+            existing = (self.core.query_named(query.name)
                         or staged.get(query.name))
             if existing is not None and existing != query:
                 raise ProtocolError(
@@ -613,8 +557,6 @@ class CoordinatorServer(FrontEnd):
         for query in decoded:
             if query.name in staged:
                 self.core.add_query(query)
-                self._query_objects[query.name] = query
-                self._query_names.add(query.name)
                 self._dynamic_refs[query.name] = 1
                 registered.add(query.name)
                 del staged[query.name]
@@ -642,8 +584,6 @@ class CoordinatorServer(FrontEnd):
                 self._dynamic_refs[name] = 0
                 continue
             del self._dynamic_refs[name]
-            self._query_objects.pop(name, None)
-            self._query_names.discard(name)
             removed = True
         sub.registered = set()
         if removed and not self.closed:
@@ -660,7 +600,7 @@ class CoordinatorServer(FrontEnd):
         definitions = message.get("definitions")
         if definitions:
             registered = self._register_definitions(definitions)
-        sub = self._add_subscriber(peer, message, self._query_names)
+        sub = self._add_subscriber(peer, message, self.core.query_names)
         if sub.queries is not None:
             # Definitions are implicitly subscribed — naming them again
             # in ``queries`` would be redundant boilerplate.

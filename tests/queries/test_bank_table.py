@@ -69,7 +69,7 @@ VALUES = st.one_of(st.floats(0.1, 50.0), st.floats(-50.0, -0.1),
 OPS = st.one_of(
     # A refresh: the write, then the per-item read that reacts to it.
     st.tuples(st.just("refresh"), st.sampled_from(ITEMS), VALUES),
-    # A write nothing reads afterwards (adopt_item, restore_cache_value).
+    # A write nothing reads afterwards (adopt_item, a replayed refresh).
     st.tuples(st.just("write"), st.sampled_from(ITEMS), VALUES),
     st.tuples(st.just("add"), _terms(ITEMS, 3, 12)),
     st.tuples(st.just("remove"), st.sampled_from(["first", "middle", "last"])),

@@ -421,3 +421,46 @@ class TestRehomingMigration:
             await cluster.close()
 
         run(body())
+
+
+class TestShardMembershipAfterMigration:
+    """A migration edits a shard's core directly; the shard serves
+    whatever its core holds, so a direct subscriber to it sees the
+    queries that arrived, and a query that left is one it may define
+    afresh."""
+
+    def test_a_direct_subscriber_sees_the_cores_queries(self):
+        cluster, _, _ = build_scenario_cluster(shards=3, **SCENARIO)
+        migrator = ShardMigrator(cluster)
+
+        async def body():
+            await cluster.start()
+            before = {sid: {q.name: q for q in server.core.queries}
+                      for sid, server in cluster.shards.items()}
+            assert migrator.start({MOVED: TARGET}) == 1
+            await migrator.tick()                          # FREEZE
+            record = await migrator.tick()                 # CUTOVER
+            assert record["outcome"] == "completed"
+            after = {sid: {q.name for q in server.core.queries}
+                     for sid, server in cluster.shards.items()}
+            # The move re-homed queries: some left shard 0, some reached
+            # the target.
+            assert set(before[0]) - after[0]
+            assert after[TARGET] - set(before[TARGET])
+            for sid, server in cluster.shards.items():
+                stream = server.connect_loopback()
+                await stream.send(protocol.query_sub(sorted(after[sid])))
+                snapshot = await stream.receive()
+                assert set(snapshot["values"]) == after[sid], sid
+                left = [query for name, query in sorted(before[sid].items())
+                        if name not in after[sid]]
+                if left:
+                    await stream.send(protocol.query_sub(
+                        [], definitions=left))
+                    snapshot = await stream.receive()
+                    assert sorted(snapshot["values"]) == [
+                        query.name for query in left], sid
+                stream.close()
+            await cluster.close()
+
+        run(body())

@@ -2,6 +2,7 @@
 contract to all of them (``repro.service.frontend``)."""
 
 import asyncio
+import json
 
 from repro.service import protocol
 from repro.service.cluster.broker import NotifyBroker
@@ -84,3 +85,9 @@ async def register_sources(node, item_to_source):
         assert reply["type"] == MessageType.DAB_UPDATE.value
         streams[source_id] = stream
     return streams
+
+
+def core_fingerprint(core):
+    """A core's whole recovery state as canonical JSON — byte-comparable."""
+    return json.dumps(core.recovery_state(), sort_keys=True,
+                      separators=(",", ":"), allow_nan=False)

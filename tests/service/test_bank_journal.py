@@ -14,13 +14,13 @@ Two durability contracts:
 """
 
 import asyncio
-import json
 
 from repro.service import protocol
 from repro.service.client import ServiceClient
 from repro.service.journal import Journal, encode_record
 from repro.service.protocol import MessageType
 from repro.service.server import build_scenario_server
+from tests.service.nodes import core_fingerprint
 from tests.service.test_bank_subscribe import (
     _dynamic_bank,
     assert_edited_in_place,
@@ -59,11 +59,6 @@ async def register(server, item_to_source, source_id):
 async def drain(rounds=6):
     for _ in range(rounds):
         await asyncio.sleep(0)
-
-
-def core_fingerprint(core):
-    return json.dumps(core.recovery_state(), sort_keys=True,
-                      separators=(",", ":"), allow_nan=False)
 
 
 async def push_load(server, item_to_source, rounds=range(1, 6)):

@@ -12,7 +12,7 @@ solver).
 
 import asyncio
 import functools
-import json
+import re
 
 import pytest
 
@@ -20,9 +20,11 @@ from repro.cli import main as cli_main
 from repro.filters import dual_dab
 from repro.filters.delta_recompute import newton_patch
 from repro.service import protocol
+from repro.service.core import RECORD_KINDS
 from repro.service.journal import Journal
 from repro.service.protocol import MessageType
 from repro.service.server import build_scenario_server
+from tests.service.nodes import core_fingerprint
 
 
 def run(coro):
@@ -56,11 +58,6 @@ async def register(server, item_to_source, source_id):
 async def drain(rounds=6):
     for _ in range(rounds):
         await asyncio.sleep(0)
-
-
-def core_fingerprint(core):
-    return json.dumps(core.recovery_state(), sort_keys=True,
-                      separators=(",", ":"), allow_nan=False)
 
 
 async def push_load(server, item_to_source, jitter=0.02):
@@ -144,7 +141,12 @@ class TestStatsAndJournalTag:
         run(check())
         assert cli_main(["journal", "inspect", str(tmp_path / "tagged"),
                          "--last", "3"]) == 0
-        assert "plan" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "plan" in out
+        # Every kind the core replays has a row, the absent ones at zero.
+        rows = dict(re.findall(r"^  (\w+) +(\d+) +[\d.]+%$", out, re.M))
+        assert set(rows) == set(RECORD_KINDS)
+        assert rows["aao"] == rows["qadd"] == "0"
 
     def test_full_mode_plan_records_carry_no_mode_key(self, tmp_path):
         """The one pipeline writes the pre-delta (full-mode) plan record,

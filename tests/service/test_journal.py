@@ -8,7 +8,6 @@ without a journal behaves exactly as before the feature existed.
 """
 
 import asyncio
-import json
 import math
 
 import pytest
@@ -25,6 +24,7 @@ from repro.service.journal import (
 )
 from repro.service.protocol import MessageType
 from repro.service.server import build_scenario_server
+from tests.service.nodes import core_fingerprint
 
 
 def run(coro):
@@ -58,12 +58,6 @@ async def register(server, item_to_source, source_id):
 async def drain(rounds=6):
     for _ in range(rounds):
         await asyncio.sleep(0)
-
-
-def core_fingerprint(core):
-    """The full recovery state as canonical JSON — byte-comparable."""
-    return json.dumps(core.recovery_state(), sort_keys=True,
-                      separators=(",", ":"), allow_nan=False)
 
 
 async def push_load(server, item_to_source, scale=1.0):

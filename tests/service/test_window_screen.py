@@ -341,7 +341,8 @@ class TestAdoptedValue:
         rig = Rig()
         for item in ITEMS:
             rig.refresh(item, INITIAL[item])
-        rig.core.restore_cache_value("e", INITIAL["e"] * 1.5)
+        rig.core.replay({"t": "refresh", "item": "e",
+                         "value": INITIAL["e"] * 1.5})
         _, recomputed, names = rig.refresh("f", INITIAL["f"])
         assert recomputed and names == ["q1"]
 
