@@ -175,8 +175,8 @@ def test_bench_cluster_failover(results_dir, tmp_path):
                 for item in sorted(item_to_source):
                     seq[item] = seq.get(item, 0) + 1
                     await streams[item_to_source[item]].send(protocol.refresh(
-                        item_to_source[item], item,
-                        scenario.traces[item].at(step), seq[item]))
+                        item_to_source[item], [item],
+                        [scenario.traces[item].at(step)], [seq[item]]))
                 for _ in range(8):
                     await asyncio.sleep(0)
 
@@ -259,8 +259,8 @@ def test_bench_cluster_resharding(results_dir, tmp_path):
             for item in sorted(item_to_source):
                 seq[item] = seq.get(item, 0) + 1
                 await streams[item_to_source[item]].send(protocol.refresh(
-                    item_to_source[item], item,
-                    scenario.traces[item].at(step[0]), seq[item]))
+                    item_to_source[item], [item],
+                    [scenario.traces[item].at(step[0])], [seq[item]]))
             for _ in range(8):
                 await asyncio.sleep(0)
 

@@ -13,7 +13,8 @@ Semantics carried over from the simulator (and its fault suite):
   reordered bound messages are idempotent (``SourceNode.set_bounds``);
 * **per-item refresh seq numbers** — every refresh carries a
   monotonically increasing ``seq`` so the coordinator can reject
-  duplicates and detect gaps from heartbeats;
+  duplicates and detect gaps from heartbeats; the refreshes of one write
+  travel as one columnar ``REFRESH`` frame, each entry with its own seq;
 * **reconnect-with-resync** — after a connection drop the agent
   re-registers, the coordinator re-programs its current bounds (and its
   accepted-seq high-water marks) in the registration reply, and the agent
@@ -31,7 +32,8 @@ from __future__ import annotations
 import asyncio
 import logging
 import time as _time
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, NamedTuple,
+                    Optional, Sequence)
 
 from repro.service import protocol
 from repro.service.client import SourceLink
@@ -40,6 +42,16 @@ from repro.service.resilience import RetryPolicy, retry_async
 from repro.service.transports import MessageStream, TransportClosed, open_tcp_stream
 
 _LOG = logging.getLogger(__name__)
+
+
+class Refresh(NamedTuple):
+    """One refresh a tick let through the filter: an entry of the next
+    REFRESH frame."""
+
+    item: str
+    value: float
+    seq: int
+    resync: bool
 
 
 class SourceAgent(SourceLink):
@@ -122,8 +134,9 @@ class SourceAgent(SourceLink):
     # -- ticking ------------------------------------------------------------------
 
     def pending_refreshes(self, updates: Mapping[str, float]
-                          ) -> List[Dict[str, Any]]:
-        """Apply ``updates`` locally; return the REFRESH messages to send.
+                          ) -> List[Refresh]:
+        """Apply ``updates`` locally; return the refreshes to send, one
+        entry per refresh.
 
         This is the pure (transport-free) half of a tick, so tests can
         exercise the filter without any I/O.
@@ -134,7 +147,7 @@ class SourceAgent(SourceLink):
         in-window against it and silently drop the refresh the
         coordinator never received.
         """
-        messages: List[Dict[str, Any]] = []
+        refreshes: List[Refresh] = []
         for item, value in updates.items():
             if item not in self.values:
                 continue
@@ -144,31 +157,40 @@ class SourceAgent(SourceLink):
             if not resync and not self._violates(item):
                 self.stats["refreshes_filtered"] += 1
                 continue
-            self.seq[item] += 1
-            self.sent_values[item] = self.values[item]
-            messages.append(protocol.refresh(
-                self.source_id, item, self.values[item], self.seq[item],
-                resync=resync,
-                sent_at=self.clock() if self.timestamp_refreshes else None,
-            ))
-            self._resync_pending.discard(item)
-            self.stats["refreshes_sent"] += 1
-        return messages
+            refreshes.append(self._take(item, resync))
+        return refreshes
+
+    def _take(self, item: str, resync: bool) -> Refresh:
+        """Number ``item``'s current value for sending and recentre its
+        window on it."""
+        self.seq[item] += 1
+        value = self.sent_values[item] = self.values[item]
+        self._resync_pending.discard(item)
+        self.stats["refreshes_sent"] += 1
+        return Refresh(item, value, self.seq[item], resync)
+
+    def _refresh_frame(self, refreshes: Sequence[Refresh]) -> Dict[str, Any]:
+        """The one REFRESH frame carrying ``refreshes``: a resync if any
+        entry is one, stamped once with the send time."""
+        items, values, seqs, resyncs = zip(*refreshes)
+        return protocol.refresh(
+            self.source_id, items, values, seqs, resync=any(resyncs),
+            sent_at=self.clock() if self.timestamp_refreshes else None)
 
     async def tick(self, updates: Mapping[str, float]) -> int:
         """Programmatic tick: new values in, filtered refreshes out, all
-        of them in one write.
+        of them in one frame.
 
         Returns how many refreshes were actually pushed upstream."""
-        messages = self.pending_refreshes(updates)
-        if not messages:
+        refreshes = self.pending_refreshes(updates)
+        if not refreshes:
             return 0
         stream = self._stream
         if stream is None:
             raise TransportClosed(
                 f"source {self.source_id} ticked while disconnected")
-        await stream.send_many(messages)
-        return len(messages)
+        await stream.send(self._refresh_frame(refreshes))
+        return len(refreshes)
 
     # -- connection lifecycle -------------------------------------------------------
 
@@ -207,22 +229,15 @@ class SourceAgent(SourceLink):
 
         A probe means the coordinator suspects it missed a refresh (seq
         gap, expired lease): the authoritative cure is a fresh value, so
-        each probed item gets an unconditional ``resync`` refresh with a
-        bumped seq — the filter is bypassed exactly like the
-        post-reconnect resync path.
+        each probed item gets an unconditional refresh with a bumped seq,
+        all in one ``resync`` frame — the filter is bypassed exactly like
+        the post-reconnect resync path.
         """
-        for item in sorted(items):
-            if item not in self.values:
-                continue
-            self.seq[item] += 1
-            self.sent_values[item] = self.values[item]
-            self._resync_pending.discard(item)
-            await stream.send(protocol.refresh(
-                self.source_id, item, self.values[item], self.seq[item],
-                resync=True,
-                sent_at=self.clock() if self.timestamp_refreshes else None))
-            self.stats["probes_answered"] += 1
-            self.stats["refreshes_sent"] += 1
+        refreshes = [self._take(item, True) for item in sorted(items)
+                     if item in self.values]
+        if refreshes:
+            self.stats["probes_answered"] += len(refreshes)
+            await stream.send(self._refresh_frame(refreshes))
 
     # -- trace replay ----------------------------------------------------------------
 

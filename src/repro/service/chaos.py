@@ -5,11 +5,11 @@ The simulator's :mod:`repro.simulation.faults` decides the fate of
 substreams, loss, duplication, partitions, crash windows — to *frames*:
 real :class:`~repro.service.protocol.FrameDecoder` bytes flowing through
 a real transport.  A :class:`ChaosWriter` wraps the writer half of any
-stream (the loopback ``_MemoryPipe`` or asyncio's ``StreamWriter``) and
-splits every ``write()`` — one frame from
-:meth:`~repro.service.transports.MessageStream.send`, a tick's worth from
-``send_many`` — at its frame boundaries, so every fault decision lands
-on a whole frame:
+stream (the loopback ``_MemoryPipe`` or asyncio's ``StreamWriter``), and
+because :class:`~repro.service.transports.MessageStream` issues exactly
+one ``write()`` per frame, every fault decision lands on a whole-frame
+boundary — a source's REFRESH frame carries its whole tick, so a dropped
+one loses the tick:
 
 * **drop** — the frame silently vanishes;
 * **duplicate** — the frame is written twice (the peer's seq/epoch
@@ -259,18 +259,7 @@ class ChaosWriter:
         self._closed = False
         injector._writers.append(self)
 
-    def write(self, data: bytes) -> None:
-        """Split ``data`` at its frame boundaries and apply each frame's
-        fate, drawn in frame order — a write of many frames is faulted
-        exactly as one write per frame would be."""
-        start = 0
-        while start < len(data):
-            length = int.from_bytes(data[start:start + HEADER_BYTES], "big")
-            end = start + HEADER_BYTES + length
-            self._write_frame(data[start:end])
-            start = end
-
-    def _write_frame(self, frame: bytes) -> None:
+    def write(self, frame: bytes) -> None:
         fate = self.injector.decide(self.link)
         if fate.get("drop"):
             return

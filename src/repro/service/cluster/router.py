@@ -10,10 +10,10 @@ process, so ``shard.connect_loopback()`` is an in-process message link
 dict across, and nothing on the router↔shard or router↔broker hops is
 encoded or decoded.  Both ends still validate every message they
 receive, and a message received over a link is read-only (the router
-hands one REFRESH dict to every shard that reads the item; it copies
-before stamping ``map_epoch``).  No shard knows it is clustered; no
-source or subscriber knows there is more than one coordinator.  The
-pieces:
+hands one REFRESH frame to every shard that reads all of its items; it
+copies before picking a shard's entries or stamping ``map_epoch``).  No
+shard knows it is clustered; no source or subscriber knows there is
+more than one coordinator.  The pieces:
 
 **Placement and item routing.**  Items are partitioned by the stable
 CRC32 hash of :mod:`repro.service.cluster.routing`; every query lives
@@ -26,10 +26,11 @@ refreshes to every shard whose bank reads it, so the forwarding table is
 **Source impersonation.**  For every (shard, source) pair the router
 holds an in-process link registered *as that source* for the items the
 shard needs — a :class:`~repro.service.client.SourceLink`, the client a
-``SourceAgent`` is.  Inbound REFRESH messages are fanned to the owning
-links verbatim; HEARTBEATs go to every shard holding the source's items;
-the shards' DAB_UPDATE replies (bounds, probes) flow back through the
-same streams.
+``SourceAgent`` is.  Each inbound REFRESH frame is split into one
+sub-frame per (shard, source) link, holding the entries that shard
+reads; HEARTBEATs go to every shard holding the source's items; the
+shards' DAB_UPDATE replies (bounds, probes) flow back through the same
+streams.
 
 **DAB min-merge.**  Each shard programs primary DABs for *its* view of
 an item.  The router takes the min bound across shards — the only
@@ -118,6 +119,14 @@ SHARD_TRUNK_QUEUE_LIMIT = TRUNK_QUEUE_LIMIT
 #: fatal); 2.0 mirrors the one-missed-refresh-per-item worst case the
 #: failure detector's deadline tolerates before firing.
 SUSPECT_WIDEN_FACTOR = 2.0
+
+
+def _entries(frame: Dict[str, Any], picked: Sequence[int]) -> Dict[str, Any]:
+    """A copy of REFRESH ``frame`` holding only the entries at ``picked``."""
+    items, values, seqs = frame["items"], frame["values"], frame["seqs"]
+    return dict(frame, items=[items[i] for i in picked],
+                values=[values[i] for i in picked],
+                seqs=[seqs[i] for i in picked])
 
 
 class _ShardTrunk(ServiceClient):
@@ -667,46 +676,63 @@ class ClusterCoordinator(FrontEnd):
             self.stats["dab_updates_sent"] += 1
 
     async def _on_refresh(self, peer: Peer,
-                          messages: List[Dict[str, Any]]) -> None:
-        """Route each REFRESH of the batch in order; the in-process links
-        queue them, so each shard takes its share as one batch."""
-        for message in messages:
-            item = message["item"]
-            self._floors.raise_floor(item, int(message["seq"]))
-            if item in self._frozen_items:
-                # Mid-migration: buffer instead of routing — neither the
-                # old nor the new owner may apply this value until the
-                # hand-off commits (two owners could accept diverging seq
-                # floors).  Flushed under the new map at cutover.
-                self._frozen_items[item].append(dict(message))
-                self.stats["refreshes_frozen"] += 1
+                          frames: List[Dict[str, Any]]) -> None:
+        """Route each REFRESH frame of the batch in order, entry by entry;
+        the in-process links queue what they are sent, so each shard
+        takes its share as one batch."""
+        frozen = self._frozen_items
+        for frame in frames:
+            routable: List[int] = []
+            for index, (item, seq) in enumerate(zip(frame["items"],
+                                                    frame["seqs"])):
+                self._floors.raise_floor(item, seq)
+                if item in frozen:
+                    # Mid-migration: buffer instead of routing — neither
+                    # the old nor the new owner may apply this value until
+                    # the hand-off commits (two owners could accept
+                    # diverging seq floors).  Flushed under the new map at
+                    # cutover, entry by entry.
+                    frozen[item].append(_entries(frame, [index]))
+                    self.stats["refreshes_frozen"] += 1
+                elif item not in self._item_shards:
+                    self.stats["refreshes_unroutable"] += 1
+                    continue
+                else:
+                    routable.append(index)
                 self.stats["refreshes_accepted"] += 1
-                continue
-            if item not in self._item_shards:
-                self.stats["refreshes_unroutable"] += 1
-                continue
-            self.stats["refreshes_accepted"] += 1
-            await self._route_refresh(message)
+            if routable:
+                await self._route_refresh(frame, routable)
 
-    async def _route_refresh(self, message: Dict[str, Any]) -> None:
-        item = message["item"]
-        shards = self._item_shards.get(item)
-        if shards is None:
-            return
-        if self.map_epoch:
-            # Stamp the current map epoch so shards fence stale routes;
-            # a copy keeps the caller's frame pristine.  Pre-reshard
-            # (epoch 0) frames are forwarded verbatim — byte-identical
-            # to the non-resharding cluster.
-            message = dict(message)
-            message["map_epoch"] = self.map_epoch
-        source_id = self.item_to_source.get(item)
-        for sid in shards:
-            link = self._links.get((sid, source_id))
+    async def _route_refresh(self, frame: Dict[str, Any],
+                             entries: Optional[Sequence[int]] = None) -> None:
+        """Send ``frame``'s ``entries`` (all of them by default) on to
+        every shard that reads their items: one sub-frame per (shard,
+        source) link, in entry order."""
+        items = frame["items"]
+        if entries is None:
+            entries = range(len(items))
+        by_link: Dict[Tuple[int, Optional[int]], List[int]] = {}
+        for index in entries:
+            item = items[index]
+            source_id = self.item_to_source.get(item)
+            for sid in self._item_shards.get(item, ()):
+                by_link.setdefault((sid, source_id), []).append(index)
+        for key, picked in by_link.items():
+            link = self._links.get(key)
             if link is None:
                 continue              # shard down: healed on reattach probe
-            if await self._safe_send(link._stream, message):
-                self.stats["refreshes_routed"] += 1
+            # A link that takes every entry gets the frame itself — a
+            # received message is read-only, so one dict may go to many
+            # shards; the rest get a copy with their entries.  Once a
+            # reshard bumped the map epoch, every copy is stamped so
+            # shards fence stale routes; before it (epoch 0) frames go
+            # on verbatim, byte-identical to the non-resharding cluster.
+            sub = (frame if len(picked) == len(items)
+                   else _entries(frame, picked))
+            if self.map_epoch:
+                sub = dict(sub, map_epoch=self.map_epoch)
+            if await self._safe_send(link._stream, sub):
+                self.stats["refreshes_routed"] += len(picked)
 
     async def _on_heartbeat(self, peer: Peer,
                             message: Dict[str, Any]) -> None:
@@ -727,7 +753,7 @@ class ClusterCoordinator(FrontEnd):
     async def unfreeze_item(self, item: str) -> int:
         """Stop buffering and flush: every buffered refresh is routed
         under the *current* (post-cutover) map and epoch.  Returns the
-        number of flushed frames."""
+        number of flushed refreshes."""
         buffered = self._frozen_items.pop(item, [])
         for frame in buffered:
             await self._route_refresh(frame)

@@ -69,7 +69,7 @@ class Peer:
 
 
 #: What a node does with one message — or, for ``REFRESH``, with a batch:
-#: the list of consecutive REFRESH messages one read delivered.
+#: the list of consecutive REFRESH frames one read delivered.
 Handler = Callable[[Peer, Any], Awaitable[None]]
 
 

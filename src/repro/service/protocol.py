@@ -15,11 +15,14 @@ recovery semantics proven there carry over to the wire:
                      replies with a ``DAB_UPDATE`` programming the
                      source's current primary DABs (also the resync path
                      after a reconnect)
-``REFRESH``          a source pushes one item's new value; carries the
-                     per-item monotone ``seq`` number (duplicate /
-                     reordered deliveries are rejected exactly like the
-                     simulator's fault-mode dedup) and optionally
-                     ``resync``/``sent_at``
+``REFRESH``          a source pushes the new values of one write, as
+                     three aligned columns ``items``/``values``/``seqs``:
+                     each entry keeps its per-item monotone ``seq``
+                     number (duplicate / reordered deliveries are
+                     rejected entry by entry, exactly like the
+                     simulator's fault-mode dedup); ``resync``,
+                     ``sent_at`` and ``map_epoch`` are optional and hold
+                     for the whole frame
 ``DAB_UPDATE``       server → source: new primary DABs, each with its
                      per-item monotone *epoch* — a source applies a bound
                      only if the epoch is newer than the one it holds, so
@@ -51,12 +54,14 @@ import enum
 import json
 import math
 import struct
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.exceptions import ReproError
 
-#: Bumped on any incompatible message/framing change.
-PROTOCOL_VERSION = 1
+#: Bumped on any incompatible message/framing change (2: REFRESH
+#: carries columns, one frame per source write).
+PROTOCOL_VERSION = 2
 
 #: Hard ceiling on one frame's JSON body.  A peer announcing a larger
 #: frame is protocol-violating (or hostile): the decoder raises before
@@ -108,6 +113,14 @@ def _is_str(value: object) -> bool:
 def _is_str_list(value: object) -> bool:
     return (isinstance(value, list)
             and all(isinstance(item, str) for item in value))
+
+
+def _column_of(entry: Callable[[object], bool]) -> Callable[[object], bool]:
+    """The check of a non-empty list whose every entry passes ``entry``."""
+    def is_column(value: object) -> bool:
+        return (isinstance(value, list) and len(value) > 0
+                and all(map(entry, value)))
+    return is_column
 
 
 def _is_number_map(value: object) -> bool:
@@ -163,8 +176,9 @@ def _is_list(value: object) -> bool:
 #: protocol error, not an uncaught TypeError in a handler.
 _REQUIRED: Dict[MessageType, Dict[str, Callable[[object], bool]]] = {
     MessageType.REGISTER_SOURCE: {"source_id": _is_int, "items": _is_str_list},
-    MessageType.REFRESH: {"source_id": _is_int, "item": _is_str,
-                          "value": _is_number, "seq": _is_int},
+    MessageType.REFRESH: {"source_id": _is_int, "items": _column_of(_is_str),
+                          "values": _column_of(_is_number),
+                          "seqs": _column_of(_is_int)},
     MessageType.DAB_UPDATE: {"source_id": _is_int, "bounds": _is_number_map,
                              "epochs": _is_int_map},
     MessageType.DAB_ACK: {"source_id": _is_int, "msg_id": _is_int},
@@ -218,14 +232,21 @@ _OPTIONAL: Dict[MessageType, Dict[str, Callable[[object], bool]]] = {
                             "trunk": lambda v: isinstance(v, bool)},
 }
 
-#: What :func:`validate_message` walks, built once from the two tables
-#: above and keyed by the *wire string*: ``type`` -> ``(kind, required
-#: (name, check) pairs, optional pairs)``.  Every message received pays
-#: this lookup, so it must not cost an ``Enum`` call and two ``Enum``
+#: Required list fields that are one table's columns: each entry of the
+#: one is the same entry of the others, so they must be equally long.
+_COLUMNS: Dict[MessageType, Tuple[str, ...]] = {
+    MessageType.REFRESH: ("items", "values", "seqs"),
+}
+
+#: What :func:`validate_message` walks, built once from the tables above
+#: and keyed by the *wire string*: ``type`` -> ``(kind, required (name,
+#: check) pairs, optional pairs, column names)``.  Every message received
+#: pays this lookup, so it must not cost an ``Enum`` call and two ``Enum``
 #: hashes.
 _CHECKS = {
     kind.value: (kind, tuple(_REQUIRED[kind].items()),
-                 tuple(_OPTIONAL.get(kind, {}).items()))
+                 tuple(_OPTIONAL.get(kind, {}).items()),
+                 _COLUMNS.get(kind, ()))
     for kind in MessageType
 }
 
@@ -306,29 +327,36 @@ class FrameDecoder:
         return len(self._buffer)
 
     def feed(self, data: bytes) -> List[Dict[str, Any]]:
-        """Buffer ``data``; return every message completed by it."""
+        """Buffer ``data``; return every message completed by it.
+
+        The consumed frames leave the buffer in one cut at the end, not
+        one per frame, so a read carrying many frames moves its tail
+        once."""
         if self._poisoned:
             raise ProtocolError("decoder already failed; close the connection")
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer.extend(data)
         messages: List[Dict[str, Any]] = []
-        while True:
-            if len(self._buffer) < HEADER_BYTES:
-                return messages
-            (length,) = _HEADER.unpack_from(self._buffer)
+        size, offset = len(buffer), 0
+        while size - offset >= HEADER_BYTES:
+            (length,) = _HEADER.unpack_from(buffer, offset)
             if length > self.max_frame_bytes:
                 self._poisoned = True
                 raise ProtocolError(
                     f"peer announced a {length}-byte frame; limit is "
                     f"{self.max_frame_bytes}")
-            if len(self._buffer) < HEADER_BYTES + length:
-                return messages
-            body = bytes(self._buffer[HEADER_BYTES:HEADER_BYTES + length])
-            del self._buffer[:HEADER_BYTES + length]
+            end = offset + HEADER_BYTES + length
+            if end > size:
+                break
             try:
-                messages.append(decode_body(body))
+                messages.append(decode_body(
+                    bytes(buffer[offset + HEADER_BYTES:end])))
             except ProtocolError:
                 self._poisoned = True
                 raise
+            offset = end
+        del buffer[:offset]
+        return messages
 
 
 def validate_message(message: Mapping[str, Any]) -> MessageType:
@@ -345,7 +373,7 @@ def validate_message(message: Mapping[str, Any]) -> MessageType:
             f"speaking {PROTOCOL_VERSION}")
     wire = message.get("type")
     try:
-        kind, required, optional = _CHECKS[wire]
+        kind, required, optional, columns = _CHECKS[wire]
     except (KeyError, TypeError):       # unknown, or not even hashable
         raise ProtocolError(f"unknown message type {wire!r}")
     for name, _ in required:
@@ -362,6 +390,10 @@ def validate_message(message: Mapping[str, Any]) -> MessageType:
         if name in message and not well_formed(message[name]):
             raise ProtocolError(
                 f"{wire} field {name!r} is malformed: {message[name]!r}")
+    if columns and len({len(message[name]) for name in columns}) > 1:
+        raise ProtocolError(
+            f"{wire} columns differ in length: " + ", ".join(
+                f"{name} {len(message[name])}" for name in columns))
     return kind
 
 
@@ -381,12 +413,18 @@ def register_source(source_id: int, items: Iterable[str]) -> Dict[str, Any]:
                     items=sorted(items))
 
 
-def refresh(source_id: int, item: str, value: float, seq: int, *,
+def refresh(source_id: int, items: Sequence[str], values: Sequence[float],
+            seqs: Sequence[int], *,
             resync: bool = False,
             sent_at: Optional[float] = None,
             map_epoch: Optional[int] = None) -> Dict[str, Any]:
-    return _message(MessageType.REFRESH, source_id=int(source_id), item=item,
-                    value=float(value), seq=int(seq),
+    """One source write's refreshes as aligned columns: entry ``i`` is
+    item ``items[i]`` at ``values[i]``, numbered ``seqs[i]``.
+    ``resync``, ``sent_at`` and ``map_epoch`` hold for every entry."""
+    return _message(MessageType.REFRESH, source_id=int(source_id),
+                    items=list(items),
+                    values=[float(value) for value in values],
+                    seqs=[int(seq) for seq in seqs],
                     resync=True if resync else None, sent_at=sent_at,
                     map_epoch=int(map_epoch) if map_epoch is not None
                     else None)

@@ -361,18 +361,20 @@ class CoordinatorServer(FrontEnd):
             self.stats["dab_updates_sent"] += 1
 
     async def _on_refresh(self, peer: Peer,
-                          messages: List[Dict[str, Any]]) -> None:
-        """A batch of REFRESHes (DESIGN.md §9.3): each is fenced, deduped
-        and applied in order, then the core reacts once to every item the
-        batch moved — one DAB fan-out, one NOTIFY per subscriber stamped
-        with the earliest accepted ``sent_at``, one snapshot check."""
+                          frames: List[Dict[str, Any]]) -> None:
+        """A batch of REFRESH frames (DESIGN.md §9.3): each is fenced, and
+        its entries deduped and applied in order, then the core reacts
+        once to every item the batch moved — one DAB fan-out, one NOTIFY
+        per subscriber stamped with the earliest accepted ``sent_at``,
+        one snapshot check."""
         items: List[str] = []
         sent_at: Optional[float] = None
-        for message in messages:
-            if not self._apply_refresh(message):
+        for frame in frames:
+            accepted = self._apply_refresh(frame)
+            if not accepted:
                 continue
-            items.append(message["item"])
-            stamp = message.get("sent_at")
+            items.extend(accepted)
+            stamp = frame.get("sent_at")
             if stamp is not None and (sent_at is None or stamp < sent_at):
                 sent_at = stamp
         if not items:
@@ -385,42 +387,49 @@ class CoordinatorServer(FrontEnd):
             self._fanout_notifications(notifications, sent_at)
         self._maybe_snapshot()
 
-    def _apply_refresh(self, message: Dict[str, Any]) -> bool:
-        """Fence, route-check, dedup and apply one REFRESH; ``False`` when
-        it was turned away."""
-        item = message["item"]
-        frame_epoch = message.get("map_epoch")
+    def _apply_refresh(self, frame: Dict[str, Any]) -> List[str]:
+        """Fence one REFRESH frame, then route-check, dedup and apply each
+        of its entries; returns the items of the entries it accepted."""
+        frame_epoch = frame.get("map_epoch")
         if self.map_epoch is not None and (frame_epoch or 0) < self.map_epoch:
             # Epoch fence: this frame was routed under an older shard
             # map.  Applying it could double-own an item mid-migration
             # (the new owner already has a fresher hand-off value), so
             # it is dropped — the router re-sends under the new map.
-            self.stats["refreshes_rejected_stale_map_epoch"] += 1
-            return False
+            self.stats["refreshes_rejected_stale_map_epoch"] += len(
+                frame["items"])
+            return []
         if frame_epoch is not None:
             # A frame from the future means we missed a cutover
             # broadcast (e.g. restored from an old snapshot): converge.
             self.advance_map_epoch(frame_epoch)
-        if item not in self.core.cache:
-            self.metrics.record_misrouted_bounds()
-            return False
-        seq = int(message["seq"])
-        # Same dedup the simulator applies under faults — always on here:
-        # TCP per connection is ordered, but a reconnecting source resends,
-        # and nothing stops two connections racing for one source_id.
-        if not self.leases.accept(item, seq):
-            self.stats["refreshes_rejected_stale_seq"] += 1
-            return False
         now = self.clock()
-        self.last_heard[int(message["source_id"])] = now
-        if self.leases.enabled:
-            self.leases.heard(item, now)
-            self._fanout_degraded_if_changed()
-        self.core.apply_refresh(item, float(message["value"]), seq=seq)
-        self.stats["refreshes_accepted"] += 1
-        if message.get("resync"):
-            self.core.clear_planner_warm_starts()
-        return True
+        cache, leases = self.core.cache, self.leases
+        leases_on = leases.enabled
+        accepted: List[str] = []
+        for item, value, seq in zip(frame["items"], frame["values"],
+                                    frame["seqs"]):
+            if item not in cache:
+                self.metrics.record_misrouted_bounds()
+                continue
+            # Same dedup the simulator applies under faults — always on
+            # here: TCP per connection is ordered, but a reconnecting
+            # source resends, and nothing stops two connections racing
+            # for one source_id.
+            if not leases.accept(item, seq):
+                self.stats["refreshes_rejected_stale_seq"] += 1
+                continue
+            if leases_on:
+                leases.heard(item, now)
+                self._fanout_degraded_if_changed()
+            self.core.apply_refresh(item, float(value), seq=seq)
+            accepted.append(item)
+        if accepted:
+            self.last_heard[frame["source_id"]] = now
+            self.stats["refreshes_accepted"] += len(accepted)
+            if frame.get("resync"):
+                self.core.clear_planner_warm_starts()
+        return accepted
 
     async def _fanout_bound_changes(self) -> None:
         for source_id, (bounds, epochs) in self.core.changed_bound_updates().items():

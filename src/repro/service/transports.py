@@ -10,8 +10,7 @@ and by :class:`_MemoryPipe` (:func:`loopback_pair`, no sockets involved):
 
 A read returns whatever has arrived, so it may carry many frames: what
 one read delivered is what :meth:`MessageStream.receive_many` hands a
-node as one batch (DESIGN.md §9.3), and :meth:`MessageStream.send_many`
-puts many frames in one write.
+node as one batch (DESIGN.md §9.3).  A write carries one frame.
 
 The loopback *pipe* is a real transport in every sense that matters to the
 protocol code — messages are *serialized to bytes* and re-parsed through
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.service import protocol
 from repro.service.protocol import FrameDecoder, ProtocolError, encode_frame
@@ -133,16 +132,11 @@ class MessageStream:
     # -- sending -----------------------------------------------------------------
 
     async def send(self, message: Dict[str, Any]) -> None:
-        await self.send_many((message,))
-
-    async def send_many(self, messages: Sequence[Dict[str, Any]]) -> None:
-        """Every message, in order, in one write and one drain."""
         if self._closed:
             raise TransportClosed(f"send on closed stream to {self.name}")
-        limit = self._decoder.max_frame_bytes
-        data = b"".join([encode_frame(message, limit) for message in messages])
+        frame = encode_frame(message, self._decoder.max_frame_bytes)
         try:
-            self._writer.write(data)
+            self._writer.write(frame)
             await self._writer.drain()
         except (ConnectionError, RuntimeError, TransportClosed) as err:
             self._closed = True
@@ -261,15 +255,15 @@ class _MessagePipe:
 
 class InprocessLink:
     """One end of an in-process message link — :class:`MessageStream`'s
-    surface (``send``/``send_many``/``receive``/``receive_many``/
-    ``close``/``closed``/``name``) with no bytes underneath.
+    surface (``send``/``receive``/``receive_many``/``close``/``closed``/
+    ``name``) with no bytes underneath.
 
     ``send`` hands the peer *the message object itself*, so **a received
     message is read-only**: the sender may hand the same dict to several
-    peers (the router routes one REFRESH to every shard that reads the
-    item) and may keep reading it afterwards.  A handler that needs to
-    change a message copies it first (``dict(message)``), exactly as it
-    would before forwarding it on a byte stream.
+    peers (the router routes one REFRESH frame to every shard that reads
+    all of its items) and may keep reading it afterwards.  A handler that
+    needs to change a message copies it first (``dict(message)``), exactly
+    as it would before forwarding it on a byte stream.
     """
 
     def __init__(self, inbox: _MessagePipe, outbox: _MessagePipe, name: str):
@@ -286,11 +280,6 @@ class InprocessLink:
         except TransportClosed as err:
             self._closed = True
             raise TransportClosed(f"peer {self.name} went away: {err}")
-
-    async def send_many(self, messages: Sequence[Dict[str, Any]]) -> None:
-        """Each message, in order (there is no write to share)."""
-        for message in messages:
-            await self.send(message)
 
     async def receive(self) -> Optional[Dict[str, Any]]:
         """The next message, or ``None`` once either end has closed and

@@ -114,7 +114,7 @@ class TestSingleShardBitIdentity:
                     source_id = item_to_source[item]
                     value = scenario.traces[item].at(step)
                     await streams[source_id].send(protocol.refresh(
-                        source_id, item, value, seq[item]))
+                        source_id, [item], [value], [seq[item]]))
                 for _ in range(8):
                     await asyncio.sleep(0)
             client = ServiceClient(target.connect_loopback())
@@ -252,7 +252,7 @@ class TestRouterGivesUpOnDabDelivery:
             assert probes == [item]
             # ...and hearing the item again clears the flag.
             await streams[source_id].send(protocol.refresh(
-                source_id, item, scenario.traces[item].at(1), seq=1))
+                source_id, [item], [scenario.traces[item].at(1)], [1]))
             await settle()
             assert client.degraded == {}
             assert cluster.suspect_since == {}

@@ -42,7 +42,7 @@ async def _push_steps(streams, item_to_source, traces, steps, seq):
             seq[item] = seq.get(item, 0) + 1
             source_id = item_to_source[item]
             await streams[source_id].send(protocol.refresh(
-                source_id, item, traces[item].at(step), seq[item]))
+                source_id, [item], [traces[item].at(step)], [seq[item]]))
         await _drain()
 
 

@@ -136,7 +136,7 @@ async def _scenario(journal_dir):
                 # so plans are recomputed and DAB_UPDATEs flow back.
                 value = scenario.traces[item].at(step) * (1.0 + 0.01 * step)
                 await sources[source_id].stream.send(protocol.refresh(
-                    source_id, item, value, seq[item], sent_at=now[0]))
+                    source_id, [item], [value], [seq[item]], sent_at=now[0]))
             await _drain()
 
     await push(range(1, 8))
@@ -262,10 +262,6 @@ class TestLinkEquivalence:
                 entry = (message, copy.deepcopy(message))
                 sent.append(entry)
                 await self._end.send(entry)
-
-            async def send_many(self, messages):
-                for message in messages:
-                    await self.send(message)
 
             def _handled(self):
                 # Asking for the next messages is the handler's exit from

@@ -43,7 +43,7 @@ async def _push_steps(streams, item_to_source, traces, steps, seq):
             seq[item] = seq.get(item, 0) + 1
             source_id = item_to_source[item]
             await streams[source_id].send(protocol.refresh(
-                source_id, item, traces[item].at(step), seq[item]))
+                source_id, [item], [traces[item].at(step)], [seq[item]]))
         await _drain()
 
 
@@ -187,6 +187,73 @@ class TestLiveMigration:
 
         run(body())
 
+    def test_a_frame_half_frozen_routes_its_live_entry_now(self, tmp_path):
+        """One REFRESH frame, one entry for an item mid-migration and one
+        for an item that is not: the live entry reaches its shards at
+        once, the frozen one waits in the router and reaches the new
+        map's shards at cutover — and the counters the benchmark's
+        cluster barrier reads stay per entry, not per frame."""
+        now = [0.0]
+        cluster, scenario, item_to_source = build_scenario_cluster(
+            shards=3, journal_dir=str(tmp_path / "wal"),
+            clock=lambda: now[0], **SCENARIO)
+        migrator = ShardMigrator(cluster, clock=lambda: now[0])
+
+        async def body():
+            await cluster.start()
+            streams = await _registered_sources(cluster, item_to_source)
+            seq = {}
+            await _push_steps(streams, item_to_source, scenario.traces,
+                              range(1, 5), seq)
+            item = sorted(item_to_source)[0]
+            source_id = item_to_source[item]
+            live = next(name for name in sorted(item_to_source)
+                        if item_to_source[name] == source_id
+                        and name != item)
+            owner = cluster.shard_map.shard_of(item)
+            target = next(sid for sid in cluster.decomposition.active_shards
+                          if sid != owner)
+            assert migrator.start({item: target}) == 1
+            now[0] += 1.0
+            await migrator.tick()
+            assert item in cluster._frozen_items
+
+            before = dict(cluster.stats)
+            values = {item: cluster.shards[owner].core.cache[item] * 1.5,
+                      live: scenario.traces[live].at(5) * 1.5}
+            await streams[source_id].send(protocol.refresh(
+                source_id, [item, live], [values[item], values[live]],
+                [seq[item] + 1, seq[live] + 1]))
+            await _drain()
+            assert cluster.stats["refreshes_accepted"] == (
+                before["refreshes_accepted"] + 2)
+            assert cluster.stats["refreshes_frozen"] == (
+                before["refreshes_frozen"] + 1)
+            live_readers = cluster._item_shards[live]
+            assert cluster.stats["refreshes_routed"] == (
+                before["refreshes_routed"] + len(live_readers))
+            for sid in live_readers:
+                assert cluster.shards[sid].core.cache[live] == values[live]
+            for sid, shard in cluster.shards.items():
+                assert shard.core.cache.get(item) != values[item]
+
+            now[0] += 1.0
+            record = await migrator.tick()
+            await _drain()
+            assert record["outcome"] == "completed"
+            assert record["flushed_refreshes"] == 1
+            readers = cluster._item_shards[item]
+            assert target in readers
+            assert cluster.stats["refreshes_routed"] == (
+                before["refreshes_routed"] + len(live_readers) + len(readers))
+            for sid in readers:
+                assert cluster.shards[sid].core.cache[item] == values[item]
+            for stream in streams.values():
+                stream.close()
+            await cluster.close()
+
+        run(body())
+
     def test_migrator_rejects_unknown_item_and_bad_target(self, tmp_path):
         cluster, scenario, item_to_source = build_scenario_cluster(
             shards=2, journal_dir=str(tmp_path / "wal"), **SCENARIO)
@@ -211,14 +278,14 @@ class TestLiveMigration:
             item = sorted(server.core.cache)[0]
             server.advance_map_epoch(3)
             before = server.core.cache[item]
-            stale = protocol.refresh(0, item, before + 1000.0, 10**6)
+            stale = protocol.refresh(0, [item], [before + 1000.0], [10**6])
             stale["map_epoch"] = 2
             await server._on_refresh(None, [stale])
             assert server.stats["refreshes_rejected_stale_map_epoch"] == 1
             assert server.core.cache[item] == before
             # An unstamped (pre-resharding) frame is also stale once the
             # shard has fenced: epoch-0 traffic cannot land post-cutover.
-            legacy = protocol.refresh(0, item, before + 1000.0, 10**6)
+            legacy = protocol.refresh(0, [item], [before + 1000.0], [10**6])
             await server._on_refresh(None, [legacy])
             assert server.stats["refreshes_rejected_stale_map_epoch"] == 2
             # A current-epoch frame converges the fence monotonically.

@@ -34,8 +34,8 @@ class TestDabFilter:
         assert agent.stats["refreshes_filtered"] == 1
         messages = agent.pending_refreshes({"x0": 13.5})       # escape
         assert len(messages) == 1
-        assert messages[0]["seq"] == 1
-        assert messages[0]["value"] == 13.5
+        assert messages[0].seq == 1
+        assert messages[0].value == 13.5
         # The window recentres on the sent value.
         assert agent.sent_values["x0"] == 13.5
         assert agent.pending_refreshes({"x0": 14.0}) == []
@@ -45,8 +45,8 @@ class TestDabFilter:
         first = agent.pending_refreshes({"x0": 100.0})[0]
         second = agent.pending_refreshes({"x0": 200.0})[0]
         other = agent.pending_refreshes({"x1": 99.0})[0]
-        assert (first["seq"], second["seq"]) == (1, 2)
-        assert other["seq"] == 1
+        assert (first.seq, second.seq) == (1, 2)
+        assert other.seq == 1
 
     def test_unknown_items_ignored(self):
         agent = make_agent()
@@ -157,9 +157,9 @@ class TestLiveAgent:
             await second_peer.send(protocol.dab_update(0, {}, {}))
             await agent.connect(second_client)
             (message,) = agent.pending_refreshes({"x0": 200.0})
-            assert message["resync"] is True
+            assert message.resync is True
             (message,) = agent.pending_refreshes({"x0": 300.0})
-            assert "resync" not in message             # one-shot flag
+            assert message.resync is False             # one-shot flag
             await agent.close()
 
         run(body())
@@ -179,7 +179,7 @@ class TestLiveAgent:
             await agent.connect(first_client)
             # Bound-violating tick: state commits (seq, sent_values) ...
             (lost,) = agent.pending_refreshes({"x0": 100.0})
-            assert lost["seq"] == 1
+            assert lost.seq == 1
             # ... but imagine its send died.  Reconnect, then retry the
             # same value: it is in-window against sent_values, yet must
             # be re-sent or the coordinator keeps the stale cache forever.
@@ -187,9 +187,9 @@ class TestLiveAgent:
             await second_peer.send(protocol.dab_update(0, {}, {}))
             await agent.connect(second_client)
             (retried,) = agent.pending_refreshes({"x0": 100.0})
-            assert retried["value"] == 100.0
-            assert retried["resync"] is True
-            assert retried["seq"] == 2
+            assert retried.value == 100.0
+            assert retried.resync is True
+            assert retried.seq == 2
             await agent.close()
 
         run(body())
@@ -210,10 +210,6 @@ class _FlakyStream:
             self.inner.close()
             raise TransportClosed("injected mid-replay drop")
         await self.inner.send(message)
-
-    async def send_many(self, messages):
-        for message in messages:
-            await self.send(message)
 
     async def receive(self):
         return await self.inner.receive()

@@ -52,10 +52,6 @@ class _DropAfterSends:
         self._budget -= 1
         await self._stream.send(message)
 
-    async def send_many(self, messages):
-        for message in messages:
-            await self.send(message)
-
     def __getattr__(self, name):
         return getattr(self._stream, name)
 

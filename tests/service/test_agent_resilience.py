@@ -42,7 +42,7 @@ class TestFailSafeRegistration:
             refresh = await server_end.receive()       # the registration...
             assert refresh["type"] == "register_source"
             refresh = await server_end.receive()       # ...then the value
-            assert refresh["item"] == "x0"
+            assert refresh["items"] == ["x0"]
             await agent.close()
 
         run(check())
@@ -107,10 +107,10 @@ class TestAcksAndProbes:
                 0, {}, {}, probe=["x0"]))
             refresh = await asyncio.wait_for(server_end.receive(), 1.0)
             assert refresh["type"] == "refresh"
-            assert refresh["item"] == "x0"
-            assert refresh["value"] == 10.5
+            assert refresh["items"] == ["x0"]
+            assert refresh["values"] == [10.5]
             assert refresh["resync"] is True
-            assert refresh["seq"] == held_seq + 1
+            assert refresh["seqs"] == [held_seq + 1]
             assert agent.stats["probes_answered"] == 1
             await agent.close()
 

@@ -76,7 +76,7 @@ async def push_load(server, item_to_source, rounds=range(1, 6)):
                     wiggle = 0.02 * ((offset + round_no) % 5 - 2)
                     current[item] = current[item] * (1.0 + wiggle)
                 await stream.send(protocol.refresh(
-                    sid, item, current[item], seq=seq))
+                    sid, [item], [current[item]], [seq]))
         await drain()
     for stream in streams.values():
         stream.close()

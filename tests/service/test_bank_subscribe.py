@@ -241,8 +241,8 @@ class TestImplicitSubscription:
             assert "mine" in snapshot
 
             old = server.core.cache[owned[0]]
-            await source.send(protocol.refresh(0, owned[0], old * 10.0,
-                                               seq=1))
+            await source.send(protocol.refresh(0, [owned[0]], [old * 10.0],
+                                               [1]))
             assert await _settled(server,
                                   lambda: "mine" in client.values
                                   and client.values["mine"] != snapshot["mine"])

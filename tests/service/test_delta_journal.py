@@ -77,7 +77,7 @@ async def push_load(server, item_to_source, jitter=0.02):
                     wiggle = jitter * ((offset + round_no) % 5 - 2)
                     current[item] = current[item] * (1.0 + wiggle)
                 await stream.send(protocol.refresh(
-                    sid, item, current[item], seq=seq))
+                    sid, [item], [current[item]], [seq]))
         await drain()
     for stream in streams.values():
         stream.close()
@@ -89,8 +89,9 @@ async def push_tail(server, item_to_source):
     stay a WAL tail behind the snapshot the load's last batch cut."""
     stream = await register(server, item_to_source, 0)
     item = owned(item_to_source, 0)[0]
-    await stream.send(protocol.refresh(0, item, server.core.cache[item] * 1.01,
-                                       seq=server.leases.last_seq[item] + 1))
+    await stream.send(protocol.refresh(
+        0, [item], [server.core.cache[item] * 1.01],
+        [server.leases.last_seq[item] + 1]))
     await drain()
     stream.close()
     await drain()

@@ -71,7 +71,8 @@ async def push_load(server, item_to_source, scale=1.0):
             for offset, item in enumerate(owned(item_to_source, sid)):
                 seq += 1
                 value = scale * (100.0 + 40.0 * round_no * (offset + 1))
-                await stream.send(protocol.refresh(sid, item, value, seq=seq))
+                await stream.send(
+                    protocol.refresh(sid, [item], [value], [seq]))
         await drain()
     for stream in streams.values():
         stream.close()
@@ -83,8 +84,9 @@ async def push_tail(server, item_to_source):
     stay a WAL tail behind the snapshot the load's last batch cut."""
     stream = await register(server, item_to_source, 0)
     item = owned(item_to_source, 0)[0]
-    await stream.send(protocol.refresh(0, item, server.core.cache[item] * 1.01,
-                                       seq=server.leases.last_seq[item] + 1))
+    await stream.send(protocol.refresh(
+        0, [item], [server.core.cache[item] * 1.01],
+        [server.leases.last_seq[item] + 1]))
     await drain()
     stream.close()
     await drain()
@@ -241,7 +243,7 @@ class TestCrashRecovery:
             stream = await register(revived, item_to_source, 0)
             item = owned(item_to_source, 0)[0]
             stale = revived.leases.last_seq[item]     # recovered high-water mark
-            await stream.send(protocol.refresh(0, item, -9e9, seq=stale))
+            await stream.send(protocol.refresh(0, [item], [-9e9], [stale]))
             await drain()
             assert revived.stats["refreshes_rejected_stale_seq"] == 1
             values_after = dict(zip(

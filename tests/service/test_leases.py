@@ -69,7 +69,7 @@ class TestLastHeardBookkeeping:
             assert server.last_heard[0] == 5.0
             item = owned(item_to_source, 0)[0]
             clock.now = 9.0
-            await stream.send(protocol.refresh(0, item, 123.0, seq=1))
+            await stream.send(protocol.refresh(0, [item], [123.0], [1]))
             await drain()
             assert server.last_heard[0] == 9.0
             clock.now = 12.0
@@ -123,7 +123,7 @@ class TestStalenessLeases:
             # A refresh vouches for its item again.
             item = owned(item_to_source, 0)[0]
             clock.now = 8.0
-            await stream.send(protocol.refresh(0, item, 50.0, seq=1))
+            await stream.send(protocol.refresh(0, [item], [50.0], [1]))
             await drain()
             assert item not in server.suspect_since
             assert server.metrics.staleness_exposure_seconds > 0
@@ -184,7 +184,7 @@ class TestStalenessLeases:
             assert server.server_stats()["seq_gaps_detected"] == 1
             probe = await stream.receive()
             assert probe["probe"] == [item]
-            await stream.send(protocol.refresh(0, item, 42.0, seq=4))
+            await stream.send(protocol.refresh(0, [item], [42.0], [4]))
             await drain()
             assert item not in server.suspect_since
             await server.close()
@@ -197,7 +197,7 @@ class TestStalenessLeases:
             server, _, item_to_source = build(clock, lease_duration=10.0)
             stream = await register(server, item_to_source, 0)
             item = owned(item_to_source, 0)[0]
-            await stream.send(protocol.refresh(0, item, 42.0, seq=5))
+            await stream.send(protocol.refresh(0, [item], [42.0], [5]))
             await drain()
             # A restarted source numbering below our high-water mark.
             await stream.send(protocol.heartbeat(0, {item: 1}))
@@ -475,7 +475,7 @@ class TestFakeClockEndToEnd:
             monkeypatch.setattr(resilience_mod, "_time", _PoisonedTime)
             item = owned(item_to_source, 0)[0]
             clock.now = 1.0
-            await stream.send(protocol.refresh(0, item, 42.0, seq=1))
+            await stream.send(protocol.refresh(0, [item], [42.0], [1]))
             await drain()
             await server.check_leases()
             clock.now = 9.0
@@ -487,7 +487,7 @@ class TestFakeClockEndToEnd:
                 notice = await subscriber.receive()
             assert notice["sent_at"] == 9.0
             clock.now = 10.0
-            await stream.send(protocol.refresh(0, item, 43.0, seq=2))
+            await stream.send(protocol.refresh(0, [item], [43.0], [2]))
             await drain()
             assert item not in server.suspect_since      # recovery, still no wall
             await server.close()

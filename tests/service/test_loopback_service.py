@@ -91,7 +91,7 @@ class TestSourcePlane:
 
             item = owned_items(item_to_source, 0)[0]
             old = server.core.cache[item]
-            await stream.send(protocol.refresh(0, item, old * 10.0, seq=1))
+            await stream.send(protocol.refresh(0, [item], [old * 10.0], [1]))
             notify = await asyncio.wait_for(sub_stream.receive(), timeout=5)
             assert notify["type"] == MessageType.NOTIFY.value
             assert notify["updates"]
@@ -107,9 +107,10 @@ class TestSourcePlane:
             stream, _ = await registered_stream(
                 server, scenario, item_to_source, source_id=0)
             item = owned_items(item_to_source, 0)[0]
-            await stream.send(protocol.refresh(0, item, 100.0, seq=5))
-            await stream.send(protocol.refresh(0, item, 200.0, seq=5))  # dup
-            await stream.send(protocol.refresh(0, item, 300.0, seq=4))  # stale
+            await stream.send(protocol.refresh(0, [item], [100.0], [5]))
+            await stream.send(protocol.refresh(0, [item], [200.0], [5]))  # dup
+            await stream.send(
+                protocol.refresh(0, [item], [300.0], [4]))  # stale
             # A snapshot round trip orders us after the three refreshes
             # (the first refresh may push a DAB_UPDATE at us on the way).
             await stream.send(protocol.snapshot())
@@ -148,7 +149,7 @@ class TestSourcePlane:
                 server, scenario, item_to_source, source_id=0)
             assert "seqs" not in first_reply           # nothing accepted yet
             item = owned_items(item_to_source, 0)[0]
-            await stream.send(protocol.refresh(0, item, 123.0, seq=7))
+            await stream.send(protocol.refresh(0, [item], [123.0], [7]))
             await stream.send(protocol.snapshot())     # sync point
             while True:
                 reply = await stream.receive()
@@ -169,7 +170,7 @@ class TestSourcePlane:
         async def body():
             stream, _ = await registered_stream(
                 server, scenario, item_to_source, source_id=0)
-            await stream.send(protocol.refresh(0, "not-an-item", 1.0, seq=1))
+            await stream.send(protocol.refresh(0, ["not-an-item"], [1.0], [1]))
             await stream.send(protocol.snapshot())
             await stream.receive()
             assert server.stats["refreshes_accepted"] == 0
@@ -209,9 +210,9 @@ def sends(message):
 #: a clean protocol error, not a dead handler task.
 HOSTILE_PAYLOADS = [
     {"v": PROTOCOL_VERSION, "type": "refresh",
-     "source_id": "zero", "item": "x0", "value": 1.0, "seq": 1},
+     "source_id": "zero", "items": ["x0"], "values": [1.0], "seqs": [1]},
     {"v": PROTOCOL_VERSION, "type": "refresh",
-     "source_id": 0, "item": "x0", "value": "12", "seq": 1},
+     "source_id": 0, "items": ["x0"], "values": ["12"], "seqs": [1]},
     {"v": PROTOCOL_VERSION, "type": "heartbeat",
      "source_id": 0, "seqs": ["x0"]},
     {"v": PROTOCOL_VERSION, "type": "register_source",
@@ -256,7 +257,7 @@ class TestProtocolPolicing:
     @pytest.mark.parametrize("kind,message", [
         ("router", protocol.dab_update(0, {}, {})),
         # The broker's table has two entries: a source has no business here.
-        ("broker", protocol.refresh(0, "x0", 1.0, seq=1)),
+        ("broker", protocol.refresh(0, ["x0"], [1.0], [1])),
     ], ids=OTHER_NODES)
     def test_kinds_outside_the_handler_table_rejected_by(self, kind, message):
         run(check_protocol_error(kind, sends(message),
@@ -375,7 +376,7 @@ class TestBackpressure:
             value = server.core.cache[item]
             for seq in range(1, 31):
                 value *= 1.5
-                await stream.send(protocol.refresh(0, item, value, seq=seq))
+                await stream.send(protocol.refresh(0, [item], [value], [seq]))
             received = 0
             while True:
                 try:
@@ -463,7 +464,7 @@ class TestUnencodableNotify:
 
             item = owned_items(item_to_source, 0)[0]
             await source.send(protocol.refresh(
-                0, item, server.core.cache[item] * 3.0, seq=1))
+                0, [item], [server.core.cache[item] * 3.0], [1]))
             message = await asyncio.wait_for(second.receive(), timeout=1.0)
             assert message["type"] == MessageType.NOTIFY.value
             assert server.stats["notifies_sent"] == 1
@@ -484,10 +485,11 @@ class TestStreamLifecycle:
         async def body():
             client_end, server_end = pair()
             for seq in range(1, 6):
-                await client_end.send(protocol.refresh(0, "x0", 1.0, seq))
+                await client_end.send(
+                    protocol.refresh(0, ["x0"], [1.0], [seq]))
                 await server_end.send(protocol.dab_ack(0, seq))
-            assert [(await server_end.receive())["seq"]
-                    for _ in range(5)] == [1, 2, 3, 4, 5]
+            assert [(await server_end.receive())["seqs"]
+                    for _ in range(5)] == [[1], [2], [3], [4], [5]]
             assert [(await client_end.receive())["msg_id"]
                     for _ in range(5)] == [1, 2, 3, 4, 5]
 
@@ -548,7 +550,7 @@ class TestInprocessLink:
     def test_hands_over_the_message_object_itself(self):
         async def body():
             client_end, server_end = inprocess_pair()
-            message = protocol.refresh(0, "x0", 1.0, 1)
+            message = protocol.refresh(0, ["x0"], [1.0], [1])
             await client_end.send(message)
             assert await server_end.receive() is message
             assert (client_end.name, server_end.name) == ("server", "client")

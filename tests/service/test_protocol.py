@@ -24,7 +24,7 @@ def frame_of(message):
 
 class TestFraming:
     def test_round_trip(self):
-        message = protocol.refresh(3, "x7", 41.5, 12)
+        message = protocol.refresh(3, ["x7"], [41.5], [12])
         decoder = FrameDecoder()
         (decoded,) = decoder.feed(frame_of(message))
         assert decoded == message
@@ -49,8 +49,8 @@ class TestFraming:
         assert decoded == message
 
     def test_multiple_frames_in_one_feed(self):
-        first = protocol.refresh(0, "x0", 1.0, 1)
-        second = protocol.refresh(0, "x0", 2.0, 2)
+        first = protocol.refresh(0, ["x0"], [1.0], [1])
+        second = protocol.refresh(0, ["x0"], [2.0], [2])
         decoder = FrameDecoder()
         assert decoder.feed(frame_of(first) + frame_of(second)) == [first, second]
 
@@ -99,14 +99,14 @@ class TestValidation:
             validate_message({"type": "heartbeat"})      # version absent
 
     def test_missing_required_fields(self):
-        partial = {"v": PROTOCOL_VERSION, "type": "refresh", "item": "x0"}
+        partial = {"v": PROTOCOL_VERSION, "type": "refresh", "items": ["x0"]}
         with pytest.raises(ProtocolError, match="missing fields"):
             validate_message(partial)
 
     def test_every_constructor_validates(self):
         messages = [
             protocol.register_source(2, ["x1", "x0"]),
-            protocol.refresh(2, "x0", 3.5, 7, resync=True, sent_at=1.0),
+            protocol.refresh(2, ["x0"], [3.5], [7], resync=True, sent_at=1.0),
             protocol.dab_update(2, {"x0": 0.5}, {"x0": 3}),
             protocol.heartbeat(2, {"x0": 7}),
             protocol.query_sub(["q1", "q0"]),
@@ -133,7 +133,7 @@ class TestValidation:
 
     def test_nan_values_refused_at_encode_time(self):
         for value in (float("nan"), float("inf"), float("-inf")):
-            message = protocol.refresh(0, "x0", value, 1)
+            message = protocol.refresh(0, ["x0"], [value], [1])
             with pytest.raises(ProtocolError):
                 encode_frame(message)
 
@@ -151,20 +151,21 @@ class TestValidation:
         # encode_frame already refuses NaN/Infinity; a hostile peer can
         # still put them on the wire, and json.loads would accept them.
         for constant in ("NaN", "Infinity", "-Infinity"):
-            body = (f'{{"v": 1, "type": "refresh", "source_id": 0, '
-                    f'"item": "x0", "value": {constant}, "seq": 1}}').encode()
+            body = (f'{{"v": 2, "type": "refresh", "source_id": 0, '
+                    f'"items": ["x0"], "values": [{constant}], '
+                    f'"seqs": [1]}}').encode()
             decoder = FrameDecoder()
             with pytest.raises(ProtocolError, match="undecodable"):
                 decoder.feed(struct.pack(">I", len(body)) + body)
 
     def test_malformed_field_types_rejected(self):
-        good = protocol.refresh(0, "x0", 1.0, 1)
+        good = protocol.refresh(0, ["x0"], [1.0], [1])
         bad_messages = [
             dict(good, source_id="zero"),          # numeric string
             dict(good, source_id=True),            # bool is not an int
-            dict(good, value="12"),                # numeric string
-            dict(good, value=float("nan")),        # non-finite
-            dict(good, seq=1.5),                   # float seq
+            dict(good, values=["12"]),             # numeric string
+            dict(good, values=[float("nan")]),     # non-finite
+            dict(good, seqs=[1.5]),                # float seq
             dict(good, resync="yes"),              # optional, still typed
             dict(protocol.register_source(0, ["x0"]), items="x0"),
             dict(protocol.heartbeat(0, {"x0": 1}), seqs=["x0"]),

@@ -6,17 +6,34 @@ one field — each required field missing, each required and optional field
 malformed, a ``type`` that is unknown or not even hashable, a foreign
 ``v`` — must still be refused with exactly the text the enum-dispatching
 validator of PR 18 produced; the expectations below were generated by
-running that validator, not written by hand.
+running that validator, not written by hand.  The REFRESH rows and the
+version texts were regenerated the same way when protocol version 2 made
+REFRESH columnar (``items``/``values``/``seqs``).
+
+A columnar REFRESH is also held to two contracts of its own: a frame
+passes if and only if its columns are non-empty, equally long and every
+entry passes its per-field check (a Hypothesis property), and each way a
+peer can get a column wrong costs it one ERROR and the connection, on
+every node that faces sources.
 """
 
+import asyncio
+import math
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.service import protocol
 from repro.service.protocol import (
+    PROTOCOL_VERSION,
     MessageType,
     ProtocolError,
     validate_message,
 )
+
+from tests.service.nodes import SOURCE_FACING
+from tests.service.test_loopback_service import check_protocol_error, sends
 
 DEFINITION = {"name": "q", "qab": 1.0,
               "terms": [{"weight": 2.0, "exponents": {"a": 1}}]}
@@ -24,7 +41,8 @@ DEFINITION = {"name": "q", "qab": 1.0,
 #: type -> (required fields, optional fields), each with a well-formed value.
 WELL_FORMED = {
     "register_source": ({"source_id": 1, "items": ["a"]}, {}),
-    "refresh": ({"source_id": 1, "item": "a", "value": 1.5, "seq": 3},
+    "refresh": ({"source_id": 1, "items": ["a"], "values": [1.5],
+                 "seqs": [3]},
                 {"resync": True, "sent_at": 0.5, "map_epoch": 2}),
     "dab_update": ({"source_id": 1, "bounds": {"a": 1.0}, "epochs": {"a": 1}},
                    {"seqs": {"a": 1}, "msg_id": 4, "probe": ["a"]}),
@@ -58,28 +76,46 @@ VALIDATION_CASES = (
      "register_source field 'items' is malformed: [1]"),
     ('refresh', 'missing', ('source_id',), None,
      'refresh message missing fields: source_id'),
-    ('refresh', 'missing', ('item',), None,
-     'refresh message missing fields: item'),
-    ('refresh', 'missing', ('value',), None,
-     'refresh message missing fields: value'),
-    ('refresh', 'missing', ('seq',), None,
-     'refresh message missing fields: seq'),
-    ('refresh', 'missing', ('source_id', 'seq'), None,
-     'refresh message missing fields: source_id, seq'),
-    ('refresh', 'missing+bad', ('seq', 'source_id'), True,
-     'refresh message missing fields: seq'),
+    ('refresh', 'missing', ('items',), None,
+     'refresh message missing fields: items'),
+    ('refresh', 'missing', ('values',), None,
+     'refresh message missing fields: values'),
+    ('refresh', 'missing', ('seqs',), None,
+     'refresh message missing fields: seqs'),
+    ('refresh', 'missing', ('source_id', 'seqs'), None,
+     'refresh message missing fields: source_id, seqs'),
+    ('refresh', 'missing+bad', ('seqs', 'source_id'), True,
+     'refresh message missing fields: seqs'),
     ('refresh', 'bad', ('source_id',), True,
      "refresh field 'source_id' is malformed: True"),
-    ('refresh', 'bad', ('item',), True,
-     "refresh field 'item' is malformed: True"),
-    ('refresh', 'bad', ('item',), 5,
-     "refresh field 'item' is malformed: 5"),
-    ('refresh', 'bad', ('value',), True,
-     "refresh field 'value' is malformed: True"),
-    ('refresh', 'bad', ('value',), '1.5',
-     "refresh field 'value' is malformed: '1.5'"),
-    ('refresh', 'bad', ('seq',), True,
-     "refresh field 'seq' is malformed: True"),
+    ('refresh', 'bad', ('items',), True,
+     "refresh field 'items' is malformed: True"),
+    ('refresh', 'bad', ('items',), 'a',
+     "refresh field 'items' is malformed: 'a'"),
+    ('refresh', 'bad', ('items',), [],
+     "refresh field 'items' is malformed: []"),
+    ('refresh', 'bad', ('items',), [5],
+     "refresh field 'items' is malformed: [5]"),
+    ('refresh', 'bad', ('values',), True,
+     "refresh field 'values' is malformed: True"),
+    ('refresh', 'bad', ('values',), [],
+     "refresh field 'values' is malformed: []"),
+    ('refresh', 'bad', ('values',), ['1.5'],
+     "refresh field 'values' is malformed: ['1.5']"),
+    ('refresh', 'bad', ('values',), [True],
+     "refresh field 'values' is malformed: [True]"),
+    ('refresh', 'bad', ('values',), [math.nan],
+     "refresh field 'values' is malformed: [nan]"),
+    ('refresh', 'bad', ('values',), [-math.inf],
+     "refresh field 'values' is malformed: [-inf]"),
+    ('refresh', 'bad', ('seqs',), True,
+     "refresh field 'seqs' is malformed: True"),
+    ('refresh', 'bad', ('seqs',), [],
+     "refresh field 'seqs' is malformed: []"),
+    ('refresh', 'bad', ('seqs',), [True],
+     "refresh field 'seqs' is malformed: [True]"),
+    ('refresh', 'bad', ('seqs',), [1.5],
+     "refresh field 'seqs' is malformed: [1.5]"),
     ('refresh', 'bad', ('resync',), 1,
      "refresh field 'resync' is malformed: 1"),
     ('refresh', 'bad', ('sent_at',), True,
@@ -194,34 +230,34 @@ VALIDATION_CASES = (
      "error field 'reason' is malformed: 5"),
 )
 ENVELOPE_CASES = (
-    ({'v': 1, 'type': 'nope'},
-     "unknown message type 'nope'"),
-    ({'v': 1, 'type': ['refresh']},
-     "unknown message type ['refresh']"),
-    ({'v': 1, 'type': {'a': 1}},
-     "unknown message type {'a': 1}"),
-    ({'v': 1, 'type': None},
-     'unknown message type None'),
-    ({'v': 1},
-     'unknown message type None'),
-    ({'v': 1, 'type': 7},
-     'unknown message type 7'),
-    ({'v': 1, 'type': 'REFRESH'},
-     "unknown message type 'REFRESH'"),
-    ({'v': 2, 'type': 'snapshot'},
-     'protocol version mismatch: got 2, speaking 1'),
-    ({'v': '1', 'type': 'snapshot'},
-     "protocol version mismatch: got '1', speaking 1"),
-    ({'type': 'snapshot'},
-     'protocol version mismatch: got None, speaking 1'),
     ({'v': 2, 'type': 'nope'},
-     'protocol version mismatch: got 2, speaking 1'),
+     "unknown message type 'nope'"),
+    ({'v': 2, 'type': ['refresh']},
+     "unknown message type ['refresh']"),
+    ({'v': 2, 'type': {'a': 1}},
+     "unknown message type {'a': 1}"),
+    ({'v': 2, 'type': None},
+     'unknown message type None'),
+    ({'v': 2},
+     'unknown message type None'),
+    ({'v': 2, 'type': 7},
+     'unknown message type 7'),
+    ({'v': 2, 'type': 'REFRESH'},
+     "unknown message type 'REFRESH'"),
+    ({'v': 1, 'type': 'snapshot'},
+     'protocol version mismatch: got 1, speaking 2'),
+    ({'v': '2', 'type': 'snapshot'},
+     "protocol version mismatch: got '2', speaking 2"),
+    ({'type': 'snapshot'},
+     'protocol version mismatch: got None, speaking 2'),
+    ({'v': 1, 'type': 'nope'},
+     'protocol version mismatch: got 1, speaking 2'),
 )
 
 
 def _message(kind, what, names, bad):
     required, optional = WELL_FORMED[kind]
-    message = {"v": 1, "type": kind, **required, **optional}
+    message = {"v": PROTOCOL_VERSION, "type": kind, **required, **optional}
     if what == "missing":
         for name in names:
             del message[name]
@@ -242,9 +278,9 @@ def test_every_refusal_keeps_its_recorded_text():
         assert set(optional) == set(
             protocol._OPTIONAL.get(MessageType(kind), {}))
         assert validate_message(
-            {"v": 1, "type": kind, **required}).value == kind
-        assert validate_message(
-            {"v": 1, "type": kind, **required, **optional}).value == kind
+            {"v": PROTOCOL_VERSION, "type": kind, **required}).value == kind
+        assert validate_message({"v": PROTOCOL_VERSION, "type": kind,
+                                 **required, **optional}).value == kind
     covered = set()
     for kind, what, names, bad, expected in VALIDATION_CASES:
         with pytest.raises(ProtocolError) as caught:
@@ -260,3 +296,117 @@ def test_every_refusal_keeps_its_recorded_text():
         with pytest.raises(ProtocolError) as caught:
             validate_message(message)
         assert str(caught.value) == expected, message
+
+
+# ---------------------------------------------------------------------------
+# the columnar REFRESH
+# ---------------------------------------------------------------------------
+
+def _refresh(**fields):
+    frame = {"v": PROTOCOL_VERSION, "type": "refresh", "source_id": 0,
+             "items": ["x0", "x1"], "values": [1.0, 2.0], "seqs": [1, 1]}
+    frame.update(fields)
+    return frame
+
+
+def test_ragged_columns_are_refused_with_every_length():
+    with pytest.raises(ProtocolError) as caught:
+        validate_message(_refresh(values=[1.0]))
+    assert str(caught.value) == (
+        "refresh columns differ in length: items 2, values 1, seqs 2")
+
+
+def test_the_constructor_builds_one_aligned_frame():
+    frame = protocol.refresh(3, ("x0", "x1"), (1, 2.5), (4, 9), resync=True,
+                             sent_at=0.5)
+    assert frame == {"v": PROTOCOL_VERSION, "type": "refresh",
+                     "source_id": 3, "items": ["x0", "x1"],
+                     "values": [1.0, 2.5], "seqs": [4, 9], "resync": True,
+                     "sent_at": 0.5}
+    assert validate_message(frame) is MessageType.REFRESH
+
+
+def _entry_ok(item, value, seq):
+    """The per-field checks, spelled out independently of ``protocol``."""
+    return (isinstance(item, str)
+            and type(value) in (int, float) and math.isfinite(value)
+            and type(seq) is int)
+
+
+GOOD_ITEMS = st.text(max_size=3)
+GOOD_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.integers(-10**6, 10**6))
+GOOD_SEQS = st.integers(-5, 10**12)
+BAD_ENTRIES = st.one_of(st.none(), st.booleans(), st.just(math.nan),
+                        st.just(math.inf), st.just(-math.inf),
+                        st.text(max_size=2), st.floats(-1e3, 1e3),
+                        st.integers(-3, 3), st.lists(st.integers(),
+                                                     max_size=1))
+
+
+@st.composite
+def refresh_frames(draw):
+    """Columns that are mostly aligned and mostly well formed: lengths
+    may differ or be zero, and one entry of one column may be replaced
+    by anything at all."""
+    size = draw(st.integers(0, 4))
+    columns = {}
+    for name, entries in (("items", GOOD_ITEMS), ("values", GOOD_VALUES),
+                          ("seqs", GOOD_SEQS)):
+        length = draw(st.one_of(st.just(size), st.integers(0, 5)))
+        columns[name] = draw(st.lists(entries, min_size=length,
+                                      max_size=length))
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(columns)))
+        if columns[name]:
+            index = draw(st.integers(0, len(columns[name]) - 1))
+            columns[name][index] = draw(BAD_ENTRIES)
+    return _refresh(**columns)
+
+
+@given(frame=refresh_frames())
+@example(frame=_refresh())
+@example(frame=_refresh(items=[], values=[], seqs=[]))
+@example(frame=_refresh(seqs=[1, True]))
+@example(frame=_refresh(values=[1.0, math.inf]))
+@example(frame=_refresh(items=["x0", 7]))
+def test_a_frame_passes_iff_every_entry_passes(frame):
+    items, values, seqs = frame["items"], frame["values"], frame["seqs"]
+    expected = (0 < len(items) == len(values) == len(seqs)
+                and all(map(_entry_ok, items, values, seqs)))
+    try:
+        validate_message(frame)
+        passed = True
+    except ProtocolError:
+        passed = False
+    assert passed == expected, frame
+
+
+#: ``(what is wrong, frame, words the ERROR must contain)`` — each costs
+#: the peer one ERROR and the connection.
+COLUMN_FAULTS = (
+    ("ragged", _refresh(seqs=[1]), "differ in length"),
+    ("empty", _refresh(items=[], values=[], seqs=[]), "malformed"),
+    ("bool seq", _refresh(seqs=[1, True]), "malformed"),
+    ("NaN value", _refresh(values=[math.nan, 1.0]), "malformed"),
+    ("+Inf value", _refresh(values=[1.0, math.inf]), "malformed"),
+    ("-Inf value", _refresh(values=[-math.inf, 1.0]), "malformed"),
+    ("non-string item", _refresh(items=["x0", 1]), "malformed"),
+    ("v1 one-item refresh",
+     {"v": 1, "type": "refresh", "source_id": 0, "item": "x0",
+      "value": 1.0, "seq": 1}, "version mismatch"),
+    ("one-item shape at v2",
+     {"v": PROTOCOL_VERSION, "type": "refresh", "source_id": 0,
+      "item": "x0", "value": 1.0, "seq": 1},
+     "missing fields: items, values, seqs"),
+)
+
+
+@pytest.mark.parametrize("kind", SOURCE_FACING)
+@pytest.mark.parametrize("what,frame,reason", COLUMN_FAULTS,
+                         ids=[fault[0] for fault in COLUMN_FAULTS])
+def test_a_bad_column_costs_one_error_and_the_connection(kind, what, frame,
+                                                         reason):
+    # Over an in-process link the dict arrives as sent: a NaN reaches the
+    # validator instead of being refused by the encoder or the decoder.
+    asyncio.run(check_protocol_error(kind, sends(frame), reason))

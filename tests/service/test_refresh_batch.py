@@ -26,7 +26,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.service import protocol
-from repro.service.chaos import FaultInjector, FaultSchedule, chaos_stream
 from repro.service.core import RecomputeMode
 from repro.service.journal import plan_to_wire
 from repro.service.protocol import MessageType
@@ -228,7 +227,7 @@ class TestAnySplit:
 # ---------------------------------------------------------------------------
 
 def _refreshes(count, source_id=0):
-    return [protocol.refresh(source_id, f"x{n}", float(n), seq=n + 1)
+    return [protocol.refresh(source_id, [f"x{n}"], [float(n)], [n + 1])
             for n in range(count)]
 
 
@@ -238,8 +237,8 @@ class TestReceiveMany:
         async def check():
             client_end, server_end = pair()
             messages = _refreshes(3)
-            await client_end.send_many(messages[:2])
-            await client_end.send(messages[2])
+            for message in messages:
+                await client_end.send(message)
             assert await server_end.receive_many() == messages
             await client_end.send(messages[0])
             client_end.close()
@@ -263,32 +262,6 @@ class TestReceiveMany:
 
         run(check())
 
-    def test_chaos_draws_one_fate_per_frame_of_a_write(self):
-        """A tick's frames in one write meet the faults that one write per
-        frame would have met, in the same order."""
-        async def delivered(one_write):
-            injector = FaultInjector(FaultSchedule(
-                drop_rate=0.4, duplicate_rate=0.3, seed=5))
-            client_end, server_end = loopback_pair()
-            chaos_stream(client_end, injector, "src->coord")
-            messages = _refreshes(12)
-            if one_write:
-                await client_end.send_many(messages)
-            else:
-                for message in messages:
-                    await client_end.send(message)
-            client_end.close()
-            received = []
-            while True:
-                batch = await server_end.receive_many()
-                if not batch:
-                    return received, injector.trace
-                received.extend(batch)
-
-        batched = run(delivered(True))
-        assert batched == run(delivered(False))
-        assert {kind for _, _, kind, _ in batched[1]} == {"drop", "duplicate"}
-
 
 # ---------------------------------------------------------------------------
 # the peer loop: order and error semantics
@@ -296,15 +269,15 @@ class TestReceiveMany:
 
 async def _one_read(pair, build):
     """A server, and a peer whose ``build(server, item_to_source)``
-    messages reach it in one read (one write over bytes; queued without
-    a yield over a link)."""
+    messages reach it in one read (sent without a yield in between)."""
     server, close, item_to_source = await start_node("server")
     if pair is None:
         client_end = server.connect_loopback()
     else:
         client_end, server_end = pair()
         server.adopt_connection(server_end)
-    await client_end.send_many(build(server, item_to_source))
+    for message in build(server, item_to_source):
+        await client_end.send(message)
     return server, close, client_end
 
 
@@ -312,10 +285,10 @@ def _two_refreshes(server, item_to_source):
     """REFRESHes of two different items, each far from its cached value."""
     first, second = sorted(item_to_source)[:2]
     cache = server.core.cache
-    return [protocol.refresh(item_to_source[first], first,
-                             cache[first] * 1.5, seq=1),
-            protocol.refresh(item_to_source[second], second,
-                             cache[second] * 0.5, seq=1)]
+    return [protocol.refresh(item_to_source[first], [first],
+                             [cache[first] * 1.5], [1]),
+            protocol.refresh(item_to_source[second], [second],
+                             [cache[second] * 0.5], [1])]
 
 
 class TestPeerLoopOrder:
@@ -327,7 +300,7 @@ class TestPeerLoopOrder:
             def build(server, item_to_source):
                 sent.extend(_two_refreshes(server, item_to_source))
                 malformed = dict(sent[0], seq=2)
-                del malformed["value"]
+                del malformed["values"]
                 return sent + [malformed]
 
             server, close, client_end = await _one_read(pair, build)
@@ -335,7 +308,8 @@ class TestPeerLoopOrder:
             assert reply["type"] == MessageType.ERROR.value
             assert await client_end.receive() is None        # hung up
             for refresh in sent:
-                assert server.core.cache[refresh["item"]] == refresh["value"]
+                assert (server.core.cache[refresh["items"][0]]
+                        == refresh["values"][0])
             stats = server.server_stats()
             assert stats["refreshes_accepted"] == 2
             assert stats["refresh_batches"] == 1
@@ -352,7 +326,7 @@ class TestPeerLoopOrder:
             def build(server, item_to_source):
                 sent.extend(_two_refreshes(server, item_to_source))
                 cache = dict(server.core.cache)
-                cache[sent[0]["item"]] = sent[0]["value"]
+                cache[sent[0]["items"][0]] = sent[0]["values"][0]
                 expected.update({query.name: query.evaluate(cache)
                                  for query in server.core.queries})
                 return [sent[0], protocol.snapshot(), sent[1]]
@@ -364,7 +338,8 @@ class TestPeerLoopOrder:
             for _ in range(10):
                 await asyncio.sleep(0)
             for refresh in sent:
-                assert server.core.cache[refresh["item"]] == refresh["value"]
+                assert (server.core.cache[refresh["items"][0]]
+                        == refresh["values"][0])
             assert server.stats["refresh_batches"] == 2
             client_end.close()
             await close()
@@ -382,9 +357,9 @@ class TestBatchCounter:
             stream = cluster.connect_loopback()
             await stream.send(protocol.register_source(source_id, items))
             await stream.receive()
-            await stream.send_many([
-                protocol.refresh(source_id, item, 1.0 + n, seq=1)
-                for n, item in enumerate(items)])
+            await stream.send(protocol.refresh(
+                source_id, items, [1.0 + n for n in range(len(items))],
+                [1] * len(items)))
             for _ in range(20):
                 await asyncio.sleep(0)
             shards = [server.server_stats()["refresh_batches"]

@@ -81,7 +81,7 @@ def test_every_message_boundary_restores_to_the_live_core(tmp_path):
             seqs[item] = seqs.get(item, 0) + 1
             source_id = live.core.item_to_source[item]
             await sources[source_id].send(
-                protocol.refresh(source_id, item, value, seq=seqs[item]))
+                protocol.refresh(source_id, [item], [value], [seqs[item]]))
 
         async def adopt():
             live.adopt_item(ADOPTED, ADOPTED_VALUE, ADOPTED_SOURCE,

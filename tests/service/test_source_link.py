@@ -72,10 +72,6 @@ class Tap:
         self.sent.append((message["type"], self.observe()))
         await self.inner.send(message)
 
-    async def send_many(self, messages):
-        for message in messages:
-            await self.send(message)
-
     async def receive(self):
         return await self.inner.receive()
 

@@ -327,7 +327,8 @@ class _ServerSide:
 
     async def refresh(self, now, item, seq):
         self.now = now
-        await self.stream.send(protocol.refresh(0, item, VALUES[item], seq=seq))
+        await self.stream.send(
+            protocol.refresh(0, [item], [VALUES[item]], [seq]))
         await self._settle()
 
     async def heartbeat(self, now, seqs):
