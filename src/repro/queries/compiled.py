@@ -330,13 +330,11 @@ class CompiledQueryBank:
     # -- the item index ----------------------------------------------------------
 
     def _entry(self, item: str) -> Tuple[np.ndarray, ...]:
-        """``item``'s index entry ``(gather, powers, factors, cells,
-        positions)`` over the terms containing it, one *column* per term:
-        their gather slots; the factor buffer, weights in row 0 and
-        ``powers`` the view of the rows below it (so
-        ``multiply.reduce(axis=0)`` runs each column's ``((w * p1) * p2)
-        ...`` chain); the flat offsets of the table cells those terms own;
-        and the bank positions of the queries reading the item."""
+        """``item``'s index entry ``(gather, weights, cells, positions)``
+        over the terms containing it, one *column* per term: their gather
+        slots (one row per factor, the bank's width deep); their weights;
+        the flat offsets of the table cells those terms own; and the bank
+        positions of the queries reading the item."""
         entry = self._entries.get(item)
         if entry is None:
             position = self._position
@@ -349,17 +347,15 @@ class CompiledQueryBank:
             which, terms = np.nonzero(reads)
             rows = positions[which]
             gather = np.ascontiguousarray(self._gather[rows, terms].T)
-            factors = np.ones((gather.shape[0] + 1, gather.shape[1]))
-            factors[0] = self._weights[rows, terms]
             cells = rows * self._matrix.shape[1] + terms + 1
-            entry = self._entries[item] = (gather, factors[1:], factors,
+            entry = self._entries[item] = (gather, self._weights[rows, terms],
                                            cells, positions)
         return entry
 
     def affected(self, item: str) -> np.ndarray:
         """Bank positions of the queries reading ``item``, in registration
         order (``values_vector(pvec, affected(item))`` reads them)."""
-        return self._entry(item)[4]
+        return self._entry(item)[3]
 
     # -- writes and reads --------------------------------------------------------
 
@@ -389,17 +385,24 @@ class CompiledQueryBank:
                 self._dirty.clear()
                 return
         if self._dirty:
-            matrix = self._matrix
-            for item in self._dirty:
-                gather, powers, factors, cells, _ = self._entry(item)
-                # ``take``/``put`` rather than fancy indexing: a third of
-                # the per-call cost, which is what a 40-term flush is made
-                # of.  ``clip`` only skips ``take``'s defensive copy — every
-                # slot was range-checked against this vector when the
-                # table was multiplied from it or the query was added.
-                pvec.take(gather, out=powers, mode="clip")
-                matrix.put(cells, np.multiply.reduce(factors, axis=0))
+            # Every marked item's cells in one multiply: the entries'
+            # columns side by side, weights in row 0 and the gathered
+            # powers below, so ``multiply.reduce(axis=0)`` runs each
+            # column's ``((w * p1) * p2) ...`` chain (a pad slot reads the
+            # sentinel's exact 1.0).  A cell two items share is computed,
+            # and put, once per item — with the same value.
+            entries = [self._entry(item) for item in self._dirty]
             self._dirty.clear()
+            gather = np.concatenate([entry[0] for entry in entries], axis=1)
+            factors = np.empty((gather.shape[0] + 1, gather.shape[1]))
+            np.concatenate([entry[1] for entry in entries], out=factors[0])
+            # ``take``/``put`` rather than fancy indexing: a third of the
+            # per-call cost.  ``clip`` only skips ``take``'s defensive
+            # copy — every slot was range-checked against this vector
+            # when the table was multiplied from it or the query was added.
+            pvec.take(gather, out=factors[1:], mode="clip")
+            self._matrix.put(np.concatenate([entry[2] for entry in entries]),
+                             np.multiply.reduce(factors, axis=0))
 
     def values_vector(self, pvec: np.ndarray,
                       positions: Optional[np.ndarray] = None) -> np.ndarray:

@@ -296,6 +296,12 @@ class ChaosWriter:
     async def drain(self) -> None:
         await self.inner.drain()
 
+    @property
+    def transport(self) -> Any:
+        """The wrapped writer's transport (``None`` over a loopback pipe),
+        whose buffer :meth:`MessageStream.has_room` reads."""
+        return getattr(self.inner, "transport", None)
+
     def close(self) -> None:
         self._closed = True
         self._held = []

@@ -6,12 +6,13 @@ business; how peers are accepted, policed, fed and let go is written
 here once (DESIGN.md §9.3), in three parts: the **peer loop** (accept,
 ``receive_many → validate → dispatch → protocol-error reply → teardown``
 over the node's handler table — each run of REFRESHes one read delivered
-is dispatched as one batch — the maintenance task, the drain on shutdown),
-the **subscriber plane** (a bounded NOTIFY queue and writer task per
-subscriber, the one fan-out loop, slow-consumer eviction, the graceful
-drop) and **reliable DAB delivery** (``msg_id``-tagged DAB_UPDATEs resent
-with backoff until acked, superseded by a re-registration, or given up
-on).
+is dispatched to the REFRESH handler together — the maintenance task, the
+drain on shutdown), the **subscriber plane** (the one fan-out loop, which
+builds and encodes each distinct NOTIFY once and writes it straight onto
+every subscriber stream with room; a bounded queue and writer task per
+subscriber for the rest, slow-consumer eviction, the graceful drop) and
+**reliable DAB delivery** (``msg_id``-tagged DAB_UPDATEs resent with
+backoff until acked, superseded by a re-registration, or given up on).
 """
 
 from __future__ import annotations
@@ -174,8 +175,8 @@ class FrontEnd:
     async def _dispatch(self, peer: Peer,
                         messages: List[Dict[str, Any]]) -> bool:
         """Validate and handle what one read delivered, in order: each
-        run of consecutive REFRESHes is one batch for the REFRESH
-        handler, every other message is handled alone.  ``False`` once
+        run of consecutive REFRESHes goes to the REFRESH handler as one
+        list, every other message is handled alone.  ``False`` once
         the peer has been told why it is being hung up on — after the
         batch in front of the offending message was handled."""
         batch: List[Dict[str, Any]] = []
@@ -295,7 +296,8 @@ class FrontEnd:
         return sub
 
     async def _subscriber_writer(self, sub: _Subscriber) -> None:
-        """Drain one subscriber's queue onto its stream.
+        """Drain one subscriber's queue onto its stream — the NOTIFYs
+        :meth:`_deliver` could not write at once.
 
         A peer that hung up, or a message its stream cannot encode (a
         non-finite or non-JSON value: our bug, counted as a protocol
@@ -305,7 +307,8 @@ class FrontEnd:
                 message = await sub.queue.get()
                 if message is None:
                     return
-                await sub.stream.send(message)
+                sub.stream.send_nowait(message)
+                await sub.stream.drain()
                 self.stats["notifies_sent"] += 1
         except ProtocolError as err:
             if not isinstance(err, TransportClosed):
@@ -316,30 +319,67 @@ class FrontEnd:
     def _publish(self, updates: Sequence[Mapping[str, Any]],
                  degraded: Optional[Mapping[str, float]] = None,
                  piggyback: bool = False, **stamps: Any) -> None:
-        """One NOTIFY per interested subscriber, through its bounded
-        queue; a full queue evicts the slow consumer.
+        """One NOTIFY per interested subscriber.
 
         Each subscriber gets the ``updates`` (``{"query", "value"}``
-        dicts, shared between the frames — sent messages are read-only)
-        and the ``degraded`` entries it ``wants``.  One that wants none
-        of the updates is skipped, unless ``degraded`` is an announcement
-        every subscriber must see (``{}`` = all clear);
+        dicts) and the ``degraded`` entries it ``wants``.  One that wants
+        none of the updates is skipped, unless ``degraded`` is an
+        announcement every subscriber must see (``{}`` = all clear);
         ``piggyback=True`` says it only rides along with value updates.
         ``stamps`` are the other :func:`protocol.notify` fields, the same
-        on every frame."""
+        on every frame.  Subscribers that want the same entries share one
+        NOTIFY — sent messages are read-only — built once and, for byte
+        streams, encoded once; :meth:`_deliver` hands it to each."""
+        names = [update["query"] for update in updates]
+        everything = tuple(range(len(names)))
+        built: Dict[Tuple[Any, ...], List[Any]] = {}
         for sub in list(self._subscribers.values()):
-            wanted = [update for update in updates
-                      if sub.wants(update["query"])]
-            if not wanted and (degraded is None or piggyback):
+            wants = sub.wants
+            picked = everything if sub.queries is None else tuple(
+                index for index, name in enumerate(names) if wants(name))
+            if not picked and (degraded is None or piggyback):
                 continue
-            message = protocol.notify(
-                wanted, degraded=None if degraded is None else
-                {name: bound for name, bound in degraded.items()
-                 if sub.wants(name)}, **stamps)
+            shown = None if degraded is None else tuple(
+                name for name in degraded if wants(name))
+            # [message, its frame once a byte stream asked for one]
+            one = built.get((picked, shown))
+            if one is None:
+                one = built[picked, shown] = [protocol.notify(
+                    [updates[index] for index in picked],
+                    degraded=None if shown is None else
+                    {name: degraded[name] for name in shown}, **stamps), None]
+            if not sub.stream.encodes:
+                self._deliver(sub, one[0])
+                continue
+            if one[1] is None:
+                try:
+                    one[1] = protocol.encode_frame(one[0])
+                except ProtocolError:
+                    # Unencodable: each stream refuses the message itself
+                    # and its writer drops the subscriber.
+                    one[1] = one[0]
+            self._deliver(sub, one[1])
+
+    def _deliver(self, sub: _Subscriber, payload: Any) -> None:
+        """Hand ``sub`` one NOTIFY (a message, or its encoded frame).
+
+        With nothing queued ahead of it, a live writer and room on the
+        stream it is written now; otherwise it joins the bounded queue
+        the writer task drains — a full queue evicts the slow consumer.
+        Either way the subscriber sees its frames in publish order."""
+        if (sub.queue.empty() and not sub.writer_task.done()
+                and sub.stream.has_room()):
             try:
-                sub.queue.put_nowait(message)
-            except asyncio.QueueFull:
-                self._evict_slow_consumer(sub)
+                sub.stream.send_nowait(payload)
+            except ProtocolError:
+                pass                    # the writer's send fails and drops it
+            else:
+                self.stats["notifies_sent"] += 1
+                return
+        try:
+            sub.queue.put_nowait(payload)
+        except asyncio.QueueFull:
+            self._evict_slow_consumer(sub)
 
     def _subscriber_gone(self, sub: _Subscriber) -> None:
         """Hook: ``sub`` left the table — evicted, dropped or its writer

@@ -54,8 +54,8 @@ import enum
 import json
 import math
 import struct
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from repro.exceptions import ReproError
 
@@ -115,11 +115,20 @@ def _is_str_list(value: object) -> bool:
             and all(isinstance(item, str) for item in value))
 
 
-def _column_of(entry: Callable[[object], bool]) -> Callable[[object], bool]:
-    """The check of a non-empty list whose every entry passes ``entry``."""
+def _column_of(entry: Callable[[object], bool], exact: FrozenSet[type],
+               finite: bool = False) -> Callable[[object], bool]:
+    """The check of a non-empty list whose every entry passes ``entry``.
+
+    A column whose entries all have one of the ``exact`` types (no
+    subclass) passes ``entry`` by type alone — given, with ``finite``,
+    that every entry ``math.isfinite`` — so it is checked in one pass
+    over its types; any other column is checked entry by entry."""
     def is_column(value: object) -> bool:
-        return (isinstance(value, list) and len(value) > 0
-                and all(map(entry, value)))
+        if not (isinstance(value, list) and value):
+            return False
+        if exact.issuperset(map(type, value)):
+            return not finite or all(map(math.isfinite, value))
+        return all(map(entry, value))
     return is_column
 
 
@@ -176,9 +185,12 @@ def _is_list(value: object) -> bool:
 #: protocol error, not an uncaught TypeError in a handler.
 _REQUIRED: Dict[MessageType, Dict[str, Callable[[object], bool]]] = {
     MessageType.REGISTER_SOURCE: {"source_id": _is_int, "items": _is_str_list},
-    MessageType.REFRESH: {"source_id": _is_int, "items": _column_of(_is_str),
-                          "values": _column_of(_is_number),
-                          "seqs": _column_of(_is_int)},
+    MessageType.REFRESH: {"source_id": _is_int,
+                          "items": _column_of(_is_str, frozenset({str})),
+                          "values": _column_of(_is_number,
+                                               frozenset({int, float}),
+                                               finite=True),
+                          "seqs": _column_of(_is_int, frozenset({int}))},
     MessageType.DAB_UPDATE: {"source_id": _is_int, "bounds": _is_number_map,
                              "epochs": _is_int_map},
     MessageType.DAB_ACK: {"source_id": _is_int, "msg_id": _is_int},

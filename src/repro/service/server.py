@@ -135,6 +135,13 @@ class CoordinatorServer(FrontEnd):
         #: the old map must not land on an item this shard no longer
         #: owns (or owns again under different budgets).
         self.map_epoch: Optional[int] = None
+        #: This loop turn's batch: the items its REFRESH reads applied and
+        #: the core has not reacted to yet, in order, and the earliest
+        #: ``sent_at`` of their frames.
+        self._turn_items: List[str] = []
+        self._turn_sent_at: Optional[float] = None
+        #: True while a handler holds the turn's reaction.
+        self._turn_held = False
         # ``clock`` times all liveness bookkeeping — wall clock by
         # default, a logical step clock under the chaos soak.
         super().__init__({
@@ -146,8 +153,9 @@ class CoordinatorServer(FrontEnd):
             MessageType.SNAPSHOT: self._on_snapshot,
         }, stats={
             "refreshes_accepted": 0,
-            # REFRESH batches that reached the core: refreshes_accepted /
-            # refresh_batches is the mean batch size.
+            # Core reactions, one per loop turn that accepted refreshes
+            # (everything that turn's reads delivered is one batch):
+            # refreshes_accepted / refresh_batches is the mean batch size.
             "refresh_batches": 0,
             "refreshes_rejected_stale_seq": 0,
             "refreshes_rejected_stale_map_epoch": 0,
@@ -362,23 +370,39 @@ class CoordinatorServer(FrontEnd):
 
     async def _on_refresh(self, peer: Peer,
                           frames: List[Dict[str, Any]]) -> None:
-        """A batch of REFRESH frames (DESIGN.md §9.3): each is fenced, and
-        its entries deduped and applied in order, then the core reacts
-        once to every item the batch moved — one DAB fan-out, one NOTIFY
-        per subscriber stamped with the earliest accepted ``sent_at``,
-        one snapshot check."""
-        items: List[str] = []
-        sent_at: Optional[float] = None
-        for frame in frames:
-            accepted = self._apply_refresh(frame)
-            if not accepted:
-                continue
-            items.extend(accepted)
-            stamp = frame.get("sent_at")
-            if stamp is not None and (sent_at is None or stamp < sent_at):
-                sent_at = stamp
-        if not items:
-            return
+        """The REFRESH frames of one read (DESIGN.md §9.3): each is
+        fenced, and its entries deduped and applied in order, now; the
+        items they moved join this loop turn's batch, which the first
+        handler to add to it reacts to (:meth:`_react_to_turn`)."""
+        try:
+            for frame in frames:
+                accepted = self._apply_refresh(frame)
+                if not accepted:
+                    continue
+                self._turn_items.extend(accepted)
+                stamp = frame.get("sent_at")
+                if stamp is not None and (self._turn_sent_at is None
+                                          or stamp < self._turn_sent_at):
+                    self._turn_sent_at = stamp
+        finally:
+            # Also when a frame failed: what the read applied before it
+            # is reacted to, not stranded.
+            if self._turn_items and not self._turn_held:
+                await self._react_to_turn()
+
+    async def _react_to_turn(self) -> None:
+        """Yield once, so every handler the same wake-up made ready
+        applies its read, then react once to everything the turn applied
+        — one DAB fan-out, one NOTIFY per subscriber stamped with the
+        earliest accepted ``sent_at``, one snapshot check."""
+        self._turn_held = True
+        try:
+            await asyncio.sleep(0)
+        finally:
+            # Cancelled here, the items wait for the next turn's reaction.
+            self._turn_held = False
+        items, sent_at = self._turn_items, self._turn_sent_at
+        self._turn_items, self._turn_sent_at = [], None
         self.stats["refresh_batches"] += 1
         notifications, recomputed = self.core.react_to_refresh(items)
         if recomputed:

@@ -10,7 +10,11 @@ and by :class:`_MemoryPipe` (:func:`loopback_pair`, no sockets involved):
 
 A read returns whatever has arrived, so it may carry many frames: what
 one read delivered is what :meth:`MessageStream.receive_many` hands a
-node as one batch (DESIGN.md §9.3).  A write carries one frame.
+node (DESIGN.md §9.3).  A write carries one frame.  A sender that fans
+one message out to many streams encodes it once (``encode_frame``) and
+hands each stream the frame; one that checked :meth:`MessageStream.has_room`
+may write it with :meth:`~MessageStream.send_nowait`, and ``drain``
+later, if at all.
 
 The loopback *pipe* is a real transport in every sense that matters to the
 protocol code — messages are *serialized to bytes* and re-parsed through
@@ -42,10 +46,11 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.service import protocol
-from repro.service.protocol import FrameDecoder, ProtocolError, encode_frame
+from repro.service.protocol import (HEADER_BYTES, FrameDecoder, ProtocolError,
+                                    encode_frame)
 
 _READ_CHUNK = 65536
 
@@ -119,6 +124,9 @@ class _MemoryPipe:
 class MessageStream:
     """Protocol messages over a reader/writer pair."""
 
+    #: A byte stream: a message crosses it as an encoded frame.
+    encodes = True
+
     def __init__(self, reader: Any, writer: Any,
                  max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
                  name: str = "peer"):
@@ -131,16 +139,49 @@ class MessageStream:
 
     # -- sending -----------------------------------------------------------------
 
-    async def send(self, message: Dict[str, Any]) -> None:
+    def send_nowait(self, message: Union[Dict[str, Any], bytes]) -> None:
+        """Write ``message`` — or a frame ``encode_frame`` already made of
+        it — without waiting for the transport to drain: for a caller that
+        checked :meth:`has_room`."""
         if self._closed:
             raise TransportClosed(f"send on closed stream to {self.name}")
-        frame = encode_frame(message, self._decoder.max_frame_bytes)
+        limit = self._decoder.max_frame_bytes
+        if not isinstance(message, bytes):
+            frame = encode_frame(message, limit)
+        elif len(message) - HEADER_BYTES > limit:
+            raise ProtocolError(
+                f"outgoing frame of {len(message) - HEADER_BYTES} bytes "
+                f"exceeds the {limit}-byte limit")
+        else:
+            frame = message
         try:
             self._writer.write(frame)
+        except (ConnectionError, RuntimeError, TransportClosed) as err:
+            self._closed = True
+            raise TransportClosed(f"peer {self.name} went away: {err}")
+
+    async def drain(self) -> None:
+        """Wait while the transport is over its high-water mark."""
+        try:
             await self._writer.drain()
         except (ConnectionError, RuntimeError, TransportClosed) as err:
             self._closed = True
             raise TransportClosed(f"peer {self.name} went away: {err}")
+
+    async def send(self, message: Dict[str, Any]) -> None:
+        self.send_nowait(message)
+        await self.drain()
+
+    def has_room(self) -> bool:
+        """Whether a write now leaves without waiting: a TCP transport's
+        buffer is below its high-water mark; a loopback pipe always has
+        room."""
+        transport = getattr(self._writer, "transport", None)
+        if transport is None:
+            return True
+        return (not transport.is_closing()
+                and transport.get_write_buffer_size()
+                < transport.get_write_buffer_limits()[1])
 
     # -- receiving ---------------------------------------------------------------
 
@@ -255,8 +296,9 @@ class _MessagePipe:
 
 class InprocessLink:
     """One end of an in-process message link — :class:`MessageStream`'s
-    surface (``send``/``receive``/``receive_many``/``close``/``closed``/
-    ``name``) with no bytes underneath.
+    surface (``send``/``send_nowait``/``drain``/``has_room``/``receive``/
+    ``receive_many``/``close``/``closed``/``name``) with no bytes
+    underneath.
 
     ``send`` hands the peer *the message object itself*, so **a received
     message is read-only**: the sender may hand the same dict to several
@@ -266,13 +308,16 @@ class InprocessLink:
     as it would before forwarding it on a byte stream.
     """
 
+    #: A link: a message crosses it as the dict itself.
+    encodes = False
+
     def __init__(self, inbox: _MessagePipe, outbox: _MessagePipe, name: str):
         self._inbox = inbox
         self._outbox = outbox
         self._closed = False
         self.name = name
 
-    async def send(self, message: Dict[str, Any]) -> None:
+    def send_nowait(self, message: Dict[str, Any]) -> None:
         if self._closed:
             raise TransportClosed(f"send on closed stream to {self.name}")
         try:
@@ -280,6 +325,16 @@ class InprocessLink:
         except TransportClosed as err:
             self._closed = True
             raise TransportClosed(f"peer {self.name} went away: {err}")
+
+    async def drain(self) -> None:
+        """Nothing to wait for: the peer's inbox is unbounded."""
+
+    async def send(self, message: Dict[str, Any]) -> None:
+        self.send_nowait(message)
+
+    def has_room(self) -> bool:
+        """Always: the peer's inbox is unbounded."""
+        return True
 
     async def receive(self) -> Optional[Dict[str, Any]]:
         """The next message, or ``None`` once either end has closed and

@@ -215,6 +215,15 @@ class TestTableStateMachine:
              ops=[("refresh", "x3", 0.0), ("write", "x3", -0.0),
                   ("read_all",)],
              all_first=False)
+    # Several items marked at once, some sharing a term's cell: one
+    # flush multiplies all their cells together.
+    @example(bank=[[(1.0, {"x0": 1, "x1": 2}), (-0.5, {"x2": 1})],
+                   [(2.0, {"x1": 1, "x2": 3}), (0.25, {"x0": 2})]],
+             ops=[("write", "x0", 1.5), ("write", "x1", -2.75),
+                  ("write", "x2", 0.125), ("read_all",),
+                  ("write", "x2", 3.0), ("write", "x0", 0.0),
+                  ("read", "x1")],
+             all_first=False)
     def test_every_read_is_bitwise_the_scalar_value(self, bank, ops,
                                                     all_first):
         Machine(bank).run(ops, all_first)

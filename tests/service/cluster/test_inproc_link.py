@@ -258,10 +258,21 @@ class TestLinkEquivalence:
                 self._handling = []
                 self.name = end.name
 
-            async def send(self, message):
+            encodes = False
+
+            def send_nowait(self, message):
                 entry = (message, copy.deepcopy(message))
                 sent.append(entry)
-                await self._end.send(entry)
+                self._end.send_nowait(entry)
+
+            async def send(self, message):
+                self.send_nowait(message)
+
+            async def drain(self):
+                pass
+
+            def has_room(self):
+                return self._end.has_room()
 
             def _handled(self):
                 # Asking for the next messages is the handler's exit from

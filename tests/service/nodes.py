@@ -61,23 +61,75 @@ async def subscribe(node, queries="*", pair=None):
     return stream, snapshot
 
 
+class JammedTransport:
+    """A TCP transport's flow-control surface, over its high-water mark
+    until :meth:`clear`."""
+
+    def __init__(self):
+        self.buffered = 1
+
+    def is_closing(self):
+        return False
+
+    def get_write_buffer_size(self):
+        return self.buffered
+
+    def get_write_buffer_limits(self):
+        return 0, 1
+
+    def clear(self):
+        self.buffered = 0
+
+
+class JammedWriter:
+    """Wraps a stream's writer: frames still go through, in order, but
+    the transport reports no room and ``drain`` waits until
+    :meth:`release` (as a TCP writer does while the peer's window is
+    shut)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.transport = JammedTransport()
+        self.released = asyncio.Event()
+
+    def write(self, frame):
+        self.inner.write(frame)
+
+    async def drain(self):
+        await self.released.wait()
+
+    def release(self):
+        self.transport.clear()
+        self.released.set()
+
+    def close(self):
+        self.inner.close()
+
+
+def jam(stream):
+    """Jam ``stream``'s transport; returns the :class:`JammedWriter`."""
+    stream._writer = writer = JammedWriter(stream._writer)
+    return writer
+
+
 async def wedged_subscriber(node):
-    """A wildcard subscriber over real bytes whose writer never drains
-    (as if its TCP window were jammed)."""
+    """A wildcard subscriber over real bytes whose transport is jammed:
+    nothing it is sent is written at once, and its writer task blocks in
+    ``drain`` on the first frame it writes."""
     await subscribe(node, pair=loopback_pair)
     sub = node._subscribers[max(node._subscribers)]
-    sub.writer_task.cancel()
-    await asyncio.sleep(0)
-    sub.writer_task = asyncio.ensure_future(asyncio.sleep(60))
+    jam(sub.stream)
     return sub
 
 
-async def register_sources(node, item_to_source):
-    """Register every source; returns ``{source_id: stream}`` with the
-    registration replies already consumed."""
+async def register_sources(node, item_to_source, connect=None):
+    """Register every source, each on a stream of its own (``await
+    connect()``; default: a link); returns ``{source_id: stream}`` with
+    the registration replies already consumed."""
     streams = {}
     for source_id in sorted(set(item_to_source.values())):
-        stream = node.connect_loopback()
+        stream = (node.connect_loopback() if connect is None
+                  else await connect())
         await stream.send(protocol.register_source(
             source_id, sorted(name for name, owner in item_to_source.items()
                               if owner == source_id)))

@@ -30,6 +30,7 @@ from repro.service.transports import (
 from tests.service.nodes import (
     NODE_KINDS,
     connect,
+    jam,
     start_node,
     subscribe,
     wedged_subscriber,
@@ -392,6 +393,85 @@ class TestBackpressure:
             await server.close()
 
         run(body())
+
+
+async def check_one_encode_per_distinct_notify(kind, monkeypatch):
+    """Byte subscribers that want the same entries share one encoded
+    frame; an in-process subscriber gets the message and costs none."""
+    node, close, _ = await start_node(kind)
+    wide = [(await subscribe(node, pair=loopback_pair))[0] for _ in range(2)]
+    linked, snapshot = await subscribe(node)
+    mine, other = sorted(snapshot["values"])[:2]
+    narrow = [(await subscribe(node, [mine], pair=loopback_pair))[0]
+              for _ in range(2)]
+    encoded = []
+    encode_frame = protocol.encode_frame
+    monkeypatch.setattr(protocol, "encode_frame", lambda message: (
+        encoded.append(message) or encode_frame(message)))
+    sent = node.stats["notifies_sent"]
+    updates = [{"query": mine, "value": 1.0}, {"query": other, "value": 2.0}]
+    node._publish(updates, sent_at=7.0)
+    assert [message["updates"] for message in encoded] == [updates,
+                                                           updates[:1]]
+    assert node.stats["notifies_sent"] == sent + 5
+    for stream in wide + [linked]:
+        message = await stream.receive()
+        assert message["updates"] == updates and message["sent_at"] == 7.0
+    for stream in narrow:
+        assert (await stream.receive())["updates"] == updates[:1]
+    await close()
+
+
+async def check_jammed_frames_keep_their_place(kind):
+    """A frame published while earlier ones wait behind a jammed
+    transport is written after them — never ahead — and once the queue
+    is empty and the transport has room, frames go out at once."""
+    node, close, _ = await start_node(kind)
+    client, _ = await subscribe(node, pair=loopback_pair)
+    sub = node._subscribers[max(node._subscribers)]
+    writer = jam(sub.stream)
+    sent = node.stats["notifies_sent"]
+
+    def publish(n):
+        node._publish([{"query": "q", "value": float(n)}])
+
+    publish(1)
+    publish(2)
+    assert sub.queue.qsize() == 2              # no room: both queued
+    await asyncio.sleep(0)                     # the writer writes 1, blocks
+    assert sub.queue.qsize() == 1
+    writer.transport.clear()                   # room again; still draining
+    publish(3)
+    assert sub.queue.qsize() == 2              # behind 2, not ahead of it
+    writer.release()
+    for _ in range(5):
+        await asyncio.sleep(0)
+    assert sub.queue.empty()
+    publish(4)                                 # written by the fan-out
+    assert sub.queue.empty()
+    assert node.stats["notifies_sent"] == sent + 4
+    got = [(await client.receive())["updates"][0]["value"]
+           for _ in range(4)]
+    assert got == [1.0, 2.0, 3.0, 4.0]
+    await close()
+
+
+class TestNotifyPlane:
+    @pytest.mark.parametrize("kind", NODE_KINDS)
+    def test_each_distinct_notify_is_encoded_once(self, kind, monkeypatch):
+        run(check_one_encode_per_distinct_notify(kind, monkeypatch))
+
+    @pytest.mark.parametrize("kind", NODE_KINDS)
+    def test_a_frame_behind_a_jammed_transport_keeps_its_place(self, kind):
+        run(check_jammed_frames_keep_their_place(kind))
+
+    def test_a_stream_has_room_below_its_high_water_mark(self):
+        client_end, server_end = loopback_pair()
+        assert server_end.has_room()           # a pipe always has room
+        writer = jam(server_end)
+        assert not server_end.has_room()
+        writer.transport.clear()
+        assert server_end.has_room()
 
 
 class TestSnapshots:

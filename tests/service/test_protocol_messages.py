@@ -12,7 +12,9 @@ REFRESH columnar (``items``/``values``/``seqs``).
 
 A columnar REFRESH is also held to two contracts of its own: a frame
 passes if and only if its columns are non-empty, equally long and every
-entry passes its per-field check (a Hypothesis property), and each way a
+entry passes its per-field check (a Hypothesis property; another holds
+each column check, which decides a column of exact types by its types
+alone, to the per-entry check on mixed columns), and each way a
 peer can get a column wrong costs it one ERROR and the connection, on
 every node that faces sources.
 """
@@ -20,6 +22,7 @@ every node that faces sources.
 import asyncio
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -380,6 +383,48 @@ def test_a_frame_passes_iff_every_entry_passes(frame):
     except ProtocolError:
         passed = False
     assert passed == expected, frame
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+#: Entries of every type a column check treats alike or apart: the exact
+#: types, non-finite floats, bools, numpy scalars and subclasses.
+MIXED_ENTRIES = st.one_of(
+    st.text(max_size=2), st.integers(-10**20, 10**20), st.floats(),
+    st.booleans(), st.none(), st.integers(-3, 3).map(_Int),
+    st.floats().map(_Float), st.text(max_size=2).map(_Str),
+    st.floats().map(np.float64), st.integers(-3, 3).map(np.int64))
+
+
+@given(column=st.one_of(st.lists(MIXED_ENTRIES, max_size=5),
+                        st.lists(st.sampled_from((1, 2.5, -0.0)),
+                                 max_size=5),
+                        st.none(), st.text(max_size=2)))
+@example(column=[])
+@example(column=[1, 2.0, math.nan])
+@example(column=[1.0, np.float64(2.0)])
+@example(column=[1, True])
+@example(column=[-math.inf, 1])
+@example(column=["x", _Str("y")])
+@example(column=[3, _Int(4)])
+def test_a_column_check_is_the_per_entry_check(column):
+    checks = protocol._REQUIRED[MessageType.REFRESH]
+    for field, entry in (("items", protocol._is_str),
+                         ("values", protocol._is_number),
+                         ("seqs", protocol._is_int)):
+        expected = (isinstance(column, list) and len(column) > 0
+                    and all(map(entry, column)))
+        assert checks[field](column) == expected, (field, column)
 
 
 #: ``(what is wrong, frame, words the ERROR must contain)`` — each costs

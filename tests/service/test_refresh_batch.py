@@ -13,7 +13,11 @@ contracts are checked here:
   is recomputed twice in a batch or leaves it with a broken window and no
   recompute, and every user value stays within its QAB of the truth;
 * **the peer loop keeps message order** — REFRESHes around a SNAPSHOT or
-  in front of a malformed message are handled exactly where they stand.
+  in front of a malformed message are handled exactly where they stand;
+* **a batch is what one loop turn delivered** — reads from several
+  sources that land in one turn make one reaction, which leaves the node
+  where the same frames sent a turn apart leave it, and a reaction
+  cancelled before it ran leaves its items to the next turn's.
 
 Budget: the ``ci`` Hypothesis profile keeps this in tier-1 seconds.
 """
@@ -29,9 +33,11 @@ from repro.service import protocol
 from repro.service.core import RecomputeMode
 from repro.service.journal import plan_to_wire
 from repro.service.protocol import MessageType
-from repro.service.transports import inprocess_pair, loopback_pair
+from repro.service.server import build_scenario_server
+from repro.service.transports import (inprocess_pair, loopback_pair,
+                                      open_tcp_stream)
 
-from tests.service.nodes import start_node
+from tests.service.nodes import SCENARIO, register_sources, start_node
 from tests.service.test_window_screen import (
     ITEMS,
     Rig,
@@ -371,3 +377,204 @@ class TestBatchCounter:
             await close()
 
         run(check())
+
+
+# ---------------------------------------------------------------------------
+# one reaction per loop turn
+# ---------------------------------------------------------------------------
+
+#: Four sources, so a turn can carry four reads.
+FOUR_SOURCES = dict(SCENARIO, source_count=4)
+
+
+async def _settle(rounds=10):
+    for _ in range(rounds):
+        await asyncio.sleep(0)
+
+
+def _bursts(server, item_to_source, factor=1.5):
+    """One REFRESH per source moving each of its items by ``factor``."""
+    frames = {}
+    for source_id in sorted(set(item_to_source.values())):
+        items = sorted(name for name, owner in item_to_source.items()
+                       if owner == source_id)
+        frames[source_id] = protocol.refresh(
+            source_id, items, [server.core.cache[name] * factor
+                               for name in items], [1] * len(items))
+    return frames
+
+
+class _Built:
+    """A subscriber that keeps what its NOTIFYs built, per query."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.values = {}
+
+    async def read(self):
+        while True:
+            try:
+                message = await asyncio.wait_for(self.stream.receive(), 0.05)
+            except asyncio.TimeoutError:
+                return self.values
+            assert message["type"] == MessageType.NOTIFY.value
+            for update in message["updates"]:
+                self.values[update["query"]] = update["value"].hex()
+
+
+async def _run_bursts(apart):
+    """Every source's burst, all in one turn or each a turn apart; returns
+    what the node ends with and how many reactions it made."""
+    server, _, item_to_source = build_scenario_server(**FOUR_SOURCES)
+    server.core.journal = JournalTap()
+    names = [query.name for query in server.core.queries]
+    built = []
+    for queries in ("*", names[:2], names[2:]):
+        client_end, server_end = loopback_pair()
+        server.adopt_connection(server_end)
+        await client_end.send(protocol.query_sub(queries))
+        assert (await client_end.receive())["type"] == \
+            MessageType.SNAPSHOT.value
+        built.append(_Built(client_end))
+    streams = await register_sources(server, item_to_source)
+    before = server.stats["refresh_batches"]
+    for source_id, frame in _bursts(server, item_to_source).items():
+        await streams[source_id].send(frame)
+        if apart:
+            await _settle()
+    await _settle()
+    outcome = {
+        "cache": dict(server.core.cache),
+        "values": [value.hex() for value in server.core.query_values()],
+        "built": [await one.read() for one in built],
+        "kinds": sorted({record["t"] for record in
+                         server.core.journal.records}),
+        "accepted": server.stats["refreshes_accepted"],
+    }
+    reactions = server.stats["refresh_batches"] - before
+    await server.close()
+    return outcome, reactions, len(streams)
+
+
+def _awaiting(task, name):
+    """Whether ``task`` is suspended somewhere inside coroutine ``name``."""
+    coro = task.get_coro()
+    while coro is not None:
+        if getattr(coro, "__name__", None) == name:
+            return True
+        coro = getattr(coro, "cr_await", None)
+    return False
+
+
+class TestOneReactionPerTurn:
+    def test_reads_from_several_sources_in_one_turn_make_one_reaction(self):
+        async def check():
+            together, reactions, sources = await _run_bursts(apart=False)
+            assert sources == 4
+            assert reactions == 1
+            apart, reactions, _ = await _run_bursts(apart=True)
+            assert reactions == sources
+            assert together == apart
+            assert together["built"][0]            # NOTIFYs were sent
+            assert "notify" in together["kinds"]
+
+        run(check())
+
+    def test_a_reaction_cancelled_in_its_yield_leaves_its_items(self):
+        async def check():
+            server, close, item_to_source = await start_node("server")
+            streams = await register_sources(server, item_to_source)
+            reacted = []
+            react = server.core.react_to_refresh
+            server.core.react_to_refresh = lambda items: (
+                reacted.append(list(items)) or react(items))
+            frames = _bursts(server, item_to_source)
+            first, second = sorted(frames)
+            for frame in frames.values():
+                await streams[frame["source_id"]].send(frame)
+            await asyncio.sleep(0)            # every read applied, one yield
+            holders = [task for task in server._handler_tasks
+                       if _awaiting(task, "_react_to_turn")]
+            assert len(holders) == 1 and server._turn_held
+            holder = holders[0].get_coro().cr_frame.f_locals["peer"]
+            holders[0].cancel()
+            await _settle()
+            moved = frames[first]["items"] + frames[second]["items"]
+            assert sorted(server._turn_items) == sorted(moved)
+            assert reacted == [] and not server._turn_held
+            assert server.stats["refresh_batches"] == 0
+            # The next turn's reaction takes them along.
+            source_id = second if holder.source_id == first else first
+            item = frames[source_id]["items"][0]
+            await streams[source_id].send(protocol.refresh(
+                source_id, [item], [server.core.cache[item] * 2.0], [2]))
+            await _settle()
+            assert server.stats["refresh_batches"] == 1
+            assert sorted(reacted[0]) == sorted(moved + [item])
+            assert server._turn_items == []
+            await close()
+
+        run(check())
+
+    def test_a_read_that_fails_midway_still_reacts_to_what_it_applied(self):
+        async def check():
+            server, close, item_to_source = await start_node("server")
+            streams = await register_sources(server, item_to_source)
+            reacted = []
+            react = server.core.react_to_refresh
+            server.core.react_to_refresh = lambda items: (
+                reacted.append(list(items)) or react(items))
+            frames = _bursts(server, item_to_source)
+            source_id = min(frames)
+            good = frames[source_id]
+            bad = dict(good, seqs=[seq + 1 for seq in good["seqs"]])
+            apply = server._apply_refresh
+
+            def failing(frame):
+                if frame is not good:
+                    raise ValueError("refused")
+                return apply(frame)
+
+            server._apply_refresh = failing
+            stream = streams[source_id]
+            await stream.send(good)
+            await stream.send(bad)                 # one read, two frames
+            kinds = []
+            while not kinds or kinds[-1] == MessageType.DAB_UPDATE.value:
+                kinds.append((await asyncio.wait_for(stream.receive(),
+                                                     5))["type"])
+            assert kinds[-1] == MessageType.ERROR.value
+            assert reacted == [good["items"]]
+            assert server.stats["refresh_batches"] == 1
+            assert server._turn_items == []
+            await close()
+
+        run(check())
+
+
+@pytest.mark.network
+def test_a_burst_from_four_tcp_sources_is_one_reaction():
+    server, _, item_to_source = build_scenario_server(**FOUR_SOURCES)
+
+    async def body():
+        host, port = await server.serve_tcp("127.0.0.1", 0)
+        streams = await register_sources(
+            server, item_to_source,
+            connect=lambda: open_tcp_stream(host, port))
+        assert len(streams) == 4
+        frames = _bursts(server, item_to_source)
+        for source_id, frame in frames.items():
+            await streams[source_id].send(frame)    # no yield in between
+        total = sum(len(frame["items"]) for frame in frames.values())
+        for _ in range(200):
+            if server.stats["refreshes_accepted"] == total:
+                break
+            await asyncio.sleep(0.005)
+        await _settle()
+        assert server.stats["refreshes_accepted"] == total
+        assert server.stats["refresh_batches"] == 1
+        for stream in streams.values():
+            stream.close()
+        await server.close()
+
+    asyncio.run(body())
