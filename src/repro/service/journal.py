@@ -52,7 +52,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ReproError
 from repro.filters.assignment import DABAssignment
-from repro.service.protocol import decode_body, encode_body
+from repro.service.protocol import ProtocolError, decode_body, encode_body
 
 #: Record header: body length, CRC-32 of the body (both big-endian u32).
 _RECORD_HEADER = struct.Struct(">II")
@@ -71,6 +71,24 @@ FSYNC_POLICIES = ("always", "interval", "off")
 
 WAL_NAME = "wal.log"
 _SNAPSHOT_PREFIX = "snapshot-"
+
+#: The snapshot codec: the stdlib's canonical JSON (compact, sorted keys,
+#: non-finite floats refused), which also writes the snapshot file.  A
+#: snapshot's digest is taken over this encoding of its state, on write
+#: and on read, not over the wire codec's: the wire codec spells some
+#: floats and all non-ASCII text differently, and a digest that followed
+#: it would silently disown every snapshot written before it changed.
+_SNAPSHOT_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
+                                     allow_nan=False)
+
+
+def _snapshot_body(state: Mapping[str, Any]) -> bytes:
+    """``state`` in the snapshot codec; :class:`ProtocolError` for a state
+    JSON cannot carry (a NaN, a ``numpy.int64``), as the wire refuses it."""
+    try:
+        return _SNAPSHOT_ENCODER.encode(state).encode("utf-8")
+    except (ValueError, TypeError) as error:
+        raise ProtocolError(f"unencodable message: {error}")
 
 
 class JournalError(ReproError):
@@ -298,7 +316,7 @@ class Journal:
         if not self._opened:
             raise JournalError("journal is not open")
         index = self.record_count
-        body = encode_body(state)
+        body = _snapshot_body(state)
         payload = json.dumps({
             "record_index": index,
             "sha256": hashlib.sha256(body).hexdigest(),
@@ -345,7 +363,7 @@ class Journal:
             try:
                 payload = json.loads(path.read_text(encoding="utf-8"))
                 state = payload["state"]
-                digest = hashlib.sha256(encode_body(state)).hexdigest()
+                digest = hashlib.sha256(_snapshot_body(state)).hexdigest()
                 if digest != payload["sha256"]:
                     continue
                 return int(payload["record_index"]), state

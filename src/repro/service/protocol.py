@@ -51,11 +51,13 @@ rejects oversized ones before buffering them, and never trusts the peer.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import struct
+from itertools import accumulate
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Mapping,
                     Optional, Sequence, Tuple)
+
+import orjson
 
 from repro.exceptions import ReproError
 
@@ -68,15 +70,18 @@ PROTOCOL_VERSION = 2
 #: buffering a single body byte.
 MAX_FRAME_BYTES = 1 << 20
 
+#: Deepest array/object nesting a frame body may have.  orjson parses
+#: without recursion but builds the Python objects recursively, so a body
+#: of some 50 000 nested objects — 250 KB — would overflow the C stack
+#: and kill the process; no message nests more than a few levels.
+MAX_NESTING = 1000
+
 _HEADER = struct.Struct(">I")
 HEADER_BYTES = _HEADER.size
 
-
-def _reject_constant(token: str) -> float:
-    # ``encode_body`` refuses NaN/Infinity (allow_nan=False); mirror that
-    # on decode — ``json.loads`` would happily parse them otherwise, and a
-    # NaN value poisons caches silently downstream.
-    raise ValueError(f"non-finite JSON constant {token!r} is not allowed")
+#: Every byte but a bracket, and the nesting step of each bracket.
+_NOT_BRACKETS = bytes(set(range(256)) - set(b"[]{}"))
+_NESTING_STEP = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
 
 
 class ProtocolError(ReproError):
@@ -267,39 +272,88 @@ _CHECKS = {
 # framing
 # ---------------------------------------------------------------------------
 
-#: The codec objects behind every frame and journal record, built once:
-#: ``json.dumps``/``json.loads`` with non-default arguments construct a
-#: fresh ``JSONEncoder``/``JSONDecoder`` on every call.
-_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
-                            allow_nan=False)
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+#: orjson's options for every frame and journal record: keys sorted, so
+#: equal messages are equal bytes; a non-string key written as its JSON
+#: text, as the stdlib writes one.
+_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_NON_STR_KEYS
+
+
+def _float_of(value: object) -> float:
+    """orjson's hook for a value it does not write itself: a ``float``
+    subclass such as ``numpy.float64`` is written as its float, as the
+    stdlib encoder writes it; anything else (``numpy.int64`` too) is not
+    JSON."""
+    if isinstance(value, float):
+        return float(value)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _non_finite(value: object) -> bool:
+    """Whether ``value`` holds a NaN/±Infinity float at any depth, as a
+    dict key or value or a list entry."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, dict):
+        value = value.items()       # (key, value) tuples, walked below
+    elif not isinstance(value, (list, tuple)):
+        return False
+    return any(map(_non_finite, value))
 
 
 def encode_body(message: Mapping[str, Any]) -> bytes:
-    """The canonical byte encoding of one message (compact sorted JSON,
-    non-finite floats rejected).  Shared by the wire framing below and by
-    the coordinator's write-ahead journal, so journal records are decoded
-    by exactly the code path that decodes wire frames.
+    """The canonical byte encoding of one message: compact UTF-8 JSON with
+    sorted keys, non-finite floats rejected.  Shared by the wire framing
+    below and by the coordinator's write-ahead journal, so journal
+    records are decoded by exactly the code path that decodes wire
+    frames.
 
     Raises :class:`ProtocolError` for a message JSON cannot carry — a
-    NaN/±Infinity float or a non-JSON object such as ``numpy.int64``.
-    This is where a value that only ever crossed in-process links is
-    checked before it leaves the process."""
+    NaN/±Infinity float, an int beyond 64 bits, or a non-JSON object
+    such as ``numpy.int64``.  This is where a value that only ever
+    crossed in-process links is checked before it leaves the process.
+    orjson writes a non-finite float as ``null``, so a body holding
+    ``null`` — rare — has its message walked for one."""
     try:
-        return _ENCODER.encode(message).encode("utf-8")
-    except (ValueError, TypeError) as error:
+        body = orjson.dumps(message, default=_float_of, option=_OPTIONS)
+    except TypeError as error:
         raise ProtocolError(f"unencodable message: {error}")
+    if b"null" in body and _non_finite(message):
+        raise ProtocolError("unencodable message: Out of range float "
+                            "values are not JSON compliant")
+    return body
+
+
+def _nesting(body: bytes) -> int:
+    """The deepest array/object nesting of a JSON ``body``: its brackets
+    outside strings, summed as they open and close.  With every escaped
+    backslash and then every escaped quote deleted, the quotes left
+    delimit the strings, so every other piece between quotes is outside
+    one.  Linear in the body, whatever it holds."""
+    unescaped = bytes(body).replace(b"\\\\", b"").replace(b'\\"', b"")
+    outside = b"".join(unescaped.split(b'"')[::2])
+    brackets = outside.translate(None, _NOT_BRACKETS)
+    return max(accumulate(map(_NESTING_STEP.__getitem__, brackets)),
+               default=0)
 
 
 def decode_body(body: bytes) -> Dict[str, Any]:
     """Parse one encoded body back into a message dict.
 
-    Raises :class:`ProtocolError` on undecodable bytes, non-finite JSON
-    constants, or a body that is not a JSON object — the same failure
-    surface whether the bytes came off a socket or out of a journal."""
+    Raises :class:`ProtocolError` on undecodable bytes — bad UTF-8, a
+    ``NaN``/``Infinity`` constant, a number beyond a double's range,
+    nesting deeper than :data:`MAX_NESTING` — or a body that is not a
+    JSON object: the same failure surface whether the bytes came off a
+    socket or out of a journal.  A body can only nest as deep as it has
+    opening brackets, so only a long body with many is measured."""
+    if (len(body) > MAX_NESTING
+            and body.count(b"[") + body.count(b"{") > MAX_NESTING
+            and _nesting(body) > MAX_NESTING):
+        raise ProtocolError(f"undecodable frame body: nested deeper than "
+                            f"{MAX_NESTING} levels")
     try:
-        message = _DECODER.decode(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as error:
+        message = orjson.loads(body)
+    except orjson.JSONDecodeError as error:
         raise ProtocolError(f"undecodable frame body: {error}")
     if not isinstance(message, dict):
         raise ProtocolError(
@@ -362,7 +416,7 @@ class FrameDecoder:
                 break
             try:
                 messages.append(decode_body(
-                    bytes(buffer[offset + HEADER_BYTES:end])))
+                    buffer[offset + HEADER_BYTES:end]))
             except ProtocolError:
                 self._poisoned = True
                 raise

@@ -8,13 +8,18 @@ without a journal behaves exactly as before the feature existed.
 """
 
 import asyncio
+import hashlib
+import json
 import math
+import struct
+import zlib
 
 import pytest
 
 from repro.filters.assignment import DABAssignment
 from repro.service import protocol
 from repro.service.journal import (
+    WAL_NAME,
     Journal,
     JournalError,
     encode_record,
@@ -22,9 +27,10 @@ from repro.service.journal import (
     plan_to_wire,
     scan_records,
 )
-from repro.service.protocol import MessageType
+from repro.service.protocol import MessageType, ProtocolError
 from repro.service.server import build_scenario_server
 from tests.service.nodes import core_fingerprint
+from tests.service.test_protocol import stdlib_body
 
 
 def run(coro):
@@ -198,6 +204,101 @@ class TestJournalOnDisk:
         assert summary["latest_snapshot_index"] == 1
         assert summary["replay_tail_records"] == 1
         assert summary["last_records"][0]["t"] == "notify"
+
+
+# ---------------------------------------------------------------------------
+# journals written in the stdlib codec's spelling
+# ---------------------------------------------------------------------------
+
+def write_stdlib_journal(directory, records, state, snapshot_index):
+    """A WAL and one snapshot byte for byte as a stdlib-codec journal
+    writes them; returns the snapshot's path."""
+    with open(directory / WAL_NAME, "wb") as fh:
+        for record in records:
+            body = stdlib_body(record)
+            fh.write(struct.pack(">II", len(body), zlib.crc32(body)) + body)
+    body = stdlib_body(state)
+    path = directory / f"snapshot-{snapshot_index:012d}.json"
+    path.write_text(json.dumps({
+        "record_index": snapshot_index,
+        "sha256": hashlib.sha256(body).hexdigest(),
+        "state": json.loads(body.decode("utf-8")),
+    }, indent=None, separators=(",", ":"), sort_keys=True), encoding="utf-8")
+    return path
+
+
+class TestStdlibSpelledJournal:
+    RECORDS = [{"t": "refresh", "item": "é", "value": 1.5e-05, "seq": 1},
+               {"t": "notify", "values": {"qü": 1e+22}},
+               {"t": "refresh", "item": "x", "value": -0.0, "seq": 2}]
+    STATE = {"values": {"é": 1.5e-05, "x": 1e+22}, "bounds": {"qü": 2e-07},
+             "n": 3}
+
+    def test_the_spellings_differ(self):
+        assert stdlib_body(self.STATE) != protocol.encode_body(self.STATE)
+        assert (stdlib_body(self.RECORDS[0])
+                != protocol.encode_body(self.RECORDS[0]))
+
+    def test_snapshot_verifies_and_records_replay_equal(self, tmp_path):
+        write_stdlib_journal(tmp_path, self.RECORDS, self.STATE, 2)
+        journal = Journal(str(tmp_path)).open()
+        assert journal.record_count == 3
+        assert journal.latest_snapshot() == (2, self.STATE)
+        assert list(journal.records()) == self.RECORDS
+        assert list(journal.records(2)) == self.RECORDS[2:]
+        journal.close()
+
+    def test_snapshot_files_keep_the_stdlib_bytes(self, tmp_path):
+        (tmp_path / "stdlib").mkdir()
+        expected = write_stdlib_journal(tmp_path / "stdlib", self.RECORDS,
+                                        self.STATE, 3)
+        journal = Journal(str(tmp_path / "ours")).open()
+        for record in self.RECORDS:
+            journal.append(record)
+        written = journal.write_snapshot(self.STATE)
+        journal.close()
+        assert written.read_bytes() == expected.read_bytes()
+
+    def test_unencodable_state_still_refused(self, tmp_path):
+        import numpy
+
+        journal = Journal(str(tmp_path)).open()
+        for state in ({"x": math.nan}, {"x": numpy.int64(1)}):
+            with pytest.raises(ProtocolError, match="unencodable"):
+                journal.write_snapshot(state)
+        journal.close()
+
+    def test_server_restores_from_a_respelled_journal(self, tmp_path):
+        async def check():
+            server, _, item_to_source = build(
+                tmp_path, journal_kwargs={"snapshot_every": 10,
+                                          "fsync": "off"})
+            server.restore()
+            await push_load(server, item_to_source)
+            await push_tail(server, item_to_source)
+            before = core_fingerprint(server.core)
+            await server.close(final_snapshot=False)
+
+            # Re-spell the WAL as the stdlib codec writes it; the
+            # snapshot files are already the stdlib codec's bytes.
+            wal = tmp_path / WAL_NAME
+            records, _ = scan_records(wal.read_bytes())
+            snapshot_index, _ = Journal(str(tmp_path)).latest_snapshot()
+            with open(wal, "wb") as fh:
+                for record in records:
+                    body = stdlib_body(record)
+                    fh.write(struct.pack(">II", len(body),
+                                         zlib.crc32(body)) + body)
+
+            revived, _, _ = build(tmp_path, bootstrap=False)
+            recovery = revived.restore()
+            assert recovery["snapshot_index"] == snapshot_index
+            assert recovery["records_replayed"] == (len(records)
+                                                   - snapshot_index) > 0
+            assert core_fingerprint(revived.core) == before
+            await revived.close()
+
+        run(check())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
-"""Framing and message-validation edge cases for the wire protocol."""
+"""Framing, message validation and the codec of the wire protocol."""
 
+import asyncio
 import json
+import math
+import os
 import struct
 
+import numpy
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.service import protocol
 from repro.service.protocol import (
@@ -16,6 +22,14 @@ from repro.service.protocol import (
     encode_frame,
     validate_message,
 )
+from repro.service.transports import loopback_pair
+
+from tests.service.nodes import SOURCE_FACING
+from tests.service.test_loopback_service import check_protocol_error
+
+settings.register_profile("ci", max_examples=25, deadline=None)
+settings.register_profile("nightly", max_examples=200, deadline=None)
+settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "ci"))
 
 
 def frame_of(message):
@@ -189,3 +203,192 @@ class TestValidation:
         assert decoded == message
         # Omitted entirely when not given (registration replies only).
         assert "seqs" not in protocol.dab_update(2, {"x0": 0.5}, {"x0": 3})
+
+
+# ---------------------------------------------------------------------------
+# the codec: orjson behind encode_body/decode_body, stdlib-compatible bytes
+# ---------------------------------------------------------------------------
+
+def stdlib_body(message):
+    """The canonical bytes as the stdlib writes them (ASCII escapes,
+    ``1e+22``-style exponents) — what any JSON peer, or a journal written
+    by an earlier codec, may hand us."""
+    return json.dumps(message, separators=(",", ":"), sort_keys=True,
+                      allow_nan=False).encode("utf-8")
+
+
+def same(a, b):
+    """Equal values of equal types, every float compared bitwise (so
+    ``-0.0`` is not ``0.0``)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    if isinstance(a, dict):
+        return set(a) == set(b) and all(same(a[key], b[key]) for key in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same, a, b))
+    return a == b
+
+
+FINITE_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310,
+                                    2.2250738585072014e-308, 1e300, -1e300,
+                                    1e-300, -1e-300, 1e22, 1.5e-05, 1e16]))
+SCALARS = (st.none() | st.booleans() | st.integers(-2**63, 2**63 - 1)
+           | FINITE_FLOATS | st.text() | st.sampled_from(["null", "é€😀"]))
+VALUES = st.recursive(
+    SCALARS, lambda children: (st.lists(children, max_size=4)
+                               | st.dictionaries(st.text(), children,
+                                                 max_size=4)),
+    max_leaves=24)
+MESSAGES = st.dictionaries(st.text(), VALUES, max_size=6)
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf]).flatmap(
+    lambda value: st.sampled_from([value, numpy.float64(value)]))
+
+
+def _bury(poisoned):
+    """One level deeper: the poisoned value as a list entry or a dict
+    value among finite neighbours."""
+    in_list = st.tuples(poisoned, st.lists(VALUES, max_size=3),
+                        st.integers(0, 3)).map(
+        lambda t: t[1][:t[2]] + [t[0]] + t[1][t[2]:])
+    in_dict = st.tuples(st.text(), poisoned,
+                        st.dictionaries(st.text(), VALUES, max_size=3)).map(
+        lambda t: {**t[2], t[0]: t[1]})
+    return in_list | in_dict
+
+
+POISONED = st.recursive(NON_FINITE, _bury, max_leaves=6)
+
+
+class TestCodec:
+    @given(MESSAGES)
+    @example({"a": -0.0, "b": 5e-324, "é": "ü", "c": [1e22, 1.5e-05]})
+    @example({"null": None, "s": "null", "n": [None, "null"]})
+    def test_round_trips_and_speaks_stdlib_json(self, message):
+        body = protocol.encode_body(message)
+        assert same(protocol.decode_body(body), message)
+        # any JSON peer reads our bytes, and we read theirs
+        assert same(json.loads(body), message)
+        assert same(protocol.decode_body(stdlib_body(message)), message)
+
+    @given(MESSAGES)
+    def test_keys_sorted_at_every_depth(self, message):
+        def sorted_everywhere(value):
+            if isinstance(value, dict):
+                return (list(value) == sorted(value)
+                        and all(map(sorted_everywhere, value.values())))
+            if isinstance(value, list):
+                return all(map(sorted_everywhere, value))
+            return True
+        assert sorted_everywhere(json.loads(protocol.encode_body(message)))
+
+    def test_bytes_stay_compact_sorted_utf8(self):
+        message = {"b": [1e22, 1.5e-05, -0.0], "a": "é", "c": None}
+        assert protocol.encode_body(message) == (
+            '{"a":"é","b":[1e22,0.000015,-0.0],"c":null}'.encode("utf-8"))
+
+    @given(POISONED)
+    def test_non_finite_at_any_depth_refused(self, poisoned):
+        for message in ({"x": poisoned}, {"x": [None, "null"], "y": poisoned}):
+            with pytest.raises(ProtocolError, match="unencodable"):
+                protocol.encode_body(message)
+            with pytest.raises(ProtocolError, match="unencodable"):
+                encode_frame(message)
+
+    def test_non_finite_key_refused(self):
+        with pytest.raises(ProtocolError, match="unencodable"):
+            protocol.encode_body({"x": {math.nan: 1.0}})
+
+    def test_float_subclass_written_as_its_float(self):
+        assert protocol.encode_body({"x": numpy.float64(2.5)}) == b'{"x":2.5}'
+        with pytest.raises(ProtocolError, match="unencodable"):
+            protocol.encode_body({"x": numpy.float64("nan")})
+
+    def test_int_beyond_64_bits_refused_at_encode_time(self):
+        with pytest.raises(ProtocolError, match="unencodable"):
+            protocol.encode_body({"x": 2**64})
+        with pytest.raises(ProtocolError, match="unencodable"):
+            protocol.encode_body({"x": -2**63 - 1})
+
+    def test_enum_and_uuid_values_encode(self):
+        # The stdlib refuses both; nothing in the service sends either.
+        import uuid
+
+        assert protocol.encode_body(
+            {"k": MessageType.REFRESH, "u": uuid.UUID(int=5)}) == (
+            b'{"k":"refresh","u":"00000000-0000-0000-0000-000000000005"}')
+
+
+def nested(depth):
+    """A body whose arrays/objects nest ``depth`` levels deep."""
+    return b'{"x":' + b"[" * (depth - 1) + b"]" * (depth - 1) + b"}"
+
+
+class TestHostileBodies:
+    """How bytes the stdlib codec read differently now fail: each is
+    refused before it reaches a handler."""
+
+    def test_seq_beyond_64_bits_reads_as_a_float(self):
+        body = stdlib_body(dict(protocol.refresh(0, ["x0"], [1.0], [1]),
+                                seqs=[2**64]))
+        message = protocol.decode_body(body)
+        assert message["seqs"] == [float(2**64)]
+        with pytest.raises(ProtocolError, match="malformed"):
+            validate_message(message)
+
+    def test_number_beyond_a_double_is_undecodable(self):
+        with pytest.raises(ProtocolError, match="undecodable"):
+            protocol.decode_body(b'{"v":2,"type":"refresh","source_id":0,'
+                                 b'"items":["x0"],"values":[1e400],'
+                                 b'"seqs":[1]}')
+
+    def test_lone_surrogate_escape_is_undecodable(self):
+        with pytest.raises(ProtocolError, match="undecodable"):
+            protocol.decode_body(b'{"v":2,"type":"error",'
+                                 b'"reason":"\\ud800"}')
+        with pytest.raises(ProtocolError, match="unencodable"):
+            protocol.encode_body(protocol.error("\ud800"))
+
+    def test_nesting_is_bounded_before_parsing(self):
+        value, depth = protocol.decode_body(nested(protocol.MAX_NESTING)), 0
+        while value != []:
+            value, depth = (value["x"] if depth == 0 else value[0]), depth + 1
+        assert depth == protocol.MAX_NESTING - 1    # the innermost is []
+        for depth in (protocol.MAX_NESTING + 1, 200_000):
+            # 200 000 levels would overflow the C stack while the parsed
+            # document is turned into Python objects: refused first.
+            with pytest.raises(ProtocolError, match="nested deeper"):
+                protocol.decode_body(nested(depth))
+
+    def test_nesting_counts_brackets_outside_strings_only(self):
+        brackets = "[{" * protocol.MAX_NESTING
+        message = {"s": brackets, "t": 'q"\\' + brackets, "x": [[1]]}
+        assert protocol.decode_body(protocol.encode_body(message)) == message
+        # Escaped quotes and closing brackets in a string hide nothing.
+        hidden = (b'{"s":"\\\"' + b"]" * 5000 + b'","x":'
+                  + nested(protocol.MAX_NESTING + 1)[5:])
+        with pytest.raises(ProtocolError, match="nested deeper"):
+            protocol.decode_body(hidden)
+
+    def test_many_shallow_objects_decode(self):
+        message = {"updates": [{"query": f"q{i}", "value": i / 3}
+                               for i in range(3 * protocol.MAX_NESTING)]}
+        assert protocol.decode_body(protocol.encode_body(message)) == message
+
+    @pytest.mark.parametrize("kind", SOURCE_FACING)
+    @pytest.mark.parametrize("body,reason", [
+        (stdlib_body(dict(protocol.refresh(0, ["x0"], [1.0], [1]),
+                          seqs=[2**64])), "malformed"),
+        (b'{"v":2,"type":"refresh","source_id":0,"items":["x0"],'
+         b'"values":[1e400],"seqs":[1]}', "corrupt framing"),
+        (b'{"v":2,"type":"refresh","source_id":0,"items":["\\udc00"],'
+         b'"values":[1.0],"seqs":[1]}', "corrupt framing"),
+    ], ids=["seq_2**64", "1e400", "lone_surrogate"])
+    def test_sender_gets_one_error_and_the_hang_up(self, kind, body, reason):
+        async def bad(stream):
+            stream._writer.write(struct.pack(">I", len(body)) + body)
+        asyncio.run(check_protocol_error(kind, bad, reason,
+                                         pair=loopback_pair))
