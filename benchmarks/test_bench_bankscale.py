@@ -109,7 +109,7 @@ def _run_shared(bank, table, values0, walks, n, qab):
         started = time.perf_counter()
         for item, factor in walk:
             values[item] *= factor
-            table.update(pvec, item, values[item])
+            table.update(pvec, [item], [values[item]])
             positions, moved = bank.refresh_movers(item, pvec, last_user,
                                                    qab)
             if positions:
@@ -142,7 +142,7 @@ def _run_flat(flat_queries, table, values0, walks, n, qab, shared):
         started = time.perf_counter()
         for item, factor in walk:
             values[item] *= factor
-            bank.write(pvec, item, values[item])
+            bank.write(pvec, [item], [values[item]])
             idx = bank.affected(item)
             sub = bank.values_vector(pvec, idx)
             moved = np.abs(sub - last_user[idx]) > qab[idx]

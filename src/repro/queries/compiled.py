@@ -74,7 +74,8 @@ class PowerTable:
         self._index: Dict[Tuple[str, int], int] = {}
         #: Registered ``(item, exponent)`` pairs; slot ``i`` is ``pairs[i-1]``.
         self.pairs: List[Tuple[str, int]] = []
-        self._by_item: Dict[str, List[int]] = {}
+        #: item -> its ``(slot, exponent)`` pairs, in registration order.
+        self._by_item: Dict[str, List[Tuple[int, int]]] = {}
 
     def __len__(self) -> int:
         return len(self.pairs) + 1
@@ -87,12 +88,12 @@ class PowerTable:
             index = len(self.pairs) + 1
             self._index[key] = index
             self.pairs.append(key)
-            self._by_item.setdefault(name, []).append(index)
+            self._by_item.setdefault(name, []).append((index, exponent))
         return index
 
     def slots_of(self, name: str) -> Sequence[int]:
         """Slots that depend on ``name`` (for incremental updates)."""
-        return self._by_item.get(name, ())
+        return [index for index, _ in self._by_item.get(name, ())]
 
     def vector(self, values: Mapping[str, float]) -> np.ndarray:
         """The full power vector at the given item values."""
@@ -102,10 +103,15 @@ class PowerTable:
             vec[i + 1] = float(values[name]) ** exponent
         return vec
 
-    def update(self, vector: np.ndarray, name: str, value: float) -> None:
-        """Refresh the slots of ``name`` after its cached value changed."""
-        for index in self._by_item.get(name, ()):
-            vector[index] = value ** self.pairs[index - 1][1]
+    def update(self, vector: np.ndarray, names: Sequence[str],
+               values: Sequence[float]) -> None:
+        """Refresh the slots of ``names`` after their cached values changed
+        to the aligned ``values`` (floats), in order: of a name given
+        twice, the last value stays."""
+        by_item = self._by_item
+        for name, value in zip(names, values):
+            for index, exponent in by_item.get(name, ()):
+                vector[index] = value ** exponent
 
     def slab(self, traces: "object") -> np.ndarray:
         """``(ticks, slots)`` power slab over a whole
@@ -359,11 +365,14 @@ class CompiledQueryBank:
 
     # -- writes and reads --------------------------------------------------------
 
-    def write(self, pvec: np.ndarray, item: str, value: float) -> None:
-        """Move ``item`` to ``value`` in ``pvec``.  O(its slots): the cells
-        reading it are only marked, and multiplied at the next read."""
-        self.table.update(pvec, item, value)
-        self._dirty.add(item)
+    def write(self, pvec: np.ndarray, items: Sequence[str],
+              values: Sequence[float]) -> None:
+        """Move each of ``items`` to the aligned one of ``values`` (floats;
+        of an item given twice, the last stays) in ``pvec``.  O(their
+        slots): the cells reading them are only marked, and multiplied at
+        the next read."""
+        self.table.update(pvec, items, values)
+        self._dirty.update(items)
 
     def _multiply_all(self, pvec: np.ndarray) -> np.ndarray:
         """Every cell's product, multiplied afresh: ``(query, position)``.

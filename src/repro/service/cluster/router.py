@@ -93,6 +93,7 @@ from repro.service.source_plane import SeqFloors
 from repro.service.transports import (
     InprocessLink,
     MessageStream,
+    TransportClosed,
     inprocess_pair,
 )
 
@@ -119,14 +120,6 @@ SHARD_TRUNK_QUEUE_LIMIT = TRUNK_QUEUE_LIMIT
 #: fatal); 2.0 mirrors the one-missed-refresh-per-item worst case the
 #: failure detector's deadline tolerates before firing.
 SUSPECT_WIDEN_FACTOR = 2.0
-
-
-def _entries(frame: Dict[str, Any], picked: Sequence[int]) -> Dict[str, Any]:
-    """A copy of REFRESH ``frame`` holding only the entries at ``picked``."""
-    items, values, seqs = frame["items"], frame["values"], frame["seqs"]
-    return dict(frame, items=[items[i] for i in picked],
-                values=[values[i] for i in picked],
-                seqs=[seqs[i] for i in picked])
 
 
 class _ShardTrunk(ServiceClient):
@@ -505,8 +498,8 @@ class ClusterCoordinator(FrontEnd):
             self._effective_bounds[name] = effective
             self.epochs[name] = self.epochs.get(name, 0) + 1
             changed[name] = effective
-        for name, floor in (message.get("seqs") or {}).items():
-            self._floors.raise_floor(name, int(floor))
+        floors = message.get("seqs") or {}
+        self._floors.raise_floors(floors, floors.values())
         return changed
 
     async def _push_changed_bounds(self, changed: Mapping[str, float]) -> None:
@@ -677,37 +670,39 @@ class ClusterCoordinator(FrontEnd):
 
     async def _on_refresh(self, peer: Peer,
                           frames: List[Dict[str, Any]]) -> None:
-        """Route each REFRESH frame of the batch in order, entry by entry;
-        the in-process links queue what they are sent, so each shard
-        takes its share as one batch."""
-        frozen = self._frozen_items
+        """Route each REFRESH frame of the batch in order, raising the
+        floors of its entries as a column; the in-process links queue
+        what they are sent, so each shard takes its share as one batch."""
+        frozen, item_shards = self._frozen_items, self._item_shards
         for frame in frames:
+            self._floors.raise_floors(frame["items"], frame["seqs"])
             routable: List[int] = []
-            for index, (item, seq) in enumerate(zip(frame["items"],
-                                                    frame["seqs"])):
-                self._floors.raise_floor(item, seq)
+            for index, item in enumerate(frame["items"]):
                 if item in frozen:
                     # Mid-migration: buffer instead of routing — neither
                     # the old nor the new owner may apply this value until
                     # the hand-off commits (two owners could accept
                     # diverging seq floors).  Flushed under the new map at
                     # cutover, entry by entry.
-                    frozen[item].append(_entries(frame, [index]))
+                    frozen[item].append(
+                        protocol.refresh_entries(frame, [index]))
                     self.stats["refreshes_frozen"] += 1
-                elif item not in self._item_shards:
+                elif item not in item_shards:
                     self.stats["refreshes_unroutable"] += 1
                     continue
                 else:
                     routable.append(index)
                 self.stats["refreshes_accepted"] += 1
             if routable:
-                await self._route_refresh(frame, routable)
+                self._route_refresh(frame, routable)
 
-    async def _route_refresh(self, frame: Dict[str, Any],
-                             entries: Optional[Sequence[int]] = None) -> None:
+    def _route_refresh(self, frame: Dict[str, Any],
+                       entries: Optional[Sequence[int]] = None) -> None:
         """Send ``frame``'s ``entries`` (all of them by default) on to
         every shard that reads their items: one sub-frame per (shard,
-        source) link, in entry order."""
+        source) link, in entry order.  Every link is in-process with an
+        unbounded inbox, so a send never waits and nothing here yields to
+        the loop."""
         items = frame["items"]
         if entries is None:
             entries = range(len(items))
@@ -728,11 +723,14 @@ class ClusterCoordinator(FrontEnd):
             # shards fence stale routes; before it (epoch 0) frames go
             # on verbatim, byte-identical to the non-resharding cluster.
             sub = (frame if len(picked) == len(items)
-                   else _entries(frame, picked))
+                   else protocol.refresh_entries(frame, picked))
             if self.map_epoch:
                 sub = dict(sub, map_epoch=self.map_epoch)
-            if await self._safe_send(link._stream, sub):
-                self.stats["refreshes_routed"] += len(picked)
+            try:
+                link._stream.send_nowait(sub)
+            except (TransportClosed, ProtocolError):
+                continue
+            self.stats["refreshes_routed"] += len(picked)
 
     async def _on_heartbeat(self, peer: Peer,
                             message: Dict[str, Any]) -> None:
@@ -756,7 +754,7 @@ class ClusterCoordinator(FrontEnd):
         number of flushed refreshes."""
         buffered = self._frozen_items.pop(item, [])
         for frame in buffered:
-            await self._route_refresh(frame)
+            self._route_refresh(frame)
         return len(buffered)
 
     def set_migration_degraded(self, bounds: Mapping[str, float]) -> None:

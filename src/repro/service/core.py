@@ -12,7 +12,7 @@ re-multiplies only the terms that contain the refreshed item, and
 ``add_query``/``remove_query`` edit one row of it.  It is exact only while
 it sees every write to the power vector, so every writer — a refresh, a
 hand-off, a replayed value — goes through one method,
-:meth:`CoordinatorCore._set_value`, and every read of the bank flushes
+:meth:`CoordinatorCore._set_values`, and every read of the bank flushes
 what was written since the last one (DESIGN.md §8.1–8.2).
 
 Durable state has one write path (DESIGN.md §11.1): each journal record
@@ -106,7 +106,8 @@ class CoordinatorCore:
 
     * :meth:`bootstrap` — plan every query at the initial values and
       return the merged primary DABs for the sources;
-    * :meth:`apply_refresh` — an accepted refresh lands in the cache;
+    * :meth:`apply_refresh` — a column of accepted refreshes lands in the
+      cache;
     * :meth:`react_to_refresh` — notify/recompute per the configured
       :class:`RecomputeMode`, returning the user notifications and
       whether any plan changed;
@@ -236,7 +237,7 @@ class CoordinatorCore:
             query.name: i for i, query in enumerate(self.queries)}
         #: The evaluator: one persistent term-product table, edited in
         #: place by :meth:`add_query` / :meth:`remove_query` and told of
-        #: every power-vector write by :meth:`_set_value`.
+        #: every power-vector write by :meth:`_set_values`.
         self._bank = CompiledQueryBank(
             [self._compiled[query.name] for query in self.queries])
         self._power_vector = table.vector(self.cache)
@@ -302,15 +303,23 @@ class CoordinatorCore:
         """Array form of :meth:`query_values`."""
         return self._bank.values_vector(self._power_vector)
 
-    def _set_value(self, item: str, value: float) -> None:
-        """The ``refresh`` mutator: ``item``'s cached value moves, and its
-        power slots with it.  The one writer of the power vector after
-        construction — a refresh, a hand-off and a replayed value all come
-        through here — because the bank's materialised products are only
-        right while it sees every write (it marks ``item``; its next read
-        re-multiplies the terms containing it)."""
-        value = self.cache[item] = float(value)
-        self._bank.write(self._power_vector, item, value)
+    def _set_values(self, items: Sequence[str],
+                    values: Sequence[float]) -> List[float]:
+        """The ``refresh`` mutator: move each of ``items``' cached value
+        to the aligned one of ``values``, in order, and its power slots
+        with it; returns the values as floats.  The one writer of the
+        power vector after construction — refreshes, a hand-off and a
+        replayed value all come through here — because the bank's
+        materialised products are only right while it sees every write
+        (it marks the items; its next read re-multiplies the terms
+        containing them)."""
+        cache = self.cache
+        floats: List[float] = []
+        for item, value in zip(items, values):
+            value = cache[item] = float(value)
+            floats.append(value)
+        self._bank.write(self._power_vector, items, floats)
+        return floats
 
     def _sync_power_vector(self) -> None:
         """Grow the power vector to cover slots a new template registered
@@ -531,18 +540,24 @@ class CoordinatorCore:
 
     # -- refresh processing ------------------------------------------------------------
 
-    def apply_refresh(self, item: str, value: float,
-                      seq: Optional[int] = None) -> None:
-        """An accepted refresh: the item's cached value moves to ``value``.
+    def apply_refresh(self, items: Sequence[str], values: Sequence[float],
+                      seqs: Optional[Sequence[int]] = None) -> None:
+        """A column of accepted refreshes lands in the cache through the
+        ``refresh`` mutator, entry ``i`` moving ``items[i]`` to
+        ``values[i]`` in entry order (of an item twice, the last value
+        stays), and each entry is journaled as one ``refresh`` record.
 
-        ``seq`` — the accepted per-item sequence number, passed by the
-        live server so the journal record carries the dedup high-water
-        mark a restarted coordinator must restore.  The simulator never
-        passes it (and never journals).
+        ``seqs`` — the entries' accepted sequence numbers, passed by the
+        live server so each record carries the dedup high-water mark a
+        restarted coordinator must restore.  The simulator never passes
+        them (and never journals).
         """
-        self._set_value(item, value)
-        self._log("refresh", item, self.cache[item], seq)
-        self.metrics.record_refresh()
+        values = self._set_values(items, values)
+        if self.journal is not None:
+            for item, value, seq in zip(items, values,
+                                        seqs or [None] * len(values)):
+                self._log("refresh", item, value, seq)
+        self.metrics.record_refresh(len(values))
 
     def adopt_item(self, item: str, value: float,
                    source_id: Optional[int] = None,
@@ -566,7 +581,7 @@ class CoordinatorCore:
         if item in self.cache:
             # Already-known items (a mirror of a cross-shard term) may
             # have live power-table slots to refresh.
-            self._set_value(item, value)
+            self._set_values((item,), (value,))
             self._drop_bands_around(item)
         else:
             self.cache[item] = float(value)
@@ -577,7 +592,8 @@ class CoordinatorCore:
     def react_to_refresh(self, items: Sequence[str],
                          ) -> Tuple[List[Tuple[str, float]], bool]:
         """Notify users and recompute plans after a batch of refreshes —
-        ``items``, each already applied by :meth:`apply_refresh` — landed.
+        over ``items``, all already applied by :meth:`apply_refresh` —
+        landed.
 
         Returns ``(notifications, recomputed)``: the ``(query name, new
         value)`` pairs whose result moved beyond its QAB since the user
@@ -648,8 +664,8 @@ class CoordinatorCore:
             idx = bank.affected(items[0])
         else:
             union = np.zeros(len(self.queries), dtype=bool)
-            for item in items:
-                union.put(bank.affected(item), True)
+            union[np.concatenate([bank.affected(item)
+                                  for item in items])] = True
             idx = np.flatnonzero(union)
         sub = bank.values_vector(self._power_vector, idx)
         moved = (np.abs(sub - self._last_user_arr.take(idx))
@@ -851,9 +867,10 @@ class CoordinatorCore:
         read(self, record)
 
     def _replay_refresh(self, record: Mapping[str, Any]) -> None:
-        if record["item"] in self.cache:
-            self._set_value(record["item"], record["value"])
-            self._drop_bands_around(record["item"])
+        item = record["item"]
+        if item in self.cache:
+            self._set_values((item,), (record["value"],))
+            self._drop_bands_around(item)
 
     def _replay_plan(self, record: Mapping[str, Any]) -> None:
         if record["q"] in self.query_names:

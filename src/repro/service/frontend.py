@@ -18,6 +18,7 @@ backoff until acked, superseded by a re-registration, or given up on).
 from __future__ import annotations
 
 import asyncio
+from itertools import compress
 from typing import (Any, Awaitable, Callable, Container, Dict, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
@@ -335,8 +336,8 @@ class FrontEnd:
         built: Dict[Tuple[Any, ...], List[Any]] = {}
         for sub in list(self._subscribers.values()):
             wants = sub.wants
-            picked = everything if sub.queries is None else tuple(
-                index for index, name in enumerate(names) if wants(name))
+            picked = everything if sub.queries is None else tuple(compress(
+                everything, map(sub.queries.__contains__, names)))
             if not picked and (degraded is None or piggyback):
                 continue
             shown = None if degraded is None else tuple(

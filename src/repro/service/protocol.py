@@ -54,8 +54,8 @@ import enum
 import math
 import struct
 from itertools import accumulate
-from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence)
 
 import orjson
 
@@ -120,23 +120,6 @@ def _is_str_list(value: object) -> bool:
             and all(isinstance(item, str) for item in value))
 
 
-def _column_of(entry: Callable[[object], bool], exact: FrozenSet[type],
-               finite: bool = False) -> Callable[[object], bool]:
-    """The check of a non-empty list whose every entry passes ``entry``.
-
-    A column whose entries all have one of the ``exact`` types (no
-    subclass) passes ``entry`` by type alone — given, with ``finite``,
-    that every entry ``math.isfinite`` — so it is checked in one pass
-    over its types; any other column is checked entry by entry."""
-    def is_column(value: object) -> bool:
-        if not (isinstance(value, list) and value):
-            return False
-        if exact.issuperset(map(type, value)):
-            return not finite or all(map(math.isfinite, value))
-        return all(map(entry, value))
-    return is_column
-
-
 def _is_number_map(value: object) -> bool:
     return (isinstance(value, dict)
             and all(isinstance(k, str) and _is_number(v)
@@ -184,18 +167,84 @@ def _is_list(value: object) -> bool:
     return isinstance(value, list)
 
 
+def _is_bool(value: object) -> bool:
+    return isinstance(value, bool)
+
+
+#: REFRESH's required fields: ``source_id``, then its three columns —
+#: entry ``i`` of each is entry ``i`` of the others.
+_REFRESH_FIELDS = ("source_id", "items", "values", "seqs")
+
+#: REFRESH's optional fields, which hold for the whole frame, and their
+#: checks.  ``map_epoch`` fences a frame against the shard map that
+#: produced it: after a live reshard bumps the cluster's map epoch,
+#: frames stamped with an older epoch are rejected instead of applied,
+#: so a lagging shard (or a buffered frame from before the cutover) can
+#: never act on an item it no longer owns.  Absent everywhere until the
+#: first rebalance — pre-reshard traffic stays byte-identical.
+_REFRESH_OPTIONAL = (("resync", _is_bool), ("sent_at", _is_number),
+                     ("map_epoch", _is_int))
+
+#: The exact entry types that decide a REFRESH column by type alone.
+_STR = frozenset({str})
+_INT = frozenset({int})
+_NUMBER = frozenset({int, float})
+
+
+def _check_refresh(message: Mapping[str, Any]) -> MessageType:
+    """REFRESH's shape check, in one pass over the frame.
+
+    ``source_id`` must be an int and ``items``, ``values`` and ``seqs``
+    non-empty, equally long lists of strings, finite numbers and ints;
+    each optional field, if present, must pass its check.  A column whose
+    entries all have the exact type (no subclass) is decided by its types
+    alone — and, for ``values``, one ``isfinite`` map — any other entry
+    by entry.  Refusals name the first failing field in the order
+    required fields, optional fields, column lengths, in the same words
+    as every other type's (:func:`validate_message`)."""
+    try:
+        source_id, items, values, seqs = (
+            message["source_id"], message["items"], message["values"],
+            message["seqs"])
+    except KeyError:
+        missing = [name for name in _REFRESH_FIELDS if name not in message]
+        raise ProtocolError(
+            f"refresh message missing fields: {', '.join(missing)}")
+    if not _is_int(source_id):
+        bad = "source_id"
+    elif not (isinstance(items, list) and items
+              and (_STR.issuperset(map(type, items))
+                   or all(map(_is_str, items)))):
+        bad = "items"
+    elif not (isinstance(values, list) and values
+              and (all(map(math.isfinite, values))
+                   if _NUMBER.issuperset(map(type, values))
+                   else all(map(_is_number, values)))):
+        bad = "values"
+    elif not (isinstance(seqs, list) and seqs
+              and (_INT.issuperset(map(type, seqs))
+                   or all(map(_is_int, seqs)))):
+        bad = "seqs"
+    else:
+        for bad, well_formed in _REFRESH_OPTIONAL:
+            if bad in message and not well_formed(message[bad]):
+                break
+        else:
+            if len(items) == len(values) == len(seqs):
+                return MessageType.REFRESH
+            raise ProtocolError(
+                f"refresh columns differ in length: items {len(items)}, "
+                f"values {len(values)}, seqs {len(seqs)}")
+    raise ProtocolError(
+        f"refresh field {bad!r} is malformed: {message[bad]!r}")
+
+
 #: Fields (beyond ``v``/``type``) a message of each type must carry, each
 #: with its shape check — presence alone is not enough, because a peer
 #: sending e.g. a string seq or a list of bounds must get a clean
 #: protocol error, not an uncaught TypeError in a handler.
 _REQUIRED: Dict[MessageType, Dict[str, Callable[[object], bool]]] = {
     MessageType.REGISTER_SOURCE: {"source_id": _is_int, "items": _is_str_list},
-    MessageType.REFRESH: {"source_id": _is_int,
-                          "items": _column_of(_is_str, frozenset({str})),
-                          "values": _column_of(_is_number,
-                                               frozenset({int, float}),
-                                               finite=True),
-                          "seqs": _column_of(_is_int, frozenset({int}))},
     MessageType.DAB_UPDATE: {"source_id": _is_int, "bounds": _is_number_map,
                              "epochs": _is_int_map},
     MessageType.DAB_ACK: {"source_id": _is_int, "msg_id": _is_int},
@@ -208,14 +257,6 @@ _REQUIRED: Dict[MessageType, Dict[str, Callable[[object], bool]]] = {
 
 #: Optional fields that are still shape-checked when present.
 _OPTIONAL: Dict[MessageType, Dict[str, Callable[[object], bool]]] = {
-    # ``map_epoch`` fences a frame against the shard map that produced
-    # it: after a live reshard bumps the cluster's map epoch, frames
-    # stamped with an older epoch are rejected instead of applied, so a
-    # lagging shard (or a buffered frame from before the cutover) can
-    # never act on an item it no longer owns.  Absent everywhere until
-    # the first rebalance — pre-reshard traffic stays byte-identical.
-    MessageType.REFRESH: {"resync": lambda v: isinstance(v, bool),
-                          "sent_at": _is_number, "map_epoch": _is_int},
     # ``msg_id`` asks the source to DAB_ACK (reliable delivery under
     # chaos); ``probe`` asks it to immediately resend the listed items'
     # current values (the lease-expiry recovery path).
@@ -249,22 +290,15 @@ _OPTIONAL: Dict[MessageType, Dict[str, Callable[[object], bool]]] = {
                             "trunk": lambda v: isinstance(v, bool)},
 }
 
-#: Required list fields that are one table's columns: each entry of the
-#: one is the same entry of the others, so they must be equally long.
-_COLUMNS: Dict[MessageType, Tuple[str, ...]] = {
-    MessageType.REFRESH: ("items", "values", "seqs"),
-}
-
 #: What :func:`validate_message` walks, built once from the tables above
 #: and keyed by the *wire string*: ``type`` -> ``(kind, required (name,
-#: check) pairs, optional pairs, column names)``.  Every message received
-#: pays this lookup, so it must not cost an ``Enum`` call and two ``Enum``
-#: hashes.
+#: check) pairs, optional pairs)``.  Every message received pays this
+#: lookup, so it must not cost an ``Enum`` call and two ``Enum`` hashes.
+#: REFRESH is not in it: :func:`_check_refresh` checks it in one pass.
 _CHECKS = {
     kind.value: (kind, tuple(_REQUIRED[kind].items()),
-                 tuple(_OPTIONAL.get(kind, {}).items()),
-                 _COLUMNS.get(kind, ()))
-    for kind in MessageType
+                 tuple(_OPTIONAL.get(kind, {}).items()))
+    for kind in _REQUIRED
 }
 
 
@@ -289,16 +323,30 @@ def _float_of(value: object) -> float:
         f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+#: The exact types the non-finite walk passes over at a glance.
+_SCALARS = frozenset({str, int, bool, type(None)})
+
+
 def _non_finite(value: object) -> bool:
     """Whether ``value`` holds a NaN/±Infinity float at any depth, as a
-    dict key or value or a list entry."""
-    if isinstance(value, float):
-        return not math.isfinite(value)
-    if isinstance(value, dict):
-        value = value.items()       # (key, value) tuples, walked below
-    elif not isinstance(value, (list, tuple)):
-        return False
-    return any(map(_non_finite, value))
+    dict key or value or a list or tuple entry.  Walked with a stack of
+    the containers still to look into, not by recursion: a reply whose
+    body spells ``null`` for an absent stat is walked whole, and a call
+    per node costs several times the walk."""
+    pending = [(value,)]
+    while pending:
+        for entry in pending.pop():
+            if type(entry) in _SCALARS:
+                continue
+            if isinstance(entry, float):
+                if not math.isfinite(entry):
+                    return True
+            elif isinstance(entry, dict):
+                pending.append(entry.keys())
+                pending.append(entry.values())
+            elif isinstance(entry, (list, tuple)):
+                pending.append(entry)
+    return False
 
 
 def encode_body(message: Mapping[str, Any]) -> bytes:
@@ -438,8 +486,10 @@ def validate_message(message: Mapping[str, Any]) -> MessageType:
             f"protocol version mismatch: got {version!r}, "
             f"speaking {PROTOCOL_VERSION}")
     wire = message.get("type")
+    if wire == "refresh":
+        return _check_refresh(message)
     try:
-        kind, required, optional, columns = _CHECKS[wire]
+        kind, required, optional = _CHECKS[wire]
     except (KeyError, TypeError):       # unknown, or not even hashable
         raise ProtocolError(f"unknown message type {wire!r}")
     for name, _ in required:
@@ -456,10 +506,6 @@ def validate_message(message: Mapping[str, Any]) -> MessageType:
         if name in message and not well_formed(message[name]):
             raise ProtocolError(
                 f"{wire} field {name!r} is malformed: {message[name]!r}")
-    if columns and len({len(message[name]) for name in columns}) > 1:
-        raise ProtocolError(
-            f"{wire} columns differ in length: " + ", ".join(
-                f"{name} {len(message[name])}" for name in columns))
     return kind
 
 
@@ -494,6 +540,16 @@ def refresh(source_id: int, items: Sequence[str], values: Sequence[float],
                     resync=True if resync else None, sent_at=sent_at,
                     map_epoch=int(map_epoch) if map_epoch is not None
                     else None)
+
+
+def refresh_entries(frame: Mapping[str, Any],
+                    picked: Sequence[int]) -> Dict[str, Any]:
+    """A copy of REFRESH ``frame`` holding only the entries at ``picked``,
+    in that order; its other fields as they are."""
+    items, values, seqs = frame["items"], frame["values"], frame["seqs"]
+    return dict(frame, items=[items[i] for i in picked],
+                values=[values[i] for i in picked],
+                seqs=[seqs[i] for i in picked])
 
 
 def dab_update(source_id: int, bounds: Mapping[str, float],

@@ -283,7 +283,7 @@ class CoordinatorServer(FrontEnd):
             seq = record.get("seq")
             if seq is not None:
                 # The dedup floor a refresh or a hand-off carried.
-                self.leases.raise_floor(str(record["item"]), int(seq))
+                self.leases.raise_floors((str(record["item"]),), (seq,))
             replayed += 1
         if snapshot is None and replayed == 0:
             # Truly fresh: persist the starting point as snapshot zero so
@@ -337,7 +337,7 @@ class CoordinatorServer(FrontEnd):
         across the hand-off, so a duplicate of an old refresh replayed
         at the new owner is still rejected."""
         if seq_floor:
-            self.leases.raise_floor(item, int(seq_floor))
+            self.leases.raise_floors((item,), (int(seq_floor),))
         self.core.adopt_item(item, float(value), source_id=source_id,
                              seq=int(seq_floor) if seq_floor else None)
 
@@ -370,10 +370,10 @@ class CoordinatorServer(FrontEnd):
 
     async def _on_refresh(self, peer: Peer,
                           frames: List[Dict[str, Any]]) -> None:
-        """The REFRESH frames of one read (DESIGN.md §9.3): each is
-        fenced, and its entries deduped and applied in order, now; the
-        items they moved join this loop turn's batch, which the first
-        handler to add to it reacts to (:meth:`_react_to_turn`)."""
+        """The REFRESH frames of one read (DESIGN.md §9.3): each is taken
+        in whole, in order, now (:meth:`_apply_refresh`); the items they
+        moved join this loop turn's batch, which the first handler to add
+        to it reacts to (:meth:`_react_to_turn`)."""
         try:
             for frame in frames:
                 accepted = self._apply_refresh(frame)
@@ -411,9 +411,12 @@ class CoordinatorServer(FrontEnd):
             self._fanout_notifications(notifications, sent_at)
         self._maybe_snapshot()
 
-    def _apply_refresh(self, frame: Dict[str, Any]) -> List[str]:
-        """Fence one REFRESH frame, then route-check, dedup and apply each
-        of its entries; returns the items of the entries it accepted."""
+    def _apply_refresh(self, frame: Dict[str, Any]) -> Sequence[str]:
+        """Take in one REFRESH frame whole (DESIGN.md §9.3): fence it on
+        its map epoch, screen out the entries of items this node does not
+        hold, dedup the rest on their seq floors and apply what is
+        admitted as one column (in runs, around suspect items); returns
+        the admitted entries' items."""
         frame_epoch = frame.get("map_epoch")
         if self.map_epoch is not None and (frame_epoch or 0) < self.map_epoch:
             # Epoch fence: this frame was routed under an older shard
@@ -422,38 +425,59 @@ class CoordinatorServer(FrontEnd):
             # it is dropped — the router re-sends under the new map.
             self.stats["refreshes_rejected_stale_map_epoch"] += len(
                 frame["items"])
-            return []
+            return ()
         if frame_epoch is not None:
             # A frame from the future means we missed a cutover
             # broadcast (e.g. restored from an old snapshot): converge.
             self.advance_map_epoch(frame_epoch)
         now = self.clock()
-        cache, leases = self.core.cache, self.leases
-        leases_on = leases.enabled
-        accepted: List[str] = []
-        for item, value, seq in zip(frame["items"], frame["values"],
-                                    frame["seqs"]):
-            if item not in cache:
-                self.metrics.record_misrouted_bounds()
-                continue
-            # Same dedup the simulator applies under faults — always on
-            # here: TCP per connection is ordered, but a reconnecting
-            # source resends, and nothing stops two connections racing
-            # for one source_id.
-            if not leases.accept(item, seq):
-                self.stats["refreshes_rejected_stale_seq"] += 1
-                continue
-            if leases_on:
-                leases.heard(item, now)
-                self._fanout_degraded_if_changed()
-            self.core.apply_refresh(item, float(value), seq=seq)
-            accepted.append(item)
-        if accepted:
-            self.last_heard[frame["source_id"]] = now
-            self.stats["refreshes_accepted"] += len(accepted)
-            if frame.get("resync"):
-                self.core.clear_planner_warm_starts()
-        return accepted
+        names, cache = frame["items"], self.core.cache
+        for name in names:
+            if name not in cache:
+                known = [index for index, item in enumerate(names)
+                         if item in cache]
+                self.metrics.record_misrouted_bounds(len(names) - len(known))
+                frame = protocol.refresh_entries(frame, known)
+                names = frame["items"]
+                break
+        # Same dedup the simulator applies under faults — always on here:
+        # TCP per connection is ordered, but a reconnecting source
+        # resends, and nothing stops two connections racing for one
+        # source_id.
+        admitted = self.leases.accept(names, frame["seqs"])
+        if len(admitted) < len(names):
+            self.stats["refreshes_rejected_stale_seq"] += (
+                len(names) - len(admitted))
+            frame = protocol.refresh_entries(frame, admitted)
+            names = frame["items"]
+        if not names:
+            return ()
+        # A tuple: the benchmark's tracer (benchmarks/perf/trace.py) keys
+        # the ``core.apply_refresh`` span by its first argument.
+        names, values, seqs = tuple(names), frame["values"], frame["seqs"]
+        # Each entry renews its item's lease.  Hearing a suspect item
+        # changes which queries are degraded, and the announcement of the
+        # change reads the cache as the entries before it left it; so the
+        # column is applied in runs that end before each such entry, and
+        # before the first, where a change made since the last
+        # announcement (a membership edit) shows.  With leases off the
+        # column is one run.
+        leases, start = self.leases, 0
+        for index in leases.renew(names, now):
+            if index > start:
+                self.core.apply_refresh(names[start:index],
+                                        values[start:index],
+                                        seqs=seqs[start:index])
+                start = index
+            leases.heard(names[index], now)
+            self._fanout_degraded_if_changed()
+        self.core.apply_refresh(names[start:], values[start:],
+                                seqs=seqs[start:])
+        self.last_heard[frame["source_id"]] = now
+        self.stats["refreshes_accepted"] += len(names)
+        if frame.get("resync"):
+            self.core.clear_planner_warm_starts()
+        return names
 
     async def _fanout_bound_changes(self) -> None:
         for source_id, (bounds, epochs) in self.core.changed_bound_updates().items():

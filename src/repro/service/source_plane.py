@@ -10,7 +10,8 @@ are adapters that turn those effects into events or frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from repro.service.resilience import RetryPolicy
 
@@ -24,9 +25,14 @@ class SeqFloors:
         #: item -> highest refresh sequence number accepted.
         self.last_seq: Dict[str, int] = {}
 
-    def raise_floor(self, item: str, seq: int) -> None:
-        if seq > self.last_seq.get(item, 0):
-            self.last_seq[item] = int(seq)
+    def raise_floors(self, items: Iterable[str], seqs: Iterable[int]) -> None:
+        """Raise each of ``items`` to the aligned one of ``seqs`` where
+        that is higher (a column: an item twice keeps the higher)."""
+        last_seq = self.last_seq
+        floor = last_seq.get
+        for item, seq in zip(items, seqs):
+            if seq > floor(item, 0):
+                last_seq[item] = int(seq)
 
     def floors(self, items: Iterable[str]) -> Dict[str, int]:
         """What a (re)registering source must number ``items`` above."""
@@ -63,15 +69,39 @@ class SourceLeases(SeqFloors):
     def enabled(self) -> bool:
         return self.lease_duration is not None
 
-    def accept(self, item: str, seq: int) -> bool:
-        """Admit a refresh numbered ``seq``; ``False`` (counted as a
-        delivered, rejected refresh) at or below the item's floor."""
-        if seq <= self.last_seq.get(item, 0):
-            self.metrics.record_refresh()
-            self.metrics.record_duplicate_reject()
-            return False
-        self.last_seq[item] = int(seq)
-        return True
+    def accept(self, items: Sequence[str], seqs: Sequence[int]) -> List[int]:
+        """Admit a column of refreshes: entry ``i`` is ``items[i]``
+        numbered ``seqs[i]``, admitted — and the item's floor raised to it
+        — when above the floor, in entry order, so of one item twice the
+        second entry is held to the first's number.  Returns the admitted
+        indices; each other entry is counted as a delivered, rejected
+        refresh."""
+        last_seq = self.last_seq
+        floor = last_seq.get
+        admitted: List[int] = []
+        for index in range(len(items)):
+            item, seq = items[index], seqs[index]
+            if seq > floor(item, 0):
+                last_seq[item] = int(seq)
+                admitted.append(index)
+        rejected = len(items) - len(admitted)
+        if rejected:
+            self.metrics.record_refresh(rejected)
+            self.metrics.record_duplicate_reject(rejected)
+        return admitted
+
+    def renew(self, items: Sequence[str], now: float) -> List[int]:
+        """A column of refreshes vouched for ``items``: renew each one's
+        lease.  Returns the indices of the entries the caller hears one at
+        a time, in order (:meth:`heard`), because hearing them may change
+        which queries are degraded: the first, and each later one whose
+        item is suspect.  None with leases off."""
+        if self.lease_duration is None:
+            return []
+        self.last_heard.update(dict.fromkeys(items, now))
+        suspects = self.suspect_since
+        return [0] + [index for index in range(1, len(items))
+                      if items[index] in suspects]
 
     def heard(self, item: str, now: float) -> None:
         """A refresh or probe answer vouched for ``item``: renew its lease;

@@ -201,13 +201,13 @@ class Coordinator:
         item = event.payload["item"]
         seq = event.payload.get("seq")
         if (seq is not None and self.faults.enabled
-                and not self.leases.accept(item, int(seq))):
+                and not self.leases.accept((item,), (int(seq),))):
             # Sequence numbers order refresh deliveries: a duplicate or a
             # refresh that was overtaken by a newer one must not clobber
             # the cache with a stale value.  (Gated to fault mode so the
             # fault-free path is bit-identical to the original simulator.)
             return
-        self.core.apply_refresh(item, float(event.payload["value"]))
+        self.core.apply_refresh((item,), (event.payload["value"],))
         self.leases.heard(item, event.time)
         if self.faults.enabled and event.payload.get("resync"):
             self.core.clear_planner_warm_starts()

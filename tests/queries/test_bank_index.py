@@ -176,7 +176,7 @@ class TestEvaluation:
         for tick in range(400):
             item = items[int(rng.integers(len(items)))]
             values[item] *= float(1.0 + rng.uniform(-0.05, 0.05))
-            table.update(pvec, item, values[item])
+            table.update(pvec, [item], [values[item]])
             affected = set()
             for tid in bank.templates_of_item(item):
                 affected.update(bank.template_positions(tid).tolist())

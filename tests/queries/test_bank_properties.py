@@ -83,7 +83,7 @@ class TestValueEquivalence:
                 assert out[i] == pytest.approx(exact, rel=1e-9, abs=1e-9)
             item = items[int(rng.integers(len(items)))]
             values[item] *= float(1.0 + rng.uniform(-0.08, 0.08))
-            table.update(pvec, item, values[item])
+            table.update(pvec, [item], [values[item]])
 
 
 class TestNotificationEquivalence:
@@ -105,7 +105,7 @@ class TestNotificationEquivalence:
         for _ in range(ticks):
             item = items[int(rng.integers(len(items)))]
             values[item] *= float(1.0 + rng.uniform(-0.05, 0.05))
-            table.update(pvec, item, values[item])
+            table.update(pvec, [item], [values[item]])
             exact = bank.values_all(pvec, count)
             affected = set()
             for tid in bank.templates_of_item(item):

@@ -121,7 +121,7 @@ class Machine:
 
     def write(self, item, value):
         self.values[item] = value
-        self.bank.write(self.pvec, item, value)
+        self.bank.write(self.pvec, [item], [value])
 
     def add(self, terms):
         one = self._compile(terms)
@@ -262,7 +262,7 @@ class TestTableStateMachine:
         # Written behind the bank's back, into a *copy*: still caught.
         machine.values["x0"] = 0.75
         machine.pvec = machine.pvec.copy()
-        machine.table.update(machine.pvec, "x0", 0.75)
+        machine.table.update(machine.pvec, ["x0"], [0.75])
         machine.check_everything(all_first=True)
 
 
@@ -330,7 +330,7 @@ class TestSteadyFanoutReplay:
                 if abs(value - pushed[item]) <= bounds[item]:
                     continue
                 pushed[item] = value
-                core.apply_refresh(item, value)
+                core.apply_refresh([item], [value])
                 expected = oracle[item].values_vector(core._power_vector)
                 got = core._bank.values_vector(core._power_vector,
                                                 core._bank.affected(item))

@@ -69,7 +69,7 @@ class TestCompiledPolynomial:
             assert c.evaluate_vector(vector) == q.evaluate(values)
         # mutate one item and refresh only its slots
         values["x3"] = 17.25
-        table.update(vector, "x3", values["x3"])
+        table.update(vector, ["x3"], [values["x3"]])
         for q, c in zip(queries, compiled):
             assert c.evaluate_vector(vector) == q.evaluate(values)
 
@@ -151,7 +151,7 @@ class TestCompiledQueryBank:
             # buffer reuse across calls must not leak padding state
             assert bank.values_vector(vector).tolist() == listed
             # one item written through the bank, then read alone
-            bank.write(vector, "x2", float(rng.uniform(0.1, 50.0)))
+            bank.write(vector, ["x2"], [float(rng.uniform(0.1, 50.0))])
             listed = bank.values(vector)
             readers = bank.affected("x2")
             assert bank.values_vector(vector, readers).tolist() == [

@@ -284,7 +284,7 @@ class TestRemoveByIdentity:
 
         core.metrics.record_recomputation = recording
         item = original.variables[0]
-        core.apply_refresh(item, core.cache[item] * 1.5)
+        core.apply_refresh([item], [core.cache[item] * 1.5])
         notifications, recomputed = core.react_to_refresh([item])
         # The original is window-checked, re-planned and notified; the
         # removed twin gets neither a plan nor a notification.

@@ -302,6 +302,24 @@ class TestCodec:
         with pytest.raises(ProtocolError, match="unencodable"):
             protocol.encode_body({"x": {math.nan: 1.0}})
 
+    @pytest.mark.parametrize("bad", [
+        math.nan, -math.inf, numpy.float64("inf"),
+        (1.0, (None, math.nan))])
+    def test_non_finite_deep_beside_a_none_refused(self, bad):
+        # A reply with an absent stat spells ``null``, so its whole body
+        # is walked: a non-finite float deep inside, as a value, a tuple
+        # entry or a key, is still found.
+        stats = {"shard_id": None, "listen_address": None,
+                 "queries": [{"name": "q", "values": [1.0, {"v": [bad]}]}]}
+        messages = [protocol.snapshot({"q": 1.0}, stats)]
+        if isinstance(bad, float):
+            messages.append({"shard_id": None, "deep": [{"k": {bad: 1}}]})
+        for message in messages:
+            with pytest.raises(ProtocolError, match="unencodable"):
+                protocol.encode_body(message)
+        assert protocol.encode_body(protocol.snapshot(
+            {"q": 1.0}, dict(stats, queries=[[1.0, (2.0, None)]])))
+
     def test_float_subclass_written_as_its_float(self):
         assert protocol.encode_body({"x": numpy.float64(2.5)}) == b'{"x":2.5}'
         with pytest.raises(ProtocolError, match="unencodable"):

@@ -1,7 +1,9 @@
 """``validate_message``, message by message, against recorded error texts.
 
 The validator dispatches on the wire ``type`` string through one table
-built at import (``protocol._CHECKS``).  Everything a peer can get wrong in
+built at import (``protocol._CHECKS``), except for REFRESH, which has a
+one-pass check of its own (``protocol._check_refresh``).  Everything a
+peer can get wrong in
 one field — each required field missing, each required and optional field
 malformed, a ``type`` that is unknown or not even hashable, a foreign
 ``v`` — must still be refused with exactly the text the enum-dispatching
@@ -10,13 +12,16 @@ running that validator, not written by hand.  The REFRESH rows and the
 version texts were regenerated the same way when protocol version 2 made
 REFRESH columnar (``items``/``values``/``seqs``).
 
-A columnar REFRESH is also held to two contracts of its own: a frame
+A columnar REFRESH is also held to three contracts of its own: a frame
 passes if and only if its columns are non-empty, equally long and every
 entry passes its per-field check (a Hypothesis property; another holds
 each column check, which decides a column of exact types by its types
-alone, to the per-entry check on mixed columns), and each way a
-peer can get a column wrong costs it one ERROR and the connection, on
-every node that faces sources.
+alone, to the per-entry check on mixed columns); its one-pass check
+returns or refuses, with the same text, exactly what the walk of
+REFRESH's old ``_REQUIRED``/``_OPTIONAL``/``_COLUMNS`` rows did (that
+walk is kept below as the oracle); and each way a peer can get a column
+wrong costs it one ERROR and the connection, on every node that faces
+sources.
 """
 
 import asyncio
@@ -258,6 +263,15 @@ ENVELOPE_CASES = (
 )
 
 
+def _fields(kind):
+    """The names of ``kind``'s required and optional fields, as the
+    validator knows them."""
+    if kind is MessageType.REFRESH:
+        return (set(protocol._REFRESH_FIELDS),
+                {name for name, _ in protocol._REFRESH_OPTIONAL})
+    return set(protocol._REQUIRED[kind]), set(protocol._OPTIONAL.get(kind, {}))
+
+
 def _message(kind, what, names, bad):
     required, optional = WELL_FORMED[kind]
     message = {"v": PROTOCOL_VERSION, "type": kind, **required, **optional}
@@ -277,9 +291,7 @@ def test_every_refusal_keeps_its_recorded_text():
     # The table covers the whole vocabulary, field for field.
     assert set(WELL_FORMED) == {kind.value for kind in MessageType}
     for kind, (required, optional) in WELL_FORMED.items():
-        assert set(required) == set(protocol._REQUIRED[MessageType(kind)])
-        assert set(optional) == set(
-            protocol._OPTIONAL.get(MessageType(kind), {}))
+        assert (set(required), set(optional)) == _fields(MessageType(kind))
         assert validate_message(
             {"v": PROTOCOL_VERSION, "type": kind, **required}).value == kind
         assert validate_message({"v": PROTOCOL_VERSION, "type": kind,
@@ -418,13 +430,22 @@ MIXED_ENTRIES = st.one_of(
 @example(column=["x", _Str("y")])
 @example(column=[3, _Int(4)])
 def test_a_column_check_is_the_per_entry_check(column):
-    checks = protocol._REQUIRED[MessageType.REFRESH]
+    # The column under test in each field of a frame whose other columns
+    # are well formed and as long as it, so only its own check decides.
+    size = len(column) if isinstance(column, list) else 1
+    well_formed = _refresh(items=["x"] * size, values=[1.0] * size,
+                           seqs=[1] * size)
     for field, entry in (("items", protocol._is_str),
                          ("values", protocol._is_number),
                          ("seqs", protocol._is_int)):
         expected = (isinstance(column, list) and len(column) > 0
                     and all(map(entry, column)))
-        assert checks[field](column) == expected, (field, column)
+        frame = dict(well_formed, **{field: column})
+        try:
+            passed = validate_message(frame) is MessageType.REFRESH
+        except ProtocolError:
+            passed = False
+        assert passed == expected, (field, column)
 
 
 #: ``(what is wrong, frame, words the ERROR must contain)`` — each costs
@@ -455,3 +476,139 @@ def test_a_bad_column_costs_one_error_and_the_connection(kind, what, frame,
     # Over an in-process link the dict arrives as sent: a NaN reaches the
     # validator instead of being refused by the encoder or the decoder.
     asyncio.run(check_protocol_error(kind, sends(frame), reason))
+
+
+# ---------------------------------------------------------------------------
+# the one-pass REFRESH check against the table walk it replaced
+# ---------------------------------------------------------------------------
+
+def _table_column(entry, exact, finite=False):
+    """The table walk's column check: a non-empty list whose every entry
+    passes ``entry``, decided by types alone when all are ``exact``."""
+    def is_column(value):
+        if not (isinstance(value, list) and value):
+            return False
+        if exact.issuperset(map(type, value)):
+            return not finite or all(map(math.isfinite, value))
+        return all(map(entry, value))
+    return is_column
+
+
+#: REFRESH's rows of the per-type tables, as they stood.
+TABLE_REQUIRED = (
+    ("source_id", protocol._is_int),
+    ("items", _table_column(protocol._is_str, frozenset({str}))),
+    ("values", _table_column(protocol._is_number, frozenset({int, float}),
+                             finite=True)),
+    ("seqs", _table_column(protocol._is_int, frozenset({int}))))
+TABLE_OPTIONAL = (("resync", lambda v: isinstance(v, bool)),
+                  ("sent_at", protocol._is_number),
+                  ("map_epoch", protocol._is_int))
+TABLE_COLUMNS = ("items", "values", "seqs")
+
+
+def table_walk(message):
+    """The oracle: ``validate_message`` as it walked a REFRESH frame
+    through its ``_REQUIRED``/``_OPTIONAL``/``_COLUMNS`` rows."""
+    version = message.get("v")
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"protocol version mismatch: got {version!r}, "
+            f"speaking {PROTOCOL_VERSION}")
+    wire = message["type"]
+    for name, _ in TABLE_REQUIRED:
+        if name not in message:
+            missing = [field for field, _ in TABLE_REQUIRED
+                       if field not in message]
+            raise ProtocolError(
+                f"{wire} message missing fields: {', '.join(missing)}")
+    for name, well_formed in TABLE_REQUIRED:
+        if not well_formed(message[name]):
+            raise ProtocolError(
+                f"{wire} field {name!r} is malformed: {message[name]!r}")
+    for name, well_formed in TABLE_OPTIONAL:
+        if name in message and not well_formed(message[name]):
+            raise ProtocolError(
+                f"{wire} field {name!r} is malformed: {message[name]!r}")
+    if len({len(message[name]) for name in TABLE_COLUMNS}) > 1:
+        raise ProtocolError(
+            f"{wire} columns differ in length: " + ", ".join(
+                f"{name} {len(message[name])}" for name in TABLE_COLUMNS))
+    return MessageType.REFRESH
+
+
+def _outcome(check, message):
+    try:
+        return ("ok", check(message))
+    except Exception as error:              # noqa: BLE001 — compared below
+        return (type(error), str(error))
+
+
+#: Anything a field may hold: what each field wants, what another field
+#: wants, and what none does.
+ODD = st.one_of(st.none(), st.booleans(), st.text(max_size=2),
+                st.integers(-3, 3), st.floats(), st.floats().map(np.float64),
+                st.integers(-3, 3).map(_Int), st.text(max_size=2).map(_Str),
+                st.lists(st.integers(), max_size=1))
+#: Well-formed entries of each column, in every type that passes.
+GOOD_ENTRIES = {
+    "items": st.one_of(st.text(max_size=2), st.text(max_size=2).map(_Str)),
+    "values": st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-9, 9),
+        st.floats(allow_nan=False, allow_infinity=False).map(np.float64)),
+    "seqs": st.one_of(st.integers(0, 10**12), st.integers(0, 9).map(_Int)),
+}
+#: Optional fields, well formed.
+GOOD_OPTIONAL = {"resync": st.booleans(), "sent_at": st.floats(0, 1e9),
+                 "map_epoch": st.integers(0, 9)}
+
+
+def _rarely(draw):
+    return draw(st.integers(0, 5)) == 0
+
+
+@st.composite
+def odd_refreshes(draw):
+    """REFRESH frames a peer could send, each part rarely wrong: columns
+    of exact, subclassed and numpy entries, with one entry swapped for a
+    bool, a string, a NaN or worse, or empty, unequally long or not a list
+    at all; fields missing; optional fields absent, ``null``, well formed
+    or not."""
+    size = draw(st.integers(1, 3))
+    frame = {"v": 1 if _rarely(draw) else PROTOCOL_VERSION,
+             "type": "refresh",
+             "source_id": draw(ODD if _rarely(draw) else st.integers(0, 9))}
+    for name, entries in GOOD_ENTRIES.items():
+        length = draw(st.integers(0, 4)) if _rarely(draw) else size
+        column = draw(st.lists(entries, min_size=length, max_size=length))
+        if column and _rarely(draw):
+            column[draw(st.integers(0, length - 1))] = draw(st.one_of(
+                ODD, st.sampled_from((math.nan, math.inf, -math.inf))))
+        frame[name] = draw(ODD) if _rarely(draw) else column
+    for name, good in GOOD_OPTIONAL.items():
+        choice = draw(st.integers(0, 5))
+        if choice in (1, 2):
+            frame[name] = draw(good)
+        elif choice == 3:
+            frame[name] = None
+        elif choice == 4:
+            frame[name] = draw(ODD)
+    for name in ("source_id",) + TABLE_COLUMNS:
+        if draw(st.integers(0, 11)) == 0:
+            del frame[name]
+    return frame
+
+
+@given(frame=odd_refreshes())
+@example(frame=_refresh(seqs=[1.0, 2.0]))
+@example(frame=_refresh(seqs=["1", "2"]))
+@example(frame=_refresh(seqs=[True, 2]))
+@example(frame=_refresh(values=[np.float64(1.5), np.float64(math.nan)]))
+@example(frame=_refresh(values=[np.float64(1.5), 2]))
+@example(frame=_refresh(items=[], values=[1.0], seqs=[]))
+@example(frame=_refresh(sent_at=None))
+@example(frame=_refresh(resync=None, map_epoch="2"))
+@example(frame={"v": PROTOCOL_VERSION, "type": "refresh", "values": [1.0]})
+def test_the_refresh_check_is_the_table_walk(frame):
+    assert _outcome(validate_message, frame) == _outcome(table_walk, frame)

@@ -92,7 +92,7 @@ class OneAtATime(Rig):
         before = dict(core.plans)
         order = len(core.metrics.recompute_order)
         records = len(core.journal.records)
-        core.apply_refresh(item, value)
+        core.apply_refresh([item], [value])
         expected = must_recompute(core, item)
         moved = must_notify(core, item)
         notifications, recomputed = core.react_to_refresh([item])
@@ -183,7 +183,7 @@ class TestAnySplit:
             for item, factor in batch:
                 value = single.core.cache[item] * factor
                 single.refresh(item, value)      # checked refresh by refresh
-                core.apply_refresh(item, value)
+                core.apply_refresh([item], [value])
             assert core.cache == single.core.cache
             items = [item for item, _ in batch]
             readers = {query.name: query for item in items
@@ -215,7 +215,7 @@ class TestAnySplit:
         core = rig.core
         core.mode = RecomputeMode.EVERY_REFRESH
         for item in ("a", "c"):
-            core.apply_refresh(item, core.cache[item] * 1.001)
+            core.apply_refresh([item], [core.cache[item] * 1.001])
         _, recomputed = core.react_to_refresh(["a", "c", "a"])
         readers = list(dict.fromkeys(
             query.name for item in ("a", "c") for query in core.item_index[item]))

@@ -42,24 +42,34 @@ def leases(lease_duration=10.0, owner=OWNER):
 class TestSequenceFloors:
     def test_accept_only_above_the_floor(self):
         table, metrics = leases()
-        assert table.accept("x", 2)
-        assert not table.accept("x", 2)          # duplicate
-        assert not table.accept("x", 1)          # overtaken
-        assert table.accept("x", 3)
+        assert table.accept(["x"], [2]) == [0]
+        assert table.accept(["x"], [2]) == []    # duplicate
+        assert table.accept(["x"], [1]) == []    # overtaken
+        assert table.accept(["x"], [3]) == [0]
         assert table.last_seq == {"x": 3}
         assert metrics.duplicate_rejects == 2
         assert metrics.refreshes == 2            # delivered, then rejected
 
+    def test_a_column_is_admitted_in_entry_order(self):
+        table, metrics = leases()
+        table.accept(["y"], [4])
+        # x twice: the second entry is held to the first's number.
+        assert table.accept(["x", "y", "x", "x", "y"],
+                            [5, 4, 5, 6, 9]) == [0, 3, 4]
+        assert table.last_seq == {"x": 6, "y": 9}
+        assert metrics.duplicate_rejects == metrics.refreshes == 2
+
     def test_raise_floor_never_lowers(self):
         table, _ = leases()
-        table.raise_floor("x", 5)
-        table.raise_floor("x", 3)
-        assert table.floors(["x", "y"]) == {"x": 5}
+        table.raise_floors(["x"], [5])
+        table.raise_floors(["x", "y", "y"], [3, 2, 1])
+        assert table.floors(["x", "y", "z"]) == {"x": 5, "y": 2}
 
     def test_floors_work_with_leases_off(self):
         table, metrics = leases(lease_duration=None)
         assert not table.enabled
-        assert table.accept("x", 1) and not table.accept("x", 1)
+        assert table.accept(["x"], [1]) == [0]
+        assert table.accept(["x"], [1]) == []
         table.heard("x", 5.0)
         assert table.heartbeat(0, {"x": 9}, 5.0) == ([], [])
         assert table.sweep(100.0, ["x", "y"]) == {}
@@ -100,6 +110,22 @@ class TestLeases:
         assert table.suspect_since == {}
         assert table.last_heard["x"] == 10.5
 
+    def test_a_column_renews_every_lease_and_names_whom_to_hear(self):
+        table, metrics = leases()
+        table.mark_suspect(["y"], 3.0)
+        # The first entry, then each later one of a suspect item: here the
+        # two entries of y, not x's second.
+        assert table.renew(["x", "y", "x", "y"], 7.0) == [0, 1, 3]
+        assert table.last_heard == {"x": 7.0, "y": 7.0}
+        # Renewal alone clears no suspicion; hearing the entry does.
+        assert table.suspect_since == {"y": 3.0}
+        assert metrics.staleness_exposure_seconds == 0.0
+        assert table.renew(["z"], 8.0) == [0]
+        off, _ = leases(lease_duration=None)
+        off.mark_suspect(["y"], 3.0)
+        assert off.renew(["x", "y"], 7.0) == []
+        assert off.last_heard == {}
+
     def test_mark_suspect_keeps_the_earliest_time(self):
         table, _ = leases()
         table.mark_suspect(["x"], 3.0)
@@ -108,8 +134,7 @@ class TestLeases:
 
     def test_heartbeat_in_step_ahead_and_behind(self):
         table, metrics = leases()
-        table.accept("x", 4)
-        table.accept("y", 4)
+        table.accept(["x", "y"], [4, 4])
         probe, resync = table.heartbeat(0, {"x": 4, "y": 2, "z": 9}, 12.0)
         assert (probe, resync) == ([], ["y"])    # z is not source 0's
         assert table.last_heard == {"x": 12.0}
@@ -151,7 +176,7 @@ class TestWidening:
 
     def test_recovery_state_keys_and_round_trip(self):
         table, _ = leases()
-        table.accept("x", 3)
+        table.accept(["x"], [3])
         table.heard("x", 4.0)
         table.mark_suspect(["y"], 5.0)
         state = table.recovery_state()

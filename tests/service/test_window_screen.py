@@ -158,7 +158,7 @@ class Rig:
         self.clock.now += 1.0
         core = self.core
         before = len(core.metrics.recompute_order)
-        core.apply_refresh(item, value)
+        core.apply_refresh([item], [value])
         expected = must_recompute(core, item)
         moved = must_notify(core, item)
         notifications, recomputed = core.react_to_refresh([item])
@@ -399,7 +399,7 @@ class TestScreenCounters:
         items = sorted(core.cache)
         refreshes = 0
         for item, value in _sweep(scenario, items, amp=0.02):
-            core.apply_refresh(item, value)
+            core.apply_refresh([item], [value])
             assert core.react_to_refresh([item])[1] is False
             refreshes += 1
             if refreshes == len(items):
@@ -419,7 +419,7 @@ class TestScreenCounters:
         # own log-moves no window breaks.
         for item, value in _sweep(scenario, items, amp=12.0):
             misses = core.window_screen_misses
-            core.apply_refresh(item, value)
+            core.apply_refresh([item], [value])
             if core.react_to_refresh([item])[1]:
                 recomputing += 1
                 assert core.window_screen_misses == misses + 1
