@@ -26,11 +26,11 @@ refreshes to every shard whose bank reads it, so the forwarding table is
 **Source impersonation.**  For every (shard, source) pair the router
 holds an in-process link registered *as that source* for the items the
 shard needs — a :class:`~repro.service.client.SourceLink`, the client a
-``SourceAgent`` is.  Each inbound REFRESH frame is split into one
-sub-frame per (shard, source) link, holding the entries that shard
-reads; HEARTBEATs go to every shard holding the source's items; the
-shards' DAB_UPDATE replies (bounds, probes) flow back through the same
-streams.
+``SourceAgent`` is.  The REFRESH frames of one read, each run of one
+source's frames joined into one column, are split into one sub-frame
+per (shard, source) link, holding the entries that shard reads;
+HEARTBEATs go to every shard holding the source's items; the shards'
+DAB_UPDATE replies (bounds, probes) flow back through the same streams.
 
 **DAB min-merge.**  Each shard programs primary DABs for *its* view of
 an item.  The router takes the min bound across shards — the only
@@ -670,11 +670,14 @@ class ClusterCoordinator(FrontEnd):
 
     async def _on_refresh(self, peer: Peer,
                           frames: List[Dict[str, Any]]) -> None:
-        """Route each REFRESH frame of the batch in order, raising the
-        floors of its entries as a column; the in-process links queue
-        what they are sent, so each shard takes its share as one batch."""
+        """Route the read's REFRESH frames in order, each run of one
+        source's frames joined into one column
+        (:func:`protocol.merge_refreshes`): raise the column's floors,
+        buffer its frozen items' entries, drop its unroutable ones and
+        route the rest once, so a shard link takes one sub-frame per
+        run, not one per frame."""
         frozen, item_shards = self._frozen_items, self._item_shards
-        for frame in frames:
+        for frame, stamps in protocol.merge_refreshes(frames):
             self._floors.raise_floors(frame["items"], frame["seqs"])
             routable: List[int] = []
             for index, item in enumerate(frame["items"]):
@@ -683,9 +686,9 @@ class ClusterCoordinator(FrontEnd):
                     # the old nor the new owner may apply this value until
                     # the hand-off commits (two owners could accept
                     # diverging seq floors).  Flushed under the new map at
-                    # cutover, entry by entry.
+                    # cutover.
                     frozen[item].append(
-                        protocol.refresh_entries(frame, [index]))
+                        protocol.refresh_entries(frame, [index], stamps))
                     self.stats["refreshes_frozen"] += 1
                 elif item not in item_shards:
                     self.stats["refreshes_unroutable"] += 1
@@ -694,15 +697,17 @@ class ClusterCoordinator(FrontEnd):
                     routable.append(index)
                 self.stats["refreshes_accepted"] += 1
             if routable:
-                self._route_refresh(frame, routable)
+                self._route_refresh(frame, stamps, routable)
 
     def _route_refresh(self, frame: Dict[str, Any],
+                       stamps: Optional[Sequence[Optional[float]]],
                        entries: Optional[Sequence[int]] = None) -> None:
         """Send ``frame``'s ``entries`` (all of them by default) on to
         every shard that reads their items: one sub-frame per (shard,
-        source) link, in entry order.  Every link is in-process with an
-        unbounded inbox, so a send never waits and nothing here yields to
-        the loop."""
+        source) link, in entry order, stamped by ``stamps`` (see
+        :func:`protocol.merge_refreshes`).  Every link is in-process with
+        an unbounded inbox, so a send never waits and nothing here yields
+        to the loop."""
         items = frame["items"]
         if entries is None:
             entries = range(len(items))
@@ -723,7 +728,7 @@ class ClusterCoordinator(FrontEnd):
             # shards fence stale routes; before it (epoch 0) frames go
             # on verbatim, byte-identical to the non-resharding cluster.
             sub = (frame if len(picked) == len(items)
-                   else protocol.refresh_entries(frame, picked))
+                   else protocol.refresh_entries(frame, picked, stamps))
             if self.map_epoch:
                 sub = dict(sub, map_epoch=self.map_epoch)
             try:
@@ -749,12 +754,13 @@ class ClusterCoordinator(FrontEnd):
         self._frozen_items.setdefault(item, [])
 
     async def unfreeze_item(self, item: str) -> int:
-        """Stop buffering and flush: every buffered refresh is routed
-        under the *current* (post-cutover) map and epoch.  Returns the
-        number of flushed refreshes."""
+        """Stop buffering and flush: the buffered refreshes are routed
+        under the *current* (post-cutover) map and epoch, joined as a
+        read's are (:meth:`_on_refresh`).  Returns the number of flushed
+        refreshes."""
         buffered = self._frozen_items.pop(item, [])
-        for frame in buffered:
-            self._route_refresh(frame)
+        for frame, stamps in protocol.merge_refreshes(buffered):
+            self._route_refresh(frame, stamps)
         return len(buffered)
 
     def set_migration_degraded(self, bounds: Mapping[str, float]) -> None:

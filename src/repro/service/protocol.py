@@ -53,9 +53,9 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence)
+                    Sequence, Tuple)
 
 import orjson
 
@@ -542,14 +542,63 @@ def refresh(source_id: int, items: Sequence[str], values: Sequence[float],
                     else None)
 
 
-def refresh_entries(frame: Mapping[str, Any],
-                    picked: Sequence[int]) -> Dict[str, Any]:
+def refresh_entries(frame: Mapping[str, Any], picked: Sequence[int],
+                    stamps: Optional[Sequence[Optional[float]]] = None,
+                    ) -> Dict[str, Any]:
     """A copy of REFRESH ``frame`` holding only the entries at ``picked``,
-    in that order; its other fields as they are."""
+    in that order; its other fields as they are, but for ``sent_at``
+    when ``stamps`` gives each entry's own (:func:`merge_refreshes`):
+    then it is the earliest of the picked entries', or absent if none
+    has one."""
     items, values, seqs = frame["items"], frame["values"], frame["seqs"]
-    return dict(frame, items=[items[i] for i in picked],
-                values=[values[i] for i in picked],
-                seqs=[seqs[i] for i in picked])
+    sub = dict(frame, items=[items[i] for i in picked],
+               values=[values[i] for i in picked],
+               seqs=[seqs[i] for i in picked])
+    if stamps is not None:
+        sub.pop("sent_at", None)
+        kept = [stamps[i] for i in picked if stamps[i] is not None]
+        if kept:
+            sub["sent_at"] = min(kept)
+    return sub
+
+
+def _run_key(frame: Mapping[str, Any]) -> Tuple[Any, Any, Any]:
+    return frame["source_id"], frame.get("resync"), frame.get("map_epoch")
+
+
+def merge_refreshes(frames: Sequence[Dict[str, Any]],
+                    ) -> List[Tuple[Dict[str, Any],
+                                    Optional[List[Optional[float]]]]]:
+    """REFRESH ``frames`` with each run of consecutive frames that agree
+    on ``source_id``, ``resync`` and ``map_epoch`` joined into one frame,
+    in order: its columns are the run's, concatenated; its ``sent_at``
+    the earliest the run carries (absent if no frame does); its other
+    fields the run's first frame's.  Each comes with its entries' own
+    ``sent_at`` stamps, for :func:`refresh_entries` to stamp a pick by —
+    ``None`` for a run of one frame, which is that frame itself."""
+    if len(frames) == 1:            # every open-loop read: no grouping
+        return [(frames[0], None)]
+    merged: List[Tuple[Dict[str, Any], Optional[List[Optional[float]]]]] = []
+    for _, group in groupby(frames, key=_run_key):
+        run = list(group)
+        if len(run) == 1:
+            merged.append((run[0], None))
+            continue
+        items: List[str] = []
+        values: List[float] = []
+        seqs: List[int] = []
+        stamps: List[Optional[float]] = []
+        for frame in run:
+            items += frame["items"]
+            values += frame["values"]
+            seqs += frame["seqs"]
+            stamps += [frame.get("sent_at")] * len(frame["items"])
+        joined = dict(run[0], items=items, values=values, seqs=seqs)
+        sent = [frame["sent_at"] for frame in run if "sent_at" in frame]
+        if sent:
+            joined["sent_at"] = min(sent)
+        merged.append((joined, stamps))
+    return merged
 
 
 def dab_update(source_id: int, bounds: Mapping[str, float],
