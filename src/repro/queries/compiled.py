@@ -36,15 +36,17 @@ design:
   chain by definition.
 
 :class:`CompiledQueryBank` adds a fourth rule on top of the three: it
-*keeps* its term products between evaluations and re-multiplies only the
-terms that read a written item, so it is exact only while every write to
-the power vector goes through it (``write`` marks, every read flushes).
+*keeps* its term products between evaluations and, at each read,
+re-multiplies either every cell or only the terms that read a written
+item, so it is exact only while every write to the power vector goes
+through it (``write`` marks, every read flushes).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -183,23 +185,61 @@ class CompiledPolynomial:
         return totals
 
 
+#: The read-kernel cost rule (DESIGN.md §13.4 has the grid it was fitted
+#: to): the whole kernel costs a few calls plus one unit per live cell,
+#: the delta kernel more calls plus about three and a half units per
+#: dirty cell, so the whole table is re-multiplied while
+#: ``live <= WHOLE_READ_CELLS + WHOLE_READ_RATIO * dirty``.
+WHOLE_READ_CELLS = 1500
+WHOLE_READ_RATIO = 3.5
+
+
+def whole_read(live_cells: int, dirty_cells: Callable[[], int]) -> bool:
+    """The cost rule a bank read runs: re-multiply the whole table
+    (``True``) or only the written items' cells.
+
+    ``live_cells`` is what the whole kernel multiplies (live queries times
+    the table's width); ``dirty_cells()`` is what the delta kernel
+    would, and is called only when ``live_cells`` alone leaves the choice
+    open — counting reads the items' index entries, which only the delta
+    kernel needs.  A pure function of its inputs, so a test forces either
+    kernel by patching it."""
+    return (live_cells <= WHOLE_READ_CELLS
+            or live_cells <= WHOLE_READ_CELLS
+            + WHOLE_READ_RATIO * dirty_cells())
+
+
 class CompiledQueryBank:
     """The flat evaluator: every query's term products, kept.
 
-    A refresh moves one item, and a hub item sits in one of a query's six
-    or seven terms; re-multiplying every term of every query that reads
-    it does six times the work the refresh caused.  The bank therefore
-    *materialises* the first-order views — the per-term products — in a
-    persistent ``(query, 1 + term position)`` table and lets a write
-    touch only the cells that read the written item (the DBToaster
-    discipline, PAPERS.md):
+    A server reacts once per event-loop turn, to every refresh that turn
+    delivered (DESIGN.md §8.5), so one read of the bank follows writes to
+    a whole batch of items.  The bank *materialises* the first-order
+    views — the per-term products — in a persistent ``(query, term
+    position)`` table and brings it up to date, at each read, with one of
+    two kernels a cost rule (:func:`whole_read`) picks per read:
 
-    * **The table.**  Cell ``[q, 1 + k]`` holds the product of query
-      ``q``'s ``k``-th term, computed by the same left-to-right
-      ``multiply.reduce`` over ``[weight, power, power, ..., 1.0, ...]``
-      as :meth:`CompiledPolynomial.evaluate_vector`, so it is bitwise
-      that term's scalar product.  Column 0 and every cell past a query's
-      last term hold ``+0.0`` forever.  The gather slots and weights
+    * **whole** — re-multiply every live cell, one ``take`` per factor
+      column (:meth:`_multiply_table`).  On the hundreds of cells a
+      server's bank holds this costs less than the per-item bookkeeping
+      of the delta once two items are written, and about as much for
+      one;
+    * **delta** — re-multiply only the cells of the terms that read a
+      written item, through the item index (the DBToaster discipline,
+      PAPERS.md).  It wins on a large bank whose batch touches a small
+      share of the cells (DESIGN.md §13.4).
+
+    The parts:
+
+    * **The table.**  Cell ``[q, k]`` holds the product of query
+      ``q``'s ``k``-th term, computed left to right over ``[weight,
+      power, power, ..., 1.0, ...]`` like the ``multiply.reduce`` of
+      :meth:`CompiledPolynomial.evaluate_vector`, so it is bitwise that
+      term's scalar product whichever kernel wrote it.  Every cell past
+      a query's last term holds ``+0.0`` forever, and the table is one
+      column wider than the deepest query, so every row ends in such a
+      pad cell.  The live rows are one contiguous block the whole kernel
+      multiplies into in place.  The gather slots and weights
       behind the cells are stacked in the same ``(query, position)``
       layout, padded with the sentinel slot and weight ``0.0``.
     * **The item index.**  ``item -> (gather slots, factor buffer, table
@@ -207,24 +247,26 @@ class CompiledQueryBank:
       item, derived from the gather slots on the item's first use and
       again after a membership edit that touched it.  Readers are kept in
       registration order, which is the order
-      ``CoordinatorCore.item_index`` lists them in and notifications are
-      raised in.
+      ``CoordinatorCore.item_index`` lists them in and a one-item
+      reaction raises notifications in.
     * **Writes mark, reads flush.**  A materialised product is valid only
       while the bank sees every write to the power vector it was
       multiplied from: :meth:`write` is the one way to move an item, and
       it only *marks* the item; every read — :meth:`values_vector` for
-      some queries or for the whole bank — first re-multiplies the cells
-      of the marked items.  A read from a different vector object recomputes
-      the whole table unless the vector is a grown copy of the last one
-      (new slots appended, old ones unchanged — what registering a query
-      with a new ``(item, exponent)`` pair produces).
+      some queries or for the whole bank — first multiplies in the marked
+      items, with the kernel the cost rule picks.  A read from a
+      different vector object recomputes the whole table unless the
+      vector is a grown copy of the last one (new slots appended, old
+      ones unchanged — what registering a query with a new ``(item,
+      exponent)`` pair produces).
     * **Sums.**  A query's value is the strictly sequential row sum
-      ``np.add.accumulate(row)[-1]``: from the zero column it runs the
-      scalar chain ``((0.0 + p0) + p1) ...`` (so a ``-0.0`` first product
-      still sums to ``+0.0``), and the trailing pad cells add ``+0.0`` —
-      a bitwise no-op, since a running IEEE sum that starts at ``+0.0``
-      can never become ``-0.0``.  Never ``np.sum``/``np.add.reduce``:
-      pairwise from 8 addends.
+      ``np.add.accumulate(row)[-1]``, bitwise the scalar chain
+      ``((0.0 + p0) + p1) ...``: the two chains differ only while every
+      addend so far is ``-0.0`` (``-0.0`` against ``+0.0``), and the
+      row's trailing pad cells add ``+0.0``, which maps that ``-0.0`` to
+      ``+0.0`` and is a no-op on any other sum (a running IEEE sum that
+      starts at ``+0.0`` can never become ``-0.0``).  Never
+      ``np.sum``/``np.add.reduce``: pairwise from 8 addends.
     * **Membership.**  :meth:`add_query` fills the next row (growing the
       arrays by doubling, and by a column for a query with more terms
       than any before); :meth:`remove_query` moves the last query's row
@@ -244,7 +286,7 @@ class CompiledQueryBank:
         self._position: Dict[CompiledPolynomial, int] = {}
         self._gather = np.zeros((0, 0, 0), dtype=np.intp)
         self._weights = np.zeros((0, 0))
-        self._matrix = np.zeros((0, 1))
+        self._matrix = np.zeros((0, 0))
         #: item -> the members reading it, in registration order (a dict
         #: for its O(1) removal).
         self._readers: Dict[str, Dict[CompiledPolynomial, None]] = {}
@@ -267,17 +309,18 @@ class CompiledQueryBank:
 
     def _reserve(self, size: int, depth: int, width: int) -> None:
         """Room for ``size`` queries of ``depth`` terms of ``width``
-        factors; fresh cells are padding (sentinel slot, ``0.0``)."""
+        factors, and a pad column past the deepest; fresh cells are
+        padding (sentinel slot, ``0.0``)."""
         capacity, deep, wide = self._gather.shape
-        if size <= capacity and depth <= deep and width <= wide:
+        if size <= capacity and depth < deep and width <= wide:
             return
         if size > capacity:
             capacity = max(size, 2 * capacity)
-        deep, wide = max(deep, depth), max(wide, width)
+        deep, wide = max(deep, depth + 1), max(wide, width)
         live = len(self._members)
         for attr, shape in (("_gather", (capacity, deep, wide)),
                             ("_weights", (capacity, deep)),
-                            ("_matrix", (capacity, deep + 1))):
+                            ("_matrix", (capacity, deep))):
             old = getattr(self, attr)
             grown = np.zeros(shape, dtype=old.dtype)
             grown[(slice(live),) + tuple(slice(n) for n in old.shape[1:])] = \
@@ -306,8 +349,7 @@ class CompiledQueryBank:
         cover the slots its compilation registered."""
         self._flush(pvec)
         position = self._append(one)
-        self._matrix[position, 1:1 + len(one.query.terms)] = \
-            one.products(pvec)
+        self._matrix[position, :len(one.query.terms)] = one.products(pvec)
 
     def remove_query(self, position: int) -> None:
         """Swap-remove: the last query takes ``position``."""
@@ -353,7 +395,7 @@ class CompiledQueryBank:
             which, terms = np.nonzero(reads)
             rows = positions[which]
             gather = np.ascontiguousarray(self._gather[rows, terms].T)
-            cells = rows * self._matrix.shape[1] + terms + 1
+            cells = rows * self._matrix.shape[1] + terms
             entry = self._entries[item] = (gather, self._weights[rows, terms],
                                            cells, positions)
         return entry
@@ -374,51 +416,69 @@ class CompiledQueryBank:
         self.table.update(pvec, items, values)
         self._dirty.update(items)
 
-    def _multiply_all(self, pvec: np.ndarray) -> np.ndarray:
-        """Every cell's product, multiplied afresh: ``(query, position)``.
-        A pad cell comes out ``0.0 * 1.0 * ... = +0.0``."""
+    def _multiply_table(self, pvec: np.ndarray) -> None:
+        """The whole kernel: every live cell re-multiplied from ``pvec``,
+        in place.  One ``take`` per factor column, folded in left to
+        right — the ``((w * p1) * p2) ...`` chain ``multiply.reduce``
+        runs, so each cell is bitwise :meth:`_multiply_all`'s.  A pad
+        cell comes out ``0.0 * 1.0 * ... = +0.0``."""
         live = len(self._members)
         gather = self._gather[:live]
-        factors = np.empty(gather.shape[:2] + (gather.shape[2] + 1,))
-        factors[:, :, 0] = self._weights[:live]
-        factors[:, :, 1:] = pvec[gather]
-        return np.multiply.reduce(factors, axis=2)
+        cells = self._matrix[:live]
+        np.multiply(self._weights[:live], pvec.take(gather[:, :, 0]),
+                    out=cells)
+        for factor in range(1, gather.shape[2]):
+            cells *= pvec.take(gather[:, :, factor])
 
     def _flush(self, pvec: np.ndarray) -> None:
         """Make the table the products of ``pvec``."""
         if pvec is not self._seen:
             seen, self._seen = self._seen, pvec
             if seen is None or not np.array_equal(pvec[:seen.shape[0]], seen):
-                self._matrix[:len(self._members), 1:] = \
-                    self._multiply_all(pvec)
+                self._multiply_table(pvec)
                 self._dirty.clear()
                 return
         if self._dirty:
-            # Every marked item's cells in one multiply: the entries'
-            # columns side by side, weights in row 0 and the gathered
-            # powers below, so ``multiply.reduce(axis=0)`` runs each
-            # column's ``((w * p1) * p2) ...`` chain (a pad slot reads the
-            # sentinel's exact 1.0).  A cell two items share is computed,
-            # and put, once per item — with the same value.
-            entries = [self._entry(item) for item in self._dirty]
+            if whole_read(len(self._members) * self._weights.shape[1],
+                          self._dirty_cells):
+                self._multiply_table(pvec)
+            else:
+                self._multiply_dirty(pvec)
             self._dirty.clear()
-            gather = np.concatenate([entry[0] for entry in entries], axis=1)
-            factors = np.empty((gather.shape[0] + 1, gather.shape[1]))
-            np.concatenate([entry[1] for entry in entries], out=factors[0])
-            # ``take``/``put`` rather than fancy indexing: a third of the
-            # per-call cost.  ``clip`` only skips ``take``'s defensive
-            # copy — every slot was range-checked against this vector
-            # when the table was multiplied from it or the query was added.
-            pvec.take(gather, out=factors[1:], mode="clip")
-            self._matrix.put(np.concatenate([entry[2] for entry in entries]),
-                             np.multiply.reduce(factors, axis=0))
+
+    def _dirty_cells(self) -> int:
+        """The cells the delta kernel would multiply: each written item's,
+        counted once per item."""
+        entry, cells = self._entry, 0
+        for item in self._dirty:
+            cells += entry(item)[2].size
+        return cells
+
+    def _multiply_dirty(self, pvec: np.ndarray) -> None:
+        """The delta kernel: every written item's cells in one multiply.
+        The entries' columns side by side, weights in row 0 and the
+        gathered powers below, so ``multiply.reduce(axis=0)`` runs each
+        column's ``((w * p1) * p2) ...`` chain (a pad slot reads the
+        sentinel's exact 1.0).  A cell two items share is computed, and
+        put, once per item — with the same value."""
+        entries = [self._entry(item) for item in self._dirty]
+        gather = np.concatenate([entry[0] for entry in entries], axis=1)
+        factors = np.empty((gather.shape[0] + 1, gather.shape[1]))
+        np.concatenate([entry[1] for entry in entries], out=factors[0])
+        # ``take``/``put`` rather than fancy indexing: a third of the
+        # per-call cost.  ``clip`` only skips ``take``'s defensive copy —
+        # every slot was range-checked against this vector when the table
+        # was multiplied from it or the query was added.
+        pvec.take(gather, out=factors[1:], mode="clip")
+        self._matrix.put(np.concatenate([entry[2] for entry in entries]),
+                         np.multiply.reduce(factors, axis=0))
 
     def values_vector(self, pvec: np.ndarray,
                       positions: Optional[np.ndarray] = None) -> np.ndarray:
         """Query values at ``pvec``, bitwise ``query.evaluate``: of every
         query in bank order, or of the queries at ``positions``, in that
         order (``affected(item)``: the queries reading ``item``).
-        Multiplies only what was written since the last read."""
+        Multiplies in what was written since the last read."""
         self._flush(pvec)
         if positions is None:
             cells = self._matrix[:len(self._members)]
@@ -427,6 +487,18 @@ class CompiledQueryBank:
         return np.add.accumulate(cells, axis=1)[:, -1]
 
     # -- the stateless reference (tests compare the table against it) ------------
+
+    def _multiply_all(self, pvec: np.ndarray) -> np.ndarray:
+        """Every cell's product, multiplied afresh: ``(query, position)``.
+        One ``multiply.reduce`` over ``[weight, power, power, ...]`` per
+        cell — the definition the whole kernel's column chain is held to.
+        A pad cell comes out ``0.0 * 1.0 * ... = +0.0``."""
+        live = len(self._members)
+        gather = self._gather[:live]
+        factors = np.empty(gather.shape[:2] + (gather.shape[2] + 1,))
+        factors[:, :, 0] = self._weights[:live]
+        factors[:, :, 1:] = pvec[gather]
+        return np.multiply.reduce(factors, axis=2)
 
     def products(self, pvec: np.ndarray) -> List[List[float]]:
         """All queries' term products, multiplied afresh from ``pvec``

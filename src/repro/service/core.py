@@ -600,12 +600,13 @@ class CoordinatorCore:
         last saw it, and whether any plan was recomputed (in which case the
         adapter should ship :meth:`changed_bound_updates`).
 
-        The whole batch is judged at the cache it left: one bank read over
-        the queries reading any of its items, one notification per moved
-        query, and each query whose window may be broken checked — and
-        recomputed — once.  Every item keeps its own safe-band screen.  A
-        batch of one is the per-refresh reaction of DESIGN.md §8.5 (the
-        simulator reacts to each refresh event alone)."""
+        The whole batch is judged at the cache it left: one bank read
+        (:meth:`_notify_movers`), one notification per moved query that
+        reads one of its items, and each query whose window may be broken
+        checked — and recomputed — once.  Every item keeps its own
+        safe-band screen.  A batch of one is the per-refresh reaction of
+        DESIGN.md §8.5 (the simulator reacts to each refresh event
+        alone)."""
         if isinstance(items, str):
             raise TypeError("react_to_refresh takes a sequence of items")
         index = self.item_index
@@ -652,29 +653,40 @@ class CoordinatorCore:
         return notifications, recomputed
 
     def _notify_movers(self, items: List[str]) -> List[Tuple[str, float]]:
-        """Raise the user notifications a batch over ``items`` caused: one
-        read of the bank gives the value of every query reading one of
-        them (re-multiplying only the terms that contain a written item),
-        one masked compare the queries whose result moved beyond the QAB
-        since the user last saw it.  One item reads its readers in
-        registration order; several read the union of theirs in bank
-        order."""
-        bank = self._bank
+        """Raise the user notifications a batch over ``items`` caused: the
+        queries reading one of them whose result moved beyond the QAB
+        since the user last saw it, from one read of the bank.
+
+        One item reads its readers (``affected``), in registration order.
+        Several read every live query, in bank order: one masked compare
+        finds the movers, and only those that read an item of the batch
+        are kept — a query moved only by a write no reaction followed
+        (``adopt_item``, a replayed refresh) waits for a reaction to one
+        of its own items."""
+        bank, queries = self._bank, self.queries
         if len(items) == 1:
             idx = bank.affected(items[0])
+            sub = bank.values_vector(self._power_vector, idx)
+            moved = (np.abs(sub - self._last_user_arr.take(idx))
+                     > self._qab_arr.take(idx))
+            if not moved.any():
+                return []
+            idx, sub = idx[moved].tolist(), sub[moved]
         else:
-            union = np.zeros(len(self.queries), dtype=bool)
-            union[np.concatenate([bank.affected(item)
-                                  for item in items])] = True
-            idx = np.flatnonzero(union)
-        sub = bank.values_vector(self._power_vector, idx)
-        moved = (np.abs(sub - self._last_user_arr.take(idx))
-                 > self._qab_arr.take(idx))
-        if not moved.any():
-            return []
-        queries = self.queries
-        notifications = [(queries[position].name, value) for position, value
-                         in zip(idx[moved].tolist(), sub[moved].tolist())]
+            live = len(queries)
+            values = bank.values_vector(self._power_vector)
+            moved = np.flatnonzero(np.abs(values - self._last_user_arr[:live])
+                                   > self._qab_arr[:live])
+            if not moved.size:
+                return []
+            batch = set(items)
+            idx = [position for position in moved.tolist()
+                   if not batch.isdisjoint(queries[position].variables)]
+            if not idx:
+                return []
+            sub = values.take(idx)
+        notifications = [(queries[position].name, value)
+                         for position, value in zip(idx, sub.tolist())]
         self._set_user_values(notifications)
         self.metrics.record_user_notification(len(notifications))
         return notifications

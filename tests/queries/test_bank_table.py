@@ -1,9 +1,15 @@
 """The flat bank's term-product table as a state machine, bit for bit.
 
 :class:`~repro.queries.compiled.CompiledQueryBank` keeps every term
-product between evaluations and re-multiplies only the terms that read a
-written item.  That is exact only while the table sees every write and
-every membership edit, so this suite drives generated banks through
+product between evaluations and brings it up to date at each read with
+one of two kernels: the whole table re-multiplied, or only the terms that
+read a written item.  The delta is exact only while the table sees every
+write and every membership edit, and the whole kernel only while its
+column chain runs ``multiply.reduce``'s order.  The generated banks here
+are small, so the cost rule alone would only ever pick the whole kernel:
+every property runs once per kernel, forced by patching the rule
+(``compiled.whole_read``), and once under the rule.  This suite drives
+generated banks through
 generated op sequences — writes followed by the per-item read (a refresh),
 writes followed by *nothing* (a hand-off, a replayed value), adds (new
 items, new exponent slots, more terms than any query before), removes
@@ -11,8 +17,8 @@ items, new exponent slots, more terms than any query before), removes
 compares every value the bank returns with ``query.evaluate`` on
 ``float.hex()``: the equivalence contract of DESIGN.md §8.2, including a
 query of more than eight terms (where a pairwise sum would part from the
-sequential one) and a first term product of ``-0.0`` (where a sum that
-does not start from ``+0.0`` would).
+sequential one), terms of one to four factors, and a first term product
+of ``-0.0`` (where a sum that does not start from ``+0.0`` would).
 
 The last class replays two sweeps of the ``steady_fanout`` benchmark
 workload's filtered refresh stream through a live core and checks each
@@ -26,12 +32,14 @@ into the nightly-properties CI job).
 """
 
 import os
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.queries import PolynomialQuery, QueryTerm
+from repro.queries import PolynomialQuery, QueryTerm, compiled
 from repro.queries.compiled import (
     CompiledPolynomial,
     CompiledQueryBank,
@@ -54,7 +62,7 @@ def _terms(items, max_exponent, max_terms):
             lambda w: st.sampled_from([w, -w])),
         st.dictionaries(st.sampled_from(items),
                         st.integers(1, max_exponent),
-                        min_size=1, max_size=3))
+                        min_size=1, max_size=4))
     return st.lists(term, min_size=1, max_size=max_terms,
                     unique_by=lambda t: tuple(sorted(t[1].items())))
 
@@ -193,37 +201,59 @@ TEN_TERMS = [(0.1 * (k + 1) * (-1) ** k,
              for k in range(10)]
 
 
-class TestTableStateMachine:
-    @given(bank=INITIAL_BANKS, ops=st.lists(OPS, max_size=16),
-           all_first=st.booleans())
-    # Unpaired writes, then a membership edit, before anything is read.
-    @example(bank=[[(1.0, {"x0": 1, "x1": 1})], [(2.0, {"x1": 2})]],
+def _every_read_property(test):
+    """The state-machine property's strategies and pinned examples (each
+    kernel class runs its own copy: Hypothesis keys a test by its
+    function)."""
+    examples = [
+        # Unpaired writes, then a membership edit, before anything is read.
+        dict(bank=[[(1.0, {"x0": 1, "x1": 1})], [(2.0, {"x1": 2})]],
              ops=[("write", "x1", 7.5), ("write", "x0", 3.25),
                   ("add", [(1.5, {"x1": 1, "x5": 3})]),
                   ("write", "x5", 9.0), ("remove", "first"),
                   ("write", "x1", 0.5)],
-             all_first=True)
-    # Ten terms into a bank whose deepest query had one (a new column per
-    # term, and a sum a pairwise reduction would get wrong).
-    @example(bank=[[(1.0, {"x0": 1})]],
+             all_first=True),
+        # Ten terms into a bank whose deepest query had one (a new column
+        # per term, and a sum a pairwise reduction would get wrong).
+        dict(bank=[[(1.0, {"x0": 1})]],
              ops=[("add", TEN_TERMS), ("refresh", "x2", 17.125),
                   ("remove", "first"), ("refresh", "x0", 0.3)],
-             all_first=False)
-    # Every product of the deepest query is ``-0.0`` (no pad cell adds a
-    # ``+0.0`` behind them); its value is ``+0.0``.
-    @example(bank=[[(-2.0, {"x3": 1}), (-1.0, {"x3": 2})], [(3.0, {"x4": 1})]],
+             all_first=False),
+        # Every product of the deepest query is ``-0.0`` (only the pad
+        # column past the deepest query adds a ``+0.0`` behind them); its
+        # value is ``+0.0``.
+        dict(bank=[[(-2.0, {"x3": 1}), (-1.0, {"x3": 2})],
+                   [(3.0, {"x4": 1})]],
              ops=[("refresh", "x3", 0.0), ("write", "x3", -0.0),
                   ("read_all",)],
-             all_first=False)
-    # Several items marked at once, some sharing a term's cell: one
-    # flush multiplies all their cells together.
-    @example(bank=[[(1.0, {"x0": 1, "x1": 2}), (-0.5, {"x2": 1})],
+             all_first=False),
+        # Several items marked at once, some sharing a term's cell: one
+        # flush multiplies all their cells together.
+        dict(bank=[[(1.0, {"x0": 1, "x1": 2}), (-0.5, {"x2": 1})],
                    [(2.0, {"x1": 1, "x2": 3}), (0.25, {"x0": 2})]],
              ops=[("write", "x0", 1.5), ("write", "x1", -2.75),
                   ("write", "x2", 0.125), ("read_all",),
                   ("write", "x2", 3.0), ("write", "x0", 0.0),
                   ("read", "x1")],
-             all_first=False)
+             all_first=False),
+        # A four-factor term added to a two-factor bank: a new factor
+        # column (the gather grows in width), then a swap-remove of it.
+        dict(bank=[[(1.0, {"x0": 1, "x1": 1})], [(-0.5, {"x2": 2})]],
+             ops=[("add", [(1.25, {"x0": 2, "x1": 1, "x5": 3, "x7": 1}),
+                           (-2.0, {"x3": 1})]),
+                  ("write", "x7", -1.5), ("read_all",),
+                  ("refresh", "x5", 0.0), ("remove", "first"),
+                  ("write", "x1", 2.5), ("read", "x0")],
+             all_first=False),
+    ]
+    for kwargs in reversed(examples):
+        test = example(**kwargs)(test)
+    return given(bank=INITIAL_BANKS, ops=st.lists(OPS, max_size=16),
+                 all_first=st.booleans())(test)
+
+
+class TestTableStateMachine:
+    @_every_read_property
     def test_every_read_is_bitwise_the_scalar_value(self, bank, ops,
                                                     all_first):
         Machine(bank).run(ops, all_first)
@@ -264,6 +294,88 @@ class TestTableStateMachine:
         machine.pvec = machine.pvec.copy()
         machine.table.update(machine.pvec, ["x0"], [0.75])
         machine.check_everything(all_first=True)
+
+
+#: The read kernels, forced through the cost rule's seam.
+KERNELS = {"whole": lambda live_cells, dirty_cells: True,
+           "delta": lambda live_cells, dirty_cells: False}
+
+
+class TestWholeKernel(TestTableStateMachine):
+    """Every property above with the whole kernel forced at every read."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _kernel(self):
+        with mock.patch.object(compiled, "whole_read", KERNELS["whole"]):
+            yield
+
+    @_every_read_property
+    def test_every_read_is_bitwise_the_scalar_value(self, bank, ops,
+                                                    all_first):
+        Machine(bank).run(ops, all_first)
+
+
+class TestDeltaKernel(TestTableStateMachine):
+    """Every property above with the delta kernel forced wherever the rule
+    is asked (a foreign vector is still multiplied whole)."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _kernel(self):
+        with mock.patch.object(compiled, "whole_read", KERNELS["delta"]):
+            yield
+
+    @_every_read_property
+    def test_every_read_is_bitwise_the_scalar_value(self, bank, ops,
+                                                    all_first):
+        Machine(bank).run(ops, all_first)
+
+
+def _never():
+    raise AssertionError("dirty cells counted for a bank the rule reads "
+                         "whole on its size alone")
+
+
+class TestCostRule:
+    def test_a_small_bank_reads_whole_without_counting(self):
+        assert compiled.whole_read(compiled.WHOLE_READ_CELLS, _never)
+        assert compiled.whole_read(1, _never)
+
+    def test_a_large_bank_weighs_its_dirty_cells(self):
+        cells, ratio = compiled.WHOLE_READ_CELLS, compiled.WHOLE_READ_RATIO
+        live = cells + ratio * 1000
+        assert compiled.whole_read(live, lambda: 1000)
+        assert not compiled.whole_read(live + 1, lambda: 1000)
+        assert not compiled.whole_read(10**6, lambda: 3)
+        assert compiled.whole_read(10**6, lambda: 10**6)
+
+    def test_a_read_runs_the_kernel_the_rule_names(self):
+        """A bank past the size threshold: one rarely read item is
+        multiplied in by the delta kernel, every item by the whole one —
+        and every read stays bitwise ``query.evaluate``."""
+        rng = np.random.default_rng(3)
+        terms = [[(float(rng.uniform(0.5, 2.0)),
+                   {ITEMS[(q + k) % 7]: 1 + k % 2, ITEMS[(q * k + 1) % 7]: 1})
+                  for k in range(6)] for q in range(400)]
+        terms[0].append((0.75, {"x7": 2}))
+        machine = Machine(terms)
+        bank = machine.bank
+        assert len(bank) * bank._weights.shape[1] > compiled.WHOLE_READ_CELLS
+        machine.check_all()
+        with mock.patch.object(
+                CompiledQueryBank, "_multiply_table", autospec=True,
+                side_effect=CompiledQueryBank._multiply_table) as whole, \
+            mock.patch.object(
+                CompiledQueryBank, "_multiply_dirty", autospec=True,
+                side_effect=CompiledQueryBank._multiply_dirty) as delta:
+            machine.write("x7", 7.25)
+            machine.check_all()
+            assert (whole.call_count, delta.call_count) == (0, 1)
+            for item in ITEMS:
+                machine.write(item, float(rng.uniform(0.1, 9.0)))
+            machine.check_all()
+            assert (whole.call_count, delta.call_count) == (1, 1)
+            machine.check_everything(all_first=True)    # nothing written
+            assert (whole.call_count, delta.call_count) == (1, 1)
 
 
 class _StackedBank:
