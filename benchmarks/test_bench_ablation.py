@@ -3,7 +3,8 @@
 1. Dual-DAB collapsed to single DABs (forcing the windows to the primaries)
    — isolates the value of the secondary window.
 2. Recompute-envelope model: the paper's per-item max vs our union-bound
-   sum (see dual_dab.build_dual_dab_program).
+   sum (see ``CompiledDualDabTemplate``'s ``recompute_envelope``, and
+   ``build_dual_dab_program`` in ``tests/oracle/builders.py``).
 3. Window widening on/off — the second-pass fix for active-set degeneracy.
 4. Half-and-Half QAB split ratio (the paper fixes 0.5).
 5. Optimal Refresh's plan ladder — the Newton-KKT patch from each query's

@@ -14,8 +14,8 @@ Run:  python examples/qab_negotiation.py
 """
 
 from repro import CostModel, estimate_rates, scaled_scenario
-from repro.filters.dual_dab import build_dual_dab_program
-from repro.gp.sensitivity import analyze
+from repro.filters.compiled_gp import CompiledDualDabTemplate
+from repro.gp.sensitivity import analyze_compiled
 
 
 def main() -> None:
@@ -30,23 +30,23 @@ def main() -> None:
     elasticities = {}
     solutions = {}
     for query in scenario.queries:
-        program = build_dual_dab_program(query, values, model)
-        solution = program.solve()
-        report = analyze(program, solution)
+        template = CompiledDualDabTemplate(query, values, model)
+        solution = template.solve(values)
+        report = analyze_compiled(template.compiled, solution.values)
         nu = report.multipliers.get("qab", 0.0)
         elasticities[query.name] = nu
-        solutions[query.name] = (program, solution, report)
+        solutions[query.name] = (solution, report)
         print(f"{query.name:>12s} {solution.objective:11.4f} {nu:15.4f}")
 
     best = max(elasticities, key=elasticities.get)
-    program, solution, report = solutions[best]
+    solution, report = solutions[best]
     print(f"\nmost renegotiable bound: {best} "
           f"(multiplier {elasticities[best]:.3f})")
 
     # Verify the first-order prediction against an actual re-solve.
     query = next(q for q in scenario.queries if q.name == best)
     relaxed = query.with_qab(query.qab * 1.25, name=f"{best}_relaxed")
-    relaxed_solution = build_dual_dab_program(relaxed, values, model).solve()
+    relaxed_solution = CompiledDualDabTemplate(relaxed, values, model).solve(values)
     predicted = report.predicted_relative_change("qab", 1.25)
     actual = relaxed_solution.objective / solution.objective - 1.0
     print(f"relax {best}'s QAB by 25%:")

@@ -35,7 +35,6 @@ from repro.exceptions import (
     InvalidAssignmentError,
     InvalidQueryError,
     NotPositiveCoefficientError,
-    NotPosynomialError,
     QueryError,
     QueryParseError,
     ReproError,
@@ -43,7 +42,7 @@ from repro.exceptions import (
     SolverFailedError,
     TraceError,
 )
-from repro.gp import GeometricProgram, GPSolution, Monomial, Posynomial
+from repro.gp import GPSolution
 from repro.queries import (
     DataItem,
     ItemRegistry,
@@ -100,12 +99,12 @@ __version__ = "1.0.0"
 
 __all__ = [
     # exceptions
-    "ReproError", "GPError", "NotPosynomialError", "InfeasibleProblemError",
+    "ReproError", "GPError", "InfeasibleProblemError",
     "SolverFailedError", "QueryError", "QueryParseError", "InvalidQueryError",
     "FilterError", "NotPositiveCoefficientError", "InvalidAssignmentError",
     "SimulationError", "TraceError",
     # gp
-    "Monomial", "Posynomial", "GeometricProgram", "GPSolution",
+    "GPSolution",
     # queries
     "DataItem", "ItemRegistry", "QueryTerm", "PolynomialQuery", "parse_query",
     # filters

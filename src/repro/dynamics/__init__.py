@@ -13,7 +13,7 @@ the trace at fixed intervals and average ``|Δvalue| / Δt`` over the trace —
 every update by default, where the paper's ~10 000 s traces afford 1 minute.
 """
 
-from repro.dynamics.models import DataDynamicsModel, refresh_rate, refresh_rate_monomial
+from repro.dynamics.models import DataDynamicsModel, refresh_rate
 from repro.dynamics.traces import (
     Trace,
     TraceSet,
@@ -39,7 +39,6 @@ from repro.dynamics.correlation import (
 __all__ = [
     "DataDynamicsModel",
     "refresh_rate",
-    "refresh_rate_monomial",
     "Trace",
     "TraceSet",
     "GBMTraceGenerator",

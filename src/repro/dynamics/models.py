@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 
 from repro.exceptions import FilterError
-from repro.gp.monomial import Monomial
 
 
 class DataDynamicsModel(enum.Enum):
@@ -65,10 +64,11 @@ def refresh_rate(model: DataDynamicsModel, rate_of_change: float, dab: float) ->
 
 def refresh_rate_coefficient(model: DataDynamicsModel,
                              rate_of_change: float) -> float:
-    """Coefficient of :func:`refresh_rate_monomial`: ``λ`` for the monotonic
-    model, ``λ²`` for the random walk.  λ is floored at a tiny positive
-    value so that static items stay inside the GP's positivity requirements
-    without influencing the optimum."""
+    """Coefficient of the refresh-rate monomial ``coefficient · b^exponent``
+    of the GP objective: ``λ`` for the monotonic model, ``λ²`` for the
+    random walk.  λ is floored at a tiny positive value so that static
+    items stay inside the GP's positivity requirements without influencing
+    the optimum."""
     lam = max(float(rate_of_change), 1e-12)
     if model is DataDynamicsModel.MONOTONIC:
         return lam
@@ -78,17 +78,6 @@ def refresh_rate_coefficient(model: DataDynamicsModel,
 
 
 def refresh_rate_exponent(model: DataDynamicsModel) -> float:
-    """Exponent of the DAB in :func:`refresh_rate_monomial`: ``-1`` for the
+    """Exponent of the DAB in the refresh-rate monomial: ``-1`` for the
     monotonic model, ``-2`` for the random walk."""
     return -1.0 if model is DataDynamicsModel.MONOTONIC else -2.0
-
-
-def refresh_rate_monomial(model: DataDynamicsModel, rate_of_change: float,
-                          dab_variable: str) -> Monomial:
-    """The refresh-rate estimate as a GP monomial in the DAB variable.
-
-    ``λ / b`` for the monotonic model, ``λ² / b²`` for the random walk —
-    exactly the objective terms of the paper's two formulations.
-    """
-    return Monomial(refresh_rate_coefficient(model, rate_of_change),
-                    {dab_variable: refresh_rate_exponent(model)})

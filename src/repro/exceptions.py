@@ -17,11 +17,6 @@ class GPError(ReproError):
     """Base class for geometric-programming errors."""
 
 
-class NotPosynomialError(GPError):
-    """An expression required to be a posynomial has a non-positive
-    coefficient or is otherwise outside the posynomial cone."""
-
-
 class InfeasibleProblemError(GPError):
     """The optimisation problem has no feasible point (or the solver could
     not find one from any start)."""

@@ -9,23 +9,27 @@ from :class:`~repro.queries.compiled.CompiledDeviation` /
 ``recompute``, ``order[·]`` and ``window[·]`` rows from their one- and
 two-variable signatures — and thereafter refresh only the log-coefficient
 vectors in place before :func:`repro.gp.solver.solve_compiled` or a
-Newton-KKT patch.  No ``Monomial`` or ``Posynomial`` is constructed.
-They are the only way the planners solve; a template serves the query it
-was built for (``template.query``) and no other.
+Newton-KKT patch.  They are the only way the per-query planners solve; a
+template serves the query it was built for (``template.query``) and no
+other.  AAO's joint program and each signomial condensation round are
+priced once and solved once, so they are assembled by the same
+:func:`_assemble`, with their log-coefficients written in
+(:func:`_assemble_priced`).
 
 Bit-exactness contract
 ----------------------
-A refreshed template must hand the solver *bitwise identical* arrays to
-what the object builders of :mod:`repro.filters.dual_dab` and
-:mod:`repro.filters.optimal_refresh` produce through ``.compile()`` at the
-same values and rates — variables, constraint names, ``A``, ``starts`` and
-``log_c`` — so that a template solve *is* the solve of the paper's
-program as those builders write it down.  That means every
-function's rows in sorted-signature order (how a ``Posynomial`` keeps its
-terms), constraints in the builders' order, and a constant constraint
-dropped or reported infeasible exactly as ``compile()`` does.  The
-builders are the oracle: ``tests/filters/test_template_arrays.py`` holds
-the templates to them over generated queries.
+An assembled program must hand the solver *bitwise identical* arrays to
+what the paper's program, written down term by term with the object
+algebra kept as the test oracle (``tests/oracle/``), produces through
+``.compile()`` at the same values and rates — variables, constraint names,
+``A``, ``starts`` and ``log_c`` — so that a solve of the arrays *is* the
+solve of the paper's program.  That means every function's rows in
+sorted-signature order (how a posynomial keeps its terms), constraints in
+the builders' order, and a constant constraint dropped or reported
+infeasible exactly as ``compile()`` does.  ``tests/filters/
+test_template_arrays.py`` holds the templates, and ``tests/filters/
+test_joint_programs.py`` AAO and the signomial rounds, to the oracle over
+generated queries.
 """
 
 from __future__ import annotations
@@ -46,8 +50,10 @@ from repro.queries.deviation import primary_variable, secondary_variable
 from repro.queries.polynomial import PolynomialQuery
 
 #: One function of a program: its constraint name, its rows' signatures in
-#: sorted order and, per row, the item whose rate the row is priced by.
-_Function = Tuple[str, Sequence[Signature], Sequence[Optional[str]]]
+#: sorted order and, per row, what prices it — for a template the item
+#: whose rate the row is priced by, for :func:`_assemble_priced` the row's
+#: log-coefficient itself.
+_Function = Tuple[str, Sequence[Signature], Sequence[object]]
 
 
 def _log_rate(cost_model: CostModel, item: str) -> float:
@@ -57,12 +63,12 @@ def _log_rate(cost_model: CostModel, item: str) -> float:
                                              cost_model.rate_of(item)))
 
 
-def _priced(name: str, rows: List[Tuple[Signature, Optional[str]]]) -> _Function:
-    """A function from ``(signature, item)`` rows, sorted as a
-    ``Posynomial`` sorts its terms."""
+def _priced(name: str, rows: List[Tuple[Signature, object]]) -> _Function:
+    """A function from ``(signature, price)`` rows, sorted by signature as
+    a posynomial sorts its terms."""
     rows = sorted(rows, key=lambda row: row[0])
     return (name, [signature for signature, _ in rows],
-            [item for _, item in rows])
+            [price for _, price in rows])
 
 
 def _assemble(functions: Sequence[_Function]) -> CompiledProgram:
@@ -78,6 +84,15 @@ def _assemble(functions: Sequence[_Function]) -> CompiledProgram:
     return CompiledProgram(
         variables=order, objective=compiled[0], constraints=compiled[1:],
         constraint_names=[name for name, _, _ in functions[1:]])
+
+
+def _assemble_priced(functions: Sequence[_Function]) -> CompiledProgram:
+    """:func:`_assemble` of functions priced by their rows'
+    log-coefficients, written in."""
+    compiled = _assemble(functions)
+    compiled.log_c[:] = [log_c for _, _, row_log_c in functions
+                         for log_c in row_log_c]
+    return compiled
 
 
 def _priced_functions(compiled: CompiledProgram, priced_by):

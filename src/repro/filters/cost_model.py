@@ -12,13 +12,10 @@ Bundles the three inputs every formulation needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Union
 
 from repro.exceptions import FilterError
-from repro.gp.monomial import Monomial
-from repro.gp.posynomial import Posynomial
-from repro.dynamics.models import DataDynamicsModel, refresh_rate, refresh_rate_monomial
-from repro.queries.deviation import primary_variable, secondary_variable
+from repro.dynamics.models import DataDynamicsModel, refresh_rate
 
 #: λ for items the estimator knows nothing about.
 DEFAULT_RATE = 1.0
@@ -69,24 +66,6 @@ class CostModel:
         # Zero-rate items would make the GP objective ignore their DABs and
         # drive bounds to infinity; floor keeps them harmless but present.
         return max(rate, 1e-9)
-
-    # -- GP building blocks --------------------------------------------------------
-
-    def refresh_objective(self, items: Sequence[str]) -> Posynomial:
-        """``sum_i λ_i / b_i`` (monotonic) or ``sum_i λ_i² / b_i²`` (random
-        walk) over the given items — the refresh part of every objective."""
-        if not items:
-            raise FilterError("refresh objective needs at least one item")
-        return Posynomial([
-            refresh_rate_monomial(self.ddm, self.rate_of(name), primary_variable(name))
-            for name in items
-        ])
-
-    def recompute_rate_monomial(self, item: str) -> Monomial:
-        """The per-item contribution to the recomputation rate ``R``:
-        ``λ_i / c_i`` (monotonic) or ``λ_i² / c_i²`` (random walk);
-        the GP constrains each to be ``<= R``."""
-        return refresh_rate_monomial(self.ddm, self.rate_of(item), secondary_variable(item))
 
     # -- numeric estimates -----------------------------------------------------------
 

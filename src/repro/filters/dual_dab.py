@@ -26,7 +26,8 @@ optimum.  A patch is accepted only under ``newton_patch``'s KKT checks and
 the paper's QAB-over-window invariant
 (:meth:`DABAssignment.guarantees_qab_over_window`).  The program is convex
 in log space, so an accepted patch is the optimum the solve would find, to
-tolerance.  The object builders below are the test oracle for all three.
+tolerance.  The program written down term by term with the object algebra
+(``tests/oracle/builders.py``) is the test oracle for all three.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from repro.exceptions import FilterError, GPError
-from repro.gp.monomial import Monomial
-from repro.gp.posynomial import Posynomial, substitute
-from repro.gp.program import GeometricProgram
 from repro.gp.solver import _Y_BOUND
 from repro.filters.assignment import DABAssignment
 from repro.filters.cost_model import CostModel
@@ -51,11 +49,7 @@ from repro.filters.delta_recompute import (
     newton_patch,
 )
 from repro.filters.optimal_refresh import _built_for, _forget_name, _require_ppq
-from repro.queries.deviation import (
-    dual_dab_condition,
-    primary_variable,
-    secondary_variable,
-)
+from repro.queries.deviation import primary_variable, secondary_variable
 from repro.queries.polynomial import PolynomialQuery
 
 #: GP variable holding the recomputation rate R.
@@ -66,89 +60,6 @@ _ANCHOR_WINDOW_RATIO = 4.0
 
 #: Most bisection steps spent scaling the linear anchor onto ``qab``.
 _ANCHOR_BISECTIONS = 14
-
-
-def build_dual_dab_program(
-    query: PolynomialQuery,
-    values: Mapping[str, float],
-    cost_model: CostModel,
-    rate_variable: str = RECOMPUTE_RATE_VARIABLE,
-    constrain_window: bool = True,
-    recompute_envelope: str = "sum",
-) -> GeometricProgram:
-    """Construct the dual-DAB GP for one PPQ — the test oracle the
-    array-built :class:`~repro.filters.compiled_gp.CompiledDualDabTemplate`
-    is held to.
-
-    ``recompute_envelope`` selects how the recomputation rate ``R`` bounds
-    the per-item window-crossing rates:
-
-    * ``"max"`` — the paper's formulation, ``λ_i / c_i <= R`` per item
-      (exact for deterministic monotonic drift, where the first window
-      crossing is the fastest item's);
-    * ``"sum"`` — the union bound ``Σ_i λ_i / c_i <= R`` (each item's
-      crossings can independently trigger a recomputation, the behaviour
-      real fluctuating traces show).  Both are posynomial-representable;
-      "sum" prices window width into the b/c budget split correctly under
-      trace-driven data and is the default.
-    """
-    if recompute_envelope not in ("max", "sum"):
-        raise ValueError(f"recompute_envelope must be 'max' or 'sum', "
-                         f"got {recompute_envelope!r}")
-    items = query.variables
-    rate_var = Monomial.variable(rate_variable)
-
-    objective = (
-        cost_model.refresh_objective(items)
-        + Monomial(max(cost_model.recompute_cost, 1e-9), {rate_variable: 1.0})
-    )
-    program = GeometricProgram(objective=objective)
-    program.add_constraint(
-        dual_dab_condition(query.terms, values, query.qab), 1.0, name="qab")
-    if recompute_envelope == "sum":
-        program.add_constraint(
-            Posynomial([cost_model.recompute_rate_monomial(name) for name in items])
-            / rate_var,
-            1.0, name="recompute",
-        )
-    for name in items:
-        b = Monomial.variable(primary_variable(name))
-        c = Monomial.variable(secondary_variable(name))
-        program.add_constraint(b / c, 1.0, name=f"order[{name}]")
-        if recompute_envelope == "max":
-            program.add_constraint(cost_model.recompute_rate_monomial(name) / rate_var,
-                                   1.0, name=f"recompute[{name}]")
-        if constrain_window:
-            # Keep the lower window edge V - c non-negative so that the
-            # implied Eq. 3 (downward drift) stays meaningful on positive data.
-            program.add_constraint(c / float(values[name]), 1.0, name=f"window[{name}]")
-    return program
-
-
-def build_widen_program(
-    query: PolynomialQuery,
-    values: Mapping[str, float],
-    primary: Mapping[str, float],
-    cost_model: CostModel,
-    constrain_window: bool = True,
-) -> GeometricProgram:
-    """Construct the second-pass widening GP (see :class:`DualDABPlanner`)
-    — the test oracle of the compiled widening template."""
-    items = query.variables
-    fixed = {primary_variable(name): float(primary[name]) for name in items}
-    objective = Posynomial([
-        Monomial(max(cost_model.rate_of(name), 1e-12), {secondary_variable(name): -1.0})
-        for name in items
-    ])
-    program = GeometricProgram(objective=objective)
-    condition = dual_dab_condition(query.terms, values, query.qab)
-    program.add_constraint(substitute(condition, fixed), 1.0, name="qab")
-    for name in items:
-        c = Monomial.variable(secondary_variable(name))
-        program.add_constraint(float(primary[name]) / c, 1.0, name=f"order[{name}]")
-        if constrain_window:
-            program.add_constraint(c / float(values[name]), 1.0, name=f"window[{name}]")
-    return program
 
 
 def linear_anchor(template) -> Dict[str, float]:

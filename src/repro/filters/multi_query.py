@@ -21,34 +21,26 @@ by the simulator's recompute policy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
+from repro.dynamics.models import refresh_rate_exponent
 from repro.exceptions import FilterError, NotPositiveCoefficientError
-from repro.gp.monomial import Monomial
-from repro.gp.posynomial import Posynomial
-from repro.gp.program import GeometricProgram
 from repro.filters.assignment import DABAssignment, MultiQueryAssignment
-from repro.filters.compiled_gp import CompiledDualDabTemplate
+from repro.filters.compiled_gp import (
+    CompiledDualDabTemplate,
+    _assemble_priced,
+    _log_rate,
+    _priced,
+)
 from repro.filters.cost_model import CostModel
 from repro.filters.heuristics import DifferentSumPlanner
-from repro.queries.deviation import (
-    dual_dab_condition,
-    primary_variable,
-    secondary_variable,
-)
+from repro.gp.program import CompiledProgram
+from repro.gp.solver import solve_compiled
+from repro.queries.compiled import CompiledDeviation
+from repro.queries.deviation import primary_variable, secondary_variable
 from repro.queries.polynomial import PolynomialQuery
-
-
-def rename_posynomial(posynomial: Posynomial, mapping: Mapping[str, str]) -> Posynomial:
-    """Rebuild a posynomial with variables renamed through ``mapping``
-    (identity for unmapped names).  Used by AAO to give each query its own
-    copy of the secondary-DAB variables."""
-    renamed = []
-    for term in posynomial.terms:
-        exponents = {mapping.get(name, name): exp for name, exp in term.exponents.items()}
-        renamed.append(Monomial(term.coefficient, exponents))
-    return Posynomial(renamed)
 
 
 class EQIPlanner:
@@ -95,18 +87,21 @@ class AAOPlanner:
 
     The objective is the total message rate:
     ``sum_i λ_i/b_i + μ · sum_q R_q`` — refreshes counted once against the
-    shared primaries, recomputations per query.
+    shared primaries, recomputations per query.  Per query ``q`` the
+    program has its dual-DAB condition over the shared ``b`` and its own
+    secondaries ``c__q{k}__<item>``, and per item ``order`` (``b <= c``),
+    ``recompute`` (``λ/c <= R_q``) and ``window`` (``c <= V``) rows.
     """
 
-    def __init__(self, cost_model: CostModel, constrain_window: bool = True,
-                 widen_windows: bool = True):
+    def __init__(self, cost_model: CostModel):
         self.cost_model = cost_model
-        self.constrain_window = constrain_window
-        self.widen_windows = widen_windows
         self._warm_start: Optional[Dict[str, float]] = None
 
     def build_program(self, queries: Sequence[PolynomialQuery],
-                      values: Mapping[str, float]) -> GeometricProgram:
+                      values: Mapping[str, float]) -> CompiledProgram:
+        """The joint program, assembled from arrays: each query's
+        :class:`CompiledDeviation` rows with its secondaries renamed, and
+        the one- and two-variable rows around them."""
         if not queries:
             raise FilterError("AAO needs at least one query")
         for query in queries:
@@ -115,65 +110,63 @@ class AAOPlanner:
                     f"AAO is formulated for PPQs; {query.name} has negative terms. "
                     "Mirror it first (positive_mirror) or use EQI with a heuristic."
                 )
+        cost_model = self.cost_model
+        power = refresh_rate_exponent(cost_model.ddm)
         all_items = sorted({name for q in queries for name in q.variables})
-
-        objective: Posynomial = self.cost_model.refresh_objective(all_items)
-        mu = max(self.cost_model.recompute_cost, 1e-9)
-        for index in range(len(queries)):
-            objective = objective + Monomial(mu, {_aao_rate(index): 1.0})
-
-        program = GeometricProgram(objective=objective)
+        log_rate = {item: _log_rate(cost_model, item) for item in all_items}
+        log_mu = math.log(max(cost_model.recompute_cost, 1e-9))
+        functions = [_priced("objective", [
+            (((primary_variable(item), power),), log_rate[item])
+            for item in all_items] + [
+            (((_aao_rate(index), 1.0),), log_mu)
+            for index in range(len(queries))])]
         for index, query in enumerate(queries):
-            mapping = {
-                secondary_variable(name): _aao_secondary(index, name)
-                for name in query.variables
-            }
-            condition = rename_posynomial(
-                dual_dab_condition(query.terms, values, query.qab), mapping
-            )
-            program.add_constraint(condition, 1.0, name=f"qab[{query.name}]")
-            rate_var = Monomial.variable(_aao_rate(index))
+            rename = {secondary_variable(name): _aao_secondary(index, name)
+                      for name in query.variables}
+            deviation = CompiledDeviation(query.terms, include_secondary=True)
+            functions.append(_priced(f"qab[{query.name}]", [
+                (tuple(sorted((rename.get(name, name), exponent)
+                              for name, exponent in signature)), log_c)
+                for signature, log_c in zip(
+                    deviation.signatures,
+                    deviation.log_coefficients(values, qab=query.qab))]))
+            rate = _aao_rate(index)
             for name in query.variables:
-                b = Monomial.variable(primary_variable(name))
-                c = Monomial.variable(_aao_secondary(index, name))
-                program.add_constraint(b / c, 1.0, name=f"order[{query.name}:{name}]")
-                recompute = rename_posynomial(
-                    Posynomial([self.cost_model.recompute_rate_monomial(name)]), mapping
-                ).as_monomial()
-                program.add_constraint(recompute / rate_var, 1.0,
-                                       name=f"recompute[{query.name}:{name}]")
-                if self.constrain_window:
-                    program.add_constraint(c / float(values[name]), 1.0,
-                                           name=f"window[{query.name}:{name}]")
-        return program
+                b, c = primary_variable(name), _aao_secondary(index, name)
+                label = f"{query.name}:{name}"
+                functions.append((f"order[{label}]", [((b, 1.0), (c, -1.0))],
+                                  [0.0]))
+                functions.append((f"recompute[{label}]",
+                                  [((rate, -1.0), (c, power))],
+                                  [log_rate[name]]))
+                functions.append((f"window[{label}]", [((c, 1.0),)],
+                                  [math.log(1.0 / float(values[name]))]))
+        return _assemble_priced(functions)
 
     def plan_all(self, queries: Sequence[PolynomialQuery],
                  values: Mapping[str, float]) -> MultiQueryAssignment:
-        program = self.build_program(queries, values)
-        solution = program.solve(initial=self._warm_start)
+        solution = solve_compiled(self.build_program(queries, values),
+                                  initial=self._warm_start)
         self._warm_start = dict(solution.values)
 
         per_query: Dict[str, DABAssignment] = {}
         for index, query in enumerate(queries):
             items = query.variables
             primary = {name: solution.values[primary_variable(name)] for name in items}
-            secondary = {name: solution.values[_aao_secondary(index, name)] for name in items}
-            for name in items:
-                if secondary[name] < primary[name]:
-                    secondary[name] = primary[name]
-            if self.widen_windows:
-                secondary = CompiledDualDabTemplate(
-                    query, values, self.cost_model,
-                    constrain_window=self.constrain_window,
-                ).widen(values, primary)
             per_query[query.name] = DABAssignment(
                 primary=primary,
-                secondary=secondary,
+                secondary=CompiledDualDabTemplate(
+                    query, values, self.cost_model).widen(values, primary),
                 reference_values={name: float(values[name]) for name in items},
                 recompute_rate=solution.values[_aao_rate(index)],
                 objective=solution.objective,
             )
         return MultiQueryAssignment.from_assignments(per_query)
+
+    def clear_warm_starts(self) -> None:
+        """Fault resync: drop the last joint optimum, so the next joint
+        solve starts cold rather than near the pre-crash values."""
+        self._warm_start = None
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,9 @@ import time as _time
 from typing import Dict, Mapping, Optional
 
 from repro.exceptions import NotPositiveCoefficientError
-from repro.gp.program import GeometricProgram
 from repro.filters.assignment import DABAssignment
 from repro.filters.cost_model import CostModel
-from repro.queries.deviation import deviation_posynomial, primary_variable
+from repro.queries.deviation import primary_variable
 from repro.queries.polynomial import PolynomialQuery
 
 
@@ -51,20 +50,6 @@ def _built_for(table: Dict[str, object], query: PolynomialQuery):
     on its own program, never on the one compiled for its predecessor."""
     entry = table.get(query.name)
     return entry if entry is not None and entry.query == query else None
-
-
-def build_optimal_refresh_program(
-    query: PolynomialQuery,
-    values: Mapping[str, float],
-    cost_model: CostModel,
-) -> GeometricProgram:
-    """Construct the Optimal-Refresh GP for one PPQ — the test oracle the
-    array-built :class:`~repro.filters.compiled_gp.CompiledOptimalRefreshTemplate`
-    is held to."""
-    program = GeometricProgram(objective=cost_model.refresh_objective(query.variables))
-    condition = deviation_posynomial(query.terms, values, include_secondary=False)
-    program.add_constraint(condition / query.qab, 1.0, name="qab")
-    return program
 
 
 class OptimalRefreshPlanner:

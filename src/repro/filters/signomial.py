@@ -21,6 +21,12 @@ Seeding with the Different-Sum solution (feasible for Eq. 4 by the paper's
 Claim 1) therefore yields a plan that is never worse than DS and often
 strictly better — it reclaims the slack DS gives up by ignoring that the
 negative half's movement partially *offsets* the positive half's.
+
+Each round's program is assembled from rows, like every other planner's:
+the condition rows of :func:`~repro.queries.signed.mixed_dual_condition`,
+condensed (:func:`condense`) and divided (:func:`divide`) in the scalar
+order of the posynomial algebra, so every round hands the solver bitwise
+what the test oracle's object-built round compiles to (DESIGN §8.2).
 """
 
 from __future__ import annotations
@@ -29,43 +35,91 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.exceptions import FilterError, SolverFailedError, InfeasibleProblemError
-from repro.gp.monomial import Monomial
-from repro.gp.posynomial import Posynomial
-from repro.gp.program import GeometricProgram
+from repro.dynamics.models import refresh_rate_exponent
+from repro.exceptions import (
+    FilterError,
+    InfeasibleProblemError,
+    InvalidQueryError,
+    SolverFailedError,
+)
 from repro.filters.assignment import DABAssignment
+from repro.filters.compiled_gp import _assemble_priced, _log_rate, _priced
 from repro.filters.cost_model import CostModel
 from repro.filters.dual_dab import RECOMPUTE_RATE_VARIABLE, DualDABPlanner
 from repro.filters.heuristics import DifferentSumPlanner
+from repro.gp.program import CompiledProgram
+from repro.gp.solver import solve_compiled
+from repro.queries.compiled import Signature, _normalise_exponents
 from repro.queries.deviation import primary_variable, secondary_variable
 from repro.queries.polynomial import PolynomialQuery
-from repro.queries.signed import mixed_dual_condition, mixed_worst_deviation
+from repro.queries.signed import (
+    Rows,
+    mixed_dual_condition,
+    mixed_worst_deviation,
+    row_values,
+)
+
+#: Condensation rounds at most per plan.
+MAX_ROUNDS = 8
+
+#: A round that lowers the objective by no more than this fraction of it
+#: ends the iteration (converged).
+RELATIVE_TOLERANCE = 1e-4
 
 
-def condense_to_monomial(posynomial: Posynomial,
-                         point: Mapping[str, float]) -> Monomial:
-    """The AM-GM monomial under-estimator of a posynomial at a point.
+def condense(rows: Rows, point: Mapping[str, float]) -> Tuple[float, Signature]:
+    """The AM-GM monomial under-estimator of a posynomial at a point, as
+    ``(coefficient, signature)``.
 
     With weights ``δ_i = term_i(x0) / f(x0)``::
 
         m̃(x) = prod_i (term_i(x) / δ_i)^{δ_i}
 
     satisfies ``m̃ <= f`` everywhere (weighted AM-GM) and ``m̃(x0) = f(x0)``.
+    Terms are folded in row order and each variable's exponent summed over
+    them in that order; an exponent with ``|e| <= 1e-12`` is dropped.
     """
-    values = [term.evaluate(point) for term in posynomial.terms]
+    values = row_values(rows, point)
     total = sum(values)
     if total <= 0.0:
         raise FilterError("cannot condense a posynomial that evaluates to 0")
     coefficient = 1.0
     exponents: Dict[str, float] = {}
-    for term, value in zip(posynomial.terms, values):
+    for (signature, term_coefficient), value in zip(rows, values):
         delta = value / total
         if delta <= 1e-300:
             continue
-        coefficient *= (term.coefficient / delta) ** delta
-        for name, exp in term.exponents.items():
+        coefficient *= (term_coefficient / delta) ** delta
+        for name, exp in signature:
             exponents[name] = exponents.get(name, 0.0) + delta * exp
-    return Monomial(coefficient, exponents)
+    return coefficient, _normalise_exponents(exponents)
+
+
+def divide(rows: Rows, coefficient: float, signature: Signature) -> Rows:
+    """``rows / (coefficient · signature)``: each term times the inverse
+    monomial (``coefficient ** -1.0``, exponents negated), re-normalised,
+    like terms folded as ``0.0 + c1 + ...`` and the rows re-sorted."""
+    inverse = coefficient ** -1.0
+    negated = [(name, exp * -1.0) for name, exp in signature]
+    combined: Dict[Signature, float] = {}
+    for term_signature, term_coefficient in rows:
+        merged = dict(term_signature)
+        for name, exp in negated:
+            merged[name] = merged.get(name, 0.0) + exp
+        key = _normalise_exponents(merged)
+        combined[key] = combined.get(key, 0.0) + term_coefficient * inverse
+    return sorted(combined.items())
+
+
+def qab_rows(qab: float, pos: Rows, neg: Optional[Rows],
+             point: Mapping[str, float]) -> Rows:
+    """One direction's GP row of ``pos - neg <= qab``: ``pos / qab`` when
+    nothing cancels, else ``pos`` over the condensation of ``qab + neg``
+    at ``point``."""
+    if neg is None:
+        return [(signature, coefficient / float(qab))
+                for signature, coefficient in pos]
+    return divide(pos, *condense([((), float(qab))] + neg, point))
 
 
 @dataclass
@@ -85,54 +139,44 @@ class SignomialPlanner:
     :class:`SignomialTrace` is exposed as :attr:`last_trace`.
     """
 
-    def __init__(self, cost_model: CostModel, max_iterations: int = 8,
-                 relative_tolerance: float = 1e-4):
-        if max_iterations < 1:
-            raise FilterError(f"max_iterations must be >= 1, got {max_iterations!r}")
+    def __init__(self, cost_model: CostModel):
         self.cost_model = cost_model
-        self.max_iterations = max_iterations
-        self.relative_tolerance = relative_tolerance
         self._seed_planner = DifferentSumPlanner(cost_model)
         self._ppq_planner = DualDABPlanner(cost_model)
         self.last_trace: Optional[SignomialTrace] = None
 
     # -- GP assembly -------------------------------------------------------------
 
-    def _build_program(self, query: PolynomialQuery, values: Mapping[str, float],
-                       conditions: Mapping[str, Tuple[Posynomial, Optional[Posynomial]]],
-                       point: Mapping[str, float]) -> GeometricProgram:
+    def _program(self, query: PolynomialQuery, values: Mapping[str, float],
+                 conditions: Mapping[str, Tuple[Rows, Optional[Rows]]],
+                 point: Mapping[str, float]) -> CompiledProgram:
+        """One round's geometric program, condensed at ``point``."""
+        cost_model = self.cost_model
         items = query.variables
-        rate_var = Monomial.variable(RECOMPUTE_RATE_VARIABLE)
-        objective = (
-            self.cost_model.refresh_objective(items)
-            + Monomial(max(self.cost_model.recompute_cost, 1e-9),
-                       {RECOMPUTE_RATE_VARIABLE: 1.0})
-        )
-        program = GeometricProgram(objective=objective)
-
+        rate = RECOMPUTE_RATE_VARIABLE
+        power = refresh_rate_exponent(cost_model.ddm)
+        log_rate = {item: _log_rate(cost_model, item) for item in items}
+        functions = [_priced("objective", [
+            (((rate, 1.0),), math.log(max(cost_model.recompute_cost, 1e-9)))
+        ] + [(((primary_variable(item), power),), log_rate[item])
+             for item in items])]
         for direction, (pos, neg) in conditions.items():
-            if neg is None:
-                program.add_constraint(pos / query.qab, 1.0,
-                                       name=f"qab[{direction}]")
-            else:
-                denominator = Posynomial(
-                    (Monomial.constant(query.qab),) + neg.terms)
-                condensed = condense_to_monomial(denominator, point)
-                program.add_constraint(pos / condensed, 1.0,
-                                       name=f"qab[{direction}]")
-
-        program.add_constraint(
-            Posynomial([self.cost_model.recompute_rate_monomial(n) for n in items])
-            / rate_var, 1.0, name="recompute")
-        for name in items:
-            b = Monomial.variable(primary_variable(name))
-            c = Monomial.variable(secondary_variable(name))
-            program.add_constraint(b / c, 1.0, name=f"order[{name}]")
+            rows = qab_rows(query.qab, pos, neg, point)
+            functions.append((f"qab[{direction}]",
+                              [signature for signature, _ in rows],
+                              [math.log(coefficient) for _, coefficient in rows]))
+        functions.append(_priced("recompute", [
+            (((rate, -1.0), (secondary_variable(item), power)), log_rate[item])
+            for item in items]))
+        for item in items:
+            b, c = primary_variable(item), secondary_variable(item)
+            functions.append((f"order[{item}]", [((b, 1.0), (c, -1.0))], [0.0]))
             # Every item moves down in one of the two directional cases,
             # so the lower window edge must stay reachable: V - c - b >= 0.
-            program.add_constraint((b + c) / float(values[name]), 1.0,
-                                   name=f"window[{name}]")
-        return program
+            log_window = math.log(1.0 / float(values[item]))
+            functions.append((f"window[{item}]", [((b, 1.0),), ((c, 1.0),)],
+                              [log_window, log_window]))
+        return _assemble_priced(functions)
 
     # -- planning ------------------------------------------------------------------
 
@@ -171,10 +215,10 @@ class SignomialPlanner:
 
         objectives = [objective_at(point)]
         converged = False
-        for _ in range(self.max_iterations):
-            program = self._build_program(query, values, conditions, point)
+        for _ in range(MAX_ROUNDS):
+            program = self._program(query, values, conditions, point)
             try:
-                solution = program.solve(initial=point)
+                solution = solve_compiled(program, initial=point)
             except (InfeasibleProblemError, SolverFailedError):
                 break  # keep the last feasible iterate
             candidate = dict(solution.values)
@@ -183,7 +227,7 @@ class SignomialPlanner:
             improvement = objectives[-1] - solution.objective
             point = candidate
             objectives.append(solution.objective)
-            if improvement <= self.relative_tolerance * abs(objectives[-1]):
+            if improvement <= RELATIVE_TOLERANCE * abs(objectives[-1]):
                 converged = True
                 break
 
@@ -210,8 +254,8 @@ class SignomialPlanner:
         try:
             deviation = mixed_worst_deviation(query.terms, values,
                                               primary, secondary)
-        except Exception:
-            return False
+        except InvalidQueryError:
+            return False  # the window and filter overshoot the value
         return deviation <= query.qab * (1.0 + tol)
 
     # -- stack protocol -----------------------------------------------------------

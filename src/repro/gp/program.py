@@ -1,58 +1,22 @@
-"""Geometric program model objects.
+"""The array form of a geometric program.
 
-A :class:`GeometricProgram` owns a posynomial objective and a list of
-:class:`Constraint` objects of the form ``lhs <= rhs`` where ``lhs`` is a
-posynomial and ``rhs`` is a monomial (or positive scalar).  Each constraint
-normalises itself to the standard form ``g(t) <= 1`` by dividing through by
-the right-hand side.
+Every planner assembles its program straight into a
+:class:`CompiledProgram`: one stacked exponent matrix and one
+log-coefficient vector over a sorted variable order, objective first and
+then each ``g_i(t) <= 1`` constraint, every function a posynomial given
+by its rows.  There is no model-object layer in the package; the object
+algebra that writes the paper's programs down term by term lives with
+the tests as the oracle these arrays are held to (DESIGN §8.2).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import InfeasibleProblemError, NotPosynomialError
-from repro.gp.monomial import Monomial
-from repro.gp.posynomial import Posynomial, PosyLike, as_posynomial
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """``lhs <= rhs`` with posynomial ``lhs`` and monomial ``rhs``.
-
-    The optional ``name`` shows up in solver diagnostics, which makes
-    infeasibility reports actionable.
-    """
-
-    lhs: Posynomial
-    rhs: Monomial
-    name: str = ""
-
-    @classmethod
-    def leq(cls, lhs: PosyLike, rhs: PosyLike, name: str = "") -> "Constraint":
-        lhs_posy = as_posynomial(lhs)
-        rhs_posy = as_posynomial(rhs)
-        if not rhs_posy.is_monomial:
-            raise NotPosynomialError(
-                "the right-hand side of a GP constraint must be a monomial; "
-                "rewrite `posy1 <= posy2` as `posy1 / mono <= 1`"
-            )
-        return cls(lhs_posy, rhs_posy.as_monomial(), name)
-
-    def normalised(self) -> Posynomial:
-        """The constraint as ``g(t) <= 1``."""
-        return self.lhs / self.rhs
-
-    def violation(self, values: Mapping[str, float]) -> float:
-        """``g(t) - 1`` at a point; positive means violated."""
-        return self.normalised().evaluate(values) - 1.0
-
-    def is_satisfied(self, values: Mapping[str, float], tol: float = 1e-8) -> bool:
-        return self.violation(values) <= tol
+from repro.exceptions import GPError
 
 
 @dataclass(frozen=True)
@@ -130,15 +94,15 @@ class CompiledProgram:
         functions = [self.objective, *self.constraints]
         sizes = [function.A.shape[0] for function in functions]
         if not all(sizes):
-            raise NotPosynomialError("a compiled function needs at least one row")
+            raise GPError("a compiled function needs at least one row")
         bounds = np.concatenate(([0], np.cumsum(sizes)))
         self.A = np.vstack([function.A for function in functions])
         self.log_c = np.concatenate([function.log_c for function in functions])
         self.starts = bounds[:-1]
         #: Function index of every stacked row.
         self.row_function = np.repeat(np.arange(len(sizes)), sizes)
-        #: Per function: is it a true (multi-row) posynomial?  Monomials are
-        #: linear in log-space and have no curvature.
+        #: Per function: is it a true (multi-row) posynomial?  A one-row
+        #: function is a monomial, linear in log-space, with no curvature.
         self.multi_row = np.asarray(sizes) > 1
         # Re-point the functions at the stacked storage so that in-place
         # coefficient refreshes are seen by the next evaluate().
@@ -168,110 +132,8 @@ class CompiledProgram:
 
         Planners that reuse a compiled structure mutate the ``log_c``
         vectors in place between recomputations and re-solve without
-        rebuilding posynomials or recompiling.
+        re-assembling.
         """
         from repro.gp.solver import solve_compiled
 
         return solve_compiled(self, initial=initial, **kwargs)
-
-
-class GeometricProgram:
-    """A standard-form geometric program.
-
-    Example
-    -------
-    >>> from repro.gp import Monomial, GeometricProgram
-    >>> x, y = Monomial.variable("x"), Monomial.variable("y")
-    >>> gp = GeometricProgram(objective=1 / x + 1 / y)
-    >>> gp.add_constraint(x + y, 2.0, name="budget")
-    >>> sol = gp.solve()
-    >>> round(sol.values["x"], 4)
-    1.0
-    """
-
-    def __init__(self, objective: PosyLike, constraints: Sequence[Constraint] = ()):
-        self._objective = as_posynomial(objective)
-        self._constraints: List[Constraint] = list(constraints)
-
-    # -- model building ---------------------------------------------------------
-
-    @property
-    def objective(self) -> Posynomial:
-        return self._objective
-
-    @property
-    def constraints(self) -> Tuple[Constraint, ...]:
-        return tuple(self._constraints)
-
-    def add_constraint(self, lhs: PosyLike, rhs: PosyLike = 1.0, name: str = "") -> Constraint:
-        """Add ``lhs <= rhs`` and return the created constraint."""
-        constraint = Constraint.leq(lhs, rhs, name=name)
-        self._constraints.append(constraint)
-        return constraint
-
-    @property
-    def variables(self) -> Tuple[str, ...]:
-        names = set(self._objective.variables)
-        for constraint in self._constraints:
-            names.update(constraint.lhs.variables)
-            names.update(constraint.rhs.variables)
-        return tuple(sorted(names))
-
-    # -- compilation ------------------------------------------------------------
-
-    def compile(self) -> CompiledProgram:
-        """Lower the model to the solver's array form (exponent matrices
-        and log-coefficients per posynomial, in log-variable space)."""
-        order = self.variables
-        if not order:
-            raise NotPosynomialError("the program has no variables to optimise")
-        A0, c0 = self._objective.exponent_matrix(order)
-        compiled_constraints = []
-        names = []
-        for i, constraint in enumerate(self._constraints):
-            normalised = constraint.normalised()
-            if normalised.is_constant:
-                # Constant constraints are either trivially true or
-                # structurally infeasible; catch the latter early.
-                if normalised.constant_part > 1.0 + 1e-12:
-                    raise InfeasibleProblemError(
-                        f"constraint {constraint.name or i} is constant and violated: "
-                        f"{normalised.constant_part:.6g} <= 1"
-                    )
-                continue
-            A, log_c = normalised.exponent_matrix(order)
-            compiled_constraints.append(CompiledFunction(A, log_c))
-            names.append(constraint.name or f"constraint[{i}]")
-        return CompiledProgram(
-            variables=order,
-            objective=CompiledFunction(A0, c0),
-            constraints=compiled_constraints,
-            constraint_names=names,
-        )
-
-    # -- solving ----------------------------------------------------------------
-
-    def solve(self, initial: Optional[Mapping[str, float]] = None, **kwargs):
-        """Solve the program; see :func:`repro.gp.solver.solve`."""
-        from repro.gp.solver import solve as _solve
-
-        return _solve(self, initial=initial, **kwargs)
-
-    def check_feasible(self, values: Mapping[str, float], tol: float = 1e-8) -> bool:
-        """True when every constraint holds at ``values`` (within ``tol``)."""
-        return all(c.is_satisfied(values, tol) for c in self._constraints)
-
-    def worst_violation(self, values: Mapping[str, float]) -> Tuple[str, float]:
-        """Name and signed violation of the most-violated constraint."""
-        worst_name, worst = "", -math.inf
-        for i, constraint in enumerate(self._constraints):
-            v = constraint.violation(values)
-            if v > worst:
-                worst_name, worst = constraint.name or f"constraint[{i}]", v
-        return worst_name, worst
-
-    def __repr__(self) -> str:
-        return (
-            f"GeometricProgram({len(self.variables)} variables, "
-            f"{len(self._constraints)} constraints)"
-        )

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from repro.exceptions import GPError
-from repro.gp.program import CompiledProgram, Evaluation, GeometricProgram
+from repro.gp.program import CompiledProgram, Evaluation
 from repro.gp.solver import GPSolution
 
 #: A constraint counts as active when ``|g(t) - 1|`` is below this.
@@ -70,19 +70,14 @@ class SensitivityReport:
         return float(np.expm1(elasticity * np.log(limit_factor)))
 
 
-def analyze(program: GeometricProgram, solution: GPSolution) -> SensitivityReport:
-    """Compute constraint multipliers/elasticities at a solved optimum."""
-    return analyze_compiled(program.compile(), solution.values)
-
-
 def analyze_compiled(compiled: CompiledProgram,
                      values: Mapping[str, float]) -> SensitivityReport:
-    """:func:`analyze` on an already-compiled program.
+    """Constraint multipliers/elasticities of a program at a solved
+    optimum ``values`` (original space).
 
     The compiled-template planners keep a :class:`CompiledProgram` per
-    query whose log-coefficients are refreshed in place; calling this
-    directly skips the posynomial rebuild that :func:`analyze` pays and is
-    what the delta-recompute path uses to seed/validate its Newton patch.
+    query whose log-coefficients are refreshed in place (a template's
+    ``compiled``), so this reads the program they just solved.
     """
     y = np.array([np.log(values[name]) for name in compiled.variables])
     evaluation = compiled.evaluate(y)
@@ -136,9 +131,9 @@ def kkt_residual(compiled: CompiledProgram, y: np.ndarray,
     return max(float(np.max(np.abs(stationarity))), primal)
 
 
-def qab_relaxation_value(program: GeometricProgram, solution: GPSolution,
+def qab_relaxation_value(compiled: CompiledProgram, solution: GPSolution,
                          constraint_name: str = "qab") -> float:
     """Shortcut: ν of the (normalised) QAB constraint — the % message-rate
     saving per % of QAB relaxation.  0.0 when the constraint is slack."""
-    report = analyze(program, solution)
+    report = analyze_compiled(compiled, solution.values)
     return report.multipliers.get(constraint_name, 0.0)

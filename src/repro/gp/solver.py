@@ -24,7 +24,7 @@ from scipy.optimize import NonlinearConstraint, minimize
 
 from repro.exceptions import InfeasibleProblemError, SolverFailedError
 from repro.gp.diagnostics import SolveReport
-from repro.gp.program import CompiledProgram, Evaluation, GeometricProgram
+from repro.gp.program import CompiledProgram, Evaluation
 
 #: Accepted normalised constraint violation at a solution.
 FEASIBILITY_TOL = 1e-6
@@ -168,8 +168,15 @@ def _max_violation(iterate: _Iterate, y: np.ndarray) -> Tuple[float, Dict[str, f
     return float(np.max(violations)), residuals
 
 
-def solve(
-    program: GeometricProgram,
+def solve(program, initial: Optional[Mapping[str, float]] = None,
+          **kwargs) -> GPSolution:
+    """:func:`solve_compiled` of ``program.compile()``, for any program
+    object with a ``compile()`` method (the test oracle's model objects)."""
+    return solve_compiled(program.compile(), initial=initial, **kwargs)
+
+
+def solve_compiled(
+    compiled: CompiledProgram,
     initial: Optional[Mapping[str, float]] = None,
     max_starts: int = 4,
     maxiter: int = 300,
@@ -178,10 +185,15 @@ def solve(
 ) -> GPSolution:
     """Solve a geometric program to global optimality.
 
+    This is the planners' solver: they assemble a :class:`CompiledProgram`
+    (a per-query template refreshes only its log-coefficient vectors at
+    each recomputation) and call this directly.  Given bitwise-identical
+    arrays and warm start, two calls return the same solution, bit for bit.
+
     Parameters
     ----------
-    program:
-        The :class:`~repro.gp.program.GeometricProgram` to solve.
+    compiled:
+        The program's arrays.
     initial:
         Optional warm-start values (original space).  The simulator
         recomputes DABs at values close to the previous recomputation, so
@@ -198,28 +210,6 @@ def solve(
         When no feasible point could be found from any start.
     SolverFailedError
         When scipy terminated abnormally on every start.
-    """
-    return solve_compiled(program.compile(), initial=initial,
-                          max_starts=max_starts, maxiter=maxiter,
-                          seed=seed, tol=tol)
-
-
-def solve_compiled(
-    compiled: CompiledProgram,
-    initial: Optional[Mapping[str, float]] = None,
-    max_starts: int = 4,
-    maxiter: int = 300,
-    seed: int = 0,
-    tol: float = FEASIBILITY_TOL,
-) -> GPSolution:
-    """Solve an already-compiled program (see :func:`solve`).
-
-    This is the planners' solver: they keep a :class:`CompiledProgram` per
-    query, refresh only its log-coefficient vectors at each recomputation,
-    and call this directly — no posynomial is built or compiled.
-    :func:`solve` is ``compile()`` followed by this call, so given
-    bitwise-identical arrays and warm start the two return the same
-    solution, bit for bit.
     """
     iterate = _Iterate(compiled)
     rng = np.random.default_rng(seed)

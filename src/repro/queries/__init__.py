@@ -11,9 +11,11 @@ This subpackage models the paper's query class (Section I-A):
   general-PQ heuristics,
 * :func:`~repro.queries.parser.parse_query` — a small text format
   (``"3 x*y - 2 u*v : 5"``),
-* :mod:`~repro.queries.deviation` — the worst-case-deviation expansion that
-  turns QAB conditions into GP posynomial constraints (Equations 1 and 2 of
-  the paper, generalised to arbitrary positive integer exponents).
+* :mod:`~repro.queries.deviation` — the DAB variables and the numeric
+  worst-case deviation every plan is checked with; its posynomial
+  expansion (Equations 1 and 2 of the paper, generalised to arbitrary
+  positive integer exponents) is compiled into rows by
+  :class:`~repro.queries.compiled.CompiledDeviation`.
 """
 
 from repro.queries.items import DataItem, ItemRegistry
@@ -21,8 +23,6 @@ from repro.queries.terms import QueryTerm
 from repro.queries.polynomial import PolynomialQuery
 from repro.queries.parser import parse_query
 from repro.queries.deviation import (
-    deviation_posynomial,
-    dual_dab_condition,
     max_query_deviation,
     max_term_deviation,
     primary_variable,
@@ -35,8 +35,6 @@ __all__ = [
     "QueryTerm",
     "PolynomialQuery",
     "parse_query",
-    "deviation_posynomial",
-    "dual_dab_condition",
     "max_query_deviation",
     "max_term_deviation",
     "primary_variable",

@@ -5,16 +5,17 @@ per-refresh query checks — both evaluate :class:`PolynomialQuery` objects
 term by term, dict lookup by dict lookup.  This module compiles a query
 once into gather-index/weight arrays so each evaluation is one fancy-index
 gather plus one ``multiply.reduce`` over a shared *power table*, and
-compiles the worst-case deviation expansion of
-:func:`repro.queries.deviation.deviation_posynomial` into a coefficient
-program so GP recomputations refresh log-coefficients instead of rebuilding
-posynomials.
+compiles the worst-case deviation expansion (paper Eqs. 1 and 2, see
+:mod:`repro.queries.deviation`) into signature rows and a coefficient
+program, so GP recomputations refresh log-coefficients instead of
+re-expanding the query.
 
 Bit-exactness contract
 ----------------------
 Every compiled evaluator here is **bitwise identical** to the reference
-evaluator it compiles (:meth:`PolynomialQuery.evaluate`,
-:func:`deviation_posynomial`), which is what lets the simulation
+evaluator it compiles (:meth:`PolynomialQuery.evaluate`, and the scalar
+``deviation_posynomial`` expansion kept as the test oracle in
+``tests/oracle/deviation.py``), which is what lets the simulation
 reproduce the golden metrics exactly.  Three empirical facts shape the
 design:
 
@@ -50,7 +51,6 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
 
 import numpy as np
 
-from repro.gp.monomial import _normalise_exponents
 from repro.queries.deviation import (
     _require_positive_value,
     primary_variable,
@@ -523,15 +523,38 @@ class CompiledQueryBank:
 # Compiled deviation expansion
 # ---------------------------------------------------------------------------
 #
-# The coefficient of each monomial of ``deviation_posynomial`` is an exact
+# The coefficient of each monomial of the deviation expansion is an exact
 # arithmetic program over the current item values: products of binomial/
 # multinomial integers and Python pows folded left-to-right, with like-term
 # sums folded in collection order.  ``CompiledDeviation`` runs the scalar
-# expansion once *symbolically* — replicating the exact monomial signature
-# merging, canonical sorting and like-term combining of the Posynomial
-# algebra — and records one expression per output row.  Re-evaluating the
+# expansion once *symbolically* — replicating the exact signature merging,
+# canonical sorting and like-term combining of the posynomial algebra —
+# and records one expression per output row.  Re-evaluating the
 # expressions at new values reproduces the scalar coefficients bitwise
-# without rebuilding any Posynomial.
+# without expanding anything again.
+
+#: A monomial's canonical exponent signature: ``(variable, exponent)``
+#: pairs sorted by variable, no zero exponent.
+Signature = Tuple[Tuple[str, float], ...]
+
+#: Exponents smaller than this (in absolute value) are treated as zero so
+#: that round-tripping through division does not accrete phantom variables.
+_EXPONENT_EPS = 1e-12
+
+
+def _normalise_exponents(exponents: Mapping[str, float]) -> Signature:
+    """The canonical signature of an exponent map, as the posynomial
+    algebra keeps a monomial's: variables with (numerically) zero exponents
+    dropped, the rest as floats sorted by variable name."""
+    cleaned = {}
+    for name, exp in exponents.items():
+        value = float(exp)
+        if math.isnan(value) or math.isinf(value):
+            raise ValueError(f"exponent for {name!r} must be finite, got {exp!r}")
+        if abs(value) > _EXPONENT_EPS:
+            cleaned[name] = value
+    return tuple(sorted(cleaned.items()))
+
 
 class _Coef:
     __slots__ = ()
@@ -583,28 +606,24 @@ def _evaluate_coef(expr: _Coef, values: Mapping[str, float],
 
 
 def _combine(parts: List[_Coef]) -> _Coef:
-    # Posynomial construction folds like terms as ``0.0 + c1 + c2 + ...``;
+    # A posynomial folds like terms as ``0.0 + c1 + c2 + ...``;
     # for a single contribution ``0.0 + c == c`` bitwise, so skip the sum.
     return parts[0] if len(parts) == 1 else _Sum(parts)
 
 
-def _merge_signatures(a: Tuple[Tuple[str, float], ...],
-                      b: Tuple[Tuple[str, float], ...]) -> Tuple[Tuple[str, float], ...]:
-    """Replicates ``Monomial.__mul__`` exponent merging + normalisation."""
+def _merge_signatures(a: Signature, b: Signature) -> Signature:
+    """Replicates a monomial product's exponent merging + normalisation."""
     merged: Dict[str, float] = dict(a)
     for name, exponent in b:
         merged[name] = merged.get(name, 0.0) + exponent
     return _normalise_exponents(merged)
 
 
-Signature = Tuple[Tuple[str, float], ...]
-
-
 def signature_matrix(signatures: Sequence[Signature],
                      order: Sequence[str]) -> np.ndarray:
     """The exponent matrix ``A`` over ``order`` of monomials given by their
-    canonical signatures, one row each — what
-    ``Posynomial.exponent_matrix`` returns for the same terms."""
+    canonical signatures, one row each — what a posynomial's exponent
+    matrix holds for the same terms."""
     index = {name: j for j, name in enumerate(order)}
     A = np.zeros((len(signatures), len(order)))
     for i, signature in enumerate(signatures):
@@ -614,11 +633,12 @@ def signature_matrix(signatures: Sequence[Signature],
 
 
 class CompiledDeviation:
-    """Structure-compiled :func:`deviation_posynomial` for one term set.
+    """The structure-compiled deviation expansion of one term set.
 
     ``coefficients(values)`` returns, bitwise, the coefficient of each term
-    of ``deviation_posynomial(terms, values, include_secondary)`` in its
-    canonical (sorted-signature) order; the signatures themselves are
+    of the scalar expansion ``deviation_posynomial(terms, values,
+    include_secondary)`` (the test oracle) in its canonical
+    (sorted-signature) order; the signatures themselves are
     value-independent and exposed for building static exponent matrices.
     """
 
@@ -692,8 +712,8 @@ class CompiledDeviation:
         return tuple(sorted(names))
 
     def exponent_matrix(self, order: Sequence[str]) -> np.ndarray:
-        """Static ``A`` matrix over ``order`` (matches
-        ``Posynomial.exponent_matrix`` for the scalar expansion)."""
+        """Static ``A`` matrix over ``order`` (matches the scalar
+        expansion's exponent matrix)."""
         return signature_matrix(self.signatures, order)
 
     # -- evaluation --------------------------------------------------------------
@@ -701,8 +721,8 @@ class CompiledDeviation:
     def coefficients(self, values: Mapping[str, float],
                      qab: Optional[float] = None) -> List[float]:
         """Row coefficients at ``values`` (divided by ``qab`` when given),
-        bitwise equal to the scalar ``deviation_posynomial`` (and to
-        ``dual_dab_condition``/``condition / qab`` with ``qab``)."""
+        bitwise equal to the scalar expansion's (and, with ``qab``, to the
+        dual-DAB condition ``expansion / qab``)."""
         powers: Dict[Tuple[str, int], float] = {}
         out = []
         for _, expr in self._rows:
@@ -723,7 +743,9 @@ class CompiledDeviation:
 
 
 class CompiledSubstitution:
-    """Compiled ``repro.gp.posynomial.substitute`` over a compiled deviation.
+    """Compiled substitution over a compiled deviation: fixed variables
+    folded into the coefficients, as the oracle algebra's ``substitute``
+    does.
 
     Row structure (residual signatures, like-term regrouping) is
     value-independent; ``coefficients`` folds the fixed variables into the

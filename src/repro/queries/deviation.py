@@ -1,7 +1,6 @@
-"""Worst-case query deviation and its posynomial expansion.
+"""Worst-case query deviation: the DAB variables and the numeric checks.
 
-This module is the mathematical heart of the reproduction: it turns the
-paper's QAB conditions into GP-ready posynomials.
+The paper's QAB conditions are posynomials in the DAB variables:
 
 For one positive term ``w * prod_i x_i^{p_i}`` at current values ``V_i``,
 the worst-case increase when each item may move by ``d_i`` is obtained with
@@ -25,16 +24,18 @@ surviving term (the pure-``V`` constant cancels) contains at least one
 
 The paper derives these for degree-2 products (``x*y``); here the expansion
 handles arbitrary positive integer exponents via the multinomial theorem.
+:class:`repro.queries.compiled.CompiledDeviation` compiles the expansion
+into signature rows and a coefficient program; this module names the
+variables and evaluates the worst-case deviation numerically, which is
+how every plan's validity is checked.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping
 
 from repro.exceptions import InvalidQueryError
-from repro.gp.monomial import Monomial
-from repro.gp.posynomial import Posynomial
 from repro.queries.terms import QueryTerm
 
 #: Prefixes for the GP variables derived from item names.  Double
@@ -73,89 +74,6 @@ def _require_positive_value(name: str, values: Mapping[str, float]) -> float:
             "re-origin the data if needed.)"
         )
     return value
-
-
-def _factor_expansion(value: float, power: int, b_var: str,
-                      c_var: Optional[str]) -> Posynomial:
-    """Binomial/trinomial expansion of one factor.
-
-    Without a secondary variable: ``(V + b)^p = sum_k C(p,k) V^{p-k} b^k``.
-    With one: ``(V + c + b)^p = sum_{j+k<=p} p!/(j!k!(p-j-k)!) V^{p-j-k} c^j b^k``.
-    All coefficients are positive because ``V > 0``.
-    """
-    monomials: List[Monomial] = []
-    if c_var is None:
-        for k in range(power + 1):
-            coefficient = math.comb(power, k) * value ** (power - k)
-            monomials.append(Monomial(coefficient, {b_var: k} if k else {}))
-    else:
-        for j in range(power + 1):
-            for k in range(power - j + 1):
-                coefficient = (
-                    math.comb(power, j) * math.comb(power - j, k)
-                    * value ** (power - j - k)
-                )
-                exponents: Dict[str, int] = {}
-                if j:
-                    exponents[c_var] = j
-                if k:
-                    exponents[b_var] = k
-                monomials.append(Monomial(coefficient, exponents))
-    return Posynomial(monomials)
-
-
-def _has_primary_variable(monomial: Monomial) -> bool:
-    return any(name.startswith(_PRIMARY_PREFIX) for name in monomial.variables)
-
-
-def deviation_posynomial(
-    terms: Iterable[QueryTerm],
-    values: Mapping[str, float],
-    include_secondary: bool = False,
-) -> Posynomial:
-    """The worst-case query deviation as a posynomial in the DAB variables.
-
-    Parameters
-    ----------
-    terms:
-        Query terms; weights enter through their absolute value (each term's
-        worst case is independent, which is exact for PPQs and the safe
-        triangle bound for mixed signs).
-    values:
-        Current item values ``V_i`` (strictly positive).
-    include_secondary:
-        When true, produce the dual-DAB form in ``(b__*, c__*)``; otherwise
-        the single-DAB form in ``b__*`` only.
-
-    Returns
-    -------
-    Posynomial
-        Every term contains at least one primary-DAB variable; the constant
-        (pure ``V``/pure ``c``) part is already subtracted out.
-    """
-    collected: List[Monomial] = []
-    for term in terms:
-        product = Posynomial([Monomial.constant(abs(term.weight))])
-        for name, power in term.key:
-            value = _require_positive_value(name, values)
-            factor = _factor_expansion(
-                value, power, primary_variable(name),
-                secondary_variable(name) if include_secondary else None,
-            )
-            product = product * factor
-        collected.extend(m for m in product.terms if _has_primary_variable(m))
-    if not collected:
-        raise InvalidQueryError("deviation expansion produced no DAB-bearing terms")
-    return Posynomial(collected)
-
-
-def dual_dab_condition(terms: Iterable[QueryTerm], values: Mapping[str, float],
-                       qab: float) -> Posynomial:
-    """Paper Eq. 2 generalised: the posynomial ``g(b, c)`` with the QAB
-    condition ``g <= qab``, normalised to ``g/qab`` (ready for ``<= 1``)."""
-    if not (qab > 0.0):
-        raise InvalidQueryError(f"QAB must be positive, got {qab!r}")
-    return deviation_posynomial(terms, values, include_secondary=True) / qab
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ negative half's at the *bottom* moving down::
 The first sum is the familiar posynomial; the second expands into terms of
 *both* signs (the ``- b_u b_v`` of the paper's Eq. 4).  This module
 expands the whole left side into a signed pair ``(pos, neg)`` of
-posynomials with ``LHS = pos - neg``, which the signomial planner turns
-into the GP-approximable form ``pos <= B + neg``.
+posynomials with ``LHS = pos - neg``, each given by its rows — one
+``(signature, coefficient)`` pair per term, sorted by signature, every
+coefficient positive — which the signomial planner turns into the
+GP-approximable form ``pos <= B + neg``.
 """
 
 from __future__ import annotations
@@ -21,18 +23,20 @@ import math
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.exceptions import InvalidQueryError
-from repro.gp.monomial import Monomial
-from repro.gp.posynomial import Posynomial
+from repro.queries.compiled import CompiledDeviation, Signature
 from repro.queries.deviation import (
     _require_positive_value,
-    deviation_posynomial,
     primary_variable,
     secondary_variable,
 )
 from repro.queries.terms import QueryTerm
 
 #: signed polynomial representation: exponent-key -> coefficient (any sign)
-_SignedPoly = Dict[Tuple[Tuple[str, float], ...], float]
+_SignedPoly = Dict[Signature, float]
+
+#: A posynomial as its rows: ``(signature, coefficient > 0)`` per term,
+#: sorted by signature.
+Rows = List[Tuple[Signature, float]]
 
 _COEFF_EPS = 1e-15
 
@@ -82,26 +86,37 @@ def _has_primary(key: Tuple[Tuple[str, float], ...]) -> bool:
     return any(name.startswith("b__") for name, _exp in key)
 
 
-def _split_signed(signed: _SignedPoly) -> Tuple[Optional[Posynomial], Optional[Posynomial]]:
-    positive: List[Monomial] = []
-    negative: List[Monomial] = []
+def _split_signed(signed: _SignedPoly) -> Tuple[Rows, Rows]:
+    positive: Rows = []
+    negative: Rows = []
     for key, coeff in signed.items():
         if abs(coeff) <= _COEFF_EPS:
             continue
-        monomial = Monomial(abs(coeff), dict(key))
-        (positive if coeff > 0 else negative).append(monomial)
-    pos = Posynomial(positive) if positive else None
-    neg = Posynomial(negative) if negative else None
-    return pos, neg
+        (positive if coeff > 0 else negative).append((key, abs(coeff)))
+    return (sorted(positive, key=lambda row: row[0]),
+            sorted(negative, key=lambda row: row[0]))
+
+
+def row_values(rows: Rows, point: Mapping[str, float]) -> List[float]:
+    """Each row's value at ``point``: its coefficient times each of its
+    variables' powers, multiplied in signature order."""
+    out = []
+    for signature, coefficient in rows:
+        value = coefficient
+        for name, exponent in signature:
+            value *= float(point[name]) ** exponent
+        out.append(value)
+    return out
 
 
 def mixed_dual_condition(
     terms: Iterable[QueryTerm],
     values: Mapping[str, float],
     direction: str = "query_up",
-) -> Tuple[Posynomial, Optional[Posynomial]]:
+) -> Tuple[Rows, Optional[Rows]]:
     """Expand one direction of the mixed dual condition into ``(pos, neg)``
-    with ``LHS = pos - neg`` (``neg`` is ``None`` when nothing cancels).
+    rows with ``LHS = pos - neg`` (``neg`` is ``None`` when nothing
+    cancels).
 
     ``direction="query_up"`` is the paper's Eq. 4 (positive half at the top
     of its windows moving up, negative half at the bottom moving down —
@@ -125,11 +140,11 @@ def mixed_dual_condition(
 
     signed: _SignedPoly = {}
     if up_terms:
-        ppq_part = deviation_posynomial([t.abs() for t in up_terms], values,
-                                        include_secondary=True)
-        for monomial in ppq_part.terms:
-            key = tuple(sorted(monomial.exponents.items()))
-            signed[key] = signed.get(key, 0.0) + monomial.coefficient
+        ppq_part = CompiledDeviation([t.abs() for t in up_terms],
+                                     include_secondary=True)
+        for key, coefficient in zip(ppq_part.signatures,
+                                    ppq_part.coefficients(values)):
+            signed[key] = signed.get(key, 0.0) + coefficient
 
     for term in down_terms:
         down: _SignedPoly = {(): 1.0}
@@ -145,12 +160,12 @@ def mixed_dual_condition(
         _signed_add_into(signed, _signed_scale(contribution, abs(term.weight)))
 
     pos, neg = _split_signed(signed)
-    if pos is None:
+    if not pos:
         raise InvalidQueryError(
             "the mixed dual condition has no positive part; the query is "
             "degenerate (no primary-DAB-bearing terms)"
         )
-    return pos, neg
+    return pos, neg or None
 
 
 def _directional_deviation(

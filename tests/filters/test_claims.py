@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.filters import CostModel, DifferentSumPlanner, DualDABPlanner
 from repro.queries import PolynomialQuery, QueryTerm, max_query_deviation
-from repro.queries.deviation import deviation_posynomial, primary_variable, secondary_variable
+from repro.queries.deviation import primary_variable, secondary_variable
+from tests.oracle.deviation import deviation_posynomial
 
 weights = st.floats(min_value=0.2, max_value=10.0, allow_nan=False)
 values_st = st.floats(min_value=1.0, max_value=50.0, allow_nan=False)

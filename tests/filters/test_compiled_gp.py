@@ -1,5 +1,5 @@
 """Compiled-GP templates must hand the solver bitwise-identical arrays —
-and hence return bitwise-identical solutions — to the scalar builders;
+and hence return bitwise-identical solutions — to the oracle builders;
 the planners' patch ladders must land on the builders' optima."""
 
 import numpy as np
@@ -13,19 +13,17 @@ from repro.filters.compiled_gp import (
     CompiledOptimalRefreshTemplate,
 )
 from repro.filters.cost_model import CostModel
-from repro.filters.dual_dab import (
-    DualDABPlanner,
-    build_dual_dab_program,
-    build_widen_program,
-)
-from repro.filters.optimal_refresh import (
-    OptimalRefreshPlanner,
-    build_optimal_refresh_program,
-)
+from repro.filters.dual_dab import DualDABPlanner
+from repro.filters.optimal_refresh import OptimalRefreshPlanner
 from repro.queries import parse_query
 from repro.queries.deviation import primary_variable
 from repro.simulation.harness import SimulationConfig, build_planner
 from tests.filters.test_delta_equivalence import _Oracle
+from tests.oracle.builders import (
+    build_dual_dab_program,
+    build_optimal_refresh_program,
+    build_widen_program,
+)
 
 
 def _assert_same_arrays(compiled, reference):

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.exceptions import FilterError
-from repro.dynamics.models import DataDynamicsModel, refresh_rate, refresh_rate_monomial
+from repro.dynamics.models import DataDynamicsModel, refresh_rate
 from repro.filters import CostModel
+from tests.oracle.deviation import refresh_objective, refresh_rate_monomial
 
 
 class TestDdmFormulas:
@@ -63,18 +64,18 @@ class TestCostModel:
 
     def test_refresh_objective_monotonic(self):
         model = CostModel(rates={"x": 2.0, "y": 8.0})
-        objective = model.refresh_objective(["x", "y"])
+        objective = refresh_objective(model, ["x", "y"])
         value = objective.evaluate({"b__x": 1.0, "b__y": 2.0})
         assert value == pytest.approx(2.0 / 1.0 + 8.0 / 2.0)
 
     def test_refresh_objective_random_walk(self):
         model = CostModel(ddm="random_walk", rates={"x": 2.0})
-        value = model.refresh_objective(["x"]).evaluate({"b__x": 1.0})
+        value = refresh_objective(model, ["x"]).evaluate({"b__x": 1.0})
         assert value == pytest.approx(4.0)
 
     def test_refresh_objective_needs_items(self):
         with pytest.raises(FilterError):
-            CostModel().refresh_objective([])
+            refresh_objective(CostModel(), [])
 
     def test_estimated_rates(self):
         model = CostModel(rates={"x": 2.0, "y": 4.0})

@@ -15,7 +15,7 @@ Asserted over Hypothesis-generated query banks and perturbation sequences:
    checks as a breach patch and to the full solve's objective within
    1e-6; when that rung declines it is the oracle's solve, bit for bit.
 
-The reference throughout is the object builders' solve chain
+The reference throughout is the oracle builders' solve chain
 (:func:`build_dual_dab_program` warm-started from the query's previous
 optimum, then :func:`build_widen_program`) — the multi-start solve the
 patch replaces, and the planner's own last rung.
@@ -39,13 +39,10 @@ from hypothesis import strategies as st
 from repro.exceptions import GPError
 from repro.filters import CostModel, DABAssignment, DualDABPlanner, dual_dab
 from repro.filters.delta_recompute import newton_patch
-from repro.filters.dual_dab import (
-    RECOMPUTE_RATE_VARIABLE,
-    build_dual_dab_program,
-    build_widen_program,
-)
+from repro.filters.dual_dab import RECOMPUTE_RATE_VARIABLE
 from repro.queries import parse_query
 from repro.queries.deviation import primary_variable, secondary_variable
+from tests.oracle.builders import build_dual_dab_program, build_widen_program
 
 settings.register_profile("ci", max_examples=25, deadline=None)
 settings.register_profile("nightly", max_examples=200, deadline=None)

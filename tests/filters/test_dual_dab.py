@@ -4,9 +4,9 @@ import pytest
 
 from repro.exceptions import NotPositiveCoefficientError
 from repro.filters import CostModel, DualDABPlanner, OptimalRefreshPlanner
-from repro.filters.dual_dab import build_dual_dab_program, build_widen_program
 from repro.queries import parse_query
 from repro.queries.deviation import max_query_deviation, secondary_variable
+from tests.oracle.builders import build_dual_dab_program, build_widen_program
 
 
 class TestStructure:

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from repro.exceptions import InvalidQueryError
 from repro.filters import CostModel, assign_laq
 from repro.filters.laq import laq_condition_satisfied
-from repro.gp import GeometricProgram, Monomial
 from repro.queries import PolynomialQuery, QueryTerm, parse_query
+from tests.oracle import GeometricProgram, Monomial
 
 
 class TestClosedForm:

@@ -4,12 +4,11 @@ import pytest
 
 from repro.exceptions import FilterError, NotPositiveCoefficientError
 from repro.filters import AAOPlanner, CostModel, EQIPlanner
-from repro.filters.dual_dab import build_widen_program
-from repro.filters.multi_query import AAOTSchedule, rename_posynomial
-from repro.gp.monomial import Monomial
-from repro.gp.posynomial import Posynomial
+from repro.filters.multi_query import AAOTSchedule
 from repro.queries import parse_query
 from repro.queries.deviation import max_query_deviation, secondary_variable
+from tests.oracle import Monomial, Posynomial
+from tests.oracle.builders import build_widen_program, rename_posynomial
 
 
 @pytest.fixture(scope="module")

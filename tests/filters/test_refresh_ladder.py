@@ -24,9 +24,9 @@ from repro.exceptions import GPError
 from repro.filters import CostModel, DifferentSumPlanner, OptimalRefreshPlanner
 from repro.filters import delta_recompute
 from repro.filters.delta_recompute import find_planner_stats
-from repro.filters.optimal_refresh import build_optimal_refresh_program
 from repro.queries.deviation import primary_variable
 from tests.filters.test_delta_equivalence import _build_case, _perturb
+from tests.oracle.builders import build_optimal_refresh_program
 
 #: Relative objective tolerance of a patched plan against the oracle: both
 #: are KKT points of one convex program, the solve's to ≈ 1e-6.

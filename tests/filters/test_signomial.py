@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.exceptions import FilterError
+from repro.exceptions import InvalidQueryError
 from repro.filters import (
     CostModel,
     DifferentSumPlanner,
     HalfAndHalfPlanner,
     SignomialPlanner,
 )
-from repro.filters.signomial import condense_to_monomial
-from repro.gp import Monomial, Posynomial
 from repro.queries import parse_query
 from repro.queries.signed import mixed_worst_deviation
+from tests.oracle import Monomial, Posynomial
+from tests.oracle.signomial import condense_to_monomial
 
 
 @pytest.fixture(scope="module")
@@ -116,9 +116,27 @@ class TestPlannerGuarantees:
         via = SignomialPlanner(small).plan(query, values)
         assert via.primary == pytest.approx(direct.primary, rel=1e-3)
 
-    def test_bad_max_iterations(self, model):
-        with pytest.raises(FilterError):
-            SignomialPlanner(model, max_iterations=0)
+    def test_window_overshoot_is_infeasible(self, mixed_query, mixed_values,
+                                            model):
+        """The one error a candidate point may raise: b + c past the value
+        makes the down-side edge undefined, and the round is refused."""
+        overshoot = {"x": 0.1, "y": 0.1, "u": 2.0, "v": 0.1}
+        point = {f"{prefix}{name}": bound for name, bound in overshoot.items()
+                 for prefix in ("b__", "c__")}
+        with pytest.raises(InvalidQueryError, match="exceed"):
+            mixed_worst_deviation(mixed_query.terms, mixed_values,
+                                  overshoot, overshoot)
+        assert not SignomialPlanner(model)._feasible(
+            mixed_query, mixed_values, point)
+
+    def test_feasibility_check_does_not_swallow_bugs(self, mixed_query,
+                                                     mixed_values, model):
+        point = {f"{prefix}{name}": 0.1 for name in mixed_values
+                 for prefix in ("b__", "c__")}
+        missing = {name: value for name, value in mixed_values.items()
+                   if name != "v"}
+        with pytest.raises(KeyError):
+            SignomialPlanner(model)._feasible(mixed_query, missing, point)
 
 
 class TestStackProtocol:

@@ -2,9 +2,9 @@
 
 ``filters/compiled_gp.py`` assembles each template's
 :class:`~repro.gp.program.CompiledProgram` straight from exponent arrays
-and signatures; the object builders (``build_dual_dab_program``,
-``build_widen_program``, ``build_optimal_refresh_program``) stay as the
-definition.  DESIGN §8.2's contract — the template hands the solver
+and signatures; the oracle's object builders (``build_dual_dab_program``,
+``build_widen_program``, ``build_optimal_refresh_program`` in
+``tests/oracle/builders.py``) stay as the definition.  DESIGN §8.2's contract — the template hands the solver
 *bitwise* what ``build_*_program(...).compile()`` would — is checked here,
 over Hypothesis-generated PPQs: powers 1–3, items repeated across terms,
 purely linear queries, both ddms, both recompute envelopes,
@@ -25,9 +25,12 @@ from repro.filters.compiled_gp import (
     CompiledOptimalRefreshTemplate,
 )
 from repro.filters.cost_model import CostModel
-from repro.filters.dual_dab import build_dual_dab_program, build_widen_program
-from repro.filters.optimal_refresh import build_optimal_refresh_program
 from repro.queries import parse_query
+from tests.oracle.builders import (
+    build_dual_dab_program,
+    build_optimal_refresh_program,
+    build_widen_program,
+)
 
 settings.register_profile("ci", max_examples=25, deadline=None)
 settings.register_profile("nightly", max_examples=200, deadline=None)

@@ -1,12 +1,10 @@
-"""Unit tests for :mod:`repro.gp.monomial`."""
+"""Unit tests for the oracle's monomials (``tests/oracle/monomial.py``)."""
 
 import math
 
 import pytest
 
-from repro.exceptions import NotPosynomialError
-from repro.gp.monomial import Monomial, variables
-from repro.gp.posynomial import Posynomial
+from tests.oracle import Monomial, NotPosynomialError, Posynomial, variables
 
 
 class TestConstruction:

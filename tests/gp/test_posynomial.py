@@ -1,11 +1,15 @@
-"""Unit tests for :mod:`repro.gp.posynomial`."""
+"""Unit tests for the oracle's posynomials (``tests/oracle/posynomial.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import NotPosynomialError
-from repro.gp.monomial import Monomial
-from repro.gp.posynomial import Posynomial, as_posynomial, substitute
+from tests.oracle import (
+    Monomial,
+    NotPosynomialError,
+    Posynomial,
+    as_posynomial,
+    substitute,
+)
 
 x = Monomial.variable("x")
 y = Monomial.variable("y")

@@ -1,9 +1,10 @@
-"""Unit tests for :mod:`repro.gp.program`."""
+"""Unit tests for the oracle's model objects (``tests/oracle/program.py``)
+and their lowering to :class:`repro.gp.program.CompiledProgram`."""
 
 import pytest
 
-from repro.exceptions import InfeasibleProblemError, NotPosynomialError
-from repro.gp import Constraint, GeometricProgram, Monomial
+from repro.exceptions import InfeasibleProblemError
+from tests.oracle import Constraint, GeometricProgram, Monomial, NotPosynomialError
 
 x = Monomial.variable("x")
 y = Monomial.variable("y")

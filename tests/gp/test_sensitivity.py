@@ -5,8 +5,8 @@ import math
 import pytest
 
 from repro.exceptions import GPError
-from repro.gp import GeometricProgram, Monomial
-from repro.gp.sensitivity import analyze, qab_relaxation_value
+from repro.gp.sensitivity import analyze_compiled, qab_relaxation_value
+from tests.oracle import GeometricProgram, Monomial
 
 x = Monomial.variable("x")
 y = Monomial.variable("y")
@@ -24,7 +24,7 @@ class TestAnalyticCase:
 
     def test_multiplier_is_one(self):
         gp = budget_program(2.0)
-        report = analyze(gp, gp.solve())
+        report = analyze_compiled(gp.compile(), gp.solve().values)
         assert report.multipliers["budget"] == pytest.approx(1.0, abs=1e-3)
         assert report.elasticities["budget"] == pytest.approx(-1.0, abs=1e-3)
         assert report.stationarity_residual < 1e-4
@@ -34,12 +34,13 @@ class TestAnalyticCase:
         base = budget_program(2.0).solve().objective
         bumped = budget_program(2.0 * 1.01).solve().objective
         fd_elasticity = (math.log(bumped) - math.log(base)) / math.log(1.01)
-        report = analyze(budget_program(2.0), budget_program(2.0).solve())
+        gp = budget_program(2.0)
+        report = analyze_compiled(gp.compile(), gp.solve().values)
         assert report.elasticities["budget"] == pytest.approx(fd_elasticity, abs=1e-2)
 
     def test_predicted_relative_change(self):
         gp = budget_program(2.0)
-        report = analyze(gp, gp.solve())
+        report = analyze_compiled(gp.compile(), gp.solve().values)
         # +10% budget -> objective shrinks by ~ 1/1.1 - 1 = -9.09%
         predicted = report.predicted_relative_change("budget", 1.1)
         actual = budget_program(2.2).solve().objective / gp.solve().objective - 1.0
@@ -47,7 +48,7 @@ class TestAnalyticCase:
 
     def test_bad_limit_factor(self):
         gp = budget_program(2.0)
-        report = analyze(gp, gp.solve())
+        report = analyze_compiled(gp.compile(), gp.solve().values)
         with pytest.raises(GPError):
             report.predicted_relative_change("budget", 0.0)
 
@@ -56,14 +57,14 @@ class TestSlackConstraints:
     def test_inactive_constraint_has_zero_multiplier(self):
         gp = budget_program(2.0)
         gp.add_constraint(x, 100.0, name="loose_cap")
-        report = analyze(gp, gp.solve())
+        report = analyze_compiled(gp.compile(), gp.solve().values)
         assert report.multipliers["loose_cap"] == 0.0
         assert "loose_cap" not in report.active
 
     def test_most_binding_ranking(self):
         gp = budget_program(2.0)
         gp.add_constraint(x, 100.0, name="loose_cap")
-        report = analyze(gp, gp.solve())
+        report = analyze_compiled(gp.compile(), gp.solve().values)
         ranked = report.most_binding()
         assert ranked and ranked[0][0] == "budget"
         assert all(v > 0 for _name, v in ranked)
@@ -75,7 +76,7 @@ class TestDabProgramSensitivity:
         operator-facing shortcut must return a positive saving rate that
         agrees with finite differences."""
         from repro.filters import CostModel
-        from repro.filters.dual_dab import build_dual_dab_program
+        from repro.filters.compiled_gp import CompiledDualDabTemplate
         from repro.queries import parse_query
 
         values = {"x": 2.0, "y": 2.0}
@@ -83,8 +84,8 @@ class TestDabProgramSensitivity:
 
         def solve_with_qab(qab):
             query = parse_query("x*y", qab=qab, name="sens")
-            program = build_dual_dab_program(query, values, model)
-            return program, program.solve()
+            template = CompiledDualDabTemplate(query, values, model)
+            return template.compiled, template.solve(values)
 
         program, solution = solve_with_qab(5.0)
         nu = qab_relaxation_value(program, solution)

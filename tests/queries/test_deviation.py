@@ -6,8 +6,6 @@ from repro.exceptions import InvalidQueryError
 from repro.queries import (
     PolynomialQuery,
     QueryTerm,
-    deviation_posynomial,
-    dual_dab_condition,
     max_query_deviation,
     max_term_deviation,
     parse_query,
@@ -15,6 +13,7 @@ from repro.queries import (
     secondary_variable,
 )
 from repro.queries.deviation import assignment_feasible_for_query, item_of_variable
+from tests.oracle.deviation import deviation_posynomial, dual_dab_condition
 
 
 class TestVariableNames:

@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 from repro.queries import (
     PolynomialQuery,
     QueryTerm,
-    deviation_posynomial,
     max_query_deviation,
     primary_variable,
     secondary_variable,
 )
+from tests.oracle.deviation import deviation_posynomial
 
 item_names = ["x", "y", "z", "w"]
 

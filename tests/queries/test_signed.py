@@ -6,13 +6,18 @@ from hypothesis import given, settings, strategies as st
 from repro.exceptions import InvalidQueryError
 from repro.queries import PolynomialQuery, QueryTerm, parse_query
 from repro.queries.deviation import primary_variable, secondary_variable
-from repro.queries.signed import mixed_dual_condition, mixed_worst_deviation
+from repro.queries.signed import (
+    mixed_dual_condition,
+    mixed_worst_deviation,
+    row_values,
+)
 
 
 def eval_condition(pos, neg, b, c):
     point = {primary_variable(k): v for k, v in b.items()}
     point.update({secondary_variable(k): v for k, v in c.items()})
-    return pos.evaluate(point) - (neg.evaluate(point) if neg else 0.0)
+    return sum(row_values(pos, point)) - (
+        sum(row_values(neg, point)) if neg else 0.0)
 
 
 class TestEq4HandChecks:

@@ -103,3 +103,56 @@ class TestAAOPeriodic:
         coordinator.on_aao_periodic(Event(30.0, EventKind.AAO_PERIODIC))
         # 2 queries x 0.1s of solve time
         assert coordinator.busy_until == pytest.approx(30.2)
+
+
+class TestResyncDropsJointWarmStart:
+    def test_faulted_aao_t_run_starts_the_next_joint_solve_cold(
+            self, monkeypatch):
+        """A recovered source's resync drops every planner's optimum —
+        the joint AAO one included — so the next periodic solve does not
+        start from the pre-crash joint optimum."""
+        from repro.filters import multi_query
+        from repro.simulation import (CrashWindow, FaultConfig,
+                                      SimulationConfig, run_simulation)
+        from repro.workloads import scaled_scenario
+
+        log = []
+        plan_all = multi_query.AAOPlanner.plan_all
+        clear = multi_query.AAOPlanner.clear_warm_starts
+
+        def recording_plan_all(self, queries, values):
+            log.append(("plan", self._warm_start is None))
+            return plan_all(self, queries, values)
+
+        def recording_clear(self):
+            clear(self)
+            log.append(("clear", self._warm_start is None))
+
+        monkeypatch.setattr(multi_query.AAOPlanner, "plan_all",
+                            recording_plan_all)
+        monkeypatch.setattr(multi_query.AAOPlanner, "clear_warm_starts",
+                            recording_clear)
+        scenario = scaled_scenario(query_count=4, item_count=16,
+                                   trace_length=121, source_count=3,
+                                   seed=13)
+        faults = FaultConfig(crash_windows=(CrashWindow(1, 25.0, 50.0),),
+                             seed=5)
+        metrics = run_simulation(SimulationConfig(
+            queries=scenario.queries, traces=scenario.traces,
+            algorithm="aao_t", aao_period=40, recompute_cost=2.0,
+            source_count=3, seed=13, fidelity_interval=2,
+            fault_config=faults)).metrics
+
+        assert metrics.recovery_resyncs == 1
+        # Every resynced refresh clears; a joint solve starts cold exactly
+        # when it is the first, or the first after a clear.
+        assert ("clear", True) in log and ("clear", False) not in log
+        cold_expected, plans = True, []
+        for kind, cold in log:
+            if kind == "clear":
+                cold_expected = True
+                continue
+            plans.append((cold, cold_expected))
+            cold_expected = False
+        assert [cold for cold, _ in plans] == [want for _, want in plans]
+        assert sum(cold for cold, _ in plans) == 2

@@ -48,13 +48,12 @@ class TestDocumentation:
             CostModel,
             DABAssignment,
             DualDABPlanner,
-            GeometricProgram,
             PolynomialQuery,
         )
 
         undocumented = []
-        for cls in (GeometricProgram, PolynomialQuery, DualDABPlanner,
-                    DABAssignment, CostModel):
+        for cls in (PolynomialQuery, DualDABPlanner, DABAssignment,
+                    CostModel):
             for name, member in inspect.getmembers(cls):
                 if name.startswith("_") or not callable(member):
                     continue
