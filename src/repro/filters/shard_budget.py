@@ -89,12 +89,18 @@ class BankDecomposition:
     homed there, each the original object.  ``items_needed[s]`` is every
     item shard ``s`` must receive refreshes for — owned or mirrored;
     shards absent from the mapping home no query and are never built (a
-    coordinator core needs at least one query).
+    coordinator core needs at least one query).  ``queries_per_shard[s]``
+    counts shard ``s``'s queries and ``mirrored_items[s]`` lists, sorted,
+    the foreign items mirrored to it (union over its queries).  A
+    decomposition is never edited — :meth:`replace` builds a new one — so
+    :meth:`of` computes all four tables once.
     """
 
     decompositions: Dict[str, QueryDecomposition]
     sub_queries_for: Dict[int, Tuple[PolynomialQuery, ...]]
     items_needed: Dict[int, Tuple[str, ...]]
+    queries_per_shard: Dict[int, int]
+    mirrored_items: Dict[int, Tuple[str, ...]]
 
     @classmethod
     def of(cls, decompositions: Dict[str, QueryDecomposition]
@@ -102,35 +108,27 @@ class BankDecomposition:
         """Index *decompositions* by shard (plain dict work, no solves)."""
         per_shard: Dict[int, List[PolynomialQuery]] = {}
         needed: Dict[int, set] = {}
+        mirrored: Dict[int, set] = {}
         for dec in decompositions.values():
             per_shard.setdefault(dec.home, []).append(dec.query)
             needed.setdefault(dec.home, set()).update(dec.query.variables)
+            if dec.mirrored:
+                mirrored.setdefault(dec.home, set()).update(dec.mirrored)
         return cls(
             decompositions=decompositions,
             sub_queries_for={shard: tuple(bank)
                              for shard, bank in sorted(per_shard.items())},
             items_needed={shard: tuple(sorted(items))
                           for shard, items in sorted(needed.items())},
+            queries_per_shard={shard: len(bank)
+                               for shard, bank in sorted(per_shard.items())},
+            mirrored_items={shard: tuple(sorted(items))
+                            for shard, items in sorted(mirrored.items())},
         )
 
     @property
     def active_shards(self) -> Tuple[int, ...]:
         return tuple(sorted(self.sub_queries_for))
-
-    @property
-    def queries_per_shard(self) -> Dict[int, int]:
-        """shard -> how many queries it homes (active shards only)."""
-        return {shard: len(bank)
-                for shard, bank in self.sub_queries_for.items()}
-
-    @property
-    def mirrored_items(self) -> Dict[int, Tuple[str, ...]]:
-        """shard -> sorted foreign items mirrored to it (union over queries)."""
-        merged: Dict[int, set] = {}
-        for dec in self.decompositions.values():
-            if dec.mirrored:
-                merged.setdefault(dec.home, set()).update(dec.mirrored)
-        return {shard: tuple(sorted(items)) for shard, items in sorted(merged.items())}
 
     def queries_reading(self, item: str) -> Tuple[str, ...]:
         """Names of every query whose variables include *item*."""

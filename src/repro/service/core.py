@@ -530,11 +530,16 @@ class CoordinatorCore:
         self._breaker_plans[query.name] = (previous, shrunk)
         return shrunk
 
+    def plan_query(self, name: str) -> None:
+        """Plan query ``name`` — one guarded solve — install the plan and
+        journal it as a ``plan`` record."""
+        plan = self._plan_query(self.queries[self._position[name]])
+        self.install_plan(name, plan)
+        self._log("plan", name, plan)
+
     def _recompute(self, query: PolynomialQuery) -> None:
-        plan = self._plan_query(query)
-        self.install_plan(query.name, plan)
+        self.plan_query(query.name)
         self.metrics.record_recomputation(query.name)
-        self._log("plan", query.name, plan)
         if self.recompute_hook is not None:
             self.recompute_hook()
 
@@ -702,13 +707,12 @@ class CoordinatorCore:
 
     def add_query(self, query: PolynomialQuery, plan: bool = True) -> int:
         """Register a query at runtime and plan it (``plan=False``: leave
-        it unplanned); returns its bank position."""
+        it unplanned until :meth:`plan_query`); returns its bank
+        position."""
         position = self._register(query)
         self._log("qadd", query)
         if plan:
-            assignment = self._plan_query(query)
-            self.install_plan(query.name, assignment)
-            self._log("plan", query.name, assignment)
+            self.plan_query(query.name)
         return position
 
     def _register(self, query: PolynomialQuery) -> int:

@@ -582,9 +582,11 @@ class CoordinatorServer(FrontEnd):
 
     # -- subscriber plane -----------------------------------------------------------
 
-    def _register_definitions(self, definitions: List[Any]) -> Set[str]:
-        """Register QUERY_SUB ``definitions`` incrementally; returns the
-        names this subscriber now holds a reference on.
+    def _register_definitions(self, definitions: List[Any]
+                              ) -> Tuple[Set[str], List[str]]:
+        """Register QUERY_SUB ``definitions`` incrementally, unplanned;
+        returns the names this subscriber now holds a reference on and,
+        in registration order, the brand-new ones the caller must plan.
 
         Work is bounded per definition (template-sized, never O(bank)):
         duplicate detection is one dict probe, a brand-new query is an
@@ -611,24 +613,29 @@ class CoordinatorServer(FrontEnd):
                         f"{sorted(unknown)}")
                 staged[query.name] = query
         registered: Set[str] = set()
+        added: List[str] = []
         for query in decoded:
             if query.name in staged:
-                self.core.add_query(query)
+                self.core.add_query(query, plan=False)
                 self._dynamic_refs[query.name] = 1
                 registered.add(query.name)
+                added.append(query.name)
                 del staged[query.name]
             elif (query.name in self._dynamic_refs
                   and query.name not in registered):
                 self._dynamic_refs[query.name] += 1
                 registered.add(query.name)
-        return registered
+        return registered, added
 
     def _subscriber_gone(self, sub: _Subscriber) -> None:
         """Drop this subscriber's references; remove a dynamic query when
         the last reference goes (the core keeps it only if it is the very
         last query standing — a coordinator cannot run empty)."""
         removed = False
-        for name in sub.registered:
+        # In name order: a set's order follows the process's string-hash
+        # seed, and the ``qdel`` records (and the bank's swap-removes)
+        # must not.
+        for name in sorted(sub.registered):
             refs = self._dynamic_refs.get(name)
             if refs is None:
                 continue
@@ -653,20 +660,36 @@ class CoordinatorServer(FrontEnd):
 
     async def _on_query_sub(self, peer: Peer,
                             message: Dict[str, Any]) -> None:
+        """Validate every definition, register the new ones unplanned,
+        write the SNAPSHOT reply, and only then plan them: the reply
+        serves cached values and needs no plan, so the subscriber does
+        not wait for the solves.  Nothing awaits from the first
+        registration to the last plan, so no other handler ever sees a
+        registered query without one.  The new plans may tighten
+        primaries their sources enforce; those ship last."""
         registered: Set[str] = set()
+        added: List[str] = []
         definitions = message.get("definitions")
         if definitions:
-            registered = self._register_definitions(definitions)
+            registered, added = self._register_definitions(definitions)
         sub = self._add_subscriber(peer, message, self.core.query_names)
         if sub.queries is not None:
             # Definitions are implicitly subscribed — naming them again
             # in ``queries`` would be redundant boilerplate.
             sub.queries |= {data["name"] for data in definitions or []}
         sub.registered = registered
-        await self._safe_send(peer.stream, self._snapshot_response(sub))
+        stream = peer.stream
+        try:
+            stream.send_nowait(self._snapshot_response(sub))
+        except ProtocolError:      # hung up, or the reply cannot be encoded
+            pass
+        for name in added:
+            self.core.plan_query(name)
+        try:
+            await stream.drain()
+        except ProtocolError:
+            pass
         if registered:
-            # The new plans may tighten primaries their sources enforce:
-            # ship them after the reply, which need not wait for them.
             await self._fanout_bound_changes()
 
     async def _on_snapshot(self, peer: Peer, message: Dict[str, Any]) -> None:

@@ -8,7 +8,8 @@ algebra that writes the paper's programs down term by term —
 (:mod:`tests.oracle.deviation`, :mod:`tests.oracle.builders`,
 :mod:`tests.oracle.signomial`).  ``GeometricProgram.compile()`` is the
 definition every array assembler in ``src/`` is held to, bit for bit
-(DESIGN §8.2).
+(DESIGN §8.2).  :mod:`tests.oracle.plan_first` keeps the QUERY_SUB handler
+that planned before it replied, the oracle of the server's (DESIGN §9.3).
 """
 
 from tests.oracle.monomial import Monomial, NotPosynomialError, variables

@@ -393,6 +393,46 @@ class TestRehomingMigration:
 
         run(body())
 
+    def test_cutover_tables_equal_a_fresh_computation(self):
+        """``queries_per_shard`` and ``mirrored_items`` are computed once
+        per decomposition; the cutover's new one must hold what the
+        tables would read computed afresh from its placements."""
+        from repro.filters.shard_budget import decompose_bank
+
+        leaving, bank = self._bank(anchor=True)
+        cluster, _, _ = _custom_cluster(bank)
+        migrator = ShardMigrator(cluster)
+
+        async def body():
+            await cluster.start()
+            before = cluster.decomposition
+            assert migrator.start({MOVED: TARGET}) == 1
+            await migrator.tick()                          # FREEZE
+            record = await migrator.tick()                 # CUTOVER
+            assert record["rehomed"] == sorted(leaving)
+            after = cluster.decomposition
+            assert after is not before
+            mirrored = {}
+            for dec in after.decompositions.values():
+                mirrored.setdefault(dec.home, set()).update(dec.mirrored)
+            assert after.mirrored_items == {
+                shard: tuple(sorted(items))
+                for shard, items in sorted(mirrored.items()) if items}
+            assert after.queries_per_shard == {
+                shard: len(queries)
+                for shard, queries in after.sub_queries_for.items()}
+            fresh = decompose_bank(bank, cluster.shard_map.shard_of)
+            assert after.mirrored_items == fresh.mirrored_items
+            assert after.queries_per_shard == fresh.queries_per_shard
+            assert after.queries_per_shard != before.queries_per_shard
+            stats = cluster.server_stats()
+            assert stats["queries_per_shard"] == {
+                str(shard): count
+                for shard, count in fresh.queries_per_shard.items()}
+            await cluster.close()
+
+        run(body())
+
     def test_rehomed_queries_are_announced_and_keep_their_push_contract(self):
         from repro.service.agent import agents_for_scenario
 

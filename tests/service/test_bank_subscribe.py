@@ -8,10 +8,14 @@ semantics around it: idempotent duplicate registration via refcounts,
 validate-all-first rejection (no partial effect), last-reference
 removal when the defining subscriber goes away — of that query, not an
 equal one under another name — and the source bounds a definition's plan
-tightens on registration and loosens on removal.
+tightens on registration and loosens on removal.  And the order a
+registration runs in: the SNAPSHOT reply is written before the new
+queries are planned, with no yield until the last plan, and the journal
+keeps the records planning first wrote.
 """
 
 import asyncio
+import hashlib
 
 import pytest
 
@@ -19,11 +23,12 @@ from repro.queries import PolynomialQuery, QueryTerm
 from repro.queries.items import ItemRegistry
 from repro.service import protocol
 from repro.service.client import ServiceClient
-from repro.service.journal import Journal
+from repro.service.journal import Journal, plan_to_wire
 from repro.service.protocol import MessageType
 from repro.service.server import build_scenario_server
+from repro.service.transports import loopback_pair
 from repro.workloads import WorkloadConfig, generate_template_bank
-from tests.service.nodes import SOURCE_FACING, start_node
+from tests.service.nodes import SOURCE_FACING, connect, start_node
 
 
 def run(coro):
@@ -186,6 +191,22 @@ class TestRegistrationSemantics:
             await server.close()
 
         run(body())
+
+    def test_a_departing_holder_removes_its_queries_in_name_order(
+            self, tmp_path):
+        server, _, _ = _server(tmp_path)
+
+        async def body():
+            bank = _dynamic_bank(server.core, count=4, distinct=4)
+            client = ServiceClient(server.connect_loopback())
+            await client.subscribe(definitions=bank[::-1])
+            await client.close()
+            await _idle(server, 0)
+            await server.close()
+
+        run(body())
+        assert [record["name"] for record in server.journal.records()
+                if record["t"] == "qdel"] == ["dyn0", "dyn1", "dyn2", "dyn3"]
 
     def test_unknown_item_rejected(self):
         server, scenario, item_to_source = _server()
@@ -390,3 +411,192 @@ class TestReRegisteredName:
         assert tight.primary[first] < 0.2 * loose.primary[first]
         core.remove_query("again")
         register(0.05 * product, first, third)
+
+
+async def _idle(server, live):
+    """Wait until ``live`` connection handlers are all that run: every
+    hung-up peer's teardown, and the DAB fan-out it spawned, is done."""
+    while len(server._handler_tasks) > live:
+        await asyncio.sleep(0)
+
+
+async def _round_trip(stream):
+    """Ask for a SNAPSHOT and wait for it: the node handles one peer's
+    messages in order, so everything sent before has been handled."""
+    stream.send_nowait(protocol.snapshot())
+    while True:
+        message = await asyncio.wait_for(stream.receive(), timeout=5)
+        if message["type"] == MessageType.SNAPSHOT.value:
+            return message
+
+
+def _wire_plans(core):
+    """Every plan as its journal bytes: equal means bit for bit."""
+    return {name: protocol.encode_body(plan_to_wire(plan))
+            for name, plan in core.plans.items()}
+
+
+class RecordingWriter:
+    """Wraps a stream's writer: notes each frame's message type in
+    ``events`` as it is written."""
+
+    def __init__(self, inner, events):
+        self.inner = inner
+        self.events = events
+
+    def write(self, frame):
+        body = protocol.decode_body(frame[protocol.HEADER_BYTES:])
+        self.events.append(("frame", body["type"]))
+        self.inner.write(frame)
+
+    async def drain(self):
+        await self.inner.drain()
+
+    def close(self):
+        self.inner.close()
+
+
+async def _scripted(server, item_to_source, drop=True):
+    """A source attached, then a registration, a duplicate plus a new
+    definition, a refused message and — with ``drop`` — both defining
+    subscribers gone (the duplicate holder first, so each drop removes
+    one query)."""
+    _, source_id, _, tight = _tightening_definition([server], item_to_source)
+    (extra,) = _dynamic_bank(server.core, count=1, distinct=1)
+    taken = server.core.queries[0].name
+    items = sorted(server.core.cache)[:2]
+    conflict = PolynomialQuery([QueryTerm.product(1.0, *items)],
+                               qab=1.0, name=taken)
+    source = connect(server, loopback_pair)
+    await source.send(protocol.register_source(source_id, sorted(
+        name for name, owner in item_to_source.items()
+        if owner == source_id)))
+    await _next_dab_update(source)
+    replies = []
+    subscribers = []
+    for definitions in ([tight], [tight, extra], [extra, conflict]):
+        stream = connect(server, loopback_pair)
+        await stream.send(protocol.query_sub([], definitions))
+        replies.append(await asyncio.wait_for(stream.receive(), timeout=5))
+        subscribers.append(stream)
+    assert [reply["type"] for reply in replies] == ["snapshot"] * 2 + ["error"]
+    await _idle(server, 3)
+    if drop:
+        for stream, live in ((subscribers[1], 2), (subscribers[0], 1)):
+            stream.close()
+            await _idle(server, live)
+
+
+#: The scripted sequence's journal, recorded with the handler that
+#: planned before it replied (tests/oracle/plan_first.py): one record per
+#: ``(kind, query)`` and the SHA-256 of the WAL bytes.
+SCRIPTED_RECORDS = [
+    ("qadd", "tight"), ("plan", "tight"), ("bounds", None),
+    ("qadd", "dyn0"), ("plan", "dyn0"),
+    ("qdel", "dyn0"), ("qdel", "tight"), ("bounds", None),
+]
+SCRIPTED_WAL_SHA256 = (
+    "d4973226349ad859f0f9c02d80e9bd928d32a8db0dc43a7e0e886b7219831d94")
+
+
+class TestReplyBeforePlan:
+    """QUERY_SUB answers from the cache, then plans its new definitions:
+    nothing in between yields, so the plan lands before any other
+    handler runs and the journal keeps its records."""
+
+    @pytest.mark.parametrize("carrier", ["read", "turn"])
+    def test_refresh_after_the_query_sub_finds_the_query_planned(
+            self, tmp_path, carrier):
+        """``read``: the REFRESH follows the QUERY_SUB in its read;
+        ``turn``: another peer's read, made ready in the same loop turn,
+        carries it — a handler that yielded before planning would let
+        that reaction see the query unplanned."""
+        server, _, item_to_source = _server(tmp_path)
+
+        async def body():
+            core = server.core
+            (query,) = _dynamic_bank(core, count=1, distinct=1)
+            item = query.variables[0]
+            recomputations = server.metrics.recomputations
+            stream = connect(server, loopback_pair)
+            source = connect(server, loopback_pair) if carrier == "turn" else stream
+            # Two frames, no yield between them.
+            stream.send_nowait(protocol.query_sub([], [query]))
+            source.send_nowait(protocol.refresh(
+                item_to_source[item], [item], [core.cache[item]], [1]))
+            reply = await asyncio.wait_for(stream.receive(), timeout=5)
+            assert reply["type"] == MessageType.SNAPSHOT.value
+            await _round_trip(source)
+            assert server.stats["refresh_batches"] == 1
+            # Unplanned, the reaction would have called the window
+            # broken and recomputed it.
+            assert server.metrics.recomputations == recomputations
+            assert core.window_screen_hits == 1
+            assert [record["q"] for record in server.journal.records()
+                    if record["t"] == "plan"] == [query.name]
+            await server.close()
+
+        run(body())
+
+    def test_snapshot_is_written_before_the_plans_are_journaled(
+            self, tmp_path):
+        server, _, item_to_source = _server(tmp_path)
+
+        async def body():
+            events = []
+            append = server.journal.append
+
+            def recording_append(record):
+                events.append(("record", record["t"]))
+                return append(record)
+
+            server.journal.append = recording_append
+            client_end, server_end = loopback_pair()
+            server_end._writer = RecordingWriter(server_end._writer, events)
+            server.adopt_connection(server_end)
+            _, _, _, tight = _tightening_definition([server], item_to_source)
+            (extra,) = _dynamic_bank(server.core, count=1, distinct=1)
+            await client_end.send(protocol.query_sub([], [tight, extra]))
+            await asyncio.wait_for(client_end.receive(), timeout=5)
+            await _round_trip(client_end)
+            assert events[:5] == [("record", "qadd"), ("record", "qadd"),
+                                  ("frame", "snapshot"),
+                                  ("record", "plan"), ("record", "plan")]
+            # The tight plan moved a bound: journaled after the plans.
+            assert events[5] == ("record", "bounds")
+            await server.close()
+
+        run(body())
+
+    def test_scripted_journal_matches_the_pinned_records(self, tmp_path):
+        server, _, item_to_source = _server(tmp_path)
+
+        async def body():
+            await _scripted(server, item_to_source)
+            await server.close(final_snapshot=False)
+
+        run(body())
+        records = list(server.journal.records())
+        assert [(record["t"], record.get("q") or record.get("name")
+                 or record.get("query", {}).get("name"))
+                for record in records] == SCRIPTED_RECORDS
+        data = server.journal.wal_path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == SCRIPTED_WAL_SHA256
+
+    def test_restore_reproduces_the_plans(self, tmp_path):
+        server, _, item_to_source = _server(tmp_path)
+
+        async def body():
+            await _scripted(server, item_to_source, drop=False)
+            assert server.core.dynamic_names == {"tight", "dyn0"}
+            plans = _wire_plans(server.core)
+            # A hard kill: the WAL alone carries the registrations.
+            await server.close(final_snapshot=False)
+            return plans
+
+        plans = run(body())
+        restored, _, _ = _server(tmp_path)
+        assert restored.last_recovery["records_replayed"] == 5
+        assert _wire_plans(restored.core) == plans
+        run(restored.close())
+
