@@ -26,7 +26,7 @@ from repro.filters.baselines import SharfmanStyleBaseline
 from repro.dynamics import estimate_rates
 from repro.queries.polynomial import PolynomialQuery
 from repro.simulation.dissemination import DisseminationConfig, run_dissemination
-from repro.simulation.harness import AlgorithmName, SimulationConfig, run_simulation
+from repro.simulation.harness import AlgorithmName, SimulationConfig
 from repro.workloads.scenarios import PaperScenario, scaled_scenario
 
 
@@ -79,14 +79,6 @@ def _point_from_result(x: float, result) -> ExperimentPoint:
         total_cost=m.total_cost,
         extra={"gp_solves": m.gp_solves, "wall_seconds": result.wall_seconds},
     )
-
-
-def _run_point(scenario: PaperScenario, queries: Sequence[PolynomialQuery],
-               algorithm: AlgorithmName, mu: float, duration: int,
-               seed: int, **overrides) -> ExperimentPoint:
-    config = _point_config(scenario, queries, algorithm, mu, duration, seed,
-                           **overrides)
-    return _point_from_result(len(queries), run_simulation(config))
 
 
 def _run_plan(plan, jobs: Optional[int]) -> None:

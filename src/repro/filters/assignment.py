@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.exceptions import InvalidAssignmentError
 from repro.queries.deviation import max_query_deviation
@@ -171,8 +171,9 @@ class DABAssignment:
         )
 
 
-def merge_primary(assignments: Iterable[DABAssignment]) -> Dict[str, float]:
-    """Per item, the minimum primary DAB across assignments.
+def merge_primary(assignments: Iterable[Union[DABAssignment, Mapping[str, float]]]
+                  ) -> Dict[str, float]:
+    """Per item, the minimum primary DAB across assignments (or bound maps).
 
     This is how both EQI and the per-query planners combine plans: the
     source must satisfy the most demanding query (Section IV: "for each
@@ -180,7 +181,9 @@ def merge_primary(assignments: Iterable[DABAssignment]) -> Dict[str, float]:
     """
     merged: Dict[str, float] = {}
     for assignment in assignments:
-        for name, bound in assignment.primary.items():
+        bounds = (assignment.primary if isinstance(assignment, DABAssignment)
+                  else assignment)
+        for name, bound in bounds.items():
             current = merged.get(name)
             if current is None or bound < current:
                 merged[name] = bound

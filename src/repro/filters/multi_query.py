@@ -82,6 +82,24 @@ def _aao_rate(query_index: int) -> str:
     return f"R__q{query_index}"
 
 
+def _onto_qab(deviation: CompiledDeviation, query: PolynomialQuery,
+              values: Mapping[str, float],
+              primary: Dict[str, float]) -> Dict[str, float]:
+    """``primary`` scaled down onto ``query``'s QAB where the joint solve
+    overshot it by solver noise, so the widening pass is feasible (its
+    condition at ``c = b`` is at most 1): every deviation row has degree
+    >= 1 in the DABs, so scaling them by ``s <= 1`` scales it by <= ``s``."""
+    point = {**{primary_variable(name): b for name, b in primary.items()},
+             **{secondary_variable(name): b for name, b in primary.items()}}
+    load = sum(math.prod([c, *(point[v] ** e for v, e in signature)])
+               for signature, c in zip(deviation.signatures,
+                                       deviation.coefficients(values, qab=query.qab)))
+    if load <= 1.0:
+        return primary
+    scale = math.nextafter(1.0 / load, 0.0)
+    return {name: bound * scale for name, bound in primary.items()}
+
+
 class AAOPlanner:
     """All At Once: the joint GP over every query.
 
@@ -152,11 +170,12 @@ class AAOPlanner:
         per_query: Dict[str, DABAssignment] = {}
         for index, query in enumerate(queries):
             items = query.variables
-            primary = {name: solution.values[primary_variable(name)] for name in items}
+            template = CompiledDualDabTemplate(query, values, self.cost_model)
+            primary = _onto_qab(template.deviation, query, values, {
+                name: solution.values[primary_variable(name)] for name in items})
             per_query[query.name] = DABAssignment(
                 primary=primary,
-                secondary=CompiledDualDabTemplate(
-                    query, values, self.cost_model).widen(values, primary),
+                secondary=template.widen(values, primary),
                 reference_values={name: float(values[name]) for name in items},
                 recompute_rate=solution.values[_aao_rate(index)],
                 objective=solution.objective,

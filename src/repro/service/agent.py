@@ -10,7 +10,8 @@ Semantics carried over from the simulator (and its fault suite):
 
 * **per-item monotone DAB epochs** — a ``DAB_UPDATE`` is applied per item
   only if its epoch is newer than the one held, so duplicated or
-  reordered bound messages are idempotent (``SourceNode.set_bounds``);
+  reordered bound messages are idempotent: the receiver rule
+  ``SourceNode`` shares (:func:`~repro.service.source_plane.admit_newest`);
 * **per-item refresh seq numbers** — every refresh carries a
   monotonically increasing ``seq`` so the coordinator can reject
   duplicates and detect gaps from heartbeats; the refreshes of one write
@@ -39,6 +40,7 @@ from repro.service import protocol
 from repro.service.client import SourceLink
 from repro.service.protocol import ProtocolError
 from repro.service.resilience import RetryPolicy, retry_async
+from repro.service.source_plane import admit_newest
 from repro.service.transports import MessageStream, TransportClosed, open_tcp_stream
 
 _LOG = logging.getLogger(__name__)
@@ -95,12 +97,13 @@ class SourceAgent(SourceLink):
             "probes_answered": 0,
         }
 
-    # -- DAB handling (mirrors SourceNode.set_bounds) -----------------------------
+    # -- DAB handling ---------------------------------------------------------------
 
     def apply_dab_update(self, bounds: Mapping[str, float],
                          epochs: Mapping[str, Any],
                          seqs: Optional[Mapping[str, Any]] = None) -> None:
-        """Adopt new primary DABs, item by item, newest epoch wins.
+        """Adopt new primary DABs, newest epoch first (an item not ours
+        is skipped).
 
         ``seqs`` (present in the registration reply) floors our per-item
         refresh counters at the server's accepted high-water marks: a
@@ -108,16 +111,10 @@ class SourceAgent(SourceLink):
         have every refresh rejected as a stale duplicate until it climbed
         past the previous incarnation's numbering.
         """
-        for name, bound in bounds.items():
-            if name not in self.values:
-                continue        # misrouted — not ours to filter
-            epoch = int(epochs.get(name, 0))
-            if epoch <= self.epochs.get(name, -1):
-                self.stats["dab_updates_rejected_stale_epoch"] += 1
-                continue
-            self.epochs[name] = epoch
-            self.bounds[name] = float(bound)
-            self.stats["dab_updates_applied"] += 1
+        admitted, stale, _ = admit_newest(self.epochs, self.values, bounds, epochs)
+        self.bounds.update(admitted)
+        self.stats["dab_updates_applied"] += len(admitted)
+        self.stats["dab_updates_rejected_stale_epoch"] += stale
         if seqs:
             for name, floor in seqs.items():
                 if name in self.seq:

@@ -37,9 +37,10 @@ an item.  The router takes the min bound across shards — the only
 window every shard's guarantee survives, and, with every query planned
 whole on its home, exactly the paper's EQI (Section IV): the minimum
 over the queries that read the item, the bound one coordinator would
-have programmed — and forwards it to the real source under its own
-per-item epoch counter, bumped only on material change (the core's 1e-9
-relative tolerance).  Toward real sources the
+have programmed — and forwards it to the real source through the same
+:class:`~repro.service.source_plane.DabSendTable` as the core: under its
+own per-item epochs, bumped only on material change.  Toward real
+sources the
 router runs the same acked/retried delivery as a lone server
 (:mod:`repro.service.frontend`); a shard's update is acked as soon as it
 is merged (the in-process hop is lossless), so when delivery to a source
@@ -78,7 +79,6 @@ from repro.filters.shard_budget import BankDecomposition, decompose_bank, recomb
 from repro.service import protocol
 from repro.service.client import ServiceClient, SourceLink
 from repro.service.cluster.routing import ShardMap
-from repro.service.core import _DAB_CHANGE_REL_TOL
 from repro.service.frontend import (
     DEFAULT_NOTIFY_QUEUE_LIMIT,
     TRUNK_QUEUE_LIMIT,
@@ -89,7 +89,7 @@ from repro.service.frontend import (
 from repro.service.protocol import MessageType, ProtocolError
 from repro.service.resilience import RetryPolicy
 from repro.service.server import CoordinatorServer, _scenario_planning
-from repro.service.source_plane import SeqFloors
+from repro.service.source_plane import BoundUpdate, DabSendTable, SeqFloors
 from repro.service.transports import (
     InprocessLink,
     MessageStream,
@@ -195,14 +195,16 @@ class _ShardSourceLink(SourceLink):
         self.cluster = cluster
         self.sid = sid
 
-    def _on_dab_update(self, message: Dict[str, Any]) -> Dict[str, float]:
+    def _on_dab_update(self, message: Dict[str, Any]
+                       ) -> List[Tuple[int, BoundUpdate]]:
         return self.cluster._merge_shard_bounds(self.sid, message)
 
     async def _after_dab_update(self, message: Dict[str, Any],
-                                applied: Dict[str, float],
+                                applied: List[Tuple[int, BoundUpdate]],
                                 stream: MessageStream) -> None:
         cluster = self.cluster
-        await cluster._push_changed_bounds(applied)
+        for source_id, (bounds, epochs) in applied:
+            await cluster._send_dab_update(source_id, bounds, epochs)
         # (Not for items a moved query left behind in this shard's cache:
         # the answer would never be routed here.)
         probe = [item for item in message.get("probe") or ()
@@ -257,10 +259,10 @@ class ClusterCoordinator(FrontEnd):
         self._links: Dict[Tuple[int, int], _ShardSourceLink] = {}
         self._trunks: Dict[int, _ShardTrunk] = {}
 
-        # DAB merge state
+        # DAB merge state: item -> {shard: its vote}, and the min-merged
+        # bounds the real sources were sent.
         self._shard_bounds: Dict[str, Dict[int, float]] = {}
-        self._effective_bounds: Dict[str, float] = {}
-        self.epochs: Dict[str, int] = {}
+        self.dab_sent = DabSendTable()
         #: per-item accepted-seq high-water marks observed at the router
         #: (floors for restarted sources; the shards remain the dedup
         #: authority).
@@ -480,41 +482,22 @@ class ClusterCoordinator(FrontEnd):
 
     # -- DAB merge (shards -> router -> real sources) -----------------------------
 
-    def _merge_shard_bounds(self, sid: int,
-                            message: Mapping[str, Any]) -> Dict[str, float]:
-        """Fold one shard's DAB_UPDATE into the min-merge table; returns
-        the items whose *effective* (cross-shard min) bound materially
-        changed, under freshly bumped router epochs."""
-        changed: Dict[str, float] = {}
+    def _merge_shard_bounds(self, sid: int, message: Mapping[str, Any]
+                            ) -> List[Tuple[int, BoundUpdate]]:
+        """Fold one shard's DAB_UPDATE into the votes; records the items
+        whose *effective* (cross-shard min) bound materially changed and
+        returns them as one update per real source, by source id."""
+        effective: Dict[str, float] = {}
         for name, bound in (message.get("bounds") or {}).items():
             votes = self._shard_bounds.setdefault(name, {})
             votes[sid] = float(bound)
-            effective = min(votes.values())
-            previous = self._effective_bounds.get(name)
-            if (previous is not None
-                    and abs(effective - previous)
-                    <= _DAB_CHANGE_REL_TOL * previous):
-                continue
-            self._effective_bounds[name] = effective
-            self.epochs[name] = self.epochs.get(name, 0) + 1
-            changed[name] = effective
+            effective[name] = min(votes.values())
+        sent = self.dab_sent
+        changed, epochs = sent.changes(effective)
+        sent.record(changed, epochs)
         floors = message.get("seqs") or {}
         self._floors.raise_floors(floors, floors.values())
-        return changed
-
-    async def _push_changed_bounds(self, changed: Mapping[str, float]) -> None:
-        if not changed:
-            return
-        by_source: Dict[int, Tuple[Dict[str, float], Dict[str, int]]] = {}
-        for name, bound in changed.items():
-            source_id = self.item_to_source.get(name)
-            if source_id is None:
-                continue
-            bounds, epochs = by_source.setdefault(source_id, ({}, {}))
-            bounds[name] = bound
-            epochs[name] = self.epochs[name]
-        for source_id, (bounds, epochs) in sorted(by_source.items()):
-            await self._send_dab_update(source_id, bounds, epochs)
+        return sorted(sent.by_source(changed, self.item_to_source).items())
 
     def _dab_retried(self) -> None:
         self.stats["dab_retries"] += 1
@@ -659,9 +642,7 @@ class ClusterCoordinator(FrontEnd):
         self._attach_source(peer, source_id)
         items = [name for name in message["items"]
                  if self.item_to_source.get(name) == source_id]
-        bounds = {name: self._effective_bounds[name] for name in items
-                  if name in self._effective_bounds}
-        epochs = {name: self.epochs[name] for name in bounds}
+        bounds, epochs = self.dab_sent.held(items)
         seqs = self._floors.floors(items)
         if await self._safe_send(peer.stream,
                                  protocol.dab_update(source_id, bounds, epochs,

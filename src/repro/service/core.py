@@ -4,8 +4,9 @@ Everything a coordinator does that does not touch a transport lives here:
 the item-value cache, query evaluation (through the compiled
 :class:`~repro.queries.compiled.CompiledQueryBank`), secondary-DAB window
 checks, recomputation through the planner stack (with GP-solver failure
-degradation), per-item DAB epochs, and the merged-bound diffing that
-decides which sources must be told about a plan change.
+degradation), and the min-merge of its plans' primary DABs, which a
+:class:`~repro.service.source_plane.DabSendTable` diffs into the
+per-source DAB changes (with their epochs) a plan change must ship.
 
 The bank is one persistent table of term products: a refresh
 re-multiplies only the terms that contain the refreshed item, and
@@ -65,12 +66,10 @@ from repro.queries.compiled import (
 from repro.queries.polynomial import PolynomialQuery
 from repro.service.journal import JournalError, plan_from_wire, plan_to_wire
 from repro.service.protocol import query_from_wire, query_to_wire
+from repro.service.source_plane import BoundUpdate, DabSendTable
 
-#: Relative change below which a DAB update is not worth a message.
-_DAB_CHANGE_REL_TOL = 1e-9
-
-#: One source's pending update: ``(bounds, epochs)`` keyed by item name.
-BoundUpdate = Tuple[Dict[str, float], Dict[str, int]]
+#: How far an open solver breaker shrinks the last good plan's primaries.
+BREAKER_SHRINK = 0.9
 
 #: Relative amount each side of a safe band is pulled inward.  Three
 #: roundings separate ``lo <= value <= hi`` from the reference predicate's
@@ -131,7 +130,6 @@ class CoordinatorCore:
         aao_period: Optional[int] = None,
         recompute_hook: Optional[Callable[[], None]] = None,
         solver_breaker: Optional[object] = None,
-        breaker_shrink: float = 0.9,
     ):
         if not queries:
             raise SimulationError("a coordinator needs at least one query")
@@ -158,10 +156,6 @@ class CoordinatorCore:
         #: what the simulator always passes — leaves every code path
         #: bit-identical to the breaker-less implementation.
         self.solver_breaker = solver_breaker
-        if not (0.0 < breaker_shrink <= 1.0):
-            raise SimulationError(
-                f"breaker_shrink must be in (0, 1], got {breaker_shrink!r}")
-        self.breaker_shrink = float(breaker_shrink)
         #: query name -> (source plan, its shrunk stand-in) while the
         #: breaker is open (cached so shrinkage never compounds).
         self._breaker_plans: Dict[str, Tuple[DABAssignment, DABAssignment]] = {}
@@ -184,7 +178,8 @@ class CoordinatorCore:
         self._adopted_items: Dict[str, Optional[int]] = {}
         self.plans: Dict[str, DABAssignment] = {}
         self.last_user_values: Dict[str, float] = {}
-        self._last_sent_bounds: Dict[str, float] = {}
+        #: The bounds (and epochs) each source was last sent.
+        self.dab_sent = DabSendTable()
 
         # -- compiled evaluation state (bitwise-equal to ``query.evaluate``) --
         self._compiled: Dict[str, CompiledPolynomial] = {}
@@ -220,9 +215,6 @@ class CoordinatorCore:
                 self.item_index.setdefault(name, []).append(query)
 
         self._build_vectorized_state()
-
-        #: Per-item monotone DAB epoch (incremented on every shipped change).
-        self.epochs: Dict[str, int] = {}
 
     def _build_vectorized_state(self) -> None:
         """Compile the evaluation structures — O(bank), at construction
@@ -263,14 +255,8 @@ class CoordinatorCore:
         self._set_user_values([(query.name, self.query_value(query))
                                for query in self.queries])
         merged = merge_primary(self.plans.values())
-        self._last_sent_bounds = dict(merged)
+        self.dab_sent.record(merged, {})
         return merged
-
-    def owned_bounds(self, merged: Mapping[str, float],
-                     source_id: int) -> Dict[str, float]:
-        """The subset of ``merged`` owned by ``source_id``."""
-        return {name: bound for name, bound in merged.items()
-                if self.item_to_source.get(name) == source_id}
 
     # -- helpers ---------------------------------------------------------------------
 
@@ -503,7 +489,7 @@ class CoordinatorCore:
         return plan
 
     def _breaker_degraded_plan(self, query: PolynomialQuery) -> DABAssignment:
-        """The last good plan, primary DABs scaled by ``breaker_shrink``.
+        """The last good plan, primary DABs scaled by :data:`BREAKER_SHRINK`.
 
         Shrinking *primary* bounds is the safe direction (``c >= b`` still
         holds, sources just push a little more); shrinking secondary
@@ -520,7 +506,7 @@ class CoordinatorCore:
                                    or previous is cached[1]):
             return cached[1]
         shrunk = DABAssignment(
-            primary={name: bound * self.breaker_shrink
+            primary={name: bound * BREAKER_SHRINK
                      for name, bound in previous.primary.items()},
             secondary=previous.secondary,
             reference_values=previous.reference_values,
@@ -801,45 +787,26 @@ class CoordinatorCore:
     def changed_bound_updates(self) -> Dict[int, BoundUpdate]:
         """Diff the merged primary DABs against what each source last saw.
 
-        Bumps the per-item epoch for every materially-changed bound and
-        returns ``{source_id: (bounds, epochs)}`` — one entry per source
-        that must be told (each counted as one DAB-change message, the
-        overhead μ approximates)."""
-        sent = self._last_sent_bounds
-        changed: Dict[str, float] = {}
-        for name, bound in merge_primary(self.plans.values()).items():
-            previous = sent.get(name)
-            if previous is not None and abs(bound - previous) <= _DAB_CHANGE_REL_TOL * previous:
-                continue
-            changed[name] = bound
+        Records and journals every materially-changed bound under a
+        bumped epoch and returns ``{source_id: (bounds, epochs)}`` — one
+        entry per source that must be told (each counted as one
+        DAB-change message, the overhead μ approximates)."""
+        sent = self.dab_sent
+        changed, epochs = sent.changes(merge_primary(self.plans.values()))
         if not changed:
             return {}
-        epochs = {name: self.epochs.get(name, 0) + 1 for name in changed}
-        self._set_bounds(changed, epochs)
+        sent.record(changed, epochs)
         self._log("bounds", changed, epochs)
-        by_source: Dict[int, Dict[str, float]] = {}
-        for name, bound in changed.items():
-            source_id = self.item_to_source.get(name)
-            if source_id is not None:
-                by_source.setdefault(source_id, {})[name] = bound
-        self.metrics.record_dab_change_messages(len(by_source))
-        return {source_id: (bounds, {name: epochs[name] for name in bounds})
-                for source_id, bounds in by_source.items()}
-
-    def _set_bounds(self, bounds: Mapping[str, float],
-                    epochs: Mapping[str, int]) -> None:
-        """The ``bounds`` mutator: what each source was last sent, and
-        the epochs it was sent under."""
-        self._last_sent_bounds.update(bounds)
-        self.epochs.update(epochs)
+        updates = sent.by_source(changed, self.item_to_source)
+        self.metrics.record_dab_change_messages(len(updates))
+        return updates
 
     def current_bounds_for(self, source_id: int) -> BoundUpdate:
         """The latest sent bounds (and epochs) for one source — what a
         newly-connected or resyncing source must be programmed with."""
-        bounds = {name: bound for name, bound in self._last_sent_bounds.items()
-                  if self.item_to_source.get(name) == source_id}
-        epochs = {name: self.epochs.get(name, 0) for name in bounds}
-        return bounds, epochs
+        owner = self.item_to_source
+        return self.dab_sent.held(name for name in self.dab_sent.sent
+                                  if owner.get(name) == source_id)
 
     # -- AAO periodic ------------------------------------------------------------------
 
@@ -899,7 +866,7 @@ class CoordinatorCore:
 
     def _replay_bounds(self, record: Mapping[str, Any]) -> None:
         cache = self.cache
-        self._set_bounds(
+        self.dab_sent.record(
             {name: float(bound) for name, bound in record["bounds"].items()
              if name in cache},
             {name: int(epoch) for name, epoch in record["epochs"].items()
@@ -939,8 +906,8 @@ class CoordinatorCore:
         the breaker's last-good plan set)."""
         state: Dict[str, object] = {
             "cache": dict(self.cache),
-            "epochs": dict(self.epochs),
-            "last_sent_bounds": dict(self._last_sent_bounds),
+            "epochs": dict(self.dab_sent.epochs),
+            "last_sent_bounds": dict(self.dab_sent.sent),
             "last_user_values": dict(self.last_user_values),
             "plans": _plans_to_wire(self.plans),
         }

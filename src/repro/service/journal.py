@@ -64,10 +64,15 @@ MAX_RECORD_BYTES = 1 << 20
 
 #: Accepted fsync policies: ``always`` fsyncs every append (a machine
 #: crash loses nothing acknowledged), ``interval`` fsyncs every
-#: ``fsync_interval`` appends and on every snapshot, ``off`` never
+#: :data:`FSYNC_INTERVAL` appends and on every snapshot, ``off`` never
 #: fsyncs explicitly (a *process* crash still loses nothing — appends
 #: are unbuffered — but a machine crash may lose the OS page cache).
 FSYNC_POLICIES = ("always", "interval", "off")
+
+#: Appends between fsyncs under ``interval``, and snapshots kept on disk
+#: (older ones are pruned as a new one lands).
+FSYNC_INTERVAL = 64
+KEEP_SNAPSHOTS = 2
 
 WAL_NAME = "wal.log"
 _SNAPSHOT_PREFIX = "snapshot-"
@@ -195,22 +200,15 @@ class Journal:
     """
 
     def __init__(self, directory: str, fsync: str = "always",
-                 snapshot_every: int = 500, fsync_interval: int = 64,
-                 keep_snapshots: int = 2):
+                 snapshot_every: int = 500):
         if fsync not in FSYNC_POLICIES:
             raise JournalError(
                 f"fsync policy must be one of {FSYNC_POLICIES}, got {fsync!r}")
         if snapshot_every < 1:
             raise JournalError("snapshot_every must be >= 1")
-        if fsync_interval < 1:
-            raise JournalError("fsync_interval must be >= 1")
-        if keep_snapshots < 1:
-            raise JournalError("keep_snapshots must be >= 1")
         self.directory = Path(directory)
         self.fsync = fsync
         self.snapshot_every = int(snapshot_every)
-        self.fsync_interval = int(fsync_interval)
-        self.keep_snapshots = int(keep_snapshots)
 
         self.record_count = 0
         self.records_since_snapshot = 0
@@ -272,7 +270,7 @@ class Journal:
         self._fh.write(encode_record(record))
         if self.fsync == "always" or (
                 self.fsync == "interval"
-                and (self.record_count + 1) % self.fsync_interval == 0):
+                and (self.record_count + 1) % FSYNC_INTERVAL == 0):
             os.fsync(self._fh.fileno())
             self.fsyncs += 1
         if len(self.append_seconds) < self._append_samples_cap:
@@ -332,7 +330,7 @@ class Journal:
         self._fsync_directory()
         self.snapshots_written += 1
         self.records_since_snapshot = 0
-        for old in self._snapshot_indices()[:-self.keep_snapshots]:
+        for old in self._snapshot_indices()[:-KEEP_SNAPSHOTS]:
             try:
                 self._snapshot_path(old).unlink()
             except OSError:

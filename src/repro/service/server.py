@@ -545,15 +545,8 @@ class CoordinatorServer(FrontEnd):
         DAB_UPDATE carrying ``probe``); with ``resync`` it is also a mini
         registration reply for them: current bounds, epochs and seq floors,
         so a re-numbered source answers above the floors."""
-        bounds: Dict[str, float] = {}
-        epochs: Dict[str, int] = {}
-        seqs = None
-        if resync:
-            held, held_epochs = self.core.current_bounds_for(source_id)
-            bounds = {name: held[name] for name in items if name in held}
-            epochs = {name: held_epochs[name] for name in items
-                      if name in held_epochs}
-            seqs = self.leases.floors(items)
+        bounds, epochs = self.core.dab_sent.held(items if resync else ())
+        seqs = self.leases.floors(items) if resync else None
         message = protocol.dab_update(source_id, bounds, epochs, seqs=seqs,
                                       probe=items)
         if await self._send_to_source(source_id, message):

@@ -1,19 +1,27 @@
-"""The source plane's fault-side state, written once (DESIGN.md §7.2).
+"""The source plane, written once (DESIGN.md §7.2).
 
-Two clock-free tables: time is passed in, neither does I/O, and each call
+Clock-free tables: time is passed in, none does I/O, and each call
 returns the effects its caller carries out — items to probe or resync,
-DAB_UPDATEs to resend or give up on.  The simulator's ``Coordinator``, the
-live ``CoordinatorServer`` and the cluster router (through ``FrontEnd``)
-are adapters that turn those effects into events or frames.
+DAB_UPDATEs to ship, resend or give up on.  The simulator's ``Coordinator``,
+the live ``CoordinatorServer`` and the cluster router (through
+``FrontEnd``) are adapters that turn those effects into events or frames.
+Every DAB sender ships through a :class:`DabSendTable`, and every receiver
+applies what :func:`admit_newest` admits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Container, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.service.resilience import RetryPolicy
+
+#: One source's DAB update: ``(bounds, epochs)`` keyed by item name.
+BoundUpdate = Tuple[Dict[str, float], Dict[str, int]]
+
+#: Relative change below which a bound is not worth a DAB-change message.
+DAB_CHANGE_REL_TOL = 1e-9
 
 
 class SeqFloors:
@@ -195,6 +203,73 @@ class SourceLeases(SeqFloors):
             self.suspect_since[str(name)] = float(since)
         for name, at in (state.get("item_last_heard") or {}).items():
             self.last_heard[str(name)] = float(at)
+
+
+class DabSendTable:
+    """Per item, the bound last shipped to its source and its epoch.  The
+    owner min-merges its own votes (EQI, paper §IV); :meth:`changes` is
+    pure, and what is shipped is written by one mutator, :meth:`record` —
+    live, on replay, and for the bootstrap seed (under no epoch)."""
+
+    def __init__(self) -> None:
+        #: item -> the bound last sent, and the epoch of its last change.
+        self.sent: Dict[str, float] = {}
+        self.epochs: Dict[str, int] = {}
+
+    def changes(self, merged: Mapping[str, float]) -> BoundUpdate:
+        """The bounds of ``merged`` never shipped or moved by more than
+        :data:`DAB_CHANGE_REL_TOL` relative, in input order, under their
+        next epochs.  Records nothing."""
+        sent, epochs = self.sent, self.epochs
+        changed = {name: bound for name, bound in merged.items()
+                   if name not in sent or not abs(bound - sent[name])
+                   <= DAB_CHANGE_REL_TOL * sent[name]}
+        return changed, {name: epochs.get(name, 0) + 1 for name in changed}
+
+    def record(self, bounds: Mapping[str, float],
+               epochs: Mapping[str, int]) -> None:
+        self.sent.update(bounds)
+        self.epochs.update(epochs)
+
+    def by_source(self, items: Iterable[str],
+                  owner: Mapping[str, int]) -> Dict[int, BoundUpdate]:
+        """:meth:`held` of ``items``, one update per owning source in order
+        of first appearance; an item with no source is left out."""
+        groups: Dict[int, List[str]] = {}
+        for name in items:
+            if owner.get(name) is not None:
+                groups.setdefault(owner[name], []).append(name)
+        return {source_id: self.held(names) for source_id, names in groups.items()}
+
+    def held(self, items: Iterable[str]) -> BoundUpdate:
+        """What a source holding ``items`` was last sent (its registration
+        reply); a seeded bound goes out under epoch 0."""
+        bounds = {name: self.sent[name] for name in items if name in self.sent}
+        return bounds, {name: self.epochs.get(name, 0) for name in bounds}
+
+
+def admit_newest(held: Dict[str, int], known: Container[str],
+                 bounds: Mapping[str, float],
+                 epochs: Optional[Mapping[str, int]] = None
+                 ) -> Tuple[Dict[str, float], int, int]:
+    """The receiver rule: per item, the newest epoch wins.  ``held`` (item
+    -> epoch of the bound last admitted under one) is raised here.  Returns
+    ``(admitted, stale, unknown)``: the bounds under an epoch newer than
+    held, or under none (``epochs`` is ``None`` or lacks the item), in
+    input order; and how many were skipped as older, or not ``known``."""
+    admitted: Dict[str, float] = {}
+    stale = unknown = 0
+    for name, bound in bounds.items():
+        epoch = None if epochs is None else epochs.get(name)
+        if name not in known:
+            unknown += 1
+        elif epoch is not None and epoch <= held.get(name, -1):
+            stale += 1
+        else:
+            if epoch is not None:
+                held[name] = int(epoch)
+            admitted[name] = float(bound)
+    return admitted, stale, unknown
 
 
 @dataclass

@@ -128,12 +128,12 @@ class Coordinator:
         """Plan every query at the initial values and seed the sources'
         filters directly (time-zero configuration is assumed in place when
         the paper's observation window starts)."""
-        merged = self.core.bootstrap()
+        self.core.bootstrap()
         if self.core.mode is RecomputeMode.AAO_PERIODIC:
             self.queue.push(Event(float(self.core.aao_period),
                                   EventKind.AAO_PERIODIC))
         for source_id, source in self._sources.items():
-            source.set_bounds(self.core.owned_bounds(merged, source_id))
+            source.set_bounds(self.core.current_bounds_for(source_id)[0])
         if self.faults.enabled:
             # Every lease starts now, with the observation window.
             self.leases.sweep(0.0, self.core.cache)

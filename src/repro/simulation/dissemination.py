@@ -13,7 +13,9 @@ We reproduce the cost structure with a two-level tree:
   interested child per hop.
 * Each child runs the standard coordinator logic (user notifications +
   recompute policy); its DAB changes travel back through the root, which
-  re-derives the global min per item and re-programs the sources.
+  applies each child's bounds newest-epoch-first (same-tick changes can
+  arrive reordered), re-derives the global min per item and re-programs
+  the sources — both DAB rules of :mod:`repro.service.source_plane`.
 
 What makes recomputation expensive here is exactly what μ models: one
 child's recomputation fans out into root bookkeeping and potentially
@@ -31,8 +33,10 @@ from repro.exceptions import SimulationError
 from repro.dynamics.estimation import RateEstimator, estimate_rates
 from repro.dynamics.models import DataDynamicsModel
 from repro.dynamics.traces import TraceSet
+from repro.filters.assignment import merge_primary
 from repro.filters.cost_model import CostModel
 from repro.queries.polynomial import PolynomialQuery
+from repro.service.source_plane import DabSendTable, admit_newest
 from repro.simulation.coordinator import Coordinator, RecomputeMode
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import Event, EventKind
@@ -99,13 +103,18 @@ class _RootPort:
         self.root = root
         self.child_id = child_id
         self.source_id = _PORT_BASE + child_id
+        #: The child's newest epoch per item: a stale change is dropped.
+        self.epochs: Dict[str, int] = {}
 
-    def set_bounds(self, bounds: Mapping[str, float]) -> None:
-        self.root.update_child_bounds(self.child_id, bounds, time=0.0)
+    def set_bounds(self, bounds: Mapping[str, float],
+                   epochs: Optional[Mapping[str, int]] = None, time: float = 0.0) -> None:
+        admitted = admit_newest(self.epochs, self.root.cache, bounds, epochs)[0]
+        if admitted:
+            self.root.update_child_bounds(self.child_id, admitted, time)
 
     def on_dab_change(self, event: Event) -> None:
-        self.root.update_child_bounds(self.child_id, event.payload["bounds"],
-                                      time=event.time)
+        self.set_bounds(event.payload["bounds"], event.payload.get("epochs"),
+                        event.time)
 
 
 class RootRelay:
@@ -121,8 +130,8 @@ class RootRelay:
         self.faults = fault_model if fault_model is not None else DISABLED
         self.cache: Dict[str, float] = dict(initial_values)
         self.item_to_source = dict(item_to_source)
-        #: Per-item monotone epoch for root→source DAB changes.
-        self.epochs: Dict[str, int] = {}
+        #: The global min bounds (and epochs) the sources were last sent.
+        self.dab_sent = DabSendTable()
         #: child_id -> {item: b} as last announced by that child.
         self.child_bounds: Dict[int, Dict[str, float]] = {}
         #: child_id -> {item: value} last forwarded to that child.
@@ -138,50 +147,31 @@ class RootRelay:
 
     def update_child_bounds(self, child_id: int, bounds: Mapping[str, float],
                             time: float = 0.0) -> None:
-        store = self.child_bounds.setdefault(child_id, {})
-        store.update({name: float(b) for name, b in bounds.items()})
+        self.child_bounds.setdefault(child_id, {}).update(bounds)
         self.forwarded.setdefault(child_id, {}).update({
             name: self.cache[name] for name in bounds if name in self.cache
         })
         if self._bootstrapped:
-            self._reprogram_sources(send=True, time=time)
+            self._reprogram_sources(time)
 
     def bootstrap(self) -> None:
         """Push the initial global min-DABs straight into the sources."""
-        self._reprogram_sources(send=False, time=0.0)
+        merged = merge_primary(self.child_bounds.values())
+        for source_id, source in self._sources.items():
+            source.set_bounds({name: bound for name, bound in merged.items()
+                               if self.item_to_source.get(name) == source_id})
+        self.dab_sent.record(merged, {})
         self._bootstrapped = True
 
-    def _global_min_bounds(self) -> Dict[str, float]:
-        merged: Dict[str, float] = {}
-        for bounds in self.child_bounds.values():
-            for name, b in bounds.items():
-                current = merged.get(name)
-                if current is None or b < current:
-                    merged[name] = b
-        return merged
-
-    def _reprogram_sources(self, send: bool, time: float) -> None:
-        merged = self._global_min_bounds()
-        if not send:
-            for source_id, source in self._sources.items():
-                source.set_bounds({name: bound for name, bound in merged.items()
-                                   if self.item_to_source.get(name) == source_id})
-            self._last_sent = dict(merged)
-            return
-        changed_by_source: Dict[int, Dict[str, float]] = {}
-        last = getattr(self, "_last_sent", {})
-        for name, bound in merged.items():
-            previous = last.get(name)
-            if previous is not None and abs(bound - previous) <= 1e-9 * previous:
-                continue
-            last[name] = bound
-            self.epochs[name] = self.epochs.get(name, 0) + 1
-            changed_by_source.setdefault(self.item_to_source[name], {})[name] = bound
-        self._last_sent = last
-        for source_id, bounds in changed_by_source.items():
+    def _reprogram_sources(self, time: float) -> None:
+        sent = self.dab_sent
+        changed, epochs = sent.changes(merge_primary(self.child_bounds.values()))
+        sent.record(changed, epochs)
+        for source_id, (bounds, held) in sent.by_source(
+                changed, self.item_to_source).items():
             self.metrics.record_dab_change_messages(1)
             payload = {"source_id": source_id, "bounds": bounds,
-                       "epochs": {name: self.epochs[name] for name in bounds}}
+                       "epochs": held}
             link = f"root->src{source_id}"
             if self.faults.drop(link, time):
                 self.metrics.record_message_dropped()
@@ -263,7 +253,7 @@ def run_dissemination(config: DisseminationConfig) -> DisseminationResult:
 
     # Partition queries round-robin over child coordinators.
     children: Dict[int, Coordinator] = {}
-    ports: Dict[int, _RootPort] = {}
+    receivers: Dict[int, Union[SourceNode, _RootPort]] = dict(sources)
     mode = _SINGLE_DAB_MODES[config.algorithm]
     if mode is RecomputeMode.AAO_PERIODIC:
         raise SimulationError("AAO-T is not part of the dissemination experiment")
@@ -293,7 +283,7 @@ def run_dissemination(config: DisseminationConfig) -> DisseminationResult:
         )
         coordinator.attach_sources([port])
         children[child_id] = coordinator
-        ports[port.source_id] = port
+        receivers[port.source_id] = port
 
     for child in children.values():
         child.initial_plan()
@@ -306,15 +296,9 @@ def run_dissemination(config: DisseminationConfig) -> DisseminationResult:
         else:
             children[dest].on_refresh(event)
 
-    def route_dab_change(event: Event) -> None:
-        source_id = event.payload["source_id"]
-        if source_id >= _PORT_BASE:
-            ports[source_id].on_dab_change(event)
-        else:
-            sources[source_id].on_dab_change(event)
-
     engine.on(EventKind.REFRESH_ARRIVAL, route_refresh)
-    engine.on(EventKind.DAB_CHANGE_ARRIVAL, route_dab_change)
+    engine.on(EventKind.DAB_CHANGE_ARRIVAL, lambda event: receivers[
+        event.payload["source_id"]].on_dab_change(event))
     # Sources heartbeat when faults are on; the root has no lease table,
     # so the beacons are absorbed here (counted at the sending source).
     engine.on(EventKind.HEARTBEAT_ARRIVAL, lambda _event: None)

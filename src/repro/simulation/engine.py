@@ -17,9 +17,6 @@ from repro.simulation.events import Event, EventKind, EventQueue
 #: deliveries with typical (~110 ms) delays, before the next tick.
 _FIDELITY_OFFSET = 0.5
 
-#: Sentinel kind for fidelity sampling, internal to the engine.
-_FIDELITY = "fidelity"
-
 
 class SimulationEngine:
     """Processes events in time order for a fixed number of ticks."""

@@ -12,7 +12,8 @@ refreshes, two changes for one item can arrive out of order.  Every bound
 therefore carries a per-item monotone *epoch*; a source applies a bound
 only if its epoch is newer than the one it holds, so the source always
 ends on the newest filter regardless of arrival order (and duplicate or
-retransmitted messages are idempotent).
+retransmitted messages are idempotent): the shared receiver rule,
+:func:`~repro.service.source_plane.admit_newest`.
 
 Under an enabled :class:`~repro.simulation.faults.FaultModel` the source
 additionally honours crash windows (no pushes, no receipt while down,
@@ -30,6 +31,7 @@ import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.dynamics.traces import TraceSet
+from repro.service.source_plane import admit_newest
 from repro.simulation.events import Event, EventKind, EventQueue
 from repro.simulation.faults import DISABLED, FaultModel
 from repro.simulation.metrics import MetricsCollector
@@ -124,28 +126,18 @@ class SourceNode:
 
     def set_bounds(self, bounds: Mapping[str, float],
                    epochs: Optional[Mapping[str, int]] = None) -> None:
-        """Apply new primary DABs; reject unknown items and stale epochs.
-
-        Without ``epochs`` (the bootstrap path) bounds apply
-        unconditionally.  With ``epochs`` an item's bound is applied only
-        when its epoch is strictly newer than the last applied one —
-        stale-reorder and duplicate deliveries become counted no-ops.
-        """
-        for name, value in bounds.items():
-            if name not in self.last_pushed:
-                # A misrouted payload: surface it instead of silently
-                # ignoring it — the coordinator's routing is wrong.
-                self.metrics.record_misrouted_bounds()
-                continue
-            if epochs is not None:
-                epoch = epochs.get(name)
-                if epoch is not None and epoch <= self.epochs.get(name, -1):
-                    self.metrics.record_duplicate_reject()
-                    continue
-                if epoch is not None:
-                    self.epochs[name] = int(epoch)
-            self.bounds[name] = float(value)
-            self._bounds_arr[self._row[name]] = self.bounds[name]
+        """Apply new primary DABs, newest epoch first; without ``epochs``
+        (the bootstrap path) every bound applies.  Stale or duplicate
+        deliveries are counted no-ops, and so are misrouted bounds (not
+        silently ignored: the coordinator's routing is wrong)."""
+        admitted, stale, unknown = admit_newest(self.epochs, self.last_pushed,
+                                                bounds, epochs)
+        self.metrics.record_misrouted_bounds(unknown)
+        self.metrics.record_duplicate_reject(stale)
+        self.bounds.update(admitted)
+        row = self._row
+        for name, bound in admitted.items():
+            self._bounds_arr[row[name]] = bound
 
     def on_dab_change(self, event: Event) -> None:
         """A DAB-change message arrived from the coordinator."""

@@ -81,8 +81,17 @@ def test_aao_program_is_the_compiled_object_program(bank, ddm, mu):
                             build_aao_program(queries, values, model).compile())
 
 
+#: A bank whose first joint optimum lands 9.5e-13 over the QAB, and whose
+#: warm-started second one so far over that the widening pass's constant
+#: QAB row was violated: each plan's primaries are scaled onto the QAB.
+OVERSHOOT = ([parse_query("1*w + 1*x : 1", name="bank0")],
+             {"w": 0.5, "x": 1.0}, {"w": 1.0, "x": 1.0},
+             {"w": 1.0, "x": 0.5})
+
+
 @given(bank=banks(), ddm=st.sampled_from(["monotonic", "random_walk"]),
        mu=st.sampled_from([1.0, 5.0, 20.0]))
+@example(bank=OVERSHOOT, ddm="monotonic", mu=1.0)
 def test_aao_plans_are_the_oracle_plans(bank, ddm, mu):
     queries, one, two, rates = bank
     model = CostModel(ddm=ddm, rates=rates, recompute_cost=mu)
@@ -92,6 +101,16 @@ def test_aao_plans_are_the_oracle_plans(bank, ddm, mu):
         want = oracle.plan_all(queries, values)
         assert got.per_query == want.per_query
         assert got.coordinator == want.coordinator
+
+
+def test_a_joint_optimum_over_the_qab_is_scaled_onto_it():
+    queries, one, two, rates = OVERSHOOT
+    model = CostModel(ddm="monotonic", rates=rates, recompute_cost=1.0)
+    for planner in (AAOPlanner(model), OracleAAOPlanner(model)):
+        for values in (one, two):
+            plan = planner.plan_all(queries, values).per_query["bank0"]
+            assert plan.guarantees_qab(queries[0], values)
+            assert sum(plan.primary.values()) <= 1.0
 
 
 @st.composite

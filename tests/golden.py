@@ -14,7 +14,12 @@ the 60-tick-λ tree's ``dual-dab-13`` on every field but the two below.
 ``faulted`` was re-recorded once more, when the simulator took on the live
 server's source-plane rules (one set of lease/retry tables, DESIGN.md
 §7.2); every move in it comes from re-probing on every heartbeat whose
-sequence number is ahead of the coordinator's.
+sequence number is ahead of the coordinator's.  ``dissemination-pareto-
+faulted`` was re-recorded when the Fig. 8(c) root began applying each
+child's bounds newest-epoch-first (the DAB receiver rule, DESIGN.md
+§7.2): refreshes 4 812 → 4 811, recomputations 39 → 40 (``portfolio2``
+6 → 7), user notifications 747 → 723, and four per-query losses traded
+two fidelity samples each way at an unchanged mean.
 JSON floats round-trip through ``repr``, so equality is exact.
 
 ``delta_patches`` / ``delta_fallbacks`` say *how* a recompute was answered

@@ -9,7 +9,10 @@ algebra that writes the paper's programs down term by term —
 :mod:`tests.oracle.signomial`).  ``GeometricProgram.compile()`` is the
 definition every array assembler in ``src/`` is held to, bit for bit
 (DESIGN §8.2).  :mod:`tests.oracle.plan_first` keeps the QUERY_SUB handler
-that planned before it replied, the oracle of the server's (DESIGN §9.3).
+that planned before it replied, the oracle of the server's (DESIGN §9.3),
+and :mod:`tests.oracle.dab_plane` the per-node copies of the DAB sender
+and receiver rules that ``repro.service.source_plane`` holds once
+(DESIGN §7.2).
 """
 
 from tests.oracle.monomial import Monomial, NotPosynomialError, variables

@@ -12,6 +12,7 @@ through the object program, the plan oracle of
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Mapping, Sequence
 
 from repro.exceptions import FilterError, NotPositiveCoefficientError
@@ -200,6 +201,18 @@ class OracleAAOPlanner:
         for index, query in enumerate(queries):
             items = query.variables
             primary = {name: solution.values[primary_variable(name)] for name in items}
+            # A joint optimum over the QAB by solver noise is scaled down
+            # onto it, rounded down, before the widening pass.
+            point = {}
+            for name, bound in primary.items():
+                point[primary_variable(name)] = bound
+                point[secondary_variable(name)] = bound
+            load = dual_dab_condition(query.terms, values,
+                                      query.qab).evaluate(point)
+            if load > 1.0:
+                scale = math.nextafter(1.0 / load, 0.0)
+                primary = {name: bound * scale
+                           for name, bound in primary.items()}
             secondary = CompiledDualDabTemplate(
                 query, values, self.cost_model).widen(values, primary)
             per_query[query.name] = DABAssignment(

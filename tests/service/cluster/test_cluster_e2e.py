@@ -66,7 +66,7 @@ class TestSingleCoordinatorPrice:
 
         async def body():
             await cluster.start()
-            programmed = dict(cluster._effective_bounds)
+            programmed = dict(cluster.dab_sent.sent)
             await cluster.close()
             await server.close()
             return programmed

@@ -259,8 +259,8 @@ async def run_reads(directory, oracle, script_of=script):
         }
     router = {"stats": dict(cluster.stats),
               "floors": dict(cluster._floors.last_seq),
-              "bounds": dict(cluster._effective_bounds),
-              "epochs": dict(cluster.epochs)}
+              "bounds": dict(cluster.dab_sent.sent),
+              "epochs": dict(cluster.dab_sent.epochs)}
     await cluster.close()
     for sid, stream in subscribers.items():
         received = []

@@ -42,6 +42,24 @@ class TestRootPort:
         port.set_bounds({"x": 0.5})
         assert root.child_bounds[0] == {"x": 0.5}
 
+    def test_reordered_child_changes_leave_the_root_on_the_newer(
+            self, relay_world):
+        # Two same-tick changes race over independent delays: the older
+        # one lands last and must not overwrite the newer bound.
+        root, source, queue, _metrics = relay_world
+        port = _RootPort(root, child_id=0)
+        port.set_bounds({"x": 1.0})
+        root.bootstrap()
+        for epoch, bound in ((2, 0.2), (1, 0.5)):
+            port.on_dab_change(Event(5.0, EventKind.DAB_CHANGE_ARRIVAL,
+                                     {"source_id": port.source_id,
+                                      "bounds": {"x": bound},
+                                      "epochs": {"x": epoch}}))
+        assert root.child_bounds[0] == {"x": 0.2}
+        for event in _drain(queue):
+            source.on_dab_change(event)
+        assert source.bounds["x"] == 0.2
+
 
 class TestRelayFiltering:
     def test_bootstrap_programs_sources_with_global_min(self, relay_world):
