@@ -163,9 +163,9 @@ def test_ablation_refresh_ladder(benchmark, save_table):
     planners, plan_calls = set(), []
     plan = OptimalRefreshPlanner.plan
 
-    def recording_plan(self, query, values):
+    def recording_plan(self, query, values, recompute_scale=1.0):
         planners.add(self)
-        assignment = plan(self, query, values)
+        assignment = plan(self, query, values, recompute_scale)
         plan_calls.append((query, dict(values), assignment.objective))
         return assignment
 

@@ -91,7 +91,9 @@ class UniformAllocationBaseline:
         # baseline is drop-in compatible with the planner protocol.
         self.cost_model = cost_model
 
-    def plan(self, query: PolynomialQuery, values: Mapping[str, float]) -> DABAssignment:
+    def plan(self, query: PolynomialQuery, values: Mapping[str, float],
+             recompute_scale: float = 1.0) -> DABAssignment:
+        """``recompute_scale`` prices nothing: there is no μ·R row."""
         share = query.qab / len(query.terms)
         primary: Dict[str, float] = {}
         for term in query.terms:
@@ -125,7 +127,9 @@ class SharfmanStyleBaseline:
     def __init__(self, cost_model: Optional[CostModel] = None):
         self.cost_model = cost_model
 
-    def plan(self, query: PolynomialQuery, values: Mapping[str, float]) -> DABAssignment:
+    def plan(self, query: PolynomialQuery, values: Mapping[str, float],
+             recompute_scale: float = 1.0) -> DABAssignment:
+        """``recompute_scale`` prices nothing: there is no μ·R row."""
         share = query.qab / len(query.terms)
         primary: Dict[str, float] = {}
         for term in query.terms:

@@ -158,14 +158,18 @@ class CompiledDualDabTemplate:
         return [name for name in self.query.variables
                 if last.get(name) != float(values[name])]
 
-    def refresh(self, values: Mapping[str, float]) -> None:
-        """Rewrite every value/rate-dependent log-coefficient in place."""
+    def refresh(self, values: Mapping[str, float],
+                recompute_scale: float = 1.0) -> None:
+        """Rewrite every value/rate-dependent log-coefficient in place,
+        the μ·R row priced at ``recompute_scale`` times the cost model's
+        μ."""
         self.last_values = {name: float(values[name])
                             for name in self.query.variables}
         cost_model = self.cost_model
         log_price = {item: _log_rate(cost_model, item)
                      for item in self.query.variables}
-        log_price[None] = math.log(max(cost_model.recompute_cost, 1e-9))
+        log_price[None] = math.log(
+            max(cost_model.recompute_cost * recompute_scale, 1e-9))
         for name, function, items in _priced_functions(self.compiled,
                                                        self._priced_by):
             if name == "qab":
@@ -178,8 +182,9 @@ class CompiledDualDabTemplate:
             # order[...] constraints are fully static (log 1.0 == 0.0).
 
     def solve(self, values: Mapping[str, float],
-              initial: Optional[Mapping[str, float]] = None) -> GPSolution:
-        self.refresh(values)
+              initial: Optional[Mapping[str, float]] = None,
+              recompute_scale: float = 1.0) -> GPSolution:
+        self.refresh(values, recompute_scale)
         return self.compiled.solve(initial=initial)
 
     def widen_template(self, values: Mapping[str, float],

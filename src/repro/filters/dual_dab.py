@@ -176,8 +176,11 @@ class DualDABPlanner:
         self.stats = DeltaStats()
         self._queries: Dict[str, _QueryState] = {}
 
-    def plan(self, query: PolynomialQuery, values: Mapping[str, float]) -> DABAssignment:
-        """Compute primary and secondary DABs at the given item values.
+    def plan(self, query: PolynomialQuery, values: Mapping[str, float],
+             recompute_scale: float = 1.0) -> DABAssignment:
+        """Compute primary and secondary DABs at the given item values,
+        the μ·R row priced at ``recompute_scale`` times the cost model's
+        μ (the coordinator's per-query recompute price, DESIGN.md §4).
 
         The returned assignment stays valid while every item remains within
         ``reference ± secondary``; only then must this method be called
@@ -187,14 +190,15 @@ class DualDABPlanner:
         stats = self.stats
         state = self._state(query, values)
         first = state.main is None
-        plan = None if first else self._patch(state, values, anchored=False)
+        plan = None if first else self._patch(
+            state, values, recompute_scale, anchored=False)
         if plan is None:
-            plan = self._patch(state, values, anchored=True)
+            plan = self._patch(state, values, recompute_scale, anchored=True)
             if plan is not None:
                 stats.reanchors += 1
         patched = plan is not None
         if plan is None:
-            plan = self._solve(state, values)
+            plan = self._solve(state, values, recompute_scale)
             stats.multistart_solves += 1
         stats.record_plan(_time.perf_counter() - started, first, patched)
         return plan
@@ -217,7 +221,8 @@ class DualDABPlanner:
         return state
 
     def _patch(self, state: _QueryState, values: Mapping[str, float],
-               anchored: bool) -> Optional[DABAssignment]:
+               recompute_scale: float, anchored: bool,
+               ) -> Optional[DABAssignment]:
         """One plan, patched from the query's last optimum — from the linear
         anchor when ``anchored`` — or ``None`` with the decline reason
         noted.  Only an accepted patch moves ``state``."""
@@ -226,7 +231,7 @@ class DualDABPlanner:
         items = query.variables
         try:
             affected = template.changed_items(values)
-            template.refresh(values)
+            template.refresh(values, recompute_scale)
         except (KeyError, ValueError, OverflowError):
             stats.note_decline("refresh_error")
             return None
@@ -299,15 +304,16 @@ class DualDABPlanner:
         return {name: max(result.values[secondary_variable(name)],
                           float(primary[name])) for name in items}
 
-    def _solve(self, state: _QueryState,
-               values: Mapping[str, float]) -> DABAssignment:
+    def _solve(self, state: _QueryState, values: Mapping[str, float],
+               recompute_scale: float) -> DABAssignment:
         """The last rung: the template's multi-start solve, warm-started
         from the last optimum.  A GP failure propagates (the coordinator's
         degradation machinery owns those) and leaves no optimum to patch
         from."""
         template, items = state.template, state.query.variables
         try:
-            solution = template.solve(values, initial=state.main)
+            solution = template.solve(values, initial=state.main,
+                                      recompute_scale=recompute_scale)
             primary = {name: solution.values[primary_variable(name)]
                        for name in items}
             # Numerical guard: the GP keeps b <= c only to solver tolerance.

@@ -81,18 +81,20 @@ class HalfAndHalfPlanner:
         self.base = base_planner if base_planner is not None else DualDABPlanner(cost_model)
         self.split_ratio = split_ratio
 
-    def plan(self, query: PolynomialQuery, values: Mapping[str, float]) -> DABAssignment:
+    def plan(self, query: PolynomialQuery, values: Mapping[str, float],
+             recompute_scale: float = 1.0) -> DABAssignment:
+        """Each half is planned at ``query``'s recompute price."""
         p1, p2 = query.split()
         if not p2:
-            return self.base.plan(query, values)
+            return self.base.plan(query, values, recompute_scale)
         if not p1:
             # Entirely negative query: -P2 moves exactly as much as P2.
             mirror = PolynomialQuery(p2, query.qab, f"{query.name}__neg")
-            return self.base.plan(mirror, values)
+            return self.base.plan(mirror, values, recompute_scale)
         q1 = PolynomialQuery(p1, query.qab * self.split_ratio, f"{query.name}__p1")
         q2 = PolynomialQuery(p2, query.qab * (1.0 - self.split_ratio), f"{query.name}__p2")
-        a1 = self.base.plan(q1, values)
-        a2 = self.base.plan(q2, values)
+        a1 = self.base.plan(q1, values, recompute_scale)
+        a2 = self.base.plan(q2, values, recompute_scale)
         return _merge_half_plans(a1, a2)
 
     def clear_warm_starts(self) -> None:
@@ -116,11 +118,13 @@ class DifferentSumPlanner:
         self.cost_model = cost_model
         self.base = base_planner if base_planner is not None else DualDABPlanner(cost_model)
 
-    def plan(self, query: PolynomialQuery, values: Mapping[str, float]) -> DABAssignment:
+    def plan(self, query: PolynomialQuery, values: Mapping[str, float],
+             recompute_scale: float = 1.0) -> DABAssignment:
+        """The mirror is planned at ``query``'s recompute price."""
         if query.is_positive_coefficient:
-            return self.base.plan(query, values)
+            return self.base.plan(query, values, recompute_scale)
         mirror = query.positive_mirror()
-        return self.base.plan(mirror, values)
+        return self.base.plan(mirror, values, recompute_scale)
 
     def clear_warm_starts(self) -> None:
         """Drop the base planner's cached solver starts (fault resync)."""

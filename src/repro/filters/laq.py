@@ -88,7 +88,9 @@ class LAQPlanner:
     def __init__(self, cost_model: CostModel):
         self.cost_model = cost_model
 
-    def plan(self, query: PolynomialQuery, values: Mapping[str, float]) -> DABAssignment:
+    def plan(self, query: PolynomialQuery, values: Mapping[str, float],
+             recompute_scale: float = 1.0) -> DABAssignment:
+        """``recompute_scale`` prices nothing: there is no μ·R row."""
         plan = assign_laq(query, self.cost_model)
         # Give the plan an effectively unbounded window: LAQ conditions do
         # not depend on current values, so the primaries never go stale.

@@ -109,6 +109,8 @@ class AAOPlanner:
     program has its dual-DAB condition over the shared ``b`` and its own
     secondaries ``c__q{k}__<item>``, and per item ``order`` (``b <= c``),
     ``recompute`` (``λ/c <= R_q``) and ``window`` (``c <= V``) rows.
+    ``recompute_scales`` (query name -> share of μ, default 1) prices each
+    query's ``μ · R_q`` row at its coordinator's recompute price.
     """
 
     def __init__(self, cost_model: CostModel):
@@ -116,7 +118,9 @@ class AAOPlanner:
         self._warm_start: Optional[Dict[str, float]] = None
 
     def build_program(self, queries: Sequence[PolynomialQuery],
-                      values: Mapping[str, float]) -> CompiledProgram:
+                      values: Mapping[str, float],
+                      recompute_scales: Optional[Mapping[str, float]] = None,
+                      ) -> CompiledProgram:
         """The joint program, assembled from arrays: each query's
         :class:`CompiledDeviation` rows with its secondaries renamed, and
         the one- and two-variable rows around them."""
@@ -129,15 +133,17 @@ class AAOPlanner:
                     "Mirror it first (positive_mirror) or use EQI with a heuristic."
                 )
         cost_model = self.cost_model
+        scales = recompute_scales or {}
         power = refresh_rate_exponent(cost_model.ddm)
         all_items = sorted({name for q in queries for name in q.variables})
         log_rate = {item: _log_rate(cost_model, item) for item in all_items}
-        log_mu = math.log(max(cost_model.recompute_cost, 1e-9))
         functions = [_priced("objective", [
             (((primary_variable(item), power),), log_rate[item])
             for item in all_items] + [
-            (((_aao_rate(index), 1.0),), log_mu)
-            for index in range(len(queries))])]
+            (((_aao_rate(index), 1.0),), math.log(max(
+                cost_model.recompute_cost
+                * scales.get(query.name, 1.0), 1e-9)))
+            for index, query in enumerate(queries)])]
         for index, query in enumerate(queries):
             rename = {secondary_variable(name): _aao_secondary(index, name)
                       for name in query.variables}
@@ -162,9 +168,12 @@ class AAOPlanner:
         return _assemble_priced(functions)
 
     def plan_all(self, queries: Sequence[PolynomialQuery],
-                 values: Mapping[str, float]) -> MultiQueryAssignment:
-        solution = solve_compiled(self.build_program(queries, values),
-                                  initial=self._warm_start)
+                 values: Mapping[str, float],
+                 recompute_scales: Optional[Mapping[str, float]] = None,
+                 ) -> MultiQueryAssignment:
+        solution = solve_compiled(
+            self.build_program(queries, values, recompute_scales),
+            initial=self._warm_start)
         self._warm_start = dict(solution.values)
 
         per_query: Dict[str, DABAssignment] = {}

@@ -75,11 +75,13 @@ class OptimalRefreshPlanner:
         self._warm_starts: Dict[str, Dict[str, float]] = {}
         self._templates: Dict[str, object] = {}
 
-    def plan(self, query: PolynomialQuery, values: Mapping[str, float]) -> DABAssignment:
+    def plan(self, query: PolynomialQuery, values: Mapping[str, float],
+             recompute_scale: float = 1.0) -> DABAssignment:
         """Compute the refresh-optimal DABs at the given item values.
 
         Returns a single-DAB assignment (``secondary=None``): the caller
-        must recompute it whenever any input item is refreshed.
+        must recompute it whenever any input item is refreshed.  The
+        program has no μ·R row, so ``recompute_scale`` prices nothing.
         """
         started = _time.perf_counter()
         template = _built_for(self._templates, query)

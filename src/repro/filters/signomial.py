@@ -149,15 +149,17 @@ class SignomialPlanner:
 
     def _program(self, query: PolynomialQuery, values: Mapping[str, float],
                  conditions: Mapping[str, Tuple[Rows, Optional[Rows]]],
-                 point: Mapping[str, float]) -> CompiledProgram:
-        """One round's geometric program, condensed at ``point``."""
+                 point: Mapping[str, float],
+                 recompute_cost: float) -> CompiledProgram:
+        """One round's geometric program, condensed at ``point``, its μ·R
+        row priced at ``recompute_cost``."""
         cost_model = self.cost_model
         items = query.variables
         rate = RECOMPUTE_RATE_VARIABLE
         power = refresh_rate_exponent(cost_model.ddm)
         log_rate = {item: _log_rate(cost_model, item) for item in items}
         functions = [_priced("objective", [
-            (((rate, 1.0),), math.log(max(cost_model.recompute_cost, 1e-9)))
+            (((rate, 1.0),), math.log(max(recompute_cost, 1e-9)))
         ] + [(((primary_variable(item), power),), log_rate[item])
              for item in items])]
         for direction, (pos, neg) in conditions.items():
@@ -180,12 +182,16 @@ class SignomialPlanner:
 
     # -- planning ------------------------------------------------------------------
 
-    def plan(self, query: PolynomialQuery, values: Mapping[str, float]) -> DABAssignment:
+    def plan(self, query: PolynomialQuery, values: Mapping[str, float],
+             recompute_scale: float = 1.0) -> DABAssignment:
+        """Every round, and the seed, prices the μ·R row at
+        ``recompute_scale`` times the cost model's μ."""
         if query.is_positive_coefficient:
-            return self._ppq_planner.plan(query, values)
+            return self._ppq_planner.plan(query, values, recompute_scale)
 
         items = query.variables
-        seed = self._seed_planner.plan(query, values)
+        mu = self.cost_model.recompute_cost * recompute_scale
+        seed = self._seed_planner.plan(query, values, recompute_scale)
         # DS windows may touch c = V; the down-side needs b + c <= V, so
         # shrink the seed point slightly to sit strictly inside.
         point: Dict[str, float] = {}
@@ -211,12 +217,12 @@ class SignomialPlanner:
                 if self.cost_model.ddm.value == "monotonic"
                 else (self.cost_model.rate_of(n) / p[primary_variable(n)]) ** 2
                 for n in items)
-            return refresh + self.cost_model.recompute_cost * p[RECOMPUTE_RATE_VARIABLE]
+            return refresh + mu * p[RECOMPUTE_RATE_VARIABLE]
 
         objectives = [objective_at(point)]
         converged = False
         for _ in range(MAX_ROUNDS):
-            program = self._program(query, values, conditions, point)
+            program = self._program(query, values, conditions, point, mu)
             try:
                 solution = solve_compiled(program, initial=point)
             except (InfeasibleProblemError, SolverFailedError):

@@ -39,7 +39,6 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, NamedTuple,
 from repro.service import protocol
 from repro.service.client import SourceLink
 from repro.service.protocol import ProtocolError
-from repro.service.resilience import RetryPolicy, retry_async
 from repro.service.source_plane import admit_newest
 from repro.service.transports import MessageStream, TransportClosed, open_tcp_stream
 
@@ -244,7 +243,6 @@ class SourceAgent(SourceLink):
         start_step: int = 1,
         max_steps: Optional[int] = None,
         reconnect: Optional[Callable[[], "Any"]] = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> int:
         """Replay a :class:`~repro.dynamics.traces.TraceSet` through the
         filter; returns the number of refreshes pushed.
@@ -255,13 +253,7 @@ class SourceAgent(SourceLink):
         retries the step that failed — every item is then force-resent
         (``resync=True``), so a refresh whose send died on the old
         connection is re-delivered even though the local filter state had
-        already recentred on it.
-
-        ``retry_policy`` governs *repeated* reconnect failures: instead
-        of one bare attempt per dropped step, the agent backs off between
-        attempts (exponential + deterministic jitter) and raises
-        :class:`~repro.service.resilience.RetryExhausted` once the policy
-        gives up.
+        already recentred on it.  A failed reconnect propagates.
         """
         lengths = [len(traces[item]) for item in self.items]
         last = min(lengths) if lengths else 0
@@ -276,7 +268,7 @@ class SourceAgent(SourceLink):
             except TransportClosed:
                 if reconnect is None:
                     raise
-                await self._reconnect(reconnect, retry_policy)
+                await self.connect(await reconnect())
                 continue            # retry the same step after resync
             step += 1
             # A trace is a stream over time: the loop gets a turn between
@@ -285,22 +277,8 @@ class SourceAgent(SourceLink):
             await asyncio.sleep(0)
         return sent
 
-    async def _reconnect(self, reconnect: Callable[[], "Any"],
-                         retry_policy: Optional[RetryPolicy]) -> None:
-        if retry_policy is None:
-            await self.connect(await reconnect())
-            return
-
-        async def _attempt() -> None:
-            await self.connect(await reconnect())
-
-        await retry_async(
-            retry_policy, _attempt,
-            retry_on=(TransportClosed, ConnectionError, OSError))
-
     async def run(self, host: str, port: int, traces: "Any",
                   max_steps: Optional[int] = None,
-                  retry_policy: Optional[RetryPolicy] = None,
                   resolve: Optional[Callable[[], Any]] = None) -> int:
         """Connect over TCP, replay, and close — the ``repro agent`` body.
 
@@ -323,8 +301,7 @@ class SourceAgent(SourceLink):
         await self.connect(await _dial())
         try:
             return await self.replay(traces, max_steps=max_steps,
-                                     reconnect=_dial,
-                                     retry_policy=retry_policy)
+                                     reconnect=_dial)
         finally:
             await self.close()
 

@@ -871,6 +871,11 @@ class ClusterCoordinator(FrontEnd):
                     "duplicate_rejects"):
             stats[key] = sum(int(shard_stats.get(key, 0))
                              for shard_stats in per_shard.values())
+        stats["recompute_price"] = {
+            price: sum(int(shard_stats.get("recompute_price", {})
+                           .get(price, 0))
+                       for shard_stats in per_shard.values())
+            for price in ("discounted", "exited")}
         if self.dab_retries is not None:
             stats["dab_updates_outstanding"] = len(self.dab_retries)
         if self.lease_duration is not None:

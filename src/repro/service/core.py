@@ -20,6 +20,10 @@ Durable state has one write path (DESIGN.md §11.1): each journal record
 kind has one mutator, which live handling, :meth:`CoordinatorCore.replay`
 and snapshot restore all call.
 
+The core also owns the recompute price each plan is solved at (DESIGN.md
+§4): a query whose secondary window has never been left prices its μ·R
+row at :data:`UNEXITED_PRICE` of μ; from its first window exit on, at μ.
+
 Two runtimes share this class verbatim:
 
 * the discrete-event simulator's
@@ -82,6 +86,12 @@ _BAND_MARGIN_REL = 1e-12
 #: The band that admits nothing: every refresh of the item takes the
 #: exact per-query check.
 _NO_BAND = (math.inf, -math.inf)
+
+#: The share of μ that prices the μ·R row of a query whose secondary
+#: window has never been left.  The ddm predicts an exit every ``c/λ``;
+#: a bounded oscillation leaves its window far less often, so until one
+#: is seen to, the recompute insurance is bought at half price.
+UNEXITED_PRICE = 0.5
 
 
 def _readers(index: Mapping[str, List[PolynomialQuery]],
@@ -202,6 +212,9 @@ class CoordinatorCore:
         #: :meth:`recovery_state` so dynamically-registered queries
         #: survive a snapshot + kill -9 restart.
         self.dynamic_names: set = set()
+        #: Queries whose secondary window has been left since they were
+        #: registered here: planned at the full μ (the ``exit`` record).
+        self.exited: set = set()
         #: Names of *static* (construction-time) queries later removed by
         #: :meth:`remove_query`.  A restore rebuilds the original static
         #: bank, so the snapshot must say which of those queries no longer
@@ -247,7 +260,8 @@ class CoordinatorCore:
         configuration is assumed in place when the observation window
         starts)."""
         if self.mode is RecomputeMode.AAO_PERIODIC:
-            multi = self.aao_planner.plan_all(self.queries, self.cache)
+            multi = self.aao_planner.plan_all(self.queries, self.cache,
+                                              self._recompute_scales())
             self._replace_plans(multi.per_query)
         else:
             for query in self.queries:
@@ -471,7 +485,9 @@ class CoordinatorCore:
             # filters keep Condition 1 while the references go stale).
             return self._breaker_degraded_plan(query)
         try:
-            plan = self.planner.plan(query, self._values_for(query))
+            plan = self.planner.plan(
+                query, self._values_for(query),
+                recompute_scale=self.recompute_scale(query.name))
         except GPError:
             if breaker is not None:
                 breaker.record_failure()
@@ -522,6 +538,35 @@ class CoordinatorCore:
         plan = self._plan_query(self.queries[self._position[name]])
         self.install_plan(name, plan)
         self._log("plan", name, plan)
+
+    def recompute_scale(self, name: str) -> float:
+        """The share of μ that prices query ``name``'s μ·R row."""
+        return 1.0 if name in self.exited else UNEXITED_PRICE
+
+    def _recompute_scales(self) -> Dict[str, float]:
+        return {query.name: self.recompute_scale(query.name)
+                for query in self.queries}
+
+    def recompute_prices(self) -> Dict[str, int]:
+        """How many live queries are planned at each price."""
+        exited = len(self.exited)
+        return {"discounted": len(self.queries) - exited, "exited": exited}
+
+    def _note_exit(self, name: str) -> None:
+        """A window-break recompute of ``name`` is about to run.  The first
+        that leaves a secondary window (not a missing plan, not a
+        single-DAB plan) is journaled as the query's ``exit`` record,
+        ahead of the re-plan's ``plan`` record."""
+        if name in self.exited:
+            return
+        plan = self.plans.get(name)
+        if plan is not None and plan.secondary is not None:
+            self._exit(name)
+            self._log("exit", name)
+
+    def _exit(self, name: str) -> None:
+        """The ``exit`` mutator."""
+        self.exited.add(name)
 
     def _recompute(self, query: PolynomialQuery) -> None:
         self.plan_query(query.name)
@@ -633,6 +678,7 @@ class CoordinatorCore:
                 # may have just healed.
                 for query in _readers(index, missed):
                     if self._window_broken(query):
+                        self._note_exit(query.name)
                         self._recompute(query)
                         recomputed = True
                 for item in missed:
@@ -764,6 +810,7 @@ class CoordinatorCore:
                 if not bucket:
                     del self.item_index[item]
         self.plans.pop(name, None)
+        self.exited.discard(name)
         self._windows.pop(name, None)
         self._drop_bands(query)
         self.last_user_values.pop(name, None)
@@ -818,7 +865,8 @@ class CoordinatorCore:
         the paper's accounting for Figure 7).  Returns False when the solver
         failed and the previous joint plan stays in force."""
         try:
-            multi = self.aao_planner.plan_all(self.queries, self.cache)
+            multi = self.aao_planner.plan_all(self.queries, self.cache,
+                                              self._recompute_scales())
         except GPError:
             # Keep serving on the previous joint plan; try again next period.
             self.metrics.record_solver_fallback()
@@ -854,6 +902,10 @@ class CoordinatorCore:
         if item in self.cache:
             self._set_values((item,), (record["value"],))
             self._drop_bands_around(item)
+
+    def _replay_exit(self, record: Mapping[str, Any]) -> None:
+        if record["q"] in self.query_names:
+            self._exit(record["q"])
 
     def _replay_plan(self, record: Mapping[str, Any]) -> None:
         if record["q"] in self.query_names:
@@ -893,7 +945,8 @@ class CoordinatorCore:
 
     #: record kind -> how :meth:`replay` reads it.
     _READERS = {
-        "refresh": _replay_refresh, "plan": _replay_plan, "aao": _replay_aao,
+        "refresh": _replay_refresh, "exit": _replay_exit,
+        "plan": _replay_plan, "aao": _replay_aao,
         "bounds": _replay_bounds, "notify": _replay_notify,
         "qadd": _replay_qadd, "qdel": _replay_qdel, "adopt": _replay_adopt,
     }
@@ -902,8 +955,9 @@ class CoordinatorCore:
         """Everything a restarted coordinator must restore to be
         indistinguishable from this one, as a JSON-safe dict: the item
         cache, per-item DAB epochs, the bounds each source last saw, the
-        values each user last saw, and every current plan (which is also
-        the breaker's last-good plan set)."""
+        values each user last saw, every current plan (which is also the
+        breaker's last-good plan set) and the queries whose window has
+        been left."""
         state: Dict[str, object] = {
             "cache": dict(self.cache),
             "epochs": dict(self.dab_sent.epochs),
@@ -931,6 +985,10 @@ class CoordinatorCore:
             # these again, or a re-added same-named dynamic sub-query
             # is shadowed by its stale pre-migration shape.
             state["removed_queries"] = sorted(self._removed_queries)
+        if self.exited:
+            # Only once a window was left — snapshots of a run with no
+            # exit keep the format that had no such key.
+            state["exited"] = sorted(self.exited)
         return state
 
     def restore_recovery_state(self, state: Mapping[str, Any]) -> None:
@@ -939,8 +997,10 @@ class CoordinatorCore:
         queries that may read them.  Dynamic queries come before the
         static removals, so no removal empties the bank; the exception is
         a dynamic query named like a removed static one, which is that
-        query's replacement and follows its ``qdel``.  Values, bounds,
-        user values and the plan set come last."""
+        query's replacement and follows its ``qdel``.  The exits follow
+        the membership; values, bounds, user values and the plan set come
+        last.  A snapshot with no ``exited`` key restores every query
+        unexited."""
         dynamic = {wire["name"]: wire
                    for wire in state.get("dynamic_queries", ())}
         records: List[Dict[str, Any]] = [
@@ -951,6 +1011,8 @@ class CoordinatorCore:
             records.append({"t": "qdel", "name": name})
             if name in dynamic:
                 records.append({"t": "qadd", "query": dynamic[name]})
+        records += [{"t": "exit", "q": name}
+                    for name in state.get("exited", ())]
         records += [{"t": "refresh", "item": item, "value": value}
                     for item, value in state["cache"].items()]
         records += [
@@ -971,6 +1033,7 @@ def _plans_to_wire(plans: Mapping[str, DABAssignment]) -> Dict[str, Any]:
 _RECORDS: Dict[str, Callable[..., Dict[str, Any]]] = {
     "refresh": lambda item, value, seq: {"t": "refresh", "item": item,
                                          "value": value, "seq": seq},
+    "exit": lambda name: {"t": "exit", "q": name},
     "plan": lambda name, plan: {"t": "plan", "q": name,
                                 "plan": plan_to_wire(plan)},
     "aao": lambda plans: {"t": "aao", "plans": _plans_to_wire(plans)},

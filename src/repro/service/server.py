@@ -362,7 +362,7 @@ class CoordinatorServer(FrontEnd):
         # stale duplicate until it climbed past the old incarnation's
         # numbering (resetting last_seq instead would let an in-flight
         # stale refresh from the dead connection clobber the cache).
-        seqs = self.leases.floors(known)
+        seqs = self.leases.floors(sorted(known))
         if await self._safe_send(peer.stream,
                                  protocol.dab_update(source_id, bounds, epochs,
                                                      seqs=seqs or None)):
@@ -733,6 +733,7 @@ class CoordinatorServer(FrontEnd):
         stats["recomputations"] = self.metrics.recomputations
         stats["window_screen_hits"] = self.core.window_screen_hits
         stats["window_screen_misses"] = self.core.window_screen_misses
+        stats["recompute_price"] = self.core.recompute_prices()
         stats["refreshes"] = self.metrics.refreshes
         stats["dab_change_messages"] = self.metrics.dab_change_messages
         stats["user_notifications"] = self.metrics.user_notifications

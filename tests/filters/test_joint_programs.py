@@ -133,12 +133,13 @@ def mixed_queries(draw):
 class _Recording(SignomialPlanner):
     """Keeps every round's assembled program of the last plan."""
 
-    def plan(self, query, values):
+    def plan(self, query, values, recompute_scale=1.0):
         self.rounds = []
-        return super().plan(query, values)
+        return super().plan(query, values, recompute_scale)
 
-    def _program(self, query, values, conditions, point):
-        program = super()._program(query, values, conditions, point)
+    def _program(self, query, values, conditions, point, recompute_cost):
+        program = super()._program(query, values, conditions, point,
+                                   recompute_cost)
         self.rounds.append((program, dict(point)))
         return program
 

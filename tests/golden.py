@@ -19,7 +19,22 @@ faulted`` was re-recorded when the Fig. 8(c) root began applying each
 child's bounds newest-epoch-first (the DAB receiver rule, DESIGN.md
 §7.2): refreshes 4 812 → 4 811, recomputations 39 → 40 (``portfolio2``
 6 → 7), user notifications 747 → 723, and four per-query losses traded
-two fidelity samples each way at an unchanged mean.
+two fidelity samples each way at an unchanged mean.  Every record
+but ``optimal-refresh-13``/``-29`` and ``core-extraction`` (Optimal
+Refresh: no μ·R row) was re-recorded when the coordinator began planning
+a query's μ·R row at μ/2 until its secondary window is first left, then
+at μ (DESIGN.md §4).  What moved: ``dual-dab-13`` refreshes 264 → 254
+and user notifications 7 → 5; ``dual-dab-29`` refreshes 286 → 279;
+``zero-delay`` refreshes 264 → 254, notifications 7 → 6; ``random-walk``
+recomputations 7 → 8 (``portfolio1`` 1 → 2), DAB changes 17 → 18;
+``arbitrage`` refreshes 765 → 760 (the Different-Sum mirror takes the
+query's price), notifications 45 → 31; ``faulted`` refreshes 260 → 246
+with its fault counters following the traffic; ``recompute-full``
+refreshes 2 447 → 2 446, recomputations 48 → 56, fidelity loss
+0.219 % → 0.0 %; ``dissemination-pareto`` recomputations 39 → 41,
+fidelity loss 1.61 % → 2.15 %; ``dissemination-pareto-faulted``
+refreshes 4 811 → 4 802, recomputations 40 → 46, fidelity loss
+23.7 % → 29.6 %.  CHANGES.md has the per-field table.
 JSON floats round-trip through ``repr``, so equality is exact.
 
 ``delta_patches`` / ``delta_fallbacks`` say *how* a recompute was answered

@@ -1,4 +1,4 @@
-"""Agent-side resilience: fail-safe registration, acks, probes, reconnects.
+"""Agent-side resilience: fail-safe registration, acks, probes, degraded maps.
 
 The peer here is a hand-rolled fake coordinator on the other end of a
 loopback pair, so each behaviour is pinned without a real server.
@@ -13,7 +13,6 @@ from repro.service import protocol
 from repro.service.agent import SourceAgent
 from repro.service.client import ServiceClient
 from repro.service.protocol import ProtocolError
-from repro.service.resilience import RetryExhausted, RetryPolicy
 from repro.service.transports import TransportClosed, loopback_pair
 
 
@@ -125,93 +124,6 @@ class TestAcksAndProbes:
             with pytest.raises(TransportClosed):
                 await agent.tick({"x0": 99.0})
             await agent.close()
-
-        run(check())
-
-
-class TestReconnectRetry:
-    def test_retry_exhausted_after_repeated_failures(self):
-        async def check():
-            agent = make_agent()
-            attempts = []
-
-            async def always_down():
-                attempts.append(1)
-                raise ConnectionError("refused")
-
-            policy = RetryPolicy(base_delay=0.0, max_attempts=3)
-            with pytest.raises(RetryExhausted):
-                await agent._reconnect(always_down, policy)
-            assert len(attempts) == 3
-
-        run(check())
-
-    def test_reconnect_succeeds_after_flaps(self):
-        async def check():
-            agent = make_agent()
-            attempts = []
-
-            async def serve_registration(server_end):
-                message = await server_end.receive()
-                assert message["type"] == "register_source"
-                await server_end.send(protocol.dab_update(
-                    0, {"x0": 1.0}, {"x0": 9}, seqs={"x0": 12}))
-
-            async def flaky_dial():
-                attempts.append(1)
-                if len(attempts) < 3:
-                    raise ConnectionError("refused")
-                client_end, server_end = loopback_pair()
-                asyncio.ensure_future(serve_registration(server_end))
-                return client_end
-
-            policy = RetryPolicy(base_delay=0.0, max_attempts=5)
-            await agent._reconnect(flaky_dial, policy)
-            assert len(attempts) == 3
-            assert agent.bounds["x0"] == 1.0
-            assert agent.seq["x0"] == 12               # floored by resync
-            await agent.close()
-
-        run(check())
-
-
-    def test_a_corrupted_registration_frame_is_retried_not_fatal(self):
-        # One flipped bit in the REGISTER_SOURCE frame: the node answers
-        # ERROR("corrupt framing") and hangs up.  That is a lost
-        # connection, so the bounded retry dials again and succeeds.
-        from repro.service.agent import agents_for_scenario
-        from repro.service.chaos import (
-            FaultInjector,
-            FaultSchedule,
-            chaos_stream,
-        )
-        from repro.service.server import build_scenario_server
-
-        async def check():
-            server, scenario, item_to_source = build_scenario_server(
-                query_count=4, item_count=20, source_count=2,
-                trace_length=5, seed=3)
-            agent = agents_for_scenario(scenario, item_to_source)[0]
-            injector = FaultInjector(FaultSchedule(corrupt_rate=0.999999))
-            dials = []
-
-            async def dial():
-                dials.append(1)
-                # Only the first dial's client->server frames are hit.
-                injector.enabled = len(dials) == 1
-                client_end, server_end = loopback_pair()
-                chaos_stream(client_end, injector, "src->coord")
-                server.adopt_connection(server_end)
-                return client_end
-
-            await agent._reconnect(
-                dial, RetryPolicy(base_delay=0.0, max_attempts=3))
-            assert len(dials) == 2
-            assert injector.counts["corrupt"] == 1
-            assert agent.stats["registrations_failsafe"] == 0
-            assert set(agent.bounds) == set(agent.items)
-            await agent.close()
-            await server.close()
 
         run(check())
 

@@ -489,14 +489,17 @@ async def _scripted(server, item_to_source, drop=True):
 
 #: The scripted sequence's journal, recorded with the handler that
 #: planned before it replied (tests/oracle/plan_first.py): one record per
-#: ``(kind, query)`` and the SHA-256 of the WAL bytes.
+#: ``(kind, query)`` and the SHA-256 of the WAL bytes.  The digest was
+#: re-recorded when new queries began planning at μ/2 until their window
+#: is first left (DESIGN.md §4): the records are the same, the bytes of
+#: the two plans and the bounds they move are not.
 SCRIPTED_RECORDS = [
     ("qadd", "tight"), ("plan", "tight"), ("bounds", None),
     ("qadd", "dyn0"), ("plan", "dyn0"),
     ("qdel", "dyn0"), ("qdel", "tight"), ("bounds", None),
 ]
 SCRIPTED_WAL_SHA256 = (
-    "d4973226349ad859f0f9c02d80e9bd928d32a8db0dc43a7e0e886b7219831d94")
+    "acb157d871826e8390a62ca5b231e81b3f5ae6c60ca47a0cb4eaec5e0a41c63a")
 
 
 class TestReplyBeforePlan:

@@ -3,10 +3,15 @@
 A scripted run — every source registers, then 24 reads of every item at
 values swinging up to ±12 % (windows break, plans change, bounds move),
 with source 0 registering again halfway — is recorded frame by frame at
-each source's stream: source, bounds and epochs in send order, seq
-floors and probes.  ``dab_frames.json`` holds what the tree whose DAB
-senders each carried their own min-merge diff (commit 88d7d15) sent for
-the same script; the shared sender table must send the same frames.
+each source's stream: source, bounds, epochs and seq floors in send
+order, and probes.  ``dab_frames.json`` was first recorded on the tree
+whose DAB senders each carried their own min-merge diff (commit
+88d7d15), which the shared sender table sent frame for frame.  It was
+re-recorded when the coordinator began planning each query at μ/2 until
+its window is first left (DESIGN.md §4): every bound moved, the server's
+streams kept their frame counts (9, 17, 17, 9), the cluster's first
+stream of source 0 went 14 → 17 frames, and a reply's seq floors are
+sent in sorted item order.
 
 To re-record, run this module's :func:`record` under the tree to pin::
 
@@ -16,7 +21,10 @@ To re-record, run this module's :func:`record` under the tree to pin::
 
 import asyncio
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 from repro.service import protocol
 from repro.service.cluster.router import build_scenario_cluster
@@ -33,10 +41,9 @@ def _swing(tick, index):
 
 
 def _frame(message):
-    # (A registration reply's seq floors come from a set: no order.)
     return [message["source_id"], list(message["bounds"].items()),
             list(message["epochs"].items()),
-            sorted((message.get("seqs") or {}).items()), message.get("probe")]
+            list((message.get("seqs") or {}).items()), message.get("probe")]
 
 
 async def _script(node, scenario, item_to_source):
@@ -101,3 +108,51 @@ def test_server_and_router_send_the_pinned_dab_frames():
         # The script moves bounds after registration, on every stream.
         assert all(len(frames) > 1 for _, frames in got[node][:-1])
         assert got[node] == want[node], node
+
+
+def registration_replies():
+    """The DAB_UPDATE replies to a source registering twice — after the
+    server accepted refreshes of its items, so the second reply carries
+    seq floors — as ``[bounds, epochs, seqs]`` item lists, in order."""
+
+    async def script():
+        server, scenario, item_to_source = build_scenario_server(**SCENARIO)
+        items = sorted(name for name, owner in item_to_source.items()
+                       if owner == 0)
+        initial = scenario.traces.initial_values()
+        replies = []
+        for seq in (1, 2):
+            stream = server.connect_loopback()
+            await stream.send(protocol.register_source(0, items))
+            message = await stream.receive()
+            replies.append(_frame(message)[1:4])
+            await stream.send(protocol.refresh(
+                0, items, [initial[name] for name in items],
+                [seq] * len(items)))
+            for _ in range(20):
+                await asyncio.sleep(0)
+        await server.close()
+        return replies
+
+    return asyncio.run(script())
+
+
+def test_a_registration_reply_is_the_same_under_any_hash_seed():
+    """A reply's ``seqs`` are built item by item in sorted order, not in a
+    set's string-hash order: three interpreters seeded apart send the
+    same messages, keys in the same order.  (In-process peers see the
+    dict as built; over TCP orjson sorts it anyway.)"""
+    root = pathlib.Path(__file__).resolve().parents[2]
+    code = ("import json, tests.service.test_dab_frames as t; "
+            "print(json.dumps(t.registration_replies()))")
+    outputs = []
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(root / "src"), str(root)]))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", code], cwd=root, env=env, check=True,
+            capture_output=True, text=True).stdout)
+    replies = json.loads(outputs[0])
+    assert len(replies[1][2]) > 1                  # floors to order
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]

@@ -84,7 +84,7 @@ class _Planner:
     def __init__(self, primaries):
         self.primaries = primaries
 
-    def plan(self, query, values):
+    def plan(self, query, values, recompute_scale=1.0):
         return DABAssignment(primary={name: self.primaries[query.name][name]
                                       for name in query.variables})
 

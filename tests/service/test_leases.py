@@ -332,7 +332,7 @@ class FlakyPlanner:
         self.fail = False
         self.inner = UniformAllocationBaseline()
 
-    def plan(self, query, values):
+    def plan(self, query, values, recompute_scale=1.0):
         if self.fail:
             raise GPError("solver down")
         return self.inner.plan(query, values)

@@ -5,8 +5,9 @@ in order and the core reacts once, at the cache the batch left.  Three
 contracts are checked here:
 
 * **a batch of one is the per-refresh reaction** — its notifications,
-  recomputations (in order), journal records and plans are the ones the
-  reference predicates of ``test_window_screen`` prescribe, bit for bit;
+  recomputations (in order), journal records (a query's first window
+  exit among them) and plans are the ones the reference predicates of
+  ``test_window_screen`` prescribe, bit for bit;
 * **any split of a refresh sequence is safe** — driven batch by batch
   beside a core that reacts to every refresh alone, the caches agree
   after every batch, every notification is the reference one, no query
@@ -90,6 +91,7 @@ class OneAtATime(Rig):
         self.clock.now += 1.0
         core = self.core
         before = dict(core.plans)
+        exited = set(core.exited)
         order = len(core.metrics.recompute_order)
         records = len(core.journal.records)
         core.apply_refresh([item], [value])
@@ -101,6 +103,11 @@ class OneAtATime(Rig):
         assert recomputed == bool(expected)
         journal = [{"t": "refresh", "item": item, "value": value}]
         for name in expected:
+            if name not in exited and before.get(name) is not None \
+                    and before[name].secondary is not None:
+                # The query's first window exit, journaled ahead of its
+                # re-plan (DESIGN.md §4).
+                journal.append({"t": "exit", "q": name})
             query = core.queries[core._position[name]]
             # A failed solve keeps the plan it had.
             plan = before[name] if self.planner.fail else self.planner.plan(

@@ -85,7 +85,7 @@ class WindowPlanner:
     def __init__(self):
         self.fail = False
 
-    def plan(self, query, values):
+    def plan(self, query, values, recompute_scale=1.0):
         if self.fail:
             raise GPError("solver down")
         frac = FRACTION.get(query.name, DYNAMIC_FRACTION)

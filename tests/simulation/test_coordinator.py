@@ -235,8 +235,8 @@ class _RecordingPlanner:
         self.planner = planner
         self.warm_start_clears = 0
 
-    def plan(self, query, values):
-        return self.planner.plan(query, values)
+    def plan(self, query, values, recompute_scale=1.0):
+        return self.planner.plan(query, values, recompute_scale)
 
     def clear_warm_starts(self):
         self.warm_start_clears += 1

@@ -120,9 +120,9 @@ class TestResyncDropsJointWarmStart:
         plan_all = multi_query.AAOPlanner.plan_all
         clear = multi_query.AAOPlanner.clear_warm_starts
 
-        def recording_plan_all(self, queries, values):
+        def recording_plan_all(self, queries, values, recompute_scales=None):
             log.append(("plan", self._warm_start is None))
-            return plan_all(self, queries, values)
+            return plan_all(self, queries, values, recompute_scales)
 
         def recording_clear(self):
             clear(self)

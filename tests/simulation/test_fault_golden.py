@@ -6,8 +6,11 @@ Two properties anchor the fault subsystem:
    default ``FaultConfig()``) the simulator must be *bit-identical* to the
    fault-free one: the golden metrics below were first captured on the
    tree before ``repro/simulation/faults.py`` existed, and re-recorded once
-   every planner stack planned at the item values it was given, and again
-   once λ became the per-update whole-trace mean.
+   every planner stack planned at the item values it was given, again
+   once λ became the per-update whole-trace mean, and again once the
+   coordinator priced a query's μ·R row at μ/2 until its window is first
+   left (DESIGN.md §4): the dual-DAB and AAO-T rows moved, Optimal
+   Refresh's (no μ·R row) did not.
 2. **Graceful degradation** — with loss, duplicates and a mid-run crash
    injected, a run completes without exceptions and the staleness /
    uncertainty accounting is internally consistent.
@@ -30,14 +33,14 @@ from repro.workloads import scaled_scenario
 GOLDEN = [
     pytest.param(
         dict(qc=5, ic=20, tl=201, sc=4, mu=5.0, kind="portfolio", kw={}),
-        (579, 0, 0.0, 0, 16, 0), id="pareto-dual-dab-portfolio"),
+        (542, 0, 0.0, 0, 18, 0), id="pareto-dual-dab-portfolio"),
     pytest.param(
         dict(qc=5, ic=20, tl=201, sc=4, mu=5.0, kind="arbitrage", kw={}),
-        (1499, 0, 0.0, 0, 40, 0), id="pareto-dual-dab-arbitrage"),
+        (1465, 1, 0.0, 4, 43, 0), id="pareto-dual-dab-arbitrage"),
     pytest.param(
         dict(qc=5, ic=20, tl=201, sc=4, mu=5.0, kind="portfolio",
              kw=dict(ddm="random_walk")),
-        (446, 7, 0.0, 12, 18, 0), id="pareto-dual-dab-random-walk"),
+        (433, 7, 0.0, 17, 18, 0), id="pareto-dual-dab-random-walk"),
     pytest.param(
         dict(qc=4, ic=16, tl=121, sc=3, mu=2.0, kind="portfolio",
              kw=dict(algorithm="optimal_refresh")),
@@ -45,11 +48,11 @@ GOLDEN = [
     pytest.param(
         dict(qc=4, ic=16, tl=121, sc=3, mu=2.0, kind="portfolio",
              kw=dict(algorithm="aao_t", aao_period=40)),
-        (192, 3, 0.0, 9, 4, 0), id="pareto-aao-40"),
+        (187, 5, 0.0, 15, 5, 0), id="pareto-aao-40"),
     pytest.param(
         dict(qc=4, ic=16, tl=121, sc=3, mu=2.0, kind="portfolio",
              kw=dict(zero_delay=True)),
-        (264, 0, 0.0, 0, 7, 0), id="zero-delay-dual-dab"),
+        (254, 0, 0.0, 0, 6, 0), id="zero-delay-dual-dab"),
 ]
 
 

@@ -310,11 +310,11 @@ class _RaisingPlanner:
         self.calls_before_failure = calls_before_failure
         self.inner = inner
 
-    def plan(self, query, values):
+    def plan(self, query, values, recompute_scale=1.0):
         self.calls += 1
         if self.calls > self.calls_before_failure:
             raise InfeasibleProblemError("synthetic solver failure")
-        return self.inner.plan(query, values)
+        return self.inner.plan(query, values, recompute_scale)
 
 
 class TestSolverDegradation:

@@ -10,9 +10,11 @@ actually break — default traces produce almost no recomputes):
    patch-first run reproduced them on every simulation-visible metric (an
    accepted patch is the optimum the full solve would have produced).
    Both were re-recorded once plans were made at the values the
-   coordinator holds, with no plan cache in front of the planner, and
-   again once λ became the per-update whole-trace mean.  Only the two
-   patch/fallback counters may differ.
+   coordinator holds, with no plan cache in front of the planner, again
+   once λ became the per-update whole-trace mean, and again once the
+   coordinator priced a query's μ·R row at μ/2 until its window is first
+   left (DESIGN.md §4; recomputations 48 → 56, refreshes 2 447 → 2 446).
+   Only the two patch/fallback counters may differ.
 2. **Accounting** — every breach recompute is either a patch or a
    full-solve fallback, the clear majority patch, and every accepted
    patch held the KKT residual to 10x the tolerance.
@@ -36,7 +38,7 @@ from tests.golden import (
 # (refreshes, recomputations, fidelity_loss_percent, dab_change_messages,
 #  user_notifications, gp_solves) at seed 13, fidelity_interval 2,
 # volatility 0.02.
-GOLDEN_FULL = (2447, 48, 0.21929824561403577, 127, 943, 0)
+GOLDEN_FULL = (2446, 56, 0.0, 145, 962, 0)
 
 #: ``newton_patch``'s default KKT tolerance, which every planner runs with.
 KKT_TOL = 1e-7
