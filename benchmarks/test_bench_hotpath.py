@@ -117,7 +117,8 @@ def _percentiles_ms(seconds):
 
 
 def _solve_chain(cost_model):
-    """A ``plan(query, values)`` that answers every plan with the
+    """A ``plan(query, values, recompute_scale=1.0)`` that answers every
+    plan, its μ·R row priced at ``recompute_scale`` times μ, with the
     multi-start solve of the query's compiled template (built on its first
     plan), warm-started from that query's previous optimum, plus the
     widening solve — the dual-DAB planner's last rung, as a
@@ -125,12 +126,13 @@ def _solve_chain(cost_model):
     nothing in ``src/`` can route a plan this way."""
     templates, warm = {}, {}
 
-    def plan(query, values):
+    def plan(query, values, recompute_scale=1.0):
         template = templates.get(query.name)
         if template is None:
             template = templates[query.name] = CompiledDualDabTemplate(
                 query, values, cost_model)
-        solution = template.solve(values, initial=warm.get(query.name))
+        solution = template.solve(values, initial=warm.get(query.name),
+                                  recompute_scale=recompute_scale)
         warm[query.name] = solution.values
         primary = {name: solution.values[primary_variable(name)]
                    for name in query.variables}
@@ -142,17 +144,18 @@ def _solve_chain(cost_model):
 def _time_reference(cost_model, plan_calls):
     """The multi-start solve at the run's own breach points.
 
-    Replays every ``plan`` call the run's planner saw, in order, through
-    :func:`_solve_chain` on the run's cost model — cold solves included,
-    so each breach solve starts warm from that query's previous optimum
-    exactly as a solve-every-breach coordinator's would — and returns the
-    latencies of the breach solves only.
+    Replays every ``plan`` call the run's planner saw, in order and at
+    the price it was made at, through :func:`_solve_chain` on the run's
+    cost model — cold solves included, so each breach solve starts warm
+    from that query's previous optimum exactly as a solve-every-breach
+    coordinator's would — and returns the latencies of the breach solves
+    only.
     """
     reference = _solve_chain(cost_model)
     planned, seconds = set(), []
-    for query, values in plan_calls:
+    for query, values, recompute_scale in plan_calls:
         started = time.perf_counter()
-        reference(query, values)
+        reference(query, values, recompute_scale)
         elapsed = time.perf_counter() - started
         if query.name in planned:
             seconds.append(elapsed)
@@ -179,10 +182,8 @@ def _measure_recompute(params):
     plan = DualDABPlanner.plan
 
     def recording_plan(self, query, values, recompute_scale=1.0):
-        # The reference replays each call at the run's μ: the price moves
-        # a solve's coefficients, not its size, so its latency stands.
         planners.add(self)
-        plan_calls.append((query, dict(values)))
+        plan_calls.append((query, dict(values), recompute_scale))
         return plan(self, query, values, recompute_scale)
 
     with pytest.MonkeyPatch.context() as patch:
