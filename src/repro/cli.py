@@ -303,8 +303,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         query_count=args.queries, item_count=args.items,
         source_count=args.sources, trace_length=args.trace_length,
         seed=args.seed, algorithm=args.algorithm, recompute_cost=args.mu,
-        workload=args.workload,
-        journal=journal, bootstrap=journal is None,
+        workload=args.workload, journal=journal,
     )
     if journal is not None:
         recovery = server.restore()

@@ -25,7 +25,6 @@ from repro.dynamics.traces import (
 from repro.dynamics.estimation import (
     RateEstimator,
     SampledRateEstimator,
-    EwmaRateEstimator,
     UnitRateEstimator,
     estimate_rates,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "generate_trace_set",
     "RateEstimator",
     "SampledRateEstimator",
-    "EwmaRateEstimator",
     "UnitRateEstimator",
     "estimate_rates",
     "CorrelationMatrix",

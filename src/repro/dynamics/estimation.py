@@ -20,14 +20,9 @@ Its default samples every update (``interval=1``), not every 60 ticks:
   where interval 60 is ≈ 12× off.
 
 ``SampledRateEstimator(60)`` reproduces the paper's cadence on
-paper-length traces.  Two alternatives are provided because the paper
-evaluates them:
-
-* :class:`UnitRateEstimator` — λ = 1 for every item, the "no rate
-  information" curves labelled ``L1`` in Figure 6;
-* :class:`EwmaRateEstimator` — an online exponentially-weighted variant
-  (one of the "other ways of calculating λ" the paper reports in its
-  technical-report companion [1]).
+paper-length traces.  :class:`UnitRateEstimator` — λ = 1 for every
+item — is the alternative the paper evaluates: the "no rate information"
+curves labelled ``L1`` in Figure 6.
 """
 
 from __future__ import annotations
@@ -77,22 +72,6 @@ class SampledRateEstimator(RateEstimator):
             step = self.interval
         deltas = np.abs(np.diff(samples)) / step
         return float(np.mean(deltas))
-
-
-class EwmaRateEstimator(RateEstimator):
-    """Exponentially weighted per-tick |Δ|; recent behaviour dominates."""
-
-    def __init__(self, alpha: float = 0.05):
-        if not (0.0 < alpha <= 1.0):
-            raise TraceError(f"EWMA alpha must be in (0, 1], got {alpha!r}")
-        self.alpha = alpha
-
-    def estimate(self, trace: Trace) -> float:
-        deltas = np.abs(np.diff(trace.values))
-        estimate = float(deltas[0])
-        for delta in deltas[1:]:
-            estimate = (1.0 - self.alpha) * estimate + self.alpha * float(delta)
-        return estimate
 
 
 class UnitRateEstimator(RateEstimator):

@@ -50,7 +50,7 @@ to keep the import graph acyclic.
 
 from __future__ import annotations
 
-from repro.service.core import CoordinatorCore, RecomputeMode
+from repro.service.core import CoordinatorCore
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -62,7 +62,6 @@ from repro.service.protocol import (
 
 __all__ = [
     "CoordinatorCore",
-    "RecomputeMode",
     "FrameDecoder",
     "MessageType",
     "ProtocolError",

@@ -74,7 +74,6 @@ class NotifyBroker(FrontEnd):
     def __init__(self, connect_upstream: Callable[[], MessageStream],
                  clock: Callable[[], float] = _time.time,
                  notify_queue_limit: int = DEFAULT_NOTIFY_QUEUE_LIMIT,
-                 writer_join_timeout: float = 1.0,
                  name: str = "broker"):
         self.connect_upstream = connect_upstream
         self.name = name
@@ -91,8 +90,7 @@ class NotifyBroker(FrontEnd):
             "slow_consumer_evictions": 0,
             "subscribers": 0,
             "protocol_errors": 0,
-        }, clock=clock, notify_queue_limit=notify_queue_limit,
-            writer_join_timeout=writer_join_timeout)
+        }, clock=clock, notify_queue_limit=notify_queue_limit)
 
     @property
     def values(self) -> Dict[str, float]:

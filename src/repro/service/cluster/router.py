@@ -225,7 +225,6 @@ class ClusterCoordinator(FrontEnd):
         queries: Sequence[Any] = (),
         clock: Callable[[], float] = _time.time,
         notify_queue_limit: int = DEFAULT_NOTIFY_QUEUE_LIMIT,
-        writer_join_timeout: float = 1.0,
         dab_retry_policy: Optional[RetryPolicy] = None,
         make_shard: Optional[Callable[[int], CoordinatorServer]] = None,
     ):
@@ -331,7 +330,6 @@ class ClusterCoordinator(FrontEnd):
             "fenced_frames_rejected": 0,
             "refreshes_frozen": 0,
         }, clock=clock, notify_queue_limit=notify_queue_limit,
-            writer_join_timeout=writer_join_timeout,
             dab_retry_policy=dab_retry_policy)
 
     # -- facade properties (soak/loadgen compatibility) ---------------------------
@@ -914,7 +912,6 @@ def build_scenario_cluster(
     fsync: str = "always",
     clock: Callable[[], float] = _time.time,
     lease_duration: Optional[float] = None,
-    suspect_drift_rel: float = 0.05,
     dab_retry_policy: Optional[RetryPolicy] = None,
     solver_breaker_factory: Optional[Callable[[int], Any]] = None,
     restore: bool = True,
@@ -961,11 +958,9 @@ def build_scenario_cluster(
             shard_id=sid,
             clock=clock,
             lease_duration=lease_duration,
-            suspect_drift_rel=suspect_drift_rel,
             solver_breaker=(solver_breaker_factory(sid)
                             if solver_breaker_factory is not None else None),
             journal=journal,
-            bootstrap=journal is None,
         )
 
     shard_servers: Dict[int, CoordinatorServer] = {}

@@ -44,7 +44,6 @@ the other way.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import (
     Any,
@@ -102,12 +101,6 @@ def _readers(index: Mapping[str, List[PolynomialQuery]],
             for item in items for query in index[item]}.values()
 
 
-class RecomputeMode(enum.Enum):
-    EVERY_REFRESH = "every_refresh"
-    ON_WINDOW_VIOLATION = "on_window_violation"
-    AAO_PERIODIC = "aao_periodic"
-
-
 class CoordinatorCore:
     """Transport-free coordinator state machine.
 
@@ -117,11 +110,19 @@ class CoordinatorCore:
       return the merged primary DABs for the sources;
     * :meth:`apply_refresh` — a column of accepted refreshes lands in the
       cache;
-    * :meth:`react_to_refresh` — notify/recompute per the configured
-      :class:`RecomputeMode`, returning the user notifications and
-      whether any plan changed;
+    * :meth:`react_to_refresh` — notify users and recompute each plan the
+      refreshes made stale, returning the user notifications and whether
+      any plan changed;
     * :meth:`changed_bound_updates` — the per-source DAB updates (with
       fresh epochs) that the adapter must deliver.
+
+    There is one recompute rule: a plan is stale when
+    :meth:`DABAssignment.window_contains` says so.  A dual-DAB plan goes
+    stale when an item leaves its secondary window ``V ± c``; a
+    single-DAB plan (Optimal Refresh and the baselines) has no window, so
+    any move of one of its inputs makes it stale.  With an
+    ``aao_planner`` attached, the first plan is one joint AAO solve and
+    the adapter may call :meth:`aao_replan` on its own schedule (AAO-T).
 
     ``recompute_hook``, when set, is invoked once per recomputation *in
     recomputation order* — the simulator uses it to charge solver time to
@@ -132,12 +133,10 @@ class CoordinatorCore:
         self,
         queries: Sequence[PolynomialQuery],
         planner: object,
-        mode: RecomputeMode,
         metrics: object,
         initial_values: Mapping[str, float],
         item_to_source: Mapping[str, int],
         aao_planner: Optional[object] = None,
-        aao_period: Optional[int] = None,
         recompute_hook: Optional[Callable[[], None]] = None,
         solver_breaker: Optional[object] = None,
     ):
@@ -147,18 +146,12 @@ class CoordinatorCore:
         if len(set(names)) != len(names):
             raise SimulationError("query names must be unique at a coordinator")
         self.query_names = set(names)
-        if mode is RecomputeMode.AAO_PERIODIC:
-            if aao_planner is None or aao_period is None or aao_period < 1:
-                raise SimulationError(
-                    "AAO_PERIODIC mode needs an aao_planner and a period >= 1"
-                )
-
         self.queries = list(queries)
         self.planner = planner
-        self.mode = mode
         self.metrics = metrics
+        #: With one attached, the first plan is one joint AAO solve and
+        #: :meth:`aao_replan` is open to the adapter's schedule (AAO-T).
         self.aao_planner = aao_planner
-        self.aao_period = aao_period
         self.item_to_source = dict(item_to_source)
         self.recompute_hook = recompute_hook
         #: Optional circuit breaker around the GP solve (see
@@ -259,7 +252,7 @@ class CoordinatorCore:
         DABs the adapter should seed the sources with (time-zero
         configuration is assumed in place when the observation window
         starts)."""
-        if self.mode is RecomputeMode.AAO_PERIODIC:
+        if self.aao_planner is not None:
             multi = self.aao_planner.plan_all(self.queries, self.cache,
                                               self._recompute_scales())
             self._replace_plans(multi.per_query)
@@ -654,35 +647,30 @@ class CoordinatorCore:
         # ahead of the recomputations leaves the event-stream state
         # untouched.
         notifications = self._notify_movers(batch)
-        if self.mode is RecomputeMode.EVERY_REFRESH:
-            for query in _readers(index, batch):
-                self._recompute(query)
-            recomputed = True
-        else:
-            recomputed = False
-            bands, cache = self._bands, self.cache
-            missed = []
-            for item in batch:
-                band = bands.get(item)
-                if band is None:
-                    band = bands[item] = self._safe_band(item)
-                if band[0] <= cache[item] <= band[1]:
-                    self.window_screen_hits += 1
-                else:
-                    self.window_screen_misses += 1
-                    missed.append(item)
-            if missed:
-                # Outside the band (or no band): the reference predicate
-                # decides, query by query.  Whatever it finds, the band is
-                # rebuilt at the item's next refresh — a standing breach
-                # may have just healed.
-                for query in _readers(index, missed):
-                    if self._window_broken(query):
-                        self._note_exit(query.name)
-                        self._recompute(query)
-                        recomputed = True
-                for item in missed:
-                    bands.pop(item, None)
+        recomputed = False
+        bands, cache = self._bands, self.cache
+        missed = []
+        for item in batch:
+            band = bands.get(item)
+            if band is None:
+                band = bands[item] = self._safe_band(item)
+            if band[0] <= cache[item] <= band[1]:
+                self.window_screen_hits += 1
+            else:
+                self.window_screen_misses += 1
+                missed.append(item)
+        if missed:
+            # Outside the band (or no band): the reference predicate
+            # decides, query by query.  Whatever it finds, the band is
+            # rebuilt at the item's next refresh — a standing breach may
+            # have just healed.
+            for query in _readers(index, missed):
+                if self._window_broken(query):
+                    self._note_exit(query.name)
+                    self._recompute(query)
+                    recomputed = True
+            for item in missed:
+                bands.pop(item, None)
         if notifications:
             # last_user_values gates every future notification, so the
             # values the user saw are part of the recovery state.
@@ -967,12 +955,13 @@ class CoordinatorCore:
         }
         if self.dynamic_names:
             # Only when present — snapshots of a static bank stay
-            # byte-identical to the pre-index format.
+            # byte-identical to the pre-index format.  In registration
+            # order (``_compiled`` gains a key per registration and loses
+            # it on removal), so a restore rebuilds ``item_index`` — the
+            # order queries are recomputed in — as the live core has it.
             state["dynamic_queries"] = [
-                query_to_wire(query) for query in
-                sorted((q for q in self.queries
-                        if q.name in self.dynamic_names),
-                       key=lambda q: q.name)]
+                query_to_wire(self.query_named(name))
+                for name in self._compiled if name in self.dynamic_names]
         if self._adopted_items:
             # Only when a reshard handed this shard new items — static
             # clusters' snapshots stay byte-identical to the old format.

@@ -31,6 +31,10 @@ from repro.service.transports import MessageStream, TransportClosed
 #: NOTIFY batches a subscriber may have outstanding before it is evicted.
 DEFAULT_NOTIFY_QUEUE_LIMIT = 64
 
+#: How long a graceful subscriber drop waits for its writer task to flush
+#: before cancelling it (seconds).
+WRITER_JOIN_TIMEOUT = 1.0
+
 #: Queue-limit floor granted to ``QUERY_SUB trunk=True`` subscriptions —
 #: infrastructure consumers (a cluster router's shard trunk, a fan-out
 #: broker's upstream) whose eviction would sever every client behind
@@ -88,15 +92,12 @@ class FrontEnd:
 
     def __init__(self, handlers: Mapping[MessageType, Handler],
                  stats: Dict[str, Any], clock: Callable[[], float],
-                 notify_queue_limit: int, writer_join_timeout: float,
+                 notify_queue_limit: int,
                  dab_retry_policy: Optional[RetryPolicy] = None):
         self.handlers = dict(handlers)
         self.stats = stats
         self.clock = clock
         self.notify_queue_limit = int(notify_queue_limit)
-        #: How long a graceful subscriber drop waits for its writer task
-        #: to flush before cancelling it (seconds).
-        self.writer_join_timeout = float(writer_join_timeout)
         self._subscribers: Dict[int, _Subscriber] = {}
         self._sub_counter = 0
         #: ``None`` without a retry policy (no reliable DAB delivery); with
@@ -413,7 +414,7 @@ class FrontEnd:
                 sub.writer_task.cancel()
             try:
                 await asyncio.wait_for(sub.writer_task,
-                                       timeout=self.writer_join_timeout)
+                                       timeout=WRITER_JOIN_TIMEOUT)
             except (asyncio.TimeoutError, asyncio.CancelledError):
                 sub.writer_task.cancel()
         sub.stream.close()

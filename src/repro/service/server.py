@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, 
 from repro.exceptions import ReproError, SimulationError
 from repro.queries.polynomial import PolynomialQuery
 from repro.service import protocol
-from repro.service.core import CoordinatorCore, RecomputeMode
+from repro.service.core import CoordinatorCore
 from repro.service.frontend import (
     DEFAULT_NOTIFY_QUEUE_LIMIT,
     FrontEnd,
@@ -59,38 +59,29 @@ class CoordinatorServer(FrontEnd):
         planner: object,
         initial_values: Mapping[str, float],
         item_to_source: Mapping[str, int],
-        mode: RecomputeMode = RecomputeMode.ON_WINDOW_VIOLATION,
         aao_planner: Optional[object] = None,
-        aao_period: Optional[int] = None,
         recompute_cost: float = 1.0,
         metrics: Optional[MetricsCollector] = None,
         notify_queue_limit: int = DEFAULT_NOTIFY_QUEUE_LIMIT,
-        writer_join_timeout: float = 1.0,
         lease_duration: Optional[float] = None,
-        lease_check_interval: Optional[float] = None,
-        suspect_drift_rel: float = 0.05,
         dab_retry_policy: Optional[RetryPolicy] = None,
         solver_breaker: Optional[object] = None,
         clock: Callable[[], float] = _time.time,
         journal: Optional[Journal] = None,
-        bootstrap: bool = True,
         shard_id: Optional[int] = None,
     ):
         self.metrics = metrics if metrics is not None else MetricsCollector(
             recompute_cost=recompute_cost)
         self.core = CoordinatorCore(
-            queries=queries, planner=planner, mode=mode, metrics=self.metrics,
+            queries=queries, planner=planner, metrics=self.metrics,
             initial_values=initial_values, item_to_source=item_to_source,
-            aao_planner=aao_planner, aao_period=aao_period,
-            solver_breaker=solver_breaker,
+            aao_planner=aao_planner, solver_breaker=solver_breaker,
         )
-        #: ``bootstrap=False`` defers the initial GP solves to
-        #: :meth:`restore` — the journaled start path, where a snapshot
-        #: usually supersedes them and solving first would be waste.
-        self._bootstrapped = False
-        if bootstrap:
+        # A journaled server defers the initial GP solves to
+        # :meth:`restore`, where a snapshot usually supersedes them and
+        # solving first would be waste.
+        if journal is None:
             self.core.bootstrap()
-            self._bootstrapped = True
         #: Optional write-ahead journal; :meth:`restore` must be called
         #: before serving when one is configured.  ``None`` leaves every
         #: code path byte-identical to the journal-less server.
@@ -113,12 +104,9 @@ class CoordinatorServer(FrontEnd):
         #: pre-lease server).  Units are whatever ``clock`` counts.
         self.leases = SourceLeases(
             self.core.item_to_source, lease_duration=lease_duration,
-            drift_rel=suspect_drift_rel, metrics=self.metrics)
-        if lease_check_interval is not None:
-            self.lease_check_interval: Optional[float] = float(lease_check_interval)
-        else:
-            self.lease_check_interval = (self.lease_duration / 4.0
-                                         if self.lease_duration else None)
+            metrics=self.metrics)
+        self.lease_check_interval = (self.lease_duration / 4.0
+                                     if self.lease_duration else None)
         self._degraded_keys: frozenset = frozenset()
         self.solver_breaker = solver_breaker
         #: source_id -> wall-clock time of the last refresh/heartbeat.
@@ -168,7 +156,6 @@ class CoordinatorServer(FrontEnd):
             "heartbeats_received": 0,
             "dab_acks_received": 0,
         }, clock=clock, notify_queue_limit=notify_queue_limit,
-            writer_join_timeout=writer_join_timeout,
             dab_retry_policy=dab_retry_policy)
 
     @property
@@ -269,14 +256,12 @@ class CoordinatorServer(FrontEnd):
         if snapshot is not None:
             snapshot_index, state = snapshot
             self._restore_snapshot_state(state)
-            self._bootstrapped = True
             replay_start = snapshot_index
-        elif not self._bootstrapped:
+        else:
             # Fresh directory — or every snapshot unreadable: bootstrap
             # first (mirroring the original start), then let any surviving
             # WAL records replay on top of it.
             self.core.bootstrap()
-            self._bootstrapped = True
         replayed = 0
         for record in journal.records(start=replay_start):
             self.core.replay(record)
@@ -791,7 +776,6 @@ def _scenario_planning(query_count: int, item_count: int, source_count: int,
     from repro.simulation.harness import (
         AlgorithmName,
         SimulationConfig,
-        _SINGLE_DAB_MODES,
         build_planner,
     )
     from repro.simulation.source import assign_items_to_sources
@@ -823,7 +807,6 @@ def _scenario_planning(query_count: int, item_count: int, source_count: int,
             queries=queries, planner=build_planner(config, cost_model),
             initial_values={name: initial_values[name] for name in items},
             item_to_source={name: item_to_source[name] for name in items},
-            mode=_SINGLE_DAB_MODES[config.algorithm],
             recompute_cost=recompute_cost, **kwargs)
 
     return scenario, config.queries, make_server, item_to_source

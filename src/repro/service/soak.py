@@ -29,7 +29,7 @@ substream — so the same seed replays the identical fault trace
 (``fault_trace_digest`` in the report) and the identical audit.
 
 Checkpoints are placed where the fault trace shows the wire quiet for
-``audit_margin`` steps: one clean heartbeat round is what the detection
+:data:`AUDIT_MARGIN` steps: one clean heartbeat round is what the detection
 machinery (seq gaps → probes, leases → degradation) needs to have either
 repaired or honestly flagged any earlier loss.  Crash windows generate
 no wire events, so audits *do* run while a source is down — that is
@@ -129,6 +129,10 @@ _DEFAULT_KILL_STEPS = {"restart": (9, 24), "shards": (9, 24),
 #: default first kill at step 13 hits an item mid-flight).
 _RESHARD_MIGRATE_STEP = 12
 
+#: Steps the wire must have been quiet before an audit: one clean
+#: heartbeat round (widened to outlast a schedule's delayed frames).
+AUDIT_MARGIN = 2
+
 
 def named_schedule(name: str, seed: int = 1) -> Tuple[FaultSchedule, int]:
     """``(schedule, default step budget)`` for a named soak profile."""
@@ -201,7 +205,6 @@ async def _run_async(
     injector: FaultInjector,
     clock: _StepClock,
     steps: int,
-    audit_margin: int,
     register_timeout: float,
     server_factory: Optional[Callable[[], Any]] = None,
     kill_steps: Sequence[int] = (),
@@ -217,7 +220,7 @@ async def _run_async(
     queries = scenario.queries
     # A delayed frame lands delay_steps after its fault event fired; the
     # quiet period before an audit has to outlast that.
-    audit_margin = max(audit_margin, injector.schedule.delay_steps + 1)
+    audit_margin = max(AUDIT_MARGIN, injector.schedule.delay_steps + 1)
 
     #: registration itself runs through the chaos links, so connecting is
     #: retried under a policy (zero backoff: the step clock is logical).
@@ -435,8 +438,7 @@ async def _run_async(
             float(server.stats["refreshes_accepted"] - before))
         _note_faults()
         _track_degraded(step)
-        recent = {step, step - 1} if audit_margin <= 1 else set(
-            range(step - audit_margin + 1, step + 1))
+        recent = set(range(step - audit_margin + 1, step + 1))
         if not (recent & fault_steps):
             await _audit(step, phase)
 
@@ -534,8 +536,6 @@ def run_chaos_soak(
     algorithm: str = "dual_dab",
     workload: str = "portfolio",
     lease_duration: float = 3.0,
-    suspect_drift_rel: float = 0.05,
-    audit_margin: int = 2,
     register_timeout: float = 0.25,
     output: Optional[str] = None,
     journal_dir: Optional[str] = None,
@@ -596,7 +596,6 @@ def run_chaos_soak(
             algorithm=algorithm, workload=workload,
             journal_dir=journal_dir, snapshot_every=snapshot_every,
             fsync=fsync, clock=clock, lease_duration=lease_duration,
-            suspect_drift_rel=suspect_drift_rel,
             dab_retry_policy=RetryPolicy(base_delay=1.0, backoff=1.5,
                                          max_delay=4.0, max_attempts=6),
             solver_breaker_factory=lambda sid: CircuitBreaker(
@@ -676,14 +675,12 @@ def run_chaos_soak(
                 trace_length=steps + 2, seed=seed, algorithm=algorithm,
                 workload=workload,
                 lease_duration=lease_duration,
-                suspect_drift_rel=suspect_drift_rel,
                 dab_retry_policy=RetryPolicy(base_delay=1.0, backoff=1.5,
                                              max_delay=4.0, max_attempts=6),
                 solver_breaker=CircuitBreaker(failure_threshold=3,
                                               reset_timeout=6.0, clock=clock),
                 clock=clock,
                 journal=journal,
-                bootstrap=journal is None,
             )
 
         server, scenario, item_to_source = make_server()
@@ -695,7 +692,7 @@ def run_chaos_soak(
     report = asyncio.run(_run_async(
         server=server, scenario=scenario, item_to_source=item_to_source,
         injector=FaultInjector(schedule), clock=clock, steps=steps,
-        audit_margin=audit_margin, register_timeout=register_timeout,
+        register_timeout=register_timeout,
         kill_steps=kill_steps, **topology,
     ))
     migrated = True

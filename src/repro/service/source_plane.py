@@ -23,6 +23,10 @@ BoundUpdate = Tuple[Dict[str, float], Dict[str, int]]
 #: Relative change below which a bound is not worth a DAB-change message.
 DAB_CHANGE_REL_TOL = 1e-9
 
+#: Relative drift a suspect item is assumed to gain per lease — the live
+#: service's value (the simulator's ``FaultConfig`` sets its own).
+SUSPECT_DRIFT_REL = 0.05
+
 
 class SeqFloors:
     """Per-item refresh sequence floors: the highest number accepted (or
@@ -60,7 +64,7 @@ class SourceLeases(SeqFloors):
 
     def __init__(self, owner: Mapping[str, int],
                  lease_duration: Optional[float] = None,
-                 drift_rel: float = 0.05, metrics: Any = None):
+                 drift_rel: float = SUSPECT_DRIFT_REL, metrics: Any = None):
         super().__init__()
         self.owner = owner
         self.lease_duration = (float(lease_duration)

@@ -37,7 +37,7 @@ from repro.simulation.network import (
 )
 from repro.simulation.metrics import MetricsCollector, QueryFidelity, SimulationMetrics
 from repro.simulation.source import SourceNode, assign_items_to_sources
-from repro.simulation.coordinator import Coordinator, RecomputeMode
+from repro.simulation.coordinator import Coordinator
 from repro.simulation.harness import (
     AlgorithmName,
     SimulationConfig,
@@ -68,7 +68,6 @@ __all__ = [
     "SourceNode",
     "assign_items_to_sources",
     "Coordinator",
-    "RecomputeMode",
     "AlgorithmName",
     "SimulationConfig",
     "SimulationResult",

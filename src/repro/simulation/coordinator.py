@@ -2,18 +2,18 @@
 
 The coordinator receives refreshes, keeps the latest value per item, and on
 every refresh (a) notifies users whose query value moved beyond its QAB
-since the last notification, and (b) applies the configured *recompute
-policy*:
+since the last notification, and (b) recomputes each plan the refresh made
+stale — the plan's own DAB assignment says when that is:
 
-* ``EVERY_REFRESH`` — single-DAB semantics (Optimal Refresh and the
-  baselines): the arriving refresh invalidates the DABs of every query that
-  uses the item, so each is recomputed (the behaviour Figure 5 shows to be
-  ruinous at scale);
-* ``ON_WINDOW_VIOLATION`` — dual-DAB semantics: recompute a query only
-  when some item left its secondary window;
-* ``AAO_PERIODIC`` — the Figure-7 AAO-T hybrid: a full joint AAO solve
-  every ``T`` ticks, window-violation patches with the per-query planner in
-  between.
+* a single-DAB plan (Optimal Refresh and the baselines) has no window, so
+  the arriving refresh invalidates the DABs of every query that uses the
+  item and each is recomputed (the behaviour Figure 5 shows to be ruinous
+  at scale);
+* a dual-DAB plan is recomputed only when some item left its secondary
+  window;
+* with an ``aao_planner`` attached — the Figure-7 AAO-T hybrid — a full
+  joint AAO solve runs every ``aao_period`` ticks, window-violation
+  patches with the per-query planner in between.
 
 The planning/recomputation state machine lives in the shared
 :class:`~repro.service.core.CoordinatorCore`, and the fault-side protocol
@@ -44,14 +44,14 @@ from typing import Any, Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.exceptions import SimulationError
 from repro.queries.polynomial import PolynomialQuery
-from repro.service.core import CoordinatorCore, RecomputeMode
+from repro.service.core import CoordinatorCore
 from repro.service.source_plane import DabRetryTable, SourceLeases
 from repro.simulation.events import Event, EventKind, EventQueue
 from repro.simulation.faults import DAB_RETRY, DISABLED, FaultModel
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.network import DelayModel, ZeroDelayModel
 
-__all__ = ["Coordinator", "RecomputeMode"]
+__all__ = ["Coordinator"]
 
 
 class Coordinator:
@@ -61,7 +61,6 @@ class Coordinator:
         self,
         queries: Sequence[PolynomialQuery],
         planner: object,
-        mode: RecomputeMode,
         queue: EventQueue,
         metrics: MetricsCollector,
         initial_values: Mapping[str, float],
@@ -74,17 +73,19 @@ class Coordinator:
         rate_tracker: Optional[object] = None,
         fault_model: Optional[FaultModel] = None,
     ):
+        if aao_planner is not None and (aao_period is None or aao_period < 1):
+            raise SimulationError("AAO-T needs an aao_period >= 1")
         self.core = CoordinatorCore(
             queries=queries,
             planner=planner,
-            mode=mode,
             metrics=metrics,
             initial_values=initial_values,
             item_to_source=item_to_source,
             aao_planner=aao_planner,
-            aao_period=aao_period,
             recompute_hook=self._charge_recompute_time,
         )
+        #: Ticks between joint AAO solves (AAO-T only).
+        self.aao_period = aao_period
         self.queue = queue
         self.metrics = metrics
         self.network_delay = network_delay if network_delay is not None else ZeroDelayModel()
@@ -129,8 +130,8 @@ class Coordinator:
         filters directly (time-zero configuration is assumed in place when
         the paper's observation window starts)."""
         self.core.bootstrap()
-        if self.core.mode is RecomputeMode.AAO_PERIODIC:
-            self.queue.push(Event(float(self.core.aao_period),
+        if self.core.aao_planner is not None:
+            self.queue.push(Event(float(self.aao_period),
                                   EventKind.AAO_PERIODIC))
         for source_id, source in self._sources.items():
             source.set_bounds(self.core.current_bounds_for(source_id)[0])
@@ -227,7 +228,7 @@ class Coordinator:
         for _ in self.core.queries:
             self.busy_until += self.recompute_delay.sample()
         self._fanout_bound_changes(event.time)
-        self.queue.push(Event(event.time + self.core.aao_period,
+        self.queue.push(Event(event.time + self.aao_period,
                               EventKind.AAO_PERIODIC))
 
     def on_dab_change(self, event: Event) -> None:

@@ -37,7 +37,7 @@ from repro.filters.assignment import merge_primary
 from repro.filters.cost_model import CostModel
 from repro.queries.polynomial import PolynomialQuery
 from repro.service.source_plane import DabSendTable, admit_newest
-from repro.simulation.coordinator import Coordinator, RecomputeMode
+from repro.simulation.coordinator import Coordinator
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import Event, EventKind
 from repro.simulation.faults import DISABLED, FaultConfig, FaultModel
@@ -45,7 +45,6 @@ from repro.simulation.harness import (
     AlgorithmName,
     SimulationConfig,
     SimulationResult,
-    _SINGLE_DAB_MODES,
     build_planner,
 )
 from repro.simulation.metrics import MetricsCollector
@@ -254,8 +253,7 @@ def run_dissemination(config: DisseminationConfig) -> DisseminationResult:
     # Partition queries round-robin over child coordinators.
     children: Dict[int, Coordinator] = {}
     receivers: Dict[int, Union[SourceNode, _RootPort]] = dict(sources)
-    mode = _SINGLE_DAB_MODES[config.algorithm]
-    if mode is RecomputeMode.AAO_PERIODIC:
+    if config.algorithm is AlgorithmName.AAO_T:
         raise SimulationError("AAO-T is not part of the dissemination experiment")
     for child_id in range(config.coordinator_count):
         child_queries = [q for i, q in enumerate(config.queries)
@@ -274,7 +272,6 @@ def run_dissemination(config: DisseminationConfig) -> DisseminationResult:
         coordinator = Coordinator(
             queries=child_queries,
             planner=planner,
-            mode=mode,
             queue=engine.queue,
             metrics=metrics,
             initial_values=initial_values,

@@ -34,7 +34,7 @@ from repro.filters.heuristics import DifferentSumPlanner, HalfAndHalfPlanner
 from repro.filters.multi_query import AAOPlanner
 from repro.filters.optimal_refresh import OptimalRefreshPlanner
 from repro.queries.polynomial import PolynomialQuery
-from repro.simulation.coordinator import Coordinator, RecomputeMode
+from repro.simulation.coordinator import Coordinator
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import EventKind
 from repro.simulation.faults import FaultConfig, FaultModel
@@ -161,19 +161,6 @@ class SimulationResult:
     window_screen_misses: int = 0
 
 
-_SINGLE_DAB_MODES = {
-    AlgorithmName.OPTIMAL_REFRESH: RecomputeMode.EVERY_REFRESH,
-    AlgorithmName.SHARFMAN_BASELINE: RecomputeMode.EVERY_REFRESH,
-    AlgorithmName.UNIFORM_BASELINE: RecomputeMode.EVERY_REFRESH,
-    AlgorithmName.DUAL_DAB: RecomputeMode.ON_WINDOW_VIOLATION,
-    AlgorithmName.HALF_AND_HALF: RecomputeMode.ON_WINDOW_VIOLATION,
-    AlgorithmName.DIFFERENT_SUM: RecomputeMode.ON_WINDOW_VIOLATION,
-    AlgorithmName.AAO_T: RecomputeMode.AAO_PERIODIC,
-    AlgorithmName.LAQ: RecomputeMode.ON_WINDOW_VIOLATION,
-    AlgorithmName.SIGNOMIAL: RecomputeMode.ON_WINDOW_VIOLATION,
-}
-
-
 def build_planner(config: SimulationConfig, cost_model: CostModel):
     """The per-query planner stack for an algorithm.
 
@@ -272,7 +259,6 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     coordinator = Coordinator(
         queries=config.queries,
         planner=planner,
-        mode=_SINGLE_DAB_MODES[config.algorithm],
         queue=engine.queue,
         metrics=metrics,
         initial_values=initial_values,

@@ -5,7 +5,6 @@ import pytest
 
 from repro.exceptions import TraceError
 from repro.dynamics import (
-    EwmaRateEstimator,
     SampledRateEstimator,
     Trace,
     TraceSet,
@@ -130,27 +129,6 @@ class TestRateShape:
             SampledRateEstimator(60).estimate_all(short.traces, items),
             reference)
         assert np.median(one_minute) > 10.0
-
-
-class TestEwmaRateEstimator:
-    def test_linear_trace(self):
-        assert EwmaRateEstimator().estimate(linear_trace(0.05)) == pytest.approx(0.05)
-
-    def test_recency_weighting(self):
-        """Quiet history then a burst: EWMA must sit above the whole-trace
-        mean estimator's view of the same data."""
-        values = np.concatenate([np.full(200, 100.0),
-                                 100.0 + np.cumsum(np.full(50, 0.5))])
-        trace = Trace("burst", values)
-        ewma = EwmaRateEstimator(alpha=0.2).estimate(trace)
-        mean = SampledRateEstimator(1).estimate(trace)
-        assert ewma > mean
-
-    def test_alpha_validation(self):
-        with pytest.raises(TraceError):
-            EwmaRateEstimator(alpha=0.0)
-        with pytest.raises(TraceError):
-            EwmaRateEstimator(alpha=1.5)
 
 
 class TestUnitRateEstimator:

@@ -32,13 +32,13 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def build(tmp_path=None, bootstrap=True, **kwargs):
+def build(tmp_path=None, **kwargs):
     journal = None
     if tmp_path is not None:
         journal = Journal(str(tmp_path), **kwargs.pop("journal_kwargs", {}))
     server, scenario, item_to_source = build_scenario_server(
         query_count=4, item_count=20, source_count=2, trace_length=41,
-        seed=1, journal=journal, bootstrap=bootstrap and journal is None,
+        seed=1, journal=journal,
         **kwargs)
     return server, scenario, item_to_source
 
@@ -106,7 +106,7 @@ class TestSharedCrashRecovery:
             await server.close(final_snapshot=False)      # the kill
             await client.close()
 
-            revived, _, _ = build(tmp_path, bootstrap=False)
+            revived, _, _ = build(tmp_path)
             structures = bank_objects(revived.core)
             recovery = revived.restore()
             assert recovery["records_replayed"] > 0
@@ -140,7 +140,7 @@ class TestSharedCrashRecovery:
             await server.close()                 # graceful: snapshot
             await client.close()
 
-            revived, _, _ = build(tmp_path, bootstrap=False)
+            revived, _, _ = build(tmp_path)
             recovery = revived.restore()
             assert recovery["records_replayed"] == 0
             assert core_fingerprint(revived.core) == before
@@ -193,7 +193,7 @@ class TestOldJournals:
             server.journal.wal_path.write_bytes(
                 b"".join(encode_record(r) for r in records))
 
-            revived, _, _ = build(tmp_path, bootstrap=False)
+            revived, _, _ = build(tmp_path)
             recovery = revived.restore()
             assert recovery["snapshot_index"] == snapshot_index
             assert recovery["records_replayed"] == len(

@@ -41,7 +41,7 @@ def _server(journal_dir=None):
     journal = Journal(str(journal_dir)) if journal_dir is not None else None
     built = build_scenario_server(query_count=4, item_count=20,
                                   source_count=2, trace_length=41, seed=1,
-                                  journal=journal, bootstrap=journal is None)
+                                  journal=journal)
     if journal is not None:
         built[0].restore()
     return built

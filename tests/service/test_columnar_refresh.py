@@ -157,8 +157,7 @@ def frozen_clock():
 
 async def one_server(directory, per_tick, pair):
     server, scenario, item_to_source = build_scenario_server(
-        **SCENARIO, clock=frozen_clock, journal=Journal(directory),
-        bootstrap=False)
+        **SCENARIO, clock=frozen_clock, journal=Journal(directory))
     server.restore()
     subscriber = await drive(
         server, item_to_source, ticks(scenario, item_to_source), per_tick,

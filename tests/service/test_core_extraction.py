@@ -9,15 +9,10 @@ and the core stays importable without dragging the simulator in.
 
 import pathlib
 
-from repro.service.core import CoordinatorCore, RecomputeMode
-from repro.simulation import coordinator as sim_coordinator
+from repro.service.core import CoordinatorCore
 from repro.simulation.harness import SimulationConfig, run_simulation
 from repro.workloads import scaled_scenario
 from tests.golden import assert_matches_reference
-
-
-def test_recompute_mode_is_the_same_object():
-    assert sim_coordinator.RecomputeMode is RecomputeMode
 
 
 def test_core_module_does_not_import_the_simulator():
@@ -47,7 +42,7 @@ def test_simulator_coordinator_wraps_a_core():
     # run_simulation constructs the Coordinator internally; build one the
     # same way and inspect the adapter surface.
     from repro.simulation.engine import SimulationEngine
-    from repro.simulation.harness import _SINGLE_DAB_MODES, build_planner
+    from repro.simulation.harness import build_planner
     from repro.dynamics.estimation import estimate_rates
     from repro.filters.cost_model import CostModel
     from repro.simulation.coordinator import Coordinator
@@ -61,8 +56,7 @@ def test_simulator_coordinator_wraps_a_core():
                                               recompute_cost=config.recompute_cost))
     engine = SimulationEngine(config.duration, config.fidelity_interval)
     coordinator = Coordinator(
-        queries=config.queries, planner=planner,
-        mode=_SINGLE_DAB_MODES[config.algorithm], queue=engine.queue,
+        queries=config.queries, planner=planner, queue=engine.queue,
         metrics=MetricsCollector(recompute_cost=config.recompute_cost),
         initial_values=config.traces.initial_values(items),
         item_to_source=assign_items_to_sources(items, 2),

@@ -33,7 +33,7 @@ from repro.filters.assignment import DABAssignment
 from repro.queries import parse_query
 from repro.service.agent import SourceAgent
 from repro.service.cluster.router import ClusterCoordinator
-from repro.service.core import CoordinatorCore, RecomputeMode
+from repro.service.core import CoordinatorCore
 from repro.simulation.dissemination import RootRelay, _RootPort
 from repro.simulation.events import Event, EventKind, EventQueue
 from repro.simulation.metrics import MetricsCollector
@@ -114,7 +114,6 @@ def test_the_core_ships_what_its_old_diff_shipped(seed, steps):
                  for query in QUERIES}
     core = CoordinatorCore(
         queries=list(QUERIES), planner=_Planner(primaries),
-        mode=RecomputeMode.ON_WINDOW_VIOLATION,
         metrics=MetricsCollector(recompute_cost=1.0), initial_values=VALUES,
         item_to_source=OWNER)
     old = CoreBounds(OWNER)

@@ -31,13 +31,13 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def build(tmp_path=None, bootstrap=True, **kwargs):
+def build(tmp_path=None, **kwargs):
     journal = None
     if tmp_path is not None:
         journal = Journal(str(tmp_path), **kwargs.pop("journal_kwargs", {}))
     server, scenario, item_to_source = build_scenario_server(
         query_count=4, item_count=20, source_count=2, trace_length=41,
-        seed=1, journal=journal, bootstrap=bootstrap and journal is None,
+        seed=1, journal=journal,
         **kwargs)
     return server, scenario, item_to_source
 
@@ -133,7 +133,7 @@ class TestStatsAndJournalTag:
                         record = {**record, "mode": "delta"}
                     wal.append(record)
                 wal.close()
-                revived, _, _ = build(tmp_path / label, bootstrap=False)
+                revived, _, _ = build(tmp_path / label)
                 recovery = revived.restore()
                 assert recovery["records_replayed"] == len(records)
                 assert core_fingerprint(revived.core) == before
@@ -180,7 +180,7 @@ class TestDeltaCrashRecovery:
             before = core_fingerprint(server.core)
             await server.close(final_snapshot=False)   # the kill
 
-            revived, _, _ = build(tmp_path, bootstrap=False)
+            revived, _, _ = build(tmp_path)
             recovery = revived.restore()
             assert recovery["records_replayed"] > 0
             assert core_fingerprint(revived.core) == before

@@ -149,7 +149,7 @@ async def run_ingest(directory, ingest, lease_duration, seed):
     clock = Clock()
     server, scenario, item_to_source = build_scenario_server(
         **SCENARIO, clock=clock, journal=Journal(directory),
-        bootstrap=False, lease_duration=lease_duration)
+        lease_duration=lease_duration)
     server.restore()
     if ingest is not None:
         server._apply_refresh = lambda frame: ingest(server, frame)

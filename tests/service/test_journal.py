@@ -37,13 +37,13 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def build(tmp_path=None, bootstrap=True, **kwargs):
+def build(tmp_path=None, **kwargs):
     journal = None
     if tmp_path is not None:
         journal = Journal(str(tmp_path), **kwargs.pop("journal_kwargs", {}))
     server, scenario, item_to_source = build_scenario_server(
         query_count=4, item_count=20, source_count=2, trace_length=41,
-        seed=1, journal=journal, bootstrap=bootstrap and journal is None,
+        seed=1, journal=journal,
         **kwargs)
     return server, scenario, item_to_source
 
@@ -290,7 +290,7 @@ class TestStdlibSpelledJournal:
                     fh.write(struct.pack(">II", len(body),
                                          zlib.crc32(body)) + body)
 
-            revived, _, _ = build(tmp_path, bootstrap=False)
+            revived, _, _ = build(tmp_path)
             recovery = revived.restore()
             assert recovery["snapshot_index"] == snapshot_index
             assert recovery["records_replayed"] == (len(records)
@@ -320,7 +320,7 @@ class TestCrashRecovery:
             # the kill: no parting snapshot, recovery is WAL-tail replay
             await server.close(final_snapshot=False)
 
-            revived, _, _ = build(tmp_path, bootstrap=False)
+            revived, _, _ = build(tmp_path)
             recovery = revived.restore()
             assert recovery["records_replayed"] > 0
             assert core_fingerprint(revived.core) == before
@@ -339,7 +339,7 @@ class TestCrashRecovery:
                 server.core.query_values()))
             await server.close(final_snapshot=False)
 
-            revived, _, _ = build(tmp_path, bootstrap=False)
+            revived, _, _ = build(tmp_path)
             revived.restore()
             stream = await register(revived, item_to_source, 0)
             item = owned(item_to_source, 0)[0]
@@ -364,7 +364,7 @@ class TestCrashRecovery:
             before = core_fingerprint(server.core)
             await server.close()               # graceful: parting snapshot
 
-            revived, _, _ = build(tmp_path, bootstrap=False)
+            revived, _, _ = build(tmp_path)
             recovery = revived.restore()
             assert recovery["records_replayed"] == 0   # snapshot covers all
             assert core_fingerprint(revived.core) == before
@@ -378,7 +378,7 @@ class TestCrashRecovery:
         journal.close()
 
         async def check():
-            server, _, _ = build(tmp_path, bootstrap=False)
+            server, _, _ = build(tmp_path)
             with pytest.raises(JournalError, match="gibberish"):
                 server.restore()
             await server.close()
@@ -391,7 +391,7 @@ class TestCrashRecovery:
             with pytest.raises(JournalError, match="no journal"):
                 plain.restore()
             await plain.close()
-            journaled, _, _ = build(tmp_path, bootstrap=False)
+            journaled, _, _ = build(tmp_path)
             journaled.restore()
             with pytest.raises(JournalError, match="twice"):
                 journaled.restore()

@@ -13,7 +13,7 @@ import pytest
 from repro.exceptions import GPError
 from repro.filters.baselines import UniformAllocationBaseline
 from repro.service import protocol
-from repro.service.core import CoordinatorCore, RecomputeMode
+from repro.service.core import CoordinatorCore
 from repro.service.protocol import MessageType
 from repro.service.resilience import BreakerState, CircuitBreaker, RetryPolicy
 from repro.service.server import build_scenario_server
@@ -346,7 +346,6 @@ class TestSolverBreaker:
         planner = FlakyPlanner()
         core = CoordinatorCore(
             queries=scenario.queries, planner=planner,
-            mode=RecomputeMode.ON_WINDOW_VIOLATION,
             metrics=MetricsCollector(recompute_cost=1.0),
             initial_values=scenario.traces.initial_values(),
             item_to_source=assign_items_to_sources(items, 2),

@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 
 from repro.queries import compiled
 from repro.service import protocol
-from repro.service.core import CoordinatorCore, RecomputeMode
+from repro.service.core import CoordinatorCore
 from repro.service.journal import encode_record
 
 from tests.service.test_window_screen import (
@@ -113,7 +113,6 @@ class Pair:
 
     def _core(self, kind):
         core = kind(queries=STATIC, planner=self.planner,
-                    mode=RecomputeMode.ON_WINDOW_VIOLATION,
                     metrics=RecordingMetrics(), initial_values=INITIAL,
                     item_to_source={name: 0 for name in ITEMS})
         core.journal = JournalTap()

@@ -21,12 +21,13 @@ from repro.filters import (
     DifferentSumPlanner,
     DualDABPlanner,
     HalfAndHalfPlanner,
+    OptimalRefreshPlanner,
 )
 from repro.filters.signomial import SignomialPlanner
 from repro.queries import parse_query
 from repro.service import protocol
 from repro.service.cluster.router import build_scenario_cluster
-from repro.service.core import UNEXITED_PRICE, CoordinatorCore, RecomputeMode
+from repro.service.core import UNEXITED_PRICE, CoordinatorCore
 from repro.service.server import build_scenario_server
 from repro.simulation.metrics import MetricsCollector
 
@@ -41,8 +42,8 @@ def _model(mu=MU):
     return CostModel(rates=RATES, recompute_cost=mu)
 
 
-def _core(queries, planner, mode=RecomputeMode.ON_WINDOW_VIOLATION, **kw):
-    core = CoordinatorCore(queries=queries, planner=planner, mode=mode,
+def _core(queries, planner, **kw):
+    core = CoordinatorCore(queries=queries, planner=planner,
                            metrics=MetricsCollector(MU),
                            initial_values=VALUES,
                            item_to_source={name: 0 for name in VALUES}, **kw)
@@ -112,8 +113,7 @@ class TestThePlanIsSolvedAtTheQuerysPrice:
         other = parse_query("u*v : 3", name="other")
         queries = [PPQ, other]
         core = _core(queries, DualDABPlanner(_model()),
-                     mode=RecomputeMode.AAO_PERIODIC,
-                     aao_planner=AAOPlanner(_model()), aao_period=5)
+                     aao_planner=AAOPlanner(_model()))
         want = AAOPlanner(_model(MU / 2)).plan_all(queries, VALUES)
         assert core.plans == want.per_query
         assert AAOPlanner(_model()).build_program(
@@ -142,8 +142,7 @@ class TestWhatCountsAsAnExit:
         assert core.exited == {"ppq"}
 
     def test_every_refresh_recomputes_are_not_exits(self):
-        core = _core([PPQ], DualDABPlanner(_model()),
-                     mode=RecomputeMode.EVERY_REFRESH)
+        core = _core([PPQ], OptimalRefreshPlanner(_model()))
         _, recomputed = _leave_window(core, "x")
         assert recomputed and core.exited == set()
         assert core.recompute_prices() == {"discounted": 1, "exited": 0}

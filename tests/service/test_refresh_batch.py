@@ -30,8 +30,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.filters import (
+    CostModel,
+    DifferentSumPlanner,
+    OptimalRefreshPlanner,
+    SharfmanStyleBaseline,
+    UniformAllocationBaseline,
+)
 from repro.service import protocol
-from repro.service.core import RecomputeMode
+from repro.service.core import CoordinatorCore
 from repro.service.journal import plan_to_wire
 from repro.service.protocol import MessageType
 from repro.service.server import build_scenario_server
@@ -40,7 +47,10 @@ from repro.service.transports import (inprocess_pair, loopback_pair,
 
 from tests.service.nodes import SCENARIO, register_sources, start_node
 from tests.service.test_window_screen import (
+    INITIAL,
     ITEMS,
+    STATIC,
+    RecordingMetrics,
     Rig,
     _drive,
     must_notify,
@@ -218,9 +228,7 @@ class TestAnySplit:
                     <= query.qab
 
     def test_every_refresh_mode_recomputes_each_reader_once(self):
-        rig = Rig()
-        core = rig.core
-        core.mode = RecomputeMode.EVERY_REFRESH
+        core = single_dab_core("optimal_refresh")
         for item in ("a", "c"):
             core.apply_refresh([item], [core.cache[item] * 1.001])
         _, recomputed = core.react_to_refresh(["a", "c", "a"])
@@ -233,6 +241,63 @@ class TestAnySplit:
         core = Rig().core
         assert core.react_to_refresh([]) == ([], False)
         assert core.react_to_refresh(["nobody"]) == ([], False)
+
+
+# ---------------------------------------------------------------------------
+# a single-DAB plan is stale at any move of its inputs
+# ---------------------------------------------------------------------------
+
+#: The single-DAB planner stacks of the simulator's ``build_planner``.
+SINGLE_DAB_STACKS = {
+    "optimal_refresh": lambda model: DifferentSumPlanner(
+        model, OptimalRefreshPlanner(model)),
+    "sharfman": SharfmanStyleBaseline,
+    "uniform": UniformAllocationBaseline,
+}
+
+
+def single_dab_core(stack):
+    model = CostModel(rates={name: 1.0 for name in ITEMS}, recompute_cost=2.0)
+    core = CoordinatorCore(
+        queries=STATIC, planner=SINGLE_DAB_STACKS[stack](model),
+        metrics=RecordingMetrics(), initial_values=INITIAL,
+        item_to_source={name: 0 for name in ITEMS})
+    core.bootstrap()
+    return core
+
+
+#: Batches of refreshes that each move their item: ``(item, factor)``
+#: with distinct items per batch and ``factor != 1``.
+moved_batches = st.lists(
+    st.lists(st.tuples(st.sampled_from(ITEMS),
+                       st.sampled_from((0.9, 0.97, 0.999, 1.001, 1.03, 1.1))),
+             min_size=1, max_size=len(ITEMS), unique_by=lambda op: op[0]),
+    min_size=1, max_size=4)
+
+
+class TestSingleDabPlans:
+    @given(stack=st.sampled_from(sorted(SINGLE_DAB_STACKS)),
+           batches=moved_batches)
+    def test_every_reader_of_a_moved_item_is_recomputed_in_order(
+            self, stack, batches):
+        """The window screen recomputes what a rule of "every refresh
+        recomputes each of its readers" did, in that rule's order, and a
+        plan with no window records no exit."""
+        core = single_dab_core(stack)
+        for batch in batches:
+            items = [item for item, _ in batch]
+            core.apply_refresh(items, [core.cache[item] * factor
+                                       for item, factor in batch])
+            # The reader order of a rule that recomputes every reader of
+            # every refreshed item, once per batch.
+            readers = list(dict.fromkeys(
+                query.name for item in items
+                for query in core.item_index[item]))
+            order = len(core.metrics.recompute_order)
+            _, recomputed = core.react_to_refresh(items)
+            assert recomputed
+            assert core.metrics.recompute_order[order:] == readers
+        assert core.exited == set()
 
 
 # ---------------------------------------------------------------------------

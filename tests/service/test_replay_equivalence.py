@@ -27,7 +27,7 @@ from repro.filters.assignment import DABAssignment
 from repro.queries import parse_query
 from repro.service import protocol
 from repro.service.client import ServiceClient
-from repro.service.core import RECORD_KINDS, CoordinatorCore, RecomputeMode
+from repro.service.core import RECORD_KINDS, CoordinatorCore
 from repro.service.journal import Journal, encode_record, scan_records
 from repro.service.server import CoordinatorServer
 from repro.simulation.metrics import MetricsCollector
@@ -60,8 +60,7 @@ def build(directory):
                  parse_query("x + z : 1", name="q3")],
         planner=DualDABPlanner(model), initial_values=VALUES,
         item_to_source=ITEM_TO_SOURCE, aao_planner=AAOPlanner(model),
-        journal=Journal(str(directory), fsync="off", snapshot_every=4),
-        bootstrap=False)
+        journal=Journal(str(directory), fsync="off", snapshot_every=4))
 
 
 def observe(server):
@@ -190,7 +189,6 @@ class WalTap:
 
 def _price_core():
     return CoordinatorCore(queries=STATIC, planner=PricedPlanner(),
-                           mode=RecomputeMode.ON_WINDOW_VIOLATION,
                            metrics=MetricsCollector(2.0),
                            initial_values=INITIAL,
                            item_to_source={name: 0 for name in ITEMS})
@@ -278,3 +276,20 @@ class RecomputePrice(RuleBasedStateMachine):
 
 
 TestRecomputePriceSurvivesRestore = RecomputePrice.TestCase
+
+
+def test_a_snapshot_restores_the_registration_order():
+    """Dynamic queries come back in the order they were registered — the
+    order their readers are recomputed in — not sorted by name."""
+    live = _price_core()
+    live.bootstrap()
+    for index in (0, 2, 1):
+        live.add_query(POOL[index])
+    restored = _price_core()
+    restored.restore_recovery_state(protocol.decode_body(
+        protocol.encode_body(live.recovery_state())))
+
+    def readers(core):
+        return {item: [query.name for query in queries]
+                for item, queries in core.item_index.items()}
+    assert readers(restored) == readers(live)

@@ -14,7 +14,6 @@ from repro.filters import CostModel, DualDABPlanner
 from repro.filters.heuristics import DifferentSumPlanner
 from repro.queries import parse_query
 from repro.service import protocol
-from repro.service.core import RecomputeMode
 from repro.service.resilience import RetryPolicy
 from repro.service.server import CoordinatorServer
 from repro.service.source_plane import DabRetryTable, SourceLeases
@@ -273,8 +272,7 @@ def _planner():
 
 def _sim_coordinator(queue, fault_config):
     return Coordinator(
-        queries=_queries(), planner=_planner(),
-        mode=RecomputeMode.ON_WINDOW_VIOLATION, queue=queue,
+        queries=_queries(), planner=_planner(), queue=queue,
         metrics=MetricsCollector(recompute_cost=1.0), initial_values=VALUES,
         item_to_source={name: 0 for name in VALUES},
         fault_model=FaultModel(fault_config))

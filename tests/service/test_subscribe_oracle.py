@@ -62,7 +62,7 @@ REFUSALS = ("conflict", "unknown")
 def _build(directory):
     server, _, item_to_source = build_scenario_server(
         query_count=4, item_count=20, source_count=2, trace_length=41,
-        seed=1, journal=Journal(directory), bootstrap=False)
+        seed=1, journal=Journal(directory))
     server.restore()
     return server, item_to_source
 

@@ -30,7 +30,7 @@ from repro.exceptions import GPError
 from repro.filters.assignment import DABAssignment
 from repro.queries import PolynomialQuery, QueryTerm
 from repro.service import protocol
-from repro.service.core import CoordinatorCore, RecomputeMode
+from repro.service.core import CoordinatorCore
 from repro.service.resilience import CircuitBreaker
 from repro.service.server import build_scenario_server
 from repro.simulation.metrics import MetricsCollector
@@ -149,7 +149,6 @@ class Rig:
                    if self.breaker else None)
         return CoordinatorCore(
             queries=STATIC, planner=self.planner,
-            mode=RecomputeMode.ON_WINDOW_VIOLATION,
             metrics=RecordingMetrics(), initial_values=INITIAL,
             item_to_source={name: 0 for name in ITEMS},
             solver_breaker=breaker)

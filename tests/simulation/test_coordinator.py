@@ -5,7 +5,12 @@ import pytest
 
 from repro.dynamics.traces import Trace, TraceSet
 from repro.exceptions import SimulationError
-from repro.filters import CostModel, DualDABPlanner, OptimalRefreshPlanner
+from repro.filters import (
+    AAOPlanner,
+    CostModel,
+    DualDABPlanner,
+    OptimalRefreshPlanner,
+)
 from repro.filters.heuristics import DifferentSumPlanner
 from repro.queries import parse_query
 from repro.simulation import (
@@ -14,7 +19,6 @@ from repro.simulation import (
     EventKind,
     EventQueue,
     MetricsCollector,
-    RecomputeMode,
     SourceNode,
 )
 from repro.simulation.network import ConstantDelayModel, ZeroDelayModel
@@ -34,19 +38,18 @@ class _FakeSource:
         self.set_bounds(event.payload["bounds"])
 
 
-def make_coordinator(mode, mu=1.0, queries=None, values=None):
+def make_coordinator(inner, mu=1.0, queries=None, values=None):
+    """A coordinator over ``inner`` (a single-DAB ``OptimalRefreshPlanner``
+    or a dual-DAB ``DualDABPlanner``) under Different Sum."""
     queries = queries or [parse_query("x*y : 5", name="cq")]
     values = values or {"x": 2.0, "y": 2.0}
     model = CostModel(rates={k: 1.0 for k in values}, recompute_cost=mu)
-    if mode is RecomputeMode.EVERY_REFRESH:
-        planner = DifferentSumPlanner(model, OptimalRefreshPlanner(model))
-    else:
-        planner = DifferentSumPlanner(model, DualDABPlanner(model))
+    planner = DifferentSumPlanner(model, inner(model))
     queue = EventQueue()
     metrics = MetricsCollector(recompute_cost=mu)
     item_to_source = {name: 0 for q in queries for name in q.variables}
     coordinator = Coordinator(
-        queries=queries, planner=planner, mode=mode, queue=queue,
+        queries=queries, planner=planner, queue=queue,
         metrics=metrics, initial_values=values, item_to_source=item_to_source,
     )
     source = _FakeSource(0)
@@ -63,7 +66,7 @@ def refresh(time, item, value):
 class TestBootstrap:
     def test_initial_plan_seeds_sources(self):
         coordinator, _queue, _metrics, source = make_coordinator(
-            RecomputeMode.ON_WINDOW_VIOLATION)
+            DualDABPlanner)
         assert set(source.bounds) == {"x", "y"}
         assert all(b > 0 for b in source.bounds.values())
 
@@ -71,24 +74,27 @@ class TestBootstrap:
         queries = [parse_query("x : 1", name="dup"), parse_query("y : 1", name="dup")]
         model = CostModel()
         with pytest.raises(SimulationError, match="unique"):
-            Coordinator(queries=queries, planner=DifferentSumPlanner(model),
-                        mode=RecomputeMode.EVERY_REFRESH, queue=EventQueue(),
+            Coordinator(queries=queries, planner=DifferentSumPlanner(
+                            model, OptimalRefreshPlanner(model)),
+                        queue=EventQueue(),
                         metrics=MetricsCollector(1.0),
                         initial_values={"x": 1.0, "y": 1.0}, item_to_source={})
 
     def test_needs_queries(self):
         with pytest.raises(SimulationError):
-            Coordinator(queries=[], planner=None,
-                        mode=RecomputeMode.EVERY_REFRESH, queue=EventQueue(),
+            Coordinator(queries=[], planner=None, queue=EventQueue(),
                         metrics=MetricsCollector(1.0), initial_values={},
                         item_to_source={})
 
     def test_aao_mode_requires_planner_and_period(self):
-        with pytest.raises(SimulationError, match="AAO"):
-            Coordinator(queries=[parse_query("x : 1")], planner=None,
-                        mode=RecomputeMode.AAO_PERIODIC, queue=EventQueue(),
-                        metrics=MetricsCollector(1.0),
-                        initial_values={"x": 1.0}, item_to_source={})
+        """An attached AAO planner is AAO-T, which needs a period."""
+        model = CostModel()
+        for period in (None, 0):
+            with pytest.raises(SimulationError, match="AAO"):
+                Coordinator(queries=[parse_query("x : 1")], planner=None,
+                            queue=EventQueue(), metrics=MetricsCollector(1.0),
+                            initial_values={"x": 1.0}, item_to_source={},
+                            aao_planner=AAOPlanner(model), aao_period=period)
 
 
 class TestDirectConstruction:
@@ -97,7 +103,7 @@ class TestDirectConstruction:
         serves the banked evaluation and a bare SourceNode scans a slab,
         both equal to the reference definitions."""
         coordinator, _queue, _metrics, _source = make_coordinator(
-            RecomputeMode.ON_WINDOW_VIOLATION)
+            DualDABPlanner)
         coordinator.on_refresh(refresh(1.0, "x", 2.5))
         assert coordinator.core.query_values_array().tolist() == [
             query.evaluate(coordinator.core.cache) for query in coordinator.core.queries]
@@ -118,7 +124,7 @@ class TestDirectConstruction:
 class TestEveryRefreshPolicy:
     def test_each_refresh_recomputes(self):
         coordinator, _queue, metrics, _source = make_coordinator(
-            RecomputeMode.EVERY_REFRESH)
+            OptimalRefreshPlanner)
         coordinator.on_refresh(refresh(1.0, "x", 2.5))
         coordinator.on_refresh(refresh(2.0, "x", 3.0))
         assert metrics.refreshes == 2
@@ -126,7 +132,7 @@ class TestEveryRefreshPolicy:
 
     def test_cache_updated(self):
         coordinator, _queue, _metrics, _source = make_coordinator(
-            RecomputeMode.EVERY_REFRESH)
+            OptimalRefreshPlanner)
         coordinator.on_refresh(refresh(1.0, "x", 2.5))
         assert coordinator.core.cache["x"] == 2.5
 
@@ -134,7 +140,7 @@ class TestEveryRefreshPolicy:
 class TestWindowPolicy:
     def test_no_recompute_inside_window(self):
         coordinator, _queue, metrics, _source = make_coordinator(
-            RecomputeMode.ON_WINDOW_VIOLATION)
+            DualDABPlanner)
         plan = coordinator.core.plans["cq"]
         inside = plan.reference_values["x"] + 0.5 * plan.secondary["x"]
         coordinator.on_refresh(refresh(1.0, "x", inside))
@@ -143,7 +149,7 @@ class TestWindowPolicy:
 
     def test_recompute_on_violation(self):
         coordinator, _queue, metrics, _source = make_coordinator(
-            RecomputeMode.ON_WINDOW_VIOLATION)
+            DualDABPlanner)
         plan = coordinator.core.plans["cq"]
         outside = plan.reference_values["x"] + 1.5 * plan.secondary["x"]
         coordinator.on_refresh(refresh(1.0, "x", outside))
@@ -156,7 +162,7 @@ class TestWindowPolicy:
                    parse_query("u*v : 5", name="qb")]
         values = {"x": 2.0, "y": 2.0, "u": 2.0, "v": 2.0}
         coordinator, _queue, metrics, _source = make_coordinator(
-            RecomputeMode.ON_WINDOW_VIOLATION, queries=queries, values=values)
+            DualDABPlanner, queries=queries, values=values)
         plan = coordinator.core.plans["qa"]
         outside = plan.reference_values["x"] + 2.0 * plan.secondary["x"]
         coordinator.on_refresh(refresh(1.0, "x", outside))
@@ -166,7 +172,7 @@ class TestWindowPolicy:
 class TestFanout:
     def test_dab_change_sent_on_recompute(self):
         coordinator, queue, metrics, _source = make_coordinator(
-            RecomputeMode.EVERY_REFRESH)
+            OptimalRefreshPlanner)
         coordinator.on_refresh(refresh(1.0, "x", 3.0))
         kinds = []
         while queue:
@@ -176,7 +182,7 @@ class TestFanout:
 
     def test_dab_change_routed_to_source(self):
         coordinator, queue, _metrics, source = make_coordinator(
-            RecomputeMode.EVERY_REFRESH)
+            OptimalRefreshPlanner)
         coordinator.on_refresh(refresh(1.0, "x", 3.0))
         while queue:
             event = queue.pop()
@@ -186,7 +192,7 @@ class TestFanout:
 
     def test_unknown_source_rejected(self):
         coordinator, _queue, _metrics, _source = make_coordinator(
-            RecomputeMode.EVERY_REFRESH)
+            OptimalRefreshPlanner)
         bogus = Event(1.0, EventKind.DAB_CHANGE_ARRIVAL,
                       {"source_id": 99, "bounds": {}})
         with pytest.raises(SimulationError):
@@ -196,14 +202,14 @@ class TestFanout:
 class TestUserNotifications:
     def test_notification_on_qab_crossing(self):
         coordinator, _queue, metrics, _source = make_coordinator(
-            RecomputeMode.EVERY_REFRESH)
+            OptimalRefreshPlanner)
         # initial query value is 4; QAB = 5, so value must move past 9
         coordinator.on_refresh(refresh(1.0, "x", 5.0))  # 5*2 = 10 > 4 + 5
         assert metrics.user_notifications == 1
 
     def test_no_notification_inside_qab(self):
         coordinator, _queue, metrics, _source = make_coordinator(
-            RecomputeMode.EVERY_REFRESH)
+            OptimalRefreshPlanner)
         coordinator.on_refresh(refresh(1.0, "x", 2.1))  # 4.2: inside QAB
         assert metrics.user_notifications == 0
 
@@ -211,7 +217,7 @@ class TestUserNotifications:
 class TestBusyServer:
     def test_refresh_queues_while_busy(self):
         coordinator, queue, metrics, _source = make_coordinator(
-            RecomputeMode.EVERY_REFRESH)
+            OptimalRefreshPlanner)
         coordinator.check_delay = ConstantDelayModel(0.5)
         coordinator.on_refresh(refresh(1.0, "x", 3.0))       # busy until 1.5+
         coordinator.on_refresh(refresh(1.2, "y", 3.0))       # must requeue
@@ -222,7 +228,7 @@ class TestBusyServer:
 
     def test_recompute_extends_busy_time(self):
         coordinator, _queue, _metrics, _source = make_coordinator(
-            RecomputeMode.EVERY_REFRESH)
+            OptimalRefreshPlanner)
         coordinator.recompute_delay = ConstantDelayModel(0.2)
         coordinator.on_refresh(refresh(1.0, "x", 3.0))
         assert coordinator.busy_until >= 1.2
@@ -254,9 +260,7 @@ class TestResyncWarmStartClearing:
         queue = EventQueue()
         metrics = MetricsCollector(recompute_cost=1.0)
         coordinator = Coordinator(
-            queries=[query], planner=planner,
-            mode=RecomputeMode.ON_WINDOW_VIOLATION,
-            queue=queue, metrics=metrics, initial_values=values,
+            queries=[query], planner=planner, queue=queue, metrics=metrics, initial_values=values,
             item_to_source={"x": 0, "y": 0},
             fault_model=FaultModel(FaultConfig(loss_rate=0.01)),
         )

@@ -11,7 +11,6 @@ from repro.simulation import (
     EventKind,
     EventQueue,
     MetricsCollector,
-    RecomputeMode,
 )
 
 
@@ -38,7 +37,6 @@ def aao_coordinator():
     coordinator = Coordinator(
         queries=queries,
         planner=DifferentSumPlanner(model, DualDABPlanner(model)),
-        mode=RecomputeMode.AAO_PERIODIC,
         queue=queue, metrics=metrics,
         initial_values=values,
         item_to_source={k: 0 for k in values},

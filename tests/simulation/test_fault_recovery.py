@@ -20,7 +20,6 @@ from repro.simulation import (
     FaultModel,
     MetricsCollector,
     PartitionWindow,
-    RecomputeMode,
     SourceNode,
     ZeroDelayModel,
 )
@@ -53,8 +52,8 @@ def make_world(fault_config=None, queries=None, values=None):
     items = sorted(values)
     traces = TraceSet([Trace(name, np.full(200, values[name])) for name in items])
     coordinator = Coordinator(
-        queries=queries, planner=planner, mode=RecomputeMode.ON_WINDOW_VIOLATION,
-        queue=queue, metrics=metrics, initial_values=values,
+        queries=queries, planner=planner, queue=queue, metrics=metrics,
+        initial_values=values,
         item_to_source={name: 0 for name in items}, fault_model=fault_model,
     )
     source = SourceNode(0, items, traces, queue, metrics, ZeroDelayModel(),
@@ -324,8 +323,7 @@ class TestSolverDegradation:
         queue = EventQueue()
         metrics = MetricsCollector(recompute_cost=1.0)
         coordinator = Coordinator(
-            queries=[query], planner=planner,
-            mode=RecomputeMode.ON_WINDOW_VIOLATION, queue=queue,
+            queries=[query], planner=planner, queue=queue,
             metrics=metrics, initial_values=values,
             item_to_source={"x": 0, "y": 0},
         )
@@ -374,8 +372,7 @@ class TestBusyRequeuePriority:
         queue = EventQueue()
         metrics = MetricsCollector(recompute_cost=1.0)
         coordinator = Coordinator(
-            queries=[query], planner=planner,
-            mode=RecomputeMode.ON_WINDOW_VIOLATION, queue=queue,
+            queries=[query], planner=planner, queue=queue,
             metrics=metrics, initial_values=values,
             item_to_source={"x": 0, "y": 0},
             check_delay=ConstantDelayModel(1.0),
