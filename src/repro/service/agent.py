@@ -4,26 +4,18 @@ A :class:`SourceAgent` is the deployed counterpart of the simulator's
 ``SourceNode``: it owns a set of items, watches their values change, and
 pushes a ``REFRESH`` upstream only when a value escapes the primary DAB
 window the coordinator programmed — the paper's source-side filtering,
-which is where all the bandwidth savings come from.
+which is where all the bandwidth savings come from.  Both decide through
+one :class:`~repro.service.source_plane.PushTable` (``push``: per item
+the window, its epoch and the refresh seq); the agent keeps its view of
+the values, its counters, its ``Refresh`` frames and its connection.
 
-Semantics carried over from the simulator (and its fault suite):
-
-* **per-item monotone DAB epochs** — a ``DAB_UPDATE`` is applied per item
-  only if its epoch is newer than the one held, so duplicated or
-  reordered bound messages are idempotent: the receiver rule
-  ``SourceNode`` shares (:func:`~repro.service.source_plane.admit_newest`);
-* **per-item refresh seq numbers** — every refresh carries a
-  monotonically increasing ``seq`` so the coordinator can reject
-  duplicates and detect gaps from heartbeats; the refreshes of one write
-  travel as one columnar ``REFRESH`` frame, each entry with its own seq;
-* **reconnect-with-resync** — after a connection drop the agent
-  re-registers, the coordinator re-programs its current bounds (and its
-  accepted-seq high-water marks) in the registration reply, and the agent
-  *force-resends* every item's current value on its next tick with
-  ``resync=True`` — unconditionally, not just on a DAB violation, because
-  a refresh whose send failed has already recentred ``sent_values`` and
-  would otherwise never be retried (the coordinator would keep serving
-  the stale value forever).
+The refreshes of one write travel as one columnar ``REFRESH`` frame, each
+entry with its own seq.  After a reconnect the coordinator re-programs
+its bounds (and its accepted-seq high-water marks) in the registration
+reply, and the agent *force-resends* every item on its next tick with
+``resync=True`` (``push.resync_all()``): a refresh whose send
+failed has already recentred its window and would otherwise never be
+retried.
 
 ``run`` dials TCP; ``connect`` takes any :class:`MessageStream`.
 """
@@ -39,7 +31,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping, NamedTuple,
 from repro.service import protocol
 from repro.service.client import SourceLink
 from repro.service.protocol import ProtocolError
-from repro.service.source_plane import admit_newest
+from repro.service.source_plane import PushTable
 from repro.service.transports import MessageStream, TransportClosed, open_tcp_stream
 
 _LOG = logging.getLogger(__name__)
@@ -75,14 +67,9 @@ class SourceAgent(SourceLink):
         #: the agent's live view of each item (updated by every tick).
         self.values: Dict[str, float] = {name: float(initial_values[name])
                                          for name in self.items}
-        #: last value actually *sent* upstream — the DAB window's centre.
-        self.sent_values: Dict[str, float] = dict(self.values)
-        self.bounds: Dict[str, float] = {}
-        self.epochs: Dict[str, int] = {}
-        self.seq: Dict[str, int] = {name: 0 for name in self.items}
+        self.push = PushTable(self.items, self.values.values())
         self.timestamp_refreshes = timestamp_refreshes
         self.clock = clock
-        self._resync_pending: set = set()
         self.stats = {
             "ticks": 0,
             "refreshes_sent": 0,
@@ -110,22 +97,11 @@ class SourceAgent(SourceLink):
         have every refresh rejected as a stale duplicate until it climbed
         past the previous incarnation's numbering.
         """
-        admitted, stale, _ = admit_newest(self.epochs, self.values, bounds, epochs)
-        self.bounds.update(admitted)
+        admitted, stale, _ = self.push.admit(bounds, epochs)
         self.stats["dab_updates_applied"] += len(admitted)
         self.stats["dab_updates_rejected_stale_epoch"] += stale
         if seqs:
-            for name, floor in seqs.items():
-                if name in self.seq:
-                    self.seq[name] = max(self.seq[name], int(floor))
-
-    def _violates(self, item: str) -> bool:
-        bound = self.bounds.get(item)
-        if bound is None:
-            # No bound programmed yet: forward everything (fail-safe —
-            # never silently *suppress* data the coordinator may need).
-            return True
-        return abs(self.values[item] - self.sent_values[item]) > bound
+            self.push.raise_seqs(seqs)
 
     # -- ticking ------------------------------------------------------------------
 
@@ -135,35 +111,28 @@ class SourceAgent(SourceLink):
         entry per refresh.
 
         This is the pure (transport-free) half of a tick, so tests can
-        exercise the filter without any I/O.
-
-        An item in ``_resync_pending`` is sent *unconditionally*, DAB or
-        no DAB: after a reconnect, ``sent_values`` may hold a value whose
-        send failed mid-flight — the filter would judge the retried value
-        in-window against it and silently drop the refresh the
-        coordinator never received.
+        exercise the filter without any I/O.  An item pending a resync is
+        sent whatever its drift.
         """
+        values, index, crosses = self.values, self.push.index, self.push.crosses
         refreshes: List[Refresh] = []
+        ticks = 0
         for item, value in updates.items():
-            if item not in self.values:
-                continue
-            self.values[item] = float(value)
-            self.stats["ticks"] += 1
-            resync = item in self._resync_pending
-            if not resync and not self._violates(item):
-                self.stats["refreshes_filtered"] += 1
-                continue
-            refreshes.append(self._take(item, resync))
+            row = index.get(item)
+            if row is not None:
+                values[item] = value = float(value)
+                ticks += 1
+                if crosses(row, value):
+                    refreshes.append(self._take(row, value))
+        self.stats["ticks"] += ticks
+        self.stats["refreshes_filtered"] += ticks - len(refreshes)
         return refreshes
 
-    def _take(self, item: str, resync: bool) -> Refresh:
-        """Number ``item``'s current value for sending and recentre its
-        window on it."""
-        self.seq[item] += 1
-        value = self.sent_values[item] = self.values[item]
-        self._resync_pending.discard(item)
+    def _take(self, row: int, value: float, resync: bool = False) -> Refresh:
+        """Push ``value`` for ``row``'s item (numbered; window recentred)."""
+        seq, pending = self.push.take(row, value)
         self.stats["refreshes_sent"] += 1
-        return Refresh(item, value, self.seq[item], resync)
+        return Refresh(self.push.items[row], value, seq, resync or pending)
 
     def _refresh_frame(self, refreshes: Sequence[Refresh]) -> Dict[str, Any]:
         """The one REFRESH frame carrying ``refreshes``: a resync if any
@@ -179,14 +148,14 @@ class SourceAgent(SourceLink):
 
         Returns how many refreshes were actually pushed upstream."""
         refreshes = self.pending_refreshes(updates)
-        if not refreshes:
-            return 0
-        stream = self._stream
-        if stream is None:
-            raise TransportClosed(
-                f"source {self.source_id} ticked while disconnected")
-        await stream.send(self._refresh_frame(refreshes))
+        if refreshes:
+            await self._send(self._refresh_frame(refreshes))
         return len(refreshes)
+
+    async def _send(self, message: Dict[str, Any]) -> None:
+        if self._stream is None:
+            raise TransportClosed(f"source {self.source_id} is disconnected")
+        await self._stream.send(message)
 
     # -- connection lifecycle -------------------------------------------------------
 
@@ -196,8 +165,13 @@ class SourceAgent(SourceLink):
         reconnect, every item is first marked for a forced resend."""
         if self._stream is not None:
             self.stats["reconnects"] += 1
-            self._resync_pending = set(self.items)
+            self.push.resync_all()
         await super().connect(stream, register_timeout)
+
+    async def send_heartbeat(self) -> None:
+        """A HEARTBEAT with every item's seq: lost refreshes show as gaps."""
+        await self._send(protocol.heartbeat(self.source_id, self.push.seq))
+        self.stats["heartbeats_sent"] += 1
 
     def _on_failsafe(self, register_timeout: float) -> None:
         self.stats["registrations_failsafe"] += 1
@@ -224,13 +198,12 @@ class SourceAgent(SourceLink):
         """Immediately resend the probed items' current values.
 
         A probe means the coordinator suspects it missed a refresh (seq
-        gap, expired lease): the authoritative cure is a fresh value, so
-        each probed item gets an unconditional refresh with a bumped seq,
-        all in one ``resync`` frame — the filter is bypassed exactly like
-        the post-reconnect resync path.
+        gap, expired lease): each probed item gets an unconditional
+        refresh, all in one ``resync`` frame.
         """
-        refreshes = [self._take(item, True) for item in sorted(items)
-                     if item in self.values]
+        index = self.push.index
+        refreshes = [self._take(index[item], self.values[item], True)
+                     for item in sorted(items) if item in index]
         if refreshes:
             self.stats["probes_answered"] += len(refreshes)
             await stream.send(self._refresh_frame(refreshes))

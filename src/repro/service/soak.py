@@ -47,7 +47,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Un
 
 from repro.exceptions import ReproError
 from repro.invariants import check_served
-from repro.service import protocol
 from repro.service.agent import SourceAgent, agents_for_scenario
 from repro.service.chaos import FaultInjector, FaultSchedule, chaos_loopback_pair
 from repro.service.client import ServiceClient, latency_percentiles
@@ -60,6 +59,21 @@ from repro.service.resilience import (
 )
 from repro.service.transports import TransportClosed
 from repro.simulation.faults import CrashWindow, PartitionWindow
+
+
+def _restart_schedule(seed: int) -> FaultSchedule:
+    """Smoke-sized wire faults, to go with (by default) two coordinator
+    kills: the ``restart`` profile, which the journal/restore path is
+    gated on in CI, and the ``shards`` profile, whose kills are aimed at
+    individual coordinator *shards* (rotating across the cluster) instead
+    of the whole coordinator — pair it with ``run_chaos_soak(shards=N)``."""
+    return FaultSchedule(
+        drop_rate=0.25, loss_windows=(PartitionWindow(4.0, 7.0),),
+        duplicate_rate=0.05,
+        partitions=(PartitionWindow(20.0, 22.0),),
+        crash_windows=(CrashWindow(0, 13.0, 17.0),),
+        seed=seed)
+
 
 #: name -> (schedule builder, default step budget).  Every named schedule
 #: mixes at least loss + partition + agent crash (the acceptance trio).
@@ -87,23 +101,8 @@ _NAMED_SCHEDULES = {
         partitions=(PartitionWindow(40.0, 46.0), PartitionWindow(90.0, 94.0),),
         crash_windows=(CrashWindow(0, 50.0, 58.0), CrashWindow(1, 98.0, 106.0),),
         seed=seed), 140),
-    # Smoke-sized wire faults plus (by default) two coordinator kills —
-    # the schedule the journal/restore path is gated on in CI.
-    "restart": (lambda seed: FaultSchedule(
-        drop_rate=0.25, loss_windows=(PartitionWindow(4.0, 7.0),),
-        duplicate_rate=0.05,
-        partitions=(PartitionWindow(20.0, 22.0),),
-        crash_windows=(CrashWindow(0, 13.0, 17.0),),
-        seed=seed), 30),
-    # The restart profile with the kills aimed at individual coordinator
-    # *shards* (rotating across the cluster) instead of the whole
-    # coordinator — pair with ``run_chaos_soak(shards=N)``.
-    "shards": (lambda seed: FaultSchedule(
-        drop_rate=0.25, loss_windows=(PartitionWindow(4.0, 7.0),),
-        duplicate_rate=0.05,
-        partitions=(PartitionWindow(20.0, 22.0),),
-        crash_windows=(CrashWindow(0, 13.0, 17.0),),
-        seed=seed), 30),
+    "restart": (_restart_schedule, 30),
+    "shards": (_restart_schedule, 30),
     # The self-healing profile: shard kills are *undetected* crashes
     # (the router's plumbing keeps pointing at the corpse) healed only
     # by the heartbeat failure detector, while a live resharding
@@ -293,13 +292,8 @@ async def _run_async(
                 recovery_durations.append(float(step - degraded_open.pop(name)))
 
     async def _heartbeat(agent: SourceAgent) -> None:
-        stream = agent._stream
-        if stream is None:
-            await _connect(agent)
-            stream = agent._stream
         try:
-            await stream.send(protocol.heartbeat(agent.source_id, agent.seq))
-            agent.stats["heartbeats_sent"] += 1
+            await agent.send_heartbeat()
         except TransportClosed:
             await _connect(agent)
 
@@ -347,7 +341,7 @@ async def _run_async(
             agent = agents[source_id]
             # Force a full resync: fresh values clear any restored lease
             # suspicion without waiting for the probe machinery.
-            agent._resync_pending = set(agent.items)
+            agent.push.resync_all()
             await _connect(agent)
         await _drain()
         auditor = ServiceClient(server.connect_loopback())
@@ -390,7 +384,7 @@ async def _run_async(
                 revived = SourceAgent(
                     source_id, dead.items,
                     {name: truth[name] for name in dead.items})
-                revived._resync_pending = set(revived.items)
+                revived.push.resync_all()
                 agents[source_id] = revived
                 await _connect(revived)
 

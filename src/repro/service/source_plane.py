@@ -6,14 +6,18 @@ DAB_UPDATEs to ship, resend or give up on.  The simulator's ``Coordinator``,
 the live ``CoordinatorServer`` and the cluster router (through
 ``FrontEnd``) are adapters that turn those effects into events or frames.
 Every DAB sender ships through a :class:`DabSendTable`, and every receiver
-applies what :func:`admit_newest` admits.
+applies what :func:`admit_newest` admits.  Every pusher — the simulated
+``SourceNode``, the live ``SourceAgent`` and the Fig. 8(c) relay's
+per-child filters — decides what to push through a :class:`PushTable`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (Any, Container, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+                    Sequence, Set, Tuple)
+
+import numpy as np
 
 from repro.service.resilience import RetryPolicy
 
@@ -274,6 +278,84 @@ def admit_newest(held: Dict[str, int], known: Container[str],
                 held[name] = int(epoch)
             admitted[name] = float(bound)
     return admitted, stale, unknown
+
+
+def _drifted(values: Any, centres: Any, limits: Any) -> Any:
+    """The push compare, strict: elementwise over arrays, or for floats."""
+    return abs(values - centres) > limits
+
+
+class PushTable:
+    """One pusher's filter, the paper's source side: per item the value
+    last pushed (its window's centre), the bound in force and its epoch,
+    and the seq of its last refresh.  An item crosses when it has drifted
+    strictly more than its bound from its centre, when it has no bound yet
+    (the fail-safe: never suppress data the coordinator may need), or when
+    :meth:`resync_all` marked it and it has not been taken since."""
+
+    def __init__(self, items: Sequence[str], centres: Iterable[float]):
+        self.items: List[str] = list(items)
+        self.index = {name: row for row, name in enumerate(self.items)}
+        self.centres: List[float] = [float(value) for value in centres]
+        #: Per row, the bound in force (``-inf``: none yet).
+        self.limits: List[float] = [-np.inf] * len(self.items)
+        self.bounds: Dict[str, float] = {}
+        self.epochs: Dict[str, int] = {}
+        self.seq: Dict[str, int] = dict.fromkeys(self.items, 0)
+        #: Rows that cross at their next check whatever their drift.
+        self.pending: Set[int] = set()
+
+    def admit(self, bounds: Mapping[str, float],
+              epochs: Optional[Mapping[str, int]] = None
+              ) -> Tuple[Dict[str, float], int, int]:
+        """Put in force what :func:`admit_newest` admits; returns its
+        ``(admitted, stale, unknown)``."""
+        admitted, stale, unknown = admit_newest(self.epochs, self.index,
+                                                bounds, epochs)
+        self.bounds.update(admitted)
+        for name, bound in admitted.items():
+            self.limits[self.index[name]] = bound
+        return admitted, stale, unknown
+
+    def raise_seqs(self, floors: Mapping[str, Any]) -> None:
+        """Number each held item above its registration floor from now on."""
+        seq = self.seq
+        for name, floor in floors.items():
+            if name in seq:
+                seq[name] = max(seq[name], int(floor))
+
+    def crossed(self, values: np.ndarray) -> List[int]:
+        """The rows, ascending, that cross at ``values`` (one per row):
+        one vectorised compare."""
+        hit = _drifted(values, np.array(self.centres), np.array(self.limits))
+        for row in self.pending:
+            hit[row] = True
+        return np.flatnonzero(hit).tolist()
+
+    def crosses(self, row: int, value: float) -> bool:
+        """Whether ``row`` crosses at ``value``: the same compare for one
+        item, on floats — the live agent's tick and the relay's per-child
+        check run item by item, where array calls would cost more than
+        the compare (and a slower agent feeds the server smaller batches)."""
+        return row in self.pending or _drifted(value, self.centres[row],
+                                                  self.limits[row])
+
+    def take(self, row: int, value: float) -> Tuple[int, bool]:
+        """Push ``value`` for ``row``: number it and recentre on it.
+        Returns its seq and whether the row was pending a resync."""
+        name = self.items[row]
+        self.seq[name] += 1
+        self.recentre(row, value)
+        pending = row in self.pending
+        self.pending.discard(row)
+        return self.seq[name], pending
+
+    def recentre(self, row: int, value: float) -> None:
+        self.centres[row] = value
+
+    def resync_all(self) -> None:
+        """Take every item at its next check."""
+        self.pending.update(range(len(self.items)))
 
 
 @dataclass

@@ -10,7 +10,8 @@ We reproduce the cost structure with a two-level tree:
 * Sources push refreshes to the root under the global min primary DAB.
 * The root caches values and forwards a refresh to exactly the children
   whose own merged DAB is crossed — per-child filtering, one message per
-  interested child per hop.
+  interested child per hop, each child's filter a
+  :class:`~repro.service.source_plane.PushTable` (the sources' push rule).
 * Each child runs the standard coordinator logic (user notifications +
   recompute policy); its DAB changes travel back through the root, which
   applies each child's bounds newest-epoch-first (same-tick changes can
@@ -36,7 +37,7 @@ from repro.dynamics.traces import TraceSet
 from repro.filters.assignment import merge_primary
 from repro.filters.cost_model import CostModel
 from repro.queries.polynomial import PolynomialQuery
-from repro.service.source_plane import DabSendTable, admit_newest
+from repro.service.source_plane import DabSendTable, PushTable
 from repro.simulation.coordinator import Coordinator
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import Event, EventKind
@@ -44,7 +45,6 @@ from repro.simulation.faults import DISABLED, FaultConfig, FaultModel
 from repro.simulation.harness import (
     AlgorithmName,
     SimulationConfig,
-    SimulationResult,
     build_planner,
 )
 from repro.simulation.metrics import MetricsCollector
@@ -72,7 +72,6 @@ class DisseminationConfig:
     seed: int = 0
     fidelity_interval: int = 5
     zero_delay: bool = False
-    node_delay_mean: float = 0.110
     rate_estimator: Optional[RateEstimator] = None
     #: Fault injection on the source↔root links (loss, crashes, partitions,
     #: delay spikes, duplicates).  Root↔child forwarding shares the loss
@@ -102,14 +101,10 @@ class _RootPort:
         self.root = root
         self.child_id = child_id
         self.source_id = _PORT_BASE + child_id
-        #: The child's newest epoch per item: a stale change is dropped.
-        self.epochs: Dict[str, int] = {}
 
     def set_bounds(self, bounds: Mapping[str, float],
                    epochs: Optional[Mapping[str, int]] = None, time: float = 0.0) -> None:
-        admitted = admit_newest(self.epochs, self.root.cache, bounds, epochs)[0]
-        if admitted:
-            self.root.update_child_bounds(self.child_id, admitted, time)
+        self.root.update_child_bounds(self.child_id, bounds, time, epochs)
 
     def on_dab_change(self, event: Event) -> None:
         self.set_bounds(event.payload["bounds"], event.payload.get("epochs"),
@@ -131,10 +126,9 @@ class RootRelay:
         self.item_to_source = dict(item_to_source)
         #: The global min bounds (and epochs) the sources were last sent.
         self.dab_sent = DabSendTable()
-        #: child_id -> {item: b} as last announced by that child.
-        self.child_bounds: Dict[int, Dict[str, float]] = {}
-        #: child_id -> {item: value} last forwarded to that child.
-        self.forwarded: Dict[int, Dict[str, float]] = {}
+        #: child_id -> the child's push filter: the bounds it announced
+        #: (newest epoch first) and, per item, the value last forwarded.
+        self.filters: Dict[int, PushTable] = {}
         self._sources: Dict[int, SourceNode] = {}
         self._bootstrapped = False
 
@@ -145,17 +139,25 @@ class RootRelay:
     # -- control plane -----------------------------------------------------------------
 
     def update_child_bounds(self, child_id: int, bounds: Mapping[str, float],
-                            time: float = 0.0) -> None:
-        self.child_bounds.setdefault(child_id, {}).update(bounds)
-        self.forwarded.setdefault(child_id, {}).update({
-            name: self.cache[name] for name in bounds if name in self.cache
-        })
+                            time: float = 0.0,
+                            epochs: Optional[Mapping[str, int]] = None) -> None:
+        """Put a child's bounds in force, newest epoch first, each one's
+        window recentred on the value the root holds now."""
+        table = self.filters.get(child_id)
+        if table is None:
+            table = self.filters[child_id] = PushTable(list(self.cache),
+                                                       self.cache.values())
+        admitted = table.admit(bounds, epochs)[0]
+        if not admitted:
+            return
+        for name in admitted:
+            table.recentre(table.index[name], self.cache[name])
         if self._bootstrapped:
             self._reprogram_sources(time)
 
     def bootstrap(self) -> None:
         """Push the initial global min-DABs straight into the sources."""
-        merged = merge_primary(self.child_bounds.values())
+        merged = merge_primary(t.bounds for t in self.filters.values())
         for source_id, source in self._sources.items():
             source.set_bounds({name: bound for name, bound in merged.items()
                                if self.item_to_source.get(name) == source_id})
@@ -164,7 +166,8 @@ class RootRelay:
 
     def _reprogram_sources(self, time: float) -> None:
         sent = self.dab_sent
-        changed, epochs = sent.changes(merge_primary(self.child_bounds.values()))
+        changed, epochs = sent.changes(
+            merge_primary(t.bounds for t in self.filters.values()))
         sent.record(changed, epochs)
         for source_id, (bounds, held) in sent.by_source(
                 changed, self.item_to_source).items():
@@ -192,14 +195,13 @@ class RootRelay:
         value = float(event.payload["value"])
         self.cache[item] = value
         self.metrics.record_refresh()  # arrival at the root coordinator
-        for child_id, bounds in self.child_bounds.items():
-            bound = bounds.get(item)
-            if bound is None:
+        for child_id, table in self.filters.items():
+            # A child is forwarded only the items it bounded.
+            if item not in table.bounds:
                 continue
-            seen = self.forwarded.setdefault(child_id, {})
-            last = seen.get(item, value)
-            if item not in seen or abs(value - last) > bound:
-                seen[item] = value
+            row = table.index[item]
+            if table.crosses(row, value):
+                table.take(row, value)
                 if self.faults.drop(f"root->child{child_id}", event.time):
                     self.metrics.record_message_dropped()
                     continue
@@ -232,8 +234,7 @@ def run_dissemination(config: DisseminationConfig) -> DisseminationResult:
     if config.zero_delay:
         network: DelayModel = ZeroDelayModel()
     else:
-        network = ParetoDelayModel(config.node_delay_mean,
-                                   rng=np.random.default_rng(config.seed))
+        network = ParetoDelayModel(rng=np.random.default_rng(config.seed))
 
     fault_model = FaultModel(config.fault_config)
 

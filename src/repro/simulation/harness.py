@@ -39,13 +39,13 @@ from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import EventKind
 from repro.simulation.faults import FaultConfig, FaultModel
 from repro.simulation.metrics import MetricsCollector, SimulationMetrics
-from repro.simulation.network import (
-    DelayModel,
-    ParetoDelayModel,
-    ZeroDelayModel,
-    DEFAULT_NODE_DELAY_MEAN,
-)
+from repro.simulation.network import DelayModel, ParetoDelayModel, ZeroDelayModel
 from repro.simulation.source import SourceNode, assign_items_to_sources
+
+#: Coordinator compute costs (Pareto means, seconds): the per-refresh QAB
+#: check (paper: 4 ms) and the solve (paper: 40-70 ms on a P4; ours ~10 ms).
+CHECK_DELAY_MEAN = 0.004
+RECOMPUTE_DELAY_MEAN = 0.01
 
 
 class AlgorithmName(enum.Enum):
@@ -92,14 +92,6 @@ class SimulationConfig:
     source_count: int = 20
     seed: int = 0
     fidelity_interval: int = 1
-    node_delay_mean: float = DEFAULT_NODE_DELAY_MEAN
-    #: Coordinator compute costs (Pareto means, seconds): per-refresh QAB
-    #: check (paper: 4 ms) and per-recomputation solve time.  The paper
-    #: measured 40-70 ms per Dual-DAB solve on a 2008-era P4; our solver
-    #: needs ~10 ms, which is the default.  Raising this reproduces the
-    #: paper's congestion regime sooner.
-    check_delay_mean: float = 0.004
-    recompute_delay_mean: float = 0.01
     zero_delay: bool = False
     rate_estimator: Optional[RateEstimator] = None
     aao_period: Optional[int] = None
@@ -236,9 +228,9 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     else:
         root_seed = np.random.SeedSequence(entropy=config.seed)
         streams = [np.random.default_rng(s) for s in root_seed.spawn(3)]
-        network = ParetoDelayModel(config.node_delay_mean, rng=streams[0])
-        check_delay = ParetoDelayModel(config.check_delay_mean, rng=streams[1])
-        recompute_delay = ParetoDelayModel(config.recompute_delay_mean, rng=streams[2])
+        network = ParetoDelayModel(rng=streams[0])
+        check_delay = ParetoDelayModel(CHECK_DELAY_MEAN, rng=streams[1])
+        recompute_delay = ParetoDelayModel(RECOMPUTE_DELAY_MEAN, rng=streams[2])
 
     fault_model = FaultModel(config.fault_config)
 

@@ -1,19 +1,12 @@
 """Push sources.
 
 Each :class:`SourceNode` serves a set of data items: at every tick it
-samples its traces and pushes a refresh to the coordinator whenever a value
-has drifted more than the item's *primary* DAB from the last pushed value
-(the paper's push model: with value 5 and ``b = 1``, the next refresh fires
-when the source value leaves ``[4, 6]``).  New DABs arrive asynchronously
-as DAB-change messages.
-
-Because DAB-change messages travel over the same heavy-tailed network as
-refreshes, two changes for one item can arrive out of order.  Every bound
-therefore carries a per-item monotone *epoch*; a source applies a bound
-only if its epoch is newer than the one it holds, so the source always
-ends on the newest filter regardless of arrival order (and duplicate or
-retransmitted messages are idempotent): the shared receiver rule,
-:func:`~repro.service.source_plane.admit_newest`.
+samples its traces and pushes a refresh to the coordinator for each item
+its :class:`~repro.service.source_plane.PushTable` says has crossed (the
+paper's push model, the rule the live ``SourceAgent`` shares).  New DABs
+arrive asynchronously as DAB-change messages, possibly reordered or
+duplicated; the table applies the newest epoch.  The node keeps the trace
+slab, its crash windows, the heartbeat timing and the event sends.
 
 Under an enabled :class:`~repro.simulation.faults.FaultModel` the source
 additionally honours crash windows (no pushes, no receipt while down,
@@ -31,7 +24,7 @@ import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.dynamics.traces import TraceSet
-from repro.service.source_plane import admit_newest
+from repro.service.source_plane import PushTable
 from repro.simulation.events import Event, EventKind, EventQueue
 from repro.simulation.faults import DISABLED, FaultModel
 from repro.simulation.metrics import MetricsCollector
@@ -68,17 +61,6 @@ class SourceNode:
         self.metrics = metrics
         self.network_delay = network_delay
         self.faults = fault_model if fault_model is not None else DISABLED
-        #: Last value pushed (and acknowledged as the filter centre).
-        self.last_pushed: Dict[str, float] = {
-            name: traces[name].at(0) for name in self.items
-        }
-        #: Current primary DABs; items without a bound push every change.
-        self.bounds: Dict[str, float] = {}
-        #: Highest DAB epoch applied per item (reorder/duplicate guard).
-        self.epochs: Dict[str, int] = {}
-        #: Per-item refresh sequence numbers; heartbeats carry them so the
-        #: coordinator can detect lost refreshes as sequence gaps.
-        self.seq: Dict[str, int] = {name: 0 for name in self.items}
         self._was_crashed = False
         self._uplink = f"src{source_id}->coord"
         # Hot-loop precomputation: the heartbeat period and this source's
@@ -92,12 +74,10 @@ class SourceNode:
         self._crash_windows = tuple(
             w for w in config.crash_windows if w.source_id == source_id
         ) if self.faults.enabled else ()
-        # (ticks × items) slab, row-contiguous so each tick is one view;
-        # plus array mirrors of last_pushed/bounds for the vector compare.
+        # (ticks × items) slab, row-contiguous so each tick is one view.
         self._slab = np.ascontiguousarray(traces.values_matrix(self.items).T)
-        self._row = {name: i for i, name in enumerate(self.items)}
-        self._last_arr = self._slab[0].copy()
-        self._bounds_arr = np.full(len(self.items), np.inf)
+        #: The push rule: centres, bounds, epochs and seqs per item.
+        self.push = PushTable(self.items, self._slab[0])
 
     def _crashed(self, time: float) -> bool:
         """``faults.is_crashed(self.source_id, time)`` over the precomputed
@@ -130,14 +110,9 @@ class SourceNode:
         (the bootstrap path) every bound applies.  Stale or duplicate
         deliveries are counted no-ops, and so are misrouted bounds (not
         silently ignored: the coordinator's routing is wrong)."""
-        admitted, stale, unknown = admit_newest(self.epochs, self.last_pushed,
-                                                bounds, epochs)
+        _, stale, unknown = self.push.admit(bounds, epochs)
         self.metrics.record_misrouted_bounds(unknown)
         self.metrics.record_duplicate_reject(stale)
-        self.bounds.update(admitted)
-        row = self._row
-        for name, bound in admitted.items():
-            self._bounds_arr[row[name]] = bound
 
     def on_dab_change(self, event: Event) -> None:
         """A DAB-change message arrived from the coordinator."""
@@ -160,73 +135,55 @@ class SourceNode:
             self.metrics.record_message_dropped()
             return
         name = event.payload["item"]
-        if name not in self.last_pushed:
+        row = self.push.index.get(name)
+        if row is None:
             self.metrics.record_misrouted_bounds()
             return
         tick = min(int(event.time), self.traces.duration)
         value = self.traces[name].at(tick)
-        self.last_pushed[name] = value
-        self._last_arr[self._row[name]] = value
-        self.seq[name] += 1
+        seq, _ = self.push.take(row, value)
         self._send(event.time, EventKind.REFRESH_ARRIVAL,
                    {"item": name, "value": value, "source_id": self.source_id,
-                    "seq": self.seq[name], "probe_reply": True})
+                    "seq": seq, "probe_reply": True})
 
     # -- data-plane --------------------------------------------------------------
 
     def on_tick(self, tick: int) -> None:
-        """Sample traces; push refreshes for items outside their filter:
-        one vector compare ``|value - cached| > dab`` over the trace slab.
+        """Sample traces; push refreshes for the items the table says have
+        crossed: one vectorised compare over the trace slab's row.
 
-        Items without a DAB hold ``inf`` in the bounds array, so the strict
-        ``>`` never fires for them (finite traces): no DAB yet means stay
-        silent — the coordinator planned against the same initial values,
-        so nothing is stale.  ``flatnonzero`` yields ascending indices, so
-        pushes happen in ``self.items`` order — the network-RNG draw order
-        the golden metrics pin.
+        ``crossed`` yields ascending indices, so pushes happen in
+        ``self.items`` order — the network-RNG draw order the golden
+        metrics pin.  The first tick back after a crash pushes every owned
+        item's current value (``resync``), so the coordinator's cache stops
+        serving crash-stale data.
         """
+        push = self.push
         if self.faults.enabled:
             if self._crashed(float(tick)):
                 self._was_crashed = True
                 return
             if self._was_crashed:
                 self._was_crashed = False
-                self._resync(tick)
-                return
-            if (self._heartbeat_every > 0 and tick > 0
+                self.metrics.record_recovery_resync()
+                push.resync_all()
+            elif (self._heartbeat_every > 0 and tick > 0
                     and tick % self._heartbeat_every == 0):
                 self.metrics.record_heartbeat()
                 # The beacon carries per-item refresh sequence numbers so
                 # the coordinator can tell "quiet because in-bound" apart
                 # from "quiet because my refreshes were lost".
                 self._send(float(tick), EventKind.HEARTBEAT_ARRIVAL,
-                           {"source_id": self.source_id, "seqs": dict(self.seq)})
+                           {"source_id": self.source_id, "seqs": dict(push.seq)})
         values = self._slab[tick] if tick < self._slab.shape[0] else self._slab[-1]
-        crossed = np.flatnonzero(np.abs(values - self._last_arr) > self._bounds_arr)
-        if crossed.size == 0:
-            return
-        for index in crossed.tolist():
-            name = self.items[index]
+        for index in push.crossed(values):
             value = float(values[index])
-            self._last_arr[index] = value
-            self.last_pushed[name] = value
-            self.seq[name] += 1
-            self._send(float(tick), EventKind.REFRESH_ARRIVAL,
-                       {"item": name, "value": value,
-                        "source_id": self.source_id, "seq": self.seq[name]})
-
-    def _resync(self, tick: int) -> None:
-        """First tick back after a crash: push every owned item's current
-        value so the coordinator's cache stops serving crash-stale data."""
-        self.metrics.record_recovery_resync()
-        for name in self.items:
-            value = self.traces[name].at(tick)
-            self.last_pushed[name] = value
-            self._last_arr[self._row[name]] = value
-            self.seq[name] += 1
-            self._send(float(tick), EventKind.REFRESH_ARRIVAL,
-                       {"item": name, "value": value, "source_id": self.source_id,
-                        "seq": self.seq[name], "resync": True})
+            seq, resync = push.take(index, value)
+            payload = {"item": self.items[index], "value": value,
+                       "source_id": self.source_id, "seq": seq}
+            if resync:
+                payload["resync"] = True
+            self._send(float(tick), EventKind.REFRESH_ARRIVAL, payload)
 
     def __repr__(self) -> str:
         return f"SourceNode(id={self.source_id}, items={len(self.items)})"

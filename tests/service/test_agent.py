@@ -37,7 +37,7 @@ class TestDabFilter:
         assert messages[0].seq == 1
         assert messages[0].value == 13.5
         # The window recentres on the sent value.
-        assert agent.sent_values["x0"] == 13.5
+        assert agent.push.centres[agent.push.index["x0"]] == 13.5
         assert agent.pending_refreshes({"x0": 14.0}) == []
 
     def test_seq_increments_per_item(self):
@@ -63,17 +63,17 @@ class TestEpochGuard:
         agent.apply_dab_update({"x0": 1.0}, {"x0": 5})
         agent.apply_dab_update({"x0": 9.0}, {"x0": 4})     # stale: ignored
         agent.apply_dab_update({"x0": 9.0}, {"x0": 5})     # duplicate: ignored
-        assert agent.bounds["x0"] == 1.0
+        assert agent.push.bounds["x0"] == 1.0
         assert agent.stats["dab_updates_rejected_stale_epoch"] == 2
         agent.apply_dab_update({"x0": 3.0}, {"x0": 6})     # newer: applied
-        assert agent.bounds["x0"] == 3.0
+        assert agent.push.bounds["x0"] == 3.0
 
     def test_reordered_updates_are_idempotent(self):
         agent = make_agent()
         # Delivery order 2, 1 — the newer bound must win regardless.
         agent.apply_dab_update({"x0": 0.5}, {"x0": 2})
         agent.apply_dab_update({"x0": 4.0}, {"x0": 1})
-        assert agent.bounds["x0"] == 0.5
+        assert agent.push.bounds["x0"] == 0.5
 
 
 class TestLiveAgent:
@@ -87,10 +87,10 @@ class TestLiveAgent:
             agent = agents[0]
             await agent.connect(server.connect_loopback())
             for _ in range(50):
-                if agent.bounds:
+                if agent.push.bounds:
                     break
                 await asyncio.sleep(0.01)
-            assert sorted(agent.bounds) == sorted(agent.items)
+            assert sorted(agent.push.bounds) == sorted(agent.items)
             assert agent.stats["dab_updates_applied"] == len(agent.items)
             await agent.close()
             await server.close()
@@ -165,7 +165,7 @@ class TestLiveAgent:
         run(body())
 
     def test_resync_forces_resend_of_in_window_value(self):
-        """A refresh whose send failed already recentred ``sent_values``;
+        """A refresh whose send failed already recentred its window;
         the post-reconnect resync must resend it even though the filter
         judges it in-window (the reviewer's lost-refresh scenario)."""
         agent = make_agent()
@@ -177,11 +177,11 @@ class TestLiveAgent:
             await first_peer.send(protocol.dab_update(
                 0, {"x0": 2.0, "x1": 2.0}, {"x0": 1, "x1": 1}))
             await agent.connect(first_client)
-            # Bound-violating tick: state commits (seq, sent_values) ...
+            # Bound-violating tick: state commits (seq, window centre) ...
             (lost,) = agent.pending_refreshes({"x0": 100.0})
             assert lost.seq == 1
             # ... but imagine its send died.  Reconnect, then retry the
-            # same value: it is in-window against sent_values, yet must
+            # same value: it is in-window against that centre, yet must
             # be re-sent or the coordinator keeps the stale cache forever.
             second_client, second_peer = loopback_pair()
             await second_peer.send(protocol.dab_update(0, {}, {}))
@@ -249,7 +249,7 @@ class TestReconnectRecovery:
             restarted = SourceAgent(agent.source_id, agent.items,
                                     initial_values=agent.values)
             await restarted.connect(server.connect_loopback())
-            assert restarted.seq[item] == 2            # floored by the reply
+            assert restarted.push.seq[item] == 2            # floored by the reply
             value = restarted.values[item] + 1000.0
             await restarted.tick({item: value})
             for _ in range(100):
@@ -275,7 +275,7 @@ class TestReconnectRecovery:
         async def body():
             agent = agents[0]
             # Send #1 is REGISTER_SOURCE; the drop hits the first REFRESH,
-            # after pending_refreshes() already recentred sent_values.
+            # after pending_refreshes() already recentred its windows.
             flaky = _FlakyStream(server.connect_loopback(), fail_on_send=2)
 
             async def reconnect():
@@ -285,7 +285,8 @@ class TestReconnectRecovery:
             await agent.replay(scenario.traces, max_steps=30,
                                reconnect=reconnect)
             assert agent.stats["reconnects"] == 1
-            expected = {item: agent.sent_values[item] for item in agent.items}
+            expected = {item: agent.push.centres[row]
+                        for item, row in agent.push.index.items()}
             for _ in range(200):
                 if all(server.core.cache[item] == value
                        for item, value in expected.items()):
@@ -321,7 +322,7 @@ class TestScenarioAgents:
             # Give the registration DAB_UPDATE time to arrive: otherwise
             # the fail-safe forwards everything and nothing is filtered.
             for _ in range(50):
-                if agent.bounds:
+                if agent.push.bounds:
                     break
                 await asyncio.sleep(0.01)
             sent = await agent.replay(scenario.traces, max_steps=30)

@@ -92,7 +92,7 @@ class TestAcksAndProbes:
             assert ack["type"] == "dab_ack"
             assert ack["msg_id"] == 77
             assert agent.stats["dab_acks_sent"] == 1
-            assert agent.bounds["x0"] == 2.0
+            assert agent.push.bounds["x0"] == 2.0
             await agent.close()
 
         run(check())
@@ -101,7 +101,7 @@ class TestAcksAndProbes:
         async def check():
             agent, server_end = await self._connected()
             agent.values["x0"] = 10.5                  # drifted, in-window
-            held_seq = agent.seq["x0"]
+            held_seq = agent.push.seq["x0"]
             await server_end.send(protocol.dab_update(
                 0, {}, {}, probe=["x0"]))
             refresh = await asyncio.wait_for(server_end.receive(), 1.0)

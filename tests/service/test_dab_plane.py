@@ -267,10 +267,10 @@ def test_a_source_applies_what_its_old_rule_applied(updates):
         # (the bootstrap path), apply unconditionally.
         node.set_bounds(bounds, None if bootstrap else epochs)
         old.set_bounds(bounds, None if bootstrap else epochs)
-        assert node.bounds == old.bounds
-        assert node.epochs == old.epochs
-        assert node._bounds_arr.tolist() == [
-            old.bounds.get(name, float("inf")) for name in MINE]
+        assert node.push.bounds == old.bounds
+        assert node.push.epochs == old.epochs
+        assert node.push.limits == [
+            old.bounds.get(name, -float("inf")) for name in MINE]
         assert node.metrics.duplicate_rejects == old.duplicate_rejects
         assert node.metrics.misrouted_bounds == old.misrouted_bounds
 
@@ -288,9 +288,9 @@ def test_an_agent_applies_what_its_old_rule_applied(updates):
         epochs = {name: epoch for name in bounds}
         agent.apply_dab_update(bounds, epochs, seqs)
         old.apply_dab_update(bounds, epochs, seqs)
-        assert agent.bounds == old.bounds
-        assert agent.epochs == old.epochs
-        assert agent.seq == old.seq
+        assert agent.push.bounds == old.bounds
+        assert agent.push.epochs == old.epochs
+        assert agent.push.seq == old.seq
         for counter, count in old.stats.items():
             assert agent.stats[counter] == count
 
@@ -301,8 +301,8 @@ def test_an_agent_applies_a_bound_that_carries_no_epoch():
     agent = SourceAgent(0, MINE, VALUES)
     agent.apply_dab_update({"a": 1.0}, {"a": 3})
     agent.apply_dab_update({"a": 0.5}, {})
-    assert agent.bounds == {"a": 0.5}
-    assert agent.epochs == {"a": 3}
+    assert agent.push.bounds == {"a": 0.5}
+    assert agent.push.epochs == {"a": 3}
 
 
 @given(changes=st.lists(st.dictionaries(st.sampled_from(ITEMS), bound,
@@ -328,4 +328,4 @@ def test_the_root_port_ends_on_each_items_newest_bound(changes, order,
     newest = dict.fromkeys(ITEMS, 2.0)
     for bounds in changes:
         newest.update(bounds)
-    assert relay.child_bounds[0] == newest
+    assert relay.filters[0].bounds == newest

@@ -97,7 +97,7 @@ async def wired(kind):
 
         wiring = SimpleNamespace(
             link=link, item="x0", close=close,
-            bound=lambda: link.bounds.get("x0"),
+            bound=lambda: link.push.bounds.get("x0"),
             probes=lambda: link.stats["probes_answered"])
     else:
         cluster, _, _ = build_scenario_cluster(shards=2, **SCENARIO)

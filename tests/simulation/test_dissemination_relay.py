@@ -40,7 +40,7 @@ class TestRootPort:
         root, _source, _queue, _metrics = relay_world
         port = _RootPort(root, child_id=0)
         port.set_bounds({"x": 0.5})
-        assert root.child_bounds[0] == {"x": 0.5}
+        assert root.filters[0].bounds == {"x": 0.5}
 
     def test_reordered_child_changes_leave_the_root_on_the_newer(
             self, relay_world):
@@ -55,10 +55,10 @@ class TestRootPort:
                                      {"source_id": port.source_id,
                                       "bounds": {"x": bound},
                                       "epochs": {"x": epoch}}))
-        assert root.child_bounds[0] == {"x": 0.2}
+        assert root.filters[0].bounds == {"x": 0.2}
         for event in _drain(queue):
             source.on_dab_change(event)
-        assert source.bounds["x"] == 0.2
+        assert source.push.bounds["x"] == 0.2
 
 
 class TestRelayFiltering:
@@ -67,7 +67,7 @@ class TestRelayFiltering:
         _RootPort(root, 0).set_bounds({"x": 0.5, "y": 2.0})
         _RootPort(root, 1).set_bounds({"x": 1.5})
         root.bootstrap()
-        assert source.bounds == {"x": 0.5, "y": 2.0}
+        assert source.push.bounds == {"x": 0.5, "y": 2.0}
 
     def test_forwarding_respects_per_child_filters(self, relay_world):
         root, _source, queue, _metrics = relay_world

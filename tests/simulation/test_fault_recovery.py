@@ -86,7 +86,7 @@ class TestEpochOrdering:
         source, _queue, metrics = make_source()
         source.set_bounds({"x": 1.0}, epochs={"x": 2})
         source.set_bounds({"x": 9.0}, epochs={"x": 1})   # the older message
-        assert source.bounds["x"] == 1.0
+        assert source.push.bounds["x"] == 1.0
         assert metrics.duplicate_rejects == 1
 
     def test_reordered_in_flight_changes_land_on_newest(self):
@@ -99,31 +99,31 @@ class TestEpochOrdering:
                     1.0, EventKind.DAB_CHANGE_ARRIVAL,
                     {"source_id": 0, "bounds": {"x": float(epoch)},
                      "epochs": {"x": epoch}}))
-            assert source.bounds["x"] == 2.0, \
+            assert source.push.bounds["x"] == 2.0, \
                 f"arrival order {arrival_order} left a stale filter"
-            assert source.epochs["x"] == 2
+            assert source.push.epochs["x"] == 2
 
     def test_duplicate_delivery_is_idempotent(self):
         source, _queue, metrics = make_source()
         payload = {"source_id": 0, "bounds": {"x": 1.5}, "epochs": {"x": 3}}
         source.on_dab_change(Event(1.0, EventKind.DAB_CHANGE_ARRIVAL, payload))
         source.on_dab_change(Event(1.1, EventKind.DAB_CHANGE_ARRIVAL, dict(payload)))
-        assert source.bounds["x"] == 1.5
+        assert source.push.bounds["x"] == 1.5
         assert metrics.duplicate_rejects == 1
 
     def test_bootstrap_path_needs_no_epochs(self):
         source, _queue, _metrics = make_source()
         source.set_bounds({"x": 2.0})
-        assert source.bounds["x"] == 2.0
-        assert source.epochs == {}
+        assert source.push.bounds["x"] == 2.0
+        assert source.push.epochs == {}
 
 
 class TestMisroutedBounds:
     def test_unknown_item_counted_not_silently_dropped(self):
         source, _queue, metrics = make_source()
         source.set_bounds({"x": 1.0, "not_mine": 2.0})
-        assert "not_mine" not in source.bounds
-        assert source.bounds["x"] == 1.0
+        assert "not_mine" not in source.push.bounds
+        assert source.push.bounds["x"] == 1.0
         assert metrics.misrouted_bounds == 1
 
 
@@ -160,7 +160,7 @@ class TestAckRetry:
         assert len(coordinator.dab_retries.outstanding) == 1
         drain(queue, coordinator, source)
         assert coordinator.dab_retries.outstanding == {}
-        assert source.bounds["x"] == 0.7
+        assert source.push.bounds["x"] == 0.7
         assert metrics.dab_retries == 0
 
     def test_partition_lost_change_is_retried_until_delivered(self):
@@ -170,19 +170,19 @@ class TestAckRetry:
         assert metrics.messages_dropped == 1   # initial send fell in the hole
         drain(queue, coordinator, source)
         assert metrics.dab_retries >= 1
-        assert source.bounds["x"] == 0.7       # the retransmit got through
+        assert source.push.bounds["x"] == 0.7       # the retransmit got through
         assert coordinator.dab_retries.outstanding == {}
 
     def test_permanent_partition_exhausts_retries(self):
         config = FaultConfig(partitions=(PartitionWindow(0.0, 1e9),))
         coordinator, source, queue, metrics = make_world(config)
-        bootstrap_bound = source.bounds["x"]
+        bootstrap_bound = source.push.bounds["x"]
         coordinator._send_dab_change(0, {"x": 0.7}, {"x": 1}, time=1.0)
         drain(queue, coordinator, source)
         assert metrics.dab_retries == 8        # the whole default schedule
         assert metrics.dab_retry_exhausted == 1
         assert coordinator.dab_retries.outstanding == {}
-        assert source.bounds["x"] == bootstrap_bound   # never delivered; gave up
+        assert source.push.bounds["x"] == bootstrap_bound   # never delivered; gave up
 
     def test_given_up_change_widens_the_served_bound(self):
         """A source that never acked may still filter on a wider, stale
@@ -286,7 +286,7 @@ class TestCrashRecovery:
         source.on_dab_change(Event(5.0, EventKind.DAB_CHANGE_ARRIVAL,
                                    {"source_id": 0, "bounds": {"x": 1.0},
                                     "epochs": {"x": 1}}))
-        assert "x" not in source.bounds
+        assert "x" not in source.push.bounds
         assert metrics.messages_dropped == 1
 
     def test_value_probe_answers_with_fresh_value_and_seq(self):

@@ -70,7 +70,7 @@ class TestSourceFilterInvariant:
         for tick in range(1, len(series)):
             source.on_tick(tick)
             live = series[tick]
-            assert abs(live - source.last_pushed["x"]) <= bound + 1e-12
+            assert abs(live - source.push.centres[0]) <= bound + 1e-12
 
 
 class TestMetricsInvariants:

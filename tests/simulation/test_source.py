@@ -70,9 +70,15 @@ class TestPushFiltering:
         source.on_tick(1)
         assert len(queue) == 1
 
-    def test_silent_without_bounds(self):
-        source, queue = make_source([5.0, 50.0])
+    def test_forwards_every_change_without_bounds(self):
+        """No DAB yet: every tick pushes (the fail-safe the live agent
+        shares), and the first bound puts the window in force."""
+        source, queue = make_source([5.0, 50.0, 50.5, 50.7])
         source.on_tick(1)
+        source.on_tick(2)
+        assert [queue.pop().payload["value"] for _ in range(2)] == [50.0, 50.5]
+        source.set_bounds({"x": 1.0})
+        source.on_tick(3)
         assert len(queue) == 0
 
     def test_network_delay_applied(self):
@@ -96,7 +102,7 @@ class TestPushFiltering:
     def test_bounds_for_foreign_items_ignored(self):
         source, _queue = make_source([5.0, 6.0])
         source.set_bounds({"not_mine": 1.0})
-        assert "not_mine" not in source.bounds
+        assert "not_mine" not in source.push.bounds
 
     def test_repr(self):
         source, _ = make_source([1.0, 2.0])
